@@ -32,7 +32,8 @@ def main(argv=None) -> int:
     parser.add_argument("--level", type=int, default=4,
                         help="witness verification level")
     parser.add_argument("--radius", type=int, default=6,
-                        help="witness verification box radius")
+                        help="box radius of the conj witnesses' additivity "
+                        "check; the coe checks are exact over the acting group")
     parser.add_argument("--snf-count", type=int, default=1000)
     parser.add_argument("--bruteforce-samples", type=int, default=4000)
     parser.add_argument("--cohomology-count", type=int, default=12)

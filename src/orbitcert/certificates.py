@@ -39,6 +39,7 @@ from .dynamics import (
     GroupElement,
     PointAtLevel,
     SystemSpec,
+    odometer_product,
     parse_system_spec,
     point_count,
     project_to,
@@ -470,15 +471,45 @@ def _check_counterexample(cert: dict, lines: list[str]) -> bool:
     return ok
 
 
+def _budget(value, name: str) -> int:
+    """A verification budget: a non-negative int (bools and floats are not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CertificateError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _check_binding(cert: dict, block: dict, lines: list[str]) -> bool:
+    """A witness proves the certificate's claim only if it is a witness of
+    the certificate's relation, between the systems named by its inputs,
+    backing a positive verdict."""
+    kind = cert["kind"]
+    if kind == "counterexample":
+        raise CertificateError("counterexample certificates carry no witness")
+    relation = kind.split("-")[0]
+    ms, ns = _parse_inputs(cert)
+    positive = cert["payload"]["equivalent" if relation == "coe" else "conjugate"] is True
+    ok = (
+        block["type"] == relation
+        and positive
+        and block.get("source") == spec_str(odometer_product(ms))
+        and block.get("target") == spec_str(odometer_product(ns))
+    )
+    lines.append(f"[{'pass' if ok else 'FAIL'}] witness binding: a {relation} witness "
+                 "between the input systems, under a positive verdict")
+    return ok
+
+
 def verify_certificate(cert: dict, level: int | None = None,
                        radius: int | None = None) -> tuple[bool, list[str]]:
     """Re-check a loaded certificate.  Returns (passed, report lines).
 
     The hash must match, the recorded decision must reproduce, embedded
-    identities must hold exactly, and any materialized witness must pass
-    its exhaustive verifier at the requested (level, radius), defaulting
-    to the embedded ones.  Raises CertificateError when the file is
-    malformed or the requested level exceeds the materialization.
+    identities must hold exactly, and any materialized witness must be
+    bound to the certificate's inputs and positive verdict and pass its
+    exhaustive verifier at the requested level, defaulting to the embedded
+    one.  The coe checks are exact over the acting group; radius only sets
+    the box of the conj additivity check.  Raises CertificateError when the
+    file is malformed or the requested level exceeds the materialization.
     """
     lines: list[str] = []
     if content_hash(cert) != cert["hash"]:
@@ -497,13 +528,16 @@ def verify_certificate(cert: dict, level: int | None = None,
     if block is not None:
         if not isinstance(block, dict) or "type" not in block:
             raise CertificateError("bad witness block")
-        lvl = int(block.get("level", 0)) if level is None else level
-        rad = int(block.get("radius", 0)) if radius is None else radius
-        if lvl > int(block.get("level", 0)):
+        embedded = _budget(block.get("level"), "witness level")
+        recorded = _budget(block.get("radius"), "witness radius")
+        lvl = embedded if level is None else _budget(level, "level")
+        rad = recorded if radius is None else _budget(radius, "radius")
+        if lvl > embedded:
             raise CertificateError(
-                f"witness is materialized for level {block.get('level')}; "
+                f"witness is materialized for level {embedded}; "
                 f"level {lvl} was requested"
             )
+        ok = _check_binding(cert, block, lines) and ok
         if block["type"] == "coe":
             report = verify_coe(coe_witness_from_block(block), lvl, rad, COE_POINT_LIMIT)
         elif block["type"] == "conj":

@@ -168,6 +168,13 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitcert",
@@ -185,10 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE", help="write the certificate here")
 
     def add_budget(p):
-        p.add_argument("--level", type=int, default=4,
+        p.add_argument("--level", type=nonnegative, default=4,
                        help="materialization/verification level (default 4)")
-        p.add_argument("--radius", type=int, default=6,
-                       help="group box radius (default 6)")
+        p.add_argument("--radius", type=nonnegative, default=6,
+                       help="box radius of the conj additivity check, recorded in "
+                       "coe certificates; the coe checks are exact (default 6)")
 
     p = sub.add_parser("coe", help="decide continuous orbit equivalence")
     add_pair(p)
@@ -225,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("certificate", metavar="FILE")
-    p.add_argument("--level", type=int, default=None,
+    p.add_argument("--level", type=nonnegative, default=None,
                    help="verification level (default: the embedded one)")
-    p.add_argument("--radius", type=int, default=None,
-                   help="group box radius (default: the embedded one)")
+    p.add_argument("--radius", type=nonnegative, default=None,
+                   help="box radius of the conj additivity check "
+                   "(default: the embedded one)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("selftest", help="run the randomized cross-check suites")

@@ -1,0 +1,205 @@
+"""Box-sweep verifier for orbit-equivalence witnesses, kept as a test oracle.
+
+This is the coe verifier as it stood before the exact checks on generators
+replaced it: every identity is tested for each group element of the
+coordinate box [-radius, radius]^rank (cocycle identities for every pair of
+box elements), and injectivity of both cocycles is tested on the box.  It is
+slow and only as strong as its radius, but it shares no code path with the
+generator checks in `orbitcert.cocycle` beyond table materialization and the
+roundtrip check, so the tests require the two verdicts to agree.
+"""
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from orbitcert.cocycle import (
+    CheckResult,
+    CocycleTable,
+    CoeWitness,
+    LCMap,
+    VerifyReport,
+    _SAMPLES,
+    _canonicalize_cols,
+    _check_roundtrip,
+    _Grid,
+    _materialize_lcmap,
+    _materialize_table,
+    _record,
+    _steps,
+)
+from orbitcert.dynamics import add_coords, box_elements, canonical_coords
+
+
+def telescope(
+    grid: _Grid,
+    gen_vals: list[np.ndarray],
+    src_group: tuple[int, ...],
+    target_group: tuple[int, ...],
+    coords: Sequence[int],
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """Cocycle extension along the canonical generator path, one unit step
+    at a time, from the given grid indices (the whole grid by default)."""
+    cur = np.arange(grid.size, dtype=np.int64) if start is None else start.copy()
+    val = np.zeros((len(cur), len(target_group)), dtype=np.int64)
+    perms: dict[tuple[int, int], np.ndarray] = {}
+
+    def perm(i: int, sign: int) -> np.ndarray:
+        key = (i, sign)
+        if key not in perms:
+            e = [0] * len(src_group)
+            e[i] = sign
+            perms[key] = grid.translate(e)
+        return perms[key]
+
+    for i, c in enumerate(coords):
+        steps = _steps(int(c), src_group[i])
+        if steps >= 0:
+            for _ in range(steps):
+                val += gen_vals[i][cur]
+                cur = perm(i, +1)[cur]
+        else:
+            for _ in range(-steps):
+                cur = perm(i, -1)[cur]
+                val -= gen_vals[i][cur]
+    return _canonicalize_cols(val, target_group)
+
+
+def box_equivariance(
+    name: str, phi: LCMap, a: CocycleTable, level: int, radius: int, limit: int
+) -> CheckResult:
+    """phi(g.x) = a(g, x).phi(x) for every g in the box."""
+    src, tgt = phi.source, phi.target
+    gphi, PHI = _materialize_lcmap(phi, level, limit)
+    ga, AG = _materialize_table(a, limit)
+    grid = _Grid(src, max(gphi.level, ga.level), limit)
+    to_phi = grid.project_index(gphi)
+    to_a = grid.project_index(ga)
+    tmods = np.array(tgt.space_moduli(level), dtype=np.int64)
+    src_group = src.group_moduli()
+    phi_x = PHI[to_phi]
+    checked = 0
+    violations: list = []
+    for g in box_elements(src, radius):
+        gx_res = (grid.res + np.array(g.coords, dtype=np.int64)[None, :]) % grid.moduli[None, :]
+        lhs = PHI[(gx_res % gphi.moduli[None, :]) @ gphi.strides]
+        aval = telescope(ga, AG, src_group, a.target_group, g.coords)[to_a]
+        rhs = (phi_x + aval) % tmods[None, :]
+        checked += grid.size
+        bad = np.nonzero((lhs != rhs).any(axis=1))[0]
+        _record(violations, [(name, g.coords, grid.point(int(i))) for i in bad[:_SAMPLES]])
+    return CheckResult(name, checked, violations)
+
+
+def _pack_rows(rows: np.ndarray, lo: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    return (rows - lo[None, :]) @ mult
+
+
+def box_inverse_cocycle(
+    name: str, phi: LCMap, a: CocycleTable, b: CocycleTable, radius: int, limit: int
+) -> CheckResult:
+    """b(a(g, x), phi(x)) = g for every g in the box; b is tabulated once per
+    group element that occurs as a value of a."""
+    src, tgt = phi.source, phi.target
+    ga, AG = _materialize_table(a, limit)
+    gb, BG = _materialize_table(b, limit)
+    gphi, PHI_b = _materialize_lcmap(phi, gb.level, limit)
+    grid = _Grid(src, max(ga.level, gphi.level), limit)
+    to_a = grid.project_index(ga)
+    y_small = PHI_b[grid.project_index(gphi)] @ gb.strides
+    src_group = src.group_moduli()
+    tgt_group = tgt.group_moduli()
+    box = box_elements(src, radius)
+    avals = [telescope(ga, AG, src_group, a.target_group, g.coords)[to_a] for g in box]
+    allh = np.unique(np.concatenate(avals, axis=0), axis=0)
+    table = np.stack(
+        [telescope(gb, BG, tgt_group, b.target_group, tuple(int(v) for v in h)) for h in allh]
+    )
+    lo = allh.min(axis=0)
+    span = allh.max(axis=0) - lo + 1
+    mult = np.ones(len(span), dtype=np.int64)
+    for j in range(len(span) - 2, -1, -1):
+        mult[j] = mult[j + 1] * int(span[j + 1])
+    hkeys = _pack_rows(allh, lo, mult)  # ascending: unique sorts rows lexicographically
+    checked = 0
+    violations: list = []
+    for g, aval in zip(box, avals):
+        expect = np.array(canonical_coords(src_group, g.coords), dtype=np.int64)
+        got = table[np.searchsorted(hkeys, _pack_rows(aval, lo, mult)), y_small]
+        checked += grid.size
+        bad = np.nonzero((got != expect[None, :]).any(axis=1))[0]
+        _record(violations, [(name, g.coords, grid.point(int(i))) for i in bad[:_SAMPLES]])
+    return CheckResult(name, checked, violations)
+
+
+def box_injectivity(name: str, a: CocycleTable, radius: int, limit: int) -> CheckResult:
+    """g -> a(g, x) is injective on the box for every point x."""
+    ga, AG = _materialize_table(a, limit)
+    src_group = a.source.group_moduli()
+    box = box_elements(a.source, radius)
+    stack = np.stack(
+        [telescope(ga, AG, src_group, a.target_group, g.coords) for g in box]
+    )  # (|box|, n, dim)
+    lo = stack.min(axis=(0, 1))
+    span = stack.max(axis=(0, 1)) - lo + 1
+    keys = np.zeros(stack.shape[:2], dtype=np.int64)
+    mult = 1
+    for j in range(stack.shape[2] - 1, -1, -1):
+        keys += (stack[:, :, j] - lo[j]) * mult
+        mult *= int(span[j])
+    srt = np.sort(keys, axis=0)
+    dup_cols = np.nonzero((np.diff(srt, axis=0) == 0).any(axis=0))[0]
+    violations: list = []
+    for x in dup_cols[:_SAMPLES]:
+        seen: dict = {}
+        for gi, g in enumerate(box):
+            key = tuple(int(v) for v in stack[gi, int(x)])
+            if key in seen:
+                violations.append((name, ga.point(int(x)), seen[key], g.coords, key))
+                break
+            seen[key] = g.coords
+    return CheckResult(name, len(box) * ga.size, violations)
+
+
+def box_identity(name: str, a: CocycleTable, radius: int, limit: int) -> CheckResult:
+    """a(g1 + g2, x) = a(g1, g2.x) + a(g2, x) for every pair from the box."""
+    grid, AG = _materialize_table(a, limit)
+    src_group = a.source.group_moduli()
+    tg = a.target_group
+    sums = {
+        g.coords: telescope(grid, AG, src_group, tg, g.coords)
+        for g in box_elements(a.source, 2 * radius)
+    }
+    box = box_elements(a.source, radius)
+    checked = 0
+    violations: list = []
+    for g2 in box:
+        p2 = grid.translate(g2.coords)
+        for g1 in box:
+            lhs = sums[add_coords(src_group, g1.coords, g2.coords)]
+            rhs = _canonicalize_cols(sums[g1.coords][p2] + sums[g2.coords], tg)
+            checked += grid.size
+            bad = np.nonzero((lhs != rhs).any(axis=1))[0]
+            _record(violations, [(name, g1.coords, g2.coords, grid.point(int(i)))
+                                 for i in bad[:_SAMPLES]])
+    return CheckResult(name, checked, violations)
+
+
+def box_verify_coe(
+    w: CoeWitness, level: int = 4, radius: int = 6, point_limit: int = 10**6
+) -> VerifyReport:
+    """The box-sweep verdict on a coe witness at (level, radius)."""
+    checks = [
+        box_equivariance("phi-equivariance", w.phi, w.a, level, radius, point_limit),
+        box_equivariance("psi-equivariance", w.psi, w.b, level, radius, point_limit),
+        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
+        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
+        box_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, radius, point_limit),
+        box_identity("cocycle-identity-a", w.a, radius, point_limit),
+        box_identity("cocycle-identity-b", w.b, radius, point_limit),
+        box_injectivity("injectivity-a", w.a, radius, point_limit),
+        box_injectivity("injectivity-b", w.b, radius, point_limit),
+    ]
+    return VerifyReport("coe-witness", level, radius, checks)

@@ -165,3 +165,57 @@ def test_reconstructed_witness_matches_original_pointwise():
     for i, gen in enumerate(back.a.generators):
         for xp in enumerate_points(w.source, gen.level):
             assert gen(xp) == w.a.generators[i](xp)
+
+
+def test_coe_witness_is_bound_to_the_inputs():
+    # the README pair's witness under a negative 2^inf vs 3^inf verdict
+    ms, ns = parse_sn_list("2^inf"), parse_sn_list("3^inf")
+    block = _coe_cert()["witness"]
+    cert = coe_certificate(ms, ns, coe_decide(ms, ns), block, kind="coe-witness")
+    ok, lines = verify_certificate(loads(dumps(cert)))
+    assert not ok
+    assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
+    # a positive verdict about other systems does not take it either
+    ms, ns = parse_sn_list("3*2^inf, 5^inf"), parse_sn_list("2^inf, 3*5^inf")
+    cert = coe_certificate(ms, ns, coe_decide(ms, ns), block, kind="coe-witness")
+    ok, lines = verify_certificate(loads(dumps(cert)))
+    assert not ok
+    assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
+
+
+def test_conj_witness_is_bound_to_the_inputs():
+    # the swap pair's conjugacy under the README pair's negative conj verdict
+    block = conj_witness_block(build_conj_witness(M_SWAP, N_SWAP), 1, 2)
+    d = conj_decide(M_EXAMPLE, N_EXAMPLE)
+    cert = conj_certificate(M_EXAMPLE, N_EXAMPLE, d, block, kind="conj-witness")
+    ok, lines = verify_certificate(loads(dumps(cert)))
+    assert not ok
+    assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
+
+
+def test_witness_type_must_match_the_kind():
+    # a sound coe witness does not prove a conj claim about the same pair
+    block = _coe_cert()["witness"]
+    cert = conj_certificate(M_EXAMPLE, N_EXAMPLE, conj_decide(M_EXAMPLE, N_EXAMPLE), block)
+    ok, lines = verify_certificate(loads(dumps(cert)))
+    assert not ok
+    assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
+
+
+@pytest.mark.parametrize("field", ["level", "radius"])
+@pytest.mark.parametrize("value", [None, True, 2.0, -1, "3"])
+def test_budget_fields_are_strict(field, value):
+    cert = loads(dumps(_coe_cert(level=2, radius=2)))
+    if value is None:
+        del cert["witness"][field]
+    else:
+        cert["witness"][field] = value
+    with pytest.raises(CertificateError, match=field):
+        verify_certificate(seal(cert))
+
+
+def test_requested_budget_must_be_a_natural():
+    cert = loads(dumps(_coe_cert(level=2, radius=2)))
+    for kw in ({"level": -1}, {"radius": -1}, {"level": True}):
+        with pytest.raises(CertificateError, match="non-negative"):
+            verify_certificate(cert, **kw)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from orbitcert.cli import main
 
 COE_M = "5*2^inf,3^inf"
@@ -133,3 +135,52 @@ def test_selftest_smoke(capsys):
     out = capsys.readouterr().out
     assert "selftest passed" in out
     assert "cohomology-roundtrip: pass" in out
+
+
+def _broken_readme_cert(tmp_path, capsys):
+    """The README coe certificate with cocycle a broken at one entry."""
+    path = tmp_path / "w.json"
+    assert main(["witness", "coe", COE_M, COE_N, "--level", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    cert = json.loads(path.read_text())
+    cert["witness"]["a"]["generators"][0][0][0] += 7
+    return path, cert
+
+
+def _reseal(path, cert):
+    from orbitcert.certificates import dumps, seal
+
+    path.write_text(dumps(seal(cert)))
+
+
+def test_broken_cocycle_fails_whatever_the_radius(tmp_path, capsys):
+    path, cert = _broken_readme_cert(tmp_path, capsys)
+    _reseal(path, cert)
+    assert main(["verify", str(path)]) == 1
+    assert "[FAIL] witness cocycle-identity-a" in capsys.readouterr().out
+    # a radius of 0 once made every box {0}, so nothing was compared
+    cert["witness"]["radius"] = 0
+    _reseal(path, cert)
+    assert main(["verify", str(path)]) == 1
+    assert "verification FAILED" in capsys.readouterr().out
+    assert main(["verify", str(path), "--radius", "0"]) == 1
+    capsys.readouterr()
+    # a missing radius once defaulted to 0; now the block is malformed
+    del cert["witness"]["radius"]
+    _reseal(path, cert)
+    assert main(["verify", str(path)]) == 2
+    assert "radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "coe", COE_M, COE_N, "--level", "-1"],
+    ["witness", "coe", COE_M, COE_N, "--radius", "-1"],
+    ["coe", COE_M, COE_N, "--witness", "--level", "-2"],
+    ["verify", "w.json", "--level", "-1"],
+    ["verify", "w.json", "--radius", "-1"],
+])
+def test_negative_budget_flags_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err

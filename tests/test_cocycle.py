@@ -197,7 +197,8 @@ def test_verify_locates_noninjective_cocycle():
     report = verify_coe(w, level=1, radius=3)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.ok}
-    assert "injectivity-a" in failing
+    # b o a = id on the whole group implies injectivity; doubling breaks it
+    assert "b-inverts-a" in failing
 
 
 def test_compose_and_inverse_round_trip():

@@ -1,0 +1,133 @@
+"""The coe verifier checks identities on generators; the box sweep in
+box_oracle checks them element by element on a box.  Their verdicts must
+agree on valid witnesses and on seeded single-entry table mutations."""
+from __future__ import annotations
+
+import copy
+import random
+
+import pytest
+
+from box_oracle import box_identity, box_verify_coe
+from orbitcert.certificates import coe_witness_block, coe_witness_from_block
+from orbitcert.cocycle import (
+    CocycleTable,
+    CoeWitness,
+    GroupValuedMap,
+    constant_generator,
+    inverse_coe,
+    verify_cocycle_identity,
+    verify_coe,
+)
+from orbitcert.dynamics import Cyclic, GroupElement, Odometer, SystemSpec, parse_system_spec
+from orbitcert.supernatural import parse_sn, parse_sn_list
+from orbitcert.witness import build_basic_coe, build_coe_witness, build_finite_coe
+
+README_PAIR = ("5*2^inf,3^inf", "2^inf,5*3^inf")
+RANK2_PAIRS = [
+    ("3*2^inf,5^inf", "2^inf,3*5^inf"),
+    ("2*3^inf,5^inf", "3^inf,2*5^inf"),
+    ("2^inf,5*3^inf", "5*2^inf,3^inf"),
+]
+
+
+def _witness(pair):
+    return build_coe_witness(parse_sn_list(pair[0]), parse_sn_list(pair[1]))
+
+
+def _cyclic_source():
+    # cyc:5 x odo:2^inf -> odo:5*2^inf, the inverse of a seam split
+    return inverse_coe(build_basic_coe(5, parse_sn("2^inf")))
+
+
+def _agree(w, level, radius):
+    exact = verify_coe(w, level, radius)
+    box = box_verify_coe(w, level, radius)
+    assert exact.passed == box.passed, exact.summary() + "\n" + box.summary()
+    return exact.passed
+
+
+def test_readme_pair_agrees_at_level_3_radius_6():
+    assert _agree(_witness(README_PAIR), 3, 6)
+
+
+@pytest.mark.parametrize("pair", RANK2_PAIRS, ids=lambda p: f"{p[0]}|{p[1]}")
+def test_rank2_witnesses_agree(pair):
+    assert _agree(_witness(pair), 2, 3)
+
+
+def test_cyclic_source_witnesses_agree():
+    w = _cyclic_source()
+    assert isinstance(w.source.factors[0], Cyclic)
+    assert _agree(w, 2, 3)
+    assert _agree(build_finite_coe((2, 3), (6,)), 1, 3)
+
+
+def _mutate(block: dict, key: str, rng: random.Random) -> dict:
+    """Change one entry of one table, keeping point tables in range."""
+    out = copy.deepcopy(block)
+    if key in ("a", "b"):
+        gens = out[key]["generators"]
+        rows = gens[rng.randrange(len(gens))]
+        row = rows[rng.randrange(len(rows))]
+        row[rng.randrange(len(row))] += rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        return out
+    spec = parse_system_spec(out["target" if key == "phi" else "source"])
+    mods = spec.space_moduli(out[key]["out_level"])
+    row = out[key]["table"][rng.randrange(len(out[key]["table"]))]
+    c = rng.choice([j for j, m in enumerate(mods) if m > 1])
+    row[c] = (row[c] + rng.randrange(1, mods[c])) % mods[c]
+    return out
+
+
+@pytest.mark.parametrize("case", ["readme", "rank2-0", "rank2-1", "cyclic-source"])
+def test_single_entry_mutations_agree(case):
+    w = {
+        "readme": lambda: _witness(README_PAIR),
+        "rank2-0": lambda: _witness(RANK2_PAIRS[0]),
+        "rank2-1": lambda: _witness(RANK2_PAIRS[1]),
+        "cyclic-source": _cyclic_source,
+    }[case]()
+    block = coe_witness_block(w, 2, 2)
+    rng = random.Random(f"mutations-{case}")
+    for k in range(8):  # two mutations of each of a, b, phi, psi
+        key = ("a", "b", "phi", "psi")[k % 4]
+        _agree(coe_witness_from_block(_mutate(block, key, rng)), 2, 2)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11])
+def test_orbit_sum_violation_needs_only_radius_one(n):
+    # constant 1 -> Z on Z/n sums to n around the orbit, not 0
+    spec = SystemSpec((Cyclic(n),))
+    a = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (1,)),))
+    assert not verify_cocycle_identity(a).passed
+    assert not box_identity("box", a, 1, 10**6).ok  # through the pair (-1, +1)
+    assert box_identity("box", a, 0, 10**6).ok  # the box {0} sees nothing
+
+
+def test_commutation_violation_is_located():
+    spec = SystemSpec((Odometer(parse_sn("2^inf")), Odometer(parse_sn("3^inf"))))
+    f0 = GroupValuedMap(spec, (0, 0), 1, lambda x: GroupElement((1, x.residues[1] % 3)))
+    f1 = constant_generator(spec, (0, 0), (0, 1))
+    report = verify_cocycle_identity(CocycleTable(spec, (0, 0), (f0, f1)))
+    assert not report.passed
+    assert "exact over the acting group" in report.summary()
+    assert report.checks[0].violations[0][1] == "e0+e1 = e1+e0"
+
+
+def test_inverse_check_cost_does_not_grow_with_cocycle_values():
+    # a(e, x) = 10**9 would take 10**9 unit steps to telescope; the prefix
+    # sums answer in one lookup per factor and the check fails at once
+    spec = SystemSpec((Odometer(parse_sn("2^inf")),))
+    w = build_coe_witness(parse_sn_list("2^inf"), parse_sn_list("2^inf"))
+    big = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (10**9,)),))
+    report = verify_coe(CoeWitness(w.phi, big, w.psi, w.b), level=2)
+    failing = {c.name for c in report.checks if not c.ok}
+    assert "b-inverts-a" in failing
+
+
+def test_values_beyond_exact_int64_range_are_refused():
+    spec = SystemSpec((Cyclic(4),))
+    a = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (2**61,)),))
+    with pytest.raises(ValueError, match="too large"):
+        verify_cocycle_identity(a)
