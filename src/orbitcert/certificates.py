@@ -5,12 +5,14 @@ the sha256 of the compact canonical serialization of every other field, so
 any semantic edit invalidates it.  Witness tables are materialized per
 cylinder in lexicographic order (first factor most significant) at a
 declared level; verification above that level is refused, never
-extrapolated.
+extrapolated.  Tables are read strictly: every entry must be a JSON
+integer within int64 and every row must have the declared width.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .cocycle import (
     LCMap,
     _materialize_lcmap,
     _materialize_table,
+    coarsest_table,
+    cylinder_index,
     verify_coe,
     verify_conj,
 )
@@ -36,13 +40,10 @@ from .decide import (
     free_group_counterexample_check,
 )
 from .dynamics import (
-    GroupElement,
-    PointAtLevel,
     SystemSpec,
     odometer_product,
     parse_system_spec,
     point_count,
-    project_to,
     spec_str,
 )
 from .intmat import IntMatrix
@@ -159,22 +160,12 @@ def _table_block(t: CocycleTable, limit: int) -> dict:
     }
 
 
-def _stable_levels(fwd: LCMap, bwd: LCMap, level: int, fwd_extra: int, bwd_extra: int) -> tuple[int, int]:
-    """Output levels at which the two point maps must be tabulated so the
-    verifier's own demands (roundtrips read each map at the other's input
-    level) close over the tables."""
-    kf = kb = level
-    for _ in range(64):
-        nf = max(level, bwd.input_level(kb), fwd_extra)
-        nb = max(level, fwd.input_level(kf), bwd_extra)
-        if (nf, nb) == (kf, kb):
-            return kf, kb
-        kf, kb = max(kf, nf), max(kb, nb)
-    raise CertificateError("witness level maps do not stabilize; cannot materialize")
-
-
 def coe_witness_block(w: CoeWitness, level: int, radius: int, limit: int = COE_POINT_LIMIT) -> dict:
-    kf, kb = _stable_levels(w.phi, w.psi, level, w.b.level, w.a.level)
+    # each point map is tabulated at the highest output level a check reads
+    # it at: its own equivariance level, b's (a's) level and the level the
+    # other map's roundtrip feeds it
+    kf = max(level, w.b.level, w.psi.input_level(level))
+    kb = max(level, w.a.level, w.phi.input_level(level))
     return {
         "type": "coe",
         "level": level,
@@ -189,7 +180,8 @@ def coe_witness_block(w: CoeWitness, level: int, radius: int, limit: int = COE_P
 
 
 def conj_witness_block(cw: ConjWitness, level: int, radius: int, limit: int = CONJ_POINT_LIMIT) -> dict:
-    kf, kb = _stable_levels(cw.phi, cw.phi_inv, level, 0, 0)
+    kf = max(level, cw.phi_inv.input_level(level))
+    kb = max(level, cw.phi.input_level(level))
     return {
         "type": "conj",
         "level": level,
@@ -240,78 +232,70 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 # reconstruction
 
 
-def _strides(mods: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * len(mods)
-    for i in range(len(mods) - 2, -1, -1):
-        out[i] = out[i + 1] * mods[i + 1]
-    return tuple(out)
+def _int_table(rows, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A JSON table as an int64 array, refusing anything but a list of
+    `shape[0]` rows of `shape[1]` JSON integers within int64."""
+    n, width = shape
+    if type(rows) is not list or len(rows) != n:
+        got = len(rows) if type(rows) is list else type(rows).__name__
+        raise CertificateError(f"{name}: table holds {got} rows, wanted {n}")
+    if any(type(r) is not list for r in rows) or set(map(len, rows)) != {width}:
+        raise CertificateError(f"{name}: ragged table, wanted rows of {width} values")
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        raise CertificateError(f"{name}: table entries must be integers")
+    if min(chain.from_iterable(rows)) < -2**63 or max(chain.from_iterable(rows)) >= 2**63:
+        raise CertificateError(f"{name}: table entry outside int64")
+    return np.array(rows, dtype=np.int64).reshape(n, width)
 
 
 def _lcmap_from_block(block: dict, src: SystemSpec, tgt: SystemSpec, name: str) -> LCMap:
+    """The tabulated map; at each output level up to the tabulated one it
+    reports the least input level on whose cylinders its values are constant."""
     try:
-        in_level = int(block["in_level"])
-        out_cap = int(block["out_level"])
+        in_level = _budget(block["in_level"], f"{name} in_level")
+        out_cap = _budget(block["out_level"], f"{name} out_level")
         rows = block["table"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise CertificateError(f"{name}: bad table block ({e})") from None
-    if in_level < 0 or out_cap < 0:
-        raise CertificateError(f"{name}: negative level")
-    n = point_count(src, in_level)
-    if len(rows) != n:
-        raise CertificateError(f"{name}: table holds {len(rows)} rows, wanted {n}")
-    out_mods = tgt.space_moduli(out_cap)
-    table = []
-    for row in rows:
-        vals = tuple(int(v) for v in row)
-        if len(vals) != len(out_mods) or any(not 0 <= v < m for v, m in zip(vals, out_mods)):
-            raise CertificateError(f"{name}: out-of-range table row {row}")
-        table.append(vals)
-    strides = np.array(_strides(src.space_moduli(in_level)), dtype=np.int64)
-    arr = np.array(table, dtype=np.int64).reshape(n, len(out_mods))
+    arr = _int_table(rows, (point_count(src, in_level), tgt.rank), name)
+    out_mods = np.array(tgt.space_moduli(out_cap), dtype=np.int64)
+    bad = np.nonzero(((arr < 0) | (arr >= out_mods[None, :])).any(axis=1))[0]
+    if bad.size:
+        raise CertificateError(f"{name}: out-of-range table row {rows[int(bad[0])]}")
+    coarse: dict[int, tuple[int, np.ndarray]] = {}
 
-    def lm(k: int, _cap=out_cap, _lvl=in_level, _name=name) -> int:
-        if k > _cap:
+    def fit(k: int) -> tuple[int, np.ndarray]:
+        if k > out_cap:
             raise CertificateError(
-                f"{_name}: tables are materialized at level {_cap}; "
+                f"{name}: tables are materialized at level {out_cap}; "
                 f"re-emit the witness to verify at level {k}"
             )
-        return _lvl
+        if k not in coarse:
+            mods = np.array(tgt.space_moduli(k), dtype=np.int64)
+            coarse[k] = coarsest_table(src, in_level, arr % mods[None, :])
+        return coarse[k]
 
-    def ev(k: int, xp: PointAtLevel, _t=table, _s=strides, _cap=out_cap) -> PointAtLevel:
-        idx = int(np.array(xp.residues, dtype=np.int64) @ _s)
-        return project_to(tgt, PointAtLevel(_cap, _t[idx]), k)
+    def table(k: int, res: np.ndarray) -> np.ndarray:
+        level, vals = fit(k)
+        return vals[cylinder_index(src, level, res)]
 
-    def vec(k: int, res: np.ndarray, _a=arr, _s=strides) -> np.ndarray:
-        mods = np.array(tgt.space_moduli(k), dtype=np.int64)
-        return _a[res @ _s] % mods[None, :]
-
-    return LCMap(src, tgt, lm, ev, name, vectorized=vec)
+    return LCMap(src, tgt, lambda k: fit(k)[0], table, name)
 
 
 def _cocycle_from_block(block: dict, src: SystemSpec, name: str) -> CocycleTable:
     try:
-        level = int(block["level"])
-        tg = tuple(int(m) for m in block["target_group"])
+        level = _budget(block["level"], f"{name} level")
+        tg = tuple(_budget(m, f"{name} target_group entry") for m in block["target_group"])
         gens = block["generators"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise CertificateError(f"{name}: bad cocycle block ({e})") from None
-    if len(gens) != src.rank:
-        raise CertificateError(f"{name}: {len(gens)} generators, wanted {src.rank}")
-    n = point_count(src, level)
-    strides = _strides(src.space_moduli(level))
-    maps = []
-    for i, rows in enumerate(gens):
-        if len(rows) != n:
-            raise CertificateError(f"{name}[{i}]: table holds {len(rows)} rows, wanted {n}")
-        table = [tuple(int(v) for v in row) for row in rows]
-        if any(len(row) != len(tg) for row in table):
-            raise CertificateError(f"{name}[{i}]: wrong value arity")
-
-        def ev(xp: PointAtLevel, _t=table, _s=strides) -> GroupElement:
-            return GroupElement(_t[sum(r * s for r, s in zip(xp.residues, _s))])
-
-        maps.append(GroupValuedMap(src, tg, level, ev, f"{name}[{i}]"))
-    return CocycleTable(src, tg, tuple(maps))
+    if type(gens) is not list or len(gens) != src.rank:
+        raise CertificateError(f"{name}: wanted a list of {src.rank} generator tables")
+    shape = (point_count(src, level), len(tg))
+    return CocycleTable(src, tg, tuple(
+        GroupValuedMap(src, tg, level, _int_table(rows, shape, f"{name}[{i}]"), f"{name}[{i}]")
+        for i, rows in enumerate(gens)
+    ))
 
 
 def _specs_from_witness(block: dict) -> tuple[SystemSpec, SystemSpec]:

@@ -1,10 +1,11 @@
 """Locally constant maps, orbit cocycles, and exhaustive finite-level checks.
 
-Maps between inverse towers are kept as evaluable objects carrying a level
-map: to produce output at level k they request their input at level
-level_map(k) and are constant on the fibers of that projection.  Composites
-therefore stay cheap to build; full tables are only materialized inside the
-verification routines, which enumerate every point of the relevant truncation.
+A locally constant map is, at each truncation level, a finite table.  A map
+between inverse towers carries a level map: its output at level k depends
+only on the input's level level_map(k) projection, and its one evaluator
+turns a whole array of such inputs into the int64 array of outputs.  A
+group-valued map is stored as its int64 table at its locality level.  Point
+evaluation is a lookup, composition a gather.
 
 A cocycle is stored by its values on the acting group's standard generators.
 On Z^a x prod Z/n_i such tables extend to a genuine cocycle exactly when the
@@ -24,97 +25,114 @@ from .dynamics import (
     GroupElement,
     PointAtLevel,
     SystemSpec,
-    act,
-    add_coords,
     box_elements,
     canonical_coords,
     generator,
-    neg_coords,
     point_count,
-    project_to,
 )
 from .intmat import IntMatrix
 
 _SAMPLES = 5  # violations kept per check
 
 
+def mixed_radix_strides(moduli: Sequence[int]) -> np.ndarray:
+    """Place values of a mixed-radix index, the first factor most significant."""
+    out = np.ones(len(moduli), dtype=np.int64)
+    if len(moduli) > 1:
+        out[:-1] = np.cumprod(np.asarray(moduli, dtype=np.int64)[:0:-1])[::-1]
+    return out
+
+
+def cylinder_index(spec: SystemSpec, level: int, res: np.ndarray) -> np.ndarray:
+    """Index in the level-`level` grid of the cylinder holding each row of
+    res, residues at that level or finer."""
+    mods = np.array(spec.space_moduli(level), dtype=np.int64)
+    return (res % mods) @ mixed_radix_strides(mods)
+
+
 @dataclass(frozen=True, eq=False)
 class LCMap:
     """Locally constant map between systems, evaluable at every level.
 
-    evaluate(k, x) receives x already projected to exactly level_map(k) and
-    must return a point at level k of the target.  vectorized, when present,
-    maps (k, residue matrix) to the output residue matrix in one shot and must
-    agree with evaluate pointwise; verification uses it to build tables.
+    table(k, res) receives one row of residues per point at exactly level
+    level_map(k) and returns the int64 array of their images at level k.
     """
 
     source: SystemSpec
     target: SystemSpec
     level_map: Callable[[int], int]
-    evaluate: Callable[[int, PointAtLevel], PointAtLevel]
+    table: Callable[[int, np.ndarray], np.ndarray]
     name: str = ""
-    vectorized: Callable[[int, np.ndarray], np.ndarray] | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
     _levels: dict = field(default_factory=dict, repr=False)
 
     def input_level(self, k: int) -> int:
         """level_map(k), memoized (level maps can be deep compositions)."""
         got = self._levels.get(k)
         if got is None:
-            got = self._levels[k] = (self.level_map(k), self.target.space_moduli(k))
-        return got[0]
+            got = self._levels[k] = self.level_map(k)
+        return got
+
+    def at(self, k: int, res: np.ndarray) -> np.ndarray:
+        """Images at level k of points given at level input_level(k) or finer."""
+        need = self.input_level(k)
+        mods = np.array(self.source.space_moduli(need), dtype=np.int64)
+        return _in_range(self, k, self.table(k, res % mods), len(res))
 
     def __call__(self, k: int, x: PointAtLevel) -> PointAtLevel:
-        got = self._levels.get(k)
-        if got is None:
-            got = self._levels[k] = (self.level_map(k), self.target.space_moduli(k))
-        need, mods = got
+        need = self.input_level(k)
         if x.level < need:
             raise ValueError(
                 f"{self.name or 'map'}: output level {k} needs input level {need}, got {x.level}"
             )
-        xp = project_to(self.source, x, need)
-        key = (k, xp.residues)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        y = self.evaluate(k, xp)
-        if y.level != k:
-            raise AssertionError(f"{self.name or 'map'} returned level {y.level}, wanted {k}")
-        if len(y.residues) != len(mods) or any(
-            not 0 <= r < m for r, m in zip(y.residues, mods)
-        ):
-            raise AssertionError(f"{self.name or 'map'} returned an out-of-range point")
-        self._cache[key] = y
-        return y
+        row = self.at(k, np.array([x.residues], dtype=np.int64))[0]
+        return PointAtLevel(k, tuple(int(v) for v in row))
+
+
+def _in_range(f: LCMap, k: int, vals: np.ndarray, n: int) -> np.ndarray:
+    vals = np.asarray(vals, dtype=np.int64)
+    mods = np.array(f.target.space_moduli(k), dtype=np.int64)
+    if vals.shape != (n, f.target.rank) or (vals < 0).any() or (vals >= mods[None, :]).any():
+        raise AssertionError(f"{f.name or 'map'}: table out of range")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
 class GroupValuedMap:
     """Locally constant map from a system into an abelian group given by a
-    moduli descriptor (n for Z/n, 0 for Z).  level is the locality modulus:
-    the value depends only on the level-`level` projection of the point."""
+    moduli descriptor (n for Z/n, 0 for Z).  level is the locality level:
+    values[i] is the value on the i-th cylinder of the level-`level` grid,
+    stored canonically (cyclic coordinates reduced mod n)."""
 
     source: SystemSpec
     target_group: tuple[int, ...]
     level: int
-    evaluate: Callable[[PointAtLevel], GroupElement]
+    values: np.ndarray
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        shape = (point_count(self.source, self.level), len(self.target_group))
+        vals = _canonicalize_cols(np.asarray(self.values, dtype=np.int64).reshape(shape),
+                                  self.target_group)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def tabulate(cls, source: SystemSpec, target_group: tuple[int, ...], level: int,
+                 fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> "GroupValuedMap":
+        """The map whose values on the level-`level` grid residues are fn(res)."""
+        return cls(source, target_group, level, fn(_Grid(source, level).res), name)
+
+    def at(self, res: np.ndarray) -> np.ndarray:
+        """Values at points given by residues at level `level` or finer."""
+        return self.values[cylinder_index(self.source, self.level, res)]
 
     def __call__(self, x: PointAtLevel) -> GroupElement:
         if x.level < self.level:
             raise ValueError(
                 f"{self.name or 'cocycle'}: needs level {self.level}, got {x.level}"
             )
-        xp = project_to(self.source, x, self.level)
-        hit = self._cache.get(xp.residues)
-        if hit is not None:
-            return hit
-        v = self.evaluate(xp)
-        out = GroupElement(canonical_coords(self.target_group, v.coords))
-        self._cache[xp.residues] = out
-        return out
+        row = self.at(np.array([x.residues], dtype=np.int64))[0]
+        return GroupElement(tuple(int(v) for v in row))
 
 
 Transfer = GroupValuedMap  # a transfer function u: X -> H is just such a map
@@ -143,48 +161,50 @@ class CocycleTable:
         return max((g.level for g in self.generators), default=0)
 
 
-def _steps(c: int, modulus: int) -> int:
-    # canonical step count: cyclic coordinates walk forward, Z keeps the sign
-    return c % modulus if modulus else c
+def cocycle_reader(b: CocycleTable, limit: int = 10**6):
+    """read(h, y) = b(h, y) for arrays of group elements h and of points y
+    given by residues at b's level, one pair per row.
 
-
-def extend_cocycle(
-    table: CocycleTable,
-    g: GroupElement,
-    x: PointAtLevel,
-    order: Sequence[int] | None = None,
-) -> GroupElement:
-    """Value on an arbitrary group element, telescoped from generator values.
-
-    a(gh, x) = a(g, h.x) + a(h, x) and a(-e, x) = -a(e, (-e).x); the factor
-    processing order is irrelevant for an abelian target (tested), the default
-    walks factors left to right.
+    The factors of h are walked left to right.  On b's grid e_j walks an
+    orbit of length M, and for h_j = q*M + r the value b(h_j e_j, y) is q
+    times the orbit sum plus the sum of the first r steps, both read off
+    cyclic prefix sums of b's generator tables, so the cost does not grow
+    with the size of h.  Cyclic coordinates of h are reduced mod their order.
     """
-    spec = table.source
-    if x.level < table.level:
-        raise ValueError(f"point level {x.level} below cocycle level {table.level}")
-    src_mods = spec.group_moduli()
-    if len(g.coords) != spec.rank:
-        raise ValueError("group element arity mismatch")
-    val = (0,) * len(table.target_group)
-    cur = x
-    for i in order if order is not None else range(spec.rank):
-        steps = _steps(g.coords[i], src_mods[i])
-        ei = generator(spec, i)
-        nei = GroupElement(neg_coords(src_mods, ei.coords))
-        if steps >= 0:
-            for _ in range(steps):
-                val = add_coords(table.target_group, val, table.generators[i](cur).coords)
-                cur = act(spec, cur.level, ei, cur)
-        else:
-            for _ in range(-steps):
-                cur = act(spec, cur.level, nei, cur)
-                val = add_coords(
-                    table.target_group,
-                    val,
-                    neg_coords(table.target_group, table.generators[i](cur).coords),
-                )
-    return GroupElement(canonical_coords(table.target_group, val))
+    gb, BG = _materialize_table(b, limit)
+    moduli = [int(m) for m in gb.moduli]
+    group = b.source.group_moduli()
+    dim = len(b.target_group)
+    shape = tuple(moduli) + (dim,)
+    # prefix[j] holds, at grid point y with axis j extended to t < 2M, the
+    # sum of b_j over t steps of e_j from y; rows are flat-indexed by strides[j]
+    prefix, strides = [], []
+    for j, vals in enumerate(BG):
+        nd = vals.reshape(shape)
+        run = np.cumsum(np.concatenate([nd, nd], axis=j), axis=j)
+        zero = np.zeros_like(np.take(nd, [0], axis=j))
+        full = np.concatenate([zero, run], axis=j)
+        prefix.append(full.reshape(-1, dim))
+        strides.append(mixed_radix_strides(full.shape[:-1]))
+    peak = _peak(BG)
+
+    def read(h: np.ndarray, y: np.ndarray, name: str = "cocycle") -> np.ndarray:
+        h = _canonicalize_cols(h, group)
+        _require_int64(len(moduli) * (_peak([h]) + 2 * max(moduli)) * peak, name)
+        cur = np.array(y, dtype=np.int64)
+        got = np.zeros((len(cur), dim), dtype=np.int64)
+        for j, m in enumerate(moduli):
+            if not h[:, j].any():
+                continue  # no steps along e_j
+            q, r = np.divmod(h[:, j], m)
+            at = cur @ strides[j]
+            base = prefix[j][at]
+            orbit = prefix[j][at + m * strides[j][j]] - base
+            got += q[:, None] * orbit + prefix[j][at + r * strides[j][j]] - base
+            cur[:, j] = (cur[:, j] + r) % m
+        return _canonicalize_cols(got, b.target_group)
+
+    return read
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,15 +321,14 @@ class ConjWitness:
 
 
 def identity_lcmap(spec: SystemSpec, name: str = "id") -> LCMap:
-    return LCMap(spec, spec, lambda k: k, lambda k, x: x, name,
-                 vectorized=lambda k, res: res)
+    return LCMap(spec, spec, lambda k: k, lambda k, res: res, name)
 
 
 def constant_generator(
     spec: SystemSpec, target_group: tuple[int, ...], coords: tuple[int, ...], name: str = ""
 ) -> GroupValuedMap:
-    g = GroupElement(canonical_coords(target_group, coords))
-    return GroupValuedMap(spec, target_group, 0, lambda x: g, name)
+    row = np.array([coords], dtype=np.int64)
+    return GroupValuedMap(spec, target_group, 0, np.repeat(row, point_count(spec, 0), 0), name)
 
 
 def homomorphism_cocycle(spec: SystemSpec, iso_columns: list[tuple[int, ...]],
@@ -334,66 +353,38 @@ def inverse_coe(w: CoeWitness) -> CoeWitness:
     return CoeWitness(w.psi, w.b, w.phi, w.a)
 
 
-def _chain_vectorized(first: LCMap, second: LCMap):
-    """Vectorized evaluator for second o first, when both stages have one."""
-    if first.vectorized is None or second.vectorized is None:
-        return None
+def _chain(first: LCMap, second: LCMap) -> LCMap:
+    """second o first: the first table's output feeds the second's input."""
+    def table(k: int, res: np.ndarray) -> np.ndarray:
+        return second.table(k, first.table(second.input_level(k), res))
 
-    def vec(k: int, res: np.ndarray) -> np.ndarray:
-        mid = second.input_level(k)
-        return second.vectorized(k, first.vectorized(mid, res))
+    return LCMap(first.source, second.target,
+                 lambda k: first.input_level(second.input_level(k)), table,
+                 f"({second.name})o({first.name})")
 
-    return vec
+
+def _composite_cocycle(a1: CocycleTable, phi1: LCMap, a2: CocycleTable,
+                       name: str) -> CocycleTable:
+    """a(g, x) = a2(a1(g, x), phi1(x)), one gather per generator."""
+    read = cocycle_reader(a2)
+    gens = []
+    for i, g in enumerate(a1.generators):
+        grid = _Grid(a1.source, max(g.level, phi1.input_level(a2.level)))
+        vals = read(g.at(grid.res), phi1.at(a2.level, grid.res), name)
+        gens.append(GroupValuedMap(a1.source, a2.target_group, grid.level, vals, f"{name}[{i}]"))
+    return CocycleTable(a1.source, a2.target_group, tuple(gens))
 
 
 def compose_coe(w1: CoeWitness, w2: CoeWitness) -> CoeWitness:
     """Chain witnesses X -> Y and Y -> Z into X -> Z."""
     if w1.target != w2.source:
         raise ValueError("middle systems do not match")
-    x, z = w1.source, w2.target
-    gz = z.group_moduli()
-    gx = x.group_moduli()
-
-    phi = LCMap(
-        x,
-        z,
-        lambda k: w1.phi.input_level(w2.phi.input_level(k)),
-        lambda k, xp: w2.phi(k, w1.phi(w2.phi.input_level(k), xp)),
-        f"({w2.phi.name})o({w1.phi.name})",
-        vectorized=_chain_vectorized(w1.phi, w2.phi),
+    return CoeWitness(
+        _chain(w1.phi, w2.phi),
+        _composite_cocycle(w1.a, w1.phi, w2.a, "a12"),
+        _chain(w2.psi, w1.psi),
+        _composite_cocycle(w2.b, w2.psi, w1.b, "b21"),
     )
-    psi = LCMap(
-        z,
-        x,
-        lambda k: w2.psi.input_level(w1.psi.input_level(k)),
-        lambda k, zp: w1.psi(k, w2.psi(w1.psi.input_level(k), zp)),
-        f"({w1.psi.name})o({w2.psi.name})",
-        vectorized=_chain_vectorized(w2.psi, w1.psi),
-    )
-
-    def a_gen(i: int) -> GroupValuedMap:
-        lvl = max(w1.a.generators[i].level, w1.phi.level_map(w2.a.level))
-
-        def ev(xp: PointAtLevel) -> GroupElement:
-            h = w1.a.generators[i](xp)
-            y = w1.phi(w2.a.level, xp)
-            return extend_cocycle(w2.a, h, y)
-
-        return GroupValuedMap(x, gz, lvl, ev, f"a12[{i}]")
-
-    def b_gen(j: int) -> GroupValuedMap:
-        lvl = max(w2.b.generators[j].level, w2.psi.level_map(w1.b.level))
-
-        def ev(zp: PointAtLevel) -> GroupElement:
-            h = w2.b.generators[j](zp)
-            y = w2.psi(w1.b.level, zp)
-            return extend_cocycle(w1.b, h, y)
-
-        return GroupValuedMap(z, gx, lvl, ev, f"b21[{j}]")
-
-    a = CocycleTable(x, gz, tuple(a_gen(i) for i in range(x.rank)))
-    b = CocycleTable(z, gx, tuple(b_gen(j) for j in range(z.rank)))
-    return CoeWitness(phi, a, psi, b)
 
 
 def conj_to_coe(cw: ConjWitness) -> CoeWitness:
@@ -418,20 +409,13 @@ def twist(a: CocycleTable, u: Transfer) -> CocycleTable:
     if u.source != a.source or u.target_group != a.target_group:
         raise ValueError("transfer shape mismatch")
     spec = a.source
-    tg = a.target_group
-
-    def gen(i: int) -> GroupValuedMap:
-        lvl = max(a.generators[i].level, u.level)
-        ei = generator(spec, i)
-
-        def ev(xp: PointAtLevel) -> GroupElement:
-            gx = act(spec, xp.level, ei, xp)
-            s = add_coords(tg, u(gx).coords, a.generators[i](xp).coords)
-            return GroupElement(add_coords(tg, s, neg_coords(tg, u(xp).coords)))
-
-        return GroupValuedMap(spec, tg, lvl, ev, f"twist[{i}]")
-
-    return CocycleTable(spec, tg, tuple(gen(i) for i in range(spec.rank)))
+    gens = []
+    for i, g in enumerate(a.generators):
+        grid = _Grid(spec, max(g.level, u.level))
+        u_x = u.at(grid.res)
+        vals = u_x[grid.translate(generator(spec, i).coords)] + g.at(grid.res) - u_x
+        gens.append(GroupValuedMap(spec, a.target_group, grid.level, vals, f"twist[{i}]"))
+    return CocycleTable(spec, a.target_group, tuple(gens))
 
 
 def untwist_to_conjugacy(
@@ -475,30 +459,19 @@ def untwist_to_conjugacy(
             )
 
     x, y = w.source, w.target
-    tgy = y.group_moduli()
+    rho_inv = np.array(rho.inverse.to_rows(), dtype=np.int64).T
 
-    def phi_eval(k: int, xp: PointAtLevel) -> PointAtLevel:
-        shift = neg_coords(tgy, u(xp).coords)
-        return act(y, k, GroupElement(shift), w.phi(k, xp))
+    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
+        return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
 
-    phi = LCMap(
-        x, y,
-        lambda k: max(w.phi.level_map(k), u.level),
-        phi_eval,
-        "untwisted-phi",
-    )
+    def inv_table(k: int, res: np.ndarray) -> np.ndarray:
+        t = u.at(w.psi.at(u.level, res)) @ rho_inv
+        return (w.psi.at(k, res) + t) % np.array(x.space_moduli(k), dtype=np.int64)
 
-    def inv_eval(k: int, yp: PointAtLevel) -> PointAtLevel:
-        xu = w.psi(u.level, yp)
-        t = rho.apply_inverse(u(xu).coords)
-        return act(x, k, GroupElement(t), w.psi(k, yp))
-
-    phi_inv = LCMap(
-        y, x,
-        lambda k: max(w.psi.level_map(k), w.psi.level_map(u.level)),
-        inv_eval,
-        "untwisted-phi-inv",
-    )
+    phi = LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table,
+                "untwisted-phi")
+    phi_inv = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
+                    inv_table, "untwisted-phi-inv")
     cw = ConjWitness(rho, phi, phi_inv)
     report = verify_conj(cw, level, radius, point_limit)
     if not report.passed:
@@ -548,7 +521,7 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# finite grids (materialization happens only here)
+# finite grids
 
 
 class _Grid:
@@ -563,25 +536,13 @@ class _Grid:
             raise ValueError(f"level-{level} grid would hold {n} points (limit {limit})")
         self.moduli = np.array(spec.space_moduli(level), dtype=np.int64)
         self.size = n
-        strides = np.ones(len(self.moduli), dtype=np.int64)
-        for i in range(len(self.moduli) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.moduli[i + 1]
-        self.strides = strides
+        self.strides = mixed_radix_strides(self.moduli)
         idx = np.arange(n, dtype=np.int64)
-        self.res = (idx[:, None] // strides[None, :]) % self.moduli[None, :]
-        self._rows = None
-
-    def rows(self) -> list:
-        if self._rows is None:
-            self._rows = [tuple(r) for r in self.res.tolist()]
-        return self._rows
+        self.res = (idx[:, None] // self.strides[None, :]) % self.moduli[None, :]
 
     def point(self, i: int) -> PointAtLevel:
         res = tuple(int((i // s) % m) for s, m in zip(self.strides, self.moduli))
         return PointAtLevel(self.level, res)
-
-    def index_of(self, res: np.ndarray) -> np.ndarray:
-        return res @ self.strides
 
     def translate(self, coords: Sequence[int]) -> np.ndarray:
         """Index array of x + coords over the whole grid."""
@@ -596,32 +557,14 @@ class _Grid:
 
 
 def _materialize_lcmap(f: LCMap, out_level: int, limit: int) -> tuple[_Grid, np.ndarray]:
-    grid = _Grid(f.source, f.level_map(out_level), limit)
-    if f.vectorized is not None:
-        vals = np.ascontiguousarray(f.vectorized(out_level, grid.res), dtype=np.int64)
-        mods = np.array(f.target.space_moduli(out_level), dtype=np.int64)
-        if vals.shape != (grid.size, f.target.rank) or (vals < 0).any() or (
-            vals >= mods[None, :]
-        ).any():
-            raise AssertionError(f"{f.name or 'map'}: vectorized table out of range")
-        return grid, vals
-    vals = np.empty((grid.size, f.target.rank), dtype=np.int64)
-    lvl = grid.level
-    for i, r in enumerate(grid.rows()):
-        vals[i] = f(out_level, PointAtLevel(lvl, r)).residues
-    return grid, vals
+    grid = _Grid(f.source, f.input_level(out_level), limit)
+    return grid, _in_range(f, out_level, f.table(out_level, grid.res), grid.size)
 
 
-def _materialize_table(t: CocycleTable, limit: int) -> tuple[_Grid, list[np.ndarray]]:
+def _materialize_table(t: CocycleTable, limit: int) -> tuple[_Grid, np.ndarray]:
+    """The generator tables stacked over the cocycle's level grid."""
     grid = _Grid(t.source, t.level, limit)
-    out = []
-    lvl = grid.level
-    for gmap in t.generators:
-        vals = np.empty((grid.size, len(t.target_group)), dtype=np.int64)
-        for i, r in enumerate(grid.rows()):
-            vals[i] = gmap(PointAtLevel(lvl, r)).coords
-        out.append(vals)
-    return grid, out
+    return grid, np.stack([g.at(grid.res) for g in t.generators])
 
 
 def _canonicalize_cols(vals: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
@@ -711,46 +654,21 @@ def _check_inverse_cocycle(
 
     When a and b satisfy the cocycle relations and phi is equivariant at b's
     level, c(g, x) = b(a(g, x), phi(x)) is itself a cocycle, so c = e_i on
-    every generator makes b(a(g, x), phi(x)) = g for every g.
-
-    b at an arbitrary h is read off cyclic prefix sums of b's generator
-    tables: on b's grid e_j walks an orbit of length M, and for h_j = q*M + r
-    the value b(h_j e_j, y) is q times the orbit sum plus the sum of the
-    first r steps, so the cost does not grow with the size of h.
+    every generator makes b(a(g, x), phi(x)) = g for every g.  b is read at
+    an arbitrary h by cocycle_reader, whose cost does not grow with |h|.
     """
     src = phi.source
     ga, AG = _materialize_table(a, limit)
-    gb, BG = _materialize_table(b, limit)
-    gphi, PHI_b = _materialize_lcmap(phi, gb.level, limit)
+    read = cocycle_reader(b, limit)
+    gphi, PHI_b = _materialize_lcmap(phi, b.level, limit)
     grid = _Grid(src, max(ga.level, gphi.level), limit)
     to_a = grid.project_index(ga)
     y = PHI_b[grid.project_index(gphi)]  # phi(x) at b's level, as residues
-    moduli = [int(m) for m in gb.moduli]
-    _require_int64(len(moduli) * (_peak(AG) + 2 * max(moduli)) * _peak(BG), name)
-    shape = tuple(moduli) + (len(b.target_group),)
-    prefix = []  # prefix[j][..., t, ...]: sum of b_j over t steps of e_j, t < 2M
-    for j, vals in enumerate(BG):
-        nd = vals.reshape(shape)
-        run = np.cumsum(np.concatenate([nd, nd], axis=j), axis=j)
-        zero = np.zeros_like(np.take(nd, [0], axis=j))
-        prefix.append(np.concatenate([zero, run], axis=j))
     src_group = src.group_moduli()
     checked = 0
     violations: list = []
     for i in range(src.rank):
-        h = AG[i][to_a]
-        cur = y.copy()
-        got = np.zeros((grid.size, len(b.target_group)), dtype=np.int64)
-        for j, m in enumerate(moduli):
-            q, r = np.divmod(h[:, j], m)
-            at = list(cur.T)
-            base = prefix[j][tuple(at)]
-            at[j] = cur[:, j] + m
-            orbit = prefix[j][tuple(at)] - base
-            at[j] = cur[:, j] + r
-            got += q[:, None] * orbit + prefix[j][tuple(at)] - base
-            cur[:, j] = (cur[:, j] + r) % m
-        got = _canonicalize_cols(got, b.target_group)
+        got = read(AG[i][to_a], y, name)
         e = canonical_coords(src_group, generator(src, i).coords)
         checked += grid.size
         bad = np.nonzero((got != np.array(e, dtype=np.int64)[None, :]).any(axis=1))[0]
@@ -839,21 +757,14 @@ def _check_premise(w: CoeWitness, u: Transfer, rho: GroupIso, limit: int) -> Che
     which a and u are constant.  The right side is a genuine cocycle (rho is
     a homomorphism), so this also makes a one, equal to it on every g."""
     src = w.source
-    ga, AG = _materialize_table(w.a, limit)
-    gu = _Grid(src, u.level, limit)
-    uvals = np.empty((gu.size, len(u.target_group)), dtype=np.int64)
-    for i, r in enumerate(gu.rows()):
-        uvals[i] = u(PointAtLevel(gu.level, r)).coords
-    grid = _Grid(src, max(ga.level, gu.level), limit)
-    to_a = grid.project_index(ga)
-    to_u = grid.project_index(gu)
-    u_x = uvals[to_u]
+    grid = _Grid(src, max(w.a.level, u.level), limit)
+    u_x = u.at(grid.res)
     checked = 0
     violations: list = []
     for i in range(src.rank):
         e = generator(src, i).coords
-        rhs = uvals[to_u[grid.translate(e)]] + np.array(rho.apply(e), dtype=np.int64) - u_x
-        diff = _canonicalize_cols(AG[i][to_a] - rhs, w.a.target_group)
+        rhs = u_x[grid.translate(e)] + np.array(rho.apply(e), dtype=np.int64) - u_x
+        diff = _canonicalize_cols(w.a.generators[i].at(grid.res) - rhs, w.a.target_group)
         checked += grid.size
         bad = np.nonzero(diff.any(axis=1))[0]
         _record(violations, [("premise", e, grid.point(int(x))) for x in bad[:_SAMPLES]])
@@ -923,39 +834,33 @@ def verify_conj(
 # locality minimization
 
 
-def minimized_generator(m: GroupValuedMap, limit: int = 10**6) -> GroupValuedMap:
+def coarsest_table(spec: SystemSpec, level: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
+    """The least level c <= level on whose cylinders vals, a table over the
+    level-`level` grid, is constant, and the table over the level-c grid."""
+    res = _Grid(spec, level, len(vals)).res
+    for cand in range(level):
+        idx = cylinder_index(spec, cand, res)
+        rep = np.empty((point_count(spec, cand), vals.shape[1]), dtype=np.int64)
+        rep[idx] = vals
+        if (rep[idx] == vals).all():
+            return cand, rep
+    return level, vals
+
+
+def minimized_generator(m: GroupValuedMap) -> GroupValuedMap:
     """Equivalent map with the least locality level, found exhaustively."""
-    if m.level == 0:
+    level, vals = coarsest_table(m.source, m.level, m.values)
+    if level == m.level:
         return m
-    grid = _Grid(m.source, m.level, limit)
-    vals = np.empty((grid.size, len(m.target_group)), dtype=np.int64)
-    for i, r in enumerate(grid.rows()):
-        vals[i] = m(PointAtLevel(grid.level, r)).coords
-    for cand in range(m.level):
-        cgrid = _Grid(m.source, cand, limit)
-        pidx = grid.project_index(cgrid)
-        lo = np.full((cgrid.size, vals.shape[1]), np.iinfo(np.int64).max, dtype=np.int64)
-        hi = np.full((cgrid.size, vals.shape[1]), np.iinfo(np.int64).min, dtype=np.int64)
-        np.minimum.at(lo, pidx, vals)
-        np.maximum.at(hi, pidx, vals)
-        if (lo == hi).all():
-            table = {r: tuple(int(v) for v in lo[i]) for i, r in enumerate(cgrid.rows())}
-            return GroupValuedMap(
-                m.source,
-                m.target_group,
-                cand,
-                lambda xp, _t=table: GroupElement(_t[xp.residues]),
-                m.name + "|min",
-            )
-    return m
+    return GroupValuedMap(m.source, m.target_group, level, vals, m.name + "|min")
 
 
-def minimized_table(t: CocycleTable, limit: int = 10**6) -> CocycleTable:
+def minimized_table(t: CocycleTable) -> CocycleTable:
     return CocycleTable(
-        t.source, t.target_group, tuple(minimized_generator(g, limit) for g in t.generators)
+        t.source, t.target_group, tuple(minimized_generator(g) for g in t.generators)
     )
 
 
-def level_slack(m: GroupValuedMap, limit: int = 10**6) -> int:
+def level_slack(m: GroupValuedMap) -> int:
     """Declared locality level minus the true minimal one."""
-    return m.level - minimized_generator(m, limit).level
+    return m.level - minimized_generator(m).level

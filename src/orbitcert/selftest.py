@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cocycle import verify_coe, verify_conj
 from .decide import (
     CounterexampleReport,
@@ -551,10 +553,10 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4
         GroupValuedMap,
         LCMap,
         conj_to_coe,
+        cylinder_index,
         twist,
         untwist_to_conjugacy,
     )
-    from .dynamics import GroupElement, PointAtLevel, act, enumerate_points, project_to
 
     rng = random.Random(seed)
     failures = []
@@ -572,51 +574,37 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4
         w = conj_to_coe(cw)
         x_spec, y_spec = w.source, w.target
         d = x_spec.space_moduli(1)
-        shifts = {
-            p.residues: tuple(di * rng.randint(-2, 2) for di in d)
-            for p in enumerate_points(x_spec, 1)
-        }
-
-        def s_of(xp, _s=shifts, _d=d):
-            return _s[tuple(ri % di for ri, di in zip(xp.residues, _d))]
-
-        tgy = y_spec.group_moduli()
-        u = GroupValuedMap(
-            x_spec, tgy, 1,
-            lambda xp, _s=s_of, _rho=cw.rho: GroupElement(_rho.apply(_s(xp))),
-            "corpus-u",
+        # s on the level-1 cylinders, in grid order
+        shifts = np.array(
+            [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
+            dtype=np.int64,
         )
+        rho = np.array(cw.rho.matrix.to_rows(), dtype=np.int64).T
+        tgy = y_spec.group_moduli()
+        u = GroupValuedMap(x_spec, tgy, 1, shifts @ rho, "corpus-u")
 
-        def phi_u_eval(k, xp, _u=u, _w=w, _y=y_spec):
-            return act(_y, k, GroupElement(_u(xp).coords), _w.phi(k, xp))
+        def phi_u_table(k, res, _u=u, _w=w, _y=y_spec):
+            return (_w.phi.at(k, res) + _u.at(res)) % np.array(_y.space_moduli(k))
 
         phi_u = LCMap(
             x_spec, y_spec,
             lambda k, _w=w: max(_w.phi.input_level(k), 1),
-            phi_u_eval, "corpus-phi-u",
+            phi_u_table, "corpus-phi-u",
         )
 
-        def psi_u_eval(k, yp, _w=w, _x=x_spec, _s=s_of):
-            kk = max(k, 1)
-            z = _w.psi(kk, yp)
-            sh = _s(z)
-            mods = _x.space_moduli(kk)
-            back = PointAtLevel(
-                kk, tuple((zi - si) % mi for zi, si, mi in zip(z.residues, sh, mods))
-            )
-            return project_to(_x, back, k)
+        def psi_u_table(k, res, _w=w, _x=x_spec, _s=shifts):
+            z = _w.psi.at(max(k, 1), res)
+            return (z - _s[cylinder_index(_x, 1, z)]) % np.array(_x.space_moduli(k))
 
         psi_u = LCMap(
             y_spec, x_spec,
             lambda k, _w=w: _w.psi.input_level(max(k, 1)),
-            psi_u_eval, "corpus-psi-u",
+            psi_u_table, "corpus-psi-u",
         )
 
-        v = GroupValuedMap(
+        v = GroupValuedMap.tabulate(
             y_spec, x_spec.group_moduli(), psi_u.input_level(1),
-            lambda yp, _s=s_of, _p=psi_u: GroupElement(
-                tuple(-si for si in _s(_p(1, yp)))
-            ),
+            lambda res, _s=shifts, _p=psi_u, _x=x_spec: -_s[cylinder_index(_x, 1, _p.at(1, res))],
             "corpus-v",
         )
         twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
@@ -639,27 +627,17 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4
             failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {report.summary()}")
         # untwisting recovers the original conjugacy map exactly
         deep = max(out.phi.input_level(2), cw.phi.input_level(2))
-        probe = list(enumerate_points(x_spec, deep))
-        for p in rng.sample(probe, min(10, len(probe))):
-            checked += 1
-            if out.phi(2, p) != cw.phi(2, p):
-                failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
-                break
+        mods = x_spec.space_moduli(deep)
+        picks = rng.sample(range(point_count(x_spec, deep)), min(10, point_count(x_spec, deep)))
+        probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods), axis=1)
+        checked += len(picks)
+        if (out.phi.at(2, probe) != cw.phi.at(2, probe)).any():
+            failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
         # a transfer corrupted on one cylinder must fail the premise
-        bad_shifts = dict(shifts)
-        key = rng.choice(sorted(bad_shifts))
-        coords = list(bad_shifts[key])
-        coords[rng.randrange(len(coords))] += 1
-        bad_shifts[key] = tuple(coords)
-
-        def bad_s(xp, _s=bad_shifts, _d=d):
-            return _s[tuple(ri % di for ri, di in zip(xp.residues, _d))]
-
-        bad_u = GroupValuedMap(
-            x_spec, tgy, 1,
-            lambda xp, _s=bad_s, _rho=cw.rho: GroupElement(_rho.apply(_s(xp))),
-            "bad-u",
-        )
+        bad_shifts = shifts.copy()
+        key = rng.choice(range(len(bad_shifts)))
+        bad_shifts[key, rng.randrange(len(d))] += 1
+        bad_u = GroupValuedMap(x_spec, tgy, 1, bad_shifts @ rho, "bad-u")
         checked += 1
         try:
             untwist_to_conjugacy(twisted, bad_u, cw.rho, level, radius)

@@ -16,16 +16,16 @@ from .cocycle import (
     GroupValuedMap,
     LCMap,
     compose_coe,
+    constant_generator,
     identity_witness,
     inverse_coe,
     minimized_table,
+    mixed_radix_strides,
 )
 from .decide import coe_decide, conj_decide
 from .dynamics import (
     Cyclic,
-    GroupElement,
     Odometer,
-    PointAtLevel,
     SystemSpec,
     level_modulus,
     odometer_product,
@@ -75,54 +75,30 @@ def build_basic_coe(l: int, L: SupernaturalNumber) -> CoeWitness:
                 raise AssertionError("level search runaway")
         return j
 
-    def phi_eval(k: int, xp: PointAtLevel) -> PointAtLevel:
-        v = xp.residues[0]
-        return PointAtLevel(k, (v % l, (v // l) % lm_l(k)))
-
-    def phi_vec(k: int, res: np.ndarray) -> np.ndarray:
+    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
         v = res[:, 0]
         return np.stack((v % l, (v // l) % lm_l(k)), axis=1)
 
-    phi = LCMap(x, y, lphi, phi_eval, f"split-{l}", vectorized=phi_vec)
+    def psi_table(k: int, res: np.ndarray) -> np.ndarray:
+        return ((res[:, 0] + l * res[:, 1]) % lm_m(k)).reshape(-1, 1)
+
+    phi = LCMap(x, y, lphi, phi_table, f"split-{l}")
+    psi = LCMap(y, x, lambda k: k, psi_table, f"merge-{l}")
 
     a_level = 0
     while lm_m(a_level) % l:
         a_level += 1
-    a_gen = GroupValuedMap(
-        x,
-        (l, 0),
-        a_level,
-        lambda xp: GroupElement((1, 1 if xp.residues[0] % l == l - 1 else 0)),
+    a_gen = GroupValuedMap.tabulate(
+        x, (l, 0), a_level,
+        lambda res: np.stack((np.ones(len(res), dtype=np.int64), res[:, 0] % l == l - 1), axis=1),
         f"split-{l}-a",
     )
-    a = CocycleTable(x, (l, 0), (a_gen,))
-
-    def psi_eval(k: int, yp: PointAtLevel) -> PointAtLevel:
-        j, w = yp.residues
-        return PointAtLevel(k, ((j + l * w) % lm_m(k),))
-
-    def psi_vec(k: int, res: np.ndarray) -> np.ndarray:
-        return ((res[:, 0] + l * res[:, 1]) % lm_m(k)).reshape(-1, 1)
-
-    psi = LCMap(y, x, lambda k: k, psi_eval, f"merge-{l}", vectorized=psi_vec)
-
-    b_cyc = GroupValuedMap(
-        y,
-        (0,),
-        0,
-        lambda yp: GroupElement((1 - l if yp.residues[0] == l - 1 else 1,)),
-        f"merge-{l}-b0",
-    )
-    b_odo = GroupValuedMap(y, (0,), 0, lambda yp: GroupElement((l,)), f"merge-{l}-b1")
-    b = CocycleTable(y, (0,), (b_cyc, b_odo))
-    return CoeWitness(phi, a, psi, b)
-
-
-def _mixed_radix_strides(orders: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * len(orders)
-    for i in range(len(orders) - 2, -1, -1):
-        out[i] = out[i + 1] * orders[i + 1]
-    return tuple(out)
+    # at level 0 the points of y are (j, 0) for j < l
+    b_cyc = GroupValuedMap(y, (0,), 0, np.where(np.arange(l) == l - 1, 1 - l, 1),
+                           f"merge-{l}-b0")
+    b_odo = constant_generator(y, (0,), (l,), f"merge-{l}-b1")
+    return CoeWitness(phi, CocycleTable(x, (l, 0), (a_gen,)),
+                      psi, CocycleTable(y, (0,), (b_cyc, b_odo)))
 
 
 def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -> CoeWitness:
@@ -135,59 +111,30 @@ def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -
         raise ValueError("at least one factor per side")
     x = SystemSpec(tuple(Cyclic(n) for n in src_orders))
     y = SystemSpec(tuple(Cyclic(n) for n in tgt_orders))
-    sx = _mixed_radix_strides(src_orders)
-    sy = _mixed_radix_strides(tgt_orders)
 
-    def rank(res: tuple[int, ...], strides: tuple[int, ...]) -> int:
-        return sum(r * s for r, s in zip(res, strides))
-
-    def unrank(v: int, strides: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((v // s) % n for s, n in zip(strides, orders))
-
-    def phi_eval(k: int, xp: PointAtLevel) -> PointAtLevel:
-        return PointAtLevel(k, unrank(rank(xp.residues, sx), sy, tgt_orders))
-
-    def psi_eval(k: int, yp: PointAtLevel) -> PointAtLevel:
-        return PointAtLevel(k, unrank(rank(yp.residues, sy), sx, src_orders))
-
-    def vec(strides_in, strides_out, orders_out):
-        si = np.array(strides_in, dtype=np.int64)
-        so = np.array(strides_out, dtype=np.int64)
+    def rerank(orders_in, orders_out):
+        si = mixed_radix_strides(orders_in)
+        so = mixed_radix_strides(orders_out)
         oo = np.array(orders_out, dtype=np.int64)
+        return lambda k, res: ((res @ si)[:, None] // so[None, :]) % oo[None, :]
 
-        def ev(k: int, res: np.ndarray) -> np.ndarray:
-            v = res @ si
-            return (v[:, None] // so[None, :]) % oo[None, :]
+    phi = LCMap(x, y, lambda k: 0, rerank(src_orders, tgt_orders), "rank")
+    psi = LCMap(y, x, lambda k: 0, rerank(tgt_orders, src_orders), "unrank")
 
-        return ev
+    def diff_gen(f: LCMap, i: int) -> GroupValuedMap:
+        """f(e_i.p) - f(p) in the target's acting group."""
+        orders_from = np.array(f.source.group_moduli(), dtype=np.int64)
+        orders_to = f.target.group_moduli()
 
-    phi = LCMap(x, y, lambda k: 0, phi_eval, "rank",
-                vectorized=vec(sx, sy, tgt_orders))
-    psi = LCMap(y, x, lambda k: 0, psi_eval, "unrank",
-                vectorized=vec(sy, sx, src_orders))
+        def vals(res: np.ndarray) -> np.ndarray:
+            moved = res.copy()
+            moved[:, i] = (moved[:, i] + 1) % orders_from[i]
+            return f.table(0, moved) - f.table(0, res)
 
-    def diff_gen(spec_from, spec_to, fwd, i):
-        orders_to = spec_to.group_moduli()
+        return GroupValuedMap.tabulate(f.source, orders_to, 0, vals, f"{f.name}-a[{i}]")
 
-        def ev(p: PointAtLevel) -> GroupElement:
-            here = fwd(0, p).residues
-            moved = fwd(0, PointAtLevel(
-                p.level,
-                tuple(
-                    (r + (1 if t == i else 0)) % n
-                    for t, (r, n) in enumerate(zip(p.residues, spec_from.space_moduli(p.level)))
-                ),
-            )).residues
-            return GroupElement(tuple((b - a) % n for a, b, n in zip(here, moved, orders_to)))
-
-        return GroupValuedMap(spec_from, orders_to, 0, ev, f"rank-a[{i}]")
-
-    a = CocycleTable(
-        x, y.group_moduli(), tuple(diff_gen(x, y, phi, i) for i in range(x.rank))
-    )
-    b = CocycleTable(
-        y, x.group_moduli(), tuple(diff_gen(y, x, psi, j) for j in range(y.rank))
-    )
+    a = CocycleTable(x, y.group_moduli(), tuple(diff_gen(phi, i) for i in range(x.rank)))
+    b = CocycleTable(y, x.group_moduli(), tuple(diff_gen(psi, j) for j in range(y.rank)))
     return CoeWitness(phi, a, psi, b)
 
 
@@ -198,46 +145,17 @@ def permutation_witness(spec: SystemSpec, perm: tuple[int, ...]) -> CoeWitness:
     inv = [0] * len(perm)
     for j, i in enumerate(perm):
         inv[i] = j
-    inv = tuple(inv)
     tgt = SystemSpec(tuple(spec.factors[i] for i in perm))
-
-    def fwd(k: int, xp: PointAtLevel) -> PointAtLevel:
-        return PointAtLevel(k, tuple(xp.residues[i] for i in perm))
-
-    def bwd(k: int, yp: PointAtLevel) -> PointAtLevel:
-        return PointAtLevel(k, tuple(yp.residues[j] for j in inv))
-
-    phi = LCMap(spec, tgt, lambda k: k, fwd, "perm",
-                vectorized=lambda k, res: res[:, perm])
-    psi = LCMap(tgt, spec, lambda k: k, bwd, "perm-inv",
-                vectorized=lambda k, res: res[:, inv])
+    phi = LCMap(spec, tgt, lambda k: k, lambda k, res: res[:, perm], "perm")
+    psi = LCMap(tgt, spec, lambda k: k, lambda k, res: res[:, inv], "perm-inv")
     gm_x, gm_y = spec.group_moduli(), tgt.group_moduli()
-    a = CocycleTable(
-        spec,
-        gm_y,
-        tuple(
-            GroupValuedMap(
-                spec, gm_y, 0,
-                lambda xp, _j=inv[i]: GroupElement(
-                    tuple(1 if t == _j else 0 for t in range(len(gm_y)))
-                ),
-            )
-            for i in range(spec.rank)
-        ),
-    )
-    b = CocycleTable(
-        tgt,
-        gm_x,
-        tuple(
-            GroupValuedMap(
-                tgt, gm_x, 0,
-                lambda yp, _i=perm[j]: GroupElement(
-                    tuple(1 if t == _i else 0 for t in range(len(gm_x)))
-                ),
-            )
-            for j in range(tgt.rank)
-        ),
-    )
+    unit = np.eye(spec.rank, dtype=np.int64)
+    a = CocycleTable(spec, gm_y, tuple(
+        constant_generator(spec, gm_y, tuple(unit[inv[i]])) for i in range(spec.rank)
+    ))
+    b = CocycleTable(tgt, gm_x, tuple(
+        constant_generator(tgt, gm_x, tuple(unit[perm[j]])) for j in range(tgt.rank)
+    ))
     return CoeWitness(phi, a, psi, b)
 
 
@@ -252,76 +170,33 @@ def direct_sum_coe(parts: list[CoeWitness]) -> CoeWitness:
         xoff.append(xoff[-1] + w.source.rank)
         yoff.append(yoff[-1] + w.target.rank)
 
-    def fwd_level(k: int) -> int:
-        return max(w.phi.input_level(k) for w in parts)
+    def sum_map(maps: list[LCMap], src: SystemSpec, tgt: SystemSpec, off, name) -> LCMap:
+        def table(k: int, res: np.ndarray) -> np.ndarray:
+            return np.concatenate(
+                [m.at(k, res[:, off[t] : off[t + 1]]) for t, m in enumerate(maps)], axis=1
+            )
 
-    def bwd_level(k: int) -> int:
-        return max(w.psi.input_level(k) for w in parts)
+        return LCMap(src, tgt, lambda k: max(m.input_level(k) for m in maps), table, name)
 
-    def fwd(k: int, xp: PointAtLevel) -> PointAtLevel:
-        res = []
-        for t, w in enumerate(parts):
-            sub = PointAtLevel(xp.level, xp.residues[xoff[t] : xoff[t + 1]])
-            res.extend(w.phi(k, sub).residues)
-        return PointAtLevel(k, tuple(res))
+    def lift(t: int, local: GroupValuedMap, spec: SystemSpec, src_off, tgt_off,
+             tgt_gm) -> GroupValuedMap:
+        """local's values placed in part t's coordinates of the sum."""
+        def vals(res: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(res), len(tgt_gm)), dtype=np.int64)
+            out[:, tgt_off[t] : tgt_off[t + 1]] = local.at(res[:, src_off[t] : src_off[t + 1]])
+            return out
 
-    def bwd(k: int, yp: PointAtLevel) -> PointAtLevel:
-        res = []
-        for t, w in enumerate(parts):
-            sub = PointAtLevel(yp.level, yp.residues[yoff[t] : yoff[t + 1]])
-            res.extend(w.psi(k, sub).residues)
-        return PointAtLevel(k, tuple(res))
+        return GroupValuedMap.tabulate(spec, tgt_gm, local.level, vals)
 
-    def sum_vec(maps, off):
-        if any(m.vectorized is None for m in maps):
-            return None
-
-        def ev(k: int, res: np.ndarray) -> np.ndarray:
-            outs = []
-            for t, m in enumerate(maps):
-                lvl = m.input_level(k)
-                mods = np.array(m.source.space_moduli(lvl), dtype=np.int64)
-                sub = res[:, off[t] : off[t + 1]] % mods[None, :]
-                outs.append(m.vectorized(k, sub))
-            return np.concatenate(outs, axis=1)
-
-        return ev
-
-    phi = LCMap(x, y, fwd_level, fwd, "sum",
-                vectorized=sum_vec([w.phi for w in parts], xoff))
-    psi = LCMap(y, x, bwd_level, bwd, "sum-inv",
-                vectorized=sum_vec([w.psi for w in parts], yoff))
+    phi = sum_map([w.phi for w in parts], x, y, xoff, "sum")
+    psi = sum_map([w.psi for w in parts], y, x, yoff, "sum-inv")
     gm_x, gm_y = x.group_moduli(), y.group_moduli()
-
-    def lift_gen(t: int, local: GroupValuedMap, src_spec, src_off, tgt_off, tgt_gm):
-        def ev(p: PointAtLevel) -> GroupElement:
-            sub = PointAtLevel(p.level, p.residues[src_off[t] : src_off[t + 1]])
-            inner = local(sub).coords
-            out = [0] * len(tgt_gm)
-            for d, v in enumerate(inner):
-                out[tgt_off[t] + d] = v
-            return GroupElement(tuple(out))
-
-        return GroupValuedMap(src_spec, tgt_gm, local.level, ev)
-
-    a = CocycleTable(
-        x,
-        gm_y,
-        tuple(
-            lift_gen(t, w.a.generators[i], x, xoff, yoff, gm_y)
-            for t, w in enumerate(parts)
-            for i in range(w.source.rank)
-        ),
-    )
-    b = CocycleTable(
-        y,
-        gm_x,
-        tuple(
-            lift_gen(t, w.b.generators[j], y, yoff, xoff, gm_x)
-            for t, w in enumerate(parts)
-            for j in range(w.target.rank)
-        ),
-    )
+    a = CocycleTable(x, gm_y, tuple(
+        lift(t, g, x, xoff, yoff, gm_y) for t, w in enumerate(parts) for g in w.a.generators
+    ))
+    b = CocycleTable(y, gm_x, tuple(
+        lift(t, g, y, yoff, xoff, gm_x) for t, w in enumerate(parts) for g in w.b.generators
+    ))
     return CoeWitness(phi, a, psi, b)
 
 
@@ -372,8 +247,6 @@ def _rebalanced_pairs(
 def build_coe_witness(
     ms: tuple[SupernaturalNumber, ...],
     ns: tuple[SupernaturalNumber, ...],
-    tighten: bool = True,
-    point_limit: int = 10**6,
 ) -> CoeWitness:
     """Explicit orbit equivalence between the odometer products, built as
     split-permute-merge on both sides into a common middle system.  Raises
@@ -423,28 +296,11 @@ def build_coe_witness(
     if x_chain.target != y_chain.target:
         raise AssertionError("the two chains built different middle systems")
     w = compose_coe(x_chain, inverse_coe(y_chain))
-    if tighten:
-        w = CoeWitness(
-            w.phi,
-            minimized_table(w.a, point_limit),
-            w.psi,
-            minimized_table(w.b, point_limit),
-        )
-    return w
+    return CoeWitness(w.phi, minimized_table(w.a), w.psi, minimized_table(w.b))
 
 
 # ---------------------------------------------------------------------------
 # conjugacy witnesses
-
-
-def _crt(a1: int, n1: int, a2: int, n2: int) -> int:
-    """x = a1 mod n1 and x = a2 mod n2 for coprime moduli."""
-    if n1 == 1:
-        return a2 % n2
-    if n2 == 1:
-        return a1 % n1
-    t = ((a2 - a1) * pow(n1, -1, n2)) % n2
-    return (a1 + n1 * t) % (n1 * n2)
 
 
 def build_conj_witness(
@@ -485,29 +341,7 @@ def build_conj_witness(
         IntMatrix.from_rows(rho_inv_rows),
     )
 
-    def make_eval(forward: bool):
-        def ev(k: int, p: PointAtLevel) -> PointAtLevel:
-            out = [0] * r
-            for blk, s, s_inv in blocks:
-                mat = s if forward else s_inv
-                src_idx = blk.left_indices if forward else blk.right_indices
-                tgt_idx = blk.right_indices if forward else blk.left_indices
-                qs_src = blk.left_multipliers if forward else blk.right_multipliers
-                tgt_limits = ns if forward else ms
-                lm_l = level_modulus(Odometer(blk.base), k)
-                u = [p.residues[i] % q for i, q in zip(src_idx, qs_src)]
-                w = [p.residues[i] % lm_l for i in src_idx]
-                su = mat.apply(tuple(u))
-                sw = mat.apply(tuple(w))
-                for a_pos, j in enumerate(tgt_idx):
-                    whole = level_modulus(Odometer(tgt_limits[j]), k)
-                    g = whole // lm_l  # the finite strand visible at this level
-                    out[j] = _crt(su[a_pos] % g, g, sw[a_pos] % lm_l, lm_l)
-            return PointAtLevel(k, tuple(out))
-
-        return ev
-
-    def make_vectorized(forward: bool):
+    def make_table(forward: bool):
         def ev(k: int, res):
             out = np.zeros_like(res)
             for blk, s, s_inv in blocks:
@@ -538,8 +372,6 @@ def build_conj_witness(
 
         return ev
 
-    phi = LCMap(x, y, lambda k: max(k, depth), make_eval(True), "conj",
-                make_vectorized(True))
-    phi_inv = LCMap(y, x, lambda k: max(k, depth), make_eval(False), "conj-inv",
-                    make_vectorized(False))
+    phi = LCMap(x, y, lambda k: max(k, depth), make_table(True), "conj")
+    phi_inv = LCMap(y, x, lambda k: max(k, depth), make_table(False), "conj-inv")
     return ConjWitness(rho, phi, phi_inv)

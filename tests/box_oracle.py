@@ -1,4 +1,5 @@
-"""Box-sweep verifier for orbit-equivalence witnesses, kept as a test oracle.
+"""Box-sweep verifier for orbit-equivalence witnesses, kept as a test oracle,
+and pointwise cocycle telescoping, the oracle of `cocycle_reader`.
 
 This is the coe verifier as it stood before the exact checks on generators
 replaced it: every identity is tested for each group element of the
@@ -27,9 +28,62 @@ from orbitcert.cocycle import (
     _materialize_lcmap,
     _materialize_table,
     _record,
-    _steps,
 )
-from orbitcert.dynamics import add_coords, box_elements, canonical_coords
+from orbitcert.dynamics import (
+    GroupElement,
+    PointAtLevel,
+    act,
+    add_coords,
+    box_elements,
+    canonical_coords,
+    generator,
+    neg_coords,
+)
+
+
+def _steps(c: int, modulus: int) -> int:
+    # canonical step count: cyclic coordinates walk forward, Z keeps the sign
+    return c % modulus if modulus else c
+
+
+def extend_cocycle(
+    table: CocycleTable,
+    g: GroupElement,
+    x: PointAtLevel,
+    order: Sequence[int] | None = None,
+) -> GroupElement:
+    """Value on an arbitrary group element, telescoped from generator values
+    one unit step at a time.
+
+    a(gh, x) = a(g, h.x) + a(h, x) and a(-e, x) = -a(e, (-e).x); the factor
+    processing order is irrelevant for an abelian target (tested), the default
+    walks factors left to right.
+    """
+    spec = table.source
+    if x.level < table.level:
+        raise ValueError(f"point level {x.level} below cocycle level {table.level}")
+    src_mods = spec.group_moduli()
+    if len(g.coords) != spec.rank:
+        raise ValueError("group element arity mismatch")
+    val = (0,) * len(table.target_group)
+    cur = x
+    for i in order if order is not None else range(spec.rank):
+        steps = _steps(g.coords[i], src_mods[i])
+        ei = generator(spec, i)
+        nei = GroupElement(neg_coords(src_mods, ei.coords))
+        if steps >= 0:
+            for _ in range(steps):
+                val = add_coords(table.target_group, val, table.generators[i](cur).coords)
+                cur = act(spec, cur.level, ei, cur)
+        else:
+            for _ in range(-steps):
+                cur = act(spec, cur.level, nei, cur)
+                val = add_coords(
+                    table.target_group,
+                    val,
+                    neg_coords(table.target_group, table.generators[i](cur).coords),
+                )
+    return GroupElement(canonical_coords(table.target_group, val))
 
 
 def telescope(

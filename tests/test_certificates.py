@@ -145,6 +145,26 @@ def test_out_of_range_table_rejected():
         verify_certificate(cert)
 
 
+_RAGGED = object()
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("phi", True), ("phi", 0.5), ("phi", "1"), ("phi", _RAGGED),
+    ("a", False), ("a", 1.0), ("a", 2**63), ("a", -2**63 - 1), ("a", _RAGGED),
+], ids=["phi-bool", "phi-float", "phi-str", "phi-ragged",
+        "a-bool", "a-float", "a-above-int64", "a-below-int64", "a-ragged"])
+def test_table_entries_must_be_int64_integers(table, entry):
+    cert = loads(dumps(_coe_cert(level=2, radius=2)))
+    block = cert["witness"][table]
+    row = (block["table"] if table == "phi" else block["generators"][0])[0]
+    if entry is _RAGGED:
+        row.append(0)
+    else:
+        row[0] = entry
+    with pytest.raises(CertificateError, match="ragged|integers|int64"):
+        verify_certificate(seal(cert))
+
+
 def test_hash_is_formatting_independent():
     cert = _coe_cert()
     again = loads(dumps(cert))

@@ -101,6 +101,21 @@ def test_conj_witness_roundtrips_through_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ms, ns", [
+    ("3*2^inf,3^inf", "2^inf,9*3^inf"),
+    ("2^inf*3,3^inf", "2^inf,3^inf*3"),
+    ("2*3^inf,2^inf", "3^inf,2*2^inf"),
+])
+def test_witness_with_growing_level_map_roundtrips(ms, ns, tmp_path, capsys):
+    # psi reads its input one level deeper than its output; the tables are
+    # sized by one step of the verifier's demands, so emission terminates
+    path = tmp_path / "w.json"
+    assert main(["witness", "coe", ms, ns, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    assert "verification passed" in capsys.readouterr().out
+
+
 def test_witness_on_negative_pair_exits_one(capsys):
     assert main(["witness", "conj", COE_M, COE_N]) == 1
     assert "not conjugate" in capsys.readouterr().out

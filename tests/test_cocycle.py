@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
+from box_oracle import extend_cocycle
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
     GroupIso,
     GroupValuedMap,
     LCMap,
+    cocycle_reader,
     compose_coe,
+    constant_generator,
     conj_to_coe,
     ConjWitness,
-    extend_cocycle,
     homomorphism_cocycle,
     identity_lcmap,
     identity_witness,
@@ -31,10 +36,10 @@ from orbitcert.dynamics import (
     SystemSpec,
     act,
     enumerate_points,
-    generator,
 )
 from orbitcert.intmat import IntMatrix
-from orbitcert.supernatural import parse_sn
+from orbitcert.supernatural import parse_sn, parse_sn_list
+from orbitcert.witness import build_basic_coe, build_coe_witness
 
 
 def _spec(text_factors):
@@ -63,45 +68,39 @@ def test_lcmap_refuses_short_input():
         f(3, PointAtLevel(2, (1, 0)))
 
 
-def test_group_valued_map_caches_and_canonicalizes():
-    m = GroupValuedMap(X_SMALL, (0, 3), 1, lambda x: GroupElement((5, -1)))
+def test_group_valued_map_canonicalizes():
+    m = GroupValuedMap.tabulate(X_SMALL, (0, 3), 1, lambda res: np.tile((5, -1), (len(res), 1)))
     v = m(PointAtLevel(2, (3, 1)))
     assert v.coords == (5, 2)
-    assert m(PointAtLevel(1, (1, 1))) is v  # same fiber, cached object
+    assert m(PointAtLevel(1, (1, 1))) == v  # same fiber
+    assert m.values.tolist() == [[5, 2]] * 6  # stored canonically, once
+    assert not m.values.flags.writeable
 
 
 # a concrete nontrivial witness on the 2-adic odometer: swap the two level-2
 # cylinders above residue 1 mod 2 (x -> x+2 if x=1 mod 4, x-2 if x=3 mod 4)
 
 
-def _swap_u_value(x0_mod4: int) -> int:
-    if x0_mod4 % 4 == 1:
-        return 2
-    if x0_mod4 % 4 == 3:
-        return -2
-    return 0
+def _swap_u_value(x: np.ndarray) -> np.ndarray:
+    return np.select([x % 4 == 1, x % 4 == 3], [2, -2], 0)
 
 
 def _swap_witness():
     spec = _spec(["2^inf"])
 
-    u = GroupValuedMap(spec, (0,), 2, lambda x: GroupElement((_swap_u_value(x.residues[0]),)))
+    u = GroupValuedMap.tabulate(spec, (0,), 2, lambda res: _swap_u_value(res))
 
-    def phi_eval(k, xp):
-        shift = _swap_u_value(xp.residues[0] % 4)
-        return act(spec, k, GroupElement((shift,)), PointAtLevel(k, (xp.residues[0] % 2**k,)))
+    def phi_table(k, res):
+        return (res + _swap_u_value(res)) % 2**k
 
     def lm(k):
         return max(k, 2)
 
-    phi = LCMap(spec, spec, lm, phi_eval, "swap")
-    psi = LCMap(spec, spec, lm, phi_eval, "swap-back")  # the swap is an involution
-
-    def a_eval(xp):
-        x = xp.residues[0]
-        return GroupElement((_swap_u_value((x + 1) % 4) + 1 - _swap_u_value(x % 4),))
-
-    gen = GroupValuedMap(spec, (0,), 2, a_eval)
+    phi = LCMap(spec, spec, lm, phi_table, "swap")
+    psi = LCMap(spec, spec, lm, phi_table, "swap-back")  # the swap is an involution
+    gen = GroupValuedMap.tabulate(
+        spec, (0,), 2, lambda res: _swap_u_value(res + 1) + 1 - _swap_u_value(res)
+    )
     table = CocycleTable(spec, (0,), (gen,))
     return spec, u, CoeWitness(phi, table, psi, table)
 
@@ -126,9 +125,7 @@ def test_extend_cocycle_matches_telescoping_by_hand():
 def test_extend_cocycle_is_path_independent():
     spec = _spec(["2^inf", "3^inf"])
     base = identity_witness(spec)
-    u = GroupValuedMap(
-        spec, (0, 0), 1, lambda x: GroupElement((x.residues[0] % 2, x.residues[1] % 3))
-    )
+    u = GroupValuedMap.tabulate(spec, (0, 0), 1, lambda res: res % (2, 3))
     a = twist(base.a, u)
     assert verify_cocycle_identity(a, radius=3).passed
     for g in [GroupElement((2, -1)), GroupElement((-3, 2)), GroupElement((1, 1))]:
@@ -141,21 +138,14 @@ def test_extend_cocycle_is_path_independent():
 def test_twist_twice_matches_twist_by_sum():
     spec = _spec(["2^inf", 3])
     base = identity_witness(spec)
-    u = GroupValuedMap(spec, (0, 3), 1, lambda x: GroupElement((x.residues[0] % 2, 1)))
-    v = GroupValuedMap(
-        spec, (0, 3), 2, lambda x: GroupElement((0, x.residues[1] + x.residues[0] % 4))
+    u = GroupValuedMap.tabulate(
+        spec, (0, 3), 1, lambda res: np.stack((res[:, 0] % 2, np.ones(len(res), int)), axis=1)
     )
-    uv = GroupValuedMap(
-        spec,
-        (0, 3),
-        2,
-        lambda x: GroupElement(
-            (
-                u(x).coords[0] + v(x).coords[0],
-                u(x).coords[1] + v(x).coords[1],
-            )
-        ),
+    v = GroupValuedMap.tabulate(
+        spec, (0, 3), 2,
+        lambda res: np.stack((np.zeros(len(res), int), res[:, 1] + res[:, 0] % 4), axis=1),
     )
+    uv = GroupValuedMap.tabulate(spec, (0, 3), 2, lambda res: u.at(res) + v.at(res))
     lhs = twist(twist(base.a, u), v)
     rhs = twist(base.a, uv)
     for i in range(spec.rank):
@@ -166,10 +156,10 @@ def test_twist_twice_matches_twist_by_sum():
 def test_twist_then_untwist_by_negation_restores():
     spec = _spec(["2^inf", 3])
     base = identity_witness(spec)
-    u = GroupValuedMap(spec, (0, 3), 1, lambda x: GroupElement((x.residues[0], 2)))
-    neg_u = GroupValuedMap(
-        spec, (0, 3), 1, lambda x: GroupElement((-u(x).coords[0], -u(x).coords[1]))
+    u = GroupValuedMap.tabulate(
+        spec, (0, 3), 1, lambda res: np.stack((res[:, 0], np.full(len(res), 2)), axis=1)
     )
+    neg_u = GroupValuedMap(spec, (0, 3), 1, -u.values)
     back = twist(twist(base.a, u), neg_u)
     for i in range(spec.rank):
         for x in enumerate_points(spec, 3):
@@ -178,7 +168,7 @@ def test_twist_then_untwist_by_negation_restores():
 
 def test_verify_locates_broken_equivariance():
     w = identity_witness(X_SMALL)
-    bad_gen = GroupValuedMap(X_SMALL, (0, 3), 0, lambda x: GroupElement((1, 1)))
+    bad_gen = constant_generator(X_SMALL, (0, 3), (1, 1))
     bad_a = CocycleTable(X_SMALL, (0, 3), (bad_gen, w.a.generators[1]))
     broken = CoeWitness(w.phi, bad_a, w.psi, w.b)
     report = verify_coe(broken, level=2, radius=3)
@@ -228,7 +218,7 @@ def test_untwist_recovers_identity_conjugacy():
 
 def test_untwist_rejects_wrong_transfer():
     spec, _, w = _swap_witness()
-    zero = GroupValuedMap(spec, (0,), 0, lambda x: GroupElement((0,)))
+    zero = constant_generator(spec, (0,), (0,))
     with pytest.raises(ValueError, match="premise"):
         untwist_to_conjugacy(w, zero, _identity_iso((0,)), level=3, radius=3)
 
@@ -241,14 +231,8 @@ def test_conj_witness_between_cyclic_products():
         (2, 3), (6,), IntMatrix.from_rows([[3, 4]]), IntMatrix.from_rows([[1], [1]])
     )
     assert rho.defects() == []
-    phi = LCMap(
-        src, tgt, lambda k: k,
-        lambda k, x: PointAtLevel(k, ((3 * x.residues[0] + 4 * x.residues[1]) % 6,)),
-    )
-    phi_inv = LCMap(
-        tgt, src, lambda k: k,
-        lambda k, y: PointAtLevel(k, (y.residues[0] % 2, y.residues[0] % 3)),
-    )
+    phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
+    phi_inv = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
     cw = ConjWitness(rho, phi, phi_inv)
     report = verify_conj(cw, level=2, radius=3)
     assert report.passed, report.summary()
@@ -263,9 +247,73 @@ def test_group_iso_defect_reporting():
 
 def test_level_slack_finds_true_locality():
     spec = _spec(["2^inf", 3])
-    padded = GroupValuedMap(spec, (0, 3), 3, lambda x: GroupElement((x.residues[0] % 2, 0)))
+    padded = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: res % (2, 1))
     assert level_slack(padded) == 2
-    constant = GroupValuedMap(spec, (0, 3), 3, lambda x: GroupElement((7, 1)))
+    constant = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: np.tile((7, 1), (len(res), 1)))
     assert level_slack(constant) == 3
     spec2, _, w = _swap_witness()
     assert level_slack(w.a.generators[0]) == 0
+
+
+def _coe(ms: str, ns: str) -> CoeWitness:
+    return build_coe_witness(parse_sn_list(ms), parse_sn_list(ns))
+
+
+def _twisted_on_z_times_z3() -> CocycleTable:
+    spec = _spec(["2^inf", 3])
+    u = GroupValuedMap.tabulate(
+        spec, (0, 3), 2, lambda res: np.stack((res[:, 0] * res[:, 1], res[:, 0] % 3), axis=1)
+    )
+    return twist(identity_witness(spec).a, u)
+
+
+READER_CASES = {
+    "z-times-z3": _twisted_on_z_times_z3,  # values in Z x Z/3
+    "readme-b": lambda: _coe("5*2^inf, 3^inf", "2^inf, 5*3^inf").b,  # Z^2 -> Z^2
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_cocycle_reader_matches_telescoping_oracle(case):
+    table = READER_CASES[case]()
+    spec = table.source
+    read = cocycle_reader(table)
+    rng = random.Random(f"reader-{case}")
+    pts = enumerate_points(spec, table.level)
+    hs, ys = [], []
+    for _ in range(40):
+        # zero, negative and large coordinates; unreduced ones on cyclic factors
+        hs.append(tuple(rng.choice([0, rng.randint(-9, 9), rng.randint(-400, 400)])
+                        for _ in range(spec.rank)))
+        ys.append(rng.choice(pts))
+    got = read(np.array(hs), np.array([y.residues for y in ys]))
+    for h, y, row in zip(hs, ys, got):
+        assert tuple(int(v) for v in row) == extend_cocycle(table, GroupElement(h), y).coords
+
+
+def _seam_and_back():
+    seam = build_basic_coe(5, parse_sn("2^inf"))  # odo:5*2^inf -> cyc:5 x odo:2^inf
+    return inverse_coe(seam), seam
+
+
+COMPOSITE_CASES = {
+    "readme": lambda: (_coe("5*2^inf, 3^inf", "2^inf, 5*3^inf"),
+                       _coe("2^inf, 5*3^inf", "5*3^inf, 2^inf")),
+    "cyc": _seam_and_back,
+    "rank3": lambda: (_coe("2^inf, 3^inf, 5*7^inf", "5*2^inf, 3^inf, 7^inf"),
+                      _coe("5*2^inf, 3^inf, 7^inf", "3^inf, 7^inf, 5*2^inf")),
+}
+
+
+@pytest.mark.parametrize("case", COMPOSITE_CASES)
+def test_composed_generators_match_telescoped_composite(case):
+    w1, w2 = COMPOSITE_CASES[case]()
+    w = compose_coe(w1, w2)
+    rng = random.Random(f"compose-{case}")
+    for comp, first, phi, second in ((w.a, w1.a, w1.phi, w2.a), (w.b, w2.b, w2.psi, w1.b)):
+        for i, gen in enumerate(comp.generators):
+            pts = enumerate_points(comp.source, gen.level)
+            for x in rng.sample(pts, min(60, len(pts))):
+                h = first.generators[i](x)
+                want = extend_cocycle(second, h, phi(second.level, x))
+                assert gen(x) == want

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import random
 
+import numpy as np
 import pytest
 
 from box_oracle import box_identity, box_verify_coe
@@ -19,7 +20,7 @@ from orbitcert.cocycle import (
     verify_cocycle_identity,
     verify_coe,
 )
-from orbitcert.dynamics import Cyclic, GroupElement, Odometer, SystemSpec, parse_system_spec
+from orbitcert.dynamics import Cyclic, Odometer, SystemSpec, parse_system_spec
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import build_basic_coe, build_coe_witness, build_finite_coe
 
@@ -107,7 +108,9 @@ def test_orbit_sum_violation_needs_only_radius_one(n):
 
 def test_commutation_violation_is_located():
     spec = SystemSpec((Odometer(parse_sn("2^inf")), Odometer(parse_sn("3^inf"))))
-    f0 = GroupValuedMap(spec, (0, 0), 1, lambda x: GroupElement((1, x.residues[1] % 3)))
+    f0 = GroupValuedMap.tabulate(
+        spec, (0, 0), 1, lambda res: np.stack((np.ones(len(res), int), res[:, 1] % 3), axis=1)
+    )
     f1 = constant_generator(spec, (0, 0), (0, 1))
     report = verify_cocycle_identity(CocycleTable(spec, (0, 0), (f0, f1)))
     assert not report.passed

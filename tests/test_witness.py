@@ -4,17 +4,20 @@ import pytest
 
 from orbitcert.cocycle import (
     level_slack,
+    verify_cocycle_identity,
     verify_coe,
     verify_conj,
 )
+from orbitcert.decide import conj_decide
 from orbitcert.dynamics import (
     Cyclic,
     Odometer,
     PointAtLevel,
     SystemSpec,
     enumerate_points,
+    level_modulus,
 )
-from orbitcert.intmat import IntMatrix
+from orbitcert.intmat import IntMatrix, invert_unimodular
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
     build_basic_coe,
@@ -112,6 +115,15 @@ def test_rebalanced_witness_for_absorbed_prime():
     assert report.passed, report.summary()
 
 
+def test_rank3_witness_builds_with_genuine_cocycles():
+    # the composite generators of this chain span 450k-point grids
+    ms = parse_sn_list("5^inf, 2^inf*3^2*5, 2^inf*5^2")
+    ns = parse_sn_list("5^inf, 2^inf*5^2, 2^inf*3^2")
+    w = build_coe_witness(ms, ns)
+    assert verify_cocycle_identity(w.a).passed
+    assert verify_cocycle_identity(w.b).passed
+
+
 def test_build_coe_witness_rejects_inequivalent():
     with pytest.raises(ValueError, match="not orbit equivalent"):
         build_coe_witness(parse_sn_list("2^inf"), parse_sn_list("3^inf"))
@@ -149,19 +161,55 @@ def test_conj_witness_crt_merge():
     assert report.passed, report.summary()
 
 
+def _crt(a1: int, n1: int, a2: int, n2: int) -> int:
+    """x = a1 mod n1 and x = a2 mod n2 for coprime moduli."""
+    if n1 == 1:
+        return a2 % n2
+    if n2 == 1:
+        return a1 % n1
+    t = ((a2 - a1) * pow(n1, -1, n2)) % n2
+    return (a1 + n1 * t) % (n1 * n2)
+
+
+def _pointwise_conj(ms, ns, forward: bool):
+    """The conjugacy's point map one point at a time, built from the
+    decision's blocks independently of the array evaluator."""
+    blocks = conj_decide(ms, ns).blocks
+
+    def ev(k: int, p: PointAtLevel) -> PointAtLevel:
+        out = [0] * len(ms)
+        for blk in blocks:
+            s = blk.conjugator[0]
+            mat = s if forward else invert_unimodular(s)
+            src_idx = blk.left_indices if forward else blk.right_indices
+            tgt_idx = blk.right_indices if forward else blk.left_indices
+            qs_src = blk.left_multipliers if forward else blk.right_multipliers
+            tgt_limits = ns if forward else ms
+            lm_l = level_modulus(Odometer(blk.base), k)
+            su = mat.apply(tuple(p.residues[i] % q for i, q in zip(src_idx, qs_src)))
+            sw = mat.apply(tuple(p.residues[i] % lm_l for i in src_idx))
+            for a_pos, j in enumerate(tgt_idx):
+                g = level_modulus(Odometer(tgt_limits[j]), k) // lm_l
+                out[j] = _crt(su[a_pos] % g, g, sw[a_pos] % lm_l, lm_l)
+        return PointAtLevel(k, tuple(out))
+
+    return ev
+
+
 def test_conj_vectorized_matches_pointwise():
     import numpy as np
 
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
     cw = build_conj_witness(ms, ns)
-    for f in (cw.phi, cw.phi_inv):
+    for f, forward in ((cw.phi, True), (cw.phi_inv, False)):
+        pointwise = _pointwise_conj(ms, ns, forward)
         k = 2
         pts = enumerate_points(f.source, f.level_map(k))
         res = np.array([p.residues for p in pts], dtype=np.int64)
-        table = f.vectorized(k, res)
+        table = f.table(k, res)
         for row, p in zip(table, pts):
-            assert tuple(int(v) for v in row) == f(k, p).residues
+            assert tuple(int(v) for v in row) == pointwise(k, p).residues
 
 
 def test_conj_witness_rejects_nonconjugate():
