@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     instances = generate_instances(args.seed, args.count)
     results = [
         suite_invariant_vs_decision(args.seed, args.count, instances=instances),
-        suite_coe_witnesses(instances, level=args.level, radius=args.radius),
+        suite_coe_witnesses(instances, level=args.level),
         suite_conj_witnesses(
             instances, level=args.level, radius=args.radius,
             extra=_mandated_conj_pairs(),

@@ -2,35 +2,22 @@
 
 A certificate is a JSON object written with sorted keys.  The hash field is
 the sha256 of the compact canonical serialization of every other field, so
-any semantic edit invalidates it.  Witness tables are materialized per
-cylinder in lexicographic order (first factor most significant) at a
-declared level; verification above that level is refused, never
-extrapolated.  Tables are read strictly: every entry must be a JSON
-integer within int64 and every row must have the declared width.
+any semantic edit invalidates it.  A witness certificate records the
+construction, not its tables: the inputs and the decision payload (the coe
+pairs, or the conj blocks with their Smith matrices) determine the witness,
+and the witness block only names its relation and the level (and, for a
+conjugacy, the additivity-box radius) to check it at.  Verification
+re-derives the decision, rebuilds the witness from the inputs and runs the
+exhaustive verifier at any level within the point limit.  Payload integers
+are read strictly: bools and floats are refused, never truncated.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
-
-import numpy as np
 
 from . import __version__
-from .cocycle import (
-    CocycleTable,
-    CoeWitness,
-    ConjWitness,
-    GroupIso,
-    GroupValuedMap,
-    LCMap,
-    _materialize_lcmap,
-    _materialize_table,
-    coarsest_table,
-    cylinder_index,
-    verify_coe,
-    verify_conj,
-)
+from .cocycle import CoeWitness, ConjWitness, verify_coe, verify_conj
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -39,20 +26,15 @@ from .decide import (
     conj_decide,
     free_group_counterexample_check,
 )
-from .dynamics import (
-    SystemSpec,
-    odometer_product,
-    parse_system_spec,
-    point_count,
-    spec_str,
-)
+from .dynamics import odometer_product, require_level
 from .intmat import IntMatrix
 from .supernatural import SupernaturalNumber, mul, parse_sn, sn_str
+from .witness import build_coe_witness, build_conj_witness
 
-FORMAT = "orbitcert-certificate"
+FORMAT = "orbitcert-certificate/2"
 KINDS = ("coe", "conj", "coe-witness", "conj-witness", "counterexample")
 
-# materialized tables share the verifiers' enumeration budgets
+# the verifiers' enumeration budgets for witnesses rebuilt from certificates
 COE_POINT_LIMIT = 10**6
 CONJ_POINT_LIMIT = 5 * 10**6
 
@@ -95,7 +77,10 @@ def loads(text: str) -> dict:
         if field not in cert:
             raise CertificateError(f"missing field {field!r}")
     if cert["format"] != FORMAT:
-        raise CertificateError(f"unknown format {cert['format']!r}")
+        raise CertificateError(
+            f"certificate format {cert['format']!r} is not {FORMAT!r}; "
+            "re-emit the certificate with this version of orbitcert"
+        )
     if cert["kind"] not in KINDS:
         raise CertificateError(f"unknown kind {cert['kind']!r}")
     return cert
@@ -146,55 +131,23 @@ def conj_payload(d: ConjDecision) -> dict:
     return {"conjugate": False, "obstruction": d.obstruction}
 
 
-def _lcmap_block(f: LCMap, out_level: int, limit: int) -> dict:
-    grid, vals = _materialize_lcmap(f, out_level, limit)
-    return {"in_level": grid.level, "out_level": out_level, "table": vals.tolist()}
+def witness_block(relation: str, ms, ns, level: int, radius: int | None = None) -> dict:
+    """The recipe of a witness: its relation and the level to check it at,
+    plus the additivity-box radius for a conjugacy.  `verify` rebuilds the
+    witness from the certificate's inputs, so no table is stored.  A level
+    no grid of the input systems can reach within the point limit is
+    refused here, as the verifiers would refuse it."""
+    limit = COE_POINT_LIMIT if relation == "coe" else CONJ_POINT_LIMIT
+    for spec in (odometer_product(ms), odometer_product(ns)):
+        require_level(spec, level, limit)
+    block = {"type": relation, "level": level}
+    if relation == "conj":
+        block["radius"] = radius
+    return block
 
 
-def _table_block(t: CocycleTable, limit: int) -> dict:
-    _, gens = _materialize_table(t, limit)
-    return {
-        "level": t.level,
-        "target_group": list(t.target_group),
-        "generators": [g.tolist() for g in gens],
-    }
-
-
-def coe_witness_block(w: CoeWitness, level: int, radius: int, limit: int = COE_POINT_LIMIT) -> dict:
-    # each point map is tabulated at the highest output level a check reads
-    # it at: its own equivariance level, b's (a's) level and the level the
-    # other map's roundtrip feeds it
-    kf = max(level, w.b.level, w.psi.input_level(level))
-    kb = max(level, w.a.level, w.phi.input_level(level))
-    return {
-        "type": "coe",
-        "level": level,
-        "radius": radius,
-        "source": spec_str(w.source),
-        "target": spec_str(w.target),
-        "phi": _lcmap_block(w.phi, kf, limit),
-        "psi": _lcmap_block(w.psi, kb, limit),
-        "a": _table_block(w.a, limit),
-        "b": _table_block(w.b, limit),
-    }
-
-
-def conj_witness_block(cw: ConjWitness, level: int, radius: int, limit: int = CONJ_POINT_LIMIT) -> dict:
-    kf = max(level, cw.phi_inv.input_level(level))
-    kb = max(level, cw.phi.input_level(level))
-    return {
-        "type": "conj",
-        "level": level,
-        "radius": radius,
-        "source": spec_str(cw.phi.source),
-        "target": spec_str(cw.phi.target),
-        "rho": {
-            "matrix": cw.rho.matrix.to_rows(),
-            "inverse": cw.rho.inverse.to_rows(),
-        },
-        "phi": _lcmap_block(cw.phi, kf, limit),
-        "phi_inv": _lcmap_block(cw.phi_inv, kb, limit),
-    }
+# the names perfbench traces
+coe_witness_block = conj_witness_block = witness_block
 
 
 def coe_certificate(ms, ns, decision: CoeDecision, witness: dict | None = None,
@@ -232,116 +185,36 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 # reconstruction
 
 
-def _int_table(rows, shape: tuple[int, int], name: str) -> np.ndarray:
-    """A JSON table as an int64 array, refusing anything but a list of
-    `shape[0]` rows of `shape[1]` JSON integers within int64."""
-    n, width = shape
-    if type(rows) is not list or len(rows) != n:
-        got = len(rows) if type(rows) is list else type(rows).__name__
-        raise CertificateError(f"{name}: table holds {got} rows, wanted {n}")
-    if any(type(r) is not list for r in rows) or set(map(len, rows)) != {width}:
-        raise CertificateError(f"{name}: ragged table, wanted rows of {width} values")
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        raise CertificateError(f"{name}: table entries must be integers")
-    if min(chain.from_iterable(rows)) < -2**63 or max(chain.from_iterable(rows)) >= 2**63:
-        raise CertificateError(f"{name}: table entry outside int64")
-    return np.array(rows, dtype=np.int64).reshape(n, width)
+def coe_witness_from_block(ms, ns) -> CoeWitness:
+    """The orbit equivalence a coe block stands for, rebuilt from the inputs."""
+    return build_coe_witness(ms, ns)
 
 
-def _lcmap_from_block(block: dict, src: SystemSpec, tgt: SystemSpec, name: str) -> LCMap:
-    """The tabulated map; at each output level up to the tabulated one it
-    reports the least input level on whose cylinders its values are constant."""
-    try:
-        in_level = _budget(block["in_level"], f"{name} in_level")
-        out_cap = _budget(block["out_level"], f"{name} out_level")
-        rows = block["table"]
-    except (KeyError, TypeError) as e:
-        raise CertificateError(f"{name}: bad table block ({e})") from None
-    arr = _int_table(rows, (point_count(src, in_level), tgt.rank), name)
-    out_mods = np.array(tgt.space_moduli(out_cap), dtype=np.int64)
-    bad = np.nonzero(((arr < 0) | (arr >= out_mods[None, :])).any(axis=1))[0]
-    if bad.size:
-        raise CertificateError(f"{name}: out-of-range table row {rows[int(bad[0])]}")
-    coarse: dict[int, tuple[int, np.ndarray]] = {}
-
-    def fit(k: int) -> tuple[int, np.ndarray]:
-        if k > out_cap:
-            raise CertificateError(
-                f"{name}: tables are materialized at level {out_cap}; "
-                f"re-emit the witness to verify at level {k}"
-            )
-        if k not in coarse:
-            mods = np.array(tgt.space_moduli(k), dtype=np.int64)
-            coarse[k] = coarsest_table(src, in_level, arr % mods[None, :])
-        return coarse[k]
-
-    def table(k: int, res: np.ndarray) -> np.ndarray:
-        level, vals = fit(k)
-        return vals[cylinder_index(src, level, res)]
-
-    return LCMap(src, tgt, lambda k: fit(k)[0], table, name)
-
-
-def _cocycle_from_block(block: dict, src: SystemSpec, name: str) -> CocycleTable:
-    try:
-        level = _budget(block["level"], f"{name} level")
-        tg = tuple(_budget(m, f"{name} target_group entry") for m in block["target_group"])
-        gens = block["generators"]
-    except (KeyError, TypeError) as e:
-        raise CertificateError(f"{name}: bad cocycle block ({e})") from None
-    if type(gens) is not list or len(gens) != src.rank:
-        raise CertificateError(f"{name}: wanted a list of {src.rank} generator tables")
-    shape = (point_count(src, level), len(tg))
-    return CocycleTable(src, tg, tuple(
-        GroupValuedMap(src, tg, level, _int_table(rows, shape, f"{name}[{i}]"), f"{name}[{i}]")
-        for i, rows in enumerate(gens)
-    ))
-
-
-def _specs_from_witness(block: dict) -> tuple[SystemSpec, SystemSpec]:
-    try:
-        return parse_system_spec(block["source"]), parse_system_spec(block["target"])
-    except (KeyError, ValueError) as e:
-        raise CertificateError(f"bad witness specs: {e}") from None
-
-
-def coe_witness_from_block(block: dict) -> CoeWitness:
-    src, tgt = _specs_from_witness(block)
-    try:
-        return CoeWitness(
-            _lcmap_from_block(block["phi"], src, tgt, "phi"),
-            _cocycle_from_block(block["a"], src, "a"),
-            _lcmap_from_block(block["psi"], tgt, src, "psi"),
-            _cocycle_from_block(block["b"], tgt, "b"),
-        )
-    except KeyError as e:
-        raise CertificateError(f"witness block missing {e}") from None
-    except (TypeError, ValueError) as e:
-        raise CertificateError(str(e)) from None
-
-
-def conj_witness_from_block(block: dict) -> ConjWitness:
-    src, tgt = _specs_from_witness(block)
-    try:
-        rho = GroupIso(
-            src.group_moduli(),
-            tgt.group_moduli(),
-            IntMatrix.from_rows(block["rho"]["matrix"]),
-            IntMatrix.from_rows(block["rho"]["inverse"]),
-        )
-        return ConjWitness(
-            rho,
-            _lcmap_from_block(block["phi"], src, tgt, "phi"),
-            _lcmap_from_block(block["phi_inv"], tgt, src, "phi_inv"),
-        )
-    except KeyError as e:
-        raise CertificateError(f"witness block missing {e}") from None
-    except (TypeError, ValueError) as e:
-        raise CertificateError(str(e)) from None
+def conj_witness_from_block(ms, ns) -> ConjWitness:
+    """The conjugacy a conj block stands for, rebuilt from the inputs."""
+    return build_conj_witness(ms, ns)
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+def _int(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """A JSON integer in [lo, hi), an end left open when None; bools and
+    floats are refused, never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (lo is not None and value < lo) or (hi is not None and value >= hi)):
+        if (lo, hi) == (0, None):
+            want = "a non-negative integer"
+        else:
+            want = "an integer" + ("" if lo is None else f" >= {lo}") + (
+                "" if hi is None else f" and < {hi}")
+        raise CertificateError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
+def _int_matrix(rows, name: str) -> IntMatrix:
+    return IntMatrix.from_rows([[_int(v, f"{name} entry", None) for v in row] for row in rows])
 
 
 def _parse_inputs(cert: dict) -> tuple[tuple[SupernaturalNumber, ...], tuple[SupernaturalNumber, ...]]:
@@ -353,96 +226,90 @@ def _parse_inputs(cert: dict) -> tuple[tuple[SupernaturalNumber, ...], tuple[Sup
     return ms, ns
 
 
-def _check_coe_payload(cert: dict, lines: list[str]) -> bool:
-    ms, ns = _parse_inputs(cert)
+def _payload(cert: dict, verdict: str) -> dict:
     payload = cert.get("payload")
-    if not isinstance(payload, dict) or "equivalent" not in payload:
+    if not isinstance(payload, dict) or verdict not in payload:
         raise CertificateError("missing decision payload")
+    return payload
+
+
+def _check_coe_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
+    """(the payload checks out, the fresh decision is positive)."""
+    ms, ns = _parse_inputs(cert)
+    payload = _payload(cert, "equivalent")
     fresh = coe_decide(ms, ns)
     if bool(payload["equivalent"]) != fresh.equivalent:
         lines.append("[FAIL] decision: recorded verdict does not reproduce")
-        return False
-    if not payload["equivalent"]:
+        return False, fresh.equivalent
+    if not fresh.equivalent:
         lines.append("[pass] decision: non-equivalence reproduces "
                      f"({fresh.obstruction})")
-        return True
+        return True, False
+    r = len(ms)
     try:
-        sigma = [int(v) for v in payload["sigma"]]
-        pairs = [(int(p["left"]), int(p["right"]), int(p["m"]), int(p["n"]))
+        sigma = [_int(v, "sigma entry", 0, r) for v in payload["sigma"]]
+        pairs = [(_int(p["left"], "pair left", 0, r), _int(p["right"], "pair right", 0, len(ns)),
+                  _int(p["m"], "pair m", 1), _int(p["n"], "pair n", 1))
                  for p in payload["pairs"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise CertificateError(f"bad coe payload: {e}") from None
-    ok = sorted(sigma) == list(range(len(ms))) and len(pairs) == len(ms)
-    if ok:
-        for left, right, m, n in pairs:
-            if sigma[left] != right or not (
-                0 < m and 0 < n
-                and mul(SupernaturalNumber.from_int(m), ms[left])
-                == mul(SupernaturalNumber.from_int(n), ns[right])
-            ):
-                ok = False
-                break
+    ok = sorted(sigma) == list(range(r)) and sorted(p[0] for p in pairs) == list(range(r))
+    ok = ok and all(
+        sigma[left] == right
+        and mul(SupernaturalNumber.from_int(m), ms[left])
+        == mul(SupernaturalNumber.from_int(n), ns[right])
+        for left, right, m, n in pairs
+    )
     lines.append(f"[{'pass' if ok else 'FAIL'}] decision: sigma is a matching and "
                  "every pair identity m*M = n*N holds exactly")
-    return ok
+    return ok, True
 
 
-def _check_conj_payload(cert: dict, lines: list[str]) -> bool:
+def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
+    """(the payload checks out, the fresh decision is positive)."""
     ms, ns = _parse_inputs(cert)
-    payload = cert.get("payload")
-    if not isinstance(payload, dict) or "conjugate" not in payload:
-        raise CertificateError("missing decision payload")
+    payload = _payload(cert, "conjugate")
     fresh = conj_decide(ms, ns)
     if bool(payload["conjugate"]) != fresh.conjugate:
         lines.append("[FAIL] decision: recorded verdict does not reproduce")
-        return False
-    if not payload["conjugate"]:
+        return False, fresh.conjugate
+    if not fresh.conjugate:
         lines.append(f"[pass] decision: non-conjugacy reproduces ({fresh.obstruction})")
-        return True
+        return True, False
     try:
-        blocks = payload["blocks"]
         ok = True
         seen_left: list[int] = []
         seen_right: list[int] = []
-        for b in blocks:
-            li = [int(i) for i in b["left_indices"]]
-            ri = [int(j) for j in b["right_indices"]]
+        for b in payload["blocks"]:
+            li = [_int(i, "left index", 0, len(ms)) for i in b["left_indices"]]
+            ri = [_int(j, "right index", 0, len(ns)) for j in b["right_indices"]]
             base = parse_sn(b["base"])
-            lm = [int(v) for v in b["left_multipliers"]]
-            rm = [int(v) for v in b["right_multipliers"]]
-            s = IntMatrix.from_rows(b["s"])
-            t = IntMatrix.from_rows(b["t"])
+            lm = [_int(v, "left multiplier", 1) for v in b["left_multipliers"]]
+            rm = [_int(v, "right multiplier", 1) for v in b["right_multipliers"]]
+            s = _int_matrix(b["s"], "s")
+            t = _int_matrix(b["t"], "t")
             seen_left += li
             seen_right += ri
-            if len(li) != len(ri) or len(lm) != len(li) or len(rm) != len(ri):
-                ok = False
-                break
-            for i, q in zip(li, lm):
-                if ms[i] != mul(SupernaturalNumber.from_int(q), base):
-                    ok = False
-            for j, q in zip(ri, rm):
-                if ns[j] != mul(SupernaturalNumber.from_int(q), base):
-                    ok = False
-            prod = s @ IntMatrix.diagonal(lm) @ t
-            if prod.to_rows() != IntMatrix.diagonal(rm).to_rows():
-                ok = False
+            ok = (
+                len(li) == len(ri) == len(lm) == len(rm)
+                and all(ms[i] == mul(SupernaturalNumber.from_int(q), base) for i, q in zip(li, lm))
+                and all(ns[j] == mul(SupernaturalNumber.from_int(q), base) for j, q in zip(ri, rm))
+                and (s @ IntMatrix.diagonal(lm) @ t).to_rows() == IntMatrix.diagonal(rm).to_rows()
+            )
             if not ok:
                 break
-        if ok and (sorted(seen_left) != list(range(len(ms)))
-                   or sorted(seen_right) != list(range(len(ns)))):
-            ok = False
+        ok = ok and (sorted(seen_left) == list(range(len(ms)))
+                     and sorted(seen_right) == list(range(len(ns))))
     except (KeyError, TypeError, ValueError) as e:
         raise CertificateError(f"bad conj payload: {e}") from None
     lines.append(f"[{'pass' if ok else 'FAIL'}] decision: blocks partition the factors, "
                  "M_i = m_i*L and N_j = n_j*L, and S*diag(m)*T = diag(n) exactly")
-    return ok
+    return ok, True
 
 
 def _check_counterexample(cert: dict, lines: list[str]) -> bool:
     try:
-        p = int(cert["inputs"]["p"])
-        q = int(cert["inputs"]["q"])
-        n = int(cert["inputs"]["n"])
+        p, q, n = (_int(cert["inputs"][k], k, 2) for k in ("p", "q", "n"))
         recorded = [(str(s), bool(ok)) for s, ok in cert["payload"]["certified"]]
         cited = [str(s) for s in cert["payload"]["cited"]]
     except (KeyError, TypeError, ValueError) as e:
@@ -455,45 +322,40 @@ def _check_counterexample(cert: dict, lines: list[str]) -> bool:
     return ok
 
 
-def _budget(value, name: str) -> int:
-    """A verification budget: a non-negative int (bools and floats are not)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise CertificateError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _check_binding(cert: dict, block: dict, lines: list[str]) -> bool:
-    """A witness proves the certificate's claim only if it is a witness of
-    the certificate's relation, between the systems named by its inputs,
-    backing a positive verdict."""
-    kind = cert["kind"]
-    if kind == "counterexample":
-        raise CertificateError("counterexample certificates carry no witness")
-    relation = kind.split("-")[0]
-    ms, ns = _parse_inputs(cert)
-    positive = cert["payload"]["equivalent" if relation == "coe" else "conjugate"] is True
-    ok = (
-        block["type"] == relation
-        and positive
-        and block.get("source") == spec_str(odometer_product(ms))
-        and block.get("target") == spec_str(odometer_product(ns))
-    )
-    lines.append(f"[{'pass' if ok else 'FAIL'}] witness binding: a {relation} witness "
-                 "between the input systems, under a positive verdict")
-    return ok
+def _witness_budget(block, level: int | None, radius: int | None) -> tuple[int, int | None]:
+    """The level (and, for a conjugacy, the radius) to check a witness block
+    at: the requested one, else the recorded one.  A coe block holds exactly
+    {type, level}; a conj block adds its radius."""
+    wtype = block.get("type") if isinstance(block, dict) else None
+    if wtype not in ("coe", "conj"):
+        raise CertificateError(f"bad witness block: unknown type {wtype!r}")
+    lvl = _int(block.get("level"), "witness level")
+    rad = _int(block.get("radius"), "witness radius") if wtype == "conj" else None
+    extra = set(block) - {"type", "level"} - ({"radius"} if wtype == "conj" else set())
+    if extra:
+        raise CertificateError(f"bad {wtype} witness block: unexpected {sorted(extra)}")
+    if level is not None:
+        lvl = _int(level, "level")
+    if radius is not None:
+        _int(radius, "radius")
+        if wtype == "conj":
+            rad = radius
+    return lvl, rad
 
 
 def verify_certificate(cert: dict, level: int | None = None,
                        radius: int | None = None) -> tuple[bool, list[str]]:
     """Re-check a loaded certificate.  Returns (passed, report lines).
 
-    The hash must match, the recorded decision must reproduce, embedded
-    identities must hold exactly, and any materialized witness must be
-    bound to the certificate's inputs and positive verdict and pass its
-    exhaustive verifier at the requested level, defaulting to the embedded
-    one.  The coe checks are exact over the acting group; radius only sets
-    the box of the conj additivity check.  Raises CertificateError when the
-    file is malformed or the requested level exceeds the materialization.
+    The hash must match, the recorded decision must reproduce and embedded
+    identities must hold exactly.  A witness block is checked only when the
+    fresh decision is positive and the block is of the certificate's
+    relation: the witness is then rebuilt from the certificate's inputs and
+    must pass its exhaustive verifier at the requested level, defaulting to
+    the recorded one.  The coe checks are exact over the acting group;
+    radius only sets the box of the conj additivity check.  Raises
+    CertificateError when the file is malformed or a budget is not a
+    natural number, and ValueError when the level is beyond the point limit.
     """
     lines: list[str] = []
     if content_hash(cert) != cert["hash"]:
@@ -501,37 +363,33 @@ def verify_certificate(cert: dict, level: int | None = None,
         return False, lines
     lines.append("[pass] content hash")
     kind = cert["kind"]
-    if kind in ("coe", "coe-witness"):
-        ok = _check_coe_payload(cert, lines)
-    elif kind in ("conj", "conj-witness"):
-        ok = _check_conj_payload(cert, lines)
+    relation = kind.split("-")[0]
+    if relation == "coe":
+        ok, positive = _check_coe_payload(cert, lines)
+    elif relation == "conj":
+        ok, positive = _check_conj_payload(cert, lines)
     else:
-        ok = _check_counterexample(cert, lines)
+        ok, positive = _check_counterexample(cert, lines), False
 
     block = cert.get("witness")
-    if block is not None:
-        if not isinstance(block, dict) or "type" not in block:
-            raise CertificateError("bad witness block")
-        embedded = _budget(block.get("level"), "witness level")
-        recorded = _budget(block.get("radius"), "witness radius")
-        lvl = embedded if level is None else _budget(level, "level")
-        rad = recorded if radius is None else _budget(radius, "radius")
-        if lvl > embedded:
-            raise CertificateError(
-                f"witness is materialized for level {embedded}; "
-                f"level {lvl} was requested"
-            )
-        ok = _check_binding(cert, block, lines) and ok
-        if block["type"] == "coe":
-            report = verify_coe(coe_witness_from_block(block), lvl, rad, COE_POINT_LIMIT)
-        elif block["type"] == "conj":
-            report = verify_conj(conj_witness_from_block(block), lvl, rad, CONJ_POINT_LIMIT)
-        else:
-            raise CertificateError(f"unknown witness type {block['type']!r}")
-        for check in report.checks:
-            tag = "pass" if check.ok else "FAIL"
-            lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")
-        ok = ok and report.passed
-    elif kind in ("coe-witness", "conj-witness"):
-        raise CertificateError(f"kind {kind} requires a witness block")
-    return ok, lines
+    if block is None:
+        if kind.endswith("-witness"):
+            raise CertificateError(f"kind {kind} requires a witness block")
+        return ok, lines
+    if kind == "counterexample":
+        raise CertificateError("counterexample certificates carry no witness")
+    lvl, rad = _witness_budget(block, level, radius)
+    bound = positive and block["type"] == relation
+    lines.append(f"[{'pass' if bound else 'FAIL'}] witness binding: a {relation} witness "
+                 "between the input systems, under a positive verdict")
+    if not bound:
+        return False, lines
+    ms, ns = _parse_inputs(cert)
+    if relation == "coe":
+        report = verify_coe(coe_witness_from_block(ms, ns), lvl, COE_POINT_LIMIT)
+    else:
+        report = verify_conj(conj_witness_from_block(ms, ns), lvl, rad, CONJ_POINT_LIMIT)
+    for check in report.checks:
+        tag = "pass" if check.ok else "FAIL"
+        lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")
+    return ok and report.passed, lines

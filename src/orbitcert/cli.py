@@ -13,13 +13,12 @@ from .certificates import (
     CertificateError,
     canonical_json,
     coe_certificate,
-    coe_witness_block,
     conj_certificate,
-    conj_witness_block,
     counterexample_certificate,
     dumps,
     loads,
     verify_certificate,
+    witness_block,
 )
 from .decide import (
     coe_decide,
@@ -29,7 +28,6 @@ from .decide import (
     k_invariant,
 )
 from .supernatural import ParseError, parse_sn, parse_sn_list, sn_str
-from .witness import build_coe_witness, build_conj_witness
 
 
 def _write(cert: dict, out: str | None) -> None:
@@ -56,10 +54,7 @@ def cmd_coe(args) -> int:
         return 1
     pairs = ", ".join(f"{p.m}*M{p.left_index} = {p.n}*N{p.right_index}" for p in d.pairs)
     print(f"orbit equivalent; sigma = {list(d.sigma)}; {pairs}")
-    block = None
-    if args.witness:
-        w = build_coe_witness(ms, ns)
-        block = coe_witness_block(w, args.level, args.radius)
+    block = witness_block("coe", ms, ns, args.level) if args.witness else None
     _write(coe_certificate(ms, ns, d, block), args.out)
     return 0
 
@@ -77,10 +72,7 @@ def cmd_conj(args) -> int:
         for b in d.blocks
     )
     print(f"conjugate; {blocks}")
-    block = None
-    if args.witness:
-        cw = build_conj_witness(ms, ns)
-        block = conj_witness_block(cw, args.level, args.radius)
+    block = witness_block("conj", ms, ns, args.level, args.radius) if args.witness else None
     _write(conj_certificate(ms, ns, d, block), args.out)
     return 0
 
@@ -127,18 +119,16 @@ def cmd_witness(args) -> int:
         if not d.equivalent:
             print(f"not orbit equivalent: {d.obstruction}")
             return 1
-        w = build_coe_witness(ms, ns)
-        block = coe_witness_block(w, args.level, args.radius)
+        block = witness_block("coe", ms, ns, args.level)
         cert = coe_certificate(ms, ns, d, block, kind="coe-witness")
     else:
         d = conj_decide(ms, ns)
         if not d.conjugate:
             print(f"not conjugate: {d.obstruction}")
             return 1
-        cw = build_conj_witness(ms, ns)
-        block = conj_witness_block(cw, args.level, args.radius)
+        block = witness_block("conj", ms, ns, args.level, args.radius)
         cert = conj_certificate(ms, ns, d, block, kind="conj-witness")
-    print(f"witness materialized at level {args.level}, radius {args.radius}")
+    print(f"witness block {canonical_json(block)}; verify rebuilds the witness from the inputs")
     _write(cert, args.out)
     return 0
 
@@ -183,27 +173,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pair(p):
+    def add_pair(p, radius: bool):
         p.add_argument("ms", help="comma-separated supernatural numbers, e.g. '5*2^inf,3^inf'")
         p.add_argument("ns", help="comma-separated supernatural numbers")
         p.add_argument("--witness", action="store_true",
-                       help="build and embed a materialized witness")
-        add_budget(p)
+                       help="embed a witness block; verify rebuilds the witness")
+        add_budget(p, radius)
         p.add_argument("--out", metavar="FILE", help="write the certificate here")
 
-    def add_budget(p):
+    def add_budget(p, radius: bool):
         p.add_argument("--level", type=nonnegative, default=4,
-                       help="materialization/verification level (default 4)")
-        p.add_argument("--radius", type=nonnegative, default=6,
-                       help="box radius of the conj additivity check, recorded in "
-                       "coe certificates; the coe checks are exact (default 6)")
+                       help="verification level recorded in the witness block (default 4)")
+        if radius:
+            p.add_argument("--radius", type=nonnegative, default=6,
+                           help="box radius of the conj additivity check; coe "
+                           "witnesses are checked exactly and ignore it (default 6)")
 
     p = sub.add_parser("coe", help="decide continuous orbit equivalence")
-    add_pair(p)
+    add_pair(p, radius=False)
     p.set_defaults(fn=cmd_coe)
 
     p = sub.add_parser("conj", help="decide continuous conjugacy")
-    add_pair(p)
+    add_pair(p, radius=True)
     p.set_defaults(fn=cmd_conj)
 
     p = sub.add_parser("kinv", help="print the ordered K-theoretic invariant")
@@ -223,21 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the certificate here")
     p.set_defaults(fn=cmd_counterexample)
 
-    p = sub.add_parser("witness", help="emit a materialized witness certificate")
+    p = sub.add_parser("witness", help="emit a witness certificate")
     p.add_argument("relation", choices=("coe", "conj"))
     p.add_argument("ms")
     p.add_argument("ns")
-    add_budget(p)
+    add_budget(p, radius=True)
     p.add_argument("--out", metavar="FILE", help="write the certificate here")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("certificate", metavar="FILE")
     p.add_argument("--level", type=nonnegative, default=None,
-                   help="verification level (default: the embedded one)")
+                   help="verification level (default: the recorded one)")
     p.add_argument("--radius", type=nonnegative, default=None,
-                   help="box radius of the conj additivity check "
-                   "(default: the embedded one)")
+                   help="box radius of the conj additivity check; coe witnesses "
+                   "are checked exactly and ignore it (default: the recorded one)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("selftest", help="run the randomized cross-check suites")

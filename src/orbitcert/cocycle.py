@@ -29,6 +29,7 @@ from .dynamics import (
     canonical_coords,
     generator,
     point_count,
+    require_level,
 )
 from .intmat import IntMatrix
 
@@ -680,11 +681,11 @@ def _check_inverse_cocycle(
 
 
 def verify_cocycle_identity(
-    a: CocycleTable, level: int = 4, radius: int = 6, point_limit: int = 10**6
+    a: CocycleTable, level: int = 4, point_limit: int = 10**6
 ) -> VerifyReport:
     """a(g1+g2, x) = a(g1, g2.x) + a(g2, x) for all g1, g2 in the acting group
     and every point, through the group's relations on the cocycle's own
-    locality grid.  level and radius are recorded in the report only."""
+    locality grid.  level is recorded in the report only."""
     check = _identity_check("cocycle-identity", a, point_limit)
     return VerifyReport("cocycle-identity", level, None, [check])
 
@@ -727,9 +728,7 @@ def _identity_check(name: str, a: CocycleTable, limit: int) -> CheckResult:
     return CheckResult(name, checked, violations)
 
 
-def verify_coe(
-    w: CoeWitness, level: int = 4, radius: int = 6, point_limit: int = 10**6
-) -> VerifyReport:
+def verify_coe(w: CoeWitness, level: int = 4, point_limit: int = 10**6) -> VerifyReport:
     """Exhaustive soundness check of an orbit-equivalence witness, exact over
     the whole acting group: both cocycles satisfy the group's relations,
     phi and psi are equivariant through them on every generator, the point
@@ -737,8 +736,9 @@ def verify_coe(
     a(b(h, y), psi(y)) = h on generators.  Each cocycle is thus a bijection
     of the acting groups at every point.  Equivariance is checked at the
     level the inversion checks read the point maps, when that is above
-    `level`.  radius is accepted for the callers' budget but no check
-    samples a box."""
+    `level`.  A level beyond the point limit is refused up front."""
+    require_level(w.source, level, point_limit)
+    require_level(w.target, level, point_limit)
     checks = [
         _check_equivariance("phi-equivariance", w.phi, w.a, max(level, w.b.level), point_limit),
         _check_equivariance("psi-equivariance", w.psi, w.b, max(level, w.a.level), point_limit),
@@ -783,7 +783,10 @@ def verify_conj(
     level-`level` grid; the identity for an arbitrary box element is then
     the telescoped sum of verified single-generator identities (the grid is
     closed under the action), provided rho is additive over the box, which
-    is checked exactly element by element."""
+    is checked exactly element by element.  A level beyond the point limit
+    is refused up front."""
+    require_level(w.phi.source, level, point_limit)
+    require_level(w.phi.target, level, point_limit)
     checks = [CheckResult("rho-isomorphism", 1, w.rho.defects())]
     for name, phi, hom in (
         ("phi-equivariance", w.phi, w.rho.apply),

@@ -162,6 +162,17 @@ def point_count(spec: SystemSpec, k: int) -> int:
     return n
 
 
+def require_level(spec: SystemSpec, k: int, limit: int) -> None:
+    """Refuse level k, before any level-k modulus is computed, when its grid
+    cannot fit in `limit` points: a factor with an infinite prime exponent
+    has at least 2**k residues at level k."""
+    if k >= limit.bit_length() and any(
+        isinstance(f, Odometer) and is_supernatural(f.limit) for f in spec.factors
+    ):
+        raise ValueError(f"level {k} is beyond the point limit {limit}: "
+                         f"a level-{k} grid holds at least 2**{k} points")
+
+
 def enumerate_points(spec: SystemSpec, k: int, limit: int = 10**6) -> list[PointAtLevel]:
     """All level-k points in lexicographic residue order (first factor most
     significant).  Guarded against accidental blowups."""

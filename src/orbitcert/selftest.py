@@ -344,9 +344,7 @@ def suite_invariant_vs_decision(seed: int, count: int = 200, instances=None) -> 
 
 
 @_timed
-def suite_coe_witnesses(
-    instances, level: int = 4, radius: int = 6, max_rank: int = 2
-) -> SuiteResult:
+def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteResult:
     """Every orbit-equivalent instance of small rank gets an explicit witness
     which must survive the exhaustive verifier."""
     failures = []
@@ -357,7 +355,7 @@ def suite_coe_witnesses(
         checked += 1
         try:
             w = build_coe_witness(ms, ns)
-            report = verify_coe(w, level=level, radius=radius)
+            report = verify_coe(w, level=level)
             if not report.passed:
                 failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}")
         except Exception as e:  # construction failures are failures too
@@ -610,7 +608,7 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4
         twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
         if built <= 3:
             checked += 1
-            sanity = verify_coe(twisted, level=2, radius=3)
+            sanity = verify_coe(twisted, level=2)
             if not sanity.passed:
                 failures.append(
                     f"{_fmt_pair(ms, ns)}: twisted witness is not genuine: {sanity.summary()}"

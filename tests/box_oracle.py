@@ -1,5 +1,6 @@
 """Box-sweep verifier for orbit-equivalence witnesses, kept as a test oracle,
-and pointwise cocycle telescoping, the oracle of `cocycle_reader`.
+pointwise cocycle telescoping, the oracle of `cocycle_reader`, and a
+witness held as plain tables, for tests that edit single entries.
 
 This is the coe verifier as it stood before the exact checks on generators
 replaced it: every identity is tested for each group element of the
@@ -19,6 +20,7 @@ from orbitcert.cocycle import (
     CheckResult,
     CocycleTable,
     CoeWitness,
+    GroupValuedMap,
     LCMap,
     VerifyReport,
     _SAMPLES,
@@ -28,6 +30,8 @@ from orbitcert.cocycle import (
     _materialize_lcmap,
     _materialize_table,
     _record,
+    coarsest_table,
+    cylinder_index,
 )
 from orbitcert.dynamics import (
     GroupElement,
@@ -257,3 +261,62 @@ def box_verify_coe(
         box_injectivity("injectivity-b", w.b, radius, point_limit),
     ]
     return VerifyReport("coe-witness", level, radius, checks)
+
+
+# ---------------------------------------------------------------------------
+# a witness as plain tables
+
+
+def witness_tables(w: CoeWitness, level: int, limit: int = 10**6) -> dict:
+    """The tables the coe verifier reads at `level`: each point map at the
+    highest output level a check reads it (its own equivariance level, the
+    other cocycle's level and the level the other map's roundtrip feeds it),
+    and each cocycle's generators over its locality grid."""
+    kf = max(level, w.b.level, w.psi.input_level(level))
+    kb = max(level, w.a.level, w.phi.input_level(level))
+    out = {"source": w.source, "target": w.target}
+    for key, f, k in (("phi", w.phi, kf), ("psi", w.psi, kb)):
+        grid, vals = _materialize_lcmap(f, k, limit)
+        out[key] = {"in_level": grid.level, "out_level": k, "table": vals}
+    for key, t in (("a", w.a), ("b", w.b)):
+        _, gens = _materialize_table(t, limit)
+        out[key] = {"level": t.level, "target_group": t.target_group, "generators": list(gens)}
+    return out
+
+
+def _table_map(block: dict, src, tgt, name: str) -> LCMap:
+    """The tabulated map; at each output level up to the tabulated one it
+    reads the least input level on whose cylinders its values are constant."""
+    in_level, out_cap, arr = block["in_level"], block["out_level"], block["table"]
+    coarse: dict[int, tuple[int, np.ndarray]] = {}
+
+    def fit(k: int) -> tuple[int, np.ndarray]:
+        assert k <= out_cap, f"{name}: tabulated up to level {out_cap}, read at {k}"
+        if k not in coarse:
+            mods = np.array(tgt.space_moduli(k), dtype=np.int64)
+            coarse[k] = coarsest_table(src, in_level, arr % mods[None, :])
+        return coarse[k]
+
+    def table(k: int, res: np.ndarray) -> np.ndarray:
+        level, vals = fit(k)
+        return vals[cylinder_index(src, level, res)]
+
+    return LCMap(src, tgt, lambda k: fit(k)[0], table, name)
+
+
+def _table_cocycle(block: dict, src, name: str) -> CocycleTable:
+    tg = tuple(block["target_group"])
+    return CocycleTable(src, tg, tuple(
+        GroupValuedMap(src, tg, block["level"], g, f"{name}[{i}]")
+        for i, g in enumerate(block["generators"])
+    ))
+
+
+def witness_from_tables(tables: dict) -> CoeWitness:
+    src, tgt = tables["source"], tables["target"]
+    return CoeWitness(
+        _table_map(tables["phi"], src, tgt, "phi"),
+        _table_cocycle(tables["a"], src, "a"),
+        _table_map(tables["psi"], tgt, src, "psi"),
+        _table_cocycle(tables["b"], tgt, "b"),
+    )

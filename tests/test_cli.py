@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -87,9 +88,6 @@ def test_witness_roundtrips_through_verify(tmp_path, capsys):
     assert "verification passed" in capsys.readouterr().out
     assert main(["verify", str(path), "--level", "2", "--radius", "3"]) == 0
     capsys.readouterr()
-    # refuses above the embedded level
-    assert main(["verify", str(path), "--level", "5"]) == 2
-    assert "materialized" in capsys.readouterr().err
 
 
 def test_conj_witness_roundtrips_through_verify(tmp_path, capsys):
@@ -107,8 +105,7 @@ def test_conj_witness_roundtrips_through_verify(tmp_path, capsys):
     ("2*3^inf,2^inf", "3^inf,2*2^inf"),
 ])
 def test_witness_with_growing_level_map_roundtrips(ms, ns, tmp_path, capsys):
-    # psi reads its input one level deeper than its output; the tables are
-    # sized by one step of the verifier's demands, so emission terminates
+    # psi reads its input one level deeper than its output
     path = tmp_path / "w.json"
     assert main(["witness", "coe", ms, ns, "--out", str(path)]) == 0
     capsys.readouterr()
@@ -152,14 +149,11 @@ def test_selftest_smoke(capsys):
     assert "cohomology-roundtrip: pass" in out
 
 
-def _broken_readme_cert(tmp_path, capsys):
-    """The README coe certificate with cocycle a broken at one entry."""
+def _emit(tmp_path, capsys, *argv):
     path = tmp_path / "w.json"
-    assert main(["witness", "coe", COE_M, COE_N, "--level", "2", "--out", str(path)]) == 0
+    assert main([*argv, "--out", str(path)]) == 0
     capsys.readouterr()
-    cert = json.loads(path.read_text())
-    cert["witness"]["a"]["generators"][0][0][0] += 7
-    return path, cert
+    return path, json.loads(path.read_text())
 
 
 def _reseal(path, cert):
@@ -168,23 +162,65 @@ def _reseal(path, cert):
     path.write_text(dumps(seal(cert)))
 
 
-def test_broken_cocycle_fails_whatever_the_radius(tmp_path, capsys):
-    path, cert = _broken_readme_cert(tmp_path, capsys)
+def test_level_2_certificate_verifies_at_level_4(tmp_path, capsys):
+    path, _ = _emit(tmp_path, capsys, "witness", "coe", COE_M, COE_N, "--level", "2")
+    assert main(["verify", str(path), "--level", "4"]) == 0
+    assert "verification passed" in capsys.readouterr().out
+
+
+def test_positive_verdict_on_negative_pair_fails_without_a_build(tmp_path, capsys, monkeypatch):
+    import orbitcert.certificates as certificates
+
+    def refuse(*args):
+        raise AssertionError("a witness was built for a negative pair")
+
+    monkeypatch.setattr(certificates, "build_coe_witness", refuse)
+    path, cert = _emit(tmp_path, capsys, "witness", "coe", "2^inf", "2^inf")
+    cert["inputs"]["ns"] = ["3^inf"]
     _reseal(path, cert)
     assert main(["verify", str(path)]) == 1
-    assert "[FAIL] witness cocycle-identity-a" in capsys.readouterr().out
-    # a radius of 0 once made every box {0}, so nothing was compared
-    cert["witness"]["radius"] = 0
-    _reseal(path, cert)
-    assert main(["verify", str(path)]) == 1
-    assert "verification FAILED" in capsys.readouterr().out
-    assert main(["verify", str(path), "--radius", "0"]) == 1
-    capsys.readouterr()
-    # a missing radius once defaulted to 0; now the block is malformed
-    del cert["witness"]["radius"]
+    out = capsys.readouterr().out
+    assert "[FAIL] decision" in out
+    assert "[FAIL] witness binding" in out
+    assert "verification FAILED" in out
+
+
+def test_old_format_certificate_exits_two(tmp_path, capsys):
+    path, cert = _emit(tmp_path, capsys, "witness", "coe", COE_M, COE_N)
+    cert["format"] = "orbitcert-certificate"
     _reseal(path, cert)
     assert main(["verify", str(path)]) == 2
-    assert "radius" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'orbitcert-certificate'" in err and "re-emit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "coe", COE_M, COE_N],
+    ["witness", "conj", SWAP_M, SWAP_N, "--level", "3"],
+], ids=["coe", "conj"])
+def test_readme_certificates_are_small(argv, tmp_path, capsys):
+    path, _ = _emit(tmp_path, capsys, *argv)
+    assert path.stat().st_size < 4096
+    assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("relation, ms, ns", [
+    ("coe", COE_M, COE_N), ("conj", SWAP_M, SWAP_N),
+])
+def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, capsys):
+    path, cert = _emit(tmp_path, capsys, "witness", relation, ms, ns, "--level", "1")
+    runs = [["verify", str(path), "--level", str(10**9)],
+            ["witness", relation, ms, ns, "--level", str(10**9)]]
+    cert["witness"]["level"] = 10**9
+    resealed = tmp_path / "resealed.json"
+    _reseal(resealed, cert)
+    runs.append(["verify", str(resealed)])
+    for argv in runs:
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert f"level {10**9}" in err and "point limit" in err
 
 
 @pytest.mark.parametrize("argv", [

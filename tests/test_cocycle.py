@@ -57,7 +57,7 @@ X_SMALL = _spec(["2^inf", 3])  # Z_2 odometer times a 3-cycle
 
 def test_identity_witness_verifies():
     w = identity_witness(X_SMALL)
-    report = verify_coe(w, level=3, radius=4)
+    report = verify_coe(w, level=3)
     assert report.passed, report.summary()
     assert "ok" in report.summary()
 
@@ -107,7 +107,7 @@ def _swap_witness():
 
 def test_swap_witness_passes_all_checks():
     _, _, w = _swap_witness()
-    report = verify_coe(w, level=3, radius=4)
+    report = verify_coe(w, level=3)
     assert report.passed, report.summary()
 
 
@@ -127,7 +127,7 @@ def test_extend_cocycle_is_path_independent():
     base = identity_witness(spec)
     u = GroupValuedMap.tabulate(spec, (0, 0), 1, lambda res: res % (2, 3))
     a = twist(base.a, u)
-    assert verify_cocycle_identity(a, radius=3).passed
+    assert verify_cocycle_identity(a).passed
     for g in [GroupElement((2, -1)), GroupElement((-3, 2)), GroupElement((1, 1))]:
         for x in enumerate_points(spec, 2):
             assert extend_cocycle(a, g, x, order=(0, 1)) == extend_cocycle(
@@ -171,7 +171,7 @@ def test_verify_locates_broken_equivariance():
     bad_gen = constant_generator(X_SMALL, (0, 3), (1, 1))
     bad_a = CocycleTable(X_SMALL, (0, 3), (bad_gen, w.a.generators[1]))
     broken = CoeWitness(w.phi, bad_a, w.psi, w.b)
-    report = verify_coe(broken, level=2, radius=3)
+    report = verify_coe(broken, level=2)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.ok}
     assert "phi-equivariance" in failing
@@ -184,7 +184,7 @@ def test_verify_locates_noninjective_cocycle():
     phi = identity_lcmap(spec)
     doubling = homomorphism_cocycle(spec, [(2,)], (4,))
     w = CoeWitness(phi, doubling, identity_lcmap(spec), doubling)
-    report = verify_coe(w, level=1, radius=3)
+    report = verify_coe(w, level=1)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.ok}
     # b o a = id on the whole group implies injectivity; doubling breaks it
@@ -194,11 +194,11 @@ def test_verify_locates_noninjective_cocycle():
 def test_compose_and_inverse_round_trip():
     spec, _, w = _swap_witness()
     round_trip = compose_coe(w, inverse_coe(w))
-    report = verify_coe(round_trip, level=3, radius=3)
+    report = verify_coe(round_trip, level=3)
     assert report.passed, report.summary()
     ident = identity_witness(spec)
     both = compose_coe(round_trip, ident)
-    assert verify_coe(both, level=2, radius=2).passed
+    assert verify_coe(both, level=2).passed
 
 
 def _identity_iso(group):
@@ -237,7 +237,7 @@ def test_conj_witness_between_cyclic_products():
     report = verify_conj(cw, level=2, radius=3)
     assert report.passed, report.summary()
     coe = conj_to_coe(cw)
-    assert verify_coe(coe, level=2, radius=3).passed
+    assert verify_coe(coe, level=2).passed
 
 
 def test_group_iso_defect_reporting():

@@ -9,8 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from box_oracle import box_identity, box_verify_coe
-from orbitcert.certificates import coe_witness_block, coe_witness_from_block
+from box_oracle import box_identity, box_verify_coe, witness_from_tables, witness_tables
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
@@ -20,7 +19,7 @@ from orbitcert.cocycle import (
     verify_cocycle_identity,
     verify_coe,
 )
-from orbitcert.dynamics import Cyclic, Odometer, SystemSpec, parse_system_spec
+from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import build_basic_coe, build_coe_witness, build_finite_coe
 
@@ -42,7 +41,7 @@ def _cyclic_source():
 
 
 def _agree(w, level, radius):
-    exact = verify_coe(w, level, radius)
+    exact = verify_coe(w, level)
     box = box_verify_coe(w, level, radius)
     assert exact.passed == box.passed, exact.summary() + "\n" + box.summary()
     return exact.passed
@@ -64,16 +63,16 @@ def test_cyclic_source_witnesses_agree():
     assert _agree(build_finite_coe((2, 3), (6,)), 1, 3)
 
 
-def _mutate(block: dict, key: str, rng: random.Random) -> dict:
+def _mutate(tables: dict, key: str, rng: random.Random) -> dict:
     """Change one entry of one table, keeping point tables in range."""
-    out = copy.deepcopy(block)
+    out = copy.deepcopy(tables)
     if key in ("a", "b"):
         gens = out[key]["generators"]
         rows = gens[rng.randrange(len(gens))]
         row = rows[rng.randrange(len(rows))]
         row[rng.randrange(len(row))] += rng.choice([-3, -2, -1, 1, 2, 3, 7])
         return out
-    spec = parse_system_spec(out["target" if key == "phi" else "source"])
+    spec = out["target" if key == "phi" else "source"]
     mods = spec.space_moduli(out[key]["out_level"])
     row = out[key]["table"][rng.randrange(len(out[key]["table"]))]
     c = rng.choice([j for j, m in enumerate(mods) if m > 1])
@@ -89,11 +88,11 @@ def test_single_entry_mutations_agree(case):
         "rank2-1": lambda: _witness(RANK2_PAIRS[1]),
         "cyclic-source": _cyclic_source,
     }[case]()
-    block = coe_witness_block(w, 2, 2)
+    tables = witness_tables(w, 2)
     rng = random.Random(f"mutations-{case}")
     for k in range(8):  # two mutations of each of a, b, phi, psi
         key = ("a", "b", "phi", "psi")[k % 4]
-        _agree(coe_witness_from_block(_mutate(block, key, rng)), 2, 2)
+        _agree(witness_from_tables(_mutate(tables, key, rng)), 2, 2)
 
 
 @pytest.mark.parametrize("n", [5, 7, 11])

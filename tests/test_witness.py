@@ -33,7 +33,7 @@ def test_basic_split_five():
     w = build_basic_coe(5, parse_sn("2^inf"))
     assert w.source == SystemSpec((Odometer(parse_sn("5*2^inf")),))
     assert w.target == SystemSpec((Cyclic(5), Odometer(parse_sn("2^inf"))))
-    report = verify_coe(w, level=3, radius=4)
+    report = verify_coe(w, level=3)
     assert report.passed, report.summary()
     # the seam cocycle reads one digit: locality is exactly the 5-divisible level
     assert w.a.generators[0].level == 1
@@ -43,19 +43,19 @@ def test_basic_split_five():
 def test_basic_split_shared_prime():
     w = build_basic_coe(2, parse_sn("2^inf"))
     assert w.phi.level_map(3) == 4  # one extra binary digit feeds the split
-    assert verify_coe(w, level=3, radius=4).passed
+    assert verify_coe(w, level=3).passed
 
 
 def test_basic_split_trivial_cycle():
     w = build_basic_coe(1, parse_sn("3^inf"))
-    assert verify_coe(w, level=3, radius=4).passed
+    assert verify_coe(w, level=3).passed
     x = PointAtLevel(3, (7,))
     assert w.phi(3, x).residues == (0, 7)
 
 
 def test_finite_merge_roundtrip():
     w = build_finite_coe((2, 3), (6,))
-    report = verify_coe(w, level=2, radius=4)
+    report = verify_coe(w, level=2)
     assert report.passed, report.summary()
     assert w.phi(0, PointAtLevel(0, (1, 2))).residues == (5,)
 
@@ -69,7 +69,7 @@ def test_permutation_witness():
     spec = SystemSpec((Cyclic(2), Odometer(parse_sn("3^inf")), Cyclic(5)))
     w = permutation_witness(spec, (2, 0, 1))
     assert w.target.factors == (Cyclic(5), Cyclic(2), Odometer(parse_sn("3^inf")))
-    assert verify_coe(w, level=2, radius=3).passed
+    assert verify_coe(w, level=2).passed
     with pytest.raises(ValueError, match="permutation"):
         permutation_witness(spec, (0, 0, 1))
 
@@ -79,7 +79,7 @@ def test_direct_sum_of_splits():
         [build_basic_coe(5, parse_sn("2^inf")), build_basic_coe(1, parse_sn("3^inf"))]
     )
     assert w.source.rank == 2 and w.target.rank == 4
-    assert verify_coe(w, level=2, radius=3).passed
+    assert verify_coe(w, level=2).passed
 
 
 M_EXAMPLE = parse_sn_list("5*2^inf, 3^inf")
@@ -88,14 +88,14 @@ N_EXAMPLE = parse_sn_list("2^inf, 5*3^inf")
 
 def test_example_pair_witness_verifies_at_acceptance_scale():
     w = build_coe_witness(M_EXAMPLE, N_EXAMPLE)
-    report = verify_coe(w, level=4, radius=6)
+    report = verify_coe(w, level=4)
     assert report.passed, report.summary()
 
 
 def test_identity_shortcut():
     ms = parse_sn_list("2^inf, 3^inf")
     w = build_coe_witness(ms, ms)
-    assert verify_coe(w, level=3, radius=4).passed
+    assert verify_coe(w, level=3).passed
     for x in enumerate_points(w.source, 3):
         assert w.phi(3, x) == x
 
@@ -103,7 +103,7 @@ def test_identity_shortcut():
 def test_swapped_multiplier_witness():
     # same class, multipliers travel between the factors
     w = build_coe_witness(parse_sn_list("2^inf, 3*2^inf"), parse_sn_list("3*2^inf, 2^inf"))
-    assert verify_coe(w, level=4, radius=6).passed
+    assert verify_coe(w, level=4).passed
 
 
 def test_rebalanced_witness_for_absorbed_prime():
@@ -111,7 +111,7 @@ def test_rebalanced_witness_for_absorbed_prime():
     ms = parse_sn_list("2^inf*3^inf, 3*2^inf")
     ns = parse_sn_list("2^inf*3^inf, 9*2^inf")
     w = build_coe_witness(ms, ns)
-    report = verify_coe(w, level=3, radius=4)
+    report = verify_coe(w, level=3)
     assert report.passed, report.summary()
 
 
