@@ -3,7 +3,7 @@
 Same machinery as `orbitcert selftest`, exposed with per-suite knobs so a
 longer soak (more instances, deeper verification levels) can run overnight:
 
-    python3 scripts/cross_check.py --seed 23 --count 500 --level 4 --radius 6
+    python3 scripts/cross_check.py --seed 23 --count 500 --level 4
 """
 from __future__ import annotations
 
@@ -31,9 +31,6 @@ def main(argv=None) -> int:
                         help="instances for the generator-driven suites")
     parser.add_argument("--level", type=int, default=4,
                         help="witness verification level")
-    parser.add_argument("--radius", type=int, default=6,
-                        help="box radius of the conj witnesses' additivity "
-                        "check; the coe checks are exact over the acting group")
     parser.add_argument("--snf-count", type=int, default=1000)
     parser.add_argument("--bruteforce-samples", type=int, default=4000)
     parser.add_argument("--cohomology-count", type=int, default=12)
@@ -43,10 +40,7 @@ def main(argv=None) -> int:
     results = [
         suite_invariant_vs_decision(args.seed, args.count, instances=instances),
         suite_coe_witnesses(instances, level=args.level),
-        suite_conj_witnesses(
-            instances, level=args.level, radius=args.radius,
-            extra=_mandated_conj_pairs(),
-        ),
+        suite_conj_witnesses(instances, level=args.level, extra=_mandated_conj_pairs()),
         suite_snf(args.seed, count=args.snf_count),
         suite_conj_vs_bruteforce(args.seed, samples=args.bruteforce_samples),
         suite_eig(),

@@ -5,10 +5,10 @@ the sha256 of the compact canonical serialization of every other field, so
 any semantic edit invalidates it.  A witness certificate records the
 construction, not its tables: the inputs and the decision payload (the coe
 pairs, or the conj blocks with their Smith matrices) determine the witness,
-and the witness block only names its relation and the level (and, for a
-conjugacy, the additivity-box radius) to check it at.  Verification
-re-derives the decision, rebuilds the witness from the inputs and runs the
-exhaustive verifier at any level within the point limit.  Payload integers
+and the witness block, {type, level}, only names its relation and the level
+to check it at.  Verification re-derives the decision, rebuilds the witness
+from the inputs and runs the exhaustive verifier, exact over the acting
+group, at any level within the point limit.  Payload integers
 are read strictly: bools and floats are refused, never truncated.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .intmat import IntMatrix
 from .supernatural import SupernaturalNumber, mul, parse_sn, sn_str
 from .witness import build_coe_witness, build_conj_witness
 
-FORMAT = "orbitcert-certificate/2"
+FORMAT = "orbitcert-certificate/3"
 KINDS = ("coe", "conj", "coe-witness", "conj-witness", "counterexample")
 
 # the verifiers' enumeration budgets for witnesses rebuilt from certificates
@@ -131,19 +131,15 @@ def conj_payload(d: ConjDecision) -> dict:
     return {"conjugate": False, "obstruction": d.obstruction}
 
 
-def witness_block(relation: str, ms, ns, level: int, radius: int | None = None) -> dict:
-    """The recipe of a witness: its relation and the level to check it at,
-    plus the additivity-box radius for a conjugacy.  `verify` rebuilds the
-    witness from the certificate's inputs, so no table is stored.  A level
-    no grid of the input systems can reach within the point limit is
-    refused here, as the verifiers would refuse it."""
+def witness_block(relation: str, ms, ns, level: int) -> dict:
+    """The recipe of a witness: its relation and the level to check it at.
+    `verify` rebuilds the witness from the certificate's inputs, so no
+    table is stored.  A level no grid of the input systems can reach within
+    the point limit is refused here, as the verifiers would refuse it."""
     limit = COE_POINT_LIMIT if relation == "coe" else CONJ_POINT_LIMIT
     for spec in (odometer_product(ms), odometer_product(ns)):
         require_level(spec, level, limit)
-    block = {"type": relation, "level": level}
-    if relation == "conj":
-        block["radius"] = radius
-    return block
+    return {"type": relation, "level": level}
 
 
 # the names perfbench traces
@@ -322,29 +318,20 @@ def _check_counterexample(cert: dict, lines: list[str]) -> bool:
     return ok
 
 
-def _witness_budget(block, level: int | None, radius: int | None) -> tuple[int, int | None]:
-    """The level (and, for a conjugacy, the radius) to check a witness block
-    at: the requested one, else the recorded one.  A coe block holds exactly
-    {type, level}; a conj block adds its radius."""
+def _witness_level(block, level: int | None) -> int:
+    """The level to check a witness block at: the requested one, else the
+    recorded one.  A block holds exactly {type, level}."""
     wtype = block.get("type") if isinstance(block, dict) else None
     if wtype not in ("coe", "conj"):
         raise CertificateError(f"bad witness block: unknown type {wtype!r}")
     lvl = _int(block.get("level"), "witness level")
-    rad = _int(block.get("radius"), "witness radius") if wtype == "conj" else None
-    extra = set(block) - {"type", "level"} - ({"radius"} if wtype == "conj" else set())
+    extra = set(block) - {"type", "level"}
     if extra:
         raise CertificateError(f"bad {wtype} witness block: unexpected {sorted(extra)}")
-    if level is not None:
-        lvl = _int(level, "level")
-    if radius is not None:
-        _int(radius, "radius")
-        if wtype == "conj":
-            rad = radius
-    return lvl, rad
+    return lvl if level is None else _int(level, "level")
 
 
-def verify_certificate(cert: dict, level: int | None = None,
-                       radius: int | None = None) -> tuple[bool, list[str]]:
+def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list[str]]:
     """Re-check a loaded certificate.  Returns (passed, report lines).
 
     The hash must match, the recorded decision must reproduce and embedded
@@ -352,9 +339,8 @@ def verify_certificate(cert: dict, level: int | None = None,
     fresh decision is positive and the block is of the certificate's
     relation: the witness is then rebuilt from the certificate's inputs and
     must pass its exhaustive verifier at the requested level, defaulting to
-    the recorded one.  The coe checks are exact over the acting group;
-    radius only sets the box of the conj additivity check.  Raises
-    CertificateError when the file is malformed or a budget is not a
+    the recorded one; every check is exact over the acting group.  Raises
+    CertificateError when the file is malformed or a level is not a
     natural number, and ValueError when the level is beyond the point limit.
     """
     lines: list[str] = []
@@ -378,7 +364,7 @@ def verify_certificate(cert: dict, level: int | None = None,
         return ok, lines
     if kind == "counterexample":
         raise CertificateError("counterexample certificates carry no witness")
-    lvl, rad = _witness_budget(block, level, radius)
+    lvl = _witness_level(block, level)
     bound = positive and block["type"] == relation
     lines.append(f"[{'pass' if bound else 'FAIL'}] witness binding: a {relation} witness "
                  "between the input systems, under a positive verdict")
@@ -388,7 +374,7 @@ def verify_certificate(cert: dict, level: int | None = None,
     if relation == "coe":
         report = verify_coe(coe_witness_from_block(ms, ns), lvl, COE_POINT_LIMIT)
     else:
-        report = verify_conj(conj_witness_from_block(ms, ns), lvl, rad, CONJ_POINT_LIMIT)
+        report = verify_conj(conj_witness_from_block(ms, ns), lvl, CONJ_POINT_LIMIT)
     for check in report.checks:
         tag = "pass" if check.ok else "FAIL"
         lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")

@@ -72,7 +72,7 @@ def cmd_conj(args) -> int:
         for b in d.blocks
     )
     print(f"conjugate; {blocks}")
-    block = witness_block("conj", ms, ns, args.level, args.radius) if args.witness else None
+    block = witness_block("conj", ms, ns, args.level) if args.witness else None
     _write(conj_certificate(ms, ns, d, block), args.out)
     return 0
 
@@ -126,7 +126,7 @@ def cmd_witness(args) -> int:
         if not d.conjugate:
             print(f"not conjugate: {d.obstruction}")
             return 1
-        block = witness_block("conj", ms, ns, args.level, args.radius)
+        block = witness_block("conj", ms, ns, args.level)
         cert = conj_certificate(ms, ns, d, block, kind="conj-witness")
     print(f"witness block {canonical_json(block)}; verify rebuilds the witness from the inputs")
     _write(cert, args.out)
@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
     except OSError as e:
         raise CertificateError(f"cannot read {args.certificate}: {e}") from None
     cert = loads(text)
-    ok, lines = verify_certificate(cert, args.level, args.radius)
+    ok, lines = verify_certificate(cert, args.level)
     for line in lines:
         print(line)
     print("verification passed" if ok else "verification FAILED")
@@ -173,28 +173,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pair(p, radius: bool):
+    def add_pair(p):
         p.add_argument("ms", help="comma-separated supernatural numbers, e.g. '5*2^inf,3^inf'")
         p.add_argument("ns", help="comma-separated supernatural numbers")
         p.add_argument("--witness", action="store_true",
                        help="embed a witness block; verify rebuilds the witness")
-        add_budget(p, radius)
+        add_level(p)
         p.add_argument("--out", metavar="FILE", help="write the certificate here")
 
-    def add_budget(p, radius: bool):
+    def add_level(p):
         p.add_argument("--level", type=nonnegative, default=4,
                        help="verification level recorded in the witness block (default 4)")
-        if radius:
-            p.add_argument("--radius", type=nonnegative, default=6,
-                           help="box radius of the conj additivity check; coe "
-                           "witnesses are checked exactly and ignore it (default 6)")
 
     p = sub.add_parser("coe", help="decide continuous orbit equivalence")
-    add_pair(p, radius=False)
+    add_pair(p)
     p.set_defaults(fn=cmd_coe)
 
     p = sub.add_parser("conj", help="decide continuous conjugacy")
-    add_pair(p, radius=True)
+    add_pair(p)
     p.set_defaults(fn=cmd_conj)
 
     p = sub.add_parser("kinv", help="print the ordered K-theoretic invariant")
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation", choices=("coe", "conj"))
     p.add_argument("ms")
     p.add_argument("ns")
-    add_budget(p, radius=True)
+    add_level(p)
     p.add_argument("--out", metavar="FILE", help="write the certificate here")
     p.set_defaults(fn=cmd_witness)
 
@@ -226,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", metavar="FILE")
     p.add_argument("--level", type=nonnegative, default=None,
                    help="verification level (default: the recorded one)")
-    p.add_argument("--radius", type=nonnegative, default=None,
-                   help="box radius of the conj additivity check; coe witnesses "
-                   "are checked exactly and ignore it (default: the recorded one)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("selftest", help="run the randomized cross-check suites")

@@ -399,12 +399,19 @@ class CounterexampleReport:
         return all(h for _, h in self.certified)
 
 
+# the separation checks eig_group at every power up to n*p, so that product
+# is bounded before anything is computed
+COUNTEREXAMPLE_POWERS = 10**4
+
+
 def free_group_counterexample_check(p: int, q: int, n: int) -> CounterexampleReport:
     """Certify the eigenvalue-group separations behind the family of
     non-conjugate but orbit-equivalent product actions built from a rank-2
     free group factor: the n p^inf odometer against the q^inf one.
 
-    Preconditions: p, q distinct primes, n > 1 coprime to both.
+    Preconditions: p, q distinct primes, n > 1 coprime to both, and
+    n*p <= COUNTEREXAMPLE_POWERS, the number of powers the last separation
+    walks.
     """
     if not (_is_prime(p) and _is_prime(q)) or p == q:
         raise ValueError("p and q must be distinct primes")
@@ -412,6 +419,9 @@ def free_group_counterexample_check(p: int, q: int, n: int) -> CounterexampleRep
         raise ValueError("n must exceed 1")
     if math.gcd(n, p * q) != 1:
         raise ValueError("n must be coprime to p and q")
+    if n * p > COUNTEREXAMPLE_POWERS:
+        raise ValueError(f"n*p = {n * p} exceeds {COUNTEREXAMPLE_POWERS}, "
+                         "the supported bound on the powers checked")
 
     npinf = mul(SupernaturalNumber.from_int(n), SupernaturalNumber.from_map({p: INF}))
     pinf = SupernaturalNumber.from_map({p: INF})

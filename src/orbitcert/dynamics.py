@@ -95,15 +95,6 @@ def validate_spec(spec: SystemSpec) -> None:
             raise ValueError(f"odometer limit {f.limit} must be supernatural")
 
 
-def check_point(spec: SystemSpec, x: PointAtLevel) -> None:
-    mods = spec.space_moduli(x.level)
-    if len(x.residues) != len(mods):
-        raise ValueError("point arity does not match the system")
-    for r, m in zip(x.residues, mods):
-        if not 0 <= r < m:
-            raise ValueError(f"residue {r} out of range for modulus {m}")
-
-
 def canonical_coords(group_moduli: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
     """Reduce cyclic coordinates mod n; Z coordinates pass through."""
     if len(coords) != len(group_moduli):
@@ -119,10 +110,6 @@ def add_coords(
 
 def neg_coords(group_moduli: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
     return canonical_coords(group_moduli, tuple(-x for x in a))
-
-
-def identity_element(spec: SystemSpec) -> GroupElement:
-    return GroupElement((0,) * spec.rank)
 
 
 def generator(spec: SystemSpec, i: int) -> GroupElement:
@@ -189,19 +176,6 @@ def orbit(
     for _ in range(steps):
         out.append(act(spec, k, g, out[-1]))
     return out
-
-
-def box_elements(spec: SystemSpec, radius: int) -> list[GroupElement]:
-    """Group elements with every coordinate drawn from [-radius, radius],
-    cyclic coordinates canonicalized (so a small cyclic factor is covered
-    completely exactly once)."""
-    per_factor = []
-    for m in spec.group_moduli():
-        if m:
-            per_factor.append(sorted({c % m for c in range(-radius, radius + 1)}))
-        else:
-            per_factor.append(list(range(-radius, radius + 1)))
-    return [GroupElement(c) for c in product(*per_factor)]
 
 
 def parse_system_spec(text: str) -> SystemSpec:

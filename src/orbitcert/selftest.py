@@ -31,6 +31,7 @@ from .supernatural import (
     INF,
     SupernaturalNumber,
     class_key,
+    factorize,
     sn_str,
 )
 from .witness import build_coe_witness, build_conj_witness
@@ -194,18 +195,7 @@ def conj_positive_pair(
         base = {p: INF for p in key}
         for q, side in ((qs, ms), (qs2, ns)):
             for v in q:
-                m = dict(base)
-                d = 2
-                vv = v
-                while vv > 1:
-                    e = 0
-                    while vv % d == 0:
-                        vv //= d
-                        e += 1
-                    if e:
-                        m[d] = e
-                    d += 1
-                side.append(SupernaturalNumber.from_map(m))
+                side.append(SupernaturalNumber.from_map({**base, **factorize(v)}))
     order = list(range(r))
     rng.shuffle(order)
     ms = [ms[i] for i in order]
@@ -364,9 +354,7 @@ def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteRe
 
 
 @_timed
-def suite_conj_witnesses(
-    instances, level: int = 4, radius: int = 6, extra=()
-) -> SuiteResult:
+def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
     """Every conjugate instance gets an explicit conjugacy whose matrices
     satisfy S diag(m) T = diag(n) exactly and whose point map passes the
     exhaustive verifier."""
@@ -385,7 +373,7 @@ def suite_conj_witnesses(
                 failures.append(f"{_fmt_pair(ms, ns)}: conjugator identity broke")
         try:
             cw = build_conj_witness(ms, ns)
-            report = verify_conj(cw, level=level, radius=radius)
+            report = verify_conj(cw, level=level)
             if not report.passed:
                 failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}")
         except Exception as e:
@@ -536,7 +524,7 @@ def suite_counterexample(p: int = 2, q: int = 3, n: int = 5) -> SuiteResult:
 
 
 @_timed
-def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4) -> SuiteResult:
+def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     """Twist/untwist round trips over a constructed corpus.
 
     Starting from a conjugacy (phi, rho), pick a transfer u = rho(s) where
@@ -616,11 +604,11 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4
                 continue
         checked += 1
         try:
-            out = untwist_to_conjugacy(twisted, u, cw.rho, level, radius)
+            out = untwist_to_conjugacy(twisted, u, cw.rho, level)
         except ValueError as e:
             failures.append(f"{_fmt_pair(ms, ns)}: untwist rejected its own twist: {e}")
             continue
-        report = verify_conj(out, level, radius)
+        report = verify_conj(out, level)
         if not report.passed:
             failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {report.summary()}")
         # untwisting recovers the original conjugacy map exactly
@@ -638,7 +626,7 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3, radius: int = 4
         bad_u = GroupValuedMap(x_spec, tgy, 1, bad_shifts @ rho, "bad-u")
         checked += 1
         try:
-            untwist_to_conjugacy(twisted, bad_u, cw.rho, level, radius)
+            untwist_to_conjugacy(twisted, bad_u, cw.rho, level)
             failures.append(f"{_fmt_pair(ms, ns)}: corrupted transfer accepted")
         except ValueError:
             pass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 INF = math.inf
 
@@ -20,32 +21,35 @@ class ParseError(ValueError):
     """Raised for malformed or out-of-domain textual input."""
 
 
+# The supported domain: every prime factor of a natural number, whether an
+# exponent's base or a factor of a bare natural or a multiplier, is below
+# PRIME_LIMIT.  Trial division then ends after at most PRIME_LIMIT / 2
+# divisions; a number outside the domain raises ValueError (exit 2).
+PRIME_LIMIT = 10**6
+
+
+@lru_cache(maxsize=4096)  # every SupernaturalNumber checks its primes
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization of a natural number >= 1."""
+    """Trial-division factorization of a natural number >= 1 whose prime
+    factors are all below PRIME_LIMIT; ValueError for any other input."""
     if n < 1:
         raise ValueError(f"expected a natural number >= 1, got {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < PRIME_LIMIT:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if n >= PRIME_LIMIT:
+        # no divisor below min(sqrt(n), PRIME_LIMIT) is left, so n has a
+        # prime factor of at least PRIME_LIMIT
+        raise ValueError(f"{n} has a prime factor >= {PRIME_LIMIT}, "
+                         "outside the supported domain")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -31,7 +31,7 @@ from .dynamics import (
     odometer_product,
 )
 from .intmat import IntMatrix, invert_unimodular
-from .supernatural import SupernaturalNumber, div_exact, mul
+from .supernatural import SupernaturalNumber, div_exact, factorize, mul
 
 _LEVEL_FUSE = 64  # no level search should ever walk past this
 
@@ -39,16 +39,7 @@ _LEVEL_FUSE = 64  # no level search should ever walk past this
 def _e_max(n: int) -> int:
     """Largest prime exponent in n; the level depth at which n divides the
     truncation modulus of any tower containing it."""
-    out = 0
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        out = max(out, e)
-        d += 1
-    return max(out, 1 if n > 1 else 0)
+    return max(factorize(n).values(), default=0)
 
 
 def build_basic_coe(l: int, L: SupernaturalNumber) -> CoeWitness:
@@ -223,23 +214,15 @@ def _rebalanced_pairs(
     g = math.gcd(pm, pn)
     for side, excess in ((3, pm // g), (2, pn // g)):
         # side 3 bumps n_i (m-product is larger), side 2 bumps m_i
-        d = 2
-        while excess > 1:
-            e = 0
-            while excess % d == 0:
-                excess //= d
-                e += 1
-            if e:
-                for p in pairs:
-                    key = ms[p[0]].v(d)
-                    if key == math.inf:
-                        p[side] *= d**e
-                        break
-                else:
-                    raise AssertionError(
-                        f"no factor absorbs the {d}^{e} imbalance; decision unsound"
-                    )
-            d += 1
+        for d, e in factorize(excess).items():
+            for p in pairs:
+                if ms[p[0]].v(d) == math.inf:
+                    p[side] *= d**e
+                    break
+            else:
+                raise AssertionError(
+                    f"no factor absorbs the {d}^{e} imbalance; decision unsound"
+                )
     assert math.prod(p[2] for p in pairs) == math.prod(p[3] for p in pairs)
     return [tuple(p) for p in pairs]
 

@@ -1,6 +1,7 @@
-"""Box-sweep verifier for orbit-equivalence witnesses, kept as a test oracle,
-pointwise cocycle telescoping, the oracle of `cocycle_reader`, and a
-witness held as plain tables, for tests that edit single entries.
+"""Box-sweep verifiers for orbit-equivalence and conjugacy witnesses, kept
+as test oracles, pointwise cocycle telescoping, the oracle of
+`cocycle_reader`, and a witness held as plain tables, for tests that edit
+single entries.
 
 This is the coe verifier as it stood before the exact checks on generators
 replaced it: every identity is tested for each group element of the
@@ -9,9 +10,16 @@ box elements), and injectivity of both cocycles is tested on the box.  It is
 slow and only as strong as its radius, but it shares no code path with the
 generator checks in `orbitcert.cocycle` beyond table materialization and the
 roundtrip check, so the tests require the two verdicts to agree.
+
+box_verify_conj is the conjugacy verifier as it stood before conjugacies
+were checked as orbit equivalences with constant cocycles: a cyclic shift
+of the point-map table per generator, plus an exact additivity check of
+rho over the box.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +28,7 @@ from orbitcert.cocycle import (
     CheckResult,
     CocycleTable,
     CoeWitness,
+    ConjWitness,
     GroupValuedMap,
     LCMap,
     VerifyReport,
@@ -38,11 +47,36 @@ from orbitcert.dynamics import (
     PointAtLevel,
     act,
     add_coords,
-    box_elements,
     canonical_coords,
     generator,
     neg_coords,
+    require_level,
 )
+
+
+def box_elements(spec, radius: int) -> list[GroupElement]:
+    """Group elements with every coordinate drawn from [-radius, radius],
+    cyclic coordinates canonicalized (so a small cyclic factor is covered
+    completely exactly once)."""
+    per_factor = []
+    for m in spec.group_moduli():
+        if m:
+            per_factor.append(sorted({c % m for c in range(-radius, radius + 1)}))
+        else:
+            per_factor.append(list(range(-radius, radius + 1)))
+    return [GroupElement(c) for c in product(*per_factor)]
+
+
+@dataclass
+class BoxReport(VerifyReport):
+    """A report whose checks sampled the box [-radius, radius]^rank."""
+
+    radius: int = 0
+
+    def summary(self) -> str:
+        body = super().summary().split("\n", 1)[1:]
+        return "\n".join([f"{self.kind} box sweep at level={self.level}, "
+                          f"radius={self.radius}"] + body)
 
 
 def _steps(c: int, modulus: int) -> int:
@@ -260,7 +294,55 @@ def box_verify_coe(
         box_injectivity("injectivity-a", w.a, radius, point_limit),
         box_injectivity("injectivity-b", w.b, radius, point_limit),
     ]
-    return VerifyReport("coe-witness", level, radius, checks)
+    return BoxReport("coe-witness", level, checks, radius)
+
+
+def box_verify_conj(
+    w: ConjWitness, level: int = 4, radius: int = 6, point_limit: int = 5 * 10**6
+) -> BoxReport:
+    """The box verdict on a conjugacy witness at (level, radius)."""
+    require_level(w.phi.source, level, point_limit)
+    require_level(w.phi.target, level, point_limit)
+    checks = [CheckResult("rho-isomorphism", 1, w.rho.defects())]
+    for name, phi, hom in (
+        ("phi-equivariance", w.phi, w.rho.apply),
+        ("phi-inv-equivariance", w.phi_inv, w.rho.apply_inverse),
+    ):
+        src, tgt = phi.source, phi.target
+        gphi, PHI = _materialize_lcmap(phi, level, point_limit)
+        tmods = np.array(tgt.space_moduli(level), dtype=np.int64)
+        nd = PHI.reshape(tuple(int(m) for m in gphi.moduli) + (PHI.shape[1],))
+        checked = 0
+        violations: list = []
+        for i in range(src.rank):
+            # phi(e_i.x) over the whole grid is a cyclic shift of the table
+            lhs = np.roll(nd, -1, axis=i)
+            step = np.array(hom(generator(src, i).coords), dtype=np.int64)
+            rhs = (nd + step) % tmods
+            checked += gphi.size
+            bad = np.argwhere((lhs != rhs).any(axis=-1))
+            _record(violations, [
+                (name, generator(src, i).coords,
+                 PointAtLevel(gphi.level, tuple(int(v) for v in r)))
+                for r in bad[:_SAMPLES]
+            ])
+        cols = np.array(
+            [hom(generator(src, i).coords) for i in range(src.rank)], dtype=np.int64
+        ).T
+        box_bad: list = []
+        box_checked = 0
+        for g in box_elements(src, radius):
+            # telescoping needs hom additive over the box; verify it exactly
+            expect = (cols @ np.array(g.coords, dtype=np.int64)) % tmods
+            got = np.array(hom(g.coords), dtype=np.int64) % tmods
+            box_checked += 1
+            if (expect != got).any():
+                _record(box_bad, [(name + "-additivity", g.coords)])
+        checks.append(CheckResult(name, checked, violations))
+        checks.append(CheckResult(name + "-box-additivity", box_checked, box_bad))
+    checks.append(_check_roundtrip("inv-after-phi", w.phi, w.phi_inv, level, point_limit))
+    checks.append(_check_roundtrip("phi-after-inv", w.phi_inv, w.phi, level, point_limit))
+    return BoxReport("conj-witness", level, checks, radius)
 
 
 # ---------------------------------------------------------------------------

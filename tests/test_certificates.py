@@ -37,9 +37,9 @@ def _coe_cert(level=3):
     )
 
 
-def _conj_cert(level=3, radius=4):
+def _conj_cert(level=3):
     d = conj_decide(M_SWAP, N_SWAP)
-    block = witness_block("conj", M_SWAP, N_SWAP, level, radius)
+    block = witness_block("conj", M_SWAP, N_SWAP, level)
     return conj_certificate(M_SWAP, N_SWAP, d, block, kind="conj-witness")
 
 
@@ -168,11 +168,12 @@ def test_witness_kind_requires_witness_block():
 
 def test_witness_blocks_record_no_tables():
     assert _coe_cert()["witness"] == {"type": "coe", "level": 3}
-    assert _conj_cert()["witness"] == {"type": "conj", "level": 3, "radius": 4}
-    cert = loads(dumps(_coe_cert()))
-    cert["witness"]["radius"] = 6  # the coe checks are exact; no radius is read
-    with pytest.raises(CertificateError, match="unexpected"):
-        verify_certificate(seal(cert))
+    assert _conj_cert()["witness"] == {"type": "conj", "level": 3}
+    # every check is exact over the acting group; no radius is read
+    for cert in (loads(dumps(_coe_cert())), loads(dumps(_conj_cert()))):
+        cert["witness"]["radius"] = 6
+        with pytest.raises(CertificateError, match="unexpected"):
+            verify_certificate(seal(cert))
 
 
 def test_reconstructed_witness_matches_original_pointwise():
@@ -217,7 +218,7 @@ def test_coe_witness_is_bound_to_the_inputs():
 
 def test_conj_witness_is_bound_to_the_inputs():
     # the swap pair's conjugacy under the README pair's negative conj verdict
-    block = witness_block("conj", M_SWAP, N_SWAP, 1, 2)
+    block = witness_block("conj", M_SWAP, N_SWAP, 1)
     d = conj_decide(M_EXAMPLE, N_EXAMPLE)
     cert = conj_certificate(M_EXAMPLE, N_EXAMPLE, d, block, kind="conj-witness")
     ok, lines = verify_certificate(loads(dumps(cert)))
@@ -234,10 +235,10 @@ def test_witness_type_must_match_the_kind():
     assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
 
 
-@pytest.mark.parametrize("field", ["level", "radius"])
+@pytest.mark.parametrize("field", ["level"])
 @pytest.mark.parametrize("value", [None, True, 2.0, -1, "3"])
 def test_budget_fields_are_strict(field, value):
-    cert = loads(dumps(_coe_cert(level=2) if field == "level" else _conj_cert(level=2, radius=2)))
+    cert = loads(dumps(_coe_cert(level=2)))
     if value is None:
         del cert["witness"][field]
     else:
@@ -248,6 +249,6 @@ def test_budget_fields_are_strict(field, value):
 
 def test_requested_budget_must_be_a_natural():
     cert = loads(dumps(_coe_cert(level=2)))
-    for kw in ({"level": -1}, {"radius": -1}, {"level": True}):
+    for kw in ({"level": -1}, {"level": True}):
         with pytest.raises(CertificateError, match="non-negative"):
             verify_certificate(cert, **kw)

@@ -76,24 +76,30 @@ def test_counterexample_exits_zero(capsys):
 def test_counterexample_bad_inputs_exit_two(capsys):
     assert main(["counterexample", "2", "2", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+    # n*p beyond the bound is refused before the walk over powers starts
+    for n, reason in ((10**9, "coprime"), (10**9 + 1, "n*p"), (5003, "n*p")):
+        t0 = time.perf_counter()
+        assert main(["counterexample", "2", "3", str(n)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert reason in capsys.readouterr().err
 
 
 def test_witness_roundtrips_through_verify(tmp_path, capsys):
     path = tmp_path / "w.json"
     assert main(["witness", "coe", COE_M, COE_N,
-                 "--level", "3", "--radius", "4", "--out", str(path)]) == 0
+                 "--level", "3", "--out", str(path)]) == 0
     capsys.readouterr()
-    # passes at the embedded budget and below it
+    # passes at the embedded level and below it
     assert main(["verify", str(path)]) == 0
     assert "verification passed" in capsys.readouterr().out
-    assert main(["verify", str(path), "--level", "2", "--radius", "3"]) == 0
+    assert main(["verify", str(path), "--level", "2"]) == 0
     capsys.readouterr()
 
 
 def test_conj_witness_roundtrips_through_verify(tmp_path, capsys):
     path = tmp_path / "cw.json"
     assert main(["witness", "conj", SWAP_M, SWAP_N,
-                 "--level", "3", "--radius", "4", "--out", str(path)]) == 0
+                 "--level", "3", "--out", str(path)]) == 0
     capsys.readouterr()
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
@@ -121,7 +127,7 @@ def test_witness_on_negative_pair_exits_one(capsys):
 def test_verify_tampered_exits_one(tmp_path, capsys):
     path = tmp_path / "w.json"
     assert main(["witness", "coe", "2^inf", "2^inf",
-                 "--level", "3", "--radius", "4", "--out", str(path)]) == 0
+                 "--level", "3", "--out", str(path)]) == 0
     cert = json.loads(path.read_text())
     cert["payload"]["equivalent"] = False
     path.write_text(json.dumps(cert, sort_keys=True, indent=2))
@@ -192,6 +198,65 @@ def test_old_format_certificate_exits_two(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert "'orbitcert-certificate'" in err and "re-emit" in err
+    # the /2 format's conj blocks carried a box radius
+    path, cert = _emit(tmp_path, capsys, "witness", "conj", SWAP_M, SWAP_N, "--level", "1")
+    cert["format"] = "orbitcert-certificate/2"
+    cert["witness"]["radius"] = 6
+    _reseal(path, cert)
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "'orbitcert-certificate/2'" in err and "re-emit" in err
+
+
+def test_radius_is_refused(tmp_path, capsys):
+    # a huge radius once sized a box of (2r+1)^rank group elements
+    path, cert = _emit(tmp_path, capsys, "witness", "conj", SWAP_M, SWAP_N, "--level", "1")
+    cert["witness"]["radius"] = 10**9
+    _reseal(path, cert)
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "unexpected ['radius']" in capsys.readouterr().err
+    for argv in (["conj", SWAP_M, SWAP_N, "--witness", "--radius", "6"],
+                 ["witness", "conj", SWAP_M, SWAP_N, "--radius", "6"],
+                 ["verify", str(path), "--radius", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coe", "1000000000000000003*2^inf", "2^inf"],
+    ["conj", "2^inf", "1000003^2*2^inf"],
+    ["kinv", "1000000000039*2^inf"],
+    ["counterexample", "1000003", "3", "5"],
+], ids=["bare-natural", "prime-base", "kinv", "counterexample-p"])
+def test_prime_factors_beyond_the_domain_exit_two_fast(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "prime factor >= 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["coe-multiplier", "conj-multiplier", "counterexample-n"])
+def test_resealed_unbounded_integers_exit_two_fast(edit, tmp_path, capsys):
+    if edit == "coe-multiplier":
+        path, cert = _emit(tmp_path, capsys, "witness", "coe", COE_M, COE_N, "--level", "1")
+        cert["payload"]["pairs"][0]["m"] = 1000000000000000003
+    elif edit == "conj-multiplier":
+        path, cert = _emit(tmp_path, capsys, "witness", "conj", SWAP_M, SWAP_N, "--level", "1")
+        cert["payload"]["blocks"][0]["left_multipliers"][0] = 1000000000000000003
+    else:
+        path, cert = _emit(tmp_path, capsys, "counterexample", "2", "3", "5")
+        cert["inputs"]["n"] = 10**9 + 1
+    _reseal(path, cert)
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,10 +290,10 @@ def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, cap
 
 @pytest.mark.parametrize("argv", [
     ["witness", "coe", COE_M, COE_N, "--level", "-1"],
-    ["witness", "coe", COE_M, COE_N, "--radius", "-1"],
+    ["witness", "conj", SWAP_M, SWAP_N, "--level", "-1"],
     ["coe", COE_M, COE_N, "--witness", "--level", "-2"],
     ["verify", "w.json", "--level", "-1"],
-    ["verify", "w.json", "--radius", "-1"],
+    ["conj", SWAP_M, SWAP_N, "--witness", "--level", "-1"],
 ])
 def test_negative_budget_flags_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

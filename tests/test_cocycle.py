@@ -210,17 +210,17 @@ def _identity_iso(group):
 def test_untwist_recovers_identity_conjugacy():
     spec, u, w = _swap_witness()
     rho = _identity_iso((0,))
-    cw = untwist_to_conjugacy(w, u, rho, level=3, radius=4)
+    cw = untwist_to_conjugacy(w, u, rho, level=3)
     for x in enumerate_points(spec, 3):
         assert cw.phi(3, x) == x
-    assert verify_conj(cw, level=3, radius=4).passed
+    assert verify_conj(cw, level=3).passed
 
 
 def test_untwist_rejects_wrong_transfer():
     spec, _, w = _swap_witness()
     zero = constant_generator(spec, (0,), (0,))
     with pytest.raises(ValueError, match="premise"):
-        untwist_to_conjugacy(w, zero, _identity_iso((0,)), level=3, radius=3)
+        untwist_to_conjugacy(w, zero, _identity_iso((0,)), level=3)
 
 
 def test_conj_witness_between_cyclic_products():
@@ -234,7 +234,7 @@ def test_conj_witness_between_cyclic_products():
     phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
     phi_inv = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
     cw = ConjWitness(rho, phi, phi_inv)
-    report = verify_conj(cw, level=2, radius=3)
+    report = verify_conj(cw, level=2)
     assert report.passed, report.summary()
     coe = conj_to_coe(cw)
     assert verify_coe(coe, level=2).passed

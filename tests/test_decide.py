@@ -207,6 +207,8 @@ def test_counterexample_preconditions():
         free_group_counterexample_check(2, 3, 6)
     with pytest.raises(ValueError, match="exceed"):
         free_group_counterexample_check(2, 3, 1)
+    with pytest.raises(ValueError, match="n\\*p = 10006 exceeds 10000"):
+        free_group_counterexample_check(2, 3, 5003)
 
 
 def test_coe_and_k_invariant_agree_randomly():

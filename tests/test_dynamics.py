@@ -8,7 +8,6 @@ from orbitcert.dynamics import (
     PointAtLevel,
     SystemSpec,
     act,
-    box_elements,
     enumerate_points,
     generator,
     level_modulus,
@@ -20,6 +19,7 @@ from orbitcert.dynamics import (
     spec_str,
     validate_spec,
 )
+from box_oracle import box_elements
 from orbitcert.supernatural import parse_sn
 
 

@@ -1,6 +1,7 @@
-"""The coe verifier checks identities on generators; the box sweep in
-box_oracle checks them element by element on a box.  Their verdicts must
-agree on valid witnesses and on seeded single-entry table mutations."""
+"""The coe and conj verifiers check identities on generators; the box
+sweeps in box_oracle check them element by element on a box.  Their
+verdicts must agree on valid witnesses and on seeded single-entry table
+mutations."""
 from __future__ import annotations
 
 import copy
@@ -9,19 +10,37 @@ import random
 import numpy as np
 import pytest
 
-from box_oracle import box_identity, box_verify_coe, witness_from_tables, witness_tables
+from box_oracle import (
+    _table_map,
+    box_identity,
+    box_verify_coe,
+    box_verify_conj,
+    witness_from_tables,
+    witness_tables,
+)
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
+    ConjWitness,
+    GroupIso,
     GroupValuedMap,
+    LCMap,
+    conj_to_coe,
     constant_generator,
     inverse_coe,
     verify_cocycle_identity,
     verify_coe,
+    verify_conj,
 )
 from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
+from orbitcert.intmat import IntMatrix
 from orbitcert.supernatural import parse_sn, parse_sn_list
-from orbitcert.witness import build_basic_coe, build_coe_witness, build_finite_coe
+from orbitcert.witness import (
+    build_basic_coe,
+    build_coe_witness,
+    build_conj_witness,
+    build_finite_coe,
+)
 
 README_PAIR = ("5*2^inf,3^inf", "2^inf,5*3^inf")
 RANK2_PAIRS = [
@@ -133,3 +152,75 @@ def test_values_beyond_exact_int64_range_are_refused():
     a = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (2**61,)),))
     with pytest.raises(ValueError, match="too large"):
         verify_cocycle_identity(a)
+
+
+# ---------------------------------------------------------------------------
+# conjugacies: the coe equivariance check on constant cocycles against the
+# table shift plus the additivity box
+
+
+def _cyclic_product_conj() -> ConjWitness:
+    # x = (a mod 2, b mod 3) corresponds to 3a + 4b mod 6
+    src = SystemSpec((Cyclic(2), Cyclic(3)))
+    tgt = SystemSpec((Cyclic(6),))
+    rho = GroupIso((2, 3), (6,), IntMatrix.from_rows([[3, 4]]), IntMatrix.from_rows([[1], [1]]))
+    phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
+    phi_inv = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
+    return ConjWitness(rho, phi, phi_inv)
+
+
+CONJ_CASES = {
+    "readme": lambda: build_conj_witness(*map(parse_sn_list, ("2*5^inf,3*5^inf",
+                                                              "3*5^inf,2*5^inf"))),
+    "crt-merge": lambda: build_conj_witness(*map(parse_sn_list, ("2*7^inf,3*7^inf",
+                                                                 "6*7^inf,7^inf"))),
+    "cyclic-product": _cyclic_product_conj,
+}
+
+
+def _agree_conj(cw, level, radius=6):
+    """Same verdict, and the same checks with the same comparison counts
+    and outcomes once the box's additivity lines are set aside."""
+    exact = verify_conj(cw, level)
+    box = box_verify_conj(cw, level, radius)
+    assert [(c.name, c.checked, c.ok) for c in exact.checks] == [
+        (c.name, c.checked, c.ok) for c in box.checks if not c.name.endswith("-box-additivity")
+    ], exact.summary() + "\n" + box.summary()
+    assert exact.passed == box.passed
+    return exact.passed
+
+
+@pytest.mark.parametrize("case, level", [("readme", 3), ("crt-merge", 2), ("cyclic-product", 2)])
+def test_conj_witnesses_agree(case, level):
+    assert _agree_conj(CONJ_CASES[case](), level)
+
+
+def _mutate_rho(rho: GroupIso, rng: random.Random) -> GroupIso:
+    which = rng.choice(["matrix", "inverse"])
+    rows = getattr(rho, which).to_rows()
+    row = rows[rng.randrange(len(rows))]
+    row[rng.randrange(len(row))] += rng.choice([-2, -1, 1, 2])
+    fields = {"matrix": rho.matrix, "inverse": rho.inverse, which: IntMatrix.from_rows(rows)}
+    return GroupIso(rho.source_group, rho.target_group, fields["matrix"], fields["inverse"])
+
+
+@pytest.mark.parametrize("case", sorted(CONJ_CASES))
+def test_conj_single_entry_mutations_agree(case):
+    cw = CONJ_CASES[case]()
+    level = 2
+    # phi and phi_inv as plain tables, at every level the checks read them
+    tables = witness_tables(conj_to_coe(cw), level)
+    src, tgt = cw.source, cw.target
+    rng = random.Random(f"conj-mutations-{case}")
+    failed = {"phi": 0, "psi": 0, "rho": 0}
+    for k in range(6):  # two mutations of each of phi, phi_inv and rho
+        key = ("phi", "psi", "rho")[k % 3]
+        if key == "rho":
+            w = ConjWitness(_mutate_rho(cw.rho, rng), _table_map(tables["phi"], src, tgt, "phi"),
+                            _table_map(tables["psi"], tgt, src, "phi_inv"))
+        else:
+            t = _mutate(tables, key, rng)
+            w = ConjWitness(cw.rho, _table_map(t["phi"], src, tgt, "phi"),
+                            _table_map(t["psi"], tgt, src, "phi_inv"))
+        failed[key] += not _agree_conj(w, level, radius=2)
+    assert all(failed.values()), failed

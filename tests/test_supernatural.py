@@ -4,11 +4,14 @@ from hypothesis import given, strategies as st
 from orbitcert.supernatural import (
     INF,
     ONE,
+    PRIME_LIMIT,
     ParseError,
     SupernaturalNumber,
+    _is_prime,
     class_key,
     div_exact,
     divides,
+    factorize,
     gcd,
     is_supernatural,
     lcm,
@@ -75,6 +78,20 @@ def test_canonical_form_rejects_bad_input():
         SupernaturalNumber(((3, 1), (2, 1)))
     with pytest.raises(ValueError):
         SupernaturalNumber(((2, 0),))
+
+
+def test_factorization_stays_in_the_prime_domain():
+    assert PRIME_LIMIT == 10**6
+    assert factorize(1) == {}
+    assert factorize(8 * 999983) == {2: 3, 999983: 1}  # the largest prime below 10**6
+    assert factorize(10**18) == {2: 18, 5: 18}
+    assert _is_prime(999983) and not _is_prime(10**18) and not _is_prime(1)
+    for big in (1000003, 2 * 1000003, 1000003**2, 1000000000000000003):
+        for fn in (factorize, _is_prime, SupernaturalNumber.from_int):
+            with pytest.raises(ValueError, match="prime factor >= 1000000"):
+                fn(big)
+    with pytest.raises(ValueError, match="prime factor"):
+        parse_sn("1000003^2*2^inf")
 
 
 def test_gcd_example():

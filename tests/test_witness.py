@@ -139,7 +139,7 @@ def test_conj_witness_swap_pair():
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
     cw = build_conj_witness(ms, ns)
-    report = verify_conj(cw, level=4, radius=6)
+    report = verify_conj(cw, level=4)
     assert report.passed, report.summary()
 
 
@@ -147,7 +147,7 @@ def test_conj_witness_identity_case():
     ms = parse_sn_list("2^inf, 5^inf")
     cw = build_conj_witness(ms, ms)
     assert cw.rho.matrix == IntMatrix.identity(2)
-    assert verify_conj(cw, level=3, radius=4).passed
+    assert verify_conj(cw, level=3).passed
     for x in enumerate_points(cw.source, 3):
         assert cw.phi(3, x) == x
 
@@ -157,7 +157,7 @@ def test_conj_witness_crt_merge():
     ms = parse_sn_list("2*7^inf, 3*7^inf")
     ns = parse_sn_list("6*7^inf, 7^inf")
     cw = build_conj_witness(ms, ns)
-    report = verify_conj(cw, level=3, radius=5)
+    report = verify_conj(cw, level=3)
     assert report.passed, report.summary()
 
 
