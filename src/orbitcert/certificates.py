@@ -8,7 +8,8 @@ pairs, or the conj blocks with their Smith matrices) determine the witness,
 and the witness block, {type, level}, only names its relation and the level
 to check it at.  Verification re-derives the decision, rebuilds the witness
 from the inputs and runs the exhaustive verifier, exact over the acting
-group, at any level within the point limit.  Payload integers
+group, at any level within the point limit; a coe witness is a chain of
+elementary moves, checked stage by stage.  Payload integers
 are read strictly: bools and floats are refused, never truncated.
 """
 from __future__ import annotations
@@ -17,7 +18,8 @@ import hashlib
 import json
 
 from . import __version__
-from .cocycle import CoeWitness, ConjWitness, verify_coe, verify_conj
+from .chain import CoeChain, verify_chain
+from .cocycle import ConjWitness, verify_conj
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -181,8 +183,9 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 # reconstruction
 
 
-def coe_witness_from_block(ms, ns) -> CoeWitness:
-    """The orbit equivalence a coe block stands for, rebuilt from the inputs."""
+def coe_witness_from_block(ms, ns) -> CoeChain:
+    """The orbit-equivalence chain a coe block stands for, rebuilt from the
+    inputs."""
     return build_coe_witness(ms, ns)
 
 
@@ -372,7 +375,7 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
         return False, lines
     ms, ns = _parse_inputs(cert)
     if relation == "coe":
-        report = verify_coe(coe_witness_from_block(ms, ns), lvl, COE_POINT_LIMIT)
+        report = verify_chain(coe_witness_from_block(ms, ns), lvl, COE_POINT_LIMIT)
     else:
         report = verify_conj(conj_witness_from_block(ms, ns), lvl, CONJ_POINT_LIMIT)
     for check in report.checks:

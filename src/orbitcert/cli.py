@@ -6,7 +6,6 @@ unusable input (parse errors, malformed certificates, oversized requests).
 """
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .certificates import (
@@ -159,6 +158,8 @@ def cmd_selftest(args) -> int:
 
 
 def nonnegative(text: str) -> int:
+    import argparse
+
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -166,6 +167,10 @@ def nonnegative(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse is imported here, not with the module, so that importing the
+    # library through orbitcert.cli does not load it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orbitcert",
         description="decide and certify orbit equivalence and conjugacy of "

@@ -13,6 +13,8 @@ group's relations hold at every point (generators commute; the values around
 an orbit of a cyclic generator add up to zero), so the orbit-equivalence
 checks test each identity on generators only and hold for every element of
 the acting group, not for a sampled box.
+
+Chains of such witnesses, checked stage by stage, are in orbitcert.chain.
 """
 from __future__ import annotations
 
@@ -351,40 +353,6 @@ def identity_witness(spec: SystemSpec) -> CoeWitness:
 
 def inverse_coe(w: CoeWitness) -> CoeWitness:
     return CoeWitness(w.psi, w.b, w.phi, w.a)
-
-
-def _chain(first: LCMap, second: LCMap) -> LCMap:
-    """second o first: the first table's output feeds the second's input."""
-    def table(k: int, res: np.ndarray) -> np.ndarray:
-        return second.table(k, first.table(second.input_level(k), res))
-
-    return LCMap(first.source, second.target,
-                 lambda k: first.input_level(second.input_level(k)), table,
-                 f"({second.name})o({first.name})")
-
-
-def _composite_cocycle(a1: CocycleTable, phi1: LCMap, a2: CocycleTable,
-                       name: str) -> CocycleTable:
-    """a(g, x) = a2(a1(g, x), phi1(x)), one gather per generator."""
-    read = cocycle_reader(a2)
-    gens = []
-    for i, g in enumerate(a1.generators):
-        grid = _Grid(a1.source, max(g.level, phi1.input_level(a2.level)))
-        vals = read(g.at(grid.res), phi1.at(a2.level, grid.res), name)
-        gens.append(GroupValuedMap(a1.source, a2.target_group, grid.level, vals, f"{name}[{i}]"))
-    return CocycleTable(a1.source, a2.target_group, tuple(gens))
-
-
-def compose_coe(w1: CoeWitness, w2: CoeWitness) -> CoeWitness:
-    """Chain witnesses X -> Y and Y -> Z into X -> Z."""
-    if w1.target != w2.source:
-        raise ValueError("middle systems do not match")
-    return CoeWitness(
-        _chain(w1.phi, w2.phi),
-        _composite_cocycle(w1.a, w1.phi, w2.a, "a12"),
-        _chain(w2.psi, w1.psi),
-        _composite_cocycle(w2.b, w2.psi, w1.b, "b21"),
-    )
 
 
 def conj_to_coe(cw: ConjWitness) -> CoeWitness:
@@ -796,39 +764,3 @@ def verify_conj(w: ConjWitness, level: int = 4, point_limit: int = 5 * 10**6) ->
         _check_roundtrip("phi-after-inv", w.phi_inv, w.phi, level, point_limit),
     ]
     return VerifyReport("conj-witness", level, checks)
-
-
-# ---------------------------------------------------------------------------
-# locality minimization
-
-
-def coarsest_table(spec: SystemSpec, level: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
-    """The least level c <= level on whose cylinders vals, a table over the
-    level-`level` grid, is constant, and the table over the level-c grid."""
-    res = _Grid(spec, level, len(vals)).res
-    for cand in range(level):
-        idx = cylinder_index(spec, cand, res)
-        rep = np.empty((point_count(spec, cand), vals.shape[1]), dtype=np.int64)
-        rep[idx] = vals
-        if (rep[idx] == vals).all():
-            return cand, rep
-    return level, vals
-
-
-def minimized_generator(m: GroupValuedMap) -> GroupValuedMap:
-    """Equivalent map with the least locality level, found exhaustively."""
-    level, vals = coarsest_table(m.source, m.level, m.values)
-    if level == m.level:
-        return m
-    return GroupValuedMap(m.source, m.target_group, level, vals, m.name + "|min")
-
-
-def minimized_table(t: CocycleTable) -> CocycleTable:
-    return CocycleTable(
-        t.source, t.target_group, tuple(minimized_generator(g) for g in t.generators)
-    )
-
-
-def level_slack(m: GroupValuedMap) -> int:
-    """Declared locality level minus the true minimal one."""
-    return m.level - minimized_generator(m).level

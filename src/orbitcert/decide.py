@@ -2,10 +2,8 @@
 the ordered K-theoretic invariant, and rational eigenvalue groups."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intmat import IntMatrix, solve_conjugator
 from .supernatural import (
@@ -15,10 +13,10 @@ from .supernatural import (
     _is_prime,
     class_key,
     div_exact,
+    factorize,
     divides,
     gcd as sn_gcd,
     is_supernatural,
-    lcm as sn_lcm,
     mul,
     product,
     sim_witness,
@@ -128,12 +126,17 @@ class KInvariant:
 
 
 def k_invariant(ms: tuple[SupernaturalNumber, ...]) -> KInvariant:
+    """The class key of a sub-product is the union of its factors' keys, so
+    the multiset over all 2^r subsets is folded in one factor at a time:
+    each subset so far either leaves the new factor out or takes it in."""
     _require_supernatural(ms, "input")
-    keys: dict[frozenset, int] = {}
-    for size in range(len(ms) + 1):
-        for comb in itertools.combinations(range(len(ms)), size):
-            key = class_key(product(tuple(ms[i] for i in comb)) if comb else ONE)
-            keys[key] = keys.get(key, 0) + 1
+    keys: dict[frozenset, int] = {frozenset(): 1}
+    for m in ms:
+        km = class_key(m)
+        grown = dict(keys)
+        for key, count in keys.items():
+            grown[key | km] = grown.get(key | km, 0) + count
+        keys = grown
     return KInvariant(
         len(ms),
         product(ms),
@@ -248,7 +251,8 @@ def conj_decide(
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue groups
+# eigenvalue groups; Fraction is imported where it is used, so that processes
+# that only decide never load fractions and decimal
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,8 @@ class TGroup:
     modulus: SupernaturalNumber
 
     def __contains__(self, q: Fraction) -> bool:
+        from fractions import Fraction
+
         q = Fraction(q) % 1
         return _divides_denom(self.modulus, q.denominator)
 
@@ -271,15 +277,6 @@ class TGroup:
 
 def _divides_denom(a: SupernaturalNumber, d: int) -> bool:
     return divides(SupernaturalNumber.from_int(d), a)
-
-
-def tgroup_contains(a: TGroup, b: TGroup) -> bool:
-    """b is a subgroup of a, i.e. the modulus of b divides that of a."""
-    return divides(b.modulus, a.modulus)
-
-
-def tgroup_product(a: TGroup, b: TGroup) -> TGroup:
-    return TGroup(sn_lcm(a.modulus, b.modulus))
 
 
 def eig_group(m: SupernaturalNumber, k: int) -> TGroup:
@@ -299,6 +296,8 @@ def eig_group_oracle(
 
     Independent of eig_group: nothing but the finite permutation is used.
     """
+    from fractions import Fraction
+
     from .dynamics import Odometer, level_modulus
 
     n = level_modulus(Odometer(m), level)
@@ -322,6 +321,8 @@ def eig_group_oracle(
 
 def eig_truncation(a: SupernaturalNumber, level: int) -> set[Fraction]:
     """The level truncation of T(a): all j / lm(a, level)."""
+    from fractions import Fraction
+
     from .dynamics import Odometer, level_modulus
 
     d = level_modulus(Odometer(a), level)
@@ -340,6 +341,8 @@ def eig_cross_check(
     - exhausts: raising the level by the largest prime power in |k| makes the
       oracle cover the current truncation of the predicted group
     """
+    from fractions import Fraction
+
     from .dynamics import Odometer, level_modulus
 
     if k == 0:
@@ -361,14 +364,7 @@ def eig_cross_check(
         if level_modulus(Odometer(m), lo + 1) <= guard
     )
 
-    vmax = 0
-    kk = abs(k)
-    for p in range(2, kk + 1):
-        e = 0
-        while kk % p == 0:
-            kk //= p
-            e += 1
-        vmax = max(vmax, e)
+    vmax = max(factorize(abs(k)).values(), default=0)
     exhausts = True
     for j in range(level + 1):
         probe = j + vmax
@@ -443,7 +439,7 @@ def free_group_counterexample_check(p: int, q: int, n: int) -> CounterexampleRep
     certified.append(
         (
             f"T({sn_str(qinf)}) is not contained in T({sn_str(npinf)})",
-            not tgroup_contains(TGroup(npinf), TGroup(qinf)),
+            not TGroup(qinf) <= TGroup(npinf),
         )
     )
     powers_ok = eig_group(pinf, 0) == TGroup(ONE) and all(

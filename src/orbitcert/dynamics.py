@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Union
+from typing import Union
 
-from .supernatural import (
-    INF,
-    ParseError,
-    SupernaturalNumber,
-    is_supernatural,
-    parse_sn,
-    sn_str,
-)
+from .supernatural import INF, SupernaturalNumber, is_supernatural
 
 
 @dataclass(frozen=True)
@@ -102,16 +94,6 @@ def canonical_coords(group_moduli: tuple[int, ...], coords: tuple[int, ...]) -> 
     return tuple(c % m if m else c for c, m in zip(coords, group_moduli))
 
 
-def add_coords(
-    group_moduli: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[int, ...]:
-    return canonical_coords(group_moduli, tuple(x + y for x, y in zip(a, b)))
-
-
-def neg_coords(group_moduli: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
-    return canonical_coords(group_moduli, tuple(-x for x in a))
-
-
 def generator(spec: SystemSpec, i: int) -> GroupElement:
     return GroupElement(tuple(1 if j == i else 0 for j in range(spec.rank)))
 
@@ -160,15 +142,6 @@ def require_level(spec: SystemSpec, k: int, limit: int) -> None:
                          f"a level-{k} grid holds at least 2**{k} points")
 
 
-def enumerate_points(spec: SystemSpec, k: int, limit: int = 10**6) -> list[PointAtLevel]:
-    """All level-k points in lexicographic residue order (first factor most
-    significant).  Guarded against accidental blowups."""
-    if point_count(spec, k) > limit:
-        raise ValueError(f"level-{k} space has more than {limit} points")
-    mods = spec.space_moduli(k)
-    return [PointAtLevel(k, res) for res in product(*(range(m) for m in mods))]
-
-
 def orbit(
     spec: SystemSpec, k: int, x: PointAtLevel, g: GroupElement, steps: int
 ) -> list[PointAtLevel]:
@@ -176,35 +149,6 @@ def orbit(
     for _ in range(steps):
         out.append(act(spec, k, g, out[-1]))
     return out
-
-
-def parse_system_spec(text: str) -> SystemSpec:
-    """Comma-separated factor literals: ``odo:<expr>`` or ``cyc:<n>``."""
-    factors: list[Factor] = []
-    for part in text.split(","):
-        part = part.strip()
-        if part.startswith("odo:"):
-            factors.append(Odometer(parse_sn(part[4:])))
-        elif part.startswith("cyc:"):
-            body = part[4:].strip()
-            if not body.isdigit() or int(body) < 1:
-                raise ParseError(f"cyclic order must be a natural >= 1: {part!r}")
-            factors.append(Cyclic(int(body)))
-        else:
-            raise ParseError(f"factor literal must start with odo: or cyc: ({part!r})")
-    spec = SystemSpec(tuple(factors))
-    validate_spec(spec)
-    return spec
-
-
-def spec_str(spec: SystemSpec) -> str:
-    parts = []
-    for f in spec.factors:
-        if isinstance(f, Cyclic):
-            parts.append(f"cyc:{f.n}")
-        else:
-            parts.append(f"odo:{sn_str(f.limit)}")
-    return ",".join(parts)
 
 
 def odometer_product(limits: tuple[SupernaturalNumber, ...]) -> SystemSpec:

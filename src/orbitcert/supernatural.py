@@ -27,6 +27,13 @@ class ParseError(ValueError):
 # divisions; a number outside the domain raises ValueError (exit 2).
 PRIME_LIMIT = 10**6
 
+# Every finite exponent of an input number, written after a prime or carried
+# by a bare natural, is at most EXPONENT_LIMIT, so the multipliers built from
+# the inputs grow with the number of factors, never with a written exponent.
+# Products of inputs, such as a side's total, may carry larger exponents;
+# only inputs are bounded.
+EXPONENT_LIMIT = 64
+
 
 @lru_cache(maxsize=4096)  # every SupernaturalNumber checks its primes
 def _is_prime(n: int) -> bool:
@@ -55,13 +62,17 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _check_exponent(p: int, e) -> None:
+def _check_exponent(p: int, e, limit: float = INF) -> None:
+    """e is INF or an int in [1, limit]; inputs pass EXPONENT_LIMIT."""
     if e is INF:
         return
     if isinstance(e, bool) or not isinstance(e, int):
         raise ValueError(f"exponent of {p} must be an int or INF, got {e!r}")
     if e < 1:
         raise ValueError(f"exponent of {p} must be >= 1 in canonical form")
+    if e > limit:
+        raise ParseError(f"exponent {e} of {p} exceeds {limit}, the supported bound "
+                         "on finite exponents")
 
 
 @dataclass(frozen=True)
@@ -113,16 +124,6 @@ ONE = SupernaturalNumber()
 def is_supernatural(a: SupernaturalNumber) -> bool:
     """True when some exponent is infinite, i.e. the value is not a natural."""
     return any(e is INF for _, e in a.factors)
-
-
-def to_int(a: SupernaturalNumber) -> int:
-    """Integer value of a finite supernatural number."""
-    if is_supernatural(a):
-        raise ValueError(f"{a} has an infinite exponent")
-    n = 1
-    for p, e in a.factors:
-        n *= p ** e
-    return n
 
 
 def mul(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
@@ -178,11 +179,6 @@ def class_key(a: SupernaturalNumber) -> frozenset[int]:
     return frozenset(p for p, e in a.factors if e is INF)
 
 
-def lesssim(a: SupernaturalNumber, b: SupernaturalNumber) -> bool:
-    """a | n*b for some natural n; equivalently the infinite supports nest."""
-    return class_key(a) <= class_key(b)
-
-
 def sim(a: SupernaturalNumber, b: SupernaturalNumber) -> bool:
     """Mutual divisibility up to finite multipliers."""
     return class_key(a) == class_key(b)
@@ -209,7 +205,8 @@ def parse_sn(text: str) -> SupernaturalNumber:
     """Parse expressions like ``2^inf*3^2`` or ``12``.
 
     Whitespace is ignored.  A base written with an exponent must be prime;
-    bare naturals are factorized.  The value 0 is out of domain.
+    bare naturals are factorized.  The value 0 is out of domain, and so is
+    a finite exponent above EXPONENT_LIMIT.
     """
     s = re.sub(r"\s+", "", text)
     if not s:
@@ -234,6 +231,8 @@ def parse_sn(text: str) -> SupernaturalNumber:
             if e < 1:
                 raise ParseError(f"exponent must be >= 1 or inf, got {e}")
             out = mul(out, SupernaturalNumber(((base, e),)))
+    for p, e in out.factors:
+        _check_exponent(p, e, EXPONENT_LIMIT)
     return out
 
 

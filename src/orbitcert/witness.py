@@ -1,13 +1,21 @@
 """Constructive witnesses: explicit orbit equivalences and conjugacies
-between odometer products, assembled from four elementary moves (splitting a
-cyclic factor off an odometer, permuting factors, merging finite cyclic
-factors, direct sums) and glued by composition."""
+between odometer products.
+
+An orbit equivalence is a chain of elementary moves (orbitcert.chain),
+never one composite table.  Each odometer factor splits a cyclic factor off (the seam
+witness build_basic_coe), the finite cyclic factors merge into one by
+mixed-radix rank and unrank (build_finite_coe), and the other side's merge
+and split are undone.  A stage is a factorwise product of such moves and
+identities; each move records the factor indices it reads and writes, so
+reordering factors is wiring, not a move.  verify_chain checks every move
+on its own grid."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
+from .chain import CoeChain, Stage, StagePart
 from .cocycle import (
     CocycleTable,
     CoeWitness,
@@ -15,11 +23,8 @@ from .cocycle import (
     GroupIso,
     GroupValuedMap,
     LCMap,
-    compose_coe,
     constant_generator,
     identity_witness,
-    inverse_coe,
-    minimized_table,
     mixed_radix_strides,
 )
 from .decide import coe_decide, conj_decide
@@ -129,68 +134,6 @@ def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -
     return CoeWitness(phi, a, psi, b)
 
 
-def permutation_witness(spec: SystemSpec, perm: tuple[int, ...]) -> CoeWitness:
-    """Reorder factors: output factor j is input factor perm[j]."""
-    if sorted(perm) != list(range(spec.rank)):
-        raise ValueError("perm must be a permutation of the factor indices")
-    inv = [0] * len(perm)
-    for j, i in enumerate(perm):
-        inv[i] = j
-    tgt = SystemSpec(tuple(spec.factors[i] for i in perm))
-    phi = LCMap(spec, tgt, lambda k: k, lambda k, res: res[:, perm], "perm")
-    psi = LCMap(tgt, spec, lambda k: k, lambda k, res: res[:, inv], "perm-inv")
-    gm_x, gm_y = spec.group_moduli(), tgt.group_moduli()
-    unit = np.eye(spec.rank, dtype=np.int64)
-    a = CocycleTable(spec, gm_y, tuple(
-        constant_generator(spec, gm_y, tuple(unit[inv[i]])) for i in range(spec.rank)
-    ))
-    b = CocycleTable(tgt, gm_x, tuple(
-        constant_generator(tgt, gm_x, tuple(unit[perm[j]])) for j in range(tgt.rank)
-    ))
-    return CoeWitness(phi, a, psi, b)
-
-
-def direct_sum_coe(parts: list[CoeWitness]) -> CoeWitness:
-    """Witness between the concatenated systems acting factorwise."""
-    if not parts:
-        raise ValueError("at least one part")
-    x = SystemSpec(tuple(f for w in parts for f in w.source.factors))
-    y = SystemSpec(tuple(f for w in parts for f in w.target.factors))
-    xoff, yoff = [0], [0]
-    for w in parts:
-        xoff.append(xoff[-1] + w.source.rank)
-        yoff.append(yoff[-1] + w.target.rank)
-
-    def sum_map(maps: list[LCMap], src: SystemSpec, tgt: SystemSpec, off, name) -> LCMap:
-        def table(k: int, res: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [m.at(k, res[:, off[t] : off[t + 1]]) for t, m in enumerate(maps)], axis=1
-            )
-
-        return LCMap(src, tgt, lambda k: max(m.input_level(k) for m in maps), table, name)
-
-    def lift(t: int, local: GroupValuedMap, spec: SystemSpec, src_off, tgt_off,
-             tgt_gm) -> GroupValuedMap:
-        """local's values placed in part t's coordinates of the sum."""
-        def vals(res: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(res), len(tgt_gm)), dtype=np.int64)
-            out[:, tgt_off[t] : tgt_off[t + 1]] = local.at(res[:, src_off[t] : src_off[t + 1]])
-            return out
-
-        return GroupValuedMap.tabulate(spec, tgt_gm, local.level, vals)
-
-    phi = sum_map([w.phi for w in parts], x, y, xoff, "sum")
-    psi = sum_map([w.psi for w in parts], y, x, yoff, "sum-inv")
-    gm_x, gm_y = x.group_moduli(), y.group_moduli()
-    a = CocycleTable(x, gm_y, tuple(
-        lift(t, g, x, xoff, yoff, gm_y) for t, w in enumerate(parts) for g in w.a.generators
-    ))
-    b = CocycleTable(y, gm_x, tuple(
-        lift(t, g, y, yoff, xoff, gm_x) for t, w in enumerate(parts) for g in w.b.generators
-    ))
-    return CoeWitness(phi, a, psi, b)
-
-
 # ---------------------------------------------------------------------------
 # the full orbit-equivalence chain
 
@@ -227,59 +170,64 @@ def _rebalanced_pairs(
     return [tuple(p) for p in pairs]
 
 
+def _identity_part(spec: SystemSpec, i: int, j: int) -> StagePart:
+    """Factor i of the stage source carried unchanged to factor j."""
+    return StagePart("identity", identity_witness(SystemSpec((spec.factors[i],))), (i,), (j,))
+
+
+def _split_stage(x: SystemSpec, orders: list[int], bases: list[SupernaturalNumber]) -> Stage:
+    """Factor i of x, the orders[i]*bases[i] odometer, splits into an
+    orders[i]-cycle at factor 2i and the bases[i] odometer at 2i+1."""
+    parts = tuple(StagePart("split", build_basic_coe(l, L), (i,), (2 * i, 2 * i + 1))
+                  for i, (l, L) in enumerate(zip(orders, bases)))
+    return Stage(x, SystemSpec(tuple(f for p in parts for f in p.witness.target.factors)), parts)
+
+
+def _merge_stage(split: SystemSpec, cycles: list[int]) -> Stage:
+    """The cycles at factors `cycles` of a split system merge, in that
+    order, into one cyclic factor 0; the odometer at factor c+1 after cycle
+    number t moves to factor t+1."""
+    orders = tuple(split.factors[c].n for c in cycles)
+    total = math.prod(orders)
+    finite = StagePart("finite", build_finite_coe(orders, (total,)), tuple(cycles), (0,))
+    parts = (finite,) + tuple(_identity_part(split, c + 1, t + 1) for t, c in enumerate(cycles))
+    middle = SystemSpec((Cyclic(total),) + tuple(split.factors[c + 1] for c in cycles))
+    return Stage(split, middle, parts)
+
+
 def build_coe_witness(
     ms: tuple[SupernaturalNumber, ...],
     ns: tuple[SupernaturalNumber, ...],
-) -> CoeWitness:
-    """Explicit orbit equivalence between the odometer products, built as
-    split-permute-merge on both sides into a common middle system.  Raises
-    ValueError when the systems are not equivalent."""
+) -> CoeChain:
+    """Explicit orbit equivalence between the odometer products, the chain
+    X split -> X merge -> inverse Y merge -> inverse Y split through a
+    common middle system: one cycle of order prod n_i = prod m_i and the
+    pairs' base odometers L_i.  Raises ValueError when the systems are not
+    equivalent."""
     decision = coe_decide(ms, ns)
     if not decision:
         raise ValueError(f"not orbit equivalent: {decision.obstruction}")
+    x, y = odometer_product(ms), odometer_product(ns)
     if ms == ns:
-        return identity_witness(odometer_product(ms))
+        ident = tuple(_identity_part(x, i, i) for i in range(x.rank))
+        return CoeChain(x, y, (Stage(x, y, ident),))
     pairs = _rebalanced_pairs(ms, ns, decision)
-    r = len(pairs)
     bases = []
     for i, j, mi, ni in pairs:
         li = div_exact(ms[i], SupernaturalNumber.from_int(ni))
         assert mul(SupernaturalNumber.from_int(mi), li) == ns[j], "pair identity broke"
         bases.append(li)
 
-    def chain(orders: list[int], limits: list[SupernaturalNumber], perm: tuple[int, ...]):
-        split = direct_sum_coe([build_basic_coe(l, L) for l, L in zip(orders, limits)])
-        reorder = permutation_witness(split.target, perm)
-        merge = direct_sum_coe(
-            [build_finite_coe(tuple(orders), (math.prod(orders),))]
-            + [identity_witness(SystemSpec((Odometer(L),))) for L in limits]
-        )
-        return compose_coe(compose_coe(split, reorder), merge)
-
-    # X side: factor i splits off an n_i-cycle
-    x_perm = tuple([2 * t for t in range(r)] + [2 * t + 1 for t in range(r)])
-    x_chain = chain([p[3] for p in pairs], bases, x_perm)
-
-    # Y side: factor sigma(i) splits off an m_i-cycle; permute back to pair order
-    sigma = {p[0]: p[1] for p in pairs}
-    y_orders = [0] * r
-    y_limits: list[SupernaturalNumber] = [None] * r  # type: ignore[list-item]
-    for t, (i, j, mi, ni) in enumerate(pairs):
-        y_orders[j] = mi
-        y_limits[j] = bases[t]
-    y_perm = tuple([2 * sigma[p[0]] for p in pairs] + [2 * sigma[p[0]] + 1 for p in pairs])
-    y_split = direct_sum_coe([build_basic_coe(l, L) for l, L in zip(y_orders, y_limits)])
-    y_reorder = permutation_witness(y_split.target, y_perm)
-    y_merge = direct_sum_coe(
-        [build_finite_coe(tuple(p[2] for p in pairs), (math.prod(y_orders),))]
-        + [identity_witness(SystemSpec((Odometer(L),))) for L in bases]
-    )
-    y_chain = compose_coe(compose_coe(y_split, y_reorder), y_merge)
-
-    if x_chain.target != y_chain.target:
-        raise AssertionError("the two chains built different middle systems")
-    w = compose_coe(x_chain, inverse_coe(y_chain))
-    return CoeWitness(w.phi, minimized_table(w.a), w.psi, minimized_table(w.b))
+    # X side: factor i splits off an n_i-cycle; pairs run in left order
+    x_split = _split_stage(x, [p[3] for p in pairs], bases)
+    x_merge = _merge_stage(x_split.target, [2 * t for t in range(len(pairs))])
+    # Y side: factor sigma(i) splits off an m_i-cycle; merge in pair order
+    y_orders, y_bases = [0] * len(pairs), [None] * len(pairs)
+    for (i, j, mi, ni), li in zip(pairs, bases):
+        y_orders[j], y_bases[j] = mi, li
+    y_split = _split_stage(y, y_orders, y_bases)
+    y_merge = _merge_stage(y_split.target, [2 * p[1] for p in pairs])
+    return CoeChain(x, y, (x_split, x_merge, y_merge.inverse(), y_split.inverse()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Box-sweep verifiers for orbit-equivalence and conjugacy witnesses, kept
 as test oracles, pointwise cocycle telescoping, the oracle of
-`cocycle_reader`, and a witness held as plain tables, for tests that edit
-single entries.
+`cocycle_reader`, a witness held as plain tables, for tests that edit
+single entries, and the pointwise helpers these need.
 
 This is the coe verifier as it stood before the exact checks on generators
 replaced it: every identity is tested for each group element of the
@@ -39,19 +39,55 @@ from orbitcert.cocycle import (
     _materialize_lcmap,
     _materialize_table,
     _record,
-    coarsest_table,
     cylinder_index,
 )
 from orbitcert.dynamics import (
     GroupElement,
     PointAtLevel,
+    SystemSpec,
     act,
-    add_coords,
     canonical_coords,
     generator,
-    neg_coords,
+    point_count,
     require_level,
 )
+
+
+def add_coords(
+    group_moduli: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[int, ...]:
+    return canonical_coords(group_moduli, tuple(x + y for x, y in zip(a, b)))
+
+
+def neg_coords(group_moduli: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
+    return canonical_coords(group_moduli, tuple(-x for x in a))
+
+
+def enumerate_points(spec: SystemSpec, k: int, limit: int = 10**6) -> list[PointAtLevel]:
+    """All level-k points in lexicographic residue order (first factor most
+    significant).  Guarded against accidental blowups."""
+    if point_count(spec, k) > limit:
+        raise ValueError(f"level-{k} space has more than {limit} points")
+    mods = spec.space_moduli(k)
+    return [PointAtLevel(k, res) for res in product(*(range(m) for m in mods))]
+
+
+def coarsest_table(spec: SystemSpec, level: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
+    """The least level c <= level on whose cylinders vals, a table over the
+    level-`level` grid, is constant, and the table over the level-c grid."""
+    res = _Grid(spec, level, len(vals)).res
+    for cand in range(level):
+        idx = cylinder_index(spec, cand, res)
+        rep = np.empty((point_count(spec, cand), vals.shape[1]), dtype=np.int64)
+        rep[idx] = vals
+        if (rep[idx] == vals).all():
+            return cand, rep
+    return level, vals
+
+
+def locality_slack(m: GroupValuedMap) -> int:
+    """Declared locality level of a generator table minus the true minimal one."""
+    return m.level - coarsest_table(m.source, m.level, m.values)[0]
 
 
 def box_elements(spec, radius: int) -> list[GroupElement]:

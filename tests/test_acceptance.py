@@ -1,7 +1,8 @@
 """Acceptance gate: eight criteria, one verdict line each.
 
 Shared corpus: 200 seeded instances (seed 17).  Witnesses are verified at
-level 4, exactly over the acting group; cohomology corpus at level 3;
+level 4, exactly over the acting group, and rank-3 coe witness chains at
+level 2; cohomology corpus at level 3;
 wall-clock ceilings pinned per criterion.  Verdict lines are
 echoed in the terminal summary by the conftest hook.
 """
@@ -78,15 +79,18 @@ def test_criterion_2_invariant_matches_decision():
 
 def test_criterion_3_coe_witness_soundness(instances):
     res = suite_coe_witnesses(instances, level=4, max_rank=2)
-    ok = res.ok and res.checked >= 20 and res.elapsed < 60.0
+    rank3 = suite_coe_witnesses([p for p in instances if len(p[0]) == 3], level=2, max_rank=3)
+    elapsed = res.elapsed + rank3.elapsed
+    ok = res.ok and rank3.ok and res.checked >= 20 and rank3.checked == 15 and elapsed < 60.0
     _record(
         3,
         ok,
-        f"{res.checked} coe-positive instances (r <= 2): built witnesses pass "
-        f"verify_coe at level 4 in {res.elapsed:.2f} s (< 60 s), "
-        f"{len(res.failures)} violations",
+        f"{res.checked} coe-positive instances (r <= 2) at level 4 and "
+        f"{rank3.checked} (r = 3) at level 2: built witness chains pass "
+        f"verify_chain stage by stage in {elapsed:.2f} s (< 60 s), "
+        f"{len(res.failures) + len(rank3.failures)} violations",
     )
-    assert ok, res.failures
+    assert ok, res.failures + rank3.failures
 
 
 def test_criterion_4_conj_witness_soundness(instances):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from box_oracle import enumerate_points
+from composite import compose_chain
 from orbitcert.certificates import (
     FORMAT,
     CertificateError,
@@ -20,7 +23,6 @@ from orbitcert.certificates import (
     witness_block,
 )
 from orbitcert.decide import coe_decide, conj_decide, free_group_counterexample_check
-from orbitcert.dynamics import enumerate_points
 from orbitcert.supernatural import parse_sn_list
 from orbitcert.witness import build_coe_witness
 
@@ -49,6 +51,11 @@ def test_coe_witness_certificate_roundtrip():
     assert ok, lines
     assert any("phi-equivariance" in ln for ln in lines)
     assert all(ln.startswith("[pass]") for ln in lines)
+    # every check line names its stage, its part and the level it ran at
+    checks = [ln for ln in lines if ln.startswith("[pass] witness stage")]
+    assert len(checks) == 4 + 8 * 10
+    assert all(re.match(r"\[pass\] witness stage \d+ (part \d+ \([a-z]+(\^-1)?\) )?@\d+: ", ln)
+               for ln in checks)
 
 
 def test_conj_witness_certificate_roundtrip():
@@ -180,8 +187,8 @@ def test_reconstructed_witness_matches_original_pointwise():
     # the witness verify checks is the one the library builds
     cert = loads(dumps(_coe_cert()))
     ms, ns = (parse_sn_list(",".join(cert["inputs"][k])) for k in ("ms", "ns"))
-    back = coe_witness_from_block(ms, ns)
-    w = build_coe_witness(M_EXAMPLE, N_EXAMPLE)
+    back = compose_chain(coe_witness_from_block(ms, ns))
+    w = compose_chain(build_coe_witness(M_EXAMPLE, N_EXAMPLE))
     for xp in enumerate_points(w.source, w.phi.input_level(2)):
         assert back.phi(2, xp) == w.phi(2, xp)
     for yp in enumerate_points(w.target, w.psi.input_level(2)):

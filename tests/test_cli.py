@@ -300,3 +300,60 @@ def test_negative_budget_flags_exit_two(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+RANK3_M = "2^inf*3*5^inf,5^inf,3*5^inf"
+RANK3_N = "2^2*5^inf,2^inf*3*5^inf,3*5^inf"
+
+
+def test_rank3_witness_verifies_stage_by_stage(tmp_path, capsys):
+    # its composite needed a level-2 grid of 2.25M points; each stage part
+    # is checked on its own grid
+    path, _ = _emit(tmp_path, capsys, "witness", "coe", RANK3_M, RANK3_N, "--level", "2")
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verification passed" in out
+    assert "[pass] witness stage 3 part 2 (split^-1) @2: a-inverts-b" in out
+
+
+@pytest.mark.parametrize("exponent", [10**6, 10**9])
+def test_huge_exponents_exit_two_fast(exponent, tmp_path, capsys):
+    big = f"3^{exponent}*2^inf,3^inf"
+    t0 = time.perf_counter()
+    assert main(["coe", big, "2^inf,3^inf"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"exponent {exponent} of 3 exceeds 64" in capsys.readouterr().err
+    # the same input smuggled into a resealed certificate
+    path, cert = _emit(tmp_path, capsys, "witness", "coe", "3*2^inf,3^inf", "2^inf,3^inf",
+                       "--level", "1")
+    cert["inputs"]["ms"][0] = big.split(",")[0]
+    _reseal(path, cert)
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"exponent {exponent} of 3 exceeds 64" in capsys.readouterr().err
+
+
+def test_kinv_of_64_factors_exits_zero_fast():
+    # the 2^64 subset products are never enumerated; the run happens in a
+    # child process so that an enumeration times out instead of hanging
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import orbitcert
+
+    sides = ",".join(["2^inf", "3^inf", "2^inf*5", "3*5^inf"] * 16)
+    code = ("import sys, time\nfrom orbitcert.cli import main\nt0 = time.perf_counter()\n"
+            "rc = main(['kinv', sys.argv[1]])\nprint('elapsed', time.perf_counter() - t0)\n"
+            "sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, sides], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert float(lines[-1].split()[1]) < 1.0
+    payload = json.loads(lines[-2])
+    assert payload["rank"] == 64
+    assert sum(mult for _, mult in payload["classes"]) == 2**64

