@@ -94,9 +94,9 @@ def cmd_kinv(args) -> int:
 
 def cmd_eig(args) -> int:
     m = parse_sn(args.m)
-    g = eig_group(m, args.k)
-    print(f"eigenvalue group of the power-{args.k} action: T({sn_str(g.modulus)})")
-    print(canonical_json({"M": sn_str(m), "k": args.k, "t_group": sn_str(g.modulus)}))
+    a = sn_str(eig_group(m, args.k))
+    print(f"eigenvalue group of the power-{args.k} action: T({a})")
+    print(canonical_json({"M": sn_str(m), "k": args.k, "t_group": a}))
     return 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dynamics import Odometer, level_modulus
 from .intmat import IntMatrix, solve_conjugator
 from .supernatural import (
     INF,
@@ -12,10 +13,8 @@ from .supernatural import (
     SupernaturalNumber,
     _is_prime,
     class_key,
-    div_exact,
     factorize,
     divides,
-    gcd as sn_gcd,
     is_supernatural,
     mul,
     product,
@@ -130,9 +129,13 @@ def k_invariant(ms: tuple[SupernaturalNumber, ...]) -> KInvariant:
     the multiset over all 2^r subsets is folded in one factor at a time:
     each subset so far either leaves the new factor out or takes it in."""
     _require_supernatural(ms, "input")
+    factor_keys = [class_key(m) for m in ms]
+    primes = frozenset().union(*factor_keys)
+    if len(primes) > KINV_PRIME_LIMIT:
+        raise ValueError(f"{len(primes)} distinct infinite primes exceed {KINV_PRIME_LIMIT}, "
+                         "the supported bound for the invariant listing")
     keys: dict[frozenset, int] = {frozenset(): 1}
-    for m in ms:
-        km = class_key(m)
+    for km in factor_keys:
         grown = dict(keys)
         for key, count in keys.items():
             grown[key | km] = grown.get(key | km, 0) + count
@@ -251,60 +254,43 @@ def conj_decide(
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue groups; Fraction is imported where it is used, so that processes
-# that only decide never load fractions and decimal
+# eigenvalue groups.  A subgroup of Q/Z is named by its order: T(A) by the
+# supernatural A, and the finite cyclic group (1/d)Z/Z by the integer d, so
+# containment is divisibility.
 
 
-@dataclass(frozen=True)
-class TGroup:
-    """Subgroup T(A) = {j / d : d divides A} of Q/Z for a supernatural A.
-    Containment is divisibility of moduli; the joint group is their lcm."""
-
-    modulus: SupernaturalNumber
-
-    def __contains__(self, q: Fraction) -> bool:
-        from fractions import Fraction
-
-        q = Fraction(q) % 1
-        return _divides_denom(self.modulus, q.denominator)
-
-    def __le__(self, other: "TGroup") -> bool:
-        return divides(self.modulus, other.modulus)
-
-    def __str__(self) -> str:
-        return f"T({sn_str(self.modulus)})"
-
-
-def _divides_denom(a: SupernaturalNumber, d: int) -> bool:
-    return divides(SupernaturalNumber.from_int(d), a)
-
-
-def eig_group(m: SupernaturalNumber, k: int) -> TGroup:
-    """Rational eigenvalue group of the k-th power of an odometer with
-    supernatural limit m: T(m / gcd(|k|, m)) for k != 0 and T(1) for k = 0."""
+def eig_group(m: SupernaturalNumber, k: int) -> SupernaturalNumber:
+    """Modulus A of the rational eigenvalue group T(A) of the k-th power of an
+    odometer with supernatural limit m: A = m / gcd(|k|, m) for k != 0 and
+    A = 1 for k = 0.  Only the primes of m are divided out of |k|, so k may
+    have prime factors of any size."""
     if k == 0:
-        return TGroup(ONE)
-    g = sn_gcd(SupernaturalNumber.from_int(abs(k)), m)
-    return TGroup(div_exact(m, g))
+        return ONE
+    out = {}
+    for p, e in m.factors:
+        r, v = abs(k), 0
+        while r % p == 0:
+            r //= p
+            v += 1
+        out[p] = e if e is INF else max(e - v, 0)
+    return SupernaturalNumber.from_map(out)
 
 
 def eig_group_oracle(
     m: SupernaturalNumber, k: int, level: int, guard: int = 10**4
-) -> set[Fraction]:
-    """Eigenvalues of translation by k on the level truncation, found by
-    walking every cycle of the permutation and collecting j / cycle_length.
+) -> set[int]:
+    """Cycle lengths of translation by k on the level truncation
+    Z/lm(m, level), found by walking every cycle of the permutation.  A cycle
+    of length L carries the eigenvalues (1/L)Z/Z, so the eigenvalue set of
+    the truncation is the union of (1/L)Z/Z over the returned lengths.
 
     Independent of eig_group: nothing but the finite permutation is used.
     """
-    from fractions import Fraction
-
-    from .dynamics import Odometer, level_modulus
-
     n = level_modulus(Odometer(m), level)
     if n > guard:
         raise ValueError(f"level-{level} modulus {n} exceeds the enumeration guard {guard}")
     seen = [False] * n
-    out: set[Fraction] = set()
+    out: set[int] = set()
     for start in range(n):
         if seen[start]:
             continue
@@ -314,68 +300,48 @@ def eig_group_oracle(
             seen[x] = True
             x = (x + k) % n
             length += 1
-        for j in range(length):
-            out.add(Fraction(j, length))
+        out.add(length)
     return out
-
-
-def eig_truncation(a: SupernaturalNumber, level: int) -> set[Fraction]:
-    """The level truncation of T(a): all j / lm(a, level)."""
-    from fractions import Fraction
-
-    from .dynamics import Odometer, level_modulus
-
-    d = level_modulus(Odometer(a), level)
-    return {Fraction(j, d) for j in range(d)}
 
 
 def eig_cross_check(
     m: SupernaturalNumber, k: int, level: int, guard: int = 10**4
 ) -> dict[str, bool]:
-    """Four independent confrontations of eig_group with the permutation
-    oracle on finite truncations.
+    """Four independent confrontations of eig_group's modulus A with the
+    cycle lengths of the permutation oracle on finite truncations.
 
-    - cyclic: the oracle group is cyclic generated by 1/(lm(m)/g)
-    - contained: every oracle eigenvalue lies in T(m / gcd(|k|, m))
-    - monotone: oracle eigenvalues only grow with the level
-    - exhausts: raising the level by the largest prime power in |k| makes the
-      oracle cover the current truncation of the predicted group
+    - cyclic: the oracle group is (1/N)Z/Z with N = lm(m)/gcd(|k|, lm(m)):
+      N is a cycle length and every length divides N
+    - contained: every length divides A, so the oracle group lies in T(A)
+    - monotone: every length at one level divides a length one level up
+    - exhausts: raising the level by the largest prime exponent in |k|
+      makes the oracle cover the current truncation of T(A): lm(A, j)
+      divides a length at level j + vmax
     """
-    from fractions import Fraction
-
-    from .dynamics import Odometer, level_modulus
-
-    if k == 0:
-        got = eig_group_oracle(m, k, level, guard)
-        return {"cyclic": got == {Fraction(0)}, "contained": True, "monotone": True,
-                "exhausts": True}
-    a = eig_group(m, k).modulus
-    got = eig_group_oracle(m, k, level, guard)
-
+    vmax = max(factorize(abs(k)).values(), default=0) if k else 0
+    lengths: dict[int, set[int]] = {}
+    for lvl in range(level + vmax + 1):
+        if lvl > level and level_modulus(Odometer(m), lvl) > guard:
+            break
+        lengths[lvl] = eig_group_oracle(m, k, lvl, guard)
+    a = eig_group(m, k)
+    got = lengths[level]
     n = level_modulus(Odometer(m), level)
-    g = math.gcd(abs(k), n)
-    cyclic = got == {Fraction(j, n // g) for j in range(n // g)}
-
-    contained = all(_divides_denom(a, q.denominator) for q in got)
-
-    monotone = all(
-        eig_group_oracle(m, k, lo, guard) <= eig_group_oracle(m, k, lo + 1, guard)
-        for lo in range(level)
-        if level_modulus(Odometer(m), lo + 1) <= guard
-    )
-
-    vmax = max(factorize(abs(k)).values(), default=0)
-    exhausts = True
-    for j in range(level + 1):
-        probe = j + vmax
-        if level_modulus(Odometer(m), probe) > guard:
-            break
-        deep = eig_group_oracle(m, k, probe, guard)
-        if not eig_truncation(a, j) <= deep:
-            exhausts = False
-            break
-    return {"cyclic": cyclic, "contained": contained, "monotone": monotone,
-            "exhausts": exhausts}
+    cyc = n // math.gcd(abs(k), n)
+    return {
+        "cyclic": cyc in got and all(cyc % d == 0 for d in got),
+        "contained": all(divides(SupernaturalNumber.from_int(d), a) for d in got),
+        "monotone": all(
+            any(up % d == 0 for up in lengths[lo + 1])
+            for lo in range(level)
+            for d in lengths[lo]
+        ),
+        "exhausts": all(
+            any(d % level_modulus(Odometer(a), j) == 0 for d in lengths[j + vmax])
+            for j in range(level + 1)
+            if j + vmax in lengths
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +364,11 @@ class CounterexampleReport:
 # the separation checks eig_group at every power up to n*p, so that product
 # is bounded before anything is computed
 COUNTEREXAMPLE_POWERS = 10**4
+
+# the invariant lists one class per set of infinite primes a sub-product can
+# carry, up to 2^(distinct infinite primes) of them, so their number is
+# bounded before the fold
+KINV_PRIME_LIMIT = 16
 
 
 def free_group_counterexample_check(p: int, q: int, n: int) -> CounterexampleReport:
@@ -423,27 +394,22 @@ def free_group_counterexample_check(p: int, q: int, n: int) -> CounterexampleRep
     pinf = SupernaturalNumber.from_map({p: INF})
     qinf = SupernaturalNumber.from_map({q: INF})
 
-    certified = []
-    certified.append(
+    certified = [
         (
             f"T({sn_str(npinf)}) != T(1): the twisted side has nontrivial eigenvalues",
-            TGroup(npinf) != TGroup(ONE),
-        )
-    )
-    certified.append(
+            npinf != ONE,
+        ),
         (
             f"T({sn_str(npinf)}) != T({sn_str(pinf)}): the factor n is visible",
-            TGroup(npinf) != TGroup(pinf),
-        )
-    )
-    certified.append(
+            npinf != pinf,
+        ),
         (
             f"T({sn_str(qinf)}) is not contained in T({sn_str(npinf)})",
-            not TGroup(qinf) <= TGroup(npinf),
-        )
-    )
-    powers_ok = eig_group(pinf, 0) == TGroup(ONE) and all(
-        eig_group(pinf, k) == TGroup(pinf) for k in range(1, n * p + 1)
+            not divides(qinf, npinf),
+        ),
+    ]
+    powers_ok = eig_group(pinf, 0) == ONE and all(
+        eig_group(pinf, k) == pinf for k in range(1, n * p + 1)
     )
     certified.append(
         (

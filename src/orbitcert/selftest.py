@@ -9,6 +9,7 @@ passes; any failure carries the offending instance so it can be replayed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -426,8 +427,6 @@ def suite_snf(seed: int, count: int = 1000, max_dim: int = 5, bound: int = 20) -
 def _enumerate_factors(primes: tuple[int, ...], max_exp: int) -> list[SupernaturalNumber]:
     """All limits over the primes with exponents in {0..max_exp, inf} and at
     least one infinite prime."""
-    import itertools
-
     choices = list(range(max_exp + 1)) + [INF]
     out = []
     for combo in itertools.product(choices, repeat=len(primes)):
@@ -442,8 +441,6 @@ def _enumerate_factors(primes: tuple[int, ...], max_exp: int) -> list[Supernatur
 
 
 def _enumerate_sides(factors, max_rank: int):
-    import itertools
-
     out = []
     for r in range(1, max_rank + 1):
         out.extend(itertools.combinations_with_replacement(factors, r))
@@ -480,25 +477,6 @@ def suite_conj_vs_bruteforce(
     return SuiteResult("conj-vs-bruteforce", checked, failures)
 
 
-_EIG_FAMILY = None
-
-
-def _eig_family() -> list[SupernaturalNumber]:
-    global _EIG_FAMILY
-    if _EIG_FAMILY is None:
-        import itertools
-
-        fam = []
-        for combo in itertools.product((0, 1, 2, INF), repeat=3):
-            fam.append(
-                SupernaturalNumber.from_map(
-                    {p: e for p, e in zip(SMALL_PRIMES, combo) if e}
-                )
-            )
-        _EIG_FAMILY = fam
-    return _EIG_FAMILY
-
-
 @_timed
 def suite_eig(kmax: int = 12, max_level: int = 5, guard: int = 2500) -> SuiteResult:
     """Closed-form eigenvalue groups against the cycle-walking oracle, over
@@ -506,7 +484,8 @@ def suite_eig(kmax: int = 12, max_level: int = 5, guard: int = 2500) -> SuiteRes
     all |k| <= kmax, and every level <= max_level the guard admits."""
     failures = []
     checked = 0
-    for m in _eig_family():
+    for combo in itertools.product((0, 1, 2, INF), repeat=3):
+        m = SupernaturalNumber.from_map({p: e for p, e in zip(SMALL_PRIMES, combo) if e})
         lvl = max_level
         while lvl > 0 and level_modulus(Odometer(m), lvl) > guard:
             lvl -= 1

@@ -66,6 +66,16 @@ def test_eig_output(capsys):
     assert "T(2^inf)" in out
 
 
+@pytest.mark.parametrize("m, k, group", [
+    ("2^inf", "1000003", "T(2^inf)"),
+    ("5*2^inf", "2000006", "T(2^inf*5)"),
+])
+def test_eig_of_powers_with_large_prime_factors(m, k, group, capsys):
+    # only the primes of M are divided out of k, so k's large prime is never sought
+    assert main(["eig", m, k]) == 0
+    assert f"action: {group}" in capsys.readouterr().out
+
+
 def test_counterexample_exits_zero(capsys):
     assert main(["counterexample", "2", "3", "5"]) == 0
     out = capsys.readouterr().out
@@ -357,3 +367,14 @@ def test_kinv_of_64_factors_exits_zero_fast():
     payload = json.loads(lines[-2])
     assert payload["rank"] == 64
     assert sum(mult for _, mult in payload["classes"]) == 2**64
+
+
+def test_kinv_beyond_the_prime_limit_exits_two_fast(capsys):
+    from orbitcert.decide import KINV_PRIME_LIMIT
+
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    assert len(primes) == KINV_PRIME_LIMIT + 1 == 17
+    t0 = time.perf_counter()
+    assert main(["kinv", ",".join(f"{p}^inf" for p in primes)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "17 distinct infinite primes exceed 16" in capsys.readouterr().err

@@ -2,25 +2,37 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from orbitcert.decide import (
     CoeDecision,
-    TGroup,
     coe_decide,
     conj_decide,
     eig_cross_check,
     eig_group,
     eig_group_oracle,
-    eig_truncation,
     free_group_counterexample_check,
     k_invariant,
     k_invariant_equal,
 )
+from orbitcert import decide
+from orbitcert.dynamics import Odometer, level_modulus
 from orbitcert.oracles import conjugacy_bruteforce
-from orbitcert.supernatural import ONE, class_key, parse_sn, parse_sn_list, product, sn_str
+from orbitcert.selftest import suite_eig
+from orbitcert.supernatural import (
+    INF,
+    ONE,
+    SupernaturalNumber,
+    class_key,
+    div_exact,
+    divides,
+    gcd,
+    parse_sn,
+    parse_sn_list,
+    product,
+    sn_str,
+)
 
 M_EXAMPLE = parse_sn_list("5*2^inf, 3^inf")
 N_EXAMPLE = parse_sn_list("2^inf, 5*3^inf")
@@ -135,26 +147,32 @@ def test_conjugate_implies_coe():
 
 
 def test_eig_group_values():
-    assert eig_group(parse_sn("3*2^inf"), 3).modulus == parse_sn("2^inf")
-    assert eig_group(parse_sn("2^inf"), 2).modulus == parse_sn("2^inf")
-    assert eig_group(parse_sn("5*2^inf"), 10).modulus == parse_sn("2^inf")
-    assert eig_group(parse_sn("5*2^inf"), 3).modulus == parse_sn("5*2^inf")
-    assert eig_group(parse_sn("2^inf"), 0).modulus == ONE
+    assert eig_group(parse_sn("3*2^inf"), 3) == parse_sn("2^inf")
+    assert eig_group(parse_sn("2^inf"), 2) == parse_sn("2^inf")
+    assert eig_group(parse_sn("5*2^inf"), 10) == parse_sn("2^inf")
+    assert eig_group(parse_sn("5*2^inf"), 3) == parse_sn("5*2^inf")
+    assert eig_group(parse_sn("2^inf"), 0) == ONE
+
+
+def test_eig_group_matches_the_gcd_formula():
+    # the closed form div_exact(m, gcd(|k|, m)), which factorizes |k| in full
+    family = [
+        SupernaturalNumber.from_map({p: e for p, e in zip((2, 3, 5), combo) if e})
+        for combo in itertools.product((0, 1, 2, INF), repeat=3)
+    ]
+    for m in family:
+        for k in [*range(-60, 0), *range(1, 61)]:
+            expected = div_exact(m, gcd(SupernaturalNumber.from_int(abs(k)), m))
+            assert eig_group(m, k) == expected, (sn_str(m), k)
 
 
 def test_eig_oracle_frozen_sets():
+    # cycle lengths L; the eigenvalues are the union of (1/L)Z/Z
     m = parse_sn("2^inf")
-    assert eig_group_oracle(m, 2, 2) == {Fraction(0), Fraction(1, 2)}
-    assert eig_group_oracle(m, 2, 3) == {
-        Fraction(0),
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(3, 4),
-    }
-    assert eig_group_oracle(m, 0, 3) == {Fraction(0)}
-    assert eig_group_oracle(parse_sn("3^inf"), 2, 2) == {
-        Fraction(j, 9) for j in range(9)
-    }
+    assert eig_group_oracle(m, 2, 2) == {2}
+    assert eig_group_oracle(m, 2, 3) == {4}
+    assert eig_group_oracle(m, 0, 3) == {1}
+    assert eig_group_oracle(parse_sn("3^inf"), 2, 2) == {9}
 
 
 def test_eig_oracle_guard():
@@ -171,20 +189,61 @@ def test_eig_cross_check_family():
 
 
 def test_truncation_of_predicted_group_needs_deeper_levels():
-    # at matching levels the oracle can be a strict subset of the truncation
+    # at matching levels the oracle can be a strict subgroup of the truncation
     m = parse_sn("2^inf")
-    oracle = eig_group_oracle(m, 2, 2)
-    predicted = eig_truncation(eig_group(m, 2).modulus, 2)
-    assert oracle < predicted
-    assert eig_truncation(eig_group(m, 2).modulus, 2) <= eig_group_oracle(m, 2, 3)
+    (oracle,) = eig_group_oracle(m, 2, 2)
+    predicted = level_modulus(Odometer(eig_group(m, 2)), 2)
+    assert predicted % oracle == 0 and oracle < predicted
+    (deeper,) = eig_group_oracle(m, 2, 3)
+    assert deeper % predicted == 0
 
 
 def test_tgroup_lattice():
-    t6 = TGroup(parse_sn("2*3"))
-    assert Fraction(1, 6) in t6
-    assert Fraction(1, 4) not in t6
-    assert TGroup(parse_sn("8")) <= TGroup(parse_sn("2^inf"))
-    assert not TGroup(parse_sn("3^inf")) <= TGroup(parse_sn("5*2^inf"))
+    assert divides(parse_sn("2*3"), parse_sn("2^inf*3"))
+    assert not divides(parse_sn("4"), parse_sn("2*3"))
+    assert divides(parse_sn("8"), parse_sn("2^inf"))
+    assert not divides(parse_sn("3^inf"), parse_sn("5*2^inf"))
+
+
+def _oracle_dropping_first_cycle(m, k, level, guard=10**4):
+    n = level_modulus(Odometer(m), level)
+    seen = [False] * n
+    out = set()
+    for start in range(n):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = (x + k) % n
+            length += 1
+        if start > 0:
+            out.add(length)
+    return out
+
+
+def _oracle_stepping_k_plus_one(m, k, level, guard=10**4):
+    n = level_modulus(Odometer(m), level)
+    seen = [False] * n
+    out = set()
+    for start in range(n):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = (x + k + 1) % n
+            length += 1
+        out.add(length)
+    return out
+
+
+@pytest.mark.parametrize("mutant", [_oracle_dropping_first_cycle, _oracle_stepping_k_plus_one])
+def test_eig_suite_rejects_a_mutant_oracle(mutant, monkeypatch):
+    monkeypatch.setattr(decide, "eig_group_oracle", mutant)
+    res = suite_eig()
+    assert res.checked == 1600
+    assert res.failures, mutant.__name__
 
 
 def test_counterexample_family_certified():
