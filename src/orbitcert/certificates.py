@@ -10,7 +10,8 @@ to check it at.  Verification re-derives the decision, rebuilds the witness
 from the inputs and runs the exhaustive verifier, exact over the acting
 group, at any level within the point limit; a coe witness is a chain of
 elementary moves, checked stage by stage.  Payload integers
-are read strictly: bools and floats are refused, never truncated.
+are read strictly: bools and floats are refused, never truncated, and a
+verdict must be a JSON boolean.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import json
 
 from . import __version__
 from .chain import CoeChain, verify_chain
-from .cocycle import ConjWitness, verify_conj
+from .cocycle import CoeWitness, verify_conj
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -189,7 +190,7 @@ def coe_witness_from_block(ms, ns) -> CoeChain:
     return build_coe_witness(ms, ns)
 
 
-def conj_witness_from_block(ms, ns) -> ConjWitness:
+def conj_witness_from_block(ms, ns) -> CoeWitness:
     """The conjugacy a conj block stands for, rebuilt from the inputs."""
     return build_conj_witness(ms, ns)
 
@@ -209,6 +210,13 @@ def _int(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
             want = "an integer" + ("" if lo is None else f" >= {lo}") + (
                 "" if hi is None else f" and < {hi}")
         raise CertificateError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
+def _bool(value, name: str) -> bool:
+    """A JSON boolean; strings, numbers and lists are refused, never coerced."""
+    if not isinstance(value, bool):
+        raise CertificateError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -237,7 +245,7 @@ def _check_coe_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
     ms, ns = _parse_inputs(cert)
     payload = _payload(cert, "equivalent")
     fresh = coe_decide(ms, ns)
-    if bool(payload["equivalent"]) != fresh.equivalent:
+    if _bool(payload["equivalent"], "equivalent") != fresh.equivalent:
         lines.append("[FAIL] decision: recorded verdict does not reproduce")
         return False, fresh.equivalent
     if not fresh.equivalent:
@@ -269,7 +277,7 @@ def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
     ms, ns = _parse_inputs(cert)
     payload = _payload(cert, "conjugate")
     fresh = conj_decide(ms, ns)
-    if bool(payload["conjugate"]) != fresh.conjugate:
+    if _bool(payload["conjugate"], "conjugate") != fresh.conjugate:
         lines.append("[FAIL] decision: recorded verdict does not reproduce")
         return False, fresh.conjugate
     if not fresh.conjugate:
@@ -309,15 +317,18 @@ def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
 def _check_counterexample(cert: dict, lines: list[str]) -> bool:
     try:
         p, q, n = (_int(cert["inputs"][k], k, 2) for k in ("p", "q", "n"))
-        recorded = [(str(s), bool(ok)) for s, ok in cert["payload"]["certified"]]
+        recorded = [(str(s), _bool(ok, "certified flag"))
+                    for s, ok in cert["payload"]["certified"]]
         cited = [str(s) for s in cert["payload"]["cited"]]
+        conjugate = _bool(cert["payload"]["conjugate"], "conjugate")
     except (KeyError, TypeError, ValueError) as e:
         raise CertificateError(f"bad counterexample certificate: {e}") from None
     report = free_group_counterexample_check(p, q, n)
     ok = list(report.certified) == recorded and all(h for _, h in recorded)
-    ok = ok and list(report.cited) == cited and bool(cited)
+    ok = ok and list(report.cited) == cited and bool(cited) and not conjugate
     lines.append(f"[{'pass' if ok else 'FAIL'}] counterexample: all certified "
-                 "separations reproduce and the cited direction is recorded")
+                 "separations reproduce, the cited direction is recorded and "
+                 "the verdict is non-conjugacy")
     return ok
 
 

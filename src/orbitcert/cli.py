@@ -157,13 +157,17 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def nonnegative(text: str) -> int:
+def nonnegative(text: str, lo: int = 0) -> int:
     import argparse
 
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
     return value
+
+
+def positive(text: str) -> int:
+    return nonnegative(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the randomized cross-check suites")
     p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--count", type=int, default=200,
+    p.add_argument("--count", type=positive, default=200,
                    help="instances for the generator-driven suites (default 200)")
     p.set_defaults(fn=cmd_selftest)
 

@@ -12,7 +12,9 @@ On Z^a x prod Z/n_i such tables extend to a genuine cocycle exactly when the
 group's relations hold at every point (generators commute; the values around
 an orbit of a cyclic generator add up to zero), so the orbit-equivalence
 checks test each identity on generators only and hold for every element of
-the acting group, not for a sampled box.
+the acting group, not for a sampled box.  A conjugacy is the orbit
+equivalence whose cocycles do not depend on the point, a(g, x) = rho(g) for
+a group isomorphism rho; verify_conj checks that and then the coe checks.
 
 Chains of such witnesses, checked stage by stage, are in orbitcert.chain.
 """
@@ -32,7 +34,6 @@ from .dynamics import (
     point_count,
     require_level,
 )
-from .intmat import IntMatrix
 
 _SAMPLES = 5  # violations kept per check
 
@@ -137,9 +138,6 @@ class GroupValuedMap:
         return GroupElement(tuple(int(v) for v in row))
 
 
-Transfer = GroupValuedMap  # a transfer function u: X -> H is just such a map
-
-
 @dataclass(frozen=True, eq=False)
 class CocycleTable:
     """Cocycle values on the acting group's standard generators; everything
@@ -211,7 +209,8 @@ def cocycle_reader(b: CocycleTable, limit: int = 10**6):
 
 @dataclass(frozen=True, eq=False)
 class CoeWitness:
-    """Orbit-equivalence data: point maps both ways plus both orbit cocycles."""
+    """Orbit-equivalence data: point maps both ways plus both orbit cocycles.
+    A conjugacy is such a witness whose cocycles are homomorphism cocycles."""
 
     phi: LCMap
     a: CocycleTable
@@ -239,85 +238,6 @@ class CoeWitness:
         return self.phi.target
 
 
-@dataclass(frozen=True)
-class GroupIso:
-    """Isomorphism of acting groups given by an integer matrix pair."""
-
-    source_group: tuple[int, ...]
-    target_group: tuple[int, ...]
-    matrix: IntMatrix
-    inverse: IntMatrix
-
-    def apply(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return canonical_coords(self.target_group, self.matrix.apply(coords))
-
-    def apply_inverse(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return canonical_coords(self.source_group, self.inverse.apply(coords))
-
-    def defects(self) -> list[str]:
-        out = []
-        ns, nt = len(self.source_group), len(self.target_group)
-        if (self.matrix.rows, self.matrix.cols) != (nt, ns):
-            return [f"matrix shape {self.matrix.rows}x{self.matrix.cols}, wanted {nt}x{ns}"]
-        if (self.inverse.rows, self.inverse.cols) != (ns, nt):
-            return [f"inverse shape {self.inverse.rows}x{self.inverse.cols}, wanted {ns}x{nt}"]
-        out.extend(_hom_defects(self.matrix, self.source_group, self.target_group, "rho"))
-        out.extend(_hom_defects(self.inverse, self.target_group, self.source_group, "rho^-1"))
-        for p, grp, tag in (
-            (self.inverse @ self.matrix, self.source_group, "rho^-1*rho"),
-            (self.matrix @ self.inverse, self.target_group, "rho*rho^-1"),
-        ):
-            n = len(grp)
-            for i in range(n):
-                for j in range(n):
-                    want = 1 if i == j else 0
-                    diff = p.get(i, j) - want
-                    if grp[i]:
-                        diff %= grp[i]
-                    if diff != 0:
-                        out.append(f"{tag} is not the identity at ({i},{j})")
-        return out
-
-
-def _hom_defects(m: IntMatrix, src: tuple[int, ...], tgt: tuple[int, ...], tag: str) -> list[str]:
-    # killing n_j * e_j in the source must land on 0 in the target
-    out = []
-    for j, nj in enumerate(src):
-        if nj == 0:
-            continue
-        for i, ni in enumerate(tgt):
-            x = nj * m.get(i, j)
-            if (x % ni if ni else x) != 0:
-                out.append(f"{tag} is not well defined on factor {j}")
-                break
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class ConjWitness:
-    """Conjugacy data: a group isomorphism rho and an equivariant point map."""
-
-    rho: GroupIso
-    phi: LCMap
-    phi_inv: LCMap
-
-    def __post_init__(self):
-        if self.phi.source != self.phi_inv.target or self.phi.target != self.phi_inv.source:
-            raise ValueError("phi and phi_inv must be mutually inverse in shape")
-        if self.rho.source_group != self.phi.source.group_moduli():
-            raise ValueError("rho source group mismatch")
-        if self.rho.target_group != self.phi.target.group_moduli():
-            raise ValueError("rho target group mismatch")
-
-    @property
-    def source(self) -> SystemSpec:
-        return self.phi.source
-
-    @property
-    def target(self) -> SystemSpec:
-        return self.phi.target
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -335,6 +255,9 @@ def constant_generator(
 
 def homomorphism_cocycle(spec: SystemSpec, iso_columns: list[tuple[int, ...]],
                          target_group: tuple[int, ...]) -> CocycleTable:
+    """a(g, x) = rho(g) for the homomorphism with columns rho(e_i): one
+    constant table per generator.  A conjugacy is the orbit equivalence
+    whose two cocycles are of this form, for rho and rho^-1."""
     gens = tuple(
         constant_generator(spec, target_group, col, f"hom[{i}]")
         for i, col in enumerate(iso_columns)
@@ -355,24 +278,11 @@ def inverse_coe(w: CoeWitness) -> CoeWitness:
     return CoeWitness(w.psi, w.b, w.phi, w.a)
 
 
-def conj_to_coe(cw: ConjWitness) -> CoeWitness:
-    """A conjugacy is an orbit equivalence whose cocycles are homomorphisms."""
-    x, y = cw.source, cw.target
-    a = homomorphism_cocycle(
-        x, [cw.rho.apply(generator(x, i).coords) for i in range(x.rank)], y.group_moduli()
-    )
-    b = homomorphism_cocycle(
-        y, [cw.rho.apply_inverse(generator(y, j).coords) for j in range(y.rank)],
-        x.group_moduli(),
-    )
-    return CoeWitness(cw.phi, a, cw.phi_inv, b)
-
-
 # ---------------------------------------------------------------------------
 # cohomology
 
 
-def twist(a: CocycleTable, u: Transfer) -> CocycleTable:
+def twist(a: CocycleTable, u: GroupValuedMap) -> CocycleTable:
     """Cohomologous cocycle a'(g, x) = u(g.x) + a(g, x) - u(x)."""
     if u.source != a.source or u.target_group != a.target_group:
         raise ValueError("transfer shape mismatch")
@@ -388,45 +298,56 @@ def twist(a: CocycleTable, u: Transfer) -> CocycleTable:
 
 def untwist_to_conjugacy(
     w: CoeWitness,
-    u: Transfer,
-    rho: GroupIso,
+    u: GroupValuedMap,
+    rho: tuple[CocycleTable, CocycleTable],
     level: int = 4,
     point_limit: int = 10**6,
-) -> ConjWitness:
+) -> CoeWitness:
     """When a(g, x) = u(g.x) + rho(g) - u(x) holds everywhere (checked
     exactly on generators, so for every g), slide the point map by u to
-    obtain a genuine conjugacy.
+    obtain a genuine conjugacy.  rho is given as a conjugacy carries it,
+    as the pair of homomorphism cocycles rho and rho^-1.
 
-    The premise check covers everything the construction relies on: the
-    cohomology equation itself, plus the witness identities it consumes
-    (phi-equivariance through a at the given level, and both roundtrips)."""
-    if u.source != w.source or u.target_group != w.phi.target.group_moduli():
+    rho must be a group isomorphism: its tables are constant, satisfy the
+    group's relations and invert each other.  The premise is the cohomology
+    equation, twist(rho, u) = a on generators, plus the coe checks on the
+    input witness, which cover every identity the construction consumes."""
+    if u.source != w.source or u.target_group != w.target.group_moduli():
         raise ValueError("transfer shape mismatch")
-    if rho.source_group != w.source.group_moduli() or rho.target_group != w.target.group_moduli():
-        raise ValueError("rho shape mismatch")
-    bad = rho.defects()
+    rho_a, rho_b = rho
+    hom = CoeWitness(w.phi, rho_a, w.psi, rho_b)  # refuses a rho of the wrong shape
+    bad = [c for c in (
+        _homomorphism_check(hom),
+        _identity_check("cocycle-identity-rho", rho_a, point_limit),
+        _identity_check("cocycle-identity-rho^-1", rho_b, point_limit),
+        _check_inverse_cocycle("rho^-1-inverts-rho", w.phi, rho_a, rho_b, point_limit),
+        _check_inverse_cocycle("rho-inverts-rho^-1", w.psi, rho_b, rho_a, point_limit),
+    ) if not c.ok]
     if bad:
-        raise ValueError("rho is not a group isomorphism: " + "; ".join(bad))
+        raise ValueError("rho is not a group isomorphism: "
+                         + "; ".join(f"{c.name} {c.violations}" for c in bad))
 
-    premise = _check_premise(w, u, rho, point_limit)
-    if not premise.ok:
+    x, y = w.source, w.target
+    expect = twist(rho_a, u)
+    grid = _Grid(x, max(w.a.level, expect.level), point_limit)
+    violations: list = []
+    for i, (got, want) in enumerate(zip(w.a.generators, expect.generators)):
+        miss = np.nonzero((got.at(grid.res) != want.at(grid.res)).any(axis=1))[0]
+        _record(violations, [("premise", generator(x, i).coords, grid.point(int(p)))
+                             for p in miss[:_SAMPLES]])
+    if violations:
         raise ValueError(
             "premise fails: the cocycle is not cohomologous to rho via u; "
-            f"counterexamples {premise.violations}"
+            f"counterexamples {violations}"
         )
-    for dep in (
-        _check_equivariance("phi-equivariance", w.phi, w.a, level, point_limit),
-        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
-        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
-    ):
+    for dep in _coe_checks(w, level, point_limit):
         if not dep.ok:
             raise ValueError(
                 f"premise fails: the input is not a valid witness at this scale "
                 f"({dep.name}); counterexamples {dep.violations}"
             )
 
-    x, y = w.source, w.target
-    rho_inv = np.array(rho.inverse.to_rows(), dtype=np.int64).T
+    rho_inv = np.stack([g.values[0] for g in rho_b.generators])
 
     def phi_table(k: int, res: np.ndarray) -> np.ndarray:
         return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
@@ -437,13 +358,13 @@ def untwist_to_conjugacy(
 
     phi = LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table,
                 "untwisted-phi")
-    phi_inv = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
-                    inv_table, "untwisted-phi-inv")
-    cw = ConjWitness(rho, phi, phi_inv)
-    report = verify_conj(cw, level, point_limit)
+    psi = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
+                inv_table, "untwisted-psi")
+    out = CoeWitness(phi, rho_a, psi, rho_b)
+    report = verify_conj(out, level, point_limit)
     if not report.passed:
         raise AssertionError("untwisted witness failed verification:\n" + report.summary())
-    return cw
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +619,23 @@ def _identity_check(name: str, a: CocycleTable, limit: int) -> CheckResult:
     return CheckResult(name, checked, violations)
 
 
+def _coe_checks(w: CoeWitness, level: int, limit: int) -> list[CheckResult]:
+    """The checks of verify_coe, shared with verify_conj and the untwist
+    premise.  A level beyond the point limit is refused up front."""
+    require_level(w.source, level, limit)
+    require_level(w.target, level, limit)
+    return [
+        _check_equivariance("phi-equivariance", w.phi, w.a, max(level, w.b.level), limit),
+        _check_equivariance("psi-equivariance", w.psi, w.b, max(level, w.a.level), limit),
+        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, limit),
+        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, limit),
+        _check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, limit),
+        _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, limit),
+        _identity_check("cocycle-identity-a", w.a, limit),
+        _identity_check("cocycle-identity-b", w.b, limit),
+    ]
+
+
 def verify_coe(w: CoeWitness, level: int = 4, point_limit: int = 10**6) -> VerifyReport:
     """Exhaustive soundness check of an orbit-equivalence witness, exact over
     the whole acting group: both cocycles satisfy the group's relations,
@@ -707,60 +645,36 @@ def verify_coe(w: CoeWitness, level: int = 4, point_limit: int = 10**6) -> Verif
     of the acting groups at every point.  Equivariance is checked at the
     level the inversion checks read the point maps, when that is above
     `level`.  A level beyond the point limit is refused up front."""
-    require_level(w.source, level, point_limit)
-    require_level(w.target, level, point_limit)
-    checks = [
-        _check_equivariance("phi-equivariance", w.phi, w.a, max(level, w.b.level), point_limit),
-        _check_equivariance("psi-equivariance", w.psi, w.b, max(level, w.a.level), point_limit),
-        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
-        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
-        _check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, point_limit),
-        _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, point_limit),
-        _identity_check("cocycle-identity-a", w.a, point_limit),
-        _identity_check("cocycle-identity-b", w.b, point_limit),
-    ]
-    return VerifyReport("coe-witness", level, checks)
+    return VerifyReport("coe-witness", level, _coe_checks(w, level, point_limit))
 
 
-def _check_premise(w: CoeWitness, u: Transfer, rho: GroupIso, limit: int) -> CheckResult:
-    """a(e_i, x) = u(e_i.x) + rho(e_i) - u(x) at every point of the grid on
-    which a and u are constant.  The right side is a genuine cocycle (rho is
-    a homomorphism), so this also makes a one, equal to it on every g."""
-    src = w.source
-    grid = _Grid(src, max(w.a.level, u.level), limit)
-    u_x = u.at(grid.res)
+def _homomorphism_check(w: CoeWitness) -> CheckResult:
+    """Every generator table of a and b holds a single value, so neither
+    cocycle depends on the point."""
     checked = 0
     violations: list = []
-    for i in range(src.rank):
-        e = generator(src, i).coords
-        rhs = u_x[grid.translate(e)] + np.array(rho.apply(e), dtype=np.int64) - u_x
-        diff = _canonicalize_cols(w.a.generators[i].at(grid.res) - rhs, w.a.target_group)
-        checked += grid.size
-        bad = np.nonzero(diff.any(axis=1))[0]
-        _record(violations, [("premise", e, grid.point(int(x))) for x in bad[:_SAMPLES]])
-    return CheckResult("premise", checked, violations)
+    for tag, t in (("a", w.a), ("b", w.b)):
+        for i, g in enumerate(t.generators):
+            checked += len(g.values)
+            bad = np.nonzero((g.values != g.values[0]).any(axis=1))[0]
+            mods = t.source.space_moduli(g.level)
+            _record(violations, [
+                ("homomorphism", f"{tag}(e{i}, x)",
+                 PointAtLevel(g.level, tuple(int(v) for v in np.unravel_index(int(x), mods))),
+                 tuple(int(v) for v in g.values[x]), tuple(int(v) for v in g.values[0]))
+                for x in bad[:_SAMPLES]
+            ])
+    return CheckResult("homomorphism", checked, violations)
 
 
-def verify_conj(w: ConjWitness, level: int = 4, point_limit: int = 5 * 10**6) -> VerifyReport:
+def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6) -> VerifyReport:
     """Exhaustive check of a conjugacy witness, exact over the whole acting
-    group: rho is a group isomorphism, phi and phi_inv are equivariant
-    through rho and rho^-1 on every generator, and they are mutually inverse
-    at `level`.
-
-    A conjugacy is the orbit equivalence whose cocycles are the constant
-    homomorphisms rho and rho^-1 (conj_to_coe).  Constant generator values
-    commute, and they sum to zero around a cyclic orbit exactly when rho is
-    well defined, which rho-isomorphism checks; so equivariance on
-    generators telescopes to every group element.  A level beyond the point
-    limit is refused up front."""
-    require_level(w.source, level, point_limit)
-    require_level(w.target, level, point_limit)
-    c = conj_to_coe(w)
-    checks = [
-        CheckResult("rho-isomorphism", 1, w.rho.defects()),
-        _check_equivariance("phi-equivariance", c.phi, c.a, level, point_limit),
-        _check_equivariance("phi-inv-equivariance", c.psi, c.b, level, point_limit),
-        _check_roundtrip("inv-after-phi", w.phi, w.phi_inv, level, point_limit),
-        _check_roundtrip("phi-after-inv", w.phi_inv, w.phi, level, point_limit),
-    ]
+    group.  A conjugacy is an orbit equivalence whose cocycles do not depend
+    on the point, a(g, x) = rho(g) and b(h, y) = rho^-1(h): homomorphism
+    checks that, and the checks of verify_coe follow.  On constant tables
+    they make rho well defined (cocycle-identity), an isomorphism with
+    inverse rho^-1 (b-inverts-a, a-inverts-b), and phi and psi mutually
+    inverse maps, equivariant through rho and rho^-1.  A level beyond the
+    point limit is refused up front."""
+    checks = [_homomorphism_check(w)] + _coe_checks(w, level, point_limit)
     return VerifyReport("conj-witness", level, checks)

@@ -13,7 +13,6 @@ from .supernatural import (
     SupernaturalNumber,
     _is_prime,
     class_key,
-    factorize,
     divides,
     is_supernatural,
     mul,
@@ -268,12 +267,17 @@ def eig_group(m: SupernaturalNumber, k: int) -> SupernaturalNumber:
         return ONE
     out = {}
     for p, e in m.factors:
-        r, v = abs(k), 0
-        while r % p == 0:
-            r //= p
-            v += 1
-        out[p] = e if e is INF else max(e - v, 0)
+        out[p] = e if e is INF else max(e - _valuation(k, p), 0)
     return SupernaturalNumber.from_map(out)
+
+
+def _valuation(k: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer k, by repeated division."""
+    r, v = abs(k), 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return v
 
 
 def eig_group_oracle(
@@ -314,11 +318,11 @@ def eig_cross_check(
       N is a cycle length and every length divides N
     - contained: every length divides A, so the oracle group lies in T(A)
     - monotone: every length at one level divides a length one level up
-    - exhausts: raising the level by the largest prime exponent in |k|
-      makes the oracle cover the current truncation of T(A): lm(A, j)
-      divides a length at level j + vmax
+    - exhausts: raising the level by vmax, the largest exponent in |k| of
+      a prime of m, makes the oracle cover the current truncation of T(A):
+      lm(A, j) divides a length at level j + vmax
     """
-    vmax = max(factorize(abs(k)).values(), default=0) if k else 0
+    vmax = max((_valuation(k, p) for p, _ in m.factors), default=0) if k else 0
     lengths: dict[int, set[int]] = {}
     for lvl in range(level + vmax + 1):
         if lvl > level and level_modulus(Odometer(m), lvl) > guard:

@@ -252,15 +252,15 @@ def coe_witness_scale(chain, level: int) -> int:
 
 
 def conj_witness_scale(cw, level: int) -> int:
-    src, tgt = cw.phi.source, cw.phi_inv.source
+    src, tgt = cw.source, cw.target
     return max(
         point_count(src, max(level, cw.phi.input_level(level))),
-        point_count(tgt, max(level, cw.phi_inv.input_level(level))),
+        point_count(tgt, max(level, cw.psi.input_level(level))),
         point_count(
-            src, max(level, cw.phi.input_level(cw.phi_inv.input_level(level)))
+            src, max(level, cw.phi.input_level(cw.psi.input_level(level)))
         ),
         point_count(
-            tgt, max(level, cw.phi_inv.input_level(cw.phi.input_level(level)))
+            tgt, max(level, cw.psi.input_level(cw.phi.input_level(level)))
         ),
     )
 
@@ -522,7 +522,6 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         CoeWitness,
         GroupValuedMap,
         LCMap,
-        conj_to_coe,
         cylinder_index,
         twist,
         untwist_to_conjugacy,
@@ -535,13 +534,12 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     while built < count:
         ms, ns = conj_positive_pair(rng, max_rank=2)
         try:
-            cw = build_conj_witness(ms, ns)
+            w = build_conj_witness(ms, ns)
         except ValueError:
             continue
-        if conj_witness_scale(cw, level) > 20_000:
+        if conj_witness_scale(w, level) > 20_000:
             continue
         built += 1
-        w = conj_to_coe(cw)
         x_spec, y_spec = w.source, w.target
         d = x_spec.space_moduli(1)
         # s on the level-1 cylinders, in grid order
@@ -549,7 +547,7 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
             [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
             dtype=np.int64,
         )
-        rho = np.array(cw.rho.matrix.to_rows(), dtype=np.int64).T
+        rho = np.stack([g.values[0] for g in w.a.generators])  # row i is rho(e_i)
         tgy = y_spec.group_moduli()
         u = GroupValuedMap(x_spec, tgy, 1, shifts @ rho, "corpus-u")
 
@@ -588,7 +586,7 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
                 continue
         checked += 1
         try:
-            out = untwist_to_conjugacy(twisted, u, cw.rho, level)
+            out = untwist_to_conjugacy(twisted, u, (w.a, w.b), level)
         except ValueError as e:
             failures.append(f"{_fmt_pair(ms, ns)}: untwist rejected its own twist: {e}")
             continue
@@ -596,12 +594,12 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         if not report.passed:
             failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {report.summary()}")
         # untwisting recovers the original conjugacy map exactly
-        deep = max(out.phi.input_level(2), cw.phi.input_level(2))
+        deep = max(out.phi.input_level(2), w.phi.input_level(2))
         mods = x_spec.space_moduli(deep)
         picks = rng.sample(range(point_count(x_spec, deep)), min(10, point_count(x_spec, deep)))
         probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods), axis=1)
         checked += len(picks)
-        if (out.phi.at(2, probe) != cw.phi.at(2, probe)).any():
+        if (out.phi.at(2, probe) != w.phi.at(2, probe)).any():
             failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
         # a transfer corrupted on one cylinder must fail the premise
         bad_shifts = shifts.copy()
@@ -610,7 +608,7 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         bad_u = GroupValuedMap(x_spec, tgy, 1, bad_shifts @ rho, "bad-u")
         checked += 1
         try:
-            untwist_to_conjugacy(twisted, bad_u, cw.rho, level)
+            untwist_to_conjugacy(twisted, bad_u, (w.a, w.b), level)
             failures.append(f"{_fmt_pair(ms, ns)}: corrupted transfer accepted")
         except ValueError:
             pass

@@ -19,11 +19,10 @@ from .chain import CoeChain, Stage, StagePart
 from .cocycle import (
     CocycleTable,
     CoeWitness,
-    ConjWitness,
-    GroupIso,
     GroupValuedMap,
     LCMap,
     constant_generator,
+    homomorphism_cocycle,
     identity_witness,
     mixed_radix_strides,
 )
@@ -35,7 +34,7 @@ from .dynamics import (
     level_modulus,
     odometer_product,
 )
-from .intmat import IntMatrix, invert_unimodular
+from .intmat import invert_unimodular
 from .supernatural import SupernaturalNumber, div_exact, factorize, mul
 
 _LEVEL_FUSE = 64  # no level search should ever walk past this
@@ -237,11 +236,13 @@ def build_coe_witness(
 def build_conj_witness(
     ms: tuple[SupernaturalNumber, ...],
     ns: tuple[SupernaturalNumber, ...],
-) -> ConjWitness:
+) -> CoeWitness:
     """Explicit conjugacy: per asymptotic class, the finite multiplier
     coordinates are mapped through the Smith conjugator S while the common
     profinite part is mixed by the same matrix; the two strands are glued by
-    the Chinese remainder theorem at every level."""
+    the Chinese remainder theorem at every level.  The group isomorphism
+    rho is S per block, and the witness's cocycles are the homomorphism
+    cocycles of rho and rho^-1."""
     decision = conj_decide(ms, ns)
     if not decision:
         raise ValueError(f"not conjugate: {decision.obstruction}")
@@ -250,27 +251,21 @@ def build_conj_witness(
     y = odometer_product(ns)
 
     blocks = []
-    rho_rows = [[0] * r for _ in range(r)]
-    rho_inv_rows = [[0] * r for _ in range(r)]
+    rho_cols = [[0] * r for _ in range(r)]  # rho_cols[i] = rho(e_i)
+    rho_inv_cols = [[0] * r for _ in range(r)]
     depth = 0
     for blk in decision.blocks:
         s, _t = blk.conjugator
         s_inv = invert_unimodular(s)
         for a_pos, j in enumerate(blk.right_indices):
             for b_pos, i in enumerate(blk.left_indices):
-                rho_rows[j][i] = s.get(a_pos, b_pos)
-                rho_inv_rows[i][j] = s_inv.get(b_pos, a_pos)
+                rho_cols[i][j] = s.get(a_pos, b_pos)
+                rho_inv_cols[j][i] = s_inv.get(b_pos, a_pos)
         blocks.append((blk, s, s_inv))
         depth = max(
             depth,
             max(_e_max(q) for q in blk.left_multipliers + blk.right_multipliers),
         )
-    rho = GroupIso(
-        (0,) * r,
-        (0,) * r,
-        IntMatrix.from_rows(rho_rows),
-        IntMatrix.from_rows(rho_inv_rows),
-    )
 
     def make_table(forward: bool):
         def ev(k: int, res):
@@ -304,5 +299,7 @@ def build_conj_witness(
         return ev
 
     phi = LCMap(x, y, lambda k: max(k, depth), make_table(True), "conj")
-    phi_inv = LCMap(y, x, lambda k: max(k, depth), make_table(False), "conj-inv")
-    return ConjWitness(rho, phi, phi_inv)
+    psi = LCMap(y, x, lambda k: max(k, depth), make_table(False), "conj-inv")
+    a = homomorphism_cocycle(x, [tuple(c) for c in rho_cols], y.group_moduli())
+    b = homomorphism_cocycle(y, [tuple(c) for c in rho_inv_cols], x.group_moduli())
+    return CoeWitness(phi, a, psi, b)

@@ -61,7 +61,7 @@ def test_coe_witness_certificate_roundtrip():
 def test_conj_witness_certificate_roundtrip():
     ok, lines = verify_certificate(loads(dumps(_conj_cert())))
     assert ok, lines
-    assert any("rho-isomorphism" in ln for ln in lines)
+    assert any("witness homomorphism" in ln for ln in lines)
 
 
 def test_counterexample_certificate_roundtrip():
@@ -81,6 +81,47 @@ def test_negative_certificates_reproduce():
     )
     assert ok
     assert any("non-conjugacy reproduces" in ln for ln in lines)
+
+
+def _negative_coe_cert():
+    ms, ns = parse_sn_list("2^inf"), parse_sn_list("2^inf, 3^inf")
+    return coe_certificate(ms, ns, coe_decide(ms, ns))
+
+
+def _negative_conj_cert():
+    return conj_certificate(M_EXAMPLE, N_EXAMPLE, conj_decide(M_EXAMPLE, N_EXAMPLE))
+
+
+def _counterexample_cert():
+    return counterexample_certificate(free_group_counterexample_check(2, 3, 5))
+
+
+def _flags(value):
+    return lambda p: p.update(certified=[[stmt, value] for stmt, _ in p["certified"]])
+
+
+@pytest.mark.parametrize("make, edit, outcome", [
+    (_coe_cert, lambda p: p.update(equivalent="no"), "error"),
+    (_negative_coe_cert, lambda p: p.update(equivalent=0), "error"),
+    (_negative_coe_cert, lambda p: p.update(equivalent=[]), "error"),
+    (_conj_cert, lambda p: p.update(conjugate="no"), "error"),
+    (_negative_conj_cert, lambda p: p.update(conjugate=0), "error"),
+    (_counterexample_cert, _flags("false"), "error"),
+    (_counterexample_cert, lambda p: p.update(conjugate="false"), "error"),
+    (_counterexample_cert, lambda p: p.update(conjugate=True), "fail"),
+], ids=["coe-string", "coe-zero", "coe-list", "conj-string", "conj-zero",
+        "counterexample-flags", "counterexample-string", "counterexample-conjugate"])
+def test_verdicts_must_be_json_booleans(make, edit, outcome):
+    # each resealed edit once verified: bool() read "no" and "false" as true
+    cert = loads(dumps(make()))
+    edit(cert["payload"])
+    cert = seal(cert)
+    if outcome == "error":
+        with pytest.raises(CertificateError, match="must be true or false"):
+            verify_certificate(cert)
+        return
+    ok, lines = verify_certificate(cert)
+    assert not ok, lines
 
 
 def test_tampered_payload_fails_hash():

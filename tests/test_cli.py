@@ -165,6 +165,15 @@ def test_selftest_smoke(capsys):
     assert "cohomology-roundtrip: pass" in out
 
 
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_selftest_refuses_an_empty_corpus(count, capsys):
+    # an empty corpus once printed "selftest passed" and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--count", count])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def _emit(tmp_path, capsys, *argv):
     path = tmp_path / "w.json"
     assert main([*argv, "--out", str(path)]) == 0

@@ -10,13 +10,10 @@ from composite import compose_chain, compose_coe
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
-    GroupIso,
     GroupValuedMap,
     LCMap,
     cocycle_reader,
     constant_generator,
-    conj_to_coe,
-    ConjWitness,
     homomorphism_cocycle,
     identity_lcmap,
     identity_witness,
@@ -35,7 +32,6 @@ from orbitcert.dynamics import (
     SystemSpec,
     act,
 )
-from orbitcert.intmat import IntMatrix
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import build_basic_coe, build_coe_witness
 
@@ -199,16 +195,14 @@ def test_compose_and_inverse_round_trip():
     assert verify_coe(both, level=2).passed
 
 
-def _identity_iso(group):
-    n = len(group)
-    eye = IntMatrix.identity(n)
-    return GroupIso(group, group, eye, eye)
+def _identity_rho(spec):
+    ident = identity_witness(spec)
+    return ident.a, ident.b
 
 
 def test_untwist_recovers_identity_conjugacy():
     spec, u, w = _swap_witness()
-    rho = _identity_iso((0,))
-    cw = untwist_to_conjugacy(w, u, rho, level=3)
+    cw = untwist_to_conjugacy(w, u, _identity_rho(spec), level=3)
     for x in enumerate_points(spec, 3):
         assert cw.phi(3, x) == x
     assert verify_conj(cw, level=3).passed
@@ -218,29 +212,37 @@ def test_untwist_rejects_wrong_transfer():
     spec, _, w = _swap_witness()
     zero = constant_generator(spec, (0,), (0,))
     with pytest.raises(ValueError, match="premise"):
-        untwist_to_conjugacy(w, zero, _identity_iso((0,)), level=3)
+        untwist_to_conjugacy(w, zero, _identity_rho(spec), level=3)
 
 
-def test_conj_witness_between_cyclic_products():
+def _cyclic_product_conj():
     # x = (a mod 2, b mod 3) corresponds to 3a + 4b mod 6
     src = _spec([2, 3])
     tgt = _spec([6])
-    rho = GroupIso(
-        (2, 3), (6,), IntMatrix.from_rows([[3, 4]]), IntMatrix.from_rows([[1], [1]])
-    )
-    assert rho.defects() == []
     phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
-    phi_inv = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
-    cw = ConjWitness(rho, phi, phi_inv)
+    psi = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
+    return CoeWitness(phi, homomorphism_cocycle(src, [(3,), (4,)], (6,)),
+                      psi, homomorphism_cocycle(tgt, [(1, 1)], (2, 3)))
+
+
+def test_conj_witness_between_cyclic_products():
+    cw = _cyclic_product_conj()
     report = verify_conj(cw, level=2)
     assert report.passed, report.summary()
-    coe = conj_to_coe(cw)
-    assert verify_coe(coe, level=2).passed
+    assert verify_coe(cw, level=2).passed
 
 
 def test_group_iso_defect_reporting():
-    bad = GroupIso((2, 3), (6,), IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1], [1]]))
-    assert bad.defects()  # 1 is not killed by 2 in Z/6
+    # e0 -> 1 is not well defined on Z/2: 2 does not kill 1 in Z/6
+    cw = _cyclic_product_conj()
+    bad = homomorphism_cocycle(cw.source, [(1,), (1,)], (6,))
+    report = verify_conj(CoeWitness(cw.phi, bad, cw.psi, cw.b), level=2)
+    failing = {c.name for c in report.checks if not c.ok}
+    assert {"cocycle-identity-a", "b-inverts-a"} <= failing
+    assert "homomorphism" not in failing
+    zero = constant_generator(cw.source, (6,), (0,))
+    with pytest.raises(ValueError, match="not a group isomorphism"):
+        untwist_to_conjugacy(cw, zero, (bad, cw.b), level=2)
 
 
 def test_level_slack_finds_true_locality():

@@ -183,9 +183,11 @@ def test_eig_oracle_guard():
 def test_eig_cross_check_family():
     for text in ["2^inf", "3^inf", "2^inf*3^inf", "5*2^inf", "3*5^inf"]:
         m = parse_sn(text)
-        for k in [-6, -1, 0, 1, 2, 3, 4, 12]:
+        # 1000003 is a prime beyond the factorization domain; only the
+        # primes of m bound the level offset
+        for k in [-6, -1, 0, 1, 2, 3, 4, 12, 1000003, -2000006]:
             res = eig_cross_check(m, k, 3)
-            assert all(res.values()), (text, k, res)
+            assert len(res) == 4 and all(res.values()), (text, k, res)
 
 
 def test_truncation_of_predicted_group_needs_deeper_levels():

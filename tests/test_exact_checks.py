@@ -24,12 +24,12 @@ from box_oracle import (
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
-    ConjWitness,
-    GroupIso,
     GroupValuedMap,
     LCMap,
-    conj_to_coe,
+    _Grid,
     constant_generator,
+    cylinder_index,
+    homomorphism_cocycle,
     identity_witness,
     inverse_coe,
     verify_cocycle_identity,
@@ -39,7 +39,6 @@ from orbitcert.cocycle import (
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
 from orbitcert.decide import coe_decide
 from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
-from orbitcert.intmat import IntMatrix
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
     build_basic_coe,
@@ -279,18 +278,18 @@ def test_miswired_part_fails_the_seam_check():
 
 
 # ---------------------------------------------------------------------------
-# conjugacies: the coe equivariance check on constant cocycles against the
-# table shift plus the additivity box
+# conjugacies: orbit equivalences with homomorphism cocycles, against the
+# table shift and rho and rho^-1 checked as integer matrices over the box
 
 
-def _cyclic_product_conj() -> ConjWitness:
+def _cyclic_product_conj() -> CoeWitness:
     # x = (a mod 2, b mod 3) corresponds to 3a + 4b mod 6
     src = SystemSpec((Cyclic(2), Cyclic(3)))
     tgt = SystemSpec((Cyclic(6),))
-    rho = GroupIso((2, 3), (6,), IntMatrix.from_rows([[3, 4]]), IntMatrix.from_rows([[1], [1]]))
     phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
-    phi_inv = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
-    return ConjWitness(rho, phi, phi_inv)
+    psi = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
+    return CoeWitness(phi, homomorphism_cocycle(src, [(3,), (4,)], (6,)),
+                      psi, homomorphism_cocycle(tgt, [(1, 1)], (2, 3)))
 
 
 CONJ_CASES = {
@@ -300,17 +299,22 @@ CONJ_CASES = {
                                                                  "6*7^inf,7^inf"))),
     "cyclic-product": _cyclic_product_conj,
 }
+INVERSE_OR_RELATION = {"b-inverts-a", "a-inverts-b", "cocycle-identity-a", "cocycle-identity-b"}
 
 
 def _agree_conj(cw, level, radius=6):
-    """Same verdict, and the same checks with the same comparison counts
-    and outcomes once the box's additivity lines are set aside."""
+    """Same verdict and the same check names.  The box reads rho off the
+    first row of each table, so while homomorphism holds the outcomes must
+    also agree check by check."""
     exact = verify_conj(cw, level)
     box = box_verify_conj(cw, level, radius)
-    assert [(c.name, c.checked, c.ok) for c in exact.checks] == [
-        (c.name, c.checked, c.ok) for c in box.checks if not c.name.endswith("-box-additivity")
-    ], exact.summary() + "\n" + box.summary()
-    assert exact.passed == box.passed
+    detail = exact.summary() + "\n" + box.summary()
+    assert [c.name for c in exact.checks] == [c.name for c in box.checks], detail
+    outcomes = [(e.ok, b.ok) for e, b in zip(exact.checks, box.checks)]
+    if exact.checks[0].ok:
+        assert all(e == b for e, b in outcomes), detail
+    assert outcomes[0][0] == outcomes[0][1], detail
+    assert exact.passed == box.passed, detail
     return exact.passed
 
 
@@ -319,32 +323,63 @@ def test_conj_witnesses_agree(case, level):
     assert _agree_conj(CONJ_CASES[case](), level)
 
 
-def _mutate_rho(rho: GroupIso, rng: random.Random) -> GroupIso:
-    which = rng.choice(["matrix", "inverse"])
-    rows = getattr(rho, which).to_rows()
-    row = rows[rng.randrange(len(rows))]
-    row[rng.randrange(len(row))] += rng.choice([-2, -1, 1, 2])
-    fields = {"matrix": rho.matrix, "inverse": rho.inverse, which: IntMatrix.from_rows(rows)}
-    return GroupIso(rho.source_group, rho.target_group, fields["matrix"], fields["inverse"])
+def test_conj_report_is_homomorphism_then_the_coe_checks():
+    cw = CONJ_CASES["cyclic-product"]()
+    exact = verify_conj(cw, 2)
+    assert [c.name for c in exact.checks] == (
+        ["homomorphism"] + [c.name for c in verify_coe(cw, 2).checks])
+    assert exact.kind == "conj-witness"
+
+
+def test_orbit_equivalence_that_is_no_conjugacy_fails_only_homomorphism():
+    w = _witness(README_PAIR)
+    assert verify_coe(w, 2).passed
+    report = verify_conj(w, 2)
+    assert [c.name for c in report.checks if not c.ok] == ["homomorphism"], report.summary()
+    assert not _agree_conj(w, 2, radius=2)
+
+
+def _mutate_hom(tables: dict, key: str, every_row: bool, rng: random.Random) -> dict:
+    """Change rho ("a") or rho^-1 ("b") on one generator by a step its
+    target group does not kill: in every row of the table alike, or in one
+    row of the table spread over the next finer grid."""
+    out = copy.deepcopy(tables)
+    block = out[key]
+    spec = out["source" if key == "a" else "target"]
+    if not every_row:
+        res = _Grid(spec, block["level"] + 1).res
+        block["generators"] = [g[cylinder_index(spec, block["level"], res)]
+                               for g in block["generators"]]
+        block["level"] += 1
+    group = block["target_group"]
+    c = rng.randrange(len(group))
+    step = rng.choice([d for d in (-2, -1, 1, 2) if not group[c] or d % group[c]])
+    gen = block["generators"][rng.randrange(len(block["generators"]))]
+    gen[slice(None) if every_row else rng.randrange(len(gen)), c] += step
+    return out
 
 
 @pytest.mark.parametrize("case", sorted(CONJ_CASES))
 def test_conj_single_entry_mutations_agree(case):
     cw = CONJ_CASES[case]()
     level = 2
-    # phi and phi_inv as plain tables, at every level the checks read them
-    tables = witness_tables(conj_to_coe(cw), level)
-    src, tgt = cw.source, cw.target
+    # the witness as plain tables, at every level the checks read them
+    tables = witness_tables(cw, level)
     rng = random.Random(f"conj-mutations-{case}")
-    failed = {"phi": 0, "psi": 0, "rho": 0}
-    for k in range(6):  # two mutations of each of phi, phi_inv and rho
-        key = ("phi", "psi", "rho")[k % 3]
-        if key == "rho":
-            w = ConjWitness(_mutate_rho(cw.rho, rng), _table_map(tables["phi"], src, tgt, "phi"),
-                            _table_map(tables["psi"], tgt, src, "phi_inv"))
+    failed = {"phi": 0, "psi": 0}
+    for k in range(8):  # phi, psi, one row of rho, all of rho; twice each
+        key = ("phi", "psi", "row", "every")[k % 4]
+        if key in failed:
+            mutant = witness_from_tables(_mutate(tables, key, rng))
+            failed[key] += not _agree_conj(mutant, level, radius=2)
+            continue
+        mutant = witness_from_tables(_mutate_hom(tables, "ab"[k // 4], key == "every", rng))
+        assert not _agree_conj(mutant, level, radius=2)
+        report = verify_conj(mutant, level)
+        failing = {c.name for c in report.checks if not c.ok}
+        if key == "row":
+            assert "homomorphism" in failing, report.summary()
         else:
-            t = _mutate(tables, key, rng)
-            w = ConjWitness(cw.rho, _table_map(t["phi"], src, tgt, "phi"),
-                            _table_map(t["psi"], tgt, src, "phi_inv"))
-        failed[key] += not _agree_conj(w, level, radius=2)
+            assert "homomorphism" not in failing and failing & INVERSE_OR_RELATION, \
+                report.summary()
     assert all(failed.values()), failed
