@@ -157,17 +157,22 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def nonnegative(text: str, lo: int = 0) -> int:
+def nonnegative(text: str) -> int:
     import argparse
 
     value = int(text)
-    if value < lo:
-        raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def positive(text: str) -> int:
-    return nonnegative(text, 1)
+    import argparse
+
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

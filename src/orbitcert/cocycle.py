@@ -296,6 +296,11 @@ def twist(a: CocycleTable, u: GroupValuedMap) -> CocycleTable:
     return CocycleTable(spec, a.target_group, tuple(gens))
 
 
+# the checks of verify_conj that read only the cocycles
+_RHO_CHECKS = {"homomorphism", "b-inverts-a", "a-inverts-b",
+               "cocycle-identity-a", "cocycle-identity-b"}
+
+
 def untwist_to_conjugacy(
     w: CoeWitness,
     u: GroupValuedMap,
@@ -308,26 +313,37 @@ def untwist_to_conjugacy(
     obtain a genuine conjugacy.  rho is given as a conjugacy carries it,
     as the pair of homomorphism cocycles rho and rho^-1.
 
-    rho must be a group isomorphism: its tables are constant, satisfy the
-    group's relations and invert each other.  The premise is the cohomology
-    equation, twist(rho, u) = a on generators, plus the coe checks on the
-    input witness, which cover every identity the construction consumes."""
+    rho must be a group isomorphism.  The untwisted witness carries rho's
+    tables as its cocycles, so its own homomorphism, cocycle-identity and
+    inverse checks decide that, and only rho can make them fail.  The
+    premise is the cohomology equation, twist(rho, u) = a on generators,
+    plus the coe checks on the input witness, which cover every identity
+    the construction consumes."""
     if u.source != w.source or u.target_group != w.target.group_moduli():
         raise ValueError("transfer shape mismatch")
     rho_a, rho_b = rho
-    hom = CoeWitness(w.phi, rho_a, w.psi, rho_b)  # refuses a rho of the wrong shape
-    bad = [c for c in (
-        _homomorphism_check(hom),
-        _identity_check("cocycle-identity-rho", rho_a, point_limit),
-        _identity_check("cocycle-identity-rho^-1", rho_b, point_limit),
-        _check_inverse_cocycle("rho^-1-inverts-rho", w.phi, rho_a, rho_b, point_limit),
-        _check_inverse_cocycle("rho-inverts-rho^-1", w.psi, rho_b, rho_a, point_limit),
-    ) if not c.ok]
+    CoeWitness(w.phi, rho_a, w.psi, rho_b)  # refuses a rho of the wrong shape
+    x, y = w.source, w.target
+    rho_inv = np.stack([g.values[0] for g in rho_b.generators])
+
+    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
+        return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
+
+    def inv_table(k: int, res: np.ndarray) -> np.ndarray:
+        t = u.at(w.psi.at(u.level, res)) @ rho_inv
+        return (w.psi.at(k, res) + t) % np.array(x.space_moduli(k), dtype=np.int64)
+
+    phi = LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table,
+                "untwisted-phi")
+    psi = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
+                inv_table, "untwisted-psi")
+    out = CoeWitness(phi, rho_a, psi, rho_b)
+    report = verify_conj(out, level, point_limit)
+    bad = [c for c in report.checks if not c.ok and c.name in _RHO_CHECKS]
     if bad:
         raise ValueError("rho is not a group isomorphism: "
                          + "; ".join(f"{c.name} {c.violations}" for c in bad))
 
-    x, y = w.source, w.target
     expect = twist(rho_a, u)
     grid = _Grid(x, max(w.a.level, expect.level), point_limit)
     violations: list = []
@@ -346,22 +362,6 @@ def untwist_to_conjugacy(
                 f"premise fails: the input is not a valid witness at this scale "
                 f"({dep.name}); counterexamples {dep.violations}"
             )
-
-    rho_inv = np.stack([g.values[0] for g in rho_b.generators])
-
-    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
-        return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
-
-    def inv_table(k: int, res: np.ndarray) -> np.ndarray:
-        t = u.at(w.psi.at(u.level, res)) @ rho_inv
-        return (w.psi.at(k, res) + t) % np.array(x.space_moduli(k), dtype=np.int64)
-
-    phi = LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table,
-                "untwisted-phi")
-    psi = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
-                inv_table, "untwisted-psi")
-    out = CoeWitness(phi, rho_a, psi, rho_b)
-    report = verify_conj(out, level, point_limit)
     if not report.passed:
         raise AssertionError("untwisted witness failed verification:\n" + report.summary())
     return out

@@ -585,14 +585,16 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
                 )
                 continue
         checked += 1
+        # untwist verifies its output as a conjugacy and raises AssertionError
+        # when that fails
         try:
             out = untwist_to_conjugacy(twisted, u, (w.a, w.b), level)
         except ValueError as e:
             failures.append(f"{_fmt_pair(ms, ns)}: untwist rejected its own twist: {e}")
             continue
-        report = verify_conj(out, level)
-        if not report.passed:
-            failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {report.summary()}")
+        except AssertionError as e:
+            failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {e}")
+            continue
         # untwisting recovers the original conjugacy map exactly
         deep = max(out.phi.input_level(2), w.phi.input_level(2))
         mods = x_spec.space_moduli(deep)
