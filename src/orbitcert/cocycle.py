@@ -15,6 +15,8 @@ checks test each identity on generators only and hold for every element of
 the acting group, not for a sampled box.  A conjugacy is the orbit
 equivalence whose cocycles do not depend on the point, a(g, x) = rho(g) for
 a group isomorphism rho; verify_conj checks that and then the coe checks.
+One verification builds each grid, each point-map table and each cocycle's
+stacked generator tables once, in a memo it drops when it returns.
 
 Chains of such witnesses, checked stage by stage, are in orbitcert.chain.
 """
@@ -171,7 +173,11 @@ def cocycle_reader(b: CocycleTable, limit: int = 10**6):
     cyclic prefix sums of b's generator tables, so the cost does not grow
     with the size of h.  Cyclic coordinates of h are reduced mod their order.
     """
-    gb, BG = _materialize_table(b, limit)
+    return _reader(b, *_Tables(limit).cocycle(b))
+
+
+def _reader(b: CocycleTable, gb: "_Grid", BG: np.ndarray):
+    """cocycle_reader over b's generator tables BG, stacked over grid gb."""
     moduli = [int(m) for m in gb.moduli]
     group = b.source.group_moduli()
     dim = len(b.target_group)
@@ -338,14 +344,16 @@ def untwist_to_conjugacy(
     psi = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
                 inv_table, "untwisted-psi")
     out = CoeWitness(phi, rho_a, psi, rho_b)
-    report = verify_conj(out, level, point_limit)
+    # the output and the input are checked over the same x and y grids
+    tables = _Tables(point_limit)
+    report = verify_conj(out, level, point_limit, _tables=tables)
     bad = [c for c in report.checks if not c.ok and c.name in _RHO_CHECKS]
     if bad:
         raise ValueError("rho is not a group isomorphism: "
                          + "; ".join(f"{c.name} {c.violations}" for c in bad))
 
     expect = twist(rho_a, u)
-    grid = _Grid(x, max(w.a.level, expect.level), point_limit)
+    grid = tables.grid(x, max(w.a.level, expect.level))
     violations: list = []
     for i, (got, want) in enumerate(zip(w.a.generators, expect.generators)):
         miss = np.nonzero((got.at(grid.res) != want.at(grid.res)).any(axis=1))[0]
@@ -356,7 +364,7 @@ def untwist_to_conjugacy(
             "premise fails: the cocycle is not cohomologous to rho via u; "
             f"counterexamples {violations}"
         )
-    for dep in _coe_checks(w, level, point_limit):
+    for dep in _coe_checks(w, level, tables):
         if not dep.ok:
             raise ValueError(
                 f"premise fails: the input is not a valid witness at this scale "
@@ -422,8 +430,8 @@ class _Grid:
         self.moduli = np.array(spec.space_moduli(level), dtype=np.int64)
         self.size = n
         self.strides = mixed_radix_strides(self.moduli)
-        idx = np.arange(n, dtype=np.int64)
-        self.res = (idx[:, None] // self.strides[None, :]) % self.moduli[None, :]
+        self.res = np.ascontiguousarray(
+            np.indices(spec.space_moduli(level), dtype=np.int64).reshape(spec.rank, -1).T)
 
     def point(self, i: int) -> PointAtLevel:
         res = tuple(int((i // s) % m) for s, m in zip(self.strides, self.moduli))
@@ -434,22 +442,48 @@ class _Grid:
         c = np.array(coords, dtype=np.int64)
         return ((self.res + c[None, :]) % self.moduli[None, :]) @ self.strides
 
-    def project_index(self, other: "_Grid") -> np.ndarray:
-        """For each point here, the index of its projection in a coarser grid."""
+    def project_index(self, other: "_Grid") -> np.ndarray | slice:
+        """For each point here, the index of its projection in a coarser grid
+        of the same system; a full slice when the two grids coincide."""
         if other.level > self.level:
             raise ValueError("projection must go to a coarser grid")
+        if np.array_equal(other.moduli, self.moduli):
+            return slice(None)
         return (self.res % other.moduli[None, :]) @ other.strides
 
 
-def _materialize_lcmap(f: LCMap, out_level: int, limit: int) -> tuple[_Grid, np.ndarray]:
-    grid = _Grid(f.source, f.input_level(out_level), limit)
-    return grid, _in_range(f, out_level, f.table(out_level, grid.res), grid.size)
+class _Tables:
+    """What one verification reads, each built once: a grid per (system,
+    level), a point map's table per output level over its input grid, and a
+    cocycle's generator tables stacked over its level grid.  It lives only
+    as long as the verification that made it."""
 
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._memo: dict = {}
 
-def _materialize_table(t: CocycleTable, limit: int) -> tuple[_Grid, np.ndarray]:
-    """The generator tables stacked over the cocycle's level grid."""
-    grid = _Grid(t.source, t.level, limit)
-    return grid, np.stack([g.at(grid.res) for g in t.generators])
+    def _get(self, key, build):
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
+    def grid(self, spec: SystemSpec, level: int) -> _Grid:
+        return self._get(("grid", spec, level), lambda: _Grid(spec, level, self.limit))
+
+    def lcmap(self, f: LCMap, out_level: int) -> tuple[_Grid, np.ndarray]:
+        def build():
+            grid = self.grid(f.source, f.input_level(out_level))
+            return grid, _in_range(f, out_level, f.table(out_level, grid.res), grid.size)
+
+        return self._get(("map", f, out_level), build)
+
+    def cocycle(self, t: CocycleTable) -> tuple[_Grid, np.ndarray]:
+        def build():
+            grid = self.grid(t.source, t.level)
+            return grid, np.stack([g.at(grid.res) for g in t.generators])
+
+        return self._get(("cocycle", t), build)
 
 
 def _canonicalize_cols(vals: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
@@ -478,17 +512,18 @@ def _require_int64(bound: int, name: str) -> None:
 
 
 def _check_equivariance(
-    name: str, phi: LCMap, a: CocycleTable, level: int, limit: int
+    name: str, phi: LCMap, a: CocycleTable, level: int, t: _Tables
 ) -> CheckResult:
     """phi(e_i.x) = a(e_i, x).phi(x) at output level `level`, for every
     generator and every point.  Once a satisfies the cocycle relations the
     telescoped sum gives phi(g.x) = a(g, x).phi(x) for every g."""
     src = phi.source
-    gphi, PHI = _materialize_lcmap(phi, level, limit)
-    ga, AG = _materialize_table(a, limit)
-    # phi's own grid serves when a is no finer, as for a homomorphism cocycle
-    grid = gphi if gphi.level >= ga.level else _Grid(src, ga.level, limit)
-    phi_x = PHI if grid is gphi else PHI[grid.project_index(gphi)]
+    gphi, PHI = t.lcmap(phi, level)
+    ga, AG = t.cocycle(a)
+    # phi's own grid, from the memo, serves when a is no finer, as for a
+    # homomorphism cocycle
+    grid = t.grid(src, max(gphi.level, ga.level))
+    phi_x = PHI[grid.project_index(gphi)]
     dim = phi_x.shape[1]
     phi_nd = phi_x.reshape(tuple(int(m) for m in grid.moduli) + (dim,))
     # each of a's moduli divides the grid's, so splitting every grid axis
@@ -515,15 +550,15 @@ def _check_equivariance(
 
 
 def _check_roundtrip(
-    name: str, phi: LCMap, psi: LCMap, level: int, limit: int
+    name: str, phi: LCMap, psi: LCMap, level: int, t: _Tables
 ) -> CheckResult:
     src = phi.source
     mid_level = psi.input_level(level)
-    gphi, PHI_mid = _materialize_lcmap(phi, mid_level, limit)
-    gpsi, PSI = _materialize_lcmap(psi, level, limit)
+    gphi, PHI_mid = t.lcmap(phi, mid_level)
+    gpsi, PSI = t.lcmap(psi, level)
     out = PSI[PHI_mid @ gpsi.strides]
     # compare on a grid fine enough to pin the level-`level` projection too
-    grid = _Grid(src, max(level, gphi.level), limit)
+    grid = t.grid(src, max(level, gphi.level))
     got = out[grid.project_index(gphi)]
     expect = grid.res % np.array(src.space_moduli(level), dtype=np.int64)[None, :]
     bad = np.nonzero((got != expect).any(axis=1))[0]
@@ -540,7 +575,7 @@ def _check_roundtrip(
 
 
 def _check_inverse_cocycle(
-    name: str, phi: LCMap, a: CocycleTable, b: CocycleTable, limit: int
+    name: str, phi: LCMap, a: CocycleTable, b: CocycleTable, t: _Tables
 ) -> CheckResult:
     """b(a(e_i, x), phi(x)) = e_i for every generator and every point.
 
@@ -550,10 +585,10 @@ def _check_inverse_cocycle(
     an arbitrary h by cocycle_reader, whose cost does not grow with |h|.
     """
     src = phi.source
-    ga, AG = _materialize_table(a, limit)
-    read = cocycle_reader(b, limit)
-    gphi, PHI_b = _materialize_lcmap(phi, b.level, limit)
-    grid = _Grid(src, max(ga.level, gphi.level), limit)
+    ga, AG = t.cocycle(a)
+    read = _reader(b, *t.cocycle(b))
+    gphi, PHI_b = t.lcmap(phi, b.level)
+    grid = t.grid(src, max(ga.level, gphi.level))
     to_a = grid.project_index(ga)
     y = PHI_b[grid.project_index(gphi)]  # phi(x) at b's level, as residues
     src_group = src.group_moduli()
@@ -577,18 +612,18 @@ def verify_cocycle_identity(
     """a(g1+g2, x) = a(g1, g2.x) + a(g2, x) for all g1, g2 in the acting group
     and every point, through the group's relations on the cocycle's own
     locality grid.  level is recorded in the report only."""
-    check = _identity_check("cocycle-identity", a, point_limit)
+    check = _identity_check("cocycle-identity", a, _Tables(point_limit))
     return VerifyReport("cocycle-identity", level, [check])
 
 
-def _identity_check(name: str, a: CocycleTable, limit: int) -> CheckResult:
+def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
     """Generator tables f_i extend to one genuine cocycle exactly when the
     acting group's relations hold at every point: f_i(x) + f_j(e_i.x) =
     f_j(x) + f_i(e_j.x) for every pair of generators, and for a cyclic
     factor of order n the values around each e_i-orbit add up to zero.
     The tables are constant on the cylinders of their own locality grid and
     the action permutes those cylinders, so the grid covers every point."""
-    grid, AG = _materialize_table(a, limit)
+    grid, AG = t.cocycle(a)
     spec = a.source
     group = spec.group_moduli()
     tg = a.target_group
@@ -619,20 +654,21 @@ def _identity_check(name: str, a: CocycleTable, limit: int) -> CheckResult:
     return CheckResult(name, checked, violations)
 
 
-def _coe_checks(w: CoeWitness, level: int, limit: int) -> list[CheckResult]:
+def _coe_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
     """The checks of verify_coe, shared with verify_conj and the untwist
-    premise.  A level beyond the point limit is refused up front."""
-    require_level(w.source, level, limit)
-    require_level(w.target, level, limit)
+    premise, reading every grid and table from t.  A level beyond the point
+    limit is refused up front."""
+    require_level(w.source, level, t.limit)
+    require_level(w.target, level, t.limit)
     return [
-        _check_equivariance("phi-equivariance", w.phi, w.a, max(level, w.b.level), limit),
-        _check_equivariance("psi-equivariance", w.psi, w.b, max(level, w.a.level), limit),
-        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, limit),
-        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, limit),
-        _check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, limit),
-        _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, limit),
-        _identity_check("cocycle-identity-a", w.a, limit),
-        _identity_check("cocycle-identity-b", w.b, limit),
+        _check_equivariance("phi-equivariance", w.phi, w.a, max(level, w.b.level), t),
+        _check_equivariance("psi-equivariance", w.psi, w.b, max(level, w.a.level), t),
+        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, t),
+        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, t),
+        _check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, t),
+        _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, t),
+        _identity_check("cocycle-identity-a", w.a, t),
+        _identity_check("cocycle-identity-b", w.b, t),
     ]
 
 
@@ -645,7 +681,7 @@ def verify_coe(w: CoeWitness, level: int = 4, point_limit: int = 10**6) -> Verif
     of the acting groups at every point.  Equivariance is checked at the
     level the inversion checks read the point maps, when that is above
     `level`.  A level beyond the point limit is refused up front."""
-    return VerifyReport("coe-witness", level, _coe_checks(w, level, point_limit))
+    return VerifyReport("coe-witness", level, _coe_checks(w, level, _Tables(point_limit)))
 
 
 def _homomorphism_check(w: CoeWitness) -> CheckResult:
@@ -667,7 +703,8 @@ def _homomorphism_check(w: CoeWitness) -> CheckResult:
     return CheckResult("homomorphism", checked, violations)
 
 
-def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6) -> VerifyReport:
+def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6, *,
+                _tables: _Tables | None = None) -> VerifyReport:
     """Exhaustive check of a conjugacy witness, exact over the whole acting
     group.  A conjugacy is an orbit equivalence whose cocycles do not depend
     on the point, a(g, x) = rho(g) and b(h, y) = rho^-1(h): homomorphism
@@ -675,6 +712,8 @@ def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6) -> 
     they make rho well defined (cocycle-identity), an isomorphism with
     inverse rho^-1 (b-inverts-a, a-inverts-b), and phi and psi mutually
     inverse maps, equivariant through rho and rho^-1.  A level beyond the
-    point limit is refused up front."""
-    checks = [_homomorphism_check(w)] + _coe_checks(w, level, point_limit)
+    point limit is refused up front.  _tables is for untwist_to_conjugacy,
+    which reads the same grids for its own checks."""
+    t = _Tables(point_limit) if _tables is None else _tables
+    checks = [_homomorphism_check(w)] + _coe_checks(w, level, t)
     return VerifyReport("conj-witness", level, checks)

@@ -70,6 +70,13 @@ def _fmt_pair(ms, ns) -> str:
     return f"({', '.join(map(sn_str, ms))}) vs ({', '.join(map(sn_str, ns))})"
 
 
+def _replay_command(relation: str, ms, ns, level: int) -> str:
+    """The CLI commands that rebuild the witness for (ms, ns) and verify it."""
+    pair = " ".join(f'"{",".join(map(sn_str, side))}"' for side in (ms, ns))
+    return (f"orbitcert witness {relation} {pair} --level {level} --out w.json"
+            " && orbitcert verify w.json")
+
+
 # ---------------------------------------------------------------------------
 # instance generation
 
@@ -350,12 +357,13 @@ def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteRe
         if len(ms) > max_rank or not coe_decide(ms, ns):
             continue
         checked += 1
+        replay = _replay_command("coe", ms, ns, level)
         try:
             report = verify_chain(build_coe_witness(ms, ns), level=level)
             if not report.passed:
-                failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}")
+                failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}; replay: {replay}")
         except Exception as e:  # construction failures are failures too
-            failures.append(f"{_fmt_pair(ms, ns)}: {e!r}")
+            failures.append(f"{_fmt_pair(ms, ns)}: {e!r}; replay: {replay}")
     return SuiteResult("coe-witness-soundness", checked, failures)
 
 
@@ -377,13 +385,14 @@ def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
             lhs = s @ IntMatrix.diagonal(blk.left_multipliers) @ t
             if lhs != IntMatrix.diagonal(blk.right_multipliers):
                 failures.append(f"{_fmt_pair(ms, ns)}: conjugator identity broke")
+        replay = _replay_command("conj", ms, ns, level)
         try:
             cw = build_conj_witness(ms, ns)
             report = verify_conj(cw, level=level)
             if not report.passed:
-                failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}")
+                failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}; replay: {replay}")
         except Exception as e:
-            failures.append(f"{_fmt_pair(ms, ns)}: {e!r}")
+            failures.append(f"{_fmt_pair(ms, ns)}: {e!r}; replay: {replay}")
     return SuiteResult("conj-witness-soundness", checked, failures)
 
 

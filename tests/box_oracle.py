@@ -8,8 +8,10 @@ replaced it: every identity is tested for each group element of the
 coordinate box [-radius, radius]^rank (cocycle identities for every pair of
 box elements), and injectivity of both cocycles is tested on the box.  It is
 slow and only as strong as its radius, but it shares no code path with the
-generator checks in `orbitcert.cocycle` beyond table materialization and the
-roundtrip check, so the tests require the two verdicts to agree.
+generator checks in `orbitcert.cocycle` beyond `_Grid` and the maps' own
+evaluators: it tabulates every map with `LCMap.at` and `GroupValuedMap.at`
+on grids of its own, and checks the roundtrips pointwise on such a grid, so
+the tests require the two verdicts to agree.
 
 box_verify_conj checks a conjugacy, an orbit equivalence whose cocycles
 are constant, as it was checked before it was one: each generator table
@@ -35,10 +37,7 @@ from orbitcert.cocycle import (
     VerifyReport,
     _SAMPLES,
     _canonicalize_cols,
-    _check_roundtrip,
     _Grid,
-    _materialize_lcmap,
-    _materialize_table,
     _record,
     cylinder_index,
 )
@@ -71,6 +70,18 @@ def enumerate_points(spec: SystemSpec, k: int, limit: int = 10**6) -> list[Point
         raise ValueError(f"level-{k} space has more than {limit} points")
     mods = spec.space_moduli(k)
     return [PointAtLevel(k, res) for res in product(*(range(m) for m in mods))]
+
+
+def _materialize_lcmap(f: LCMap, out_level: int, limit: int) -> tuple[_Grid, np.ndarray]:
+    """f's images at output level out_level of every point of its input grid."""
+    grid = _Grid(f.source, f.input_level(out_level), limit)
+    return grid, f.at(out_level, grid.res)
+
+
+def _materialize_table(t: CocycleTable, limit: int) -> tuple[_Grid, np.ndarray]:
+    """The generator tables stacked over the cocycle's level grid."""
+    grid = _Grid(t.source, t.level, limit)
+    return grid, np.stack([g.at(grid.res) for g in t.generators])
 
 
 def coarsest_table(spec: SystemSpec, level: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
@@ -316,6 +327,22 @@ def box_identity(name: str, a: CocycleTable, radius: int, limit: int) -> CheckRe
     return CheckResult(name, checked, violations)
 
 
+def box_roundtrip(name: str, phi: LCMap, psi: LCMap, level: int, limit: int) -> CheckResult:
+    """psi(phi(x)) = x at level `level` for every point x of the grid that
+    pins both phi's input and the level-`level` projection."""
+    src = phi.source
+    mid_level = psi.input_level(level)
+    grid = _Grid(src, max(level, phi.input_level(mid_level)), limit)
+    got = psi.at(level, phi.at(mid_level, grid.res))
+    expect = grid.res % np.array(src.space_moduli(level), dtype=np.int64)[None, :]
+    bad = np.nonzero((got != expect).any(axis=1))[0]
+    return CheckResult(name, grid.size, [
+        (name, grid.point(int(i)), tuple(int(v) for v in got[i]),
+         tuple(int(v) for v in expect[i]))
+        for i in bad[:_SAMPLES]
+    ])
+
+
 def box_verify_coe(
     w: CoeWitness, level: int = 4, radius: int = 6, point_limit: int = 10**6
 ) -> VerifyReport:
@@ -323,8 +350,8 @@ def box_verify_coe(
     checks = [
         box_equivariance("phi-equivariance", w.phi, w.a, level, radius, point_limit),
         box_equivariance("psi-equivariance", w.psi, w.b, level, radius, point_limit),
-        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
-        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
+        box_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
+        box_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
         box_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, radius, point_limit),
         box_identity("cocycle-identity-a", w.a, radius, point_limit),
         box_identity("cocycle-identity-b", w.b, radius, point_limit),
@@ -411,8 +438,8 @@ def box_verify_conj(
         homomorphism,
         _shift_equivariance("phi-equivariance", w.phi, hom, max(level, w.b.level), point_limit),
         _shift_equivariance("psi-equivariance", w.psi, inv, max(level, w.a.level), point_limit),
-        _check_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
-        _check_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
+        box_roundtrip("psi-after-phi", w.phi, w.psi, level, point_limit),
+        box_roundtrip("phi-after-psi", w.psi, w.phi, level, point_limit),
         _box_inverse("b-inverts-a", hom, inv, src, tgt.group_moduli(), radius),
         _box_inverse("a-inverts-b", inv, hom, tgt, src.group_moduli(), radius),
         _box_additivity("cocycle-identity-a", hom, src, tgt.group_moduli(), radius),

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from box_oracle import enumerate_points, extend_cocycle, locality_slack as _slack
 from composite import compose_chain, compose_coe
+from orbitcert import cocycle
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
     GroupValuedMap,
     LCMap,
+    _Grid,
     cocycle_reader,
     constant_generator,
     homomorphism_cocycle,
@@ -33,7 +37,7 @@ from orbitcert.dynamics import (
     act,
 )
 from orbitcert.supernatural import parse_sn, parse_sn_list
-from orbitcert.witness import build_basic_coe, build_coe_witness
+from orbitcert.witness import build_basic_coe, build_coe_witness, build_conj_witness
 
 
 def _spec(text_factors):
@@ -318,3 +322,50 @@ def test_composed_generators_match_telescoped_composite(case):
                 h = first.generators[i](x)
                 want = extend_cocycle(second, h, phi(second.level, x))
                 assert gen(x) == want
+
+
+@pytest.mark.parametrize("factors", [[2, 3], ["2^inf", "3*5^inf"], [3, "2^inf", 4, "3^inf"]],
+                         ids=["cyclic", "odometer", "mixed"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_grid_residues_match_the_division_formula(factors, level):
+    grid = _Grid(_spec(factors), level)
+    idx = np.arange(grid.size, dtype=np.int64)
+    by_division = (idx[:, None] // grid.strides[None, :]) % grid.moduli[None, :]
+    assert grid.res.flags.c_contiguous
+    assert grid.res.dtype == np.int64
+    np.testing.assert_array_equal(grid.res, by_division)
+
+
+def _counted(f: LCMap, calls: list) -> LCMap:
+    def table(k, res):
+        calls.append((f.name, k))
+        return f.table(k, res)
+
+    return replace(f, table=table)
+
+
+def test_verify_conj_builds_each_grid_and_table_once(monkeypatch):
+    cw = build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"), parse_sn_list("3*5^inf,2*5^inf"))
+    calls: list = []
+    w = CoeWitness(_counted(cw.phi, calls), cw.a, _counted(cw.psi, calls), cw.b)
+    grids: list = []
+    init = _Grid.__init__
+
+    def counting_init(self, spec, level, limit=10**6):
+        grids.append((spec, level))
+        init(self, spec, level, limit)
+
+    monkeypatch.setattr(_Grid, "__init__", counting_init)
+    report = verify_conj(w, 4)
+    assert report.passed, report.summary()
+    assert {(cw.phi.name, 4), (cw.psi.name, 4)} <= set(calls)
+    assert max(Counter(calls).values()) == 1, calls
+    assert max(Counter(grids).values()) == 1, grids
+    # the same report with every grid and table rebuilt at each read
+    monkeypatch.setattr(cocycle._Tables, "_get", lambda self, key, build: build())
+    calls.clear()
+    fresh = verify_conj(w, 4)
+    assert len(calls) > len(set(calls))
+    assert fresh.summary() == report.summary()
+    assert [(c.name, c.checked, c.violations) for c in fresh.checks] == \
+        [(c.name, c.checked, c.violations) for c in report.checks]

@@ -70,9 +70,15 @@ def _cyclic_source():
 
 
 def _agree(w, level, radius):
+    """Same verdict, and the same roundtrip checks: both verifiers compare
+    psi(phi(x)) with x on the same grid."""
     exact = verify_coe(w, level)
     box = box_verify_coe(w, level, radius)
-    assert exact.passed == box.passed, exact.summary() + "\n" + box.summary()
+    detail = exact.summary() + "\n" + box.summary()
+    assert exact.passed == box.passed, detail
+    roundtrips = ("psi-after-phi", "phi-after-psi")
+    assert [(c.name, c.checked, c.ok) for c in exact.checks if c.name in roundtrips] == \
+        [(c.name, c.checked, c.ok) for c in box.checks if c.name in roundtrips], detail
     return exact.passed
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+import shlex
 
+from orbitcert import cli, selftest
+from orbitcert.cocycle import CheckResult, VerifyReport
 from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.selftest import (
     SuiteResult,
@@ -11,12 +14,14 @@ from orbitcert.selftest import (
     conj_witness_scale,
     generate_instances,
     near_miss_pair,
+    suite_coe_witnesses,
     suite_cohomology,
+    suite_conj_witnesses,
     suite_counterexample,
     suite_invariant_vs_decision,
     _mandated_conj_pairs,
 )
-from orbitcert.supernatural import is_supernatural
+from orbitcert.supernatural import is_supernatural, parse_sn_list
 from orbitcert.witness import build_coe_witness, build_conj_witness
 
 
@@ -84,3 +89,34 @@ def test_cohomology_suite_small_run():
     res = suite_cohomology(29, count=3)
     assert res.ok, res.failures
     assert res.checked >= 9
+
+
+def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
+    def failing(*args, **kwargs):
+        return VerifyReport("forced", 4, [CheckResult("forced", 1, [("forced",)])])
+
+    monkeypatch.setattr(selftest, "verify_conj", failing)
+    monkeypatch.setattr(selftest, "verify_chain", failing)
+    coe_pair = (parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
+    for relation, res, (ms, ns) in (
+        ("conj", suite_conj_witnesses([], level=4, extra=_mandated_conj_pairs()),
+         _mandated_conj_pairs()[0]),
+        ("coe", suite_coe_witnesses([coe_pair], level=3), coe_pair),
+    ):
+        assert len(res.failures) == 1, res.failures
+        head, replay = res.failures[0].rsplit("; replay: ", 1)
+        assert "FAIL" in head
+        witness, verify = replay.split(" && ")
+        if relation == "conj":
+            assert witness.startswith(
+                'orbitcert witness conj "2*5^inf,3*5^inf" "3*5^inf,2*5^inf" --level 4')
+        prog, *argv = shlex.split(witness)
+        assert prog == "orbitcert"
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.relation) == ("witness", relation)
+        assert (parse_sn_list(args.ms), parse_sn_list(args.ns)) == (ms, ns)
+        assert args.level == (4 if relation == "conj" else 3)
+        out = args.out
+        prog, *argv = shlex.split(verify)
+        args = cli.build_parser().parse_args(argv)
+        assert (prog, args.command, args.certificate) == ("orbitcert", "verify", out)
