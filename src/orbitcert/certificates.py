@@ -29,10 +29,9 @@ from .decide import (
     conj_decide,
     free_group_counterexample_check,
 )
-from .dynamics import odometer_product, require_level
 from .intmat import IntMatrix
 from .supernatural import SupernaturalNumber, mul, parse_sn, sn_str
-from .witness import build_coe_witness, build_conj_witness
+from .witness import build_coe_witness, build_conj_witness, require_checkable
 
 FORMAT = "orbitcert-certificate/3"
 KINDS = ("coe", "conj", "coe-witness", "conj-witness", "counterexample")
@@ -137,11 +136,11 @@ def conj_payload(d: ConjDecision) -> dict:
 def witness_block(relation: str, ms, ns, level: int) -> dict:
     """The recipe of a witness: its relation and the level to check it at.
     `verify` rebuilds the witness from the certificate's inputs, so no
-    table is stored.  A level no grid of the input systems can reach within
-    the point limit is refused here, as the verifiers would refuse it."""
+    table is stored.  A level at which the verifier would build a grid
+    beyond the point limit, at `level` or at a level the witness's maps
+    read, is refused here with the error `verify` would raise."""
     limit = COE_POINT_LIMIT if relation == "coe" else CONJ_POINT_LIMIT
-    for spec in (odometer_product(ms), odometer_product(ns)):
-        require_level(spec, level, limit)
+    require_checkable(relation, ms, ns, level, limit)
     return {"type": relation, "level": level}
 
 

@@ -51,9 +51,9 @@ def cmd_coe(args) -> int:
         print(f"not orbit equivalent: {d.obstruction}")
         _write(coe_certificate(ms, ns, d), args.out)
         return 1
+    block = witness_block("coe", ms, ns, args.level) if args.witness else None
     pairs = ", ".join(f"{p.m}*M{p.left_index} = {p.n}*N{p.right_index}" for p in d.pairs)
     print(f"orbit equivalent; sigma = {list(d.sigma)}; {pairs}")
-    block = witness_block("coe", ms, ns, args.level) if args.witness else None
     _write(coe_certificate(ms, ns, d, block), args.out)
     return 0
 
@@ -66,12 +66,12 @@ def cmd_conj(args) -> int:
         print(f"not conjugate: {d.obstruction}")
         _write(conj_certificate(ms, ns, d), args.out)
         return 1
+    block = witness_block("conj", ms, ns, args.level) if args.witness else None
     blocks = "; ".join(
         f"L={sn_str(b.base)} left{list(b.left_indices)} right{list(b.right_indices)}"
         for b in d.blocks
     )
     print(f"conjugate; {blocks}")
-    block = witness_block("conj", ms, ns, args.level) if args.witness else None
     _write(conj_certificate(ms, ns, d, block), args.out)
     return 0
 

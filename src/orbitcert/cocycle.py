@@ -356,7 +356,7 @@ def untwist_to_conjugacy(
     grid = tables.grid(x, max(w.a.level, expect.level))
     violations: list = []
     for i, (got, want) in enumerate(zip(w.a.generators, expect.generators)):
-        miss = np.nonzero((got.at(grid.res) != want.at(grid.res)).any(axis=1))[0]
+        miss = _mismatched_rows(got.at(grid.res), want.at(grid.res))
         _record(violations, [("premise", generator(x, i).coords, grid.point(int(p)))
                              for p in miss[:_SAMPLES]])
     if violations:
@@ -417,6 +417,13 @@ class VerifyReport:
 # finite grids
 
 
+def _require_points(spec: SystemSpec, level: int, limit: int) -> int:
+    n = point_count(spec, level)
+    if n > limit:
+        raise ValueError(f"level-{level} grid would hold {n} points (limit {limit})")
+    return n
+
+
 class _Grid:
     """Numpy-indexed enumeration of one truncation level, lexicographic, the
     first factor most significant."""
@@ -424,9 +431,7 @@ class _Grid:
     def __init__(self, spec: SystemSpec, level: int, limit: int = 10**6):
         self.spec = spec
         self.level = level
-        n = point_count(spec, level)
-        if n > limit:
-            raise ValueError(f"level-{level} grid would hold {n} points (limit {limit})")
+        n = _require_points(spec, level, limit)
         self.moduli = np.array(spec.space_moduli(level), dtype=np.int64)
         self.size = n
         self.strides = mixed_radix_strides(self.moduli)
@@ -500,6 +505,15 @@ def _record(violations: list, items) -> None:
         violations.extend(items[:room])
 
 
+def _mismatched_rows(lhs: np.ndarray, rhs) -> np.ndarray:
+    """np.nonzero((lhs != rhs).any(axis=1))[0]: one flat pass over the
+    elementwise comparison, and the row reduction only when a row differs."""
+    ne = lhs != rhs
+    if not ne.any():
+        return np.zeros(0, dtype=np.intp)
+    return np.nonzero(ne.any(axis=1))[0]
+
+
 def _peak(tables: list[np.ndarray]) -> int:
     """Largest absolute entry, as a Python int."""
     return max((max(-int(t.min()), int(t.max())) for t in tables if t.size), default=0)
@@ -532,21 +546,22 @@ def _check_equivariance(
         [v for big, m in zip(grid.moduli, ga.moduli) for v in (int(big // m), int(m))] + [dim])
     a_shape = [v for m in ga.moduli for v in (1, int(m))] + [dim]
     tmods = np.array(phi.target.space_moduli(level), dtype=np.int64)
-    checked = 0
     violations: list = []
     for i in range(src.rank):
-        e = generator(src, i).coords
         # phi(e_i.x) over the whole grid is a cyclic shift along axis i
-        lhs = np.roll(phi_nd, -1, axis=i).reshape(-1, dim)
-        rhs = ((phi_split + AG[i].reshape(a_shape) % tmods) % tmods).reshape(-1, dim)
-        checked += grid.size
-        bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-        _record(violations, [
-            (name, e, grid.point(int(x)), tuple(int(v) for v in lhs[x]),
-             tuple(int(v) for v in rhs[x]))
-            for x in bad[:_SAMPLES]
-        ])
-    return CheckResult(name, checked, violations)
+        lhs = np.roll(phi_nd, -1, axis=i).reshape(phi_split.shape)
+        step = AG[i].reshape(a_shape) % tmods
+        # both sides lie in [0, tmods), so phi(e_i.x) = (phi(x) + step) mod
+        # tmods exactly when their difference is step or step - tmods
+        d = lhs - phi_split
+        if ((d == step) | (d == step - tmods)).all():
+            continue
+        lhs = lhs.reshape(-1, dim)
+        rhs = ((phi_split + step) % tmods).reshape(-1, dim)
+        _record(violations, [(name, generator(src, i).coords, grid.point(int(x)),
+                              tuple(int(v) for v in lhs[x]), tuple(int(v) for v in rhs[x]))
+                             for x in _mismatched_rows(lhs, rhs)[:_SAMPLES]])
+    return CheckResult(name, grid.size * src.rank, violations)
 
 
 def _check_roundtrip(
@@ -556,21 +571,15 @@ def _check_roundtrip(
     mid_level = psi.input_level(level)
     gphi, PHI_mid = t.lcmap(phi, mid_level)
     gpsi, PSI = t.lcmap(psi, level)
-    out = PSI[PHI_mid @ gpsi.strides]
+    out = np.take(PSI, PHI_mid @ gpsi.strides, axis=0)
     # compare on a grid fine enough to pin the level-`level` projection too
     grid = t.grid(src, max(level, gphi.level))
     got = out[grid.project_index(gphi)]
-    expect = grid.res % np.array(src.space_moduli(level), dtype=np.int64)[None, :]
-    bad = np.nonzero((got != expect).any(axis=1))[0]
-    violations = [
-        (
-            name,
-            grid.point(int(i)),
-            tuple(int(v) for v in got[i]),
-            tuple(int(v) for v in expect[i]),
-        )
-        for i in bad[:_SAMPLES]
-    ]
+    expect = grid.res if grid.level == level else grid.res % np.array(
+        src.space_moduli(level), dtype=np.int64)
+    bad = _mismatched_rows(got, expect)
+    violations = [(name, grid.point(int(i)), tuple(int(v) for v in got[i]),
+                   tuple(int(v) for v in expect[i])) for i in bad[:_SAMPLES]]
     return CheckResult(name, grid.size, violations)
 
 
@@ -592,18 +601,14 @@ def _check_inverse_cocycle(
     to_a = grid.project_index(ga)
     y = PHI_b[grid.project_index(gphi)]  # phi(x) at b's level, as residues
     src_group = src.group_moduli()
-    checked = 0
     violations: list = []
     for i in range(src.rank):
         got = read(AG[i][to_a], y, name)
         e = canonical_coords(src_group, generator(src, i).coords)
-        checked += grid.size
-        bad = np.nonzero((got != np.array(e, dtype=np.int64)[None, :]).any(axis=1))[0]
-        _record(violations, [
-            (name, e, grid.point(int(x)), tuple(int(v) for v in got[x]))
-            for x in bad[:_SAMPLES]
-        ])
-    return CheckResult(name, checked, violations)
+        bad = _mismatched_rows(got, np.array(e, dtype=np.int64)[None, :])
+        _record(violations, [(name, e, grid.point(int(x)), tuple(int(v) for v in got[x]))
+                             for x in bad[:_SAMPLES]])
+    return CheckResult(name, grid.size * src.rank, violations)
 
 
 def verify_cocycle_identity(
@@ -636,22 +641,47 @@ def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
         for j in range(i + 1, spec.rank):
             diff = AG[i] + AG[j][step[i]] - AG[j] - AG[i][step[j]]
             checked += grid.size
-            bad = np.nonzero(_canonicalize_cols(diff, tg).any(axis=1))[0]
-            _record(violations, [
-                (name, f"e{i}+e{j} = e{j}+e{i}", grid.point(int(x))) for x in bad[:_SAMPLES]
-            ])
+            bad = _mismatched_rows(_canonicalize_cols(diff, tg), 0)
+            _record(violations, [(name, f"e{i}+e{j} = e{j}+e{i}", grid.point(int(x)))
+                                 for x in bad[:_SAMPLES]])
         if group[i]:
             # a cyclic factor's grid axis is one whole e_i-orbit; each orbit
             # is reported at its point with residue 0 on that axis
-            nd = AG[i].reshape(shape)
-            total = np.broadcast_to(nd.sum(axis=i, keepdims=True), nd.shape)
-            broken = _canonicalize_cols(total.reshape(-1, len(tg)), tg).any(axis=1)
+            total = AG[i].reshape(shape).sum(axis=i).reshape(-1, len(tg))
             checked += grid.size // group[i]
-            bad = np.nonzero(broken & (grid.res[:, i] == 0))[0]
-            _record(violations, [
-                (name, f"{group[i]}*e{i} = 0", grid.point(int(x))) for x in bad[:_SAMPLES]
-            ])
+            # row x of total is the orbit through the x-th grid point with
+            # residue 0 on axis i
+            orbits = _mismatched_rows(_canonicalize_cols(total, tg), 0)
+            bad = np.flatnonzero(grid.res[:, i] == 0)[orbits]
+            _record(violations, [(name, f"{group[i]}*e{i} = 0", grid.point(int(x)))
+                                 for x in bad[:_SAMPLES]])
     return CheckResult(name, checked, violations)
+
+
+def check_grids(w: CoeWitness, level: int):
+    """(system, level) of every grid the coe checks of w build, in the order
+    they first build them.  A grid compared on is listed only when it is
+    none of the grids read before it: the grid of a map's input level or of
+    a cocycle's level, whichever is finer, is that grid again."""
+    sides = ((w.phi, w.psi, w.a, w.b), (w.psi, w.phi, w.b, w.a))
+    for f, _g, a, b in sides:  # equivariance
+        yield from ((f.source, f.input_level(max(level, b.level))), (f.source, a.level))
+    for f, g, _a, _b in sides:  # roundtrips, compared at `level` or finer
+        mid = g.input_level(level)
+        k = f.input_level(mid)
+        yield from ((f.source, k), (g.source, mid), (f.source, max(level, k)))
+    for f, _g, _a, b in sides:  # inverses read the map at the other cocycle's level
+        yield f.source, f.input_level(b.level)
+
+
+def require_grids(w: CoeWitness, level: int, limit: int) -> None:
+    """Refuse, without building anything, a level at which the coe checks
+    of w would build a grid beyond `limit` points, with the error the
+    checks raise when they reach the first such grid."""
+    require_level(w.source, level, limit)
+    require_level(w.target, level, limit)
+    for spec, k in check_grids(w, level):
+        _require_points(spec, k, limit)
 
 
 def _coe_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
@@ -692,14 +722,12 @@ def _homomorphism_check(w: CoeWitness) -> CheckResult:
     for tag, t in (("a", w.a), ("b", w.b)):
         for i, g in enumerate(t.generators):
             checked += len(g.values)
-            bad = np.nonzero((g.values != g.values[0]).any(axis=1))[0]
             mods = t.source.space_moduli(g.level)
             _record(violations, [
                 ("homomorphism", f"{tag}(e{i}, x)",
                  PointAtLevel(g.level, tuple(int(v) for v in np.unravel_index(int(x), mods))),
                  tuple(int(v) for v in g.values[x]), tuple(int(v) for v in g.values[0]))
-                for x in bad[:_SAMPLES]
-            ])
+                for x in _mismatched_rows(g.values, g.values[0])[:_SAMPLES]])
     return CheckResult("homomorphism", checked, violations)
 
 

@@ -53,19 +53,6 @@ class IntMatrix:
             out.append(row)
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.get(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)
-        )
-
     @property
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.get(i, i) for i in range(min(self.rows, self.cols)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import verify_chain
-from .cocycle import verify_coe, verify_conj
+from .cocycle import check_grids, verify_coe, verify_conj
 from .decide import (
     coe_decide,
     conj_decide,
@@ -70,9 +70,12 @@ def _fmt_pair(ms, ns) -> str:
     return f"({', '.join(map(sn_str, ms))}) vs ({', '.join(map(sn_str, ns))})"
 
 
-def _replay_command(relation: str, ms, ns, level: int) -> str:
-    """The CLI commands that rebuild the witness for (ms, ns) and verify it."""
+def _replay_command(relation: str, ms, ns, level: int | None = None) -> str:
+    """The CLI command that decides (ms, ns) again, or with a level the
+    commands that rebuild the witness for (ms, ns) and verify it."""
     pair = " ".join(f'"{",".join(map(sn_str, side))}"' for side in (ms, ns))
+    if level is None:
+        return f"orbitcert {relation} {pair}"
     return (f"orbitcert witness {relation} {pair} --level {level} --out w.json"
             " && orbitcert verify w.json")
 
@@ -259,17 +262,8 @@ def coe_witness_scale(chain, level: int) -> int:
 
 
 def conj_witness_scale(cw, level: int) -> int:
-    src, tgt = cw.source, cw.target
-    return max(
-        point_count(src, max(level, cw.phi.input_level(level))),
-        point_count(tgt, max(level, cw.psi.input_level(level))),
-        point_count(
-            src, max(level, cw.phi.input_level(cw.psi.input_level(level)))
-        ),
-        point_count(
-            tgt, max(level, cw.psi.input_level(cw.phi.input_level(level)))
-        ),
-    )
+    """Largest grid the checks of the conjugacy would build at this level."""
+    return max(point_count(spec, k) for spec, k in check_grids(cw, level))
 
 
 def _desk_scale(ms, ns, level: int = 4) -> bool:
@@ -341,7 +335,8 @@ def suite_invariant_vs_decision(seed: int, count: int = 200, instances=None) -> 
         inv = k_invariant_equal(ms, ns)
         positives += dec
         if dec != inv:
-            failures.append(f"{_fmt_pair(ms, ns)}: decide={dec} invariant={inv}")
+            failures.append(f"{_fmt_pair(ms, ns)}: decide={dec} invariant={inv}; "
+                            f"replay: {_replay_command('coe', ms, ns)}")
     res = SuiteResult("invariant-vs-decision", len(instances), failures)
     res.positives = positives
     return res
@@ -466,24 +461,19 @@ def suite_conj_vs_bruteforce(
     Runs every pair of sides with at most two factors over primes {2, 3}
     and exponents up to 2, then seeded samples from the full domain (three
     factors, primes {2, 3, 5})."""
-    failures = []
-    checked = 0
+    pairs = []
     if exhaustive:
         sides = _enumerate_sides(_enumerate_factors((2, 3), 2), 2)
-        for ms in sides:
-            for ns in sides:
-                checked += 1
-                if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns):
-                    failures.append(_fmt_pair(ms, ns))
+        pairs += [(ms, ns) for ms in sides for ns in sides]
     rng = random.Random(seed)
     factors = _enumerate_factors(SMALL_PRIMES, 2)
     for _ in range(samples):
         ms = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=str))
         ns = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=str))
-        checked += 1
-        if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns):
-            failures.append(_fmt_pair(ms, ns))
-    return SuiteResult("conj-vs-bruteforce", checked, failures)
+        pairs.append((ms, ns))
+    failures = [f"{_fmt_pair(ms, ns)}; replay: {_replay_command('conj', ms, ns)}"
+                for ms, ns in pairs if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns)]
+    return SuiteResult("conj-vs-bruteforce", len(pairs), failures)
 
 
 @_timed

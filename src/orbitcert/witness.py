@@ -25,6 +25,7 @@ from .cocycle import (
     homomorphism_cocycle,
     identity_witness,
     mixed_radix_strides,
+    require_grids,
 )
 from .decide import coe_decide, conj_decide
 from .dynamics import (
@@ -33,6 +34,7 @@ from .dynamics import (
     SystemSpec,
     level_modulus,
     odometer_product,
+    require_level,
 )
 from .intmat import invert_unimodular
 from .supernatural import SupernaturalNumber, div_exact, factorize, mul
@@ -237,12 +239,14 @@ def build_conj_witness(
     ms: tuple[SupernaturalNumber, ...],
     ns: tuple[SupernaturalNumber, ...],
 ) -> CoeWitness:
-    """Explicit conjugacy: per asymptotic class, the finite multiplier
-    coordinates are mapped through the Smith conjugator S while the common
-    profinite part is mixed by the same matrix; the two strands are glued by
-    the Chinese remainder theorem at every level.  The group isomorphism
-    rho is S per block, and the witness's cocycles are the homomorphism
-    cocycles of rho and rho^-1."""
+    """Explicit conjugacy.  A conjugacy fixing 0 is a continuous group
+    isomorphism that intertwines the translations, so it extends a group
+    isomorphism rho of the acting groups: phi(x) = sum_i x_i rho(e_i) on
+    residues, reduced mod the target's level-k moduli, and psi is rho^-1
+    the same way.  rho is the decision's Smith conjugator S on each
+    asymptotic class.  Both maps read their input at level max(k, depth),
+    deep enough for every finite multiplier.  The witness's cocycles are
+    the homomorphism cocycles of rho and rho^-1."""
     decision = conj_decide(ms, ns)
     if not decision:
         raise ValueError(f"not conjugate: {decision.obstruction}")
@@ -250,10 +254,8 @@ def build_conj_witness(
     x = odometer_product(ms)
     y = odometer_product(ns)
 
-    blocks = []
     rho_cols = [[0] * r for _ in range(r)]  # rho_cols[i] = rho(e_i)
     rho_inv_cols = [[0] * r for _ in range(r)]
-    depth = 0
     for blk in decision.blocks:
         s, _t = blk.conjugator
         s_inv = invert_unimodular(s)
@@ -261,45 +263,36 @@ def build_conj_witness(
             for b_pos, i in enumerate(blk.left_indices):
                 rho_cols[i][j] = s.get(a_pos, b_pos)
                 rho_inv_cols[j][i] = s_inv.get(b_pos, a_pos)
-        blocks.append((blk, s, s_inv))
-        depth = max(
-            depth,
-            max(_e_max(q) for q in blk.left_multipliers + blk.right_multipliers),
-        )
+    depth = max(_e_max(q) for blk in decision.blocks
+                for q in blk.left_multipliers + blk.right_multipliers)
 
-    def make_table(forward: bool):
-        def ev(k: int, res):
-            out = np.zeros_like(res)
-            for blk, s, s_inv in blocks:
-                mat = s if forward else s_inv
-                src_idx = blk.left_indices if forward else blk.right_indices
-                tgt_idx = blk.right_indices if forward else blk.left_indices
-                qs_src = blk.left_multipliers if forward else blk.right_multipliers
-                tgt_limits = ns if forward else ms
-                lm_l = level_modulus(Odometer(blk.base), k)
-                m_t = np.array(mat.to_rows(), dtype=np.int64).T
-                u = res[:, src_idx] % np.array(qs_src, dtype=np.int64)[None, :]
-                w = res[:, src_idx] % lm_l
-                su = u @ m_t
-                sw = w @ m_t
-                for a_pos, j in enumerate(tgt_idx):
-                    whole = level_modulus(Odometer(tgt_limits[j]), k)
-                    g = whole // lm_l
-                    a1 = su[:, a_pos] % g
-                    a2 = sw[:, a_pos] % lm_l
-                    if g == 1:
-                        out[:, j] = a2
-                    elif lm_l == 1:
-                        out[:, j] = a1
-                    else:
-                        t = ((a2 - a1) * pow(g, -1, lm_l)) % lm_l
-                        out[:, j] = a1 + g * t
-            return out
+    def on_residues(cols: list[list[int]], target: SystemSpec):
+        def table(k: int, res: np.ndarray) -> np.ndarray:
+            # entries reduced first: a term is below a source times a target modulus
+            mods = target.space_moduli(k)
+            mat = np.array([[v % m for v, m in zip(col, mods)] for col in cols],
+                           dtype=np.int64)
+            return (res @ mat) % np.array(mods, dtype=np.int64)
 
-        return ev
+        return table
 
-    phi = LCMap(x, y, lambda k: max(k, depth), make_table(True), "conj")
-    psi = LCMap(y, x, lambda k: max(k, depth), make_table(False), "conj-inv")
+    phi = LCMap(x, y, lambda k: max(k, depth), on_residues(rho_cols, y), "conj")
+    psi = LCMap(y, x, lambda k: max(k, depth), on_residues(rho_inv_cols, x), "conj-inv")
     a = homomorphism_cocycle(x, [tuple(c) for c in rho_cols], y.group_moduli())
     b = homomorphism_cocycle(y, [tuple(c) for c in rho_inv_cols], x.group_moduli())
     return CoeWitness(phi, a, psi, b)
+
+
+def require_checkable(relation: str, ms, ns, level: int, limit: int) -> None:
+    """Refuse, with the verifier's own error, a level at which checking the
+    `relation` witness between the odometer products would build a grid
+    beyond `limit` points.  The witness is built, but only its level maps
+    are read; a chain's parts are checked at their stage levels."""
+    if relation == "conj":
+        return require_grids(build_conj_witness(ms, ns), level, limit)
+    chain = build_coe_witness(ms, ns)
+    require_level(chain.source, level, limit)
+    require_level(chain.target, level, limit)
+    for stage, lam in zip(chain.stages, chain.stage_levels(level)):
+        for part in stage.parts:
+            require_grids(part.witness, lam, limit)

@@ -307,6 +307,40 @@ def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, cap
         assert f"level {10**9}" in err and "point limit" in err
 
 
+@pytest.mark.parametrize("relation, ms, ns, level, grid", [
+    # the maps read level 60 whatever the output level
+    ("conj", "2^60*5^inf,3^37*5^inf", "3^37*5^inf,2^60*5^inf", 0,
+     "level-60 grid would hold"),
+    # a split part of the chain reads its input one level deeper
+    ("coe", "2^inf*3*5^inf,2^2*3^inf*5^inf,2^inf*3*5^inf",
+     "2^2*3^inf*5^inf,2^inf*3*5^inf,2^inf*5^inf", 4,
+     "level-5 grid would hold 3037500 points (limit 1000000)"),
+])
+def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, grid,
+                                                     tmp_path, capsys):
+    from orbitcert.certificates import coe_certificate, conj_certificate
+    from orbitcert.decide import coe_decide, conj_decide
+    from orbitcert.supernatural import parse_sn_list
+
+    path = tmp_path / "w.json"
+    t0 = time.perf_counter()
+    assert main(["witness", relation, ms, ns, "--level", str(level), "--out", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    refused = capsys.readouterr().err
+    assert grid in refused and not path.exists()
+    # the certificate it no longer writes: verify refuses it with the same error
+    left, right = parse_sn_list(ms), parse_sn_list(ns)
+    make, decide = {"coe": (coe_certificate, coe_decide),
+                    "conj": (conj_certificate, conj_decide)}[relation]
+    _reseal(path, make(left, right, decide(left, right), {"type": relation, "level": level},
+                       kind=f"{relation}-witness"))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == refused
+    # a decision asked to embed the witness block refuses it before printing
+    assert main([relation, ms, ns, "--witness", "--level", str(level)]) == 2
+    assert capsys.readouterr() == ("", refused)
+
+
 @pytest.mark.parametrize("argv", [
     ["witness", "coe", COE_M, COE_N, "--level", "-1"],
     ["witness", "conj", SWAP_M, SWAP_N, "--level", "-1"],

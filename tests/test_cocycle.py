@@ -369,3 +369,67 @@ def test_verify_conj_builds_each_grid_and_table_once(monkeypatch):
     assert fresh.summary() == report.summary()
     assert [(c.name, c.checked, c.violations) for c in fresh.checks] == \
         [(c.name, c.checked, c.violations) for c in report.checks]
+
+
+@pytest.mark.parametrize("differing", [0, 1, 40])
+def test_mismatched_rows_matches_the_row_reduction(differing):
+    rng = np.random.default_rng(differing)
+    lhs = rng.integers(-50, 50, size=(400, 3), dtype=np.int64)
+    rhs = lhs.copy()
+    rows = rng.choice(len(lhs), size=differing, replace=False)
+    rhs[rows, rng.integers(0, 3, size=differing)] += 1
+    row = lhs[:1]  # one-row right-hand side, broadcast as in the inverse checks
+    for right in (rhs, row, 0):
+        want = np.nonzero((lhs != right).any(axis=1))[0]
+        got = cocycle._mismatched_rows(lhs, right)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(cocycle._mismatched_rows(lhs, rhs)) == differing
+
+
+def _recorded_grids(monkeypatch):
+    built: list = []
+    init = _Grid.__init__
+
+    def recording_init(self, spec, level, limit=10**6):
+        built.append((spec, level))
+        init(self, spec, level, limit)
+
+    monkeypatch.setattr(_Grid, "__init__", recording_init)
+    return built
+
+
+def test_grid_plan_is_the_order_the_checks_build_grids(monkeypatch):
+    built = _recorded_grids(monkeypatch)
+    conj = build_conj_witness(parse_sn_list("2*7^inf,3*7^inf"), parse_sn_list("6*7^inf,7^inf"))
+    chain = build_coe_witness(parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
+    cases = [(conj, 2)] + [(p.witness, lam) for st, lam in zip(chain.stages, chain.stage_levels(3))
+                           for p in st.parts]
+    for w, level in cases:
+        built.clear()
+        assert verify_coe(w, level).passed
+        assert list(dict.fromkeys(cocycle.check_grids(w, level))) == built
+
+
+def test_oversized_grids_are_refused_with_the_verifiers_error(monkeypatch):
+    # the maps read level 60 (the 2^60 multiplier) for every output level
+    cw = build_conj_witness(parse_sn_list("2^60*5^inf,3^37*5^inf"),
+                            parse_sn_list("3^37*5^inf,2^60*5^inf"))
+    with pytest.raises(ValueError, match="level-60 grid would hold") as verified:
+        verify_conj(cw, 0)
+    built = _recorded_grids(monkeypatch)
+    with pytest.raises(ValueError) as planned:
+        cocycle.require_grids(cw, 0, 5 * 10**6)
+    assert str(planned.value) == str(verified.value) and built == []
+
+
+def test_orbit_sum_violation_is_reported_at_its_orbit():
+    # Z/2 x Z/3 acting on itself; e1's value at (1, 2) is bumped, so the
+    # e1-orbit through (1, 0) sums to (0, 1), not 0
+    spec = SystemSpec((Cyclic(2), Cyclic(3)))
+    e0 = constant_generator(spec, (2, 3), (1, 0))
+    bumped = np.tile([[0, 1]], (6, 1))
+    bumped[5, 1] += 1  # grid index 5 is the point (1, 2)
+    a = CocycleTable(spec, (2, 3), (e0, GroupValuedMap(spec, (2, 3), 0, bumped)))
+    report = verify_cocycle_identity(a)
+    orbit_sums = [v for v in report.checks[0].violations if v[1] == "3*e1 = 0"]
+    assert orbit_sums == [("cocycle-identity", "3*e1 = 0", PointAtLevel(0, (1, 0)))]

@@ -16,6 +16,7 @@ from orbitcert.selftest import (
     near_miss_pair,
     suite_coe_witnesses,
     suite_cohomology,
+    suite_conj_vs_bruteforce,
     suite_conj_witnesses,
     suite_counterexample,
     suite_invariant_vs_decision,
@@ -120,3 +121,22 @@ def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
         prog, *argv = shlex.split(verify)
         args = cli.build_parser().parse_args(argv)
         assert (prog, args.command, args.certificate) == ("orbitcert", "verify", out)
+
+
+def test_decision_suite_failures_end_with_a_replay_command(monkeypatch):
+    monkeypatch.setattr(selftest, "k_invariant_equal", lambda ms, ns: not coe_decide(ms, ns))
+    monkeypatch.setattr(selftest, "conjugacy_bruteforce", lambda ms, ns: not conj_decide(ms, ns))
+    coe_pair = (parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
+    for relation, res in (
+        ("coe", suite_invariant_vs_decision(0, instances=[coe_pair])),
+        ("conj", suite_conj_vs_bruteforce(5, samples=1, exhaustive=False)),
+    ):
+        assert len(res.failures) == 1, res.failures
+        head, replay = res.failures[0].rsplit("; replay: ", 1)
+        prog, *argv = shlex.split(replay)
+        args = cli.build_parser().parse_args(argv)
+        assert (prog, args.command) == ("orbitcert", relation)
+        ms, ns = parse_sn_list(args.ms), parse_sn_list(args.ns)
+        assert head.startswith(selftest._fmt_pair(ms, ns))
+        if relation == "coe":
+            assert (ms, ns) == coe_pair

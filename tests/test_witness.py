@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from box_oracle import enumerate_points, locality_slack as _slack
 from composite import compose_chain, direct_sum_coe, permutation_witness
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
+    _Grid,
     verify_cocycle_identity,
     verify_coe,
     verify_conj,
@@ -20,6 +23,7 @@ from orbitcert.dynamics import (
     level_modulus,
 )
 from orbitcert.intmat import invert_unimodular
+from orbitcert.selftest import generate_instances
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
     build_basic_coe,
@@ -189,41 +193,63 @@ def _crt(a1: int, n1: int, a2: int, n2: int) -> int:
 
 def _pointwise_conj(ms, ns, forward: bool):
     """The conjugacy's point map one point at a time, built from the
-    decision's blocks independently of the array evaluator."""
-    blocks = conj_decide(ms, ns).blocks
+    decision's blocks independently of the array evaluator: per block, the
+    finite multiplier coordinates and the common profinite part are mapped
+    by S and glued by the Chinese remainder theorem."""
+    blocks = []
+    for blk in conj_decide(ms, ns).blocks:
+        s = blk.conjugator[0]
+        blocks.append((
+            (s if forward else invert_unimodular(s)).to_rows(),
+            blk.left_indices if forward else blk.right_indices,
+            blk.right_indices if forward else blk.left_indices,
+            blk.left_multipliers if forward else blk.right_multipliers,
+            blk.base,
+        ))
+    tgt_limits = ns if forward else ms
 
-    def ev(k: int, p: PointAtLevel) -> PointAtLevel:
-        out = [0] * len(ms)
-        for blk in blocks:
-            s = blk.conjugator[0]
-            mat = s if forward else invert_unimodular(s)
-            src_idx = blk.left_indices if forward else blk.right_indices
-            tgt_idx = blk.right_indices if forward else blk.left_indices
-            qs_src = blk.left_multipliers if forward else blk.right_multipliers
-            tgt_limits = ns if forward else ms
-            lm_l = level_modulus(Odometer(blk.base), k)
-            su = mat.apply(tuple(p.residues[i] % q for i, q in zip(src_idx, qs_src)))
-            sw = mat.apply(tuple(p.residues[i] % lm_l for i in src_idx))
-            for a_pos, j in enumerate(tgt_idx):
-                g = level_modulus(Odometer(tgt_limits[j]), k) // lm_l
-                out[j] = _crt(su[a_pos] % g, g, sw[a_pos] % lm_l, lm_l)
-        return PointAtLevel(k, tuple(out))
+    def at_level(k: int):
+        """ev(residues): the image at level k of a point at the input level."""
+        glue = []
+        for rows, src_idx, tgt_idx, qs_src, base in blocks:
+            lm_l = level_modulus(Odometer(base), k)
+            outs = [(row, j, level_modulus(Odometer(tgt_limits[j]), k) // lm_l)
+                    for row, j in zip(rows, tgt_idx)]
+            glue.append((src_idx, qs_src, lm_l, outs))
 
-    return ev
+        def ev(residues) -> tuple[int, ...]:
+            out = [0] * len(ms)
+            for src_idx, qs_src, lm_l, outs in glue:
+                u = [residues[i] % q for i, q in zip(src_idx, qs_src)]
+                w = [residues[i] for i in src_idx]
+                for row, j, g in outs:
+                    su = sum(map(operator.mul, row, u))
+                    sw = sum(map(operator.mul, row, w))
+                    out[j] = _crt(su % g, g, sw % lm_l, lm_l)
+            return tuple(out)
+
+        return ev
+
+    return at_level
 
 
 def test_conj_vectorized_matches_pointwise():
-    ms = parse_sn_list("2*5^inf, 3*5^inf")
-    ns = parse_sn_list("3*5^inf, 2*5^inf")
-    cw = build_conj_witness(ms, ns)
-    for f, forward in ((cw.phi, True), (cw.psi, False)):
-        pointwise = _pointwise_conj(ms, ns, forward)
-        k = 2
-        pts = enumerate_points(f.source, f.level_map(k))
-        res = np.array([p.residues for p in pts], dtype=np.int64)
-        table = f.table(k, res)
-        for row, p in zip(table, pts):
-            assert tuple(int(v) for v in row) == pointwise(k, p).residues
+    # rho on residues against the per-block Chinese-remainder gluing, on
+    # every conj-positive seed-17 instance, the crt merge and the README pair
+    pairs = [(ms, ns) for ms, ns in generate_instances(17, 200) if conj_decide(ms, ns)] + [
+        (parse_sn_list("2*7^inf, 3*7^inf"), parse_sn_list("6*7^inf, 7^inf")),
+        (parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf")),
+    ]
+    assert len(pairs) == 50
+    for ms, ns in pairs:
+        cw = build_conj_witness(ms, ns)
+        for f, forward in ((cw.phi, True), (cw.psi, False)):
+            pointwise = _pointwise_conj(ms, ns, forward)
+            for k in range(4):
+                res = _Grid(f.source, f.input_level(k)).res
+                table = [tuple(row) for row in f.table(k, res).tolist()]
+                ev = pointwise(k)
+                assert table == [ev(x) for x in res.tolist()], (ms, ns, k, forward)
 
 
 def test_conj_witness_rejects_nonconjugate():
