@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import (
-    GroupElement,
     PointAtLevel,
     SystemSpec,
     canonical_coords,
@@ -83,15 +82,6 @@ class LCMap:
         mods = np.array(self.source.space_moduli(need), dtype=np.int64)
         return _in_range(self, k, self.table(k, res % mods), len(res))
 
-    def __call__(self, k: int, x: PointAtLevel) -> PointAtLevel:
-        need = self.input_level(k)
-        if x.level < need:
-            raise ValueError(
-                f"{self.name or 'map'}: output level {k} needs input level {need}, got {x.level}"
-            )
-        row = self.at(k, np.array([x.residues], dtype=np.int64))[0]
-        return PointAtLevel(k, tuple(int(v) for v in row))
-
 
 def _in_range(f: LCMap, k: int, vals: np.ndarray, n: int) -> np.ndarray:
     vals = np.asarray(vals, dtype=np.int64)
@@ -130,14 +120,6 @@ class GroupValuedMap:
     def at(self, res: np.ndarray) -> np.ndarray:
         """Values at points given by residues at level `level` or finer."""
         return self.values[cylinder_index(self.source, self.level, res)]
-
-    def __call__(self, x: PointAtLevel) -> GroupElement:
-        if x.level < self.level:
-            raise ValueError(
-                f"{self.name or 'cocycle'}: needs level {self.level}, got {x.level}"
-            )
-        row = self.at(np.array([x.residues], dtype=np.int64))[0]
-        return GroupElement(tuple(int(v) for v in row))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,6 +284,26 @@ def twist(a: CocycleTable, u: GroupValuedMap) -> CocycleTable:
     return CocycleTable(spec, a.target_group, tuple(gens))
 
 
+def slide(w: CoeWitness, u: GroupValuedMap, rho_inv: np.ndarray) -> tuple[LCMap, LCMap]:
+    """w's point maps slid by the transfer u, a map into the target's acting
+    group: phi'(x) = phi(x) - u(x) and psi'(y) = psi(y) + rho^-1(u(psi(y))),
+    where row j of rho_inv is rho^-1(e_j).  Slid by -u, a conjugacy's phi is
+    equivariant through twist(rho, u), and psi' inverts it wherever
+    u(psi'(y)) = u(psi(y)); untwist_to_conjugacy slides back by u."""
+    x, y = w.source, w.target
+
+    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
+        return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
+
+    def psi_table(k: int, res: np.ndarray) -> np.ndarray:
+        t = u.at(w.psi.at(u.level, res)) @ rho_inv
+        return (w.psi.at(k, res) + t) % np.array(x.space_moduli(k), dtype=np.int64)
+
+    return (LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table, "slid-phi"),
+            LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
+                  psi_table, "slid-psi"))
+
+
 # the checks of verify_conj that read only the cocycles
 _RHO_CHECKS = {"homomorphism", "b-inverts-a", "a-inverts-b",
                "cocycle-identity-a", "cocycle-identity-b"}
@@ -329,20 +331,7 @@ def untwist_to_conjugacy(
         raise ValueError("transfer shape mismatch")
     rho_a, rho_b = rho
     CoeWitness(w.phi, rho_a, w.psi, rho_b)  # refuses a rho of the wrong shape
-    x, y = w.source, w.target
-    rho_inv = np.stack([g.values[0] for g in rho_b.generators])
-
-    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
-        return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
-
-    def inv_table(k: int, res: np.ndarray) -> np.ndarray:
-        t = u.at(w.psi.at(u.level, res)) @ rho_inv
-        return (w.psi.at(k, res) + t) % np.array(x.space_moduli(k), dtype=np.int64)
-
-    phi = LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table,
-                "untwisted-phi")
-    psi = LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
-                inv_table, "untwisted-psi")
+    phi, psi = slide(w, u, np.stack([g.values[0] for g in rho_b.generators]))
     out = CoeWitness(phi, rho_a, psi, rho_b)
     # the output and the input are checked over the same x and y grids
     tables = _Tables(point_limit)
@@ -353,11 +342,11 @@ def untwist_to_conjugacy(
                          + "; ".join(f"{c.name} {c.violations}" for c in bad))
 
     expect = twist(rho_a, u)
-    grid = tables.grid(x, max(w.a.level, expect.level))
+    grid = tables.grid(w.source, max(w.a.level, expect.level))
     violations: list = []
     for i, (got, want) in enumerate(zip(w.a.generators, expect.generators)):
         miss = _mismatched_rows(got.at(grid.res), want.at(grid.res))
-        _record(violations, [("premise", generator(x, i).coords, grid.point(int(p)))
+        _record(violations, [("premise", generator(w.source, i).coords, grid.point(int(p)))
                              for p in miss[:_SAMPLES]])
     if violations:
         raise ValueError(

@@ -55,6 +55,14 @@ class CoeDecision:
         return self.equivalent
 
 
+def _by_class(side: tuple[SupernaturalNumber, ...]) -> dict[frozenset, list[int]]:
+    """Factor indices of one side grouped by class key, each group in order."""
+    out: dict[frozenset, list[int]] = {}
+    for i, m in enumerate(side):
+        out.setdefault(class_key(m), []).append(i)
+    return out
+
+
 def coe_decide(
     ms: tuple[SupernaturalNumber, ...], ns: tuple[SupernaturalNumber, ...]
 ) -> CoeDecision:
@@ -79,12 +87,7 @@ def coe_decide(
             f"total products differ: {sn_str(total_m)} vs {sn_str(total_n)}",
         )
 
-    left_by_key: dict[frozenset, list[int]] = {}
-    right_by_key: dict[frozenset, list[int]] = {}
-    for i, m in enumerate(ms):
-        left_by_key.setdefault(class_key(m), []).append(i)
-    for j, n in enumerate(ns):
-        right_by_key.setdefault(class_key(n), []).append(j)
+    left_by_key, right_by_key = _by_class(ms), _by_class(ns)
     if set(left_by_key) != set(right_by_key) or any(
         len(left_by_key[k]) != len(right_by_key[k]) for k in left_by_key
     ):
@@ -219,12 +222,7 @@ def conj_decide(
     if len(ms) != len(ns):
         return ConjDecision(False, None, f"rank mismatch: {len(ms)} vs {len(ns)}")
 
-    left_by_key: dict[frozenset, list[int]] = {}
-    right_by_key: dict[frozenset, list[int]] = {}
-    for i, m in enumerate(ms):
-        left_by_key.setdefault(class_key(m), []).append(i)
-    for j, n in enumerate(ns):
-        right_by_key.setdefault(class_key(n), []).append(j)
+    left_by_key, right_by_key = _by_class(ms), _by_class(ns)
     if set(left_by_key) != set(right_by_key):
         return ConjDecision(False, None, "asymptotic classes differ")
 

@@ -77,16 +77,6 @@ class GroupElement:
     coords: tuple[int, ...]
 
 
-def validate_spec(spec: SystemSpec) -> None:
-    """External inputs must use genuine odometers and positive cyclic orders."""
-    for f in spec.factors:
-        if isinstance(f, Cyclic):
-            if f.n < 1:
-                raise ValueError("cyclic order must be >= 1")
-        elif not is_supernatural(f.limit):
-            raise ValueError(f"odometer limit {f.limit} must be supernatural")
-
-
 def canonical_coords(group_moduli: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
     """Reduce cyclic coordinates mod n; Z coordinates pass through."""
     if len(coords) != len(group_moduli):
@@ -96,32 +86,6 @@ def canonical_coords(group_moduli: tuple[int, ...], coords: tuple[int, ...]) -> 
 
 def generator(spec: SystemSpec, i: int) -> GroupElement:
     return GroupElement(tuple(1 if j == i else 0 for j in range(spec.rank)))
-
-
-def act(spec: SystemSpec, k: int, g: GroupElement, x: PointAtLevel) -> PointAtLevel:
-    """Translate the level-k truncation by g, coordinatewise."""
-    if x.level != k:
-        raise ValueError("point level does not match k")
-    mods = spec.space_moduli(k)
-    if len(g.coords) != len(mods):
-        raise ValueError("group element arity mismatch")
-    return PointAtLevel(k, tuple((r + c) % m for r, c, m in zip(x.residues, g.coords, mods)))
-
-
-def project_to(spec: SystemSpec, x: PointAtLevel, k: int) -> PointAtLevel:
-    """Image of x under the tower map onto level k <= x.level."""
-    if k > x.level:
-        raise ValueError(f"cannot project level {x.level} up to level {k}")
-    if k == x.level:
-        return x
-    mods = spec.space_moduli(k)
-    return PointAtLevel(k, tuple(r % m for r, m in zip(x.residues, mods)))
-
-
-def project(spec: SystemSpec, x: PointAtLevel) -> PointAtLevel:
-    if x.level == 0:
-        raise ValueError("level 0 has no lower level")
-    return project_to(spec, x, x.level - 1)
 
 
 def point_count(spec: SystemSpec, k: int) -> int:
@@ -140,15 +104,6 @@ def require_level(spec: SystemSpec, k: int, limit: int) -> None:
     ):
         raise ValueError(f"level {k} is beyond the point limit {limit}: "
                          f"a level-{k} grid holds at least 2**{k} points")
-
-
-def orbit(
-    spec: SystemSpec, k: int, x: PointAtLevel, g: GroupElement, steps: int
-) -> list[PointAtLevel]:
-    out = [x]
-    for _ in range(steps):
-        out.append(act(spec, k, g, out[-1]))
-    return out
 
 
 def odometer_product(limits: tuple[SupernaturalNumber, ...]) -> SystemSpec:

@@ -261,12 +261,10 @@ def solve_conjugator(ms: tuple[int, ...], ns: tuple[int, ...]) -> tuple[IntMatri
         raise ValueError("length mismatch")
     if any(x < 1 for x in ms + ns):
         raise ValueError("entries must be naturals >= 1")
-    if not fab_isomorphic(FiniteAbelianGroup(tuple(ms)), FiniteAbelianGroup(tuple(ns))):
-        raise ValueError("cyclic products are not isomorphic")
     dm = smith_normal_form(IntMatrix.diagonal(list(ms)))
     dn = smith_normal_form(IntMatrix.diagonal(list(ns)))
-    if dm.s != dn.s:
-        raise AssertionError("equal-length isomorphic products must share a normal form")
+    if dm.s != dn.s:  # equal-length products are isomorphic iff their normal forms agree
+        raise ValueError("cyclic products are not isomorphic")
     s = invert_unimodular(dn.u) @ dm.u
     t = dm.v @ invert_unimodular(dn.v)
     if (s @ IntMatrix.diagonal(list(ms))) @ t != IntMatrix.diagonal(list(ns)):

@@ -1,11 +1,12 @@
 """Seeded randomized cross-check suites.
 
 Everything here is shared by the `selftest` command and the acceptance
-tests: a deterministic instance generator for odometer products, scale
-screening so that every instance the witness suites will verify stays at
-desk scale, and one suite function per checked property.  Each suite
-returns a SuiteResult whose failures list is empty exactly when the suite
-passes; any failure carries the offending instance so it can be replayed.
+tests: a deterministic instance generator for odometer products, screened
+by the grids the verifiers would build (witness.require_checkable) so that
+every instance the witness suites verify stays at desk scale, and one
+suite function per checked property.  Each suite returns a SuiteResult
+whose failures list is empty exactly when the suite passes; any failure
+carries the offending instance so it can be replayed.
 """
 from __future__ import annotations
 
@@ -17,7 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import verify_chain
-from .cocycle import check_grids, verify_coe, verify_conj
+from .cocycle import (
+    CoeWitness,
+    GroupValuedMap,
+    cylinder_index,
+    require_grids,
+    slide,
+    twist,
+    untwist_to_conjugacy,
+    verify_coe,
+    verify_conj,
+)
 from .decide import (
     coe_decide,
     conj_decide,
@@ -35,13 +46,12 @@ from .supernatural import (
     factorize,
     sn_str,
 )
-from .witness import build_coe_witness, build_conj_witness
+from .witness import build_coe_witness, build_conj_witness, require_checkable
 
 DOMAIN_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIMES = (2, 3, 5)
 
-# grids any suite-verified witness may materialize at level 4; see
-# coe_witness_scale / conj_witness_scale
+# grids any suite-verified witness may build at level 4; see _desk_scale
 _COE_SCALE_BUDGET = 60_000
 _CONJ_SCALE_BUDGET = 400_000
 
@@ -240,47 +250,20 @@ def near_miss_pair(
 # scale screening
 
 
-def coe_witness_scale(chain, level: int) -> int:
-    """Largest grid the composite of the chain's stages would materialize
-    at this level, read off the chain's level maps alone: the composite
-    level map chains the stage level maps, and a stage's is the largest of
-    its parts'."""
-    src, tgt = chain.source, chain.target
-
-    def phi_in(k: int) -> int:
-        return chain.phi_levels(k)[0]
-
-    def psi_in(k: int) -> int:
-        return chain.psi_levels(k)[-1]
-
-    return max(
-        point_count(src, phi_in(level)),
-        point_count(tgt, psi_in(level)),
-        point_count(src, max(level, phi_in(psi_in(level)))),
-        point_count(tgt, max(level, psi_in(phi_in(level)))),
-    )
-
-
-def conj_witness_scale(cw, level: int) -> int:
-    """Largest grid the checks of the conjugacy would build at this level."""
-    return max(point_count(spec, k) for spec, k in check_grids(cw, level))
-
-
 def _desk_scale(ms, ns, level: int = 4) -> bool:
     """Keep only instances whose positive verdicts can be verified
-    exhaustively at the given level within the point budgets.  Negative
+    exhaustively at the given level within the point budgets, as
+    witness.require_checkable plans the verifier's grids.  Negative
     instances are never verified, so they always pass."""
-    dec = coe_decide(ms, ns)
-    if not dec:
+    if not coe_decide(ms, ns):
         return True
-    if len(ms) <= 2:
-        w = build_coe_witness(ms, ns)
-        if coe_witness_scale(w, level) > _COE_SCALE_BUDGET:
-            return False
-    if conj_decide(ms, ns):
-        cw = build_conj_witness(ms, ns)
-        if conj_witness_scale(cw, level) > _CONJ_SCALE_BUDGET:
-            return False
+    try:
+        if len(ms) <= 2:
+            require_checkable("coe", ms, ns, level, _COE_SCALE_BUDGET)
+        if conj_decide(ms, ns):
+            require_checkable("conj", ms, ns, level, _CONJ_SCALE_BUDGET)
+    except ValueError:  # a grid beyond the budget
+        return False
     return True
 
 
@@ -514,18 +497,9 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     s translates each factor by a multiple of its level-1 modulus, constant
     on level-1 cylinders; the shifted point map u(x).phi(x) then equals
     phi(tau(x)) for the explicit bijection tau(x) = s(x).x, so a genuine
-    twisted witness with an explicit inverse exists.  Untwisting it must
-    return a verified conjugacy, and a corrupted transfer must be rejected
-    by the premise check."""
-    from .cocycle import (
-        CoeWitness,
-        GroupValuedMap,
-        LCMap,
-        cylinder_index,
-        twist,
-        untwist_to_conjugacy,
-    )
-
+    twisted witness exists: its point maps are the conjugacy's slid by -u.
+    Untwisting it must return a verified conjugacy, and a corrupted transfer
+    must be rejected by the premise check."""
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -534,9 +508,8 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         ms, ns = conj_positive_pair(rng, max_rank=2)
         try:
             w = build_conj_witness(ms, ns)
+            require_grids(w, level, 20_000)
         except ValueError:
-            continue
-        if conj_witness_scale(w, level) > 20_000:
             continue
         built += 1
         x_spec, y_spec = w.source, w.target
@@ -547,32 +520,13 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
             dtype=np.int64,
         )
         rho = np.stack([g.values[0] for g in w.a.generators])  # row i is rho(e_i)
+        rho_inv = np.stack([g.values[0] for g in w.b.generators])
         tgy = y_spec.group_moduli()
         u = GroupValuedMap(x_spec, tgy, 1, shifts @ rho, "corpus-u")
-
-        def phi_u_table(k, res, _u=u, _w=w, _y=y_spec):
-            return (_w.phi.at(k, res) + _u.at(res)) % np.array(_y.space_moduli(k))
-
-        phi_u = LCMap(
-            x_spec, y_spec,
-            lambda k, _w=w: max(_w.phi.input_level(k), 1),
-            phi_u_table, "corpus-phi-u",
-        )
-
-        def psi_u_table(k, res, _w=w, _x=x_spec, _s=shifts):
-            z = _w.psi.at(max(k, 1), res)
-            return (z - _s[cylinder_index(_x, 1, z)]) % np.array(_x.space_moduli(k))
-
-        psi_u = LCMap(
-            y_spec, x_spec,
-            lambda k, _w=w: _w.psi.input_level(max(k, 1)),
-            psi_u_table, "corpus-psi-u",
-        )
-
+        phi_u, psi_u = slide(w, GroupValuedMap(x_spec, tgy, 1, -u.values), rho_inv)
         v = GroupValuedMap.tabulate(
             y_spec, x_spec.group_moduli(), psi_u.input_level(1),
-            lambda res, _s=shifts, _p=psi_u, _x=x_spec: -_s[cylinder_index(_x, 1, _p.at(1, res))],
-            "corpus-v",
+            lambda res: -shifts[cylinder_index(x_spec, 1, psi_u.at(1, res))], "corpus-v",
         )
         twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
         if built <= 3:

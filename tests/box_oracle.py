@@ -1,7 +1,9 @@
 """Box-sweep verifiers for orbit-equivalence and conjugacy witnesses, kept
 as test oracles, pointwise cocycle telescoping, the oracle of
 `cocycle_reader`, a witness held as plain tables, for tests that edit
-single entries, and the pointwise helpers these need.
+single entries, and the pointwise API these need: the action, the tower
+projections and one-point evaluators of maps, which the library computes
+only on whole grids.
 
 This is the coe verifier as it stood before the exact checks on generators
 replaced it: every identity is tested for each group element of the
@@ -45,12 +47,65 @@ from orbitcert.dynamics import (
     GroupElement,
     PointAtLevel,
     SystemSpec,
-    act,
     canonical_coords,
     generator,
     point_count,
     require_level,
 )
+
+
+def act(spec: SystemSpec, k: int, g: GroupElement, x: PointAtLevel) -> PointAtLevel:
+    """Translate the level-k truncation by g, coordinatewise."""
+    if x.level != k:
+        raise ValueError("point level does not match k")
+    mods = spec.space_moduli(k)
+    if len(g.coords) != len(mods):
+        raise ValueError("group element arity mismatch")
+    return PointAtLevel(k, tuple((r + c) % m for r, c, m in zip(x.residues, g.coords, mods)))
+
+
+def orbit(
+    spec: SystemSpec, k: int, x: PointAtLevel, g: GroupElement, steps: int
+) -> list[PointAtLevel]:
+    out = [x]
+    for _ in range(steps):
+        out.append(act(spec, k, g, out[-1]))
+    return out
+
+
+def project_to(spec: SystemSpec, x: PointAtLevel, k: int) -> PointAtLevel:
+    """Image of x under the tower map onto level k <= x.level."""
+    if k > x.level:
+        raise ValueError(f"cannot project level {x.level} up to level {k}")
+    if k == x.level:
+        return x
+    mods = spec.space_moduli(k)
+    return PointAtLevel(k, tuple(r % m for r, m in zip(x.residues, mods)))
+
+
+def project(spec: SystemSpec, x: PointAtLevel) -> PointAtLevel:
+    if x.level == 0:
+        raise ValueError("level 0 has no lower level")
+    return project_to(spec, x, x.level - 1)
+
+
+def image(f: LCMap, k: int, x: PointAtLevel) -> PointAtLevel:
+    """f at output level k of one point given at level input_level(k) or finer."""
+    need = f.input_level(k)
+    if x.level < need:
+        raise ValueError(
+            f"{f.name or 'map'}: output level {k} needs input level {need}, got {x.level}"
+        )
+    row = f.at(k, np.array([x.residues], dtype=np.int64))[0]
+    return PointAtLevel(k, tuple(int(v) for v in row))
+
+
+def value(m: GroupValuedMap, x: PointAtLevel) -> GroupElement:
+    """m at one point given at m's level or finer."""
+    if x.level < m.level:
+        raise ValueError(f"{m.name or 'cocycle'}: needs level {m.level}, got {x.level}")
+    row = m.at(np.array([x.residues], dtype=np.int64))[0]
+    return GroupElement(tuple(int(v) for v in row))
 
 
 def add_coords(
@@ -159,7 +214,7 @@ def extend_cocycle(
         nei = GroupElement(neg_coords(src_mods, ei.coords))
         if steps >= 0:
             for _ in range(steps):
-                val = add_coords(table.target_group, val, table.generators[i](cur).coords)
+                val = add_coords(table.target_group, val, value(table.generators[i], cur).coords)
                 cur = act(spec, cur.level, ei, cur)
         else:
             for _ in range(-steps):
@@ -167,7 +222,7 @@ def extend_cocycle(
                 val = add_coords(
                     table.target_group,
                     val,
-                    neg_coords(table.target_group, table.generators[i](cur).coords),
+                    neg_coords(table.target_group, value(table.generators[i], cur).coords),
                 )
     return GroupElement(canonical_coords(table.target_group, val))
 

@@ -6,7 +6,8 @@ once built every orbit equivalence: each stage becomes the direct sum of
 its parts between two factor permutations, and the stages are composed
 into one point map each way with composite cocycles.  verify_coe on the
 result checks the whole composite on one product grid; the tests require
-its verdict to match verify_chain's.
+its verdict to match verify_chain's.  composite_scale sizes the
+composite's grids without building it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from orbitcert.cocycle import (
     cocycle_reader,
     constant_generator,
 )
-from orbitcert.dynamics import SystemSpec
+from orbitcert.dynamics import SystemSpec, point_count
 
 
 def _chain(first: LCMap, second: LCMap) -> LCMap:
@@ -141,3 +142,24 @@ def compose_chain(chain: CoeChain) -> CoeWitness:
     for stage in chain.stages[1:]:
         w = compose_coe(w, compose_stage(stage))
     return w
+
+
+def composite_scale(chain: CoeChain, level: int) -> int:
+    """Largest grid the composite of the chain's stages would materialize
+    at this level, read off the chain's level maps alone: the composite
+    level map chains the stage level maps, and a stage's is the largest of
+    its parts'."""
+    src, tgt = chain.source, chain.target
+
+    def phi_in(k: int) -> int:
+        return chain.phi_levels(k)[0]
+
+    def psi_in(k: int) -> int:
+        return chain.psi_levels(k)[-1]
+
+    return max(
+        point_count(src, phi_in(level)),
+        point_count(tgt, psi_in(level)),
+        point_count(src, max(level, phi_in(psi_in(level)))),
+        point_count(tgt, max(level, psi_in(phi_in(level)))),
+    )

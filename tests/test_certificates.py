@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from box_oracle import enumerate_points
+from box_oracle import enumerate_points, image, value
 from composite import compose_chain
 from orbitcert.certificates import (
     FORMAT,
@@ -231,12 +231,12 @@ def test_reconstructed_witness_matches_original_pointwise():
     back = compose_chain(coe_witness_from_block(ms, ns))
     w = compose_chain(build_coe_witness(M_EXAMPLE, N_EXAMPLE))
     for xp in enumerate_points(w.source, w.phi.input_level(2)):
-        assert back.phi(2, xp) == w.phi(2, xp)
+        assert image(back.phi, 2, xp) == image(w.phi, 2, xp)
     for yp in enumerate_points(w.target, w.psi.input_level(2)):
-        assert back.psi(2, yp) == w.psi(2, yp)
+        assert image(back.psi, 2, yp) == image(w.psi, 2, yp)
     for i, gen in enumerate(back.a.generators):
         for xp in enumerate_points(w.source, gen.level):
-            assert gen(xp) == w.a.generators[i](xp)
+            assert value(gen, xp) == value(w.a.generators[i], xp)
 
 
 def test_hash_is_formatting_independent():

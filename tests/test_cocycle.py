@@ -7,7 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from box_oracle import enumerate_points, extend_cocycle, locality_slack as _slack
+from box_oracle import (
+    act,
+    enumerate_points,
+    extend_cocycle,
+    image,
+    locality_slack as _slack,
+    value,
+)
 from composite import compose_chain, compose_coe
 from orbitcert import cocycle
 from orbitcert.cocycle import (
@@ -22,6 +29,8 @@ from orbitcert.cocycle import (
     identity_lcmap,
     identity_witness,
     inverse_coe,
+    require_grids,
+    slide,
     twist,
     untwist_to_conjugacy,
     verify_cocycle_identity,
@@ -34,8 +43,9 @@ from orbitcert.dynamics import (
     Odometer,
     PointAtLevel,
     SystemSpec,
-    act,
+    point_count,
 )
+from orbitcert.selftest import conj_positive_pair
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import build_basic_coe, build_coe_witness, build_conj_witness
 
@@ -63,14 +73,14 @@ def test_identity_witness_verifies():
 def test_lcmap_refuses_short_input():
     f = identity_lcmap(X_SMALL)
     with pytest.raises(ValueError):
-        f(3, PointAtLevel(2, (1, 0)))
+        image(f, 3, PointAtLevel(2, (1, 0)))
 
 
 def test_group_valued_map_canonicalizes():
     m = GroupValuedMap.tabulate(X_SMALL, (0, 3), 1, lambda res: np.tile((5, -1), (len(res), 1)))
-    v = m(PointAtLevel(2, (3, 1)))
+    v = value(m, PointAtLevel(2, (3, 1)))
     assert v.coords == (5, 2)
-    assert m(PointAtLevel(1, (1, 1))) == v  # same fiber
+    assert value(m, PointAtLevel(1, (1, 1))) == v  # same fiber
     assert m.values.tolist() == [[5, 2]] * 6  # stored canonically, once
     assert not m.values.flags.writeable
 
@@ -148,7 +158,7 @@ def test_twist_twice_matches_twist_by_sum():
     rhs = twist(base.a, uv)
     for i in range(spec.rank):
         for x in enumerate_points(spec, 3):
-            assert lhs.generators[i](x) == rhs.generators[i](x)
+            assert value(lhs.generators[i], x) == value(rhs.generators[i], x)
 
 
 def test_twist_then_untwist_by_negation_restores():
@@ -161,7 +171,7 @@ def test_twist_then_untwist_by_negation_restores():
     back = twist(twist(base.a, u), neg_u)
     for i in range(spec.rank):
         for x in enumerate_points(spec, 3):
-            assert back.generators[i](x) == base.a.generators[i](x)
+            assert value(back.generators[i], x) == value(base.a.generators[i], x)
 
 
 def test_verify_locates_broken_equivariance():
@@ -208,7 +218,7 @@ def test_untwist_recovers_identity_conjugacy():
     spec, u, w = _swap_witness()
     cw = untwist_to_conjugacy(w, u, _identity_rho(spec), level=3)
     for x in enumerate_points(spec, 3):
-        assert cw.phi(3, x) == x
+        assert image(cw.phi, 3, x) == x
     assert verify_conj(cw, level=3).passed
 
 
@@ -217,6 +227,40 @@ def test_untwist_rejects_wrong_transfer():
     zero = constant_generator(spec, (0,), (0,))
     with pytest.raises(ValueError, match="premise"):
         untwist_to_conjugacy(w, zero, _identity_rho(spec), level=3)
+
+
+def test_slide_matches_the_pointwise_formula():
+    # conjugacies of the cohomology corpus, slid by a level-1 transfer and
+    # its negation: phi'(x) = phi(x) - u(x), psi'(y) = psi(y) + rho^-1(u(psi(y)))
+    rng = random.Random(31)
+    built = 0
+    while built < 8:
+        try:
+            w = build_conj_witness(*conj_positive_pair(rng, max_rank=2))
+            require_grids(w, 3, 20_000)
+        except ValueError:
+            continue
+        built += 1
+        x, y = w.source, w.target
+        rho_inv = np.stack([g.values[0] for g in w.b.generators])
+        vals = [[rng.randint(-9, 9) for _ in range(y.rank)] for _ in range(point_count(x, 1))]
+        for sign in (1, -1):
+            u = GroupValuedMap(x, y.group_moduli(), 1, sign * np.array(vals, dtype=np.int64))
+            phi, psi = slide(w, u, rho_inv)
+            for k in range(3):
+                pts = enumerate_points(x, phi.input_level(k))
+                for xp in rng.sample(pts, min(20, len(pts))):
+                    want = [p - c for p, c in zip(image(w.phi, k, xp).residues,
+                                                  value(u, xp).coords)]
+                    assert image(phi, k, xp).residues == tuple(
+                        v % m for v, m in zip(want, y.space_moduli(k)))
+                pts = enumerate_points(y, psi.input_level(k))
+                for yp in rng.sample(pts, min(20, len(pts))):
+                    c = value(u, image(w.psi, u.level, yp)).coords
+                    want = [p + sum(cj * int(rho_inv[j, i]) for j, cj in enumerate(c))
+                            for i, p in enumerate(image(w.psi, k, yp).residues)]
+                    assert image(psi, k, yp).residues == tuple(
+                        v % m for v, m in zip(want, x.space_moduli(k)))
 
 
 def _cyclic_product_conj():
@@ -319,9 +363,9 @@ def test_composed_generators_match_telescoped_composite(case):
         for i, gen in enumerate(comp.generators):
             pts = enumerate_points(comp.source, gen.level)
             for x in rng.sample(pts, min(60, len(pts))):
-                h = first.generators[i](x)
-                want = extend_cocycle(second, h, phi(second.level, x))
-                assert gen(x) == want
+                h = value(first.generators[i], x)
+                want = extend_cocycle(second, h, image(phi, second.level, x))
+                assert value(gen, x) == want
 
 
 @pytest.mark.parametrize("factors", [[2, 3], ["2^inf", "3*5^inf"], [3, "2^inf", 4, "3^inf"]],

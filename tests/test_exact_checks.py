@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from composite import compose_chain
+from composite import compose_chain, composite_scale
 from box_oracle import (
     _table_map,
     box_identity,
@@ -184,8 +184,11 @@ def _chain_agrees(chain, level):
 def test_chain_and_composite_agree_on_the_corpus():
     from orbitcert.selftest import generate_instances
 
+    # the corpus is screened by the chain's own grids; keep the pairs whose
+    # composite fits the same budget
     pairs = [(ms, ns) for ms, ns in generate_instances(17, 200)
-             if len(ms) <= 2 and coe_decide(ms, ns)]
+             if len(ms) <= 2 and coe_decide(ms, ns)
+             and composite_scale(build_coe_witness(ms, ns), 4) <= 60_000]
     pairs.append(tuple(map(parse_sn_list, README_PAIR)))
     assert len(pairs) >= 20
     for ms, ns in pairs:

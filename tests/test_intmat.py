@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -128,3 +129,18 @@ def test_solve_conjugator_rejects():
         solve_conjugator((2, 2), (4, 1))
     with pytest.raises(ValueError):
         solve_conjugator((2,), (2, 1))
+
+
+def test_solve_conjugator_refuses_exactly_the_non_isomorphic_products():
+    # every pair of equal-length tuples of length <= 2 with entries 1..12,
+    # against the invariant-factor comparison of fab_isomorphic
+    for r in (1, 2):
+        for ms, ns in itertools.product(itertools.product(range(1, 13), repeat=r), repeat=2):
+            iso = fab_isomorphic(FiniteAbelianGroup(ms), FiniteAbelianGroup(ns))
+            try:
+                s, t = solve_conjugator(ms, ns)
+            except ValueError as e:
+                assert not iso and "not isomorphic" in str(e), (ms, ns)
+                continue
+            assert iso, (ms, ns)
+            assert s @ IntMatrix.diagonal(list(ms)) @ t == IntMatrix.diagonal(list(ns))

@@ -3,15 +3,16 @@ from __future__ import annotations
 import random
 import shlex
 
+from composite import composite_scale
 from orbitcert import cli, selftest
-from orbitcert.cocycle import CheckResult, VerifyReport
+from orbitcert.chain import verify_chain
+from orbitcert.cocycle import CheckResult, VerifyReport, check_grids
 from orbitcert.decide import coe_decide, conj_decide
+from orbitcert.dynamics import point_count
 from orbitcert.selftest import (
     SuiteResult,
     coe_positive_pair,
-    coe_witness_scale,
     conj_positive_pair,
-    conj_witness_scale,
     generate_instances,
     near_miss_pair,
     suite_coe_witnesses,
@@ -57,9 +58,24 @@ def test_generated_corpus_mixes_verdicts():
 def test_scale_estimators_monotone_in_level():
     ms, ns = _mandated_conj_pairs()[0]
     cw = build_conj_witness(ms, ns)
-    assert conj_witness_scale(cw, 2) <= conj_witness_scale(cw, 3)
+
+    def largest_grid(level):
+        return max(point_count(spec, k) for spec, k in check_grids(cw, level))
+
+    assert largest_grid(2) <= largest_grid(3)
     w = build_coe_witness(ms, ns)
-    assert coe_witness_scale(w, 2) <= coe_witness_scale(w, 3)
+    assert composite_scale(w, 2) <= composite_scale(w, 3)
+
+
+def test_corpus_is_screened_by_the_grids_verify_builds():
+    # the composite of this pair's chain would hold 186,624 points, beyond
+    # the coe budget, but verify checks the chain on its stage grids
+    ms, ns = parse_sn_list("3^inf, 2^inf"), parse_sn_list("2^2*3^inf, 2^inf")
+    assert (ms, ns) in generate_instances(17, 20)
+    chain = build_coe_witness(ms, ns)
+    assert composite_scale(chain, 4) == 186_624
+    report = verify_chain(chain, level=4)
+    assert report.passed, report.summary()
 
 
 def test_mandated_pairs_are_conjugate():

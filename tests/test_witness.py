@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from box_oracle import enumerate_points, locality_slack as _slack
+from box_oracle import act, enumerate_points, image, locality_slack as _slack
 from composite import compose_chain, direct_sum_coe, permutation_witness
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
@@ -54,14 +54,14 @@ def test_basic_split_trivial_cycle():
     w = build_basic_coe(1, parse_sn("3^inf"))
     assert verify_coe(w, level=3).passed
     x = PointAtLevel(3, (7,))
-    assert w.phi(3, x).residues == (0, 7)
+    assert image(w.phi, 3, x).residues == (0, 7)
 
 
 def test_finite_merge_roundtrip():
     w = build_finite_coe((2, 3), (6,))
     report = verify_coe(w, level=2)
     assert report.passed, report.summary()
-    assert w.phi(0, PointAtLevel(0, (1, 2))).residues == (5,)
+    assert image(w.phi, 0, PointAtLevel(0, (1, 2))).residues == (5,)
 
 
 def test_finite_merge_rejects_size_mismatch():
@@ -108,7 +108,7 @@ def test_identity_shortcut():
     assert verify_chain(w, level=3).passed
     composite = compose_chain(w)
     for x in enumerate_points(w.source, 3):
-        assert composite.phi(3, x) == x
+        assert image(composite.phi, 3, x) == x
 
 
 def test_swapped_multiplier_witness():
@@ -169,7 +169,7 @@ def test_conj_witness_identity_case():
     assert [tuple(g.values[0]) for g in cw.a.generators] == [(1, 0), (0, 1)]
     assert verify_conj(cw, level=3).passed
     for x in enumerate_points(cw.source, 3):
-        assert cw.phi(3, x) == x
+        assert image(cw.phi, 3, x) == x
 
 
 def test_conj_witness_crt_merge():
@@ -261,13 +261,13 @@ def test_conj_equivariance_is_exact_not_just_verified():
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
     cw = build_conj_witness(ms, ns)
-    from orbitcert.dynamics import GroupElement, act
+    from orbitcert.dynamics import GroupElement
 
     g = GroupElement((2, -1))
     rho = np.stack([t.values[0] for t in cw.a.generators])  # row i is rho(e_i)
     h = GroupElement(tuple(int(v) for v in np.array(g.coords) @ rho))
     lvl = cw.phi.level_map(3)
     for x in enumerate_points(cw.source, lvl)[:40]:
-        left = cw.phi(3, act(cw.source, lvl, g, x))
-        right = act(cw.target, 3, h, cw.phi(3, x))
+        left = image(cw.phi, 3, act(cw.source, lvl, g, x))
+        right = act(cw.target, 3, h, image(cw.phi, 3, x))
         assert left == right
