@@ -7,6 +7,14 @@ turns a whole array of such inputs into the int64 array of outputs.  A
 group-valued map is stored as its int64 table at its locality level.  Point
 evaluation is a lookup, composition a gather.
 
+Every grid-wide array is component-major: an int64 array of shape
+(components, points), one row per factor or group coordinate, so a grid's
+residues, a point map's inputs and images and a group-valued map's values
+all have one row per component.  Each pass over a grid reads one row
+against one scalar modulus, so its temporaries are single rows; a
+point-major (points, components) table would instead broadcast a short row
+of moduli across every point and build temporaries the size of the table.
+
 A cocycle is stored by its values on the acting group's standard generators.
 On Z^a x prod Z/n_i such tables extend to a genuine cocycle exactly when the
 group's relations hold at every point (generators commute; the values around
@@ -22,6 +30,7 @@ Chains of such witnesses, checked stage by stage, are in orbitcert.chain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,27 +48,50 @@ from .dynamics import (
 _SAMPLES = 5  # violations kept per check
 
 
-def mixed_radix_strides(moduli: Sequence[int]) -> np.ndarray:
-    """Place values of a mixed-radix index, the first factor most significant."""
-    out = np.ones(len(moduli), dtype=np.int64)
-    if len(moduli) > 1:
-        out[:-1] = np.cumprod(np.asarray(moduli, dtype=np.int64)[:0:-1])[::-1]
-    return out
+def flat_index(rows, moduli: Sequence[int]) -> np.ndarray:
+    """Mixed-radix index, the first factor most significant, of points given
+    by one row of in-range residues per factor (any iterable of rows)."""
+    idx = None
+    for row, m in zip(rows, moduli):
+        if idx is None:
+            idx = np.array(row, dtype=np.int64)
+        else:
+            idx *= m
+            idx += row
+    return idx
 
 
 def cylinder_index(spec: SystemSpec, level: int, res: np.ndarray) -> np.ndarray:
-    """Index in the level-`level` grid of the cylinder holding each row of
+    """Index in the level-`level` grid of the cylinder holding each point of
     res, residues at that level or finer."""
-    mods = np.array(spec.space_moduli(level), dtype=np.int64)
-    return (res % mods) @ mixed_radix_strides(mods)
+    mods = spec.space_moduli(level)
+    return flat_index((row % m for row, m in zip(res, mods)), mods)
+
+
+def linear_image(mat, res: np.ndarray, moduli: Sequence[int] | None = None) -> np.ndarray:
+    """res @ mat for points given one row per factor: row c is the sum over
+    j of mat[j][c] * res[j], reduced mod moduli[c] when moduli are given."""
+    out = np.zeros((len(mat[0]), res.shape[1]), dtype=np.int64)
+    for c, row in enumerate(out):
+        for j, col in enumerate(mat):
+            v = int(col[c])
+            if v:
+                row += res[j] if v == 1 else v * res[j]
+        # two scans cost less than a division, and often show it is not needed
+        if moduli is not None and (row.min() < 0 or row.max() >= moduli[c]):
+            row %= moduli[c]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class LCMap:
     """Locally constant map between systems, evaluable at every level.
 
-    table(k, res) receives one row of residues per point at exactly level
-    level_map(k) and returns the int64 array of their images at level k.
+    table(k, res) receives the residues of points at exactly level
+    level_map(k), one row per source factor, and returns the int64 array of
+    their images at level k, one row per target factor.  Rows, not points,
+    are the leading axis so that every pass over a table reads one factor
+    against its scalar modulus (module docstring).
     """
 
     source: SystemSpec
@@ -80,13 +112,14 @@ class LCMap:
         """Images at level k of points given at level input_level(k) or finer."""
         need = self.input_level(k)
         mods = np.array(self.source.space_moduli(need), dtype=np.int64)
-        return _in_range(self, k, self.table(k, res % mods), len(res))
+        return _in_range(self, k, self.table(k, res % mods[:, None]), res.shape[1])
 
 
 def _in_range(f: LCMap, k: int, vals: np.ndarray, n: int) -> np.ndarray:
     vals = np.asarray(vals, dtype=np.int64)
-    mods = np.array(f.target.space_moduli(k), dtype=np.int64)
-    if vals.shape != (n, f.target.rank) or (vals < 0).any() or (vals >= mods[None, :]).any():
+    mods = f.target.space_moduli(k)
+    if vals.shape != (len(mods), n) or (vals.min(axis=1) < 0).any() \
+            or (vals.max(axis=1) >= mods).any():
         raise AssertionError(f"{f.name or 'map'}: table out of range")
     return vals
 
@@ -95,8 +128,9 @@ def _in_range(f: LCMap, k: int, vals: np.ndarray, n: int) -> np.ndarray:
 class GroupValuedMap:
     """Locally constant map from a system into an abelian group given by a
     moduli descriptor (n for Z/n, 0 for Z).  level is the locality level:
-    values[i] is the value on the i-th cylinder of the level-`level` grid,
-    stored canonically (cyclic coordinates reduced mod n)."""
+    values[:, i] is the value on the i-th cylinder of the level-`level`
+    grid, stored canonically (cyclic coordinates reduced mod n).  values
+    has one row per group coordinate, like every table (module docstring)."""
 
     source: SystemSpec
     target_group: tuple[int, ...]
@@ -105,9 +139,12 @@ class GroupValuedMap:
     name: str = ""
 
     def __post_init__(self):
-        shape = (point_count(self.source, self.level), len(self.target_group))
-        vals = _canonicalize_cols(np.asarray(self.values, dtype=np.int64).reshape(shape),
-                                  self.target_group)
+        shape = (len(self.target_group), point_count(self.source, self.level))
+        vals = np.asarray(self.values, dtype=np.int64)
+        if vals.shape != shape:
+            raise ValueError(f"{self.name or 'group-valued map'}: values of shape {vals.shape}, "
+                             f"expected {shape}, one row per group coordinate")
+        vals = _canonical(vals, self.target_group)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -119,7 +156,7 @@ class GroupValuedMap:
 
     def at(self, res: np.ndarray) -> np.ndarray:
         """Values at points given by residues at level `level` or finer."""
-        return self.values[cylinder_index(self.source, self.level, res)]
+        return self.values[:, cylinder_index(self.source, self.level, res)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +184,8 @@ class CocycleTable:
 
 def cocycle_reader(b: CocycleTable, limit: int = 10**6):
     """read(h, y) = b(h, y) for arrays of group elements h and of points y
-    given by residues at b's level, one pair per row.
+    given by residues at b's level, one pair per column: h has one row per
+    coordinate of b's acting group, y one per factor, and so has the value.
 
     The factors of h are walked left to right.  On b's grid e_j walks an
     orbit of length M, and for h_j = q*M + r the value b(h_j e_j, y) is q
@@ -163,34 +201,37 @@ def _reader(b: CocycleTable, gb: "_Grid", BG: np.ndarray):
     moduli = [int(m) for m in gb.moduli]
     group = b.source.group_moduli()
     dim = len(b.target_group)
-    shape = tuple(moduli) + (dim,)
-    # prefix[j] holds, at grid point y with axis j extended to t < 2M, the
-    # sum of b_j over t steps of e_j from y; rows are flat-indexed by strides[j]
-    prefix, strides = [], []
+    # prefix[j][c] holds, at grid point y with axis j extended to t < 2M, the
+    # c-th coordinate of the sum of b_j over t steps of e_j from y, flat-indexed
+    # in the extended grid of shape shapes[j]
+    prefix, shapes = [], []
     for j, vals in enumerate(BG):
-        nd = vals.reshape(shape)
-        run = np.cumsum(np.concatenate([nd, nd], axis=j), axis=j)
-        zero = np.zeros_like(np.take(nd, [0], axis=j))
-        full = np.concatenate([zero, run], axis=j)
-        prefix.append(full.reshape(-1, dim))
-        strides.append(mixed_radix_strides(full.shape[:-1]))
+        nd = vals.reshape([dim] + moduli)
+        run = np.cumsum(np.concatenate([nd, nd], axis=1 + j), axis=1 + j)
+        zero = np.zeros_like(np.take(nd, [0], axis=1 + j))
+        full = np.concatenate([zero, run], axis=1 + j)
+        prefix.append(full.reshape(dim, -1))
+        shapes.append(full.shape[1:])
     peak = _peak(BG)
 
     def read(h: np.ndarray, y: np.ndarray, name: str = "cocycle") -> np.ndarray:
-        h = _canonicalize_cols(h, group)
+        h = _canonical(h, group)
         _require_int64(len(moduli) * (_peak([h]) + 2 * max(moduli)) * peak, name)
         cur = np.array(y, dtype=np.int64)
-        got = np.zeros((len(cur), dim), dtype=np.int64)
+        got = np.zeros((dim, cur.shape[1]), dtype=np.int64)
         for j, m in enumerate(moduli):
-            if not h[:, j].any():
+            if not h[j].any():
                 continue  # no steps along e_j
-            q, r = np.divmod(h[:, j], m)
-            at = cur @ strides[j]
-            base = prefix[j][at]
-            orbit = prefix[j][at + m * strides[j][j]] - base
-            got += q[:, None] * orbit + prefix[j][at + r * strides[j][j]] - base
-            cur[:, j] = (cur[:, j] + r) % m
-        return _canonicalize_cols(got, b.target_group)
+            q, r = np.divmod(h[j], m)
+            step = math.prod(shapes[j][j + 1:])
+            at = flat_index(cur, shapes[j])
+            at_r = at + r * step
+            for pc, out in zip(prefix[j], got):
+                base = pc[at]
+                out += q * (pc[at + m * step] - base) + pc[at_r] - base
+            cur[j] += r
+            cur[j] %= m
+        return _canonical(got, b.target_group)
 
     return read
 
@@ -237,8 +278,8 @@ def identity_lcmap(spec: SystemSpec, name: str = "id") -> LCMap:
 def constant_generator(
     spec: SystemSpec, target_group: tuple[int, ...], coords: tuple[int, ...], name: str = ""
 ) -> GroupValuedMap:
-    row = np.array([coords], dtype=np.int64)
-    return GroupValuedMap(spec, target_group, 0, np.repeat(row, point_count(spec, 0), 0), name)
+    col = np.array(coords, dtype=np.int64)[:, None]
+    return GroupValuedMap(spec, target_group, 0, np.repeat(col, point_count(spec, 0), 1), name)
 
 
 def homomorphism_cocycle(spec: SystemSpec, iso_columns: list[tuple[int, ...]],
@@ -279,7 +320,7 @@ def twist(a: CocycleTable, u: GroupValuedMap) -> CocycleTable:
     for i, g in enumerate(a.generators):
         grid = _Grid(spec, max(g.level, u.level))
         u_x = u.at(grid.res)
-        vals = u_x[grid.translate(generator(spec, i).coords)] + g.at(grid.res) - u_x
+        vals = u_x[:, grid.translate(generator(spec, i).coords)] + g.at(grid.res) - u_x
         gens.append(GroupValuedMap(spec, a.target_group, grid.level, vals, f"twist[{i}]"))
     return CocycleTable(spec, a.target_group, tuple(gens))
 
@@ -293,11 +334,12 @@ def slide(w: CoeWitness, u: GroupValuedMap, rho_inv: np.ndarray) -> tuple[LCMap,
     x, y = w.source, w.target
 
     def phi_table(k: int, res: np.ndarray) -> np.ndarray:
-        return (w.phi.at(k, res) - u.at(res)) % np.array(y.space_moduli(k), dtype=np.int64)
+        out = w.phi.at(k, res) - u.at(res)
+        return out % np.array(y.space_moduli(k), dtype=np.int64)[:, None]
 
     def psi_table(k: int, res: np.ndarray) -> np.ndarray:
-        t = u.at(w.psi.at(u.level, res)) @ rho_inv
-        return (w.psi.at(k, res) + t) % np.array(x.space_moduli(k), dtype=np.int64)
+        out = w.psi.at(k, res) + linear_image(rho_inv, u.at(w.psi.at(u.level, res)))
+        return out % np.array(x.space_moduli(k), dtype=np.int64)[:, None]
 
     return (LCMap(x, y, lambda k: max(w.phi.input_level(k), u.level), phi_table, "slid-phi"),
             LCMap(y, x, lambda k: max(w.psi.input_level(k), w.psi.input_level(u.level)),
@@ -331,7 +373,7 @@ def untwist_to_conjugacy(
         raise ValueError("transfer shape mismatch")
     rho_a, rho_b = rho
     CoeWitness(w.phi, rho_a, w.psi, rho_b)  # refuses a rho of the wrong shape
-    phi, psi = slide(w, u, np.stack([g.values[0] for g in rho_b.generators]))
+    phi, psi = slide(w, u, np.stack([g.values[:, 0] for g in rho_b.generators]))
     out = CoeWitness(phi, rho_a, psi, rho_b)
     # the output and the input are checked over the same x and y grids
     tables = _Tables(point_limit)
@@ -345,7 +387,7 @@ def untwist_to_conjugacy(
     grid = tables.grid(w.source, max(w.a.level, expect.level))
     violations: list = []
     for i, (got, want) in enumerate(zip(w.a.generators, expect.generators)):
-        miss = _mismatched_rows(got.at(grid.res), want.at(grid.res))
+        miss = _mismatched_points(zip(got.at(grid.res), want.at(grid.res)))
         _record(violations, [("premise", generator(w.source, i).coords, grid.point(int(p)))
                              for p in miss[:_SAMPLES]])
     if violations:
@@ -415,26 +457,25 @@ def _require_points(spec: SystemSpec, level: int, limit: int) -> int:
 
 class _Grid:
     """Numpy-indexed enumeration of one truncation level, lexicographic, the
-    first factor most significant."""
+    first factor most significant.  res holds every point's residues, one
+    row per factor."""
 
     def __init__(self, spec: SystemSpec, level: int, limit: int = 10**6):
         self.spec = spec
         self.level = level
-        n = _require_points(spec, level, limit)
-        self.moduli = np.array(spec.space_moduli(level), dtype=np.int64)
-        self.size = n
-        self.strides = mixed_radix_strides(self.moduli)
-        self.res = np.ascontiguousarray(
-            np.indices(spec.space_moduli(level), dtype=np.int64).reshape(spec.rank, -1).T)
+        self.size = _require_points(spec, level, limit)
+        mods = spec.space_moduli(level)
+        self.moduli = np.array(mods, dtype=np.int64)
+        self.res = np.indices(mods, dtype=np.int64).reshape(spec.rank, -1)
 
     def point(self, i: int) -> PointAtLevel:
-        res = tuple(int((i // s) % m) for s, m in zip(self.strides, self.moduli))
+        res = tuple(int(r) for r in np.unravel_index(i, self.moduli))
         return PointAtLevel(self.level, res)
 
     def translate(self, coords: Sequence[int]) -> np.ndarray:
         """Index array of x + coords over the whole grid."""
-        c = np.array(coords, dtype=np.int64)
-        return ((self.res + c[None, :]) % self.moduli[None, :]) @ self.strides
+        return flat_index(((row + c) % m if c % m else row
+                           for row, c, m in zip(self.res, coords, self.moduli)), self.moduli)
 
     def project_index(self, other: "_Grid") -> np.ndarray | slice:
         """For each point here, the index of its projection in a coarser grid
@@ -443,7 +484,7 @@ class _Grid:
             raise ValueError("projection must go to a coarser grid")
         if np.array_equal(other.moduli, self.moduli):
             return slice(None)
-        return (self.res % other.moduli[None, :]) @ other.strides
+        return cylinder_index(self.spec, other.level, self.res)
 
 
 class _Tables:
@@ -473,6 +514,8 @@ class _Tables:
         return self._get(("map", f, out_level), build)
 
     def cocycle(self, t: CocycleTable) -> tuple[_Grid, np.ndarray]:
+        """The grid at t's level and the generator tables stacked over it:
+        entry [i, c, x] is coordinate c of t(e_i, x)."""
         def build():
             grid = self.grid(t.source, t.level)
             return grid, np.stack([g.at(grid.res) for g in t.generators])
@@ -480,11 +523,13 @@ class _Tables:
         return self._get(("cocycle", t), build)
 
 
-def _canonicalize_cols(vals: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
+def _canonical(vals: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
+    """A copy of vals, one row per group coordinate, with the cyclic rows
+    reduced mod their order."""
     out = vals.copy()
-    for j, m in enumerate(group):
+    for row, m in zip(out, group):
         if m:
-            out[:, j] %= m
+            row %= m
     return out
 
 
@@ -494,13 +539,17 @@ def _record(violations: list, items) -> None:
         violations.extend(items[:room])
 
 
-def _mismatched_rows(lhs: np.ndarray, rhs) -> np.ndarray:
-    """np.nonzero((lhs != rhs).any(axis=1))[0]: one flat pass over the
-    elementwise comparison, and the row reduction only when a row differs."""
-    ne = lhs != rhs
-    if not ne.any():
-        return np.zeros(0, dtype=np.intp)
-    return np.nonzero(ne.any(axis=1))[0]
+def _mismatched_points(pairs) -> np.ndarray:
+    """Indices of the points at which some pair (lhs, rhs) of component rows
+    differs; rhs may be a scalar.  Rows are compared one at a time, and only
+    the rows that differ are merged."""
+    bad = None
+    for lhs, rhs in pairs:
+        ne = lhs != rhs
+        del lhs, rhs  # a row built for this comparison goes before the next is built
+        if ne.any():
+            bad = ne if bad is None else np.logical_or(bad, ne, out=bad)
+    return np.zeros(0, dtype=np.intp) if bad is None else np.flatnonzero(bad)
 
 
 def _peak(tables: list[np.ndarray]) -> int:
@@ -512,6 +561,17 @@ def _require_int64(bound: int, name: str) -> None:
     # every sum a check forms is bounded by `bound`; below 2**62 none can wrap
     if bound >= 2**62:
         raise ValueError(f"{name}: cocycle values too large to check exactly")
+
+
+def _shift_difference(nd: np.ndarray, axis: int, d: np.ndarray) -> np.ndarray:
+    """nd(x + e_axis) - nd(x) at every x, cyclically along axis, written
+    into d from two slices of nd, without a shifted copy."""
+    head = (slice(None),) * axis
+    first, rest, init, last = (head + (s,) for s in (
+        slice(0, 1), slice(1, None), slice(None, -1), slice(-1, None)))
+    np.subtract(nd[rest], nd[init], out=d[init])
+    np.subtract(nd[first], nd[last], out=d[last])
+    return d
 
 
 def _check_equivariance(
@@ -526,30 +586,40 @@ def _check_equivariance(
     # phi's own grid, from the memo, serves when a is no finer, as for a
     # homomorphism cocycle
     grid = t.grid(src, max(gphi.level, ga.level))
-    phi_x = PHI[grid.project_index(gphi)]
-    dim = phi_x.shape[1]
-    phi_nd = phi_x.reshape(tuple(int(m) for m in grid.moduli) + (dim,))
+    proj = grid.project_index(gphi)
+    shape = [int(m) for m in grid.moduli]
     # each of a's moduli divides the grid's, so splitting every grid axis
     # into (quotient, a's modulus) lines a's table up by broadcasting
-    phi_split = phi_x.reshape(
-        [v for big, m in zip(grid.moduli, ga.moduli) for v in (int(big // m), int(m))] + [dim])
-    a_shape = [v for m in ga.moduli for v in (1, int(m))] + [dim]
-    tmods = np.array(phi.target.space_moduli(level), dtype=np.int64)
+    split = [v for big, m in zip(shape, ga.moduli) for v in (big // int(m), int(m))]
+    a_shape = [v for m in ga.moduli for v in (1, int(m))]
+    tmods = phi.target.space_moduli(level)
+    phi_nd = [row[proj].reshape(shape) for row in PHI]
+    buf = np.empty(shape, dtype=np.int64)  # one difference row, reused
     violations: list = []
     for i in range(src.rank):
-        # phi(e_i.x) over the whole grid is a cyclic shift along axis i
-        lhs = np.roll(phi_nd, -1, axis=i).reshape(phi_split.shape)
-        step = AG[i].reshape(a_shape) % tmods
-        # both sides lie in [0, tmods), so phi(e_i.x) = (phi(x) + step) mod
-        # tmods exactly when their difference is step or step - tmods
-        d = lhs - phi_split
-        if ((d == step) | (d == step - tmods)).all():
-            continue
-        lhs = lhs.reshape(-1, dim)
-        rhs = ((phi_split + step) % tmods).reshape(-1, dim)
-        _record(violations, [(name, generator(src, i).coords, grid.point(int(x)),
-                              tuple(int(v) for v in lhs[x]), tuple(int(v) for v in rhs[x]))
-                             for x in _mismatched_rows(lhs, rhs)[:_SAMPLES]])
+        bad = None
+        for nd, a_row, tm in zip(phi_nd, AG[i], tmods):
+            # both sides lie in [0, tm), so phi(e_i.x) = phi(x) + step mod tm
+            # exactly when their difference is step or step - tm
+            d = _shift_difference(nd, i, buf).reshape(split)
+            step = a_row.reshape(a_shape) % tm
+            ok = d == step
+            ok |= d == step - tm
+            if not ok.all():
+                miss = ~ok.reshape(-1)
+                bad = miss if bad is None else np.logical_or(bad, miss, out=bad)
+        if bad is not None:
+            xs = np.flatnonzero(bad)[:_SAMPLES]
+            pts = np.array(np.unravel_index(xs, shape), dtype=np.int64)
+            moved = pts.copy()
+            moved[i] = (moved[i] + 1) % shape[i]
+            lhs = PHI[:, cylinder_index(src, gphi.level, moved)]
+            rhs = (PHI[:, cylinder_index(src, gphi.level, pts)]
+                   + AG[i][:, cylinder_index(src, ga.level, pts)]) % np.array(tmods)[:, None]
+            _record(violations, [(name, generator(src, i).coords, grid.point(int(x)),
+                                  tuple(int(v) for v in lhs[:, s]),
+                                  tuple(int(v) for v in rhs[:, s]))
+                                 for s, x in enumerate(xs)])
     return CheckResult(name, grid.size * src.rank, violations)
 
 
@@ -560,15 +630,17 @@ def _check_roundtrip(
     mid_level = psi.input_level(level)
     gphi, PHI_mid = t.lcmap(phi, mid_level)
     gpsi, PSI = t.lcmap(psi, level)
-    out = np.take(PSI, PHI_mid @ gpsi.strides, axis=0)
     # compare on a grid fine enough to pin the level-`level` projection too
     grid = t.grid(src, max(level, gphi.level))
-    got = out[grid.project_index(gphi)]
-    expect = grid.res if grid.level == level else grid.res % np.array(
-        src.space_moduli(level), dtype=np.int64)
-    bad = _mismatched_rows(got, expect)
-    violations = [(name, grid.point(int(i)), tuple(int(v) for v in got[i]),
-                   tuple(int(v) for v in expect[i])) for i in bad[:_SAMPLES]]
+    # the index of phi(x) in psi's input grid, at every point of the grid
+    at = flat_index(PHI_mid, gpsi.moduli)[grid.project_index(gphi)]
+    mods = src.space_moduli(level)
+    exact = grid.level == level
+    bad = _mismatched_points((psi_row[at], row if exact else row % m)
+                             for psi_row, row, m in zip(PSI, grid.res, mods))
+    violations = [(name, grid.point(int(i)), tuple(int(v) for v in PSI[:, at[i]]),
+                   tuple(int(r) % m for r, m in zip(grid.res[:, i], mods)))
+                  for i in bad[:_SAMPLES]]
     return CheckResult(name, grid.size, violations)
 
 
@@ -588,15 +660,14 @@ def _check_inverse_cocycle(
     gphi, PHI_b = t.lcmap(phi, b.level)
     grid = t.grid(src, max(ga.level, gphi.level))
     to_a = grid.project_index(ga)
-    y = PHI_b[grid.project_index(gphi)]  # phi(x) at b's level, as residues
+    y = PHI_b[:, grid.project_index(gphi)]  # phi(x) at b's level, as residues
     src_group = src.group_moduli()
     violations: list = []
     for i in range(src.rank):
-        got = read(AG[i][to_a], y, name)
+        got = read(AG[i][:, to_a], y, name)
         e = canonical_coords(src_group, generator(src, i).coords)
-        bad = _mismatched_rows(got, np.array(e, dtype=np.int64)[None, :])
-        _record(violations, [(name, e, grid.point(int(x)), tuple(int(v) for v in got[x]))
-                             for x in bad[:_SAMPLES]])
+        _record(violations, [(name, e, grid.point(int(x)), tuple(int(v) for v in got[:, x]))
+                             for x in _mismatched_points(zip(got, e))[:_SAMPLES]])
     return CheckResult(name, grid.size * src.rank, violations)
 
 
@@ -623,25 +694,30 @@ def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
     tg = a.target_group
     _require_int64(_peak(AG) * max(4, *group), name)
     step = [grid.translate(generator(spec, i).coords) for i in range(spec.rank)]
-    shape = tuple(int(m) for m in grid.moduli) + (len(tg),)
+    shape = [len(tg)] + [int(m) for m in grid.moduli]
+
+    def reduced(row: np.ndarray, m: int) -> np.ndarray:
+        return row % m if m else row
+
     checked = 0
     violations: list = []
     for i in range(spec.rank):
         for j in range(i + 1, spec.rank):
-            diff = AG[i] + AG[j][step[i]] - AG[j] - AG[i][step[j]]
             checked += grid.size
-            bad = _mismatched_rows(_canonicalize_cols(diff, tg), 0)
+            bad = _mismatched_points(
+                (reduced(fi + fj[step[i]] - fj - fi[step[j]], m), 0)
+                for fi, fj, m in zip(AG[i], AG[j], tg))
             _record(violations, [(name, f"e{i}+e{j} = e{j}+e{i}", grid.point(int(x)))
                                  for x in bad[:_SAMPLES]])
         if group[i]:
             # a cyclic factor's grid axis is one whole e_i-orbit; each orbit
             # is reported at its point with residue 0 on that axis
-            total = AG[i].reshape(shape).sum(axis=i).reshape(-1, len(tg))
+            total = AG[i].reshape(shape).sum(axis=1 + i).reshape(len(tg), -1)
             checked += grid.size // group[i]
-            # row x of total is the orbit through the x-th grid point with
+            # column x of total is the orbit through the x-th grid point with
             # residue 0 on axis i
-            orbits = _mismatched_rows(_canonicalize_cols(total, tg), 0)
-            bad = np.flatnonzero(grid.res[:, i] == 0)[orbits]
+            orbits = _mismatched_points((reduced(row, m), 0) for row, m in zip(total, tg))
+            bad = np.flatnonzero(grid.res[i] == 0)[orbits]
             _record(violations, [(name, f"{group[i]}*e{i} = 0", grid.point(int(x)))
                                  for x in bad[:_SAMPLES]])
     return CheckResult(name, checked, violations)
@@ -710,13 +786,13 @@ def _homomorphism_check(w: CoeWitness) -> CheckResult:
     violations: list = []
     for tag, t in (("a", w.a), ("b", w.b)):
         for i, g in enumerate(t.generators):
-            checked += len(g.values)
+            checked += g.values.shape[1]
             mods = t.source.space_moduli(g.level)
             _record(violations, [
                 ("homomorphism", f"{tag}(e{i}, x)",
                  PointAtLevel(g.level, tuple(int(v) for v in np.unravel_index(int(x), mods))),
-                 tuple(int(v) for v in g.values[x]), tuple(int(v) for v in g.values[0]))
-                for x in _mismatched_rows(g.values, g.values[0])[:_SAMPLES]])
+                 tuple(int(v) for v in g.values[:, x]), tuple(int(v) for v in g.values[:, 0]))
+                for x in _mismatched_points(zip(g.values, g.values[:, 0]))[:_SAMPLES]])
     return CheckResult("homomorphism", checked, violations)
 
 

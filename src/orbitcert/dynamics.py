@@ -8,7 +8,7 @@ product of one copy of Z per odometer factor and Z/n per cyclic factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -43,7 +43,12 @@ def level_modulus(f: Factor, k: int) -> int:
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """Equality and hash depend on factors alone; _moduli memoizes
+    space_moduli per level on the instance, so a call does not hash the
+    factors again."""
+
     factors: tuple[Factor, ...]
+    _moduli: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -58,12 +63,10 @@ class SystemSpec:
         return tuple(f.n if isinstance(f, Cyclic) else 0 for f in self.factors)
 
     def space_moduli(self, k: int) -> tuple[int, ...]:
-        return _space_moduli(self.factors, k)
-
-
-@lru_cache(maxsize=None)
-def _space_moduli(factors: tuple[Factor, ...], k: int) -> tuple[int, ...]:
-    return tuple(level_modulus(f, k) for f in factors)
+        got = self._moduli.get(k)
+        if got is None:
+            got = self._moduli[k] = tuple(level_modulus(f, k) for f in self.factors)
+        return got
 
 
 @dataclass(frozen=True)

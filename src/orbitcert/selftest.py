@@ -22,6 +22,7 @@ from .cocycle import (
     CoeWitness,
     GroupValuedMap,
     cylinder_index,
+    linear_image,
     require_grids,
     slide,
     twist,
@@ -514,19 +515,19 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         built += 1
         x_spec, y_spec = w.source, w.target
         d = x_spec.space_moduli(1)
-        # s on the level-1 cylinders, in grid order
+        # s on the level-1 cylinders, in grid order, one row per factor
         shifts = np.array(
             [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
             dtype=np.int64,
-        )
-        rho = np.stack([g.values[0] for g in w.a.generators])  # row i is rho(e_i)
-        rho_inv = np.stack([g.values[0] for g in w.b.generators])
+        ).T
+        rho = np.stack([g.values[:, 0] for g in w.a.generators])  # row i is rho(e_i)
+        rho_inv = np.stack([g.values[:, 0] for g in w.b.generators])
         tgy = y_spec.group_moduli()
-        u = GroupValuedMap(x_spec, tgy, 1, shifts @ rho, "corpus-u")
+        u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, shifts), "corpus-u")
         phi_u, psi_u = slide(w, GroupValuedMap(x_spec, tgy, 1, -u.values), rho_inv)
         v = GroupValuedMap.tabulate(
             y_spec, x_spec.group_moduli(), psi_u.input_level(1),
-            lambda res: -shifts[cylinder_index(x_spec, 1, psi_u.at(1, res))], "corpus-v",
+            lambda res: -shifts[:, cylinder_index(x_spec, 1, psi_u.at(1, res))], "corpus-v",
         )
         twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
         if built <= 3:
@@ -552,15 +553,15 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         deep = max(out.phi.input_level(2), w.phi.input_level(2))
         mods = x_spec.space_moduli(deep)
         picks = rng.sample(range(point_count(x_spec, deep)), min(10, point_count(x_spec, deep)))
-        probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods), axis=1)
+        probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods))
         checked += len(picks)
         if (out.phi.at(2, probe) != w.phi.at(2, probe)).any():
             failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
         # a transfer corrupted on one cylinder must fail the premise
         bad_shifts = shifts.copy()
-        key = rng.choice(range(len(bad_shifts)))
-        bad_shifts[key, rng.randrange(len(d))] += 1
-        bad_u = GroupValuedMap(x_spec, tgy, 1, bad_shifts @ rho, "bad-u")
+        key = rng.choice(range(bad_shifts.shape[1]))
+        bad_shifts[rng.randrange(len(d)), key] += 1
+        bad_u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, bad_shifts), "bad-u")
         checked += 1
         try:
             untwist_to_conjugacy(twisted, bad_u, (w.a, w.b), level)

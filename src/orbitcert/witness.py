@@ -22,9 +22,10 @@ from .cocycle import (
     GroupValuedMap,
     LCMap,
     constant_generator,
+    flat_index,
     homomorphism_cocycle,
     identity_witness,
-    mixed_radix_strides,
+    linear_image,
     require_grids,
 )
 from .decide import coe_decide, conj_decide
@@ -73,11 +74,11 @@ def build_basic_coe(l: int, L: SupernaturalNumber) -> CoeWitness:
         return j
 
     def phi_table(k: int, res: np.ndarray) -> np.ndarray:
-        v = res[:, 0]
-        return np.stack((v % l, (v // l) % lm_l(k)), axis=1)
+        v = res[0]
+        return np.stack((v % l, (v // l) % lm_l(k)))
 
     def psi_table(k: int, res: np.ndarray) -> np.ndarray:
-        return ((res[:, 0] + l * res[:, 1]) % lm_m(k)).reshape(-1, 1)
+        return ((res[0] + l * res[1]) % lm_m(k))[None, :]
 
     phi = LCMap(x, y, lphi, phi_table, f"split-{l}")
     psi = LCMap(y, x, lambda k: k, psi_table, f"merge-{l}")
@@ -87,11 +88,11 @@ def build_basic_coe(l: int, L: SupernaturalNumber) -> CoeWitness:
         a_level += 1
     a_gen = GroupValuedMap.tabulate(
         x, (l, 0), a_level,
-        lambda res: np.stack((np.ones(len(res), dtype=np.int64), res[:, 0] % l == l - 1), axis=1),
+        lambda res: np.stack((np.ones(res.shape[1], dtype=np.int64), res[0] % l == l - 1)),
         f"split-{l}-a",
     )
     # at level 0 the points of y are (j, 0) for j < l
-    b_cyc = GroupValuedMap(y, (0,), 0, np.where(np.arange(l) == l - 1, 1 - l, 1),
+    b_cyc = GroupValuedMap(y, (0,), 0, np.where(np.arange(l) == l - 1, 1 - l, 1)[None, :],
                            f"merge-{l}-b0")
     b_odo = constant_generator(y, (0,), (l,), f"merge-{l}-b1")
     return CoeWitness(phi, CocycleTable(x, (l, 0), (a_gen,)),
@@ -110,10 +111,7 @@ def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -
     y = SystemSpec(tuple(Cyclic(n) for n in tgt_orders))
 
     def rerank(orders_in, orders_out):
-        si = mixed_radix_strides(orders_in)
-        so = mixed_radix_strides(orders_out)
-        oo = np.array(orders_out, dtype=np.int64)
-        return lambda k, res: ((res @ si)[:, None] // so[None, :]) % oo[None, :]
+        return lambda k, res: np.stack(np.unravel_index(flat_index(res, orders_in), orders_out))
 
     phi = LCMap(x, y, lambda k: 0, rerank(src_orders, tgt_orders), "rank")
     psi = LCMap(y, x, lambda k: 0, rerank(tgt_orders, src_orders), "unrank")
@@ -125,7 +123,7 @@ def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -
 
         def vals(res: np.ndarray) -> np.ndarray:
             moved = res.copy()
-            moved[:, i] = (moved[:, i] + 1) % orders_from[i]
+            moved[i] = (moved[i] + 1) % orders_from[i]
             return f.table(0, moved) - f.table(0, res)
 
         return GroupValuedMap.tabulate(f.source, orders_to, 0, vals, f"{f.name}-a[{i}]")
@@ -270,9 +268,7 @@ def build_conj_witness(
         def table(k: int, res: np.ndarray) -> np.ndarray:
             # entries reduced first: a term is below a source times a target modulus
             mods = target.space_moduli(k)
-            mat = np.array([[v % m for v, m in zip(col, mods)] for col in cols],
-                           dtype=np.int64)
-            return (res @ mat) % np.array(mods, dtype=np.int64)
+            return linear_image([[v % m for v, m in zip(col, mods)] for col in cols], res, mods)
 
         return table
 

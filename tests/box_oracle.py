@@ -13,7 +13,10 @@ slow and only as strong as its radius, but it shares no code path with the
 generator checks in `orbitcert.cocycle` beyond `_Grid` and the maps' own
 evaluators: it tabulates every map with `LCMap.at` and `GroupValuedMap.at`
 on grids of its own, and checks the roundtrips pointwise on such a grid, so
-the tests require the two verdicts to agree.
+the tests require the two verdicts to agree.  The library stores tables one
+row per component; the sweeps here read them as one row per point, through
+_materialize_lcmap, _materialize_table and _points, and keep the pointwise
+layout of the verifier they preserve.
 
 box_verify_conj checks a conjugacy, an orbit equivalence whose cocycles
 are constant, as it was checked before it was one: each generator table
@@ -38,7 +41,6 @@ from orbitcert.cocycle import (
     LCMap,
     VerifyReport,
     _SAMPLES,
-    _canonicalize_cols,
     _Grid,
     _record,
     cylinder_index,
@@ -96,16 +98,16 @@ def image(f: LCMap, k: int, x: PointAtLevel) -> PointAtLevel:
         raise ValueError(
             f"{f.name or 'map'}: output level {k} needs input level {need}, got {x.level}"
         )
-    row = f.at(k, np.array([x.residues], dtype=np.int64))[0]
-    return PointAtLevel(k, tuple(int(v) for v in row))
+    col = f.at(k, np.array(x.residues, dtype=np.int64)[:, None])[:, 0]
+    return PointAtLevel(k, tuple(int(v) for v in col))
 
 
 def value(m: GroupValuedMap, x: PointAtLevel) -> GroupElement:
     """m at one point given at m's level or finer."""
     if x.level < m.level:
         raise ValueError(f"{m.name or 'cocycle'}: needs level {m.level}, got {x.level}")
-    row = m.at(np.array([x.residues], dtype=np.int64))[0]
-    return GroupElement(tuple(int(v) for v in row))
+    col = m.at(np.array(x.residues, dtype=np.int64)[:, None])[:, 0]
+    return GroupElement(tuple(int(v) for v in col))
 
 
 def add_coords(
@@ -127,27 +129,44 @@ def enumerate_points(spec: SystemSpec, k: int, limit: int = 10**6) -> list[Point
     return [PointAtLevel(k, res) for res in product(*(range(m) for m in mods))]
 
 
+def _canonical_rows(vals: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
+    """vals, one row per point, with cyclic coordinates reduced mod n."""
+    out = vals.copy()
+    for j, m in enumerate(group):
+        if m:
+            out[:, j] %= m
+    return out
+
+
+def _points(grid: _Grid) -> np.ndarray:
+    """The grid's residues, one row per point."""
+    return grid.res.T
+
+
 def _materialize_lcmap(f: LCMap, out_level: int, limit: int) -> tuple[_Grid, np.ndarray]:
-    """f's images at output level out_level of every point of its input grid."""
+    """f's images at output level out_level of every point of its input grid,
+    one row per point."""
     grid = _Grid(f.source, f.input_level(out_level), limit)
-    return grid, f.at(out_level, grid.res)
+    return grid, f.at(out_level, grid.res).T
 
 
 def _materialize_table(t: CocycleTable, limit: int) -> tuple[_Grid, np.ndarray]:
-    """The generator tables stacked over the cocycle's level grid."""
+    """The generator tables stacked over the cocycle's level grid, one row
+    per point."""
     grid = _Grid(t.source, t.level, limit)
-    return grid, np.stack([g.at(grid.res) for g in t.generators])
+    return grid, np.stack([g.at(grid.res).T for g in t.generators])
 
 
 def coarsest_table(spec: SystemSpec, level: int, vals: np.ndarray) -> tuple[int, np.ndarray]:
     """The least level c <= level on whose cylinders vals, a table over the
-    level-`level` grid, is constant, and the table over the level-c grid."""
-    res = _Grid(spec, level, len(vals)).res
+    level-`level` grid with one row per component, is constant, and the
+    table over the level-c grid."""
+    res = _Grid(spec, level, vals.shape[1]).res
     for cand in range(level):
         idx = cylinder_index(spec, cand, res)
-        rep = np.empty((point_count(spec, cand), vals.shape[1]), dtype=np.int64)
-        rep[idx] = vals
-        if (rep[idx] == vals).all():
+        rep = np.empty((len(vals), point_count(spec, cand)), dtype=np.int64)
+        rep[:, idx] = vals
+        if (rep[:, idx] == vals).all():
             return cand, rep
     return level, vals
 
@@ -259,7 +278,7 @@ def telescope(
             for _ in range(-steps):
                 cur = perm(i, -1)[cur]
                 val -= gen_vals[i][cur]
-    return _canonicalize_cols(val, target_group)
+    return _canonical_rows(val, target_group)
 
 
 def box_equivariance(
@@ -278,8 +297,9 @@ def box_equivariance(
     checked = 0
     violations: list = []
     for g in box_elements(src, radius):
-        gx_res = (grid.res + np.array(g.coords, dtype=np.int64)[None, :]) % grid.moduli[None, :]
-        lhs = PHI[(gx_res % gphi.moduli[None, :]) @ gphi.strides]
+        gx_res = (_points(grid) + np.array(g.coords, dtype=np.int64)[None, :]) \
+            % grid.moduli[None, :]
+        lhs = PHI[np.ravel_multi_index((gx_res % gphi.moduli[None, :]).T, gphi.moduli)]
         aval = telescope(ga, AG, src_group, a.target_group, g.coords)[to_a]
         rhs = (phi_x + aval) % tmods[None, :]
         checked += grid.size
@@ -303,7 +323,7 @@ def box_inverse_cocycle(
     gphi, PHI_b = _materialize_lcmap(phi, gb.level, limit)
     grid = _Grid(src, max(ga.level, gphi.level), limit)
     to_a = grid.project_index(ga)
-    y_small = PHI_b[grid.project_index(gphi)] @ gb.strides
+    y_small = np.ravel_multi_index(PHI_b[grid.project_index(gphi)].T, gb.moduli)
     src_group = src.group_moduli()
     tgt_group = tgt.group_moduli()
     box = box_elements(src, radius)
@@ -374,7 +394,7 @@ def box_identity(name: str, a: CocycleTable, radius: int, limit: int) -> CheckRe
         p2 = grid.translate(g2.coords)
         for g1 in box:
             lhs = sums[add_coords(src_group, g1.coords, g2.coords)]
-            rhs = _canonicalize_cols(sums[g1.coords][p2] + sums[g2.coords], tg)
+            rhs = _canonical_rows(sums[g1.coords][p2] + sums[g2.coords], tg)
             checked += grid.size
             bad = np.nonzero((lhs != rhs).any(axis=1))[0]
             _record(violations, [(name, g1.coords, g2.coords, grid.point(int(i)))
@@ -388,8 +408,8 @@ def box_roundtrip(name: str, phi: LCMap, psi: LCMap, level: int, limit: int) -> 
     src = phi.source
     mid_level = psi.input_level(level)
     grid = _Grid(src, max(level, phi.input_level(mid_level)), limit)
-    got = psi.at(level, phi.at(mid_level, grid.res))
-    expect = grid.res % np.array(src.space_moduli(level), dtype=np.int64)[None, :]
+    got = psi.at(level, phi.at(mid_level, grid.res)).T
+    expect = _points(grid) % np.array(src.space_moduli(level), dtype=np.int64)[None, :]
     bad = np.nonzero((got != expect).any(axis=1))[0]
     return CheckResult(name, grid.size, [
         (name, grid.point(int(i)), tuple(int(v) for v in got[i]),
@@ -446,8 +466,7 @@ def _box_inverse(name: str, hom: np.ndarray, inv: np.ndarray, spec: SystemSpec,
                  target_group: tuple[int, ...], radius: int) -> CheckResult:
     """rho^-1(rho(g)) = g for every g in the box."""
     g = _box_array(spec, radius)
-    back = _canonicalize_cols(_canonicalize_cols(g @ hom, target_group) @ inv,
-                              spec.group_moduli())
+    back = _canonical_rows(_canonical_rows(g @ hom, target_group) @ inv, spec.group_moduli())
     bad = np.nonzero((back != g).any(axis=1))[0]
     return CheckResult(name, len(g), [(name, tuple(int(v) for v in g[i])) for i in bad[:_SAMPLES]])
 
@@ -459,12 +478,12 @@ def _box_additivity(name: str, hom: np.ndarray, spec: SystemSpec,
     kills the factor's order."""
     g = _box_array(spec, radius)
     n = len(g)
-    total = _canonicalize_cols((g[:, None, :] + g[None, :, :]).reshape(n * n, -1),
-                               spec.group_moduli())
+    total = _canonical_rows((g[:, None, :] + g[None, :, :]).reshape(n * n, -1),
+                            spec.group_moduli())
     img = g @ hom
-    lhs = _canonicalize_cols(total @ hom, target_group)
-    rhs = _canonicalize_cols((img[:, None, :] + img[None, :, :]).reshape(n * n, -1),
-                             target_group)
+    lhs = _canonical_rows(total @ hom, target_group)
+    rhs = _canonical_rows((img[:, None, :] + img[None, :, :]).reshape(n * n, -1),
+                          target_group)
     bad = np.nonzero((lhs != rhs).any(axis=1))[0]
     return CheckResult(name, n * n, [
         (name, tuple(int(v) for v in g[i // n]), tuple(int(v) for v in g[i % n]))
@@ -483,12 +502,12 @@ def box_verify_conj(
     src, tgt = w.source, w.target
     tables = [(f"{tag}(e{i}, x)", g) for tag, t in (("a", w.a), ("b", w.b))
               for i, g in enumerate(t.generators)]
-    split = [(label, len(np.unique(g.values, axis=0))) for label, g in tables]
+    split = [(label, np.unique(g.values, axis=1).shape[1]) for label, g in tables]
     homomorphism = CheckResult(
-        "homomorphism", sum(len(g.values) for _, g in tables),
+        "homomorphism", sum(g.values.shape[1] for _, g in tables),
         [("homomorphism", label, f"{k} distinct values") for label, k in split if k > 1])
-    hom = np.stack([g.values[0] for g in w.a.generators])  # row i is rho(e_i)
-    inv = np.stack([g.values[0] for g in w.b.generators])
+    hom = np.stack([g.values[:, 0] for g in w.a.generators])  # row i is rho(e_i)
+    inv = np.stack([g.values[:, 0] for g in w.b.generators])
     checks = [
         homomorphism,
         _shift_equivariance("phi-equivariance", w.phi, hom, max(level, w.b.level), point_limit),
@@ -508,19 +527,21 @@ def box_verify_conj(
 
 
 def witness_tables(w: CoeWitness, level: int, limit: int = 10**6) -> dict:
-    """The tables the coe verifier reads at `level`: each point map at the
-    highest output level a check reads it (its own equivariance level, the
-    other cocycle's level and the level the other map's roundtrip feeds it),
-    and each cocycle's generators over its locality grid."""
+    """The tables the coe verifier reads at `level`, one row per component
+    as the library stores them: each point map at the highest output level
+    a check reads it (its own equivariance level, the other cocycle's level
+    and the level the other map's roundtrip feeds it), and each cocycle's
+    generators over its locality grid."""
     kf = max(level, w.b.level, w.psi.input_level(level))
     kb = max(level, w.a.level, w.phi.input_level(level))
     out = {"source": w.source, "target": w.target}
     for key, f, k in (("phi", w.phi, kf), ("psi", w.psi, kb)):
-        grid, vals = _materialize_lcmap(f, k, limit)
-        out[key] = {"in_level": grid.level, "out_level": k, "table": vals}
+        grid = _Grid(f.source, f.input_level(k), limit)
+        out[key] = {"in_level": grid.level, "out_level": k, "table": f.at(k, grid.res)}
     for key, t in (("a", w.a), ("b", w.b)):
-        _, gens = _materialize_table(t, limit)
-        out[key] = {"level": t.level, "target_group": t.target_group, "generators": list(gens)}
+        grid = _Grid(t.source, t.level, limit)
+        out[key] = {"level": t.level, "target_group": t.target_group,
+                    "generators": [g.at(grid.res) for g in t.generators]}
     return out
 
 
@@ -534,12 +555,12 @@ def _table_map(block: dict, src, tgt, name: str) -> LCMap:
         assert k <= out_cap, f"{name}: tabulated up to level {out_cap}, read at {k}"
         if k not in coarse:
             mods = np.array(tgt.space_moduli(k), dtype=np.int64)
-            coarse[k] = coarsest_table(src, in_level, arr % mods[None, :])
+            coarse[k] = coarsest_table(src, in_level, arr % mods[:, None])
         return coarse[k]
 
     def table(k: int, res: np.ndarray) -> np.ndarray:
         level, vals = fit(k)
-        return vals[cylinder_index(src, level, res)]
+        return vals[:, cylinder_index(src, level, res)]
 
     return LCMap(src, tgt, lambda k: fit(k)[0], table, name)
 

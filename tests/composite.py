@@ -68,8 +68,8 @@ def permutation_witness(spec: SystemSpec, perm: tuple[int, ...]) -> CoeWitness:
     for j, i in enumerate(perm):
         inv[i] = j
     tgt = SystemSpec(tuple(spec.factors[i] for i in perm))
-    phi = LCMap(spec, tgt, lambda k: k, lambda k, res: res[:, perm], "perm")
-    psi = LCMap(tgt, spec, lambda k: k, lambda k, res: res[:, inv], "perm-inv")
+    phi = LCMap(spec, tgt, lambda k: k, lambda k, res: res[list(perm)], "perm")
+    psi = LCMap(tgt, spec, lambda k: k, lambda k, res: res[inv], "perm-inv")
     gm_x, gm_y = spec.group_moduli(), tgt.group_moduli()
     unit = np.eye(spec.rank, dtype=np.int64)
     a = CocycleTable(spec, gm_y, tuple(
@@ -94,9 +94,7 @@ def direct_sum_coe(parts: list[CoeWitness]) -> CoeWitness:
 
     def sum_map(maps: list[LCMap], src: SystemSpec, tgt: SystemSpec, off, name) -> LCMap:
         def table(k: int, res: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [m.at(k, res[:, off[t] : off[t + 1]]) for t, m in enumerate(maps)], axis=1
-            )
+            return np.concatenate([m.at(k, res[off[t] : off[t + 1]]) for t, m in enumerate(maps)])
 
         return LCMap(src, tgt, lambda k: max(m.input_level(k) for m in maps), table, name)
 
@@ -104,8 +102,8 @@ def direct_sum_coe(parts: list[CoeWitness]) -> CoeWitness:
              tgt_gm) -> GroupValuedMap:
         """local's values placed in part t's coordinates of the sum."""
         def vals(res: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(res), len(tgt_gm)), dtype=np.int64)
-            out[:, tgt_off[t] : tgt_off[t + 1]] = local.at(res[:, src_off[t] : src_off[t + 1]])
+            out = np.zeros((len(tgt_gm), res.shape[1]), dtype=np.int64)
+            out[tgt_off[t] : tgt_off[t + 1]] = local.at(res[src_off[t] : src_off[t + 1]])
             return out
 
         return GroupValuedMap.tabulate(spec, tgt_gm, local.level, vals)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -77,11 +79,12 @@ def test_lcmap_refuses_short_input():
 
 
 def test_group_valued_map_canonicalizes():
-    m = GroupValuedMap.tabulate(X_SMALL, (0, 3), 1, lambda res: np.tile((5, -1), (len(res), 1)))
+    m = GroupValuedMap.tabulate(X_SMALL, (0, 3), 1,
+                                lambda res: np.tile([[5], [-1]], (1, res.shape[1])))
     v = value(m, PointAtLevel(2, (3, 1)))
     assert v.coords == (5, 2)
     assert value(m, PointAtLevel(1, (1, 1))) == v  # same fiber
-    assert m.values.tolist() == [[5, 2]] * 6  # stored canonically, once
+    assert m.values.T.tolist() == [[5, 2]] * 6  # stored canonically, once
     assert not m.values.flags.writeable
 
 
@@ -133,7 +136,7 @@ def test_extend_cocycle_matches_telescoping_by_hand():
 def test_extend_cocycle_is_path_independent():
     spec = _spec(["2^inf", "3^inf"])
     base = identity_witness(spec)
-    u = GroupValuedMap.tabulate(spec, (0, 0), 1, lambda res: res % (2, 3))
+    u = GroupValuedMap.tabulate(spec, (0, 0), 1, lambda res: res % np.array([[2], [3]]))
     a = twist(base.a, u)
     assert verify_cocycle_identity(a).passed
     for g in [GroupElement((2, -1)), GroupElement((-3, 2)), GroupElement((1, 1))]:
@@ -147,11 +150,11 @@ def test_twist_twice_matches_twist_by_sum():
     spec = _spec(["2^inf", 3])
     base = identity_witness(spec)
     u = GroupValuedMap.tabulate(
-        spec, (0, 3), 1, lambda res: np.stack((res[:, 0] % 2, np.ones(len(res), int)), axis=1)
+        spec, (0, 3), 1, lambda res: np.stack((res[0] % 2, np.ones(res.shape[1], int)))
     )
     v = GroupValuedMap.tabulate(
         spec, (0, 3), 2,
-        lambda res: np.stack((np.zeros(len(res), int), res[:, 1] + res[:, 0] % 4), axis=1),
+        lambda res: np.stack((np.zeros(res.shape[1], int), res[1] + res[0] % 4)),
     )
     uv = GroupValuedMap.tabulate(spec, (0, 3), 2, lambda res: u.at(res) + v.at(res))
     lhs = twist(twist(base.a, u), v)
@@ -165,7 +168,7 @@ def test_twist_then_untwist_by_negation_restores():
     spec = _spec(["2^inf", 3])
     base = identity_witness(spec)
     u = GroupValuedMap.tabulate(
-        spec, (0, 3), 1, lambda res: np.stack((res[:, 0], np.full(len(res), 2)), axis=1)
+        spec, (0, 3), 1, lambda res: np.stack((res[0], np.full(res.shape[1], 2)))
     )
     neg_u = GroupValuedMap(spec, (0, 3), 1, -u.values)
     back = twist(twist(base.a, u), neg_u)
@@ -242,10 +245,10 @@ def test_slide_matches_the_pointwise_formula():
             continue
         built += 1
         x, y = w.source, w.target
-        rho_inv = np.stack([g.values[0] for g in w.b.generators])
+        rho_inv = np.stack([g.values[:, 0] for g in w.b.generators])
         vals = [[rng.randint(-9, 9) for _ in range(y.rank)] for _ in range(point_count(x, 1))]
         for sign in (1, -1):
-            u = GroupValuedMap(x, y.group_moduli(), 1, sign * np.array(vals, dtype=np.int64))
+            u = GroupValuedMap(x, y.group_moduli(), 1, sign * np.array(vals, dtype=np.int64).T)
             phi, psi = slide(w, u, rho_inv)
             for k in range(3):
                 pts = enumerate_points(x, phi.input_level(k))
@@ -267,8 +270,8 @@ def _cyclic_product_conj():
     # x = (a mod 2, b mod 3) corresponds to 3a + 4b mod 6
     src = _spec([2, 3])
     tgt = _spec([6])
-    phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
-    psi = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
+    phi = LCMap(src, tgt, lambda k: k, lambda k, res: ((3 * res[0] + 4 * res[1]) % 6)[None, :])
+    psi = LCMap(tgt, src, lambda k: k, lambda k, res: res % np.array([[2], [3]]))
     return CoeWitness(phi, homomorphism_cocycle(src, [(3,), (4,)], (6,)),
                       psi, homomorphism_cocycle(tgt, [(1, 1)], (2, 3)))
 
@@ -295,9 +298,10 @@ def test_group_iso_defect_reporting():
 
 def test_level_slack_finds_true_locality():
     spec = _spec(["2^inf", 3])
-    padded = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: res % (2, 1))
+    padded = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: res % np.array([[2], [1]]))
     assert _slack(padded) == 2
-    constant = GroupValuedMap.tabulate(spec, (0, 3), 3, lambda res: np.tile((7, 1), (len(res), 1)))
+    constant = GroupValuedMap.tabulate(spec, (0, 3), 3,
+                                       lambda res: np.tile([[7], [1]], (1, res.shape[1])))
     assert _slack(constant) == 3
     spec2, _, w = _swap_witness()
     assert _slack(w.a.generators[0]) == 0
@@ -311,7 +315,7 @@ def _coe(ms: str, ns: str) -> CoeWitness:
 def _twisted_on_z_times_z3() -> CocycleTable:
     spec = _spec(["2^inf", 3])
     u = GroupValuedMap.tabulate(
-        spec, (0, 3), 2, lambda res: np.stack((res[:, 0] * res[:, 1], res[:, 0] % 3), axis=1)
+        spec, (0, 3), 2, lambda res: np.stack((res[0] * res[1], res[0] % 3))
     )
     return twist(identity_witness(spec).a, u)
 
@@ -335,9 +339,9 @@ def test_cocycle_reader_matches_telescoping_oracle(case):
         hs.append(tuple(rng.choice([0, rng.randint(-9, 9), rng.randint(-400, 400)])
                         for _ in range(spec.rank)))
         ys.append(rng.choice(pts))
-    got = read(np.array(hs), np.array([y.residues for y in ys]))
-    for h, y, row in zip(hs, ys, got):
-        assert tuple(int(v) for v in row) == extend_cocycle(table, GroupElement(h), y).coords
+    got = read(np.array(hs).T, np.array([y.residues for y in ys]).T)
+    for h, y, col in zip(hs, ys, got.T):
+        assert tuple(int(v) for v in col) == extend_cocycle(table, GroupElement(h), y).coords
 
 
 def _seam_and_back():
@@ -374,7 +378,8 @@ def test_composed_generators_match_telescoped_composite(case):
 def test_grid_residues_match_the_division_formula(factors, level):
     grid = _Grid(_spec(factors), level)
     idx = np.arange(grid.size, dtype=np.int64)
-    by_division = (idx[:, None] // grid.strides[None, :]) % grid.moduli[None, :]
+    strides = [math.prod(grid.moduli[j + 1:]) for j in range(len(grid.moduli))]
+    by_division = (idx[None, :] // np.array(strides)[:, None]) % grid.moduli[:, None]
     assert grid.res.flags.c_contiguous
     assert grid.res.dtype == np.int64
     np.testing.assert_array_equal(grid.res, by_division)
@@ -415,19 +420,38 @@ def test_verify_conj_builds_each_grid_and_table_once(monkeypatch):
         [(c.name, c.checked, c.violations) for c in report.checks]
 
 
+def test_verify_conj_peak_memory_stays_below_twelve_tables():
+    # the README pair at level 3 checks on one grid of N = 93,750 points per
+    # side; a grid's residues and a point map's table take 2 * 8N bytes each,
+    # so the four the checks keep take 8 * 8N.  Every pass works one
+    # component row at a time, so what the passes add stays below 4 * 8N.
+    cw = build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"), parse_sn_list("3*5^inf,2*5^inf"))
+    n = point_count(cw.source, 3)
+    assert n == point_count(cw.target, 3) == 93_750
+    tracemalloc.start()
+    try:
+        report = verify_conj(cw, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.summary()
+    assert peak < 12 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
+
+
 @pytest.mark.parametrize("differing", [0, 1, 40])
 def test_mismatched_rows_matches_the_row_reduction(differing):
+    # tables hold one row per component; a point differs when any row does
     rng = np.random.default_rng(differing)
-    lhs = rng.integers(-50, 50, size=(400, 3), dtype=np.int64)
+    lhs = rng.integers(-50, 50, size=(3, 400), dtype=np.int64)
     rhs = lhs.copy()
-    rows = rng.choice(len(lhs), size=differing, replace=False)
-    rhs[rows, rng.integers(0, 3, size=differing)] += 1
-    row = lhs[:1]  # one-row right-hand side, broadcast as in the inverse checks
-    for right in (rhs, row, 0):
-        want = np.nonzero((lhs != right).any(axis=1))[0]
-        got = cocycle._mismatched_rows(lhs, right)
+    points = rng.choice(lhs.shape[1], size=differing, replace=False)
+    rhs[rng.integers(0, 3, size=differing), points] += 1
+    col = lhs[:, :1]  # one point on the right, broadcast as in the inverse checks
+    for right in (rhs, col, np.zeros((3, 1), dtype=np.int64)):
+        want = np.nonzero((lhs != right).any(axis=0))[0]
+        got = cocycle._mismatched_points(zip(lhs, right[:, 0] if right.shape[1] == 1 else right))
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert len(cocycle._mismatched_rows(lhs, rhs)) == differing
+    assert len(cocycle._mismatched_points(zip(lhs, rhs))) == differing
 
 
 def _recorded_grids(monkeypatch):
@@ -471,8 +495,8 @@ def test_orbit_sum_violation_is_reported_at_its_orbit():
     # e1-orbit through (1, 0) sums to (0, 1), not 0
     spec = SystemSpec((Cyclic(2), Cyclic(3)))
     e0 = constant_generator(spec, (2, 3), (1, 0))
-    bumped = np.tile([[0, 1]], (6, 1))
-    bumped[5, 1] += 1  # grid index 5 is the point (1, 2)
+    bumped = np.tile([[0], [1]], (1, 6))
+    bumped[1, 5] += 1  # grid index 5 is the point (1, 2)
     a = CocycleTable(spec, (2, 3), (e0, GroupValuedMap(spec, (2, 3), 0, bumped)))
     report = verify_cocycle_identity(a)
     orbit_sums = [v for v in report.checks[0].violations if v[1] == "3*e1 = 0"]

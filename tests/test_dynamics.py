@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from orbitcert.dynamics import (
     point_count,
 )
 from box_oracle import act, box_elements, enumerate_points, orbit, project, project_to
+from orbitcert.selftest import random_side
 from orbitcert.supernatural import parse_sn
 
 
@@ -99,3 +102,21 @@ def test_act_matches_integer_translation(k, c):
 def test_point_count():
     spec = SystemSpec((Odometer(parse_sn("5*2^inf")), Odometer(parse_sn("3^inf"))))
     assert point_count(spec, 4) == 80 * 81
+
+
+def test_space_moduli_are_memoized_per_instance_without_changing_identity():
+    # seeded specs mixing odometers and cycles: the memo returns the same
+    # moduli as the factors, and equality and hash still depend on the
+    # factors alone, whichever levels either copy has memoized
+    rng = random.Random(12)
+    for _ in range(40):
+        factors = tuple(Odometer(m) for m in random_side(rng))
+        factors += tuple(Cyclic(rng.randint(1, 9)) for _ in range(rng.randint(0, 2)))
+        spec, twin = SystemSpec(factors), SystemSpec(factors)
+        for k in range(5):
+            want = tuple(level_modulus(f, k) for f in factors)
+            assert spec.space_moduli(k) == want
+            assert spec.space_moduli(k) is spec.space_moduli(k)
+            assert spec == twin and hash(spec) == hash(twin)
+        assert {spec: 1}[twin] == 1
+        assert spec != SystemSpec(factors + (Cyclic(2),))

@@ -38,7 +38,7 @@ from orbitcert.cocycle import (
 )
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
 from orbitcert.decide import coe_decide
-from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
+from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, generator
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
     build_basic_coe,
@@ -103,15 +103,16 @@ def _mutate(tables: dict, key: str, rng: random.Random) -> dict:
     out = copy.deepcopy(tables)
     if key in ("a", "b"):
         gens = out[key]["generators"]
-        rows = gens[rng.randrange(len(gens))]
-        row = rows[rng.randrange(len(rows))]
-        row[rng.randrange(len(row))] += rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        table = gens[rng.randrange(len(gens))]
+        p = rng.randrange(table.shape[1])
+        table[rng.randrange(len(table)), p] += rng.choice([-3, -2, -1, 1, 2, 3, 7])
         return out
     spec = out["target" if key == "phi" else "source"]
     mods = spec.space_moduli(out[key]["out_level"])
-    row = out[key]["table"][rng.randrange(len(out[key]["table"]))]
+    table = out[key]["table"]
+    p = rng.randrange(table.shape[1])
     c = rng.choice([j for j, m in enumerate(mods) if m > 1])
-    row[c] = (row[c] + rng.randrange(1, mods[c])) % mods[c]
+    table[c, p] = (table[c, p] + rng.randrange(1, mods[c])) % mods[c]
     return out
 
 
@@ -143,7 +144,7 @@ def test_orbit_sum_violation_needs_only_radius_one(n):
 def test_commutation_violation_is_located():
     spec = SystemSpec((Odometer(parse_sn("2^inf")), Odometer(parse_sn("3^inf"))))
     f0 = GroupValuedMap.tabulate(
-        spec, (0, 0), 1, lambda res: np.stack((np.ones(len(res), int), res[:, 1] % 3), axis=1)
+        spec, (0, 0), 1, lambda res: np.stack((np.ones(res.shape[1], int), res[1] % 3))
     )
     f1 = constant_generator(spec, (0, 0), (0, 1))
     report = verify_cocycle_identity(CocycleTable(spec, (0, 0), (f0, f1)))
@@ -211,7 +212,8 @@ def _mutate_part(part, key: str, level: int, rng: random.Random):
             return None
         c = rng.choice(cols)
         step = rng.choice([d for d in (-3, -2, -1, 1, 2, 3) if not group[c] or d % group[c]])
-        gens[rng.randrange(len(gens))][rng.randrange(len(gens[0])), c] += step
+        table = gens[rng.randrange(len(gens))]
+        table[c, rng.randrange(table.shape[1])] += step
     else:
         spec = tables["target" if key == "phi" else "source"]
         mods = spec.space_moduli(tables[key]["out_level"])
@@ -219,9 +221,9 @@ def _mutate_part(part, key: str, level: int, rng: random.Random):
         if not cols:
             return None
         c = rng.choice(cols)
-        rows = tables[key]["table"]
-        row = rows[rng.randrange(len(rows))]
-        row[c] = (row[c] + rng.choice([-1, 1])) % mods[c]
+        table = tables[key]["table"]
+        p = rng.randrange(table.shape[1])
+        table[c, p] = (table[c, p] + rng.choice([-1, 1])) % mods[c]
     return replace(part, witness=witness_from_tables(tables))
 
 
@@ -295,8 +297,8 @@ def _cyclic_product_conj() -> CoeWitness:
     # x = (a mod 2, b mod 3) corresponds to 3a + 4b mod 6
     src = SystemSpec((Cyclic(2), Cyclic(3)))
     tgt = SystemSpec((Cyclic(6),))
-    phi = LCMap(src, tgt, lambda k: k, lambda k, res: (res @ (3, 4) % 6).reshape(-1, 1))
-    psi = LCMap(tgt, src, lambda k: k, lambda k, res: res % (2, 3))
+    phi = LCMap(src, tgt, lambda k: k, lambda k, res: ((3 * res[0] + 4 * res[1]) % 6)[None, :])
+    psi = LCMap(tgt, src, lambda k: k, lambda k, res: res % np.array([[2], [3]]))
     return CoeWitness(phi, homomorphism_cocycle(src, [(3,), (4,)], (6,)),
                       psi, homomorphism_cocycle(tgt, [(1, 1)], (2, 3)))
 
@@ -362,14 +364,14 @@ def _mutate_hom(tables: dict, key: str, every_row: bool, rng: random.Random) -> 
     spec = out["source" if key == "a" else "target"]
     if not every_row:
         res = _Grid(spec, block["level"] + 1).res
-        block["generators"] = [g[cylinder_index(spec, block["level"], res)]
+        block["generators"] = [g[:, cylinder_index(spec, block["level"], res)]
                                for g in block["generators"]]
         block["level"] += 1
     group = block["target_group"]
     c = rng.randrange(len(group))
     step = rng.choice([d for d in (-2, -1, 1, 2) if not group[c] or d % group[c]])
     gen = block["generators"][rng.randrange(len(block["generators"]))]
-    gen[slice(None) if every_row else rng.randrange(len(gen)), c] += step
+    gen[c, slice(None) if every_row else rng.randrange(gen.shape[1])] += step
     return out
 
 
@@ -397,3 +399,68 @@ def test_conj_single_entry_mutations_agree(case):
             assert "homomorphism" not in failing and failing & INVERSE_OR_RELATION, \
                 report.summary()
     assert all(failed.values()), failed
+
+
+# ---------------------------------------------------------------------------
+# the per-component kernels at the seams of the grid: a point map changed
+# where an e_i-translate wraps around, and at an interior point
+
+
+def _poke(f: LCMap, level: int, point: tuple[int, ...], comp: int) -> LCMap:
+    """f with component comp of its level-`level` image of `point`, given by
+    residues at f's input level, moved by one."""
+    mods = f.target.space_moduli(level)
+
+    def table(k: int, res: np.ndarray) -> np.ndarray:
+        out = f.table(k, res)
+        if k == level:
+            at = np.flatnonzero((res == np.array(point)[:, None]).all(axis=0))
+            out = out.copy()
+            out[comp, at] = (out[comp, at] + 1) % mods[comp]
+        return out
+
+    return replace(f, table=table, name=f"{f.name}*")
+
+
+KERNEL_CASES = {
+    "readme-conj": CONJ_CASES["readme"],  # two axes, two components
+    "split": lambda: build_basic_coe(5, parse_sn("2^inf")),  # one axis, two components
+    "merge": _cyclic_source,  # the split's inverse: two axes, one component
+}
+
+
+def _kernel_pokes(w: CoeWitness, level: int):
+    """(point, component): for each axis i every component at the last
+    residue along i, whose e_i-translate wraps, then every component at an
+    interior point."""
+    mods = w.source.space_moduli(w.phi.input_level(level))
+    interior = tuple(m // 2 for m in mods)
+    assert all(0 < r < m - 1 for r, m in zip(interior, mods))
+    for i, m in enumerate(mods):
+        for c in range(w.target.rank):
+            yield interior[:i] + (m - 1,) + interior[i + 1:], c
+    for c in range(w.target.rank):
+        yield interior, c
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_mutations_at_wrapping_and_interior_points(case):
+    w = KERNEL_CASES[case]()
+    level = 2
+    conj = case.endswith("conj")
+    made = 0
+    for point, comp in _kernel_pokes(w, level):
+        mutant = replace(w, phi=_poke(w.phi, level, point, comp))
+        report = (verify_conj if conj else verify_coe)(mutant, level)
+        checks = {c.name: c for c in report.checks}
+        where = PointAtLevel(w.phi.input_level(level), point)
+        detail = (point, comp, report.summary())
+        # every generator's comparison reports the point, the wrapping one too
+        seen = {(v[1], v[2]) for v in checks["phi-equivariance"].violations}
+        assert all((generator(w.source, i).coords, where) in seen
+                   for i in range(w.source.rank)), detail
+        assert where in [v[1] for v in checks["psi-after-phi"].violations], detail
+        assert not checks["phi-after-psi"].ok, detail
+        assert not (_agree_conj(mutant, level, radius=2) if conj else _agree(mutant, level, 2))
+        made += 1
+    assert made == {"readme-conj": 6, "split": 4, "merge": 3}[case]

@@ -166,7 +166,7 @@ def test_conj_witness_swap_pair():
 def test_conj_witness_identity_case():
     ms = parse_sn_list("2^inf, 5^inf")
     cw = build_conj_witness(ms, ms)
-    assert [tuple(g.values[0]) for g in cw.a.generators] == [(1, 0), (0, 1)]
+    assert [tuple(g.values[:, 0]) for g in cw.a.generators] == [(1, 0), (0, 1)]
     assert verify_conj(cw, level=3).passed
     for x in enumerate_points(cw.source, 3):
         assert image(cw.phi, 3, x) == x
@@ -181,8 +181,8 @@ def test_conj_witness_crt_merge():
     assert report.passed, report.summary()
 
 
-def _crt(a1: int, n1: int, a2: int, n2: int) -> int:
-    """x = a1 mod n1 and x = a2 mod n2 for coprime moduli."""
+def _crt(a1, n1: int, a2, n2: int):
+    """x = a1 mod n1 and x = a2 mod n2 for coprime moduli, elementwise."""
     if n1 == 1:
         return a2 % n2
     if n2 == 1:
@@ -191,11 +191,11 @@ def _crt(a1: int, n1: int, a2: int, n2: int) -> int:
     return (a1 + n1 * t) % (n1 * n2)
 
 
-def _pointwise_conj(ms, ns, forward: bool):
-    """The conjugacy's point map one point at a time, built from the
-    decision's blocks independently of the array evaluator: per block, the
-    finite multiplier coordinates and the common profinite part are mapped
-    by S and glued by the Chinese remainder theorem."""
+def _crt_conj(ms, ns, forward: bool):
+    """The conjugacy's point map built from the decision's blocks
+    independently of the library's evaluator: per block, the finite
+    multiplier coordinates and the common profinite part are mapped by S
+    and glued by the Chinese remainder theorem, over whole arrays."""
     blocks = []
     for blk in conj_decide(ms, ns).blocks:
         s = blk.conjugator[0]
@@ -209,7 +209,8 @@ def _pointwise_conj(ms, ns, forward: bool):
     tgt_limits = ns if forward else ms
 
     def at_level(k: int):
-        """ev(residues): the image at level k of a point at the input level."""
+        """ev(res): the images at level k of points at the input level, both
+        one row per factor."""
         glue = []
         for rows, src_idx, tgt_idx, qs_src, base in blocks:
             lm_l = level_modulus(Odometer(base), k)
@@ -217,16 +218,16 @@ def _pointwise_conj(ms, ns, forward: bool):
                     for row, j in zip(rows, tgt_idx)]
             glue.append((src_idx, qs_src, lm_l, outs))
 
-        def ev(residues) -> tuple[int, ...]:
-            out = [0] * len(ms)
+        def ev(res: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(ms), res.shape[1]), dtype=np.int64)
             for src_idx, qs_src, lm_l, outs in glue:
-                u = [residues[i] % q for i, q in zip(src_idx, qs_src)]
-                w = [residues[i] for i in src_idx]
+                u = [res[i] % q for i, q in zip(src_idx, qs_src)]
+                w = [res[i] for i in src_idx]
                 for row, j, g in outs:
                     su = sum(map(operator.mul, row, u))
                     sw = sum(map(operator.mul, row, w))
                     out[j] = _crt(su % g, g, sw % lm_l, lm_l)
-            return tuple(out)
+            return out
 
         return ev
 
@@ -244,12 +245,11 @@ def test_conj_vectorized_matches_pointwise():
     for ms, ns in pairs:
         cw = build_conj_witness(ms, ns)
         for f, forward in ((cw.phi, True), (cw.psi, False)):
-            pointwise = _pointwise_conj(ms, ns, forward)
+            crt = _crt_conj(ms, ns, forward)
             for k in range(4):
                 res = _Grid(f.source, f.input_level(k)).res
-                table = [tuple(row) for row in f.table(k, res).tolist()]
-                ev = pointwise(k)
-                assert table == [ev(x) for x in res.tolist()], (ms, ns, k, forward)
+                got, want = f.table(k, res), crt(k)(res)
+                assert got.shape == want.shape and (got == want).all(), (ms, ns, k, forward)
 
 
 def test_conj_witness_rejects_nonconjugate():
@@ -264,7 +264,7 @@ def test_conj_equivariance_is_exact_not_just_verified():
     from orbitcert.dynamics import GroupElement
 
     g = GroupElement((2, -1))
-    rho = np.stack([t.values[0] for t in cw.a.generators])  # row i is rho(e_i)
+    rho = np.stack([t.values[:, 0] for t in cw.a.generators])  # row i is rho(e_i)
     h = GroupElement(tuple(int(v) for v in np.array(g.coords) @ rho))
     lvl = cw.phi.level_map(3)
     for x in enumerate_points(cw.source, lvl)[:40]:
