@@ -8,9 +8,11 @@ pairs, or the conj blocks with their Smith matrices) determine the witness,
 and the witness block, {type, level}, only names its relation and the level
 to check it at.  Verification re-derives the decision, rebuilds the witness
 from the inputs and runs the exhaustive verifier, exact over the acting
-group, at any level within the point limit; a coe witness is a chain of
-elementary moves, checked stage by stage.  Payload integers
-are read strictly: bools and floats are refused, never truncated, and a
+group, at any level within the point limit.  Both witnesses are chains
+checked stage by stage: a coe witness's parts are elementary moves, each
+checked with verify_coe, and a conj witness is one stage of block
+conjugacies, each checked with verify_conj.  Payload integers are read
+strictly: bools and floats are refused, never truncated, and a
 verdict must be a JSON boolean.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 
 from . import __version__
 from .chain import CoeChain, verify_chain
-from .cocycle import CoeWitness, verify_conj
+from .cocycle import verify_coe, verify_conj
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -140,7 +142,7 @@ def witness_block(relation: str, ms, ns, level: int) -> dict:
     beyond the point limit, at `level` or at a level the witness's maps
     read, is refused here with the error `verify` would raise."""
     limit = COE_POINT_LIMIT if relation == "coe" else CONJ_POINT_LIMIT
-    require_checkable(relation, ms, ns, level, limit)
+    require_checkable(witness_from_block(relation, ms, ns), level, limit)
     return {"type": relation, "level": level}
 
 
@@ -183,15 +185,14 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 # reconstruction
 
 
-def coe_witness_from_block(ms, ns) -> CoeChain:
-    """The orbit-equivalence chain a coe block stands for, rebuilt from the
-    inputs."""
-    return build_coe_witness(ms, ns)
+def witness_from_block(relation: str, ms, ns) -> CoeChain:
+    """The chain a `relation` block stands for, rebuilt from the inputs: an
+    orbit equivalence's moves, or a conjugacy's blocks."""
+    return (build_coe_witness if relation == "coe" else build_conj_witness)(ms, ns)
 
 
-def conj_witness_from_block(ms, ns) -> CoeWitness:
-    """The conjugacy a conj block stands for, rebuilt from the inputs."""
-    return build_conj_witness(ms, ns)
+# the names perfbench traces
+coe_witness_from_block = conj_witness_from_block = witness_from_block
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +385,10 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
     if not bound:
         return False, lines
     ms, ns = _parse_inputs(cert)
-    if relation == "coe":
-        report = verify_chain(coe_witness_from_block(ms, ns), lvl, COE_POINT_LIMIT)
-    else:
-        report = verify_conj(conj_witness_from_block(ms, ns), lvl, CONJ_POINT_LIMIT)
+    # the part verifier follows the certificate's claim, never a part's kind
+    limit, verify = ((COE_POINT_LIMIT, verify_coe) if relation == "coe"
+                     else (CONJ_POINT_LIMIT, verify_conj))
+    report = verify_chain(witness_from_block(relation, ms, ns), lvl, limit, verify)
     for check in report.checks:
         tag = "pass" if check.ok else "FAIL"
         lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")

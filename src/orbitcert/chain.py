@@ -19,6 +19,14 @@ F_k the earlier stages' psi level maps (the level on X_k the composite
 inverse reads).  The composite's checks at L need exactly these: its
 equivariance and roundtrips at L read stage k's maps at E_(k+1) and F_k,
 and its cocycles read phi_k at a_(k+1).level and psi_k at b_(k-1).level.
+
+A conjugacy is the one-stage chain of its block conjugacies, checked with
+verify_conj on each part.  A factorwise product of conjugacies, wired by
+factor permutations, is a conjugacy whose rho is block-diagonal up to those
+permutations, and a composite of conjugacies is a conjugacy.  So the seams,
+each part's homomorphism check and its eight coe checks prove the claim.
+The part verifier comes from the claim being checked, never from a part's
+kind, so a mislabelled part cannot skip homomorphism.
 """
 from __future__ import annotations
 
@@ -126,15 +134,17 @@ def _seam_check(name: str, stage: Stage, source: SystemSpec, target: SystemSpec)
     return CheckResult(name, 3 + 2 * len(stage.parts), bad)
 
 
-def verify_chain(chain: CoeChain, level: int = 4, point_limit: int = 10**6) -> VerifyReport:
-    """Check an orbit-equivalence chain stage by stage: the seams of every
-    stage, then each elementary part with verify_coe on its own grid at the
-    stage's level lambda_k (module docstring).  Cost is the sum of the
-    parts' grids, not the grid of the composite.  A level beyond the point
-    limit is refused up front."""
+def verify_chain(chain: CoeChain, level: int = 4, point_limit: int = 10**6,
+                 verify=verify_coe) -> VerifyReport:
+    """Check a chain stage by stage: the seams of every stage, then each
+    elementary part with `verify` (verify_coe, or verify_conj for a
+    conjugacy) on its own grid at the stage's level lambda_k (module
+    docstring).  Cost is the sum of the parts' grids, not the grid of the
+    composite.  The report's kind is the part reports'.  A level beyond the
+    point limit is refused up front."""
     require_level(chain.source, level, point_limit)
     require_level(chain.target, level, point_limit)
-    checks = []
+    kind, checks = "coe-witness", []
     last = len(chain.stages) - 1
     for k, (stage, lam) in enumerate(zip(chain.stages, chain.stage_levels(level))):
         source = chain.stages[k - 1].target if k else chain.source
@@ -142,6 +152,8 @@ def verify_chain(chain: CoeChain, level: int = 4, point_limit: int = 10**6) -> V
         checks.append(_seam_check(f"stage {k} @{lam}: seams", stage, source, target))
         for p, part in enumerate(stage.parts):
             tag = f"stage {k} part {p} ({part.kind}) @{lam}: "
+            report = verify(part.witness, lam, point_limit)
+            kind = report.kind
             checks.extend(CheckResult(tag + c.name, c.checked, c.violations)
-                          for c in verify_coe(part.witness, lam, point_limit).checks)
-    return VerifyReport("coe-witness", level, checks)
+                          for c in report.checks)
+    return VerifyReport(kind, level, checks)

@@ -113,20 +113,14 @@ def cmd_counterexample(args) -> int:
 def cmd_witness(args) -> int:
     ms = parse_sn_list(args.ms)
     ns = parse_sn_list(args.ns)
-    if args.relation == "coe":
-        d = coe_decide(ms, ns)
-        if not d.equivalent:
-            print(f"not orbit equivalent: {d.obstruction}")
-            return 1
-        block = witness_block("coe", ms, ns, args.level)
-        cert = coe_certificate(ms, ns, d, block, kind="coe-witness")
-    else:
-        d = conj_decide(ms, ns)
-        if not d.conjugate:
-            print(f"not conjugate: {d.obstruction}")
-            return 1
-        block = witness_block("conj", ms, ns, args.level)
-        cert = conj_certificate(ms, ns, d, block, kind="conj-witness")
+    coe = args.relation == "coe"
+    d = coe_decide(ms, ns) if coe else conj_decide(ms, ns)
+    if not d:
+        print(f"not {'orbit equivalent' if coe else 'conjugate'}: {d.obstruction}")
+        return 1
+    block = witness_block(args.relation, ms, ns, args.level)
+    certificate = coe_certificate if coe else conj_certificate
+    cert = certificate(ms, ns, d, block, kind=f"{args.relation}-witness")
     print(f"witness block {canonical_json(block)}; verify rebuilds the witness from the inputs")
     _write(cert, args.out)
     return 0

@@ -26,7 +26,8 @@ a group isomorphism rho; verify_conj checks that and then the coe checks.
 One verification builds each grid, each point-map table and each cocycle's
 stacked generator tables once, in a memo it drops when it returns.
 
-Chains of such witnesses, checked stage by stage, are in orbitcert.chain.
+Chains of such witnesses, checked stage by stage, are in orbitcert.chain; a
+conjugacy is one stage of block conjugacies, each checked by verify_conj.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import COE_POINT_LIMIT, CONJ_POINT_LIMIT
 from .chain import verify_chain
 from .cocycle import (
     CoeWitness,
@@ -260,9 +261,9 @@ def _desk_scale(ms, ns, level: int = 4) -> bool:
         return True
     try:
         if len(ms) <= 2:
-            require_checkable("coe", ms, ns, level, _COE_SCALE_BUDGET)
+            require_checkable(build_coe_witness(ms, ns), level, _COE_SCALE_BUDGET)
         if conj_decide(ms, ns):
-            require_checkable("conj", ms, ns, level, _CONJ_SCALE_BUDGET)
+            require_checkable(build_conj_witness(ms, ns), level, _CONJ_SCALE_BUDGET)
     except ValueError:  # a grid beyond the budget
         return False
     return True
@@ -326,53 +327,37 @@ def suite_invariant_vs_decision(seed: int, count: int = 200, instances=None) -> 
     return res
 
 
-@_timed
-def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteResult:
-    """Every orbit-equivalent instance of rank at most max_rank gets an
-    explicit chain witness which must survive the stage-wise verifier."""
+def _witness_suite(relation: str, pairs, level: int, build, verify, limit: int) -> SuiteResult:
+    """Every pair's witness chain, built by `build`, must pass verify_chain
+    with `verify` on each part; a failure ends with its replay command."""
     failures = []
-    checked = 0
-    for ms, ns in instances:
-        if len(ms) > max_rank or not coe_decide(ms, ns):
-            continue
-        checked += 1
-        replay = _replay_command("coe", ms, ns, level)
-        try:
-            report = verify_chain(build_coe_witness(ms, ns), level=level)
-            if not report.passed:
-                failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}; replay: {replay}")
-        except Exception as e:  # construction failures are failures too
-            failures.append(f"{_fmt_pair(ms, ns)}: {e!r}; replay: {replay}")
-    return SuiteResult("coe-witness-soundness", checked, failures)
-
-
-@_timed
-def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
-    """Every conjugate instance gets an explicit conjugacy whose matrices
-    satisfy S diag(m) T = diag(n) exactly and whose point map passes the
-    exhaustive verifier."""
-    failures = []
-    checked = 0
-    todo = list(instances) + list(extra)
-    for ms, ns in todo:
-        dec = conj_decide(ms, ns)
-        if not dec:
-            continue
-        checked += 1
-        for blk in dec.blocks:
-            s, t = blk.conjugator
-            lhs = s @ IntMatrix.diagonal(blk.left_multipliers) @ t
-            if lhs != IntMatrix.diagonal(blk.right_multipliers):
-                failures.append(f"{_fmt_pair(ms, ns)}: conjugator identity broke")
-        replay = _replay_command("conj", ms, ns, level)
-        try:
-            cw = build_conj_witness(ms, ns)
-            report = verify_conj(cw, level=level)
+    for ms, ns in pairs:
+        replay = _replay_command(relation, ms, ns, level)
+        try:  # construction failures are failures too
+            report = verify_chain(build(ms, ns), level, limit, verify)
             if not report.passed:
                 failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}; replay: {replay}")
         except Exception as e:
             failures.append(f"{_fmt_pair(ms, ns)}: {e!r}; replay: {replay}")
-    return SuiteResult("conj-witness-soundness", checked, failures)
+    return SuiteResult(f"{relation}-witness-soundness", len(pairs), failures)
+
+
+@_timed
+def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteResult:
+    """Every orbit-equivalent instance of rank at most max_rank gets an
+    explicit chain witness which must survive the stage-wise verifier."""
+    pairs = [(ms, ns) for ms, ns in instances if len(ms) <= max_rank and coe_decide(ms, ns)]
+    return _witness_suite("coe", pairs, level, build_coe_witness, verify_coe, COE_POINT_LIMIT)
+
+
+@_timed
+def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
+    """Every conjugate instance gets an explicit conjugacy, one stage of
+    block conjugacies, and each block must pass verify_conj.  The blocks'
+    matrices satisfy S diag(m) T = diag(n) exactly: solve_conjugator
+    checks that for every block the decision returns."""
+    pairs = [(ms, ns) for ms, ns in list(instances) + list(extra) if conj_decide(ms, ns)]
+    return _witness_suite("conj", pairs, level, build_conj_witness, verify_conj, CONJ_POINT_LIMIT)
 
 
 @_timed
@@ -494,9 +479,9 @@ def suite_counterexample(p: int = 2, q: int = 3, n: int = 5) -> SuiteResult:
 def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     """Twist/untwist round trips over a constructed corpus.
 
-    Starting from a conjugacy (phi, rho), pick a transfer u = rho(s) where
-    s translates each factor by a multiple of its level-1 modulus, constant
-    on level-1 cylinders; the shifted point map u(x).phi(x) then equals
+    Starting from each block conjugacy (phi, rho) of a conjugacy, pick a
+    transfer u = rho(s) where s translates each factor by a multiple of its
+    level-1 modulus, constant on level-1 cylinders; the shifted point map u(x).phi(x) then equals
     phi(tau(x)) for the explicit bijection tau(x) = s(x).x, so a genuine
     twisted witness exists: its point maps are the conjugacy's slid by -u.
     Untwisting it must return a verified conjugacy, and a corrupted transfer
@@ -508,66 +493,69 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     while built < count:
         ms, ns = conj_positive_pair(rng, max_rank=2)
         try:
-            w = build_conj_witness(ms, ns)
-            require_grids(w, level, 20_000)
+            blocks = [p.witness for p in build_conj_witness(ms, ns).stages[0].parts]
+            for w in blocks:
+                require_grids(w, level, 20_000)
         except ValueError:
             continue
         built += 1
-        x_spec, y_spec = w.source, w.target
-        d = x_spec.space_moduli(1)
-        # s on the level-1 cylinders, in grid order, one row per factor
-        shifts = np.array(
-            [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
-            dtype=np.int64,
-        ).T
-        rho = np.stack([g.values[:, 0] for g in w.a.generators])  # row i is rho(e_i)
-        rho_inv = np.stack([g.values[:, 0] for g in w.b.generators])
-        tgy = y_spec.group_moduli()
-        u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, shifts), "corpus-u")
-        phi_u, psi_u = slide(w, GroupValuedMap(x_spec, tgy, 1, -u.values), rho_inv)
-        v = GroupValuedMap.tabulate(
-            y_spec, x_spec.group_moduli(), psi_u.input_level(1),
-            lambda res: -shifts[:, cylinder_index(x_spec, 1, psi_u.at(1, res))], "corpus-v",
-        )
-        twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
-        if built <= 3:
+        for w in blocks:
+            x_spec, y_spec = w.source, w.target
+            d = x_spec.space_moduli(1)
+            # s on the level-1 cylinders, in grid order, one row per factor
+            shifts = np.array(
+                [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
+                dtype=np.int64,
+            ).T
+            rho = np.stack([g.values[:, 0] for g in w.a.generators])  # row i is rho(e_i)
+            rho_inv = np.stack([g.values[:, 0] for g in w.b.generators])
+            tgy = y_spec.group_moduli()
+            u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, shifts), "corpus-u")
+            phi_u, psi_u = slide(w, GroupValuedMap(x_spec, tgy, 1, -u.values), rho_inv)
+            v = GroupValuedMap.tabulate(
+                y_spec, x_spec.group_moduli(), psi_u.input_level(1),
+                lambda res: -shifts[:, cylinder_index(x_spec, 1, psi_u.at(1, res))], "corpus-v",
+            )
+            twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
+            if built <= 3:
+                checked += 1
+                sanity = verify_coe(twisted, level=2)
+                if not sanity.passed:
+                    failures.append(
+                        f"{_fmt_pair(ms, ns)}: twisted witness is not genuine: {sanity.summary()}"
+                    )
+                    continue
             checked += 1
-            sanity = verify_coe(twisted, level=2)
-            if not sanity.passed:
-                failures.append(
-                    f"{_fmt_pair(ms, ns)}: twisted witness is not genuine: {sanity.summary()}"
-                )
+            # untwist verifies its output as a conjugacy and raises AssertionError
+            # when that fails
+            try:
+                out = untwist_to_conjugacy(twisted, u, (w.a, w.b), level)
+            except ValueError as e:
+                failures.append(f"{_fmt_pair(ms, ns)}: untwist rejected its own twist: {e}")
                 continue
-        checked += 1
-        # untwist verifies its output as a conjugacy and raises AssertionError
-        # when that fails
-        try:
-            out = untwist_to_conjugacy(twisted, u, (w.a, w.b), level)
-        except ValueError as e:
-            failures.append(f"{_fmt_pair(ms, ns)}: untwist rejected its own twist: {e}")
-            continue
-        except AssertionError as e:
-            failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {e}")
-            continue
-        # untwisting recovers the original conjugacy map exactly
-        deep = max(out.phi.input_level(2), w.phi.input_level(2))
-        mods = x_spec.space_moduli(deep)
-        picks = rng.sample(range(point_count(x_spec, deep)), min(10, point_count(x_spec, deep)))
-        probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods))
-        checked += len(picks)
-        if (out.phi.at(2, probe) != w.phi.at(2, probe)).any():
-            failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
-        # a transfer corrupted on one cylinder must fail the premise
-        bad_shifts = shifts.copy()
-        key = rng.choice(range(bad_shifts.shape[1]))
-        bad_shifts[rng.randrange(len(d)), key] += 1
-        bad_u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, bad_shifts), "bad-u")
-        checked += 1
-        try:
-            untwist_to_conjugacy(twisted, bad_u, (w.a, w.b), level)
-            failures.append(f"{_fmt_pair(ms, ns)}: corrupted transfer accepted")
-        except ValueError:
-            pass
+            except AssertionError as e:
+                failures.append(f"{_fmt_pair(ms, ns)}: untwisted witness fails: {e}")
+                continue
+            # untwisting recovers the original conjugacy map exactly
+            deep = max(out.phi.input_level(2), w.phi.input_level(2))
+            mods = x_spec.space_moduli(deep)
+            n = point_count(x_spec, deep)
+            picks = rng.sample(range(n), min(10, n))
+            probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods))
+            checked += len(picks)
+            if (out.phi.at(2, probe) != w.phi.at(2, probe)).any():
+                failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
+            # a transfer corrupted on one cylinder must fail the premise
+            bad_shifts = shifts.copy()
+            key = rng.choice(range(bad_shifts.shape[1]))
+            bad_shifts[rng.randrange(len(d)), key] += 1
+            bad_u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, bad_shifts), "bad-u")
+            checked += 1
+            try:
+                untwist_to_conjugacy(twisted, bad_u, (w.a, w.b), level)
+                failures.append(f"{_fmt_pair(ms, ns)}: corrupted transfer accepted")
+            except ValueError:
+                pass
     return SuiteResult("cohomology-roundtrip", checked, failures)
 
 

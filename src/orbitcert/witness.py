@@ -7,7 +7,9 @@ witness build_basic_coe), the finite cyclic factors merge into one by
 mixed-radix rank and unrank (build_finite_coe), and the other side's merge
 and split are undone.  A stage is a factorwise product of such moves and
 identities; each move records the factor indices it reads and writes, so
-reordering factors is wiring, not a move.  verify_chain checks every move
+reordering factors is wiring, not a move.  A conjugacy is one stage of
+block conjugacies, one per asymptotic class of the decision, each rho on
+the residues of its own factors.  verify_chain checks every move or block
 on its own grid."""
 from __future__ import annotations
 
@@ -233,36 +235,23 @@ def build_coe_witness(
 # conjugacy witnesses
 
 
-def build_conj_witness(
-    ms: tuple[SupernaturalNumber, ...],
-    ns: tuple[SupernaturalNumber, ...],
-) -> CoeWitness:
-    """Explicit conjugacy.  A conjugacy fixing 0 is a continuous group
-    isomorphism that intertwines the translations, so it extends a group
-    isomorphism rho of the acting groups: phi(x) = sum_i x_i rho(e_i) on
-    residues, reduced mod the target's level-k moduli, and psi is rho^-1
-    the same way.  rho is the decision's Smith conjugator S on each
-    asymptotic class.  Both maps read their input at level max(k, depth),
-    deep enough for every finite multiplier.  The witness's cocycles are
+def _block_conjugacy(ms, ns, blk) -> CoeWitness:
+    """The conjugacy of one decision block, between its own factors.  A
+    conjugacy fixing 0 is a continuous group isomorphism that intertwines
+    the translations, so it extends a group isomorphism rho of the acting
+    groups: phi(x) = sum_b x_b rho(e_b) on residues, where rho(e_b) is
+    column b of the block's Smith conjugator S, and psi is rho^-1 the same
+    way.  Both maps read their input at level max(k, depth), deep enough
+    for every finite multiplier of the block.  The witness's cocycles are
     the homomorphism cocycles of rho and rho^-1."""
-    decision = conj_decide(ms, ns)
-    if not decision:
-        raise ValueError(f"not conjugate: {decision.obstruction}")
-    r = len(ms)
-    x = odometer_product(ms)
-    y = odometer_product(ns)
-
-    rho_cols = [[0] * r for _ in range(r)]  # rho_cols[i] = rho(e_i)
-    rho_inv_cols = [[0] * r for _ in range(r)]
-    for blk in decision.blocks:
-        s, _t = blk.conjugator
-        s_inv = invert_unimodular(s)
-        for a_pos, j in enumerate(blk.right_indices):
-            for b_pos, i in enumerate(blk.left_indices):
-                rho_cols[i][j] = s.get(a_pos, b_pos)
-                rho_inv_cols[j][i] = s_inv.get(b_pos, a_pos)
-    depth = max(_e_max(q) for blk in decision.blocks
-                for q in blk.left_multipliers + blk.right_multipliers)
+    s, _t = blk.conjugator
+    s_inv = invert_unimodular(s)
+    n = len(blk.left_indices)
+    rho = [[s.get(a, b) for a in range(n)] for b in range(n)]  # rho[b] = rho(e_b)
+    rho_inv = [[s_inv.get(b, a) for b in range(n)] for a in range(n)]
+    x = odometer_product(tuple(ms[i] for i in blk.left_indices))
+    y = odometer_product(tuple(ns[j] for j in blk.right_indices))
+    depth = max(_e_max(q) for q in blk.left_multipliers + blk.right_multipliers)
 
     def on_residues(cols: list[list[int]], target: SystemSpec):
         def table(k: int, res: np.ndarray) -> np.ndarray:
@@ -272,21 +261,34 @@ def build_conj_witness(
 
         return table
 
-    phi = LCMap(x, y, lambda k: max(k, depth), on_residues(rho_cols, y), "conj")
-    psi = LCMap(y, x, lambda k: max(k, depth), on_residues(rho_inv_cols, x), "conj-inv")
-    a = homomorphism_cocycle(x, [tuple(c) for c in rho_cols], y.group_moduli())
-    b = homomorphism_cocycle(y, [tuple(c) for c in rho_inv_cols], x.group_moduli())
+    phi = LCMap(x, y, lambda k: max(k, depth), on_residues(rho, y), "conj")
+    psi = LCMap(y, x, lambda k: max(k, depth), on_residues(rho_inv, x), "conj-inv")
+    a = homomorphism_cocycle(x, [tuple(c) for c in rho], y.group_moduli())
+    b = homomorphism_cocycle(y, [tuple(c) for c in rho_inv], x.group_moduli())
     return CoeWitness(phi, a, psi, b)
 
 
-def require_checkable(relation: str, ms, ns, level: int, limit: int) -> None:
+def build_conj_witness(
+    ms: tuple[SupernaturalNumber, ...],
+    ns: tuple[SupernaturalNumber, ...],
+) -> CoeChain:
+    """Explicit conjugacy: one stage whose parts are the decision's
+    blocks, one per asymptotic class, each wired from its left indices to
+    its right ones.  Raises ValueError when the systems are not conjugate."""
+    decision = conj_decide(ms, ns)
+    if not decision:
+        raise ValueError(f"not conjugate: {decision.obstruction}")
+    x, y = odometer_product(ms), odometer_product(ns)
+    parts = tuple(StagePart("conj", _block_conjugacy(ms, ns, blk), blk.left_indices,
+                            blk.right_indices) for blk in decision.blocks)
+    return CoeChain(x, y, (Stage(x, y, parts),))
+
+
+def require_checkable(chain: CoeChain, level: int, limit: int) -> None:
     """Refuse, with the verifier's own error, a level at which checking the
-    `relation` witness between the odometer products would build a grid
-    beyond `limit` points.  The witness is built, but only its level maps
-    are read; a chain's parts are checked at their stage levels."""
-    if relation == "conj":
-        return require_grids(build_conj_witness(ms, ns), level, limit)
-    chain = build_coe_witness(ms, ns)
+    witness chain would build a grid beyond `limit` points.  Only the
+    chain's level maps are read; its parts are checked at their stage
+    levels."""
     require_level(chain.source, level, limit)
     require_level(chain.target, level, limit)
     for stage, lam in zip(chain.stages, chain.stage_levels(level)):

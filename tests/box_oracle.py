@@ -20,7 +20,7 @@ layout of the verifier they preserve.
 
 box_verify_conj checks a conjugacy, an orbit equivalence whose cocycles
 are constant, as it was checked before it was one: each generator table
-holds one value (compared by np.unique), rho and rho^-1 are integer
+holds one value (its distinct columns counted in sorted order), rho and rho^-1 are integer
 matrices read off those values, each point map's table shifted along a
 generator is the table translated by rho(e_i), and rho is additive and
 inverted by rho^-1 over the box.  Its checks carry verify_conj's names.
@@ -491,6 +491,13 @@ def _box_additivity(name: str, hom: np.ndarray, spec: SystemSpec,
     ])
 
 
+def _distinct_columns(vals: np.ndarray) -> int:
+    """How many distinct columns a table of one row per component holds,
+    read off its columns in lexicographic order."""
+    cols = vals[:, np.lexsort(vals)]
+    return 1 + int((cols[:, 1:] != cols[:, :-1]).any(axis=0).sum())
+
+
 def box_verify_conj(
     w: CoeWitness, level: int = 4, radius: int = 6, point_limit: int = 5 * 10**6
 ) -> BoxReport:
@@ -502,7 +509,7 @@ def box_verify_conj(
     src, tgt = w.source, w.target
     tables = [(f"{tag}(e{i}, x)", g) for tag, t in (("a", w.a), ("b", w.b))
               for i, g in enumerate(t.generators)]
-    split = [(label, np.unique(g.values, axis=1).shape[1]) for label, g in tables]
+    split = [(label, _distinct_columns(g.values)) for label, g in tables]
     homomorphism = CheckResult(
         "homomorphism", sum(g.values.shape[1] for _, g in tables),
         [("homomorphism", label, f"{k} distinct values") for label, k in split if k > 1])

@@ -142,6 +142,16 @@ def compose_chain(chain: CoeChain) -> CoeWitness:
     return w
 
 
+def only_part(chain: CoeChain) -> CoeWitness:
+    """The witness of a chain with one stage of one part wired straight
+    through, such as the conjugacy of a pair with one asymptotic class: it
+    is then the whole witness, table for table."""
+    (stage,) = chain.stages
+    (part,) = stage.parts
+    assert part.reads == part.writes == tuple(range(chain.source.rank))
+    return part.witness
+
+
 def composite_scale(chain: CoeChain, level: int) -> int:
     """Largest grid the composite of the chain's stages would materialize
     at this level, read off the chain's level maps alone: the composite

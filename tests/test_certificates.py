@@ -12,7 +12,6 @@ from orbitcert.certificates import (
     CertificateError,
     canonical_json,
     coe_certificate,
-    coe_witness_from_block,
     conj_certificate,
     content_hash,
     counterexample_certificate,
@@ -21,6 +20,7 @@ from orbitcert.certificates import (
     seal,
     verify_certificate,
     witness_block,
+    witness_from_block,
 )
 from orbitcert.decide import coe_decide, conj_decide, free_group_counterexample_check
 from orbitcert.supernatural import parse_sn_list
@@ -61,7 +61,7 @@ def test_coe_witness_certificate_roundtrip():
 def test_conj_witness_certificate_roundtrip():
     ok, lines = verify_certificate(loads(dumps(_conj_cert())))
     assert ok, lines
-    assert any("witness homomorphism" in ln for ln in lines)
+    assert any("witness stage 0 part 0 (conj) @3: homomorphism" in ln for ln in lines)
 
 
 def test_counterexample_certificate_roundtrip():
@@ -228,7 +228,7 @@ def test_reconstructed_witness_matches_original_pointwise():
     # the witness verify checks is the one the library builds
     cert = loads(dumps(_coe_cert()))
     ms, ns = (parse_sn_list(",".join(cert["inputs"][k])) for k in ("ms", "ns"))
-    back = compose_chain(coe_witness_from_block(ms, ns))
+    back = compose_chain(witness_from_block("coe", ms, ns))
     w = compose_chain(build_coe_witness(M_EXAMPLE, N_EXAMPLE))
     for xp in enumerate_points(w.source, w.phi.input_level(2)):
         assert image(back.phi, 2, xp) == image(w.phi, 2, xp)

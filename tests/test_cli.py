@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
@@ -199,8 +200,8 @@ def test_positive_verdict_on_negative_pair_fails_without_a_build(tmp_path, capsy
     def refuse(*args):
         raise AssertionError("a witness was built for a negative pair")
 
-    monkeypatch.setattr(certificates, "build_coe_witness", refuse)
     path, cert = _emit(tmp_path, capsys, "witness", "coe", "2^inf", "2^inf")
+    monkeypatch.setattr(certificates, "build_coe_witness", refuse)
     cert["inputs"]["ns"] = ["3^inf"]
     _reseal(path, cert)
     assert main(["verify", str(path)]) == 1
@@ -367,6 +368,32 @@ def test_rank3_witness_verifies_stage_by_stage(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verification passed" in out
     assert "[pass] witness stage 3 part 2 (split^-1) @2: a-inverts-b" in out
+
+
+THREE_M = "2^inf*3^inf,2^inf,2^inf"
+THREE_N = "2^inf,2^inf,2^inf*3^inf"
+
+
+def test_multi_block_conjugacy_verifies_block_by_block(tmp_path, capsys):
+    # one block per asymptotic class, each checked on its own grid: the
+    # whole system's level-5 grid would hold 7,962,624 points
+    from orbitcert.certificates import witness_from_block
+    from orbitcert.supernatural import parse_sn_list
+
+    path, _ = _emit(tmp_path, capsys, "witness", "conj", THREE_M, THREE_N, "--level", "5")
+    for level, largest in ((5, 7776), (4, 1296)):
+        assert main(["verify", str(path), "--level", str(level)]) == 0
+        out = capsys.readouterr().out
+        assert "verification passed" in out
+        checks = re.findall(rf"\[pass\] witness stage 0 (part (\d+) \(conj\) )?@{level}: "
+                            r"([a-z-]+): (\d+) checks", out)
+        assert [c for c in checks if c[2] == "seams"] == [("", "", "seams", "7")]
+        assert sorted({c[1] for c in checks if c[0]}) == ["0", "1"]
+        assert [c[2] for c in checks].count("homomorphism") == 2
+        assert max(int(c[3]) for c in checks) == largest
+    chain = witness_from_block("conj", parse_sn_list(THREE_M), parse_sn_list(THREE_N))
+    assert [(p.reads, p.writes) for p in chain.stages[0].parts] == [((1, 2), (0, 1)),
+                                                                   ((0,), (2,))]
 
 
 @pytest.mark.parametrize("exponent", [10**6, 10**9])

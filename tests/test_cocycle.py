@@ -17,7 +17,7 @@ from box_oracle import (
     locality_slack as _slack,
     value,
 )
-from composite import compose_chain, compose_coe
+from composite import compose_chain, compose_coe, only_part
 from orbitcert import cocycle
 from orbitcert.cocycle import (
     CocycleTable,
@@ -239,7 +239,7 @@ def test_slide_matches_the_pointwise_formula():
     built = 0
     while built < 8:
         try:
-            w = build_conj_witness(*conj_positive_pair(rng, max_rank=2))
+            w = compose_chain(build_conj_witness(*conj_positive_pair(rng, max_rank=2)))
             require_grids(w, 3, 20_000)
         except ValueError:
             continue
@@ -394,7 +394,8 @@ def _counted(f: LCMap, calls: list) -> LCMap:
 
 
 def test_verify_conj_builds_each_grid_and_table_once(monkeypatch):
-    cw = build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"), parse_sn_list("3*5^inf,2*5^inf"))
+    cw = only_part(build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"),
+                                      parse_sn_list("3*5^inf,2*5^inf")))
     calls: list = []
     w = CoeWitness(_counted(cw.phi, calls), cw.a, _counted(cw.psi, calls), cw.b)
     grids: list = []
@@ -425,7 +426,8 @@ def test_verify_conj_peak_memory_stays_below_twelve_tables():
     # side; a grid's residues and a point map's table take 2 * 8N bytes each,
     # so the four the checks keep take 8 * 8N.  Every pass works one
     # component row at a time, so what the passes add stays below 4 * 8N.
-    cw = build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"), parse_sn_list("3*5^inf,2*5^inf"))
+    cw = only_part(build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"),
+                                      parse_sn_list("3*5^inf,2*5^inf")))
     n = point_count(cw.source, 3)
     assert n == point_count(cw.target, 3) == 93_750
     tracemalloc.start()
@@ -468,7 +470,8 @@ def _recorded_grids(monkeypatch):
 
 def test_grid_plan_is_the_order_the_checks_build_grids(monkeypatch):
     built = _recorded_grids(monkeypatch)
-    conj = build_conj_witness(parse_sn_list("2*7^inf,3*7^inf"), parse_sn_list("6*7^inf,7^inf"))
+    conj = only_part(build_conj_witness(parse_sn_list("2*7^inf,3*7^inf"),
+                                        parse_sn_list("6*7^inf,7^inf")))
     chain = build_coe_witness(parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
     cases = [(conj, 2)] + [(p.witness, lam) for st, lam in zip(chain.stages, chain.stage_levels(3))
                            for p in st.parts]
@@ -480,8 +483,8 @@ def test_grid_plan_is_the_order_the_checks_build_grids(monkeypatch):
 
 def test_oversized_grids_are_refused_with_the_verifiers_error(monkeypatch):
     # the maps read level 60 (the 2^60 multiplier) for every output level
-    cw = build_conj_witness(parse_sn_list("2^60*5^inf,3^37*5^inf"),
-                            parse_sn_list("3^37*5^inf,2^60*5^inf"))
+    cw = only_part(build_conj_witness(parse_sn_list("2^60*5^inf,3^37*5^inf"),
+                                      parse_sn_list("3^37*5^inf,2^60*5^inf")))
     with pytest.raises(ValueError, match="level-60 grid would hold") as verified:
         verify_conj(cw, 0)
     built = _recorded_grids(monkeypatch)

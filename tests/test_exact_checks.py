@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from composite import compose_chain, composite_scale
+from composite import compose_chain, composite_scale, only_part
 from box_oracle import (
     _table_map,
     box_identity,
@@ -37,7 +37,7 @@ from orbitcert.cocycle import (
     verify_conj,
 )
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
-from orbitcert.decide import coe_decide
+from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, generator
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
@@ -303,11 +303,11 @@ def _cyclic_product_conj() -> CoeWitness:
                       psi, homomorphism_cocycle(tgt, [(1, 1)], (2, 3)))
 
 
+README_CONJ = ("2*5^inf,3*5^inf", "3*5^inf,2*5^inf")
+CRT_MERGE = ("2*7^inf,3*7^inf", "6*7^inf,7^inf")
 CONJ_CASES = {
-    "readme": lambda: build_conj_witness(*map(parse_sn_list, ("2*5^inf,3*5^inf",
-                                                              "3*5^inf,2*5^inf"))),
-    "crt-merge": lambda: build_conj_witness(*map(parse_sn_list, ("2*7^inf,3*7^inf",
-                                                                 "6*7^inf,7^inf"))),
+    "readme": lambda: only_part(build_conj_witness(*map(parse_sn_list, README_CONJ))),
+    "crt-merge": lambda: only_part(build_conj_witness(*map(parse_sn_list, CRT_MERGE))),
     "cyclic-product": _cyclic_product_conj,
 }
 INVERSE_OR_RELATION = {"b-inverts-a", "a-inverts-b", "cocycle-identity-a", "cocycle-identity-b"}
@@ -464,3 +464,63 @@ def test_kernel_mutations_at_wrapping_and_interior_points(case):
         assert not (_agree_conj(mutant, level, radius=2) if conj else _agree(mutant, level, 2))
         made += 1
     assert made == {"readme-conj": 6, "split": 4, "merge": 3}[case]
+
+
+# ---------------------------------------------------------------------------
+# a conjugacy is one stage of block conjugacies: block by block against the
+# composite, checked exactly and over the box
+
+THREE_FACTOR = ("2^inf*3^inf,2^inf,2^inf", "2^inf,2^inf,2^inf*3^inf")
+CROSSED = ("3^inf,3*2^inf,2^inf", "2^inf,3*2^inf,3^inf")
+
+
+def _conj_verdicts(chain, level=2, radius=2):
+    """verify_chain with verify_conj on each block, then verify_conj and
+    the box oracle on the chain's composite."""
+    whole = compose_chain(chain)
+    return (verify_chain(chain, level, 5 * 10**6, verify_conj).passed,
+            verify_conj(whole, level).passed, box_verify_conj(whole, level, radius).passed)
+
+
+def test_conj_chain_and_composite_agree_on_the_corpus():
+    from orbitcert.selftest import generate_instances
+
+    pairs = list(dict.fromkeys(p for p in generate_instances(17, 200) if conj_decide(*p)))
+    pairs += [tuple(map(parse_sn_list, pair)) for pair in (README_CONJ, CRT_MERGE)]
+    assert len(pairs) == 51
+    for ms, ns in pairs:
+        assert _conj_verdicts(build_conj_witness(ms, ns)) == (True, True, True), (ms, ns)
+
+
+@pytest.mark.parametrize("pair", [THREE_FACTOR, CROSSED], ids=["three-factor", "crossed"])
+def test_conj_block_mutations_fail_all_three(pair):
+    chain = build_conj_witness(*map(parse_sn_list, pair))
+    (stage,) = chain.stages
+    assert len(stage.parts) == 2
+    rng = random.Random(f"conj-block-mutations-{pair}")
+    made = 0
+    while made < 8:  # two mutations of each of a, b, phi, psi
+        key = ("a", "b", "phi", "psi")[made % 4]
+        p = rng.randrange(len(stage.parts))
+        part = _mutate_part(stage.parts[p], key, 4, rng)
+        if part is None:
+            continue
+        made += 1
+        parts = stage.parts[:p] + (part,) + stage.parts[p + 1:]
+        mutant = replace(chain, stages=(replace(stage, parts=parts),))
+        assert _conj_verdicts(mutant) == (False, False, False), (key, p)
+
+
+def test_part_checks_follow_the_claim_not_the_part_label():
+    # an orbit equivalence that is no conjugacy, labelled as a conj block:
+    # the caller's part verifier decides what is checked, not the label
+    w = _witness(README_PAIR)
+    wiring = tuple(range(w.source.rank))
+    part = StagePart("conj", w, wiring, wiring)
+    chain = CoeChain(w.source, w.target, (Stage(w.source, w.target, (part,)),))
+    as_coe = verify_chain(chain, 2)
+    assert as_coe.passed and as_coe.kind == "coe-witness"
+    as_conj = verify_chain(chain, 2, 10**6, verify_conj)
+    assert as_conj.kind == "conj-witness"
+    assert [c.name for c in as_conj.checks if not c.ok] == [
+        "stage 0 part 0 (conj) @2: homomorphism"], as_conj.summary()

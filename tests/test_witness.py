@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -158,14 +159,13 @@ def test_witness_locality_is_tight():
 def test_conj_witness_swap_pair():
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
-    cw = build_conj_witness(ms, ns)
-    report = verify_conj(cw, level=4)
+    report = verify_chain(build_conj_witness(ms, ns), 4, 5 * 10**6, verify_conj)
     assert report.passed, report.summary()
 
 
 def test_conj_witness_identity_case():
     ms = parse_sn_list("2^inf, 5^inf")
-    cw = build_conj_witness(ms, ms)
+    cw = compose_chain(build_conj_witness(ms, ms))
     assert [tuple(g.values[:, 0]) for g in cw.a.generators] == [(1, 0), (0, 1)]
     assert verify_conj(cw, level=3).passed
     for x in enumerate_points(cw.source, 3):
@@ -176,8 +176,7 @@ def test_conj_witness_crt_merge():
     # Z/2 x Z/3 multipliers against Z/6 x Z/1 over the same base
     ms = parse_sn_list("2*7^inf, 3*7^inf")
     ns = parse_sn_list("6*7^inf, 7^inf")
-    cw = build_conj_witness(ms, ns)
-    report = verify_conj(cw, level=3)
+    report = verify_chain(build_conj_witness(ms, ns), 3, 5 * 10**6, verify_conj)
     assert report.passed, report.summary()
 
 
@@ -235,19 +234,26 @@ def _crt_conj(ms, ns, forward: bool):
 
 
 def test_conj_vectorized_matches_pointwise():
-    # rho on residues against the per-block Chinese-remainder gluing, on
-    # every conj-positive seed-17 instance, the crt merge and the README pair
+    # rho on residues, read through the composite of the blocks, against the
+    # per-block Chinese-remainder gluing, on every conj-positive seed-17
+    # instance, the crt merge and the README pair: on every point of an input
+    # grid within the verifier's default limit, and on a seeded sample of a
+    # larger one (the whole system of a pair screened by its block grids)
+    rng = np.random.default_rng(17)
     pairs = [(ms, ns) for ms, ns in generate_instances(17, 200) if conj_decide(ms, ns)] + [
         (parse_sn_list("2*7^inf, 3*7^inf"), parse_sn_list("6*7^inf, 7^inf")),
         (parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf")),
     ]
-    assert len(pairs) == 50
+    assert len(pairs) == 66
     for ms, ns in pairs:
-        cw = build_conj_witness(ms, ns)
+        cw = compose_chain(build_conj_witness(ms, ns))
         for f, forward in ((cw.phi, True), (cw.psi, False)):
             crt = _crt_conj(ms, ns, forward)
             for k in range(4):
-                res = _Grid(f.source, f.input_level(k)).res
+                mods = f.source.space_moduli(f.input_level(k))
+                n = math.prod(mods)
+                res = (_Grid(f.source, f.input_level(k)).res if n <= 10**6
+                       else np.stack(np.unravel_index(rng.integers(0, n, 10**5), mods)))
                 got, want = f.table(k, res), crt(k)(res)
                 assert got.shape == want.shape and (got == want).all(), (ms, ns, k, forward)
 
@@ -260,7 +266,7 @@ def test_conj_witness_rejects_nonconjugate():
 def test_conj_equivariance_is_exact_not_just_verified():
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
-    cw = build_conj_witness(ms, ns)
+    cw = compose_chain(build_conj_witness(ms, ns))
     from orbitcert.dynamics import GroupElement
 
     g = GroupElement((2, -1))
