@@ -11,7 +11,8 @@ from the inputs and runs the exhaustive verifier, exact over the acting
 group, at any level within the point limit.  Both witnesses are chains
 checked stage by stage: a coe witness's parts are elementary moves, each
 checked with verify_coe, and a conj witness is one stage of block
-conjugacies, each checked with verify_conj.  Payload integers are read
+conjugacies, each split into one part per prime of its factors and each
+part checked with verify_conj.  Payload integers are read
 strictly: bools and floats are refused, never truncated, and a
 verdict must be a JSON boolean.
 """
@@ -187,7 +188,7 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 
 def witness_from_block(relation: str, ms, ns) -> CoeChain:
     """The chain a `relation` block stands for, rebuilt from the inputs: an
-    orbit equivalence's moves, or a conjugacy's blocks."""
+    orbit equivalence's moves, or a conjugacy's blocks split by primes."""
     return (build_coe_witness if relation == "coe" else build_conj_witness)(ms, ns)
 
 

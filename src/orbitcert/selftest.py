@@ -353,9 +353,9 @@ def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteRe
 @_timed
 def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
     """Every conjugate instance gets an explicit conjugacy, one stage of
-    block conjugacies, and each block must pass verify_conj.  The blocks'
-    matrices satisfy S diag(m) T = diag(n) exactly: solve_conjugator
-    checks that for every block the decision returns."""
+    block conjugacies split by primes, and each part must pass verify_conj.
+    The blocks' matrices satisfy S diag(m) T = diag(n) exactly:
+    solve_conjugator checks that for every block the decision returns."""
     pairs = [(ms, ns) for ms, ns in list(instances) + list(extra) if conj_decide(ms, ns)]
     return _witness_suite("conj", pairs, level, build_conj_witness, verify_conj, CONJ_POINT_LIMIT)
 
@@ -479,9 +479,10 @@ def suite_counterexample(p: int = 2, q: int = 3, n: int = 5) -> SuiteResult:
 def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     """Twist/untwist round trips over a constructed corpus.
 
-    Starting from each block conjugacy (phi, rho) of a conjugacy, pick a
-    transfer u = rho(s) where s translates each factor by a multiple of its
-    level-1 modulus, constant on level-1 cylinders; the shifted point map u(x).phi(x) then equals
+    Starting from each part (phi, rho) of a conjugacy, one prime's part of
+    one block, pick a transfer u = rho(s) where s translates each factor by
+    a multiple of its level-1 modulus, constant on level-1 cylinders; the
+    shifted point map u(x).phi(x) then equals
     phi(tau(x)) for the explicit bijection tau(x) = s(x).x, so a genuine
     twisted witness exists: its point maps are the conjugacy's slid by -u.
     Untwisting it must return a verified conjugacy, and a corrupted transfer

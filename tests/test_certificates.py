@@ -61,7 +61,10 @@ def test_coe_witness_certificate_roundtrip():
 def test_conj_witness_certificate_roundtrip():
     ok, lines = verify_certificate(loads(dumps(_conj_cert())))
     assert ok, lines
-    assert any("witness stage 0 part 0 (conj) @3: homomorphism" in ln for ln in lines)
+    # one part per prime of the README block, all wired like the block
+    for p, prime in enumerate((2, 3, 5)):
+        assert f"[pass] witness stage 0 part {p} (conj p={prime}) @3: homomorphism: 4 checks" \
+            in lines, lines
 
 
 def test_counterexample_certificate_roundtrip():

@@ -309,13 +309,16 @@ def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, cap
 
 
 @pytest.mark.parametrize("relation, ms, ns, level, grid", [
-    # the maps read level 60 whatever the output level
+    # the 2-part's maps read level 60 whatever the output level
     ("conj", "2^60*5^inf,3^37*5^inf", "3^37*5^inf,2^60*5^inf", 0,
      "level-60 grid would hold"),
     # a split part of the chain reads its input one level deeper
     ("coe", "2^inf*3*5^inf,2^2*3^inf*5^inf,2^inf*3*5^inf",
      "2^2*3^inf*5^inf,2^inf*3*5^inf,2^inf*5^inf", 4,
      "level-5 grid would hold 3037500 points (limit 1000000)"),
+    # the README conjugacy's 5-part at level 5; its 2- and 3-parts fit
+    ("conj", SWAP_M, SWAP_N, 5,
+     "stage 0 part 2 (conj p=5) @5: level-5 grid would hold 9765625 points (limit 5000000)"),
 ])
 def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, grid,
                                                      tmp_path, capsys):
@@ -329,6 +332,9 @@ def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, gr
     assert time.perf_counter() - t0 < 1.0
     refused = capsys.readouterr().err
     assert grid in refused and not path.exists()
+    # the refusal names the part whose grid is too large, and a conj part its prime
+    tag = re.match(r"error: stage (\d+) part (\d+) \(([a-z^1-]+)( p=\d+)?\) @(\d+): ", refused)
+    assert tag and bool(tag[4]) == (relation == "conj"), refused
     # the certificate it no longer writes: verify refuses it with the same error
     left, right = parse_sn_list(ms), parse_sn_list(ns)
     make, decide = {"coe": (coe_certificate, coe_decide),
@@ -375,25 +381,27 @@ THREE_N = "2^inf,2^inf,2^inf*3^inf"
 
 
 def test_multi_block_conjugacy_verifies_block_by_block(tmp_path, capsys):
-    # one block per asymptotic class, each checked on its own grid: the
-    # whole system's level-5 grid would hold 7,962,624 points
+    # one block per asymptotic class, each split by primes and checked on
+    # its own grids: the whole system's level-5 grid would hold 7,962,624
+    # points, and the (2^inf*3^inf) block's alone 7,776
     from orbitcert.certificates import witness_from_block
     from orbitcert.supernatural import parse_sn_list
 
     path, _ = _emit(tmp_path, capsys, "witness", "conj", THREE_M, THREE_N, "--level", "5")
-    for level, largest in ((5, 7776), (4, 1296)):
+    for level, largest in ((5, 2048), (4, 512)):
         assert main(["verify", str(path), "--level", str(level)]) == 0
         out = capsys.readouterr().out
         assert "verification passed" in out
-        checks = re.findall(rf"\[pass\] witness stage 0 (part (\d+) \(conj\) )?@{level}: "
+        checks = re.findall(rf"\[pass\] witness stage 0 (part (\d+) \(conj p=(\d)\) )?@{level}: "
                             r"([a-z-]+): (\d+) checks", out)
-        assert [c for c in checks if c[2] == "seams"] == [("", "", "seams", "7")]
-        assert sorted({c[1] for c in checks if c[0]}) == ["0", "1"]
-        assert [c[2] for c in checks].count("homomorphism") == 2
-        assert max(int(c[3]) for c in checks) == largest
+        assert [c for c in checks if c[3] == "seams"] == [("", "", "", "seams", "13")]
+        assert sorted({c[1:3] for c in checks if c[0]}) == [("0", "2"), ("1", "2"), ("2", "3")]
+        assert [c[3] for c in checks].count("homomorphism") == 3
+        assert max(int(c[4]) for c in checks) == largest
     chain = witness_from_block("conj", parse_sn_list(THREE_M), parse_sn_list(THREE_N))
     assert [(p.reads, p.writes) for p in chain.stages[0].parts] == [((1, 2), (0, 1)),
-                                                                   ((0,), (2,))]
+                                                                   ((0,), (2,)), ((0,), (2,))]
+    assert chain.stages[0].groups() == [(0,), (1, 2)]
 
 
 @pytest.mark.parametrize("exponent", [10**6, 10**9])

@@ -39,6 +39,7 @@ from orbitcert.cocycle import (
     verify_coe,
     verify_conj,
 )
+from orbitcert.chain import verify_chain
 from orbitcert.dynamics import (
     Cyclic,
     GroupElement,
@@ -437,6 +438,25 @@ def test_verify_conj_peak_memory_stays_below_twelve_tables():
     finally:
         tracemalloc.stop()
     assert report.passed, report.summary()
+    assert peak < 12 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
+
+
+def test_split_conjugacy_peak_memory_stays_below_twelve_tables_of_its_largest_part():
+    # split by primes, the README conjugacy checks at level 4 on a 5-part of
+    # N = 5^4 * 5^4 points and two parts of at most 3 points, instead of one
+    # block of 2,343,750 points; so the whole chain stays below 12 * 8N bytes
+    chain = build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"),
+                               parse_sn_list("3*5^inf,2*5^inf"))
+    n = 390_625
+    assert [point_count(p.witness.source, 4) for p in chain.stages[0].parts] == [2, 3, n]
+    tracemalloc.start()
+    try:
+        report = verify_chain(chain, 4, 5 * 10**6, verify_conj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.summary()
+    assert max(c.checked for c in report.checks) == 2 * n
     assert peak < 12 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
 
 

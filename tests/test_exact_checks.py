@@ -41,6 +41,7 @@ from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, generator
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
+    _block_conjugacy,
     build_basic_coe,
     build_coe_witness,
     build_conj_witness,
@@ -487,22 +488,30 @@ def test_conj_chain_and_composite_agree_on_the_corpus():
 
     pairs = list(dict.fromkeys(p for p in generate_instances(17, 200) if conj_decide(*p)))
     pairs += [tuple(map(parse_sn_list, pair)) for pair in (README_CONJ, CRT_MERGE)]
-    assert len(pairs) == 51
+    assert len(pairs) == 56
     for ms, ns in pairs:
-        assert _conj_verdicts(build_conj_witness(ms, ns)) == (True, True, True), (ms, ns)
+        chain = build_conj_witness(ms, ns)
+        # a composite beyond the verifier's limit at level 2 is compared at
+        # level 1: the corpus is screened by its parts' grids, not by it
+        level = 2 if composite_scale(chain, 2) <= 5 * 10**6 else 1
+        assert _conj_verdicts(chain, level) == (True, True, True), (ms, ns, level)
 
 
-@pytest.mark.parametrize("pair", [THREE_FACTOR, CROSSED], ids=["three-factor", "crossed"])
-def test_conj_block_mutations_fail_all_three(pair):
+@pytest.mark.parametrize("pair, tables", [(THREE_FACTOR, 4), (CROSSED, 4), (README_CONJ, 2)],
+                         ids=["three-factor", "crossed", "readme"])
+def test_conj_block_mutations_fail_all_three(pair, tables):
+    # each mutates one prime's part of a block split by primes, in its
+    # tables at level `tables`; the README block's level-4 composite would
+    # hold 2,343,750 points
     chain = build_conj_witness(*map(parse_sn_list, pair))
     (stage,) = chain.stages
-    assert len(stage.parts) == 2
+    assert len(stage.parts) == 3 and max(map(len, stage.groups())) > 1
     rng = random.Random(f"conj-block-mutations-{pair}")
     made = 0
     while made < 8:  # two mutations of each of a, b, phi, psi
         key = ("a", "b", "phi", "psi")[made % 4]
         p = rng.randrange(len(stage.parts))
-        part = _mutate_part(stage.parts[p], key, 4, rng)
+        part = _mutate_part(stage.parts[p], key, tables, rng)
         if part is None:
             continue
         made += 1
@@ -524,3 +533,63 @@ def test_part_checks_follow_the_claim_not_the_part_label():
     assert as_conj.kind == "conj-witness"
     assert [c.name for c in as_conj.checks if not c.ok] == [
         "stage 0 part 0 (conj) @2: homomorphism"], as_conj.summary()
+
+
+# ---------------------------------------------------------------------------
+# a block split by primes is a diagonal product: its seams carry the proof
+# that the parts glue back into the block by the Chinese remainder theorem
+
+
+def _readme_split():
+    chain = build_conj_witness(*map(parse_sn_list, README_CONJ))
+    (stage,) = chain.stages
+    assert [p.kind for p in stage.parts] == ["conj p=2", "conj p=3", "conj p=5"]
+    return chain, stage
+
+
+def _with_parts(chain, stage, parts):
+    return replace(chain, stages=(replace(stage, parts=tuple(parts)),))
+
+
+def _only_seams_fail(report, why: str) -> None:
+    assert [c.name for c in report.checks if not c.ok] == ["stage 0 @3: seams"], report.summary()
+    assert any(why in v[1] for v in report.checks[0].violations), report.checks[0].violations
+
+
+def test_one_prime_with_another_rho_fails_the_seams():
+    # the 5-part with the identity rho is a conjugacy of (5^inf, 5^inf) on
+    # its own, but its product with the swapping 2- and 3-parts is not one
+    chain, stage = _readme_split()
+    five = stage.parts[2]
+    ident = replace(five, witness=identity_witness(five.witness.source))
+    assert ident.witness.target == five.witness.target
+    parts = stage.parts[:2] + (ident,)
+    assert all(verify_conj(p.witness, 3).passed for p in parts)
+    _only_seams_fail(verify_chain(_with_parts(chain, stage, parts), 3, 5 * 10**6, verify_conj),
+                     "other homomorphism columns")
+
+
+def test_dropped_or_repeated_prime_fails_the_seams():
+    chain, stage = _readme_split()
+    p2, p3, p5 = stage.parts
+    # without its 3-part the block's factors are not covered
+    _only_seams_fail(verify_chain(_with_parts(chain, stage, (p2, p5)), 3, 5 * 10**6,
+                                  verify_conj), "do not multiply back")
+    # 5^inf * 5^inf is 5^inf again, so only the repeated prime shows
+    _only_seams_fail(verify_chain(_with_parts(chain, stage, (p2, p3, p5, p5)), 3, 5 * 10**6,
+                                  verify_conj), "repeat a prime")
+    # a conjugacy of the 2- and 5-parts at once, beside the 5-part: the
+    # 5-adic factors twice over, which the product and the prime list miss
+    (blk,) = conj_decide(*map(parse_sn_list, README_CONJ)).blocks
+    two_five = replace(p2, witness=_block_conjugacy(
+        parse_sn_list("2*5^inf,5^inf"), parse_sn_list("5^inf,2*5^inf"), blk.conjugator[0], 1))
+    assert verify_conj(two_five.witness, 3).passed
+    _only_seams_fail(verify_chain(_with_parts(chain, stage, (two_five, p3, p5)), 3, 5 * 10**6,
+                                  verify_conj), "not p-primary")
+
+
+def test_split_block_checked_as_orbit_equivalence_fails_the_seams():
+    # a diagonal product is sound only with one rho, so only for a conjugacy
+    chain, _stage = _readme_split()
+    assert verify_chain(chain, 3, 5 * 10**6, verify_conj).passed
+    _only_seams_fail(verify_chain(chain, 3, 5 * 10**6), "only a conjugacy")

@@ -244,7 +244,7 @@ def test_conj_vectorized_matches_pointwise():
         (parse_sn_list("2*7^inf, 3*7^inf"), parse_sn_list("6*7^inf, 7^inf")),
         (parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf")),
     ]
-    assert len(pairs) == 66
+    assert len(pairs) == 70
     for ms, ns in pairs:
         cw = compose_chain(build_conj_witness(ms, ns))
         for f, forward in ((cw.phi, True), (cw.psi, False)):
