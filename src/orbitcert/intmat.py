@@ -1,9 +1,12 @@
-"""Exact integer matrix algebra: Smith normal form with unimodular factors,
-unimodular inversion, invariant factors, and diagonal conjugation solving."""
+"""Exact integer matrix algebra: Smith normal form with unimodular factors
+and their inverses, unimodular inversion, invariant factors, and diagonal
+conjugation solving."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import gcd as igcd
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -28,12 +31,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix.diagonal((1,) * n)
 
     @staticmethod
     def diagonal(diag: list[int] | tuple[int, ...]) -> "IntMatrix":
-        n = len(diag)
-        return IntMatrix(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+        return _matrix(_diagonal(diag), len(diag), len(diag))
 
     def get(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -44,14 +46,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
-            out.append(row)
-        return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+        return _matrix(_mul(self.to_rows(), cols), self.rows, other.cols)
 
     @property
     def diagonal_entries(self) -> tuple[int, ...]:
@@ -62,10 +58,16 @@ def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
+    return _det(a.to_rows())
+
+
+def _det(m: list[list[int]]) -> int:
+    """Bareiss elimination of the square row list m, in place.  Rows below
+    the pivot are rebuilt whole: their entries left of the pivot column are
+    already 0 in them and in the pivot row, and stay 0."""
+    n = len(m)
     if n == 0:
         return 1
-    m = a.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -77,16 +79,38 @@ def det(a: IntMatrix) -> int:
                     break
             else:
                 return 0
+        pk = m[k]
+        p = pk[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            c = m[i][k]
+            m[i] = [(x * p - c * y) // prev for x, y in zip(m[i], pk)]
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
-def is_unimodular(a: IntMatrix) -> bool:
-    return a.rows == a.cols and abs(det(a)) == 1
+def _cols(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """The columns of a non-empty row list; [] for no rows."""
+    return list(zip(*rows))
+
+
+def _mul(a: list[list[int]], b_cols: list[tuple[int, ...]]) -> list[list[int]]:
+    """Product of a matrix given by its rows and one given by its columns."""
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
+
+
+def _identity(n: int) -> list[list[int]]:
+    return _diagonal((1,) * n)
+
+
+def _diagonal(diag: tuple[int, ...] | list[int]) -> list[list[int]]:
+    rows = [[0] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        rows[i][i] = d
+    return rows
+
+
+def _matrix(rows: list[list[int]], r: int, c: int) -> IntMatrix:
+    return IntMatrix(r, c, tuple(chain.from_iterable(rows)))
 
 
 @dataclass(frozen=True)
@@ -94,58 +118,81 @@ class SmithDecomposition:
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """U*A*V = S with U, V unimodular and S diagonal, non-negative,
-    each diagonal entry dividing the next.
+    each diagonal entry dividing the next; U^-1 and V^-1 come with them.
 
     Pivoting picks the minimal-absolute-value nonzero entry of the active
     submatrix (row-major tie break), then sweeps its row and column.
     """
     m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    s, u, u_inv, v, v_inv = _smith(a.to_rows(), n)
+    return SmithDecomposition(_matrix(u, m, m), _matrix(s, m, n), _matrix(v, n, n),
+                              _matrix(u_inv, m, m), _matrix(v_inv, n, n))
 
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+def _smith(a: list[list[int]], n: int):
+    """Smith elimination of the row list a with n columns: the checked row
+    lists (S, U, U^-1, V, V^-1) of smith_normal_form.
+
+    Each elementary move on the rows of S is applied to U, and its inverse
+    to U^-1 from the other side: row_dst += c*row_src on U is
+    col_src -= c*col_dst on U^-1; swaps and negations invert themselves.
+    Column moves act on V and V^-1 the same way.  The rows of S carry the
+    rows of U after their n entries, so that one update moves both; U^-1 is
+    kept as its columns, so that each of its moves updates one list.
+    """
+    m = len(a)
+    s = [list(row) + e for row, e in zip(a, _identity(m))]  # rows of [S | U]
+    ui_cols, v, v_inv = _identity(m), _identity(n), _identity(n)
+
+    def add(rows, dst, src, c):
+        d, r = rows[dst], rows[src]
+        for j in range(len(d)):
+            d[j] += c * r[j]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
-        srow, drow = s[src], s[dst]
-        for j in range(n):
-            drow[j] += c * srow[j]
-        srow, drow = u[src], u[dst]
-        for j in range(m):
-            drow[j] += c * srow[j]
+        add(s, dst, src, c)
+        add(ui_cols, src, dst, -c)
 
     def add_col(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        # col_dst += c * col_src
+        for rows in (s, v):
+            for row in rows:
+                row[dst] += c * row[src]
+        add(v_inv, src, dst, -c)
+
+    def swap_rows(i, j):
+        for rows in (s, ui_cols):
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def swap_cols(i, j):
+        for rows in (s, v):
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
+        for rows in (s, ui_cols):
+            rows[i] = [-x for x in rows[i]]
 
     t = 0
     while t < min(m, n):
         # minimal |entry| pivot over the active submatrix, row-major ties
-        best = None
+        best, least = None, 0
         for i in range(t, m):
+            row = s[i]
             for j in range(t, n):
-                x = s[i][j]
-                if x != 0 and (best is None or abs(x) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+            if least == 1:
+                break  # no entry can beat 1, and later ties lose
         if best is None:
             break
         if best[0] != t:
@@ -171,7 +218,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             continue  # a strictly smaller candidate exists now; reselect
 
         bad = None
-        for i in range(t + 1, m):
+        for i in range(t + 1, m if pivot > 1 else t + 1):  # 1 divides every entry
             for j in range(t + 1, n):
                 if s[i][j] % pivot != 0:
                     bad = i
@@ -183,45 +230,47 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             continue
         t += 1
 
-    um = IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ())
-    vm = IntMatrix.from_rows(v) if n else IntMatrix(0, 0, ())
-    sm = IntMatrix.from_rows(s) if s else IntMatrix(m, n, ())
-    dec = SmithDecomposition(um, sm, vm)
-    _check_snf(a, dec)
+    dec = ([row[:n] for row in s], [row[n:] for row in s], [list(c) for c in zip(*ui_cols)], v, v_inv)
+    _check_snf(a, n, dec)
     return dec
 
 
-def _check_snf(a: IntMatrix, dec: SmithDecomposition) -> None:
-    if (dec.u @ a) @ dec.v != dec.s:
+def _check_snf(a: list[list[int]], n: int, dec) -> None:
+    """Proves that the row lists dec = (S, U, U^-1, V, V^-1) are a Smith
+    decomposition of the row list a with n columns: U*A*V = S; U*U^-1 = I
+    and V*V^-1 = I, which over Z is exactly unimodularity of U and V; S
+    diagonal and non-negative, each diagonal entry dividing the next."""
+    s, u, u_inv, v, v_inv = dec
+    m = len(a)
+    if ([len(x) for x in dec] != [m, m, m, n, n]
+            or [len(row) for x in (a, *dec) for row in x] != [n] * 2 * m + [m] * 2 * m + [n] * 2 * n):
+        raise AssertionError("decomposition has the wrong shape")
+    if _mul(_mul(u, _cols(a)), _cols(v)) != s:
         raise AssertionError("U*A*V != S")
-    if not is_unimodular(dec.u) or not is_unimodular(dec.v):
+    if _mul(u, _cols(u_inv)) != _identity(m) or _mul(v, _cols(v_inv)) != _identity(n):
         raise AssertionError("transform matrices are not unimodular")
-    d = dec.s.diagonal_entries
-    for i in range(dec.s.rows):
-        for j in range(dec.s.cols):
-            if i != j and dec.s.get(i, j) != 0:
-                raise AssertionError("S is not diagonal")
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(s)):
+        raise AssertionError("S is not diagonal")
+    d = [s[i][i] for i in range(min(m, n))]
     if any(x < 0 for x in d):
         raise AssertionError("negative diagonal entry")
-    for i in range(len(d) - 1):
-        if d[i] == 0:
-            if d[i + 1] != 0:
+    for x, y in zip(d, d[1:]):
+        if x == 0:
+            if y != 0:
                 raise AssertionError("zero before nonzero on the diagonal")
-        elif d[i + 1] % d[i] != 0:
+        elif y % x != 0:
             raise AssertionError("divisibility chain broken")
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (U*A*V = I gives A^-1 = V*U)."""
+    """Exact inverse of a unimodular matrix: U*A*V = I gives A^-1 = V*U.
+    The checked U^-1 and V^-1 make V*U a two-sided inverse."""
     if a.rows != a.cols:
         raise ValueError("not square")
-    dec = smith_normal_form(a)
-    if dec.s != IntMatrix.identity(a.rows):
+    s, u, _u_inv, v, _v_inv = _smith(a.to_rows(), a.cols)
+    if s != _identity(a.rows):
         raise ValueError("matrix is not unimodular")
-    inv = dec.v @ dec.u
-    if a @ inv != IntMatrix.identity(a.rows) or inv @ a != IntMatrix.identity(a.rows):
-        raise AssertionError("inverse check failed")
-    return inv
+    return _matrix(_mul(v, _cols(u)), a.rows, a.rows)
 
 
 def invariant_factors(orders: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -256,31 +305,32 @@ def fab_isomorphic(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> bool:
 
 def solve_conjugator(ms: tuple[int, ...], ns: tuple[int, ...]) -> tuple[IntMatrix, IntMatrix]:
     """Unimodular (S, T) with S*diag(ms)*T = diag(ns), when the two cyclic
-    products are isomorphic groups and the tuples have equal length."""
+    products are isomorphic groups and the tuples have equal length:
+    Um*diag(ms)*Vm = Un*diag(ns)*Vn gives S = Un^-1*Um and T = Vm*Vn^-1."""
     if len(ms) != len(ns):
         raise ValueError("length mismatch")
     if any(x < 1 for x in ms + ns):
         raise ValueError("entries must be naturals >= 1")
-    dm = smith_normal_form(IntMatrix.diagonal(list(ms)))
-    dn = smith_normal_form(IntMatrix.diagonal(list(ns)))
-    if dm.s != dn.s:  # equal-length products are isomorphic iff their normal forms agree
+    r = len(ms)
+    dm_rows, dn_rows = _diagonal(ms), _diagonal(ns)
+    sm, um, _um_inv, vm, _vm_inv = _smith(dm_rows, r)
+    sn, _un, un_inv, _vn, vn_inv = _smith(dn_rows, r)
+    if sm != sn:  # equal-length products are isomorphic iff their normal forms agree
         raise ValueError("cyclic products are not isomorphic")
-    s = invert_unimodular(dn.u) @ dm.u
-    t = dm.v @ invert_unimodular(dn.v)
-    if (s @ IntMatrix.diagonal(list(ms))) @ t != IntMatrix.diagonal(list(ns)):
+    s = _mul(un_inv, _cols(um))
+    t = _mul(vm, _cols(vn_inv))
+    if _mul([[x * d for x, d in zip(row, ms)] for row in s], _cols(t)) != dn_rows:
         raise AssertionError("conjugation identity failed")
-    return s, t
+    return _matrix(s, r, r), _matrix(t, r, r)
 
 
 def matrix_gcd_of_minors(a: IntMatrix, k: int) -> int:
     """gcd of all k x k minors (0 when every minor vanishes)."""
-    from itertools import combinations
-
     g = 0
-    for rows in combinations(range(a.rows), k):
+    a_rows = a.to_rows()
+    for rows in combinations(a_rows, k):
         for cols in combinations(range(a.cols), k):
-            sub = IntMatrix.from_rows([[a.get(i, j) for j in cols] for i in rows])
-            g = igcd(g, det(sub))
+            g = igcd(g, _det([[row[j] for j in cols] for row in rows]))
             if g == 1:
                 return 1
     return g

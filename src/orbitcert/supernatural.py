@@ -211,7 +211,7 @@ def parse_sn(text: str) -> SupernaturalNumber:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty supernatural-number expression")
-    out = ONE
+    exps: dict[int, int | float] = {}  # the terms' exponents, summed; INF absorbs
     for term in s.split("*"):
         m = _TERM_RE.match(term)
         if m is None:
@@ -220,17 +220,18 @@ def parse_sn(text: str) -> SupernaturalNumber:
         if m.group(2) is None:
             if base == 0:
                 raise ParseError("0 is not a supernatural number")
-            out = mul(out, SupernaturalNumber.from_int(base))
-            continue
-        if not _is_prime(base):
-            raise ParseError(f"base {base} with an exponent must be prime")
-        if m.group(2) == "inf":
-            out = mul(out, SupernaturalNumber(((base, INF),)))
+            powers = factorize(base).items()
         else:
-            e = int(m.group(2))
+            if not _is_prime(base):
+                raise ParseError(f"base {base} with an exponent must be prime")
+            e = INF if m.group(2) == "inf" else int(m.group(2))
             if e < 1:
                 raise ParseError(f"exponent must be >= 1 or inf, got {e}")
-            out = mul(out, SupernaturalNumber(((base, e),)))
+            powers = ((base, e),)
+        for p, e in powers:
+            cur = exps.get(p, 0)
+            exps[p] = INF if (cur is INF or e is INF) else cur + e
+    out = SupernaturalNumber.from_map(exps)
     for p, e in out.factors:
         _check_exponent(p, e, EXPONENT_LIMIT)
     return out

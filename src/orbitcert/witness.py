@@ -232,17 +232,16 @@ def build_coe_witness(
 # conjugacy witnesses
 
 
-def _block_conjugacy(ms, ns, s, depth: int) -> CoeWitness:
+def _block_conjugacy(ms, ns, s, s_inv, depth: int) -> CoeWitness:
     """A conjugacy between the odometer products of ms and ns through the
-    rho given by the Smith conjugator s.  A conjugacy fixing 0 is a
-    continuous group isomorphism that intertwines the translations, so it
-    extends a group isomorphism rho of the acting groups: phi(x) =
-    sum_b x_b rho(e_b) on residues, where rho(e_b) is column b of s, and
-    psi is rho^-1 the same way.  Both maps read their input at level
-    max(k, depth), deep enough for every finite multiplier whose prime
-    exponents are at most depth.  The witness's cocycles are the
-    homomorphism cocycles of rho and rho^-1."""
-    s_inv = invert_unimodular(s)
+    rho given by the Smith conjugator s, whose inverse is s_inv.  A
+    conjugacy fixing 0 is a continuous group isomorphism that intertwines
+    the translations, so it extends a group isomorphism rho of the acting
+    groups: phi(x) = sum_b x_b rho(e_b) on residues, where rho(e_b) is
+    column b of s, and psi is rho^-1 the same way.  Both maps read their
+    input at level max(k, depth), deep enough for every finite multiplier
+    whose prime exponents are at most depth.  The witness's cocycles are
+    the homomorphism cocycles of rho and rho^-1."""
     n = len(ms)
     rho = [[s.get(a, b) for a in range(n)] for b in range(n)]  # rho[b] = rho(e_b)
     rho_inv = [[s_inv.get(b, a) for b in range(n)] for a in range(n)]
@@ -278,12 +277,13 @@ def _prime_parts(ms, ns, blk) -> list[StagePart]:
     left = tuple(ms[i] for i in blk.left_indices)
     right = tuple(ns[j] for j in blk.right_indices)
     s, _t = blk.conjugator
+    s_inv = invert_unimodular(s)  # every part of the block has the same rho
     mults = blk.left_multipliers + blk.right_multipliers
     parts = []
     for p in sorted(set().union(*(m.support for m in left + right))):
         depth = max(factorize(q).get(p, 0) for q in mults)
         w = _block_conjugacy(tuple(_primary(m, p) for m in left),
-                             tuple(_primary(m, p) for m in right), s, depth)
+                             tuple(_primary(m, p) for m in right), s, s_inv, depth)
         parts.append(StagePart(f"conj p={p}", w, blk.left_indices, blk.right_indices))
     return parts
 

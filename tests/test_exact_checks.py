@@ -38,6 +38,7 @@ from orbitcert.cocycle import (
 )
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
 from orbitcert.decide import coe_decide, conj_decide
+from orbitcert.intmat import invert_unimodular
 from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, generator
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
@@ -581,8 +582,9 @@ def test_dropped_or_repeated_prime_fails_the_seams():
     # a conjugacy of the 2- and 5-parts at once, beside the 5-part: the
     # 5-adic factors twice over, which the product and the prime list miss
     (blk,) = conj_decide(*map(parse_sn_list, README_CONJ)).blocks
+    s = blk.conjugator[0]
     two_five = replace(p2, witness=_block_conjugacy(
-        parse_sn_list("2*5^inf,5^inf"), parse_sn_list("5^inf,2*5^inf"), blk.conjugator[0], 1))
+        parse_sn_list("2*5^inf,5^inf"), parse_sn_list("5^inf,2*5^inf"), s, invert_unimodular(s), 1))
     assert verify_conj(two_five.witness, 3).passed
     _only_seams_fail(verify_chain(_with_parts(chain, stage, (two_five, p3, p5)), 3, 5 * 10**6,
                                   verify_conj), "not p-primary")

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from orbitcert.intmat import (
     FiniteAbelianGroup,
     IntMatrix,
+    _check_snf,
+    _smith,
     det,
     fab_isomorphic,
     invariant_factors,
     invert_unimodular,
-    is_unimodular,
     smith_normal_form,
     solve_conjugator,
 )
@@ -64,7 +65,56 @@ def test_snf_random_against_minor_gcds():
         a = random_matrix(rng)
         dec = smith_normal_form(a)
         assert dec.s.diagonal_entries == snf_diagonal_by_minors(a)
-        assert is_unimodular(dec.u) and is_unimodular(dec.v)
+        assert abs(det(dec.u)) == 1 and abs(det(dec.v)) == 1
+
+
+def _transform_cases():
+    """The suite_snf distribution, then zero, identity, empty and
+    non-square matrices."""
+    rng = random.Random(20261018)
+    cases = [random_matrix(rng) for _ in range(150)]
+    cases += [IntMatrix(2, 3, (0,) * 6), IntMatrix(3, 2, (0,) * 6), IntMatrix.identity(3),
+              IntMatrix(0, 3, ()), IntMatrix(3, 0, ()), IntMatrix(0, 0, ()),
+              M([[4, 6, 10]]), M([[4], [6], [10]]), M([[2, 4, 6, 8], [1, 3, 5, 7]])]
+    return cases
+
+
+def test_snf_carries_the_inverse_transforms():
+    for a in _transform_cases():
+        dec = smith_normal_form(a)
+        assert dec.u @ a @ dec.v == dec.s
+        assert dec.u @ dec.u_inv == IntMatrix.identity(a.rows), a
+        assert dec.u_inv @ dec.u == IntMatrix.identity(a.rows), a
+        assert dec.v @ dec.v_inv == IntMatrix.identity(a.cols), a
+        assert dec.v_inv @ dec.v == IntMatrix.identity(a.cols), a
+        # unimodularity again, by Bareiss determinants
+        for x in (dec.u, dec.u_inv, dec.v, dec.v_inv):
+            assert abs(det(x)) == 1, a
+
+
+def test_check_snf_refuses_one_changed_transform_entry():
+    rng = random.Random(5)
+    cases = [a for a in _transform_cases() if a.rows and a.cols][::8]
+    for a in cases:
+        rows = a.to_rows()
+        dec = _smith(rows, a.cols)
+        _check_snf(rows, a.cols, dec)
+        # U is dec[1] and U^-1 dec[2]; V is dec[3] and V^-1 dec[4]
+        for k in (1, 2, 3, 4):
+            bad = [[list(r) for r in x] for x in dec]
+            i, j = rng.randrange(len(bad[k])), rng.randrange(len(bad[k]))
+            bad[k][i][j] += rng.choice((-2, -1, 1, 2))
+            with pytest.raises(AssertionError):
+                _check_snf(rows, a.cols, tuple(bad))
+    # a zero row of A hides a change to column 0 of U from U*A*V = S;
+    # only U*U^-1 = I sees it
+    a = M([[0, 0], [2, 4]])
+    rows = a.to_rows()
+    bad = [[list(r) for r in x] for x in _smith(rows, 2)]
+    bad[1][1][0] += 1
+    assert M(bad[1]) @ a @ M(bad[3]) == M(bad[0])
+    with pytest.raises(AssertionError, match="not unimodular"):
+        _check_snf(rows, 2, tuple(bad))
 
 
 def test_invert_unimodular_example():
@@ -116,7 +166,7 @@ def test_fab_against_element_orders():
 def test_solve_conjugator_example():
     s, t = solve_conjugator((2, 3), (6, 1))
     assert (s @ IntMatrix.diagonal([2, 3])) @ t == IntMatrix.diagonal([6, 1])
-    assert is_unimodular(s) and is_unimodular(t)
+    assert abs(det(s)) == 1 and abs(det(t)) == 1
 
 
 def test_solve_conjugator_identity_on_equal_input():
@@ -144,3 +194,19 @@ def test_solve_conjugator_refuses_exactly_the_non_isomorphic_products():
                 continue
             assert iso, (ms, ns)
             assert s @ IntMatrix.diagonal(list(ms)) @ t == IntMatrix.diagonal(list(ns))
+
+
+def test_solve_conjugator_matches_inverting_the_other_side():
+    # the reference takes each inverse from an elimination of its own:
+    # S = Un^-1 * Um and T = Vm * Vn^-1, on every isomorphic pair of the
+    # domain above
+    for r in (1, 2):
+        by_group = {}
+        for ms in itertools.product(range(1, 13), repeat=r):
+            by_group.setdefault(invariant_factors(ms), []).append(ms)
+        for tuples in by_group.values():
+            for ms, ns in itertools.product(tuples, repeat=2):
+                dm = smith_normal_form(IntMatrix.diagonal(list(ms)))
+                dn = smith_normal_form(IntMatrix.diagonal(list(ns)))
+                assert solve_conjugator(ms, ns) == (
+                    invert_unimodular(dn.u) @ dm.u, dm.v @ invert_unimodular(dn.v)), (ms, ns)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,7 @@ from orbitcert.supernatural import (
     mul,
     parse_sn,
     parse_sn_list,
+    product,
     sim,
     sim_witness,
     sn_str,
@@ -49,6 +52,57 @@ def test_parse_rejects():
     for bad in ["0", "", "4^2", "2^0", "2^-1", "x", "2**3", "6^inf", "2^inf*"]:
         with pytest.raises(ParseError):
             parse_sn(bad)
+
+
+_TERMS = st.one_of(
+    st.integers(1, 360).map(str),  # bare naturals, composites among them
+    st.builds("{}^{}".format, st.sampled_from((2, 3, 5, 7)), st.integers(1, 30)),
+    st.sampled_from((2, 3, 5, 7)).map("{}^inf".format),
+)
+
+
+@given(st.lists(_TERMS, min_size=1, max_size=5))
+def test_parse_sums_the_terms_exponents(terms):
+    # one number per expression, against the fold of its one-term parses
+    folded = product([parse_sn(t) for t in terms])
+    too_big = [(p, e) for p, e in folded.factors if e is not INF and e > 64]
+    if too_big:
+        p, e = too_big[0]
+        with pytest.raises(ParseError, match=f"exponent {e} of {p} exceeds 64"):
+            parse_sn("*".join(terms))
+    else:
+        assert parse_sn("*".join(terms)) == folded
+
+
+def test_parse_repeated_primes_and_composites():
+    assert parse_sn("2*2*2^3") == SN({2: 5})
+    assert parse_sn("12*18") == SN({2: 3, 3: 3})
+    assert parse_sn("2^3*2^inf") == parse_sn("2^inf*2^3") == SN({2: INF})
+    assert parse_sn("6*3^inf*2") == SN({2: 2, 3: INF})
+    assert parse_sn("2^32*2^32") == SN({2: 64})
+    assert parse_sn("2^40*2^inf*2^40") == SN({2: INF})
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", ParseError, "empty"),
+    (" \t", ParseError, "empty"),
+    ("2^", ParseError, "malformed term '2^'"),
+    ("2*x*0", ParseError, "malformed term 'x'"),
+    ("3*0", ParseError, "0 is not a supernatural number"),
+    ("0*x", ParseError, "0 is not a supernatural number"),
+    ("2*4^2", ParseError, "base 4 with an exponent must be prime"),
+    ("9^inf*2^0", ParseError, "base 9 with an exponent must be prime"),
+    ("3*2^0", ParseError, "exponent must be >= 1 or inf, got 0"),
+    ("2^40*2^40", ParseError, "exponent 80 of 2 exceeds 64"),
+    ("2^60*32", ParseError, "exponent 65 of 2 exceeds 64"),
+    ("3^70*2^70", ParseError, "exponent 70 of 2 exceeds 64"),
+    ("2^70*x", ParseError, "malformed term 'x'"),
+    ("1000003", ValueError, "prime factor >= 1000000"),
+    ("2*1000003^inf", ValueError, "prime factor >= 1000000"),
+])
+def test_parse_errors_in_term_order(text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        parse_sn(text)
 
 
 def test_str_round_trip_examples():
