@@ -7,6 +7,7 @@ unusable input (parse errors, malformed certificates, oversized requests).
 from __future__ import annotations
 
 import sys
+from functools import cache
 
 from .certificates import (
     CertificateError,
@@ -169,7 +170,9 @@ def positive(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused, since parsing leaves it unchanged;
     # argparse is imported here, not with the module, so that importing the
     # library through orbitcert.cli does not load it
     import argparse

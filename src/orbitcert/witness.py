@@ -7,7 +7,9 @@ witness build_basic_coe), the finite cyclic factors merge into one by
 mixed-radix rank and unrank (build_finite_coe), and the other side's merge
 and split are undone.  A stage is a factorwise product of such moves and
 identities; each move records the factor indices it reads and writes, so
-reordering factors is wiring, not a move.  A conjugacy is one stage of
+reordering factors is wiring, not a move.  A pair whose sides reorder each
+other needs no move at all: its chain is one stage of identity parts, each
+wired from a factor to an equal one.  A conjugacy is one stage of
 block conjugacies, one per asymptotic class of the decision, and each
 block is split by the Chinese remainder theorem into one part per prime of
 its factors: rho on the residues of the factors' p-primary parts, the same
@@ -173,6 +175,18 @@ def _identity_part(spec: SystemSpec, i: int, j: int) -> StagePart:
     return StagePart("identity", identity_witness(SystemSpec((spec.factors[i],))), (i,), (j,))
 
 
+def _permutation(ms, ns) -> list[int] | None:
+    """j[i] with ms[i] == ns[j[i]], each j used once, when ns reorders ms;
+    None otherwise.  Equal factors are matched in order."""
+    free, wiring = list(ns), []
+    for m in ms:
+        if m not in free:
+            return None
+        wiring.append(free.index(m))
+        free[wiring[-1]] = None
+    return wiring if len(ms) == len(ns) else None
+
+
 def _split_stage(x: SystemSpec, orders: list[int], bases: list[SupernaturalNumber]) -> Stage:
     """Factor i of x, the orders[i]*bases[i] odometer, splits into an
     orders[i]-cycle at factor 2i and the bases[i] odometer at 2i+1."""
@@ -200,14 +214,17 @@ def build_coe_witness(
     """Explicit orbit equivalence between the odometer products, the chain
     X split -> X merge -> inverse Y merge -> inverse Y split through a
     common middle system: one cycle of order prod n_i = prod m_i and the
-    pairs' base odometers L_i.  Raises ValueError when the systems are not
-    equivalent."""
+    pairs' base odometers L_i.  When ns reorders ms the chain is one stage
+    of identity parts wired from each factor to an equal one: a product of
+    odometers acted on factor by factor is conjugate to any reordering of
+    it.  Raises ValueError when the systems are not equivalent."""
     decision = coe_decide(ms, ns)
     if not decision:
         raise ValueError(f"not orbit equivalent: {decision.obstruction}")
     x, y = odometer_product(ms), odometer_product(ns)
-    if ms == ns:
-        ident = tuple(_identity_part(x, i, i) for i in range(x.rank))
+    wiring = _permutation(ms, ns)
+    if wiring is not None:
+        ident = tuple(_identity_part(x, i, j) for i, j in enumerate(wiring))
         return CoeChain(x, y, (Stage(x, y, ident),))
     pairs = _rebalanced_pairs(ms, ns, decision)
     bases = []

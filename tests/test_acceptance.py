@@ -9,6 +9,7 @@ echoed in the terminal summary by the conftest hook.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -82,11 +83,16 @@ def test_criterion_3_coe_witness_soundness(instances):
     rank3 = suite_coe_witnesses([p for p in instances if len(p[0]) == 3], level=2, max_rank=3)
     elapsed = res.elapsed + rank3.elapsed
     ok = res.ok and rank3.ok and res.checked >= 20 and rank3.checked == 28 and elapsed < 60.0
+    # a pair whose sides reorder each other is wired, with no split or merge
+    wired = [sum(Counter(ms) == Counter(ns) for ms, ns in instances
+                 if low <= len(ms) <= high and coe_decide(ms, ns))
+             for low, high in ((1, 2), (3, 3))]
     _record(
         3,
         ok,
         f"{res.checked} coe-positive instances (r <= 2) at level 4 and "
-        f"{rank3.checked} (r = 3) at level 2: built witness chains pass "
+        f"{rank3.checked} (r = 3) at level 2, {wired[0]} and {wired[1]} of them "
+        f"wired by a permutation: built witness chains pass "
         f"verify_chain stage by stage in {elapsed:.2f} s (< 60 s), "
         f"{len(res.failures) + len(rank3.failures)} violations",
     )

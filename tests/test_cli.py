@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from orbitcert.cli import main
+from orbitcert.cli import build_parser, main
 
 COE_M = "5*2^inf,3^inf"
 COE_N = "2^inf,5*3^inf"
@@ -128,6 +128,26 @@ def test_witness_with_growing_level_map_roundtrips(ms, ns, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 0
     assert "verification passed" in capsys.readouterr().out
+
+
+def test_reused_parser_carries_no_options_over(tmp_path, capsys):
+    # the parser is built once per process; options of one call must not
+    # leak into the next
+    assert build_parser() is build_parser()
+    f1, f2 = tmp_path / "f1.json", tmp_path / "f2.json"
+    assert main(["coe", COE_M, COE_N, "--witness", "--out", str(f1)]) == 0
+    assert main(["coe", COE_M, COE_N, "--out", str(f2)]) == 0
+    assert "witness" in json.loads(f1.read_text())
+    assert "witness" not in json.loads(f2.read_text())
+    capsys.readouterr()
+    path = tmp_path / "w.json"
+    assert main(["witness", "coe", "2^inf,3^inf", "3^inf,2^inf",
+                 "--level", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--level", "2"]) == 0
+    assert "witness stage 0 @2: seams" in capsys.readouterr().out
+    assert main(["verify", str(path)]) == 0
+    assert "witness stage 0 @3: seams" in capsys.readouterr().out
 
 
 def test_witness_on_negative_pair_exits_one(capsys):

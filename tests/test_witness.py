@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,10 +113,42 @@ def test_identity_shortcut():
         assert image(composite.phi, 3, x) == x
 
 
+def test_permuted_sides_are_wiring():
+    # equal factors are matched in order, each onto an unused one
+    ms = parse_sn_list("2^inf, 2^inf, 3*5^inf")
+    ns = parse_sn_list("3*5^inf, 2^inf, 2^inf")
+    w = build_coe_witness(ms, ns)
+    (stage,) = w.stages
+    assert [p.kind for p in stage.parts] == ["identity"] * 3
+    assert [(p.reads, p.writes) for p in stage.parts] == [((0,), (1,)), ((1,), (2,)), ((2,), (0,))]
+    for part in stage.parts:
+        (i,), (j,) = part.reads, part.writes
+        assert ms[i] == ns[j]
+    report = verify_chain(w, level=3)
+    assert report.passed, report.summary()
+    composite = compose_chain(w)
+    for x in enumerate_points(w.source, 3):
+        r = x.residues
+        assert image(composite.phi, 3, x).residues == (r[2], r[0], r[1])
+    # rewired onto an unequal factor, the seams refuse the part
+    wrong = replace(stage.parts[0], writes=(0,))
+    parts = (wrong, stage.parts[1], replace(stage.parts[2], writes=(1,)))
+    bad = verify_chain(replace(w, stages=(replace(stage, parts=parts),)), level=3)
+    (seams,) = [c for c in bad.checks if not c.ok]
+    assert seams.name == "stage 0 @3: seams"
+    assert [v[1] for v in seams.violations] == [
+        f"part {p} (identity) is wired to {idx}, whose factors are not its own"
+        for p, idx in ((0, (0,)), (2, (1,)))]
+
+
 def test_swapped_multiplier_witness():
-    # same class, multipliers travel between the factors
-    w = build_coe_witness(parse_sn_list("2^inf, 3*2^inf"), parse_sn_list("3*2^inf, 2^inf"))
-    assert verify_chain(w, level=4).passed
+    # same class, not a reordering: the multipliers 9 and 1 become 3 and 3
+    w = build_coe_witness(parse_sn_list("2^inf, 9*2^inf"), parse_sn_list("3*2^inf, 3*2^inf"))
+    assert [[p.kind for p in st.parts] for st in w.stages] == [
+        ["split", "split"], ["finite", "identity", "identity"],
+        ["finite^-1", "identity^-1", "identity^-1"], ["split^-1", "split^-1"]]
+    report = verify_chain(w, level=4)
+    assert report.passed, report.summary()
 
 
 def test_rebalanced_witness_for_absorbed_prime():
