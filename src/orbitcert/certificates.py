@@ -6,15 +6,18 @@ any semantic edit invalidates it.  A witness certificate records the
 construction, not its tables: the inputs and the decision payload (the coe
 pairs, or the conj blocks with their Smith matrices) determine the witness,
 and the witness block, {type, level}, only names its relation and the level
-to check it at.  Verification re-derives the decision, rebuilds the witness
-from the inputs and runs the exhaustive verifier, exact over the acting
-group, at any level within the point limit.  Both witnesses are chains
-checked stage by stage: a coe witness's parts are elementary moves, each
-checked with verify_coe, and a conj witness is one stage of block
-conjugacies, each split into one part per prime of its factors and each
-part checked with verify_conj.  Payload integers are read
-strictly: bools and floats are refused, never truncated, and a
-verdict must be a JSON boolean.
+to check it at.  Verification re-derives the decision, checks the payload
+against it (a conj block's S and T must be unimodular and carry diag(m) to
+diag(n)), rebuilds the witness from the inputs and runs
+verify_chain(chain, level, relation), exact over the acting group, at any
+level within the relation's point limit (chain.POINT_LIMITS).  Emission and
+verification refuse an oversized level through the same planner,
+chain.require_checkable.  Both witnesses are chains checked stage by stage:
+a coe witness's parts are elementary moves, each checked with verify_coe,
+and a conj witness is one stage of block conjugacies, each split into one
+part per prime of its factors and each part checked with verify_conj.
+Payload integers are read strictly: bools and floats are refused, never
+truncated, and a verdict must be a JSON boolean.
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ import hashlib
 import json
 
 from . import __version__
-from .chain import CoeChain, verify_chain
-from .cocycle import verify_coe, verify_conj
+from .chain import POINT_LIMITS, CoeChain, require_checkable, verify_chain
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -32,16 +34,12 @@ from .decide import (
     conj_decide,
     free_group_counterexample_check,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, det
 from .supernatural import SupernaturalNumber, mul, parse_sn, sn_str
-from .witness import build_coe_witness, build_conj_witness, require_checkable
+from .witness import build_coe_witness, build_conj_witness
 
 FORMAT = "orbitcert-certificate/3"
 KINDS = ("coe", "conj", "coe-witness", "conj-witness", "counterexample")
-
-# the verifiers' enumeration budgets for witnesses rebuilt from certificates
-COE_POINT_LIMIT = 10**6
-CONJ_POINT_LIMIT = 5 * 10**6
 
 
 class CertificateError(ValueError):
@@ -140,10 +138,10 @@ def witness_block(relation: str, ms, ns, level: int) -> dict:
     """The recipe of a witness: its relation and the level to check it at.
     `verify` rebuilds the witness from the certificate's inputs, so no
     table is stored.  A level at which the verifier would build a grid
-    beyond the point limit, at `level` or at a level the witness's maps
-    read, is refused here with the error `verify` would raise."""
-    limit = COE_POINT_LIMIT if relation == "coe" else CONJ_POINT_LIMIT
-    require_checkable(witness_from_block(relation, ms, ns), level, limit)
+    beyond the relation's point limit, at `level` or at a level the
+    witness's maps read, is refused here by the planner `verify` runs
+    first (chain.require_checkable), with the same error."""
+    require_checkable(witness_from_block(relation, ms, ns), level, POINT_LIMITS[relation])
     return {"type": relation, "level": level}
 
 
@@ -151,21 +149,15 @@ def witness_block(relation: str, ms, ns, level: int) -> dict:
 coe_witness_block = conj_witness_block = witness_block
 
 
-def coe_certificate(ms, ns, decision: CoeDecision, witness: dict | None = None,
-                    kind: str = "coe") -> dict:
-    cert = _header(kind)
+def certificate(ms, ns, decision: CoeDecision | ConjDecision, witness: dict | None = None,
+                kind: str | None = None) -> dict:
+    """A coe or conj certificate, as the decision's type says: its payload,
+    and its kind unless `kind` is given ("coe-witness", "conj-witness")."""
+    relation, payload = (("coe", coe_payload) if isinstance(decision, CoeDecision)
+                         else ("conj", conj_payload))
+    cert = _header(kind or relation)
     cert["inputs"] = _inputs_block(ms, ns)
-    cert["payload"] = coe_payload(decision)
-    if witness is not None:
-        cert["witness"] = witness
-    return seal(cert)
-
-
-def conj_certificate(ms, ns, decision: ConjDecision, witness: dict | None = None,
-                     kind: str = "conj") -> dict:
-    cert = _header(kind)
-    cert["inputs"] = _inputs_block(ms, ns)
-    cert["payload"] = conj_payload(decision)
+    cert["payload"] = payload(decision)
     if witness is not None:
         cert["witness"] = witness
     return seal(cert)
@@ -303,6 +295,7 @@ def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
                 and all(ms[i] == mul(SupernaturalNumber.from_int(q), base) for i, q in zip(li, lm))
                 and all(ns[j] == mul(SupernaturalNumber.from_int(q), base) for j, q in zip(ri, rm))
                 and (s @ IntMatrix.diagonal(lm) @ t).to_rows() == IntMatrix.diagonal(rm).to_rows()
+                and abs(det(s)) == abs(det(t)) == 1
             )
             if not ok:
                 break
@@ -311,7 +304,8 @@ def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
     except (KeyError, TypeError, ValueError) as e:
         raise CertificateError(f"bad conj payload: {e}") from None
     lines.append(f"[{'pass' if ok else 'FAIL'}] decision: blocks partition the factors, "
-                 "M_i = m_i*L and N_j = n_j*L, and S*diag(m)*T = diag(n) exactly")
+                 "M_i = m_i*L and N_j = n_j*L, and S*diag(m)*T = diag(n) exactly "
+                 "with S and T unimodular")
     return ok, True
 
 
@@ -387,9 +381,7 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
         return False, lines
     ms, ns = _parse_inputs(cert)
     # the part verifier follows the certificate's claim, never a part's kind
-    limit, verify = ((COE_POINT_LIMIT, verify_coe) if relation == "coe"
-                     else (CONJ_POINT_LIMIT, verify_conj))
-    report = verify_chain(witness_from_block(relation, ms, ns), lvl, limit, verify)
+    report = verify_chain(witness_from_block(relation, ms, ns), lvl, relation)
     for check in report.checks:
         tag = "pass" if check.ok else "FAIL"
         lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")

@@ -25,8 +25,12 @@ verify_conj on each part.  A factorwise product of conjugacies, wired by
 factor permutations, is a conjugacy whose rho is block-diagonal up to those
 permutations, and a composite of conjugacies is a conjugacy.  So the seams,
 each part's homomorphism check and its eight coe checks prove the claim.
-The part verifier comes from the claim being checked, never from a part's
-kind, so a mislabelled part cannot skip homomorphism.
+verify_chain takes the relation claimed, "coe" or "conj", and that alone
+sets the part verifier, the seams' rule for diagonal products and the point
+limit (POINT_LIMITS), never a part's kind, so a mislabelled part cannot skip
+homomorphism.  require_checkable plans every part's grids from the level
+maps before anything is built: verify_chain runs it first, and
+certificates.witness_block and the selftest screen refuse through it too.
 
 Parts with the same wiring form a group, and a group of more than one part
 is a diagonal product: it covers its factors by the Chinese remainder
@@ -66,11 +70,15 @@ from .cocycle import (
     CoeWitness,
     VerifyReport,
     inverse_coe,
+    require_grids,
     verify_coe,
     verify_conj,
 )
 from .dynamics import Odometer, SystemSpec, require_level
 from .supernatural import product
+
+# the part verifiers' point limits, by the relation a chain is checked for
+POINT_LIMITS = {"coe": 10**6, "conj": 5 * 10**6}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,30 +250,43 @@ def _seam_check(name: str, stage: Stage, source: SystemSpec, target: SystemSpec,
     return CheckResult(name, checked, bad)
 
 
-def verify_chain(chain: CoeChain, level: int = 4, point_limit: int = 10**6,
-                 verify=verify_coe) -> VerifyReport:
-    """Check a chain stage by stage: the seams of every stage, then each
-    elementary part with `verify` (verify_coe, or verify_conj for a
-    conjugacy) on its own grid at the stage's level lambda_k (module
-    docstring).  Cost is the sum of the parts' grids, not the grid of the
-    composite.  The report's kind is the part reports'.  A level beyond the
-    point limit is refused up front, and a part's grid beyond it with the
-    verifier's error behind the part's tag."""
-    require_level(chain.source, level, point_limit)
-    require_level(chain.target, level, point_limit)
+def require_checkable(chain: CoeChain, level: int, limit: int) -> None:
+    """Refuse, with the part verifier's own error, a level at which checking
+    the chain would build a grid beyond `limit` points.  Only the chain's
+    level maps are read, nothing is built; each part is planned at its
+    stage's level, and a part's refusal carries its tag, which names the
+    stage and part, and so the prime of a conjugacy's part."""
+    require_level(chain.source, level, limit)
+    require_level(chain.target, level, limit)
+    for k, (stage, lam) in enumerate(zip(chain.stages, chain.stage_levels(level))):
+        for p, part in enumerate(stage.parts):
+            try:
+                require_grids(part.witness, lam, limit)
+            except ValueError as e:
+                raise ValueError(f"{part_tag(k, p, part, lam)}{e}") from None
+
+
+def verify_chain(chain: CoeChain, level: int = 4, relation: str = "coe") -> VerifyReport:
+    """Check a chain as a witness of `relation`, "coe" or "conj": the seams
+    of every stage, then each elementary part on its own grid at the stage's
+    level lambda_k (module docstring), with verify_coe, or verify_conj for a
+    conjugacy.  Cost is the sum of the parts' grids, not the grid of the
+    composite.  The report's kind is the part reports'.  A level at which
+    any part would build a grid beyond the relation's point limit is
+    refused by require_checkable before any part is checked."""
+    limit, conj = POINT_LIMITS[relation], relation == "conj"
+    require_checkable(chain, level, limit)
     kind, checks = "coe-witness", []
     last = len(chain.stages) - 1
     for k, (stage, lam) in enumerate(zip(chain.stages, chain.stage_levels(level))):
         source = chain.stages[k - 1].target if k else chain.source
         target = chain.target if k == last else stage.target
-        checks.append(_seam_check(f"stage {k} @{lam}: seams", stage, source, target,
-                                  verify is verify_conj))
+        checks.append(_seam_check(f"stage {k} @{lam}: seams", stage, source, target, conj))
         for p, part in enumerate(stage.parts):
             tag = part_tag(k, p, part, lam)
-            try:
-                report = verify(part.witness, lam, point_limit)
-            except ValueError as e:
-                raise ValueError(f"{tag}{e}") from None
+            # looked up by name at each call, so that a rebinding of the
+            # module's verify_coe or verify_conj reaches this call
+            report = (verify_conj if conj else verify_coe)(part.witness, lam, limit)
             kind = report.kind
             checks.extend(CheckResult(tag + c.name, c.checked, c.violations)
                           for c in report.checks)

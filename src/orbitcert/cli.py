@@ -12,8 +12,7 @@ from functools import cache
 from .certificates import (
     CertificateError,
     canonical_json,
-    coe_certificate,
-    conj_certificate,
+    certificate,
     counterexample_certificate,
     dumps,
     loads,
@@ -27,7 +26,7 @@ from .decide import (
     free_group_counterexample_check,
     k_invariant,
 )
-from .supernatural import ParseError, parse_sn, parse_sn_list, sn_str
+from .supernatural import parse_sn, parse_sn_list, sn_str
 
 
 def _write(cert: dict, out: str | None) -> None:
@@ -50,12 +49,12 @@ def cmd_coe(args) -> int:
     d = coe_decide(ms, ns)
     if not d.equivalent:
         print(f"not orbit equivalent: {d.obstruction}")
-        _write(coe_certificate(ms, ns, d), args.out)
+        _write(certificate(ms, ns, d), args.out)
         return 1
     block = witness_block("coe", ms, ns, args.level) if args.witness else None
     pairs = ", ".join(f"{p.m}*M{p.left_index} = {p.n}*N{p.right_index}" for p in d.pairs)
     print(f"orbit equivalent; sigma = {list(d.sigma)}; {pairs}")
-    _write(coe_certificate(ms, ns, d, block), args.out)
+    _write(certificate(ms, ns, d, block), args.out)
     return 0
 
 
@@ -65,7 +64,7 @@ def cmd_conj(args) -> int:
     d = conj_decide(ms, ns)
     if not d.conjugate:
         print(f"not conjugate: {d.obstruction}")
-        _write(conj_certificate(ms, ns, d), args.out)
+        _write(certificate(ms, ns, d), args.out)
         return 1
     block = witness_block("conj", ms, ns, args.level) if args.witness else None
     blocks = "; ".join(
@@ -73,7 +72,7 @@ def cmd_conj(args) -> int:
         for b in d.blocks
     )
     print(f"conjugate; {blocks}")
-    _write(conj_certificate(ms, ns, d, block), args.out)
+    _write(certificate(ms, ns, d, block), args.out)
     return 0
 
 
@@ -120,7 +119,6 @@ def cmd_witness(args) -> int:
         print(f"not {'orbit equivalent' if coe else 'conjugate'}: {d.obstruction}")
         return 1
     block = witness_block(args.relation, ms, ns, args.level)
-    certificate = coe_certificate if coe else conj_certificate
     cert = certificate(ms, ns, d, block, kind=f"{args.relation}-witness")
     print(f"witness block {canonical_json(block)}; verify rebuilds the witness from the inputs")
     _write(cert, args.out)
@@ -248,10 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, CertificateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # ParseError and CertificateError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -299,7 +299,7 @@ def identity_witness(spec: SystemSpec) -> CoeWitness:
     gm = spec.group_moduli()
     phi = identity_lcmap(spec)
     table = homomorphism_cocycle(
-        spec, [generator(spec, i).coords for i in range(spec.rank)], gm
+        spec, [generator(spec, i) for i in range(spec.rank)], gm
     )
     return CoeWitness(phi, table, identity_lcmap(spec), table)
 
@@ -321,7 +321,7 @@ def twist(a: CocycleTable, u: GroupValuedMap) -> CocycleTable:
     for i, g in enumerate(a.generators):
         grid = _Grid(spec, max(g.level, u.level))
         u_x = u.at(grid.res)
-        vals = u_x[:, grid.translate(generator(spec, i).coords)] + g.at(grid.res) - u_x
+        vals = u_x[:, grid.translate(generator(spec, i))] + g.at(grid.res) - u_x
         gens.append(GroupValuedMap(spec, a.target_group, grid.level, vals, f"twist[{i}]"))
     return CocycleTable(spec, a.target_group, tuple(gens))
 
@@ -389,7 +389,7 @@ def untwist_to_conjugacy(
     violations: list = []
     for i, (got, want) in enumerate(zip(w.a.generators, expect.generators)):
         miss = _mismatched_points(zip(got.at(grid.res), want.at(grid.res)))
-        _record(violations, [("premise", generator(w.source, i).coords, grid.point(int(p)))
+        _record(violations, [("premise", generator(w.source, i), grid.point(int(p)))
                              for p in miss[:_SAMPLES]])
     if violations:
         raise ValueError(
@@ -617,7 +617,7 @@ def _check_equivariance(
             lhs = PHI[:, cylinder_index(src, gphi.level, moved)]
             rhs = (PHI[:, cylinder_index(src, gphi.level, pts)]
                    + AG[i][:, cylinder_index(src, ga.level, pts)]) % np.array(tmods)[:, None]
-            _record(violations, [(name, generator(src, i).coords, grid.point(int(x)),
+            _record(violations, [(name, generator(src, i), grid.point(int(x)),
                                   tuple(int(v) for v in lhs[:, s]),
                                   tuple(int(v) for v in rhs[:, s]))
                                  for s, x in enumerate(xs)])
@@ -666,7 +666,7 @@ def _check_inverse_cocycle(
     violations: list = []
     for i in range(src.rank):
         got = read(AG[i][:, to_a], y, name)
-        e = canonical_coords(src_group, generator(src, i).coords)
+        e = canonical_coords(src_group, generator(src, i))
         _record(violations, [(name, e, grid.point(int(x)), tuple(int(v) for v in got[:, x]))
                              for x in _mismatched_points(zip(got, e))[:_SAMPLES]])
     return CheckResult(name, grid.size * src.rank, violations)
@@ -694,7 +694,7 @@ def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
     group = spec.group_moduli()
     tg = a.target_group
     _require_int64(_peak(AG) * max(4, *group), name)
-    step = [grid.translate(generator(spec, i).coords) for i in range(spec.rank)]
+    step = [grid.translate(generator(spec, i)) for i in range(spec.rank)]
     shape = [len(tg)] + [int(m) for m in grid.moduli]
 
     def reduced(row: np.ndarray, m: int) -> np.ndarray:

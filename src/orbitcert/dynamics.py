@@ -75,11 +75,6 @@ class PointAtLevel:
     residues: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    coords: tuple[int, ...]
-
-
 def canonical_coords(group_moduli: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
     """Reduce cyclic coordinates mod n; Z coordinates pass through."""
     if len(coords) != len(group_moduli):
@@ -87,8 +82,9 @@ def canonical_coords(group_moduli: tuple[int, ...], coords: tuple[int, ...]) -> 
     return tuple(c % m if m else c for c, m in zip(coords, group_moduli))
 
 
-def generator(spec: SystemSpec, i: int) -> GroupElement:
-    return GroupElement(tuple(1 if j == i else 0 for j in range(spec.rank)))
+def generator(spec: SystemSpec, i: int) -> tuple[int, ...]:
+    """The coordinates of the i-th generator e_i of the acting group."""
+    return tuple(1 if j == i else 0 for j in range(spec.rank))
 
 
 def point_count(spec: SystemSpec, k: int) -> int:

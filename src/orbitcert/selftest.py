@@ -2,7 +2,7 @@
 
 Everything here is shared by the `selftest` command and the acceptance
 tests: a deterministic instance generator for odometer products, screened
-by the grids the verifiers would build (witness.require_checkable) so that
+by the grids the verifiers would build (chain.require_checkable) so that
 every instance the witness suites verify stays at desk scale, and one
 suite function per checked property.  Each suite returns a SuiteResult
 whose failures list is empty exactly when the suite passes; any failure
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import COE_POINT_LIMIT, CONJ_POINT_LIMIT
-from .chain import verify_chain
+from .chain import require_checkable, verify_chain
 from .cocycle import (
     CoeWitness,
     GroupValuedMap,
@@ -29,7 +28,6 @@ from .cocycle import (
     twist,
     untwist_to_conjugacy,
     verify_coe,
-    verify_conj,
 )
 from .decide import (
     coe_decide,
@@ -48,7 +46,7 @@ from .supernatural import (
     factorize,
     sn_str,
 )
-from .witness import build_coe_witness, build_conj_witness, require_checkable
+from .witness import build_coe_witness, build_conj_witness
 
 DOMAIN_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIMES = (2, 3, 5)
@@ -255,7 +253,7 @@ def near_miss_pair(
 def _desk_scale(ms, ns, level: int = 4) -> bool:
     """Keep only instances whose positive verdicts can be verified
     exhaustively at the given level within the point budgets, as
-    witness.require_checkable plans the verifier's grids.  Negative
+    chain.require_checkable plans the verifier's grids.  Negative
     instances are never verified, so they always pass."""
     if not coe_decide(ms, ns):
         return True
@@ -327,14 +325,14 @@ def suite_invariant_vs_decision(seed: int, count: int = 200, instances=None) -> 
     return res
 
 
-def _witness_suite(relation: str, pairs, level: int, build, verify, limit: int) -> SuiteResult:
+def _witness_suite(relation: str, pairs, level: int, build) -> SuiteResult:
     """Every pair's witness chain, built by `build`, must pass verify_chain
-    with `verify` on each part; a failure ends with its replay command."""
+    as a witness of `relation`; a failure ends with its replay command."""
     failures = []
     for ms, ns in pairs:
         replay = _replay_command(relation, ms, ns, level)
         try:  # construction failures are failures too
-            report = verify_chain(build(ms, ns), level, limit, verify)
+            report = verify_chain(build(ms, ns), level, relation)
             if not report.passed:
                 failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}; replay: {replay}")
         except Exception as e:
@@ -347,7 +345,7 @@ def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteRe
     """Every orbit-equivalent instance of rank at most max_rank gets an
     explicit chain witness which must survive the stage-wise verifier."""
     pairs = [(ms, ns) for ms, ns in instances if len(ms) <= max_rank and coe_decide(ms, ns)]
-    return _witness_suite("coe", pairs, level, build_coe_witness, verify_coe, COE_POINT_LIMIT)
+    return _witness_suite("coe", pairs, level, build_coe_witness)
 
 
 @_timed
@@ -357,7 +355,7 @@ def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
     The blocks' matrices satisfy S diag(m) T = diag(n) exactly:
     solve_conjugator checks that for every block the decision returns."""
     pairs = [(ms, ns) for ms, ns in list(instances) + list(extra) if conj_decide(ms, ns)]
-    return _witness_suite("conj", pairs, level, build_conj_witness, verify_conj, CONJ_POINT_LIMIT)
+    return _witness_suite("conj", pairs, level, build_conj_witness)
 
 
 @_timed

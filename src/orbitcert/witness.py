@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .chain import CoeChain, Stage, StagePart, part_tag
+from .chain import CoeChain, Stage, StagePart
 from .cocycle import (
     CocycleTable,
     CoeWitness,
@@ -33,7 +33,6 @@ from .cocycle import (
     homomorphism_cocycle,
     identity_witness,
     linear_image,
-    require_grids,
 )
 from .decide import coe_decide, conj_decide
 from .dynamics import (
@@ -42,7 +41,6 @@ from .dynamics import (
     SystemSpec,
     level_modulus,
     odometer_product,
-    require_level,
 )
 from .intmat import invert_unimodular
 from .supernatural import SupernaturalNumber, div_exact, factorize, mul
@@ -320,18 +318,3 @@ def build_conj_witness(
     parts = tuple(part for blk in decision.blocks for part in _prime_parts(ms, ns, blk))
     return CoeChain(x, y, (Stage(x, y, parts),))
 
-
-def require_checkable(chain: CoeChain, level: int, limit: int) -> None:
-    """Refuse, with the verifier's own error, a level at which checking the
-    witness chain would build a grid beyond `limit` points.  Only the
-    chain's level maps are read; its parts are checked at their stage
-    levels, and a part's refusal names the stage and part, and so the
-    prime of a conjugacy's part, behind the tag verify_chain gives it."""
-    require_level(chain.source, level, limit)
-    require_level(chain.target, level, limit)
-    for k, (stage, lam) in enumerate(zip(chain.stages, chain.stage_levels(level))):
-        for p, part in enumerate(stage.parts):
-            try:
-                require_grids(part.witness, lam, limit)
-            except ValueError as e:
-                raise ValueError(f"{part_tag(k, p, part, lam)}{e}") from None

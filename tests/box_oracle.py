@@ -46,7 +46,6 @@ from orbitcert.cocycle import (
     cylinder_index,
 )
 from orbitcert.dynamics import (
-    GroupElement,
     PointAtLevel,
     SystemSpec,
     canonical_coords,
@@ -54,6 +53,13 @@ from orbitcert.dynamics import (
     point_count,
     require_level,
 )
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """An element of a system's acting group, by its coordinates."""
+
+    coords: tuple[int, ...]
 
 
 def act(spec: SystemSpec, k: int, g: GroupElement, x: PointAtLevel) -> PointAtLevel:
@@ -229,7 +235,7 @@ def extend_cocycle(
     cur = x
     for i in order if order is not None else range(spec.rank):
         steps = _steps(g.coords[i], src_mods[i])
-        ei = generator(spec, i)
+        ei = GroupElement(generator(spec, i))
         nei = GroupElement(neg_coords(src_mods, ei.coords))
         if steps >= 0:
             for _ in range(steps):
@@ -452,7 +458,7 @@ def _shift_equivariance(name: str, phi: LCMap, hom: np.ndarray, level: int,
         checked += gphi.size
         bad = np.argwhere((lhs != rhs).any(axis=-1))
         _record(violations, [
-            (name, generator(src, i).coords, PointAtLevel(gphi.level, tuple(int(v) for v in r)))
+            (name, generator(src, i), PointAtLevel(gphi.level, tuple(int(v) for v in r)))
             for r in bad[:_SAMPLES]
         ])
     return CheckResult(name, checked, violations)

@@ -11,8 +11,7 @@ from orbitcert.certificates import (
     FORMAT,
     CertificateError,
     canonical_json,
-    coe_certificate,
-    conj_certificate,
+    certificate,
     content_hash,
     counterexample_certificate,
     dumps,
@@ -34,7 +33,7 @@ N_SWAP = parse_sn_list("3*5^inf, 2*5^inf")
 
 def _coe_cert(level=3):
     d = coe_decide(M_EXAMPLE, N_EXAMPLE)
-    return coe_certificate(
+    return certificate(
         M_EXAMPLE, N_EXAMPLE, d, witness_block("coe", M_EXAMPLE, N_EXAMPLE, level)
     )
 
@@ -42,7 +41,7 @@ def _coe_cert(level=3):
 def _conj_cert(level=3):
     d = conj_decide(M_SWAP, N_SWAP)
     block = witness_block("conj", M_SWAP, N_SWAP, level)
-    return conj_certificate(M_SWAP, N_SWAP, d, block, kind="conj-witness")
+    return certificate(M_SWAP, N_SWAP, d, block, kind="conj-witness")
 
 
 def test_coe_witness_certificate_roundtrip():
@@ -76,11 +75,11 @@ def test_counterexample_certificate_roundtrip():
 def test_negative_certificates_reproduce():
     ms = parse_sn_list("2^inf")
     ns = parse_sn_list("2^inf, 3^inf")
-    ok, _ = verify_certificate(loads(dumps(coe_certificate(ms, ns, coe_decide(ms, ns)))))
+    ok, _ = verify_certificate(loads(dumps(certificate(ms, ns, coe_decide(ms, ns)))))
     assert ok
     d = conj_decide(M_EXAMPLE, N_EXAMPLE)
     ok, lines = verify_certificate(
-        loads(dumps(conj_certificate(M_EXAMPLE, N_EXAMPLE, d)))
+        loads(dumps(certificate(M_EXAMPLE, N_EXAMPLE, d)))
     )
     assert ok
     assert any("non-conjugacy reproduces" in ln for ln in lines)
@@ -88,11 +87,11 @@ def test_negative_certificates_reproduce():
 
 def _negative_coe_cert():
     ms, ns = parse_sn_list("2^inf"), parse_sn_list("2^inf, 3^inf")
-    return coe_certificate(ms, ns, coe_decide(ms, ns))
+    return certificate(ms, ns, coe_decide(ms, ns))
 
 
 def _negative_conj_cert():
-    return conj_certificate(M_EXAMPLE, N_EXAMPLE, conj_decide(M_EXAMPLE, N_EXAMPLE))
+    return certificate(M_EXAMPLE, N_EXAMPLE, conj_decide(M_EXAMPLE, N_EXAMPLE))
 
 
 def _counterexample_cert():
@@ -144,6 +143,26 @@ def test_resealed_semantic_edit_still_fails():
     ok, lines = verify_certificate(cert)
     assert not ok
     assert any(ln.startswith("[FAIL] decision") for ln in lines)
+
+
+def test_resealed_non_unimodular_conjugator_fails(tmp_path, capsys):
+    # S*diag(m)*T = diag(n) holds for m = (1, 1), n = (1, 2), S = I and
+    # T = diag(1, 2), and 2*2^inf = 2^inf, but Z/1 x Z/1 is not Z/1 x Z/2
+    from orbitcert.cli import main
+
+    ms = ns = parse_sn_list("2^inf, 2^inf")
+    cert = loads(dumps(certificate(ms, ns, conj_decide(ms, ns))))
+    block = cert["payload"]["blocks"][0]
+    block["right_multipliers"] = [1, 2]
+    block["t"] = [[1, 0], [0, 2]]
+    cert = seal(cert)
+    ok, lines = verify_certificate(cert)
+    assert not ok
+    assert any(ln.startswith("[FAIL] decision") and "unimodular" in ln for ln in lines), lines
+    path = tmp_path / "forged.json"
+    path.write_text(dumps(cert))
+    assert main(["verify", str(path)]) == 1
+    assert "[FAIL] decision" in capsys.readouterr().out
 
 
 def _swap_pairs(payload):
@@ -212,7 +231,7 @@ def test_malformed_certificates_rejected():
 
 def test_witness_kind_requires_witness_block():
     d = coe_decide(M_EXAMPLE, N_EXAMPLE)
-    cert = coe_certificate(M_EXAMPLE, N_EXAMPLE, d, None, kind="coe-witness")
+    cert = certificate(M_EXAMPLE, N_EXAMPLE, d, None, kind="coe-witness")
     with pytest.raises(CertificateError, match="witness"):
         verify_certificate(loads(dumps(cert)))
 
@@ -255,14 +274,14 @@ def test_coe_witness_is_bound_to_the_inputs():
     # the README pair's witness under a negative 2^inf vs 3^inf verdict
     ms, ns = parse_sn_list("2^inf"), parse_sn_list("3^inf")
     block = _coe_cert()["witness"]
-    cert = coe_certificate(ms, ns, coe_decide(ms, ns), block, kind="coe-witness")
+    cert = certificate(ms, ns, coe_decide(ms, ns), block, kind="coe-witness")
     ok, lines = verify_certificate(loads(dumps(cert)))
     assert not ok
     assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
     # under a positive verdict about other systems it stands for their
     # witness: the witness is rebuilt from the certificate's own inputs
     ms, ns = parse_sn_list("3*2^inf, 5^inf"), parse_sn_list("2^inf, 3*5^inf")
-    cert = coe_certificate(ms, ns, coe_decide(ms, ns), block, kind="coe-witness")
+    cert = certificate(ms, ns, coe_decide(ms, ns), block, kind="coe-witness")
     ok, lines = verify_certificate(loads(dumps(cert)))
     assert ok, lines
 
@@ -271,7 +290,7 @@ def test_conj_witness_is_bound_to_the_inputs():
     # the swap pair's conjugacy under the README pair's negative conj verdict
     block = witness_block("conj", M_SWAP, N_SWAP, 1)
     d = conj_decide(M_EXAMPLE, N_EXAMPLE)
-    cert = conj_certificate(M_EXAMPLE, N_EXAMPLE, d, block, kind="conj-witness")
+    cert = certificate(M_EXAMPLE, N_EXAMPLE, d, block, kind="conj-witness")
     ok, lines = verify_certificate(loads(dumps(cert)))
     assert not ok
     assert any(ln.startswith("[FAIL] witness binding") for ln in lines)
@@ -280,7 +299,7 @@ def test_conj_witness_is_bound_to_the_inputs():
 def test_witness_type_must_match_the_kind():
     # a sound coe witness does not prove a conj claim about the same pair
     block = _coe_cert()["witness"]
-    cert = conj_certificate(M_EXAMPLE, N_EXAMPLE, conj_decide(M_EXAMPLE, N_EXAMPLE), block)
+    cert = certificate(M_EXAMPLE, N_EXAMPLE, conj_decide(M_EXAMPLE, N_EXAMPLE), block)
     ok, lines = verify_certificate(loads(dumps(cert)))
     assert not ok
     assert any(ln.startswith("[FAIL] witness binding") for ln in lines)

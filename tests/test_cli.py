@@ -342,7 +342,7 @@ def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, cap
 ])
 def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, grid,
                                                      tmp_path, capsys):
-    from orbitcert.certificates import coe_certificate, conj_certificate
+    from orbitcert.certificates import certificate
     from orbitcert.decide import coe_decide, conj_decide
     from orbitcert.supernatural import parse_sn_list
 
@@ -357,10 +357,9 @@ def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, gr
     assert tag and bool(tag[4]) == (relation == "conj"), refused
     # the certificate it no longer writes: verify refuses it with the same error
     left, right = parse_sn_list(ms), parse_sn_list(ns)
-    make, decide = {"coe": (coe_certificate, coe_decide),
-                    "conj": (conj_certificate, conj_decide)}[relation]
-    _reseal(path, make(left, right, decide(left, right), {"type": relation, "level": level},
-                       kind=f"{relation}-witness"))
+    decide = {"coe": coe_decide, "conj": conj_decide}[relation]
+    _reseal(path, certificate(left, right, decide(left, right),
+                              {"type": relation, "level": level}, kind=f"{relation}-witness"))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == refused
     # a decision asked to embed the witness block refuses it before printing

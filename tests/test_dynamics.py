@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from orbitcert.dynamics import (
     Cyclic,
-    GroupElement,
     Odometer,
     PointAtLevel,
     SystemSpec,
@@ -13,7 +12,15 @@ from orbitcert.dynamics import (
     level_modulus,
     point_count,
 )
-from box_oracle import act, box_elements, enumerate_points, orbit, project, project_to
+from box_oracle import (
+    GroupElement,
+    act,
+    box_elements,
+    enumerate_points,
+    orbit,
+    project,
+    project_to,
+)
 from orbitcert.selftest import random_side
 from orbitcert.supernatural import parse_sn
 
@@ -76,7 +83,7 @@ def test_translation_by_one_is_a_full_cycle_per_factor():
     for f in [Odometer(parse_sn("2^inf*3")), Cyclic(6)]:
         spec = SystemSpec((f,))
         m = level_modulus(f, 2)
-        xs = orbit(spec, 2, PointAtLevel(2, (0,)), generator(spec, 0), m)
+        xs = orbit(spec, 2, PointAtLevel(2, (0,)), GroupElement(generator(spec, 0)), m)
         assert len({x.residues for x in xs[:-1]}) == m
         assert xs[-1] == xs[0]
 

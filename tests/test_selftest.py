@@ -112,7 +112,6 @@ def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
     def failing(*args, **kwargs):
         return VerifyReport("forced", 4, [CheckResult("forced", 1, [("forced",)])])
 
-    monkeypatch.setattr(selftest, "verify_conj", failing)
     monkeypatch.setattr(selftest, "verify_chain", failing)
     coe_pair = (parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
     for relation, res, (ms, ns) in (

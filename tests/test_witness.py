@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from box_oracle import act, enumerate_points, image, locality_slack as _slack
+from box_oracle import GroupElement, act, enumerate_points, image, locality_slack as _slack
 from composite import compose_chain, direct_sum_coe, permutation_witness
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
@@ -192,8 +192,29 @@ def test_witness_locality_is_tight():
 def test_conj_witness_swap_pair():
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
-    report = verify_chain(build_conj_witness(ms, ns), 4, 5 * 10**6, verify_conj)
+    report = verify_chain(build_conj_witness(ms, ns), 4, "conj")
     assert report.passed, report.summary()
+
+
+def test_refused_level_checks_no_part(monkeypatch):
+    # the level-5 grid of the 5-part is refused before any part is checked,
+    # not after the 2- and 3-parts have passed
+    from orbitcert import chain
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify_conj(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "verify_conj", counting)
+    w = build_conj_witness(parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf"))
+    with pytest.raises(ValueError) as refused:
+        verify_chain(w, 5, "conj")
+    assert str(refused.value) == ("stage 0 part 2 (conj p=5) @5: level-5 grid would hold "
+                                  "9765625 points (limit 5000000)")
+    assert calls == []
+    assert verify_chain(w, 2, "conj").passed and len(calls) == 3
 
 
 def test_conj_witness_identity_case():
@@ -209,7 +230,7 @@ def test_conj_witness_crt_merge():
     # Z/2 x Z/3 multipliers against Z/6 x Z/1 over the same base
     ms = parse_sn_list("2*7^inf, 3*7^inf")
     ns = parse_sn_list("6*7^inf, 7^inf")
-    report = verify_chain(build_conj_witness(ms, ns), 3, 5 * 10**6, verify_conj)
+    report = verify_chain(build_conj_witness(ms, ns), 3, "conj")
     assert report.passed, report.summary()
 
 
@@ -300,8 +321,6 @@ def test_conj_equivariance_is_exact_not_just_verified():
     ms = parse_sn_list("2*5^inf, 3*5^inf")
     ns = parse_sn_list("3*5^inf, 2*5^inf")
     cw = compose_chain(build_conj_witness(ms, ns))
-    from orbitcert.dynamics import GroupElement
-
     g = GroupElement((2, -1))
     rho = np.stack([t.values[:, 0] for t in cw.a.generators])  # row i is rho(e_i)
     h = GroupElement(tuple(int(v) for v in np.array(g.coords) @ rho))
