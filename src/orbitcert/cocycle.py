@@ -347,11 +347,6 @@ def slide(w: CoeWitness, u: GroupValuedMap, rho_inv: np.ndarray) -> tuple[LCMap,
                   psi_table, "slid-psi"))
 
 
-# the checks of verify_conj that read only the cocycles
-_RHO_CHECKS = {"homomorphism", "b-inverts-a", "a-inverts-b",
-               "cocycle-identity-a", "cocycle-identity-b"}
-
-
 def untwist_to_conjugacy(
     w: CoeWitness,
     u: GroupValuedMap,
@@ -369,17 +364,22 @@ def untwist_to_conjugacy(
     inverse checks decide that, and only rho can make them fail.  The
     premise is the cohomology equation, twist(rho, u) = a on generators,
     plus the coe checks on the input witness, which cover every identity
-    the construction consumes."""
+    the construction consumes.  The cheap checks come first: rho's, then
+    the premise, then the input's; the output's point maps are checked
+    only once all of them hold, and the output's report keeps
+    verify_conj's check order."""
     if u.source != w.source or u.target_group != w.target.group_moduli():
         raise ValueError("transfer shape mismatch")
     rho_a, rho_b = rho
     CoeWitness(w.phi, rho_a, w.psi, rho_b)  # refuses a rho of the wrong shape
     phi, psi = slide(w, u, np.stack([g.values[:, 0] for g in rho_b.generators]))
     out = CoeWitness(phi, rho_a, psi, rho_b)
+    require_level(w.source, level, point_limit)
+    require_level(w.target, level, point_limit)
     # the output and the input are checked over the same x and y grids
     tables = _Tables(point_limit)
-    report = verify_conj(out, level, point_limit, _tables=tables)
-    bad = [c for c in report.checks if not c.ok and c.name in _RHO_CHECKS]
+    rho_checks = [_homomorphism_check(out)] + _cocycle_checks(out, tables)
+    bad = [c for c in rho_checks if not c.ok]
     if bad:
         raise ValueError("rho is not a group isomorphism: "
                          + "; ".join(f"{c.name} {c.violations}" for c in bad))
@@ -402,6 +402,8 @@ def untwist_to_conjugacy(
                 f"premise fails: the input is not a valid witness at this scale "
                 f"({dep.name}); counterexamples {dep.violations}"
             )
+    checks = rho_checks[:1] + _map_checks(out, level, tables) + rho_checks[1:]
+    report = VerifyReport("conj-witness", level, checks)
     if not report.passed:
         raise AssertionError("untwisted witness failed verification:\n" + report.summary())
     return out
@@ -756,11 +758,23 @@ def _coe_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
     limit is refused up front."""
     require_level(w.source, level, t.limit)
     require_level(w.target, level, t.limit)
+    return _map_checks(w, level, t) + _cocycle_checks(w, t)
+
+
+def _map_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
+    """Equivariance of both point maps and both roundtrips."""
     return [
         _check_equivariance("phi-equivariance", w.phi, w.a, max(level, w.b.level), t),
         _check_equivariance("psi-equivariance", w.psi, w.b, max(level, w.a.level), t),
         _check_roundtrip("psi-after-phi", w.phi, w.psi, level, t),
         _check_roundtrip("phi-after-psi", w.psi, w.phi, level, t),
+    ]
+
+
+def _cocycle_checks(w: CoeWitness, t: _Tables) -> list[CheckResult]:
+    """Both inverse checks and both cocycle identities.  On a conjugacy's
+    constant tables their verdicts depend on rho and rho^-1 alone."""
+    return [
         _check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, t),
         _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, t),
         _identity_check("cocycle-identity-a", w.a, t),
@@ -797,8 +811,7 @@ def _homomorphism_check(w: CoeWitness) -> CheckResult:
     return CheckResult("homomorphism", checked, violations)
 
 
-def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6, *,
-                _tables: _Tables | None = None) -> VerifyReport:
+def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6) -> VerifyReport:
     """Exhaustive check of a conjugacy witness, exact over the whole acting
     group.  A conjugacy is an orbit equivalence whose cocycles do not depend
     on the point, a(g, x) = rho(g) and b(h, y) = rho^-1(h): homomorphism
@@ -806,8 +819,6 @@ def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6, *,
     they make rho well defined (cocycle-identity), an isomorphism with
     inverse rho^-1 (b-inverts-a, a-inverts-b), and phi and psi mutually
     inverse maps, equivariant through rho and rho^-1.  A level beyond the
-    point limit is refused up front.  _tables is for untwist_to_conjugacy,
-    which reads the same grids for its own checks."""
-    t = _Tables(point_limit) if _tables is None else _tables
-    checks = [_homomorphism_check(w)] + _coe_checks(w, level, t)
+    point limit is refused up front."""
+    checks = [_homomorphism_check(w)] + _coe_checks(w, level, _Tables(point_limit))
     return VerifyReport("conj-witness", level, checks)

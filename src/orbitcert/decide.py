@@ -3,7 +3,10 @@ the ordered K-theoretic invariant, and rational eigenvalue groups."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dynamics import Odometer, level_modulus
 from .intmat import IntMatrix, solve_conjugator
@@ -279,38 +282,50 @@ def _valuation(k: int, p: int) -> int:
 
 
 def eig_group_oracle(
-    m: SupernaturalNumber, k: int, level: int, guard: int = 10**4
-) -> set[int]:
-    """Cycle lengths of translation by k on the level truncation
-    Z/lm(m, level), found by walking every cycle of the permutation.  A cycle
-    of length L carries the eigenvalues (1/L)Z/Z, so the eigenvalue set of
-    the truncation is the union of (1/L)Z/Z over the returned lengths.
+    m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4
+) -> dict[int, set[int]]:
+    """Cycle lengths of translation by each k of ks on the level truncation
+    Z/n, n = lm(m, level).  A cycle of length L carries the eigenvalues
+    (1/L)Z/Z, so the eigenvalue set of the truncation is the union of
+    (1/L)Z/Z over the lengths returned for k.
 
-    Independent of eig_group: nothing but the finite permutation is used.
+    One permutation row x -> x + k mod n is stacked per distinct residue of
+    k mod n, and every point is labelled with the least point of its cycle
+    by pointer doubling: after t rounds a label is the least of 2^t
+    successive points, and no cycle is longer than n.  A label's count is
+    its cycle's length.  Independent of eig_group: nothing but the finite
+    permutation is used.
     """
     n = level_modulus(Odometer(m), level)
     if n > guard:
         raise ValueError(f"level-{level} modulus {n} exceeds the enumeration guard {guard}")
-    seen = [False] * n
-    out: set[int] = set()
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = (x + k) % n
-            length += 1
-        out.add(length)
-    return out
+    residue = {k: k % n for k in ks}  # Python ints, so k may be any size
+    rows = sorted(set(residue.values()))
+    step = np.arange(n, dtype=np.int64) + np.array(rows, dtype=np.int64)[:, None]
+    step[step >= n] -= n
+    # flat indices: point x of row i is i*n + x, so a row's least index is
+    # its least point
+    step += n * np.arange(len(rows), dtype=np.int64)[:, None]
+    step = step.reshape(-1)
+    label = np.arange(len(rows) * n, dtype=np.int64)
+    for _ in range((n - 1).bit_length()):
+        np.minimum(label, label[step], out=label)
+        step = step[step]
+    counts = np.bincount(label, minlength=len(rows) * n)
+    least = np.flatnonzero(counts)
+    lengths: dict[int, set[int]] = {r: set() for r in rows}
+    # one code per distinct (row, cycle length) pair
+    for code in np.unique(least // n * (n + 1) + counts[least]).tolist():
+        lengths[rows[code // (n + 1)]].add(code % (n + 1))
+    return {k: lengths[r] for k, r in residue.items()}
 
 
 def eig_cross_check(
-    m: SupernaturalNumber, k: int, level: int, guard: int = 10**4
-) -> dict[str, bool]:
-    """Four independent confrontations of eig_group's modulus A with the
-    cycle lengths of the permutation oracle on finite truncations.
+    m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4
+) -> dict[int, dict[str, bool]]:
+    """Four independent confrontations, for each power k of ks, of
+    eig_group's modulus A with the cycle lengths of the permutation oracle
+    on finite truncations.
 
     - cyclic: the oracle group is (1/N)Z/Z with N = lm(m)/gcd(|k|, lm(m)):
       N is a cycle length and every length divides N
@@ -319,16 +334,32 @@ def eig_cross_check(
     - exhausts: raising the level by vmax, the largest exponent in |k| of
       a prime of m, makes the oracle cover the current truncation of T(A):
       lm(A, j) divides a length at level j + vmax
+
+    A power k reads the levels up to level + vmax, those beyond `level`
+    only while the guard admits them; each level is walked once, for every
+    power that reads it.
     """
-    vmax = max((_valuation(k, p) for p, _ in m.factors), default=0) if k else 0
-    lengths: dict[int, set[int]] = {}
-    for lvl in range(level + vmax + 1):
+    vmax = {k: max((_valuation(k, p) for p, _ in m.factors), default=0) if k else 0
+            for k in ks}
+    lengths: dict[int, dict[int, set[int]]] = {k: {} for k in vmax}
+    for lvl in range(level + max(vmax.values(), default=0) + 1):
         if lvl > level and level_modulus(Odometer(m), lvl) > guard:
             break
-        lengths[lvl] = eig_group_oracle(m, k, lvl, guard)
-    a = eig_group(m, k)
-    got = lengths[level]
+        reading = [k for k, v in vmax.items() if lvl <= level + v]
+        for k, got in eig_group_oracle(m, reading, lvl, guard).items():
+            lengths[k][lvl] = got
     n = level_modulus(Odometer(m), level)
+    return {k: _confront(m, k, level, n, vmax[k], lengths[k]) for k in vmax}
+
+
+def _confront(
+    m: SupernaturalNumber, k: int, level: int, n: int, vmax: int, lengths: dict[int, set[int]]
+) -> dict[str, bool]:
+    """eig_cross_check's four verdicts for one power k, from the oracle's
+    cycle lengths of translation by k at each level it read."""
+    a = eig_group(m, k)
+    truncations = [level_modulus(Odometer(a), j) for j in range(level + 1)]
+    got = lengths[level]
     cyc = n // math.gcd(abs(k), n)
     return {
         "cyclic": cyc in got and all(cyc % d == 0 for d in got),
@@ -339,7 +370,7 @@ def eig_cross_check(
             for d in lengths[lo]
         ),
         "exhausts": all(
-            any(d % level_modulus(Odometer(a), j) == 0 for d in lengths[j + vmax])
+            any(d % truncations[j] == 0 for d in lengths[j + vmax])
             for j in range(level + 1)
             if j + vmax in lengths
         ),

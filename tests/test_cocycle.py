@@ -233,6 +233,20 @@ def test_untwist_rejects_wrong_transfer():
         untwist_to_conjugacy(w, zero, _identity_rho(spec), level=3)
 
 
+def test_untwist_refuses_a_wrong_transfer_before_checking_the_output(monkeypatch):
+    calls = []
+    real = cocycle._check_roundtrip
+    monkeypatch.setattr(cocycle, "_check_roundtrip", lambda *a: calls.append(a[0]) or real(*a))
+    spec, u, w = _swap_witness()
+    zero = constant_generator(spec, (0,), (0,))
+    with pytest.raises(ValueError, match="premise"):
+        untwist_to_conjugacy(w, zero, _identity_rho(spec), level=3)
+    assert calls == []
+    untwist_to_conjugacy(w, u, _identity_rho(spec), level=3)
+    # the input's roundtrips as premise, then the output's
+    assert calls == ["psi-after-phi", "phi-after-psi"] * 2
+
+
 def test_slide_matches_the_pointwise_formula():
     # conjugacies of the cohomology corpus, slid by a level-1 transfer and
     # its negation: phi'(x) = phi(x) - u(x), psi'(y) = psi(y) + rho^-1(u(psi(y)))

@@ -166,49 +166,10 @@ def test_eig_group_matches_the_gcd_formula():
             assert eig_group(m, k) == expected, (sn_str(m), k)
 
 
-def test_eig_oracle_frozen_sets():
-    # cycle lengths L; the eigenvalues are the union of (1/L)Z/Z
-    m = parse_sn("2^inf")
-    assert eig_group_oracle(m, 2, 2) == {2}
-    assert eig_group_oracle(m, 2, 3) == {4}
-    assert eig_group_oracle(m, 0, 3) == {1}
-    assert eig_group_oracle(parse_sn("3^inf"), 2, 2) == {9}
-
-
-def test_eig_oracle_guard():
-    with pytest.raises(ValueError, match="guard"):
-        eig_group_oracle(parse_sn("2^inf*3^inf*5^inf"), 1, 5, guard=10**4)
-
-
-def test_eig_cross_check_family():
-    for text in ["2^inf", "3^inf", "2^inf*3^inf", "5*2^inf", "3*5^inf"]:
-        m = parse_sn(text)
-        # 1000003 is a prime beyond the factorization domain; only the
-        # primes of m bound the level offset
-        for k in [-6, -1, 0, 1, 2, 3, 4, 12, 1000003, -2000006]:
-            res = eig_cross_check(m, k, 3)
-            assert len(res) == 4 and all(res.values()), (text, k, res)
-
-
-def test_truncation_of_predicted_group_needs_deeper_levels():
-    # at matching levels the oracle can be a strict subgroup of the truncation
-    m = parse_sn("2^inf")
-    (oracle,) = eig_group_oracle(m, 2, 2)
-    predicted = level_modulus(Odometer(eig_group(m, 2)), 2)
-    assert predicted % oracle == 0 and oracle < predicted
-    (deeper,) = eig_group_oracle(m, 2, 3)
-    assert deeper % predicted == 0
-
-
-def test_tgroup_lattice():
-    assert divides(parse_sn("2*3"), parse_sn("2^inf*3"))
-    assert not divides(parse_sn("4"), parse_sn("2*3"))
-    assert divides(parse_sn("8"), parse_sn("2^inf"))
-    assert not divides(parse_sn("3^inf"), parse_sn("5*2^inf"))
-
-
-def _mutant_walk(m, level, step, drop_first):
-    n = level_modulus(Odometer(m), level)
+def _walk(n, step, drop_first=False):
+    """Cycle lengths of x -> x + step on Z/n, by walking every cycle point by
+    point: the reference for eig_group_oracle.  drop_first leaves out the
+    cycle through 0, for a mutant."""
     seen = [False] * n
     out = set()
     for start in range(n):
@@ -224,9 +185,95 @@ def _mutant_walk(m, level, step, drop_first):
     return out
 
 
+def test_eig_oracle_frozen_sets():
+    # cycle lengths L; the eigenvalues are the union of (1/L)Z/Z
+    m = parse_sn("2^inf")
+    assert eig_group_oracle(m, [2], 2) == {2: {2}}
+    assert eig_group_oracle(m, [2], 3) == {2: {4}}
+    assert eig_group_oracle(m, [0], 3) == {0: {1}}
+    assert eig_group_oracle(parse_sn("3^inf"), [2], 2) == {2: {9}}
+    assert eig_group_oracle(m, [2, 0, -2], 3) == {2: {4}, 0: {1}, -2: {4}}
+
+
+def test_eig_oracle_guard():
+    with pytest.raises(ValueError, match="guard"):
+        eig_group_oracle(parse_sn("2^inf*3^inf*5^inf"), [1], 5, guard=10**4)
+
+
+def test_eig_oracle_matches_the_walk_on_every_truncation_the_suite_reads(monkeypatch):
+    read = {}  # n -> (m, level, residues of k mod n)
+    real = decide.eig_group_oracle
+
+    def record(m, ks, level, guard=10**4):
+        ks = list(ks)
+        n = level_modulus(Odometer(m), level)
+        read.setdefault(n, (m, level, set()))[2].update(k % n for k in ks)
+        return real(m, ks, level, guard)
+
+    monkeypatch.setattr(decide, "eig_group_oracle", record)
+    assert suite_eig().ok
+    assert len(read) == 106
+    for n, (m, level, residues) in read.items():
+        got = real(m, residues, level, 2500)
+        assert got == {r: _walk(n, r) for r in residues}, (n, sorted(residues))
+
+
+def test_eig_oracle_edge_powers():
+    big = 10**30 + 7  # beyond int64
+    # n = 1: one cycle of length 1 whatever k is
+    assert eig_group_oracle(parse_sn("2^inf"), [0, 1, -5, big], 0) == {
+        0: {1}, 1: {1}, -5: {1}, big: {1}}
+    for text, level in [("2^inf", 3), ("2^inf*3^inf", 2), ("4*3^inf*5", 1)]:
+        m = parse_sn(text)
+        n = level_modulus(Odometer(m), level)
+        ks = [0, n, -n, 2 * n + 3, -(3 * n) - 1, n - 1, big, -big]
+        got = eig_group_oracle(m, ks, level)
+        assert set(got) == set(ks)
+        for k in ks:
+            assert got[k] == _walk(n, k % n), (text, level, k)
+        assert got[0] == got[n] == got[-n] == {1}
+
+
+def test_eig_cross_check_family():
+    for text in ["2^inf", "3^inf", "2^inf*3^inf", "5*2^inf", "3*5^inf"]:
+        m = parse_sn(text)
+        # 1000003 is a prime beyond the factorization domain; only the
+        # primes of m bound the level offset
+        ks = [-6, -1, 0, 1, 2, 3, 4, 12, 1000003, -2000006]
+        got = eig_cross_check(m, ks, 3)
+        assert set(got) == set(ks)
+        for k, res in got.items():
+            assert len(res) == 4 and all(res.values()), (text, k, res)
+
+
+def test_truncation_of_predicted_group_needs_deeper_levels():
+    # at matching levels the oracle can be a strict subgroup of the truncation
+    m = parse_sn("2^inf")
+    (oracle,) = eig_group_oracle(m, [2], 2)[2]
+    predicted = level_modulus(Odometer(eig_group(m, 2)), 2)
+    assert predicted % oracle == 0 and oracle < predicted
+    (deeper,) = eig_group_oracle(m, [2], 3)[2]
+    assert deeper % predicted == 0
+
+
+def test_tgroup_lattice():
+    assert divides(parse_sn("2*3"), parse_sn("2^inf*3"))
+    assert not divides(parse_sn("4"), parse_sn("2*3"))
+    assert divides(parse_sn("8"), parse_sn("2^inf"))
+    assert not divides(parse_sn("3^inf"), parse_sn("5*2^inf"))
+
+
+def _mutant(step, drop_first):
+    def oracle(m, ks, level, guard=10**4):
+        n = level_modulus(Odometer(m), level)
+        return {k: _walk(n, step(k), drop_first) for k in ks}
+
+    return oracle
+
+
 @pytest.mark.parametrize("mutant", [
-    lambda m, k, level, guard=10**4: _mutant_walk(m, level, k, drop_first=True),
-    lambda m, k, level, guard=10**4: _mutant_walk(m, level, k + 1, drop_first=False),
+    _mutant(lambda k: k, drop_first=True),
+    _mutant(lambda k: k + 1, drop_first=False),
 ], ids=["drops-first-cycle", "steps-by-k-plus-one"])
 def test_eig_suite_rejects_a_mutant_oracle(mutant, monkeypatch):
     monkeypatch.setattr(decide, "eig_group_oracle", mutant)

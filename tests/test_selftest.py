@@ -4,7 +4,7 @@ import random
 import shlex
 
 from composite import composite_scale, only_part
-from orbitcert import cli, selftest
+from orbitcert import cli, intmat, selftest
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import CheckResult, VerifyReport, check_grids
 from orbitcert.decide import coe_decide, conj_decide
@@ -21,6 +21,7 @@ from orbitcert.selftest import (
     suite_conj_witnesses,
     suite_counterexample,
     suite_invariant_vs_decision,
+    suite_snf,
     _mandated_conj_pairs,
 )
 from orbitcert.supernatural import is_supernatural, parse_sn_list
@@ -106,6 +107,24 @@ def test_cohomology_suite_small_run():
     res = suite_cohomology(29, count=3)
     assert res.ok, res.failures
     assert res.checked >= 9
+
+
+def test_snf_suite_records_a_refused_decomposition(monkeypatch):
+    # the fourth Smith form comes back with every entry of S moved by one;
+    # _check_snf refuses it inside smith_normal_form
+    real = intmat._check_snf
+    calls = []
+
+    def corrupt_the_fourth(a, n, dec):
+        calls.append(a)
+        if len(calls) == 4:
+            dec = ([[x + 1 for x in row] for row in dec[0]], *dec[1:])
+        real(a, n, dec)
+
+    monkeypatch.setattr(intmat, "_check_snf", corrupt_the_fourth)
+    res = suite_snf(17, count=6)
+    assert res.checked == 6 and len(calls) == 6
+    assert res.failures == [f"seed=17 #3 {calls[3]}: U*A*V != S"]
 
 
 def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
