@@ -134,14 +134,17 @@ def conj_payload(d: ConjDecision) -> dict:
     return {"conjugate": False, "obstruction": d.obstruction}
 
 
-def witness_block(relation: str, ms, ns, level: int) -> dict:
+def witness_block(relation: str, ms, ns, level: int,
+                  decision: CoeDecision | ConjDecision | None = None) -> dict:
     """The recipe of a witness: its relation and the level to check it at.
     `verify` rebuilds the witness from the certificate's inputs, so no
     table is stored.  A level at which the verifier would build a grid
     beyond the relation's point limit, at `level` or at a level the
     witness's maps read, is refused here by the planner `verify` runs
-    first (chain.require_checkable), with the same error."""
-    require_checkable(witness_from_block(relation, ms, ns), level, POINT_LIMITS[relation])
+    first (chain.require_checkable), with the same error.  decision is the
+    relation's positive decision of (ms, ns), when the caller holds it."""
+    chain = witness_from_block(relation, ms, ns, decision)
+    require_checkable(chain, level, POINT_LIMITS[relation])
     return {"type": relation, "level": level}
 
 
@@ -178,10 +181,12 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 # reconstruction
 
 
-def witness_from_block(relation: str, ms, ns) -> CoeChain:
+def witness_from_block(relation: str, ms, ns,
+                       decision: CoeDecision | ConjDecision | None = None) -> CoeChain:
     """The chain a `relation` block stands for, rebuilt from the inputs: an
-    orbit equivalence's moves, or a conjugacy's blocks split by primes."""
-    return (build_coe_witness if relation == "coe" else build_conj_witness)(ms, ns)
+    orbit equivalence's moves, or a conjugacy's blocks split by primes.
+    decision is the relation's decision of (ms, ns), made here if None."""
+    return (build_coe_witness if relation == "coe" else build_conj_witness)(ms, ns, decision)
 
 
 # the names perfbench traces
@@ -233,18 +238,17 @@ def _payload(cert: dict, verdict: str) -> dict:
     return payload
 
 
-def _check_coe_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
-    """(the payload checks out, the fresh decision is positive)."""
-    ms, ns = _parse_inputs(cert)
+def _check_coe_payload(cert: dict, ms, ns, lines: list[str]) -> tuple[bool, CoeDecision]:
+    """(the payload checks out, the fresh decision)."""
     payload = _payload(cert, "equivalent")
     fresh = coe_decide(ms, ns)
     if _bool(payload["equivalent"], "equivalent") != fresh.equivalent:
         lines.append("[FAIL] decision: recorded verdict does not reproduce")
-        return False, fresh.equivalent
+        return False, fresh
     if not fresh.equivalent:
         lines.append("[pass] decision: non-equivalence reproduces "
                      f"({fresh.obstruction})")
-        return True, False
+        return True, fresh
     r = len(ms)
     try:
         sigma = [_int(v, "sigma entry", 0, r) for v in payload["sigma"]]
@@ -262,20 +266,19 @@ def _check_coe_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
     )
     lines.append(f"[{'pass' if ok else 'FAIL'}] decision: sigma is a matching and "
                  "every pair identity m*M = n*N holds exactly")
-    return ok, True
+    return ok, fresh
 
 
-def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
-    """(the payload checks out, the fresh decision is positive)."""
-    ms, ns = _parse_inputs(cert)
+def _check_conj_payload(cert: dict, ms, ns, lines: list[str]) -> tuple[bool, ConjDecision]:
+    """(the payload checks out, the fresh decision)."""
     payload = _payload(cert, "conjugate")
     fresh = conj_decide(ms, ns)
     if _bool(payload["conjugate"], "conjugate") != fresh.conjugate:
         lines.append("[FAIL] decision: recorded verdict does not reproduce")
-        return False, fresh.conjugate
+        return False, fresh
     if not fresh.conjugate:
         lines.append(f"[pass] decision: non-conjugacy reproduces ({fresh.obstruction})")
-        return True, False
+        return True, fresh
     try:
         ok = True
         seen_left: list[int] = []
@@ -306,7 +309,7 @@ def _check_conj_payload(cert: dict, lines: list[str]) -> tuple[bool, bool]:
     lines.append(f"[{'pass' if ok else 'FAIL'}] decision: blocks partition the factors, "
                  "M_i = m_i*L and N_j = n_j*L, and S*diag(m)*T = diag(n) exactly "
                  "with S and T unimodular")
-    return ok, True
+    return ok, fresh
 
 
 def _check_counterexample(cert: dict, lines: list[str]) -> bool:
@@ -359,12 +362,13 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
     lines.append("[pass] content hash")
     kind = cert["kind"]
     relation = kind.split("-")[0]
-    if relation == "coe":
-        ok, positive = _check_coe_payload(cert, lines)
-    elif relation == "conj":
-        ok, positive = _check_conj_payload(cert, lines)
+    fresh = None
+    if relation in ("coe", "conj"):
+        ms, ns = _parse_inputs(cert)
+        check = _check_coe_payload if relation == "coe" else _check_conj_payload
+        ok, fresh = check(cert, ms, ns, lines)
     else:
-        ok, positive = _check_counterexample(cert, lines), False
+        ok = _check_counterexample(cert, lines)
 
     block = cert.get("witness")
     if block is None:
@@ -374,14 +378,13 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
     if kind == "counterexample":
         raise CertificateError("counterexample certificates carry no witness")
     lvl = _witness_level(block, level)
-    bound = positive and block["type"] == relation
+    bound = bool(fresh) and block["type"] == relation
     lines.append(f"[{'pass' if bound else 'FAIL'}] witness binding: a {relation} witness "
                  "between the input systems, under a positive verdict")
     if not bound:
         return False, lines
-    ms, ns = _parse_inputs(cert)
     # the part verifier follows the certificate's claim, never a part's kind
-    report = verify_chain(witness_from_block(relation, ms, ns), lvl, relation)
+    report = verify_chain(witness_from_block(relation, ms, ns, fresh), lvl, relation)
     for check in report.checks:
         tag = "pass" if check.ok else "FAIL"
         lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")

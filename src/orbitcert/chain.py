@@ -32,6 +32,40 @@ homomorphism.  require_checkable plans every part's grids from the level
 maps before anything is built: verify_chain runs it first, and
 certificates.witness_block and the selftest screen refuse through it too.
 
+An identity part, and each prime's part of a conjugacy, is linear
+(orbitcert.linear): phi sends the residues x at its input level d(k) to
+x.rho mod the level-k moduli N_c(k), psi does likewise with sigma, and
+a(e_i, x) = rho(e_i), b(e_c, y) = sigma(e_c) are constant.  Write M_i(k)
+for the source moduli.  The integer conditions decide the checks that
+read the point maps:
+
+- Equivariance at output level k, on the grid of x at level d = d(k): where
+  the step x -> x + e_i does not wrap, phi moves by rho(e_i) exactly; where
+  it wraps, residue M_i(d) - 1 goes to 0 and phi moves by (1 - M_i(d)) rho(e_i).
+  So the check holds exactly when N_c(k) | rho_ci M_i(d) for all i and c.
+- The roundtrip psi-after-phi at level L, with mid = psi's input level at L:
+  phi(x) = rho x - N(mid) q for some integer vector q, so psi(phi(x)) =
+  sigma rho x - sigma N(mid) q mod M(L).  Given psi's wrap condition,
+  M_i(L) | sigma_ic N_c(mid) for all i and c, which is psi's equivariance
+  condition at L, the second term vanishes and psi(phi(x)) = sigma rho x is
+  linear in x.  It equals x mod M(L) on the whole grid exactly when
+  M_i(L) | (sigma rho - I)_ij for every axis j with more than one residue,
+  since the grid holds 0 and each such e_j, and phi reads every axis in
+  full; on an axis phi reads coarser than the grid, at its input level k,
+  the point M_j(k) e_j has the image of 0 and fails.  Without the wrap
+  condition the roundtrip is reported failing: psi's equivariance fails as
+  well, so the part's verdict is exact, and a roundtrip that passes is one
+  the grid passes.  phi-after-psi is the same with the roles exchanged.
+- The inverse checks read constant tables: b(a(e_i, x), phi(x)) is
+  sigma(rho(e_i)) at every point, rho(e_i) canonical in the target's group
+  and the value in the source's, so sigma(rho(e_i)) = e_i, and rho(sigma(e_c))
+  = e_c, decide them.  Homomorphism and the cocycle identities read the
+  level-0 tables as for any part.
+
+No condition grows with the level, so require_level and POINT_LIMITS are
+the only bounds on a linear part; its grids are planned only for a screen
+of the grid checks (require_checkable with matrix=False).
+
 Parts with the same wiring form a group, and a group of more than one part
 is a diagonal product: it covers its factors by the Chinese remainder
 theorem (CRT).  Let every factor of its parts be an odometer whose limit is
@@ -250,35 +284,40 @@ def _seam_check(name: str, stage: Stage, source: SystemSpec, target: SystemSpec,
     return CheckResult(name, checked, bad)
 
 
-def require_checkable(chain: CoeChain, level: int, limit: int) -> None:
+def require_checkable(chain: CoeChain, level: int, limit: int, matrix: bool = True) -> list[int]:
     """Refuse, with the part verifier's own error, a level at which checking
-    the chain would build a grid beyond `limit` points.  Only the chain's
-    level maps are read, nothing is built; each part is planned at its
-    stage's level, and a part's refusal carries its tag, which names the
-    stage and part, and so the prime of a conjugacy's part."""
+    the chain would build a grid beyond `limit` points; else return the
+    stage levels lambda_k.  Only the chain's level maps are read, nothing
+    is built; each part is planned at its stage's level, a linear part by
+    its matrices unless `matrix` is False (require_grids), and a part's
+    refusal carries its tag, which names the stage and part, and so the
+    prime of a conjugacy's part."""
     require_level(chain.source, level, limit)
     require_level(chain.target, level, limit)
-    for k, (stage, lam) in enumerate(zip(chain.stages, chain.stage_levels(level))):
+    levels = chain.stage_levels(level)
+    for k, (stage, lam) in enumerate(zip(chain.stages, levels)):
         for p, part in enumerate(stage.parts):
             try:
-                require_grids(part.witness, lam, limit)
+                require_grids(part.witness, lam, limit, matrix)
             except ValueError as e:
                 raise ValueError(f"{part_tag(k, p, part, lam)}{e}") from None
+    return levels
 
 
 def verify_chain(chain: CoeChain, level: int = 4, relation: str = "coe") -> VerifyReport:
     """Check a chain as a witness of `relation`, "coe" or "conj": the seams
-    of every stage, then each elementary part on its own grid at the stage's
-    level lambda_k (module docstring), with verify_coe, or verify_conj for a
-    conjugacy.  Cost is the sum of the parts' grids, not the grid of the
-    composite.  The report's kind is the part reports'.  A level at which
-    any part would build a grid beyond the relation's point limit is
-    refused by require_checkable before any part is checked."""
+    of every stage, then each elementary part at the stage's level lambda_k
+    (module docstring), a linear part by its matrices and any other on its
+    own grid, with verify_coe, or verify_conj for a conjugacy.  Cost is the
+    sum of the parts' grids, not the grid of the composite.  The report's
+    kind is the part reports'.  A level at which any part would build a
+    grid beyond the relation's point limit is refused by require_checkable
+    before any part is checked."""
     limit, conj = POINT_LIMITS[relation], relation == "conj"
-    require_checkable(chain, level, limit)
+    levels = require_checkable(chain, level, limit)
     kind, checks = "coe-witness", []
     last = len(chain.stages) - 1
-    for k, (stage, lam) in enumerate(zip(chain.stages, chain.stage_levels(level))):
+    for k, (stage, lam) in enumerate(zip(chain.stages, levels)):
         source = chain.stages[k - 1].target if k else chain.source
         target = chain.target if k == last else stage.target
         checks.append(_seam_check(f"stage {k} @{lam}: seams", stage, source, target, conj))

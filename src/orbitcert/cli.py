@@ -51,7 +51,7 @@ def cmd_coe(args) -> int:
         print(f"not orbit equivalent: {d.obstruction}")
         _write(certificate(ms, ns, d), args.out)
         return 1
-    block = witness_block("coe", ms, ns, args.level) if args.witness else None
+    block = witness_block("coe", ms, ns, args.level, d) if args.witness else None
     pairs = ", ".join(f"{p.m}*M{p.left_index} = {p.n}*N{p.right_index}" for p in d.pairs)
     print(f"orbit equivalent; sigma = {list(d.sigma)}; {pairs}")
     _write(certificate(ms, ns, d, block), args.out)
@@ -66,7 +66,7 @@ def cmd_conj(args) -> int:
         print(f"not conjugate: {d.obstruction}")
         _write(certificate(ms, ns, d), args.out)
         return 1
-    block = witness_block("conj", ms, ns, args.level) if args.witness else None
+    block = witness_block("conj", ms, ns, args.level, d) if args.witness else None
     blocks = "; ".join(
         f"L={sn_str(b.base)} left{list(b.left_indices)} right{list(b.right_indices)}"
         for b in d.blocks
@@ -118,7 +118,7 @@ def cmd_witness(args) -> int:
     if not d:
         print(f"not {'orbit equivalent' if coe else 'conjugate'}: {d.obstruction}")
         return 1
-    block = witness_block(args.relation, ms, ns, args.level)
+    block = witness_block(args.relation, ms, ns, args.level, d)
     cert = certificate(ms, ns, d, block, kind=f"{args.relation}-witness")
     print(f"witness block {canonical_json(block)}; verify rebuilds the witness from the inputs")
     _write(cert, args.out)

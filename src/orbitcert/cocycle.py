@@ -24,7 +24,9 @@ the acting group, not for a sampled box.  A conjugacy is the orbit
 equivalence whose cocycles do not depend on the point, a(g, x) = rho(g) for
 a group isomorphism rho; verify_conj checks that and then the coe checks.
 One verification builds each grid, each point-map table and each cocycle's
-stacked generator tables once, in a memo it drops when it returns.
+stacked generator tables once, in a memo it drops when it returns.  A
+linear part, point maps given by matrices (orbitcert.linear), is checked
+by integer conditions on those matrices instead of on grids.
 
 Chains of such witnesses, checked stage by stage, are in orbitcert.chain; a
 conjugacy is one stage of block conjugacies, each checked by verify_conj.
@@ -45,6 +47,7 @@ from .dynamics import (
     point_count,
     require_level,
 )
+from .linear import linear_checks, linear_image, linear_table, matrices
 
 _SAMPLES = 5  # violations kept per check
 
@@ -69,21 +72,6 @@ def cylinder_index(spec: SystemSpec, level: int, res: np.ndarray) -> np.ndarray:
     return flat_index((row % m for row, m in zip(res, mods)), mods)
 
 
-def linear_image(mat, res: np.ndarray, moduli: Sequence[int] | None = None) -> np.ndarray:
-    """res @ mat for points given one row per factor: row c is the sum over
-    j of mat[j][c] * res[j], reduced mod moduli[c] when moduli are given."""
-    out = np.zeros((len(mat[0]), res.shape[1]), dtype=np.int64)
-    for c, row in enumerate(out):
-        for j, col in enumerate(mat):
-            v = int(col[c])
-            if v:
-                row += res[j] if v == 1 else v * res[j]
-        # two scans cost less than a division, and often show it is not needed
-        if moduli is not None and (row.min() < 0 or row.max() >= moduli[c]):
-            row %= moduli[c]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LCMap:
     """Locally constant map between systems, evaluable at every level.
@@ -92,15 +80,22 @@ class LCMap:
     level_map(k), one row per source factor, and returns the int64 array of
     their images at level k, one row per target factor.  Rows, not points,
     are the leading axis so that every pass over a table reads one factor
-    against its scalar modulus (module docstring).
+    against its scalar modulus (module docstring).  A linear map is given
+    by its integer matrix rho instead, rho[i] the image of e_i, and its
+    table is derived from rho (orbitcert.linear); a map has one or the other.
     """
 
     source: SystemSpec
     target: SystemSpec
     level_map: Callable[[int], int]
-    table: Callable[[int, np.ndarray], np.ndarray]
+    table: Callable[[int, np.ndarray], np.ndarray] | None = None
     name: str = ""
     _levels: dict = field(default_factory=dict, repr=False)
+    rho: tuple | None = None
+
+    def __post_init__(self):
+        if self.rho is not None or self.table is None:
+            object.__setattr__(self, "table", linear_table(self))
 
     def input_level(self, k: int) -> int:
         """level_map(k), memoized (level maps can be deep compositions)."""
@@ -272,10 +267,6 @@ class CoeWitness:
 # constructors
 
 
-def identity_lcmap(spec: SystemSpec, name: str = "id") -> LCMap:
-    return LCMap(spec, spec, lambda k: k, lambda k, res: res, name)
-
-
 def constant_generator(
     spec: SystemSpec, target_group: tuple[int, ...], coords: tuple[int, ...], name: str = ""
 ) -> GroupValuedMap:
@@ -293,15 +284,6 @@ def homomorphism_cocycle(spec: SystemSpec, iso_columns: list[tuple[int, ...]],
         for i, col in enumerate(iso_columns)
     )
     return CocycleTable(spec, target_group, gens)
-
-
-def identity_witness(spec: SystemSpec) -> CoeWitness:
-    gm = spec.group_moduli()
-    phi = identity_lcmap(spec)
-    table = homomorphism_cocycle(
-        spec, [generator(spec, i) for i in range(spec.rank)], gm
-    )
-    return CoeWitness(phi, table, identity_lcmap(spec), table)
 
 
 def inverse_coe(w: CoeWitness) -> CoeWitness:
@@ -742,23 +724,31 @@ def check_grids(w: CoeWitness, level: int):
         yield f.source, f.input_level(b.level)
 
 
-def require_grids(w: CoeWitness, level: int, limit: int) -> None:
+def require_grids(w: CoeWitness, level: int, limit: int, matrix: bool = True) -> None:
     """Refuse, without building anything, a level at which the coe checks
     of w would build a grid beyond `limit` points, with the error the
-    checks raise when they reach the first such grid."""
+    checks raise when they reach the first such grid.  A linear part is
+    checked by its matrices, on no grid beyond its level-0 tables, unless
+    `matrix` is False: a screen for the grid checks, the tests' oracle,
+    plans the grids they would build."""
     require_level(w.source, level, limit)
     require_level(w.target, level, limit)
-    for spec, k in check_grids(w, level):
-        _require_points(spec, k, limit)
+    if not (matrix and matrices(w)):
+        for spec, k in check_grids(w, level):
+            _require_points(spec, k, limit)
 
 
 def _coe_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
     """The checks of verify_coe, shared with verify_conj and the untwist
-    premise, reading every grid and table from t.  A level beyond the point
-    limit is refused up front."""
+    premise, reading every grid and table from t; a linear part's map and
+    inverse checks are decided by its matrices (orbitcert.linear).  A level
+    beyond the point limit is refused up front."""
     require_level(w.source, level, t.limit)
     require_level(w.target, level, t.limit)
-    return _map_checks(w, level, t) + _cocycle_checks(w, t)
+    pair = matrices(w)
+    if pair is None:
+        return _map_checks(w, level, t) + _cocycle_checks(w, t)
+    return [CheckResult(*c) for c in linear_checks(w, level, *pair)] + _identity_checks(w, t)
 
 
 def _map_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
@@ -774,12 +764,13 @@ def _map_checks(w: CoeWitness, level: int, t: _Tables) -> list[CheckResult]:
 def _cocycle_checks(w: CoeWitness, t: _Tables) -> list[CheckResult]:
     """Both inverse checks and both cocycle identities.  On a conjugacy's
     constant tables their verdicts depend on rho and rho^-1 alone."""
-    return [
-        _check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, t),
-        _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, t),
-        _identity_check("cocycle-identity-a", w.a, t),
-        _identity_check("cocycle-identity-b", w.b, t),
-    ]
+    return [_check_inverse_cocycle("b-inverts-a", w.phi, w.a, w.b, t),
+            _check_inverse_cocycle("a-inverts-b", w.psi, w.b, w.a, t)] + _identity_checks(w, t)
+
+
+def _identity_checks(w: CoeWitness, t: _Tables) -> list[CheckResult]:
+    return [_identity_check("cocycle-identity-a", w.a, t),
+            _identity_check("cocycle-identity-b", w.b, t)]
 
 
 def verify_coe(w: CoeWitness, level: int = 4, point_limit: int = 10**6) -> VerifyReport:

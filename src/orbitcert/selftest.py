@@ -22,7 +22,6 @@ from .cocycle import (
     CoeWitness,
     GroupValuedMap,
     cylinder_index,
-    linear_image,
     require_grids,
     slide,
     twist,
@@ -38,6 +37,7 @@ from .decide import (
 )
 from .dynamics import Odometer, level_modulus, point_count
 from .intmat import IntMatrix, smith_normal_form
+from .linear import linear_image
 from .oracles import conjugacy_bruteforce, snf_diagonal_by_minors
 from .supernatural import (
     INF,
@@ -253,15 +253,20 @@ def near_miss_pair(
 def _desk_scale(ms, ns, level: int = 4) -> bool:
     """Keep only instances whose positive verdicts can be verified
     exhaustively at the given level within the point budgets, as
-    chain.require_checkable plans the verifier's grids.  Negative
-    instances are never verified, so they always pass."""
-    if not coe_decide(ms, ns):
+    chain.require_checkable plans the grid verifier's grids: linear parts
+    too, since the tests check every witness of the corpus on its grids as
+    well.  Negative instances are never verified, so they always pass."""
+    coe = coe_decide(ms, ns)
+    if not coe:
         return True
     try:
         if len(ms) <= 2:
-            require_checkable(build_coe_witness(ms, ns), level, _COE_SCALE_BUDGET)
-        if conj_decide(ms, ns):
-            require_checkable(build_conj_witness(ms, ns), level, _CONJ_SCALE_BUDGET)
+            require_checkable(build_coe_witness(ms, ns, coe), level, _COE_SCALE_BUDGET,
+                              matrix=False)
+        conj = conj_decide(ms, ns)
+        if conj:
+            require_checkable(build_conj_witness(ms, ns, conj), level, _CONJ_SCALE_BUDGET,
+                              matrix=False)
     except ValueError:  # a grid beyond the budget
         return False
     return True
@@ -480,8 +485,8 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
         ms, ns = conj_positive_pair(rng, max_rank=2)
         try:
             blocks = [p.witness for p in build_conj_witness(ms, ns).stages[0].parts]
-            for w in blocks:
-                require_grids(w, level, 20_000)
+            for w in blocks:  # the untwisted witnesses are checked on grids
+                require_grids(w, level, 20_000, matrix=False)
         except ValueError:
             continue
         built += 1

@@ -13,9 +13,11 @@ wired from a factor to an equal one.  A conjugacy is one stage of
 block conjugacies, one per asymptotic class of the decision, and each
 block is split by the Chinese remainder theorem into one part per prime of
 its factors: rho on the residues of the factors' p-primary parts, the same
-rho for every prime.  verify_chain checks every move or part on its own
-grid, so the README conjugacy checks on 5^4 * 5^4 points at level 4, not on
-its block's 2,343,750."""
+rho for every prime.  Identity parts and conjugacy parts are linear
+witnesses (linear_witness): verify_chain checks them by their matrices
+(orbitcert.linear), at any level, and every other move on its own grid.
+So the README conjugacy reads only its parts' one-point level-0 tables,
+where its block's level-4 grid would hold 2,343,750 points."""
 from __future__ import annotations
 
 import math
@@ -31,14 +33,13 @@ from .cocycle import (
     constant_generator,
     flat_index,
     homomorphism_cocycle,
-    identity_witness,
-    linear_image,
 )
-from .decide import coe_decide, conj_decide
+from .decide import CoeDecision, ConjDecision, coe_decide, conj_decide
 from .dynamics import (
     Cyclic,
     Odometer,
     SystemSpec,
+    generator,
     level_modulus,
     odometer_product,
 )
@@ -132,6 +133,26 @@ def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -
     return CoeWitness(phi, a, psi, b)
 
 
+def linear_witness(x: SystemSpec, y: SystemSpec, rho, rho_inv, depth: int = 0) -> CoeWitness:
+    """The linear part (orbitcert.linear) of the maps x -> x.rho from x to
+    y, rho[i] the image of e_i, and y -> y.rho_inv back, with the
+    homomorphism cocycles of rho and rho_inv: a conjugacy when its checks
+    pass.  Both maps
+    read their input at level max(k, depth).  The identity of x is
+    linear_witness(x, x, I, I)."""
+    rho = tuple(tuple(int(v) for v in col) for col in rho)
+    rho_inv = tuple(tuple(int(v) for v in col) for col in rho_inv)
+
+    def level_map(k: int) -> int:
+        return max(k, depth)
+
+    a = homomorphism_cocycle(x, rho, y.group_moduli())
+    # an involution, such as the identity, has one cocycle both ways
+    b = a if (y, rho_inv) == (x, rho) else homomorphism_cocycle(y, rho_inv, x.group_moduli())
+    return CoeWitness(LCMap(x, y, level_map, name="linear", rho=rho), a,
+                      LCMap(y, x, level_map, name="linear-inv", rho=rho_inv), b)
+
+
 # ---------------------------------------------------------------------------
 # the full orbit-equivalence chain
 
@@ -170,7 +191,9 @@ def _rebalanced_pairs(
 
 def _identity_part(spec: SystemSpec, i: int, j: int) -> StagePart:
     """Factor i of the stage source carried unchanged to factor j."""
-    return StagePart("identity", identity_witness(SystemSpec((spec.factors[i],))), (i,), (j,))
+    one = SystemSpec((spec.factors[i],))
+    ident = [generator(one, 0)]
+    return StagePart("identity", linear_witness(one, one, ident, ident), (i,), (j,))
 
 
 def _permutation(ms, ns) -> list[int] | None:
@@ -208,6 +231,7 @@ def _merge_stage(split: SystemSpec, cycles: list[int]) -> Stage:
 def build_coe_witness(
     ms: tuple[SupernaturalNumber, ...],
     ns: tuple[SupernaturalNumber, ...],
+    decision: CoeDecision | None = None,
 ) -> CoeChain:
     """Explicit orbit equivalence between the odometer products, the chain
     X split -> X merge -> inverse Y merge -> inverse Y split through a
@@ -215,8 +239,10 @@ def build_coe_witness(
     pairs' base odometers L_i.  When ns reorders ms the chain is one stage
     of identity parts wired from each factor to an equal one: a product of
     odometers acted on factor by factor is conjugate to any reordering of
-    it.  Raises ValueError when the systems are not equivalent."""
-    decision = coe_decide(ms, ns)
+    it.  decision is coe_decide(ms, ns), decided here unless the caller
+    holds it.  Raises ValueError when the systems are not equivalent."""
+    if decision is None:
+        decision = coe_decide(ms, ns)
     if not decision:
         raise ValueError(f"not orbit equivalent: {decision.obstruction}")
     x, y = odometer_product(ms), odometer_product(ns)
@@ -247,58 +273,36 @@ def build_coe_witness(
 # conjugacy witnesses
 
 
-def _block_conjugacy(ms, ns, s, s_inv, depth: int) -> CoeWitness:
-    """A conjugacy between the odometer products of ms and ns through the
-    rho given by the Smith conjugator s, whose inverse is s_inv.  A
-    conjugacy fixing 0 is a continuous group isomorphism that intertwines
-    the translations, so it extends a group isomorphism rho of the acting
-    groups: phi(x) = sum_b x_b rho(e_b) on residues, where rho(e_b) is
-    column b of s, and psi is rho^-1 the same way.  Both maps read their
-    input at level max(k, depth), deep enough for every finite multiplier
-    whose prime exponents are at most depth.  The witness's cocycles are
-    the homomorphism cocycles of rho and rho^-1."""
-    n = len(ms)
-    rho = [[s.get(a, b) for a in range(n)] for b in range(n)]  # rho[b] = rho(e_b)
-    rho_inv = [[s_inv.get(b, a) for b in range(n)] for a in range(n)]
-    x, y = odometer_product(ms), odometer_product(ns)
-
-    def on_residues(cols: list[list[int]], target: SystemSpec):
-        def table(k: int, res: np.ndarray) -> np.ndarray:
-            # entries reduced first: a term is below a source times a target modulus
-            mods = target.space_moduli(k)
-            return linear_image([[v % m for v, m in zip(col, mods)] for col in cols], res, mods)
-
-        return table
-
-    phi = LCMap(x, y, lambda k: max(k, depth), on_residues(rho, y), "conj")
-    psi = LCMap(y, x, lambda k: max(k, depth), on_residues(rho_inv, x), "conj-inv")
-    a = homomorphism_cocycle(x, [tuple(c) for c in rho], y.group_moduli())
-    b = homomorphism_cocycle(y, [tuple(c) for c in rho_inv], x.group_moduli())
-    return CoeWitness(phi, a, psi, b)
-
-
 def _primary(m: SupernaturalNumber, p: int) -> SupernaturalNumber:
     """The p-primary part p^v_p(m) of m; 1 when p does not divide m."""
     return SupernaturalNumber.from_map({p: m.v(p)})
 
 
 def _prime_parts(ms, ns, blk) -> list[StagePart]:
-    """One part per prime p of a decision block's factors: the block's rho,
-    given by its Smith conjugator S, between the p-primary parts of its
-    factors, with depth the largest exponent of p in its multipliers, wired
-    like the block.  Z_M is the product of its Z_(M_p) by the Chinese
-    remainder theorem, so the parts are a diagonal product of the block
-    (orbitcert.chain) and each checks on its own prime's grid."""
+    """One part per prime p of a decision block's factors: the block's rho
+    between the p-primary parts of its factors, with depth the largest
+    exponent of p in its multipliers, wired like the block.  A conjugacy
+    fixing 0 is a continuous group isomorphism that intertwines the
+    translations, so it extends a group isomorphism rho of the acting
+    groups: rho(e_b) is column b of the Smith conjugator S, and rho^-1 is
+    S^-1 the same way; depth is deep enough for every finite multiplier.
+    Z_M is the product of its Z_(M_p) by the Chinese remainder theorem, so
+    the parts are a diagonal product of the block (orbitcert.chain) and
+    each is checked on its own prime's factors."""
     left = tuple(ms[i] for i in blk.left_indices)
     right = tuple(ns[j] for j in blk.right_indices)
     s, _t = blk.conjugator
     s_inv = invert_unimodular(s)  # every part of the block has the same rho
+    n = len(left)
+    rho = [[s.get(a, b) for a in range(n)] for b in range(n)]
+    rho_inv = [[s_inv.get(a, b) for a in range(n)] for b in range(n)]
     mults = blk.left_multipliers + blk.right_multipliers
     parts = []
     for p in sorted(set().union(*(m.support for m in left + right))):
         depth = max(factorize(q).get(p, 0) for q in mults)
-        w = _block_conjugacy(tuple(_primary(m, p) for m in left),
-                             tuple(_primary(m, p) for m in right), s, s_inv, depth)
+        w = linear_witness(odometer_product(tuple(_primary(m, p) for m in left)),
+                           odometer_product(tuple(_primary(m, p) for m in right)),
+                           rho, rho_inv, depth)
         parts.append(StagePart(f"conj p={p}", w, blk.left_indices, blk.right_indices))
     return parts
 
@@ -306,12 +310,15 @@ def _prime_parts(ms, ns, blk) -> list[StagePart]:
 def build_conj_witness(
     ms: tuple[SupernaturalNumber, ...],
     ns: tuple[SupernaturalNumber, ...],
+    decision: ConjDecision | None = None,
 ) -> CoeChain:
     """Explicit conjugacy: one stage whose parts are the decision's blocks,
     one per asymptotic class, each split into one part per prime of its
     factors and wired from the block's left indices to its right ones.
-    Raises ValueError when the systems are not conjugate."""
-    decision = conj_decide(ms, ns)
+    decision is conj_decide(ms, ns), decided here unless the caller holds
+    it.  Raises ValueError when the systems are not conjugate."""
+    if decision is None:
+        decision = conj_decide(ms, ns)
     if not decision:
         raise ValueError(f"not conjugate: {decision.obstruction}")
     x, y = odometer_product(ms), odometer_product(ns)

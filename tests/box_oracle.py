@@ -24,10 +24,16 @@ holds one value (its distinct columns counted in sorted order), rho and rho^-1 a
 matrices read off those values, each point map's table shifted along a
 generator is the table translated by rho(e_i), and rho is additive and
 inverted by rho^-1 over the box.  Its checks carry verify_conj's names.
+
+A linear part (orbitcert.linear) is checked by its matrices.  A copy of it
+held as plain tables (witness_tables, witness_from_tables), or with its
+matrices dropped and its derived tables kept (without_rho), is checked on
+grids like any other witness, which makes either copy the oracle of the
+matrix path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -594,3 +600,16 @@ def witness_from_tables(tables: dict) -> CoeWitness:
         _table_map(tables["psi"], tgt, src, "psi"),
         _table_cocycle(tables["b"], tgt, "b"),
     )
+
+
+def without_rho(w: CoeWitness) -> CoeWitness:
+    """w with its point maps' matrices dropped and the tables derived from
+    them kept: the same maps, checked on grids."""
+    return CoeWitness(replace(w.phi, rho=None), w.a, replace(w.psi, rho=None), w.b)
+
+
+def chain_without_rho(chain):
+    """The chain with every part's matrices dropped (without_rho)."""
+    return replace(chain, stages=tuple(
+        replace(st, parts=tuple(replace(p, witness=without_rho(p.witness)) for p in st.parts))
+        for st in chain.stages))

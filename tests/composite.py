@@ -25,8 +25,9 @@ from orbitcert.cocycle import (
     cocycle_reader,
     constant_generator,
 )
-from orbitcert.dynamics import Odometer, SystemSpec, point_count
+from orbitcert.dynamics import Odometer, SystemSpec, generator, point_count
 from orbitcert.supernatural import product
+from orbitcert.witness import linear_witness
 
 _CHUNKS = 8  # the CRT glue maps a table in this many slices of points
 
@@ -57,6 +58,12 @@ def _composite_cocycle(a1: CocycleTable, phi1: LCMap, a2: CocycleTable,
         vals = read(g.at(grid.res), y, name)
         gens.append(GroupValuedMap(a1.source, a2.target_group, grid.level, vals, f"{name}[{i}]"))
     return CocycleTable(a1.source, a2.target_group, tuple(gens))
+
+
+def identity_witness(spec: SystemSpec) -> CoeWitness:
+    """The identity of spec: the linear witness of the identity matrix."""
+    ident = [generator(spec, i) for i in range(spec.rank)]
+    return linear_witness(spec, spec, ident, ident)
 
 
 def compose_coe(w1: CoeWitness, w2: CoeWitness) -> CoeWitness:

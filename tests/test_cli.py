@@ -329,16 +329,10 @@ def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, cap
 
 
 @pytest.mark.parametrize("relation, ms, ns, level, grid", [
-    # the 2-part's maps read level 60 whatever the output level
-    ("conj", "2^60*5^inf,3^37*5^inf", "3^37*5^inf,2^60*5^inf", 0,
-     "level-60 grid would hold"),
     # a split part of the chain reads its input one level deeper
     ("coe", "2^inf*3*5^inf,2^2*3^inf*5^inf,2^inf*3*5^inf",
      "2^2*3^inf*5^inf,2^inf*3*5^inf,2^inf*5^inf", 4,
      "level-5 grid would hold 3037500 points (limit 1000000)"),
-    # the README conjugacy's 5-part at level 5; its 2- and 3-parts fit
-    ("conj", SWAP_M, SWAP_N, 5,
-     "stage 0 part 2 (conj p=5) @5: level-5 grid would hold 9765625 points (limit 5000000)"),
 ])
 def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, grid,
                                                      tmp_path, capsys):
@@ -365,6 +359,27 @@ def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, gr
     # a decision asked to embed the witness block refuses it before printing
     assert main([relation, ms, ns, "--witness", "--level", str(level)]) == 2
     assert capsys.readouterr() == ("", refused)
+
+
+@pytest.mark.parametrize("ms, ns, levels", [
+    # the README conjugacy, whose 5-part's level-5 grid would hold 9,765,625 points
+    (SWAP_M, SWAP_N, (5, 12)),
+    # the 2-part's maps read level 60 whatever the output level
+    ("2^60*5^inf,3^37*5^inf", "3^37*5^inf,2^60*5^inf", (0, 4)),
+], ids=["readme", "level-60-reads"])
+def test_conj_parts_are_checked_by_their_matrices_at_any_level(ms, ns, levels, tmp_path,
+                                                              capsys):
+    from orbitcert.certificates import loads, verify_certificate
+
+    for level in levels:
+        path, _ = _emit(tmp_path, capsys, "witness", "conj", ms, ns, "--level", str(level))
+        ok, lines = verify_certificate(loads(path.read_text()))
+        assert ok, lines
+        assert main(["verify", str(path)]) == 0
+        assert "verification passed" in capsys.readouterr().out
+    # the level bound left on a linear part: 2**23 points exceed the conj limit
+    assert main(["verify", str(path), "--level", "23"]) == 2
+    assert "level 23 is beyond the point limit 5000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,14 +415,15 @@ THREE_N = "2^inf,2^inf,2^inf*3^inf"
 
 
 def test_multi_block_conjugacy_verifies_block_by_block(tmp_path, capsys):
-    # one block per asymptotic class, each split by primes and checked on
-    # its own grids: the whole system's level-5 grid would hold 7,962,624
+    # one block per asymptotic class, each split by primes and checked by
+    # its matrices: the whole system's level-5 grid would hold 7,962,624
     # points, and the (2^inf*3^inf) block's alone 7,776
     from orbitcert.certificates import witness_from_block
     from orbitcert.supernatural import parse_sn_list
 
     path, _ = _emit(tmp_path, capsys, "witness", "conj", THREE_M, THREE_N, "--level", "5")
-    for level, largest in ((5, 2048), (4, 512)):
+    counts = {}
+    for level in (5, 4):
         assert main(["verify", str(path), "--level", str(level)]) == 0
         out = capsys.readouterr().out
         assert "verification passed" in out
@@ -416,7 +432,10 @@ def test_multi_block_conjugacy_verifies_block_by_block(tmp_path, capsys):
         assert [c for c in checks if c[3] == "seams"] == [("", "", "", "seams", "13")]
         assert sorted({c[1:3] for c in checks if c[0]}) == [("0", "2"), ("1", "2"), ("2", "3")]
         assert [c[3] for c in checks].count("homomorphism") == 3
-        assert max(int(c[4]) for c in checks) == largest
+        counts[level] = [(c[0], c[3], int(c[4])) for c in checks if c[0]]
+    # no part's count grows with the level; the rank-2 part's roundtrips
+    # test 2 * (2 + 2) divisibilities each
+    assert counts[5] == counts[4] and max(n for *_, n in counts[5]) == 8
     chain = witness_from_block("conj", parse_sn_list(THREE_M), parse_sn_list(THREE_N))
     assert [(p.reads, p.writes) for p in chain.stages[0].parts] == [((1, 2), (0, 1)),
                                                                    ((0,), (2,)), ((0,), (2,))]

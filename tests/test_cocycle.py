@@ -12,13 +12,15 @@ import pytest
 from box_oracle import (
     GroupElement,
     act,
+    chain_without_rho,
     enumerate_points,
     extend_cocycle,
     image,
     locality_slack as _slack,
     value,
+    without_rho,
 )
-from composite import compose_chain, compose_coe, only_part
+from composite import compose_chain, compose_coe, identity_witness, only_part
 from orbitcert import cocycle
 from orbitcert.cocycle import (
     CocycleTable,
@@ -29,8 +31,6 @@ from orbitcert.cocycle import (
     cocycle_reader,
     constant_generator,
     homomorphism_cocycle,
-    identity_lcmap,
-    identity_witness,
     inverse_coe,
     require_grids,
     slide,
@@ -74,7 +74,7 @@ def test_identity_witness_verifies():
 
 
 def test_lcmap_refuses_short_input():
-    f = identity_lcmap(X_SMALL)
+    f = identity_witness(X_SMALL).phi
     with pytest.raises(ValueError):
         image(f, 3, PointAtLevel(2, (1, 0)))
 
@@ -193,9 +193,9 @@ def test_verify_locates_broken_equivariance():
 
 def test_verify_locates_noninjective_cocycle():
     spec = _spec([4])
-    phi = identity_lcmap(spec)
+    ident = identity_witness(spec)
     doubling = homomorphism_cocycle(spec, [(2,)], (4,))
-    w = CoeWitness(phi, doubling, identity_lcmap(spec), doubling)
+    w = CoeWitness(ident.phi, doubling, ident.psi, doubling)
     report = verify_coe(w, level=1)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.ok}
@@ -456,11 +456,12 @@ def test_verify_conj_peak_memory_stays_below_twelve_tables():
 
 
 def test_split_conjugacy_peak_memory_stays_below_twelve_tables_of_its_largest_part():
-    # split by primes, the README conjugacy checks at level 4 on a 5-part of
-    # N = 5^4 * 5^4 points and two parts of at most 3 points, instead of one
-    # block of 2,343,750 points; so the whole chain stays below 12 * 8N bytes
-    chain = build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"),
-                               parse_sn_list("3*5^inf,2*5^inf"))
+    # split by primes and checked on grids, its matrices dropped, the README
+    # conjugacy checks at level 4 on a 5-part of N = 5^4 * 5^4 points and
+    # two parts of at most 3 points, instead of one block of 2,343,750
+    # points; so the whole chain stays below 12 * 8N bytes
+    chain = chain_without_rho(build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"),
+                                                 parse_sn_list("3*5^inf,2*5^inf")))
     n = 390_625
     assert [point_count(p.witness.source, 4) for p in chain.stages[0].parts] == [2, 3, n]
     tracemalloc.start()
@@ -509,10 +510,20 @@ def test_grid_plan_is_the_order_the_checks_build_grids(monkeypatch):
     chain = build_coe_witness(parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
     cases = [(conj, 2)] + [(p.witness, lam) for st, lam in zip(chain.stages, chain.stage_levels(3))
                            for p in st.parts]
+    linear = 0
     for w, level in cases:
+        if cocycle.matrices(w):
+            # the identity parts: only the cocycle identities read a grid, at
+            # level 0, and the same witness checked on grids follows the plan
+            linear += 1
+            built.clear()
+            assert verify_coe(w, level).passed
+            assert built == list(dict.fromkeys([(w.source, 0), (w.target, 0)]))
+            w = without_rho(w)
         built.clear()
         assert verify_coe(w, level).passed
         assert list(dict.fromkeys(cocycle.check_grids(w, level))) == built
+    assert linear == 4
 
 
 def test_oversized_grids_are_refused_with_the_verifiers_error(monkeypatch):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from composite import compose_chain, composite_scale, only_part
+from composite import compose_chain, composite_scale, identity_witness, only_part
 from box_oracle import (
     _table_map,
     box_identity,
@@ -30,7 +30,6 @@ from orbitcert.cocycle import (
     constant_generator,
     cylinder_index,
     homomorphism_cocycle,
-    identity_witness,
     inverse_coe,
     verify_cocycle_identity,
     verify_coe,
@@ -39,14 +38,21 @@ from orbitcert.cocycle import (
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
 from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.intmat import invert_unimodular
-from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, generator
+from orbitcert.dynamics import (
+    Cyclic,
+    Odometer,
+    PointAtLevel,
+    SystemSpec,
+    generator,
+    odometer_product,
+)
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
-    _block_conjugacy,
     build_basic_coe,
     build_coe_witness,
     build_conj_witness,
     build_finite_coe,
+    linear_witness,
 )
 
 README_PAIR = ("5*2^inf,3^inf", "2^inf,5*3^inf")
@@ -583,8 +589,11 @@ def test_dropped_or_repeated_prime_fails_the_seams():
     # 5-adic factors twice over, which the product and the prime list miss
     (blk,) = conj_decide(*map(parse_sn_list, README_CONJ)).blocks
     s = blk.conjugator[0]
-    two_five = replace(p2, witness=_block_conjugacy(
-        parse_sn_list("2*5^inf,5^inf"), parse_sn_list("5^inf,2*5^inf"), s, invert_unimodular(s), 1))
+    rho, rho_inv = ([[m.get(i, j) for i in range(2)] for j in range(2)]
+                    for m in (s, invert_unimodular(s)))
+    two_five = replace(p2, witness=linear_witness(
+        odometer_product(parse_sn_list("2*5^inf,5^inf")),
+        odometer_product(parse_sn_list("5^inf,2*5^inf")), rho, rho_inv, 1))
     assert verify_conj(two_five.witness, 3).passed
     _only_seams_fail(verify_chain(_with_parts(chain, stage, (two_five, p3, p5)), 3, "conj"),
                      "not p-primary")

@@ -1,0 +1,189 @@
+"""Linear parts are checked by integer conditions on their matrices
+(orbitcert.linear); a copy of the same part held as plain tables
+(box_oracle.witness_tables) is checked on grids.  The two must agree on
+every linear part of the seed-17 corpora, unmutated and with seeded
+mutations of one matrix entry: in rho or rho^-1 itself (a point map's
+table and its cocycle's columns alike), in a's columns only, or in phi's
+table only."""
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from box_oracle import witness_from_tables, witness_tables, without_rho
+from orbitcert.cocycle import CoeWitness, LCMap, homomorphism_cocycle, verify_coe, verify_conj
+from orbitcert.decide import coe_decide, conj_decide
+from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
+from orbitcert.linear import matrices
+from orbitcert.selftest import generate_instances
+from orbitcert.supernatural import parse_sn, parse_sn_list
+from orbitcert.witness import build_coe_witness, build_conj_witness, linear_witness
+
+README_PAIR = ("5*2^inf,3^inf", "2^inf,5*3^inf")
+README_CONJ = ("2*5^inf,3*5^inf", "3*5^inf,2*5^inf")
+CRT_MERGE = ("2*7^inf,3*7^inf", "6*7^inf,7^inf")
+# a roundtrip's verdict is its matrix condition's whenever the other map's
+# wrap condition, that map's equivariance at the same level, holds
+WRAP = {"psi-after-phi": "psi-equivariance", "phi-after-psi": "phi-equivariance"}
+
+
+def _linear_parts() -> dict:
+    """Every distinct linear part of the coe and conj witnesses the seed-17
+    selftest corpus verifies, of the README pairs and of CRT_MERGE, keyed
+    by relation, systems, matrices and depth."""
+    instances = generate_instances(17, 200)
+    coe = [p for p in instances if len(p[0]) <= 2 and coe_decide(*p)]
+    conj = [p for p in instances if conj_decide(*p)]
+    coe.append(tuple(map(parse_sn_list, README_PAIR)))
+    conj += [tuple(map(parse_sn_list, pair)) for pair in (README_CONJ, CRT_MERGE)]
+    parts: dict = {}
+    for relation, pairs, build in (("coe", coe, build_coe_witness),
+                                   ("conj", conj, build_conj_witness)):
+        for ms, ns in pairs:
+            for stage in build(ms, ns).stages:
+                for part in stage.parts:
+                    w = part.witness
+                    if matrices(w):
+                        key = (relation, w.source, w.target, w.phi.rho, w.psi.rho,
+                               w.phi.input_level(0))
+                        parts.setdefault(key, w)
+    return parts
+
+
+PARTS = _linear_parts()
+
+
+def _bumped(cols, rng: random.Random):
+    """cols with one entry moved by a small non-zero step."""
+    out = [list(col) for col in cols]
+    col = rng.choice(out)
+    col[rng.randrange(len(col))] += rng.choice([-3, -2, -1, 1, 2, 3])
+    return out
+
+
+def _mutants(w: CoeWitness, depth: int, rng: random.Random):
+    """(kind, mutant) for one entry changed in rho itself, which moves phi's
+    table and a's columns alike, in rho^-1 itself, in a's columns only and
+    in phi's table only."""
+    x, y, rho, sigma = w.source, w.target, w.phi.rho, w.psi.rho
+    yield "matrix", linear_witness(x, y, _bumped(rho, rng), sigma, depth)
+    yield "matrix", linear_witness(x, y, rho, _bumped(sigma, rng), depth)
+    yield "columns", CoeWitness(
+        w.phi, homomorphism_cocycle(x, _bumped(rho, rng), y.group_moduli()), w.psi, w.b)
+    yield "table", CoeWitness(
+        LCMap(x, y, w.phi.level_map, rho=tuple(map(tuple, _bumped(rho, rng)))), w.a, w.psi, w.b)
+
+
+def _tables(w: CoeWitness, level: int) -> CoeWitness:
+    return witness_from_tables(witness_tables(w, level))
+
+
+def _agree(w: CoeWitness, level: int, verify, copy=_tables) -> bool:
+    """verify on w and on its copy checked on grids, by default its copy
+    held as tables, give the same verdict and the same check names; a
+    check that passes by its matrix condition passes on the grid, and the
+    two agree check by check wherever the argument in orbitcert.chain
+    covers the check.  Returns whether w took the matrix path."""
+    got = verify(w, level)
+    oracle = verify(copy(w, level), level)
+    detail = f"level {level}\n{got.summary()}\n{oracle.summary()}"
+    assert [c.name for c in got.checks] == [c.name for c in oracle.checks], detail
+    assert got.passed == oracle.passed, detail
+    ok = {c.name: c.ok for c in got.checks}
+    for c, o in zip(got.checks, oracle.checks):
+        assert o.ok or not c.ok, detail
+        if ok.get(WRAP.get(c.name), True):
+            assert c.ok == o.ok, detail
+    return matrices(w) is not None
+
+
+def _case(key) -> str:
+    relation, x, y, _rho, _sigma, depth = key
+    return f"{relation}-{x.rank}x{y.rank}-d{depth}"
+
+
+def test_the_corpora_hold_identity_and_conjugacy_parts():
+    relations = [key[0] for key in PARTS]
+    assert relations.count("coe") >= 20 and relations.count("conj") >= 30
+
+
+@pytest.mark.parametrize("key", list(PARTS), ids=[_case(k) for k in PARTS])
+def test_matrix_path_agrees_with_the_grid_path(key):
+    w = PARTS[key]
+    verify = verify_conj if key[0] == "conj" else verify_coe
+    depth = key[-1]
+    rng = random.Random(repr(key))
+    for level in range(4):
+        assert _agree(w, level, verify)
+        assert verify(w, level).passed
+        for kind, mutant in _mutants(w, depth, rng):
+            # only a mutant of the matrix itself is still a linear part
+            assert _agree(mutant, level, verify) == (kind == "matrix"), kind
+
+
+def test_linear_parts_on_cyclic_factors_agree():
+    # x = (a mod 2, b mod 3) corresponds to 3a + 4b mod 6: values are
+    # canonical in groups with cyclic coordinates
+    x, y = SystemSpec((Cyclic(2), Cyclic(3))), SystemSpec((Cyclic(6),))
+    w = linear_witness(x, y, [(3,), (4,)], [(1, 1)])
+    rng = random.Random("cyclic")
+    for level in range(3):
+        assert _agree(w, level, verify_conj) and verify_conj(w, level).passed
+        for _ in range(4):
+            # a step its cyclic group kills leaves the part linear
+            for _kind, mutant in _mutants(w, 0, rng):
+                _agree(mutant, level, verify_conj)
+
+
+# odometer limits, finite ones among them, and cyclic orders
+FACTORS = ("2", "4", "2^inf", "3", "9*2", "3^inf", "2*3^inf", "4*3^inf", "2^inf*3", 2, 3, 4, 6)
+
+
+def _random_system(rng: random.Random) -> SystemSpec:
+    picks = [rng.choice(FACTORS) for _ in range(rng.randint(1, 2))]
+    return SystemSpec(tuple(Cyclic(f) if isinstance(f, int) else Odometer(parse_sn(f))
+                            for f in picks))
+
+
+def _random_map(src: SystemSpec, tgt: SystemSpec, rng: random.Random) -> LCMap:
+    """A matrix with entries in -4..4, read at level k + shift, one level
+    coarser than its output level down to two finer."""
+    shift = rng.choice([-1, 0, 0, 1, 2])
+    cols = tuple(tuple(rng.randint(-4, 4) for _ in range(tgt.rank)) for _ in range(src.rank))
+    return LCMap(src, tgt, lambda k: max(k + shift, 0), rho=cols)
+
+
+def test_random_linear_maps_agree():
+    # arbitrary matrices between small systems, rarely mutually inverse or
+    # well defined: every condition fails somewhere, on cyclic and odometer
+    # factors, with maps that read their input coarser or finer.  A map
+    # read coarser than its output is no map of the inverse limits, which a
+    # copy held as tables assumes, so the oracle keeps the maps' own tables
+    rng = random.Random("random-linear")
+    failing: set = set()
+    for _ in range(200):
+        x, y = _random_system(rng), _random_system(rng)
+        phi, psi = _random_map(x, y, rng), _random_map(y, x, rng)
+        w = CoeWitness(phi, homomorphism_cocycle(x, phi.rho, y.group_moduli()),
+                       psi, homomorphism_cocycle(y, psi.rho, x.group_moduli()))
+        for level in range(4):
+            assert _agree(w, level, verify_coe, lambda w, _level: without_rho(w))
+            failing |= {c.name for c in verify_coe(w, level).checks if not c.ok}
+    assert failing == {"phi-equivariance", "psi-equivariance", "psi-after-phi", "phi-after-psi",
+                       "b-inverts-a", "a-inverts-b", "cocycle-identity-a", "cocycle-identity-b"}
+
+
+def test_a_map_has_a_table_or_a_matrix():
+    w = PARTS[next(iter(PARTS))]
+    # a copy keeps its matrix and the table derived from it
+    copy = replace(w.phi, name="copy")
+    assert copy.rho is w.phi.rho and copy.table.rho is w.phi.rho
+    with pytest.raises(ValueError, match="derived"):
+        LCMap(w.source, w.target, w.phi.level_map, lambda k, res: res, rho=w.phi.rho)
+    with pytest.raises(ValueError, match="required"):
+        LCMap(w.source, w.target, w.phi.level_map)
+    with pytest.raises(ValueError, match="columns"):
+        LCMap(w.source, w.target, w.phi.level_map, rho=w.phi.rho + w.phi.rho)
+    assert matrices(without_rho(w)) is None

@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from box_oracle import GroupElement, act, enumerate_points, image, locality_slack as _slack
+from box_oracle import (
+    GroupElement,
+    act,
+    chain_without_rho,
+    enumerate_points,
+    image,
+    locality_slack as _slack,
+)
 from composite import compose_chain, direct_sum_coe, permutation_witness
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
@@ -25,7 +33,7 @@ from orbitcert.dynamics import (
     level_modulus,
 )
 from orbitcert.intmat import invert_unimodular
-from orbitcert.selftest import generate_instances
+from orbitcert.selftest import conj_positive_pair, generate_instances
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
     build_basic_coe,
@@ -197,8 +205,9 @@ def test_conj_witness_swap_pair():
 
 
 def test_refused_level_checks_no_part(monkeypatch):
-    # the level-5 grid of the 5-part is refused before any part is checked,
-    # not after the 2- and 3-parts have passed
+    # the level-5 grid of the 5-part, checked on grids with its matrices
+    # dropped, is refused before any part is checked, not after the 2- and
+    # 3-parts have passed
     from orbitcert import chain
 
     calls = []
@@ -208,7 +217,8 @@ def test_refused_level_checks_no_part(monkeypatch):
         return verify_conj(*args, **kwargs)
 
     monkeypatch.setattr(chain, "verify_conj", counting)
-    w = build_conj_witness(parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf"))
+    w = chain_without_rho(build_conj_witness(parse_sn_list("2*5^inf, 3*5^inf"),
+                                             parse_sn_list("3*5^inf, 2*5^inf")))
     with pytest.raises(ValueError) as refused:
         verify_chain(w, 5, "conj")
     assert str(refused.value) == ("stage 0 part 2 (conj p=5) @5: level-5 grid would hold "
@@ -224,6 +234,21 @@ def test_conj_witness_identity_case():
     assert verify_conj(cw, level=3).passed
     for x in enumerate_points(cw.source, 3):
         assert image(cw.phi, 3, x) == x
+
+
+def test_rank5_conjugacies_verify_at_level_5():
+    # a p-part of rank r would hold p^(5r) points at level 5; checked by
+    # its matrices it reads no grid beyond its level-0 tables
+    rng = random.Random(17)
+    pairs: list = []
+    while len(pairs) < 40:
+        pair = conj_positive_pair(rng, max_rank=5)
+        if pair not in pairs:
+            pairs.append(pair)
+    assert max(len(ms) for ms, _ns in pairs) == 5
+    for ms, ns in pairs:
+        report = verify_chain(build_conj_witness(ms, ns), 5, "conj")
+        assert report.passed, report.summary()
 
 
 def test_conj_witness_crt_merge():
