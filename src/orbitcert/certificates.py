@@ -10,12 +10,12 @@ to check it at.  Verification re-derives the decision, checks the payload
 against it (a conj block's S and T must be unimodular and carry diag(m) to
 diag(n)), rebuilds the witness from the inputs and runs
 verify_chain(chain, level, relation), exact over the acting group, at any
-level within the relation's point limit (chain.POINT_LIMITS).  Emission and
+level within the relation's point limit (cocycle.POINT_LIMITS).  Emission and
 verification refuse an oversized level through the same planner,
 chain.require_checkable.  Both witnesses are chains checked stage by stage:
 a coe witness's parts are elementary moves, each checked with verify_coe,
-and a conj witness is one stage of block conjugacies, each split into one
-part per prime of its factors and each part checked with verify_conj.
+and a conj witness is one stage of block conjugacies, one part per block,
+each checked with verify_conj.
 Payload integers are read strictly: bools and floats are refused, never
 truncated, and a verdict must be a JSON boolean.
 """
@@ -25,7 +25,8 @@ import hashlib
 import json
 
 from . import __version__
-from .chain import POINT_LIMITS, CoeChain, require_checkable, verify_chain
+from .chain import CoeChain, require_checkable, verify_chain
+from .cocycle import POINT_LIMITS
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -184,7 +185,7 @@ def counterexample_certificate(report: CounterexampleReport) -> dict:
 def witness_from_block(relation: str, ms, ns,
                        decision: CoeDecision | ConjDecision | None = None) -> CoeChain:
     """The chain a `relation` block stands for, rebuilt from the inputs: an
-    orbit equivalence's moves, or a conjugacy's blocks split by primes.
+    orbit equivalence's moves, or a conjugacy's blocks.
     decision is the relation's decision of (ms, ns), made here if None."""
     return (build_coe_witness if relation == "coe" else build_conj_witness)(ms, ns, decision)
 

@@ -26,13 +26,13 @@ factor permutations, is a conjugacy whose rho is block-diagonal up to those
 permutations, and a composite of conjugacies is a conjugacy.  So the seams,
 each part's homomorphism check and its eight coe checks prove the claim.
 verify_chain takes the relation claimed, "coe" or "conj", and that alone
-sets the part verifier, the seams' rule for diagonal products and the point
-limit (POINT_LIMITS), never a part's kind, so a mislabelled part cannot skip
-homomorphism.  require_checkable plans every part's grids from the level
-maps before anything is built: verify_chain runs it first, and
-certificates.witness_block and the selftest screen refuse through it too.
+sets the part verifier and the point limit (POINT_LIMITS), never a part's
+kind, so a mislabelled part cannot skip homomorphism.  require_checkable
+plans every part's grids from the level maps before anything is built:
+verify_chain runs it first, and certificates.witness_block and the
+selftest screen refuse through it too.
 
-An identity part, and each prime's part of a conjugacy, is linear
+An identity part, and each block of a conjugacy, is linear
 (orbitcert.linear): phi sends the residues x at its input level d(k) to
 x.rho mod the level-k moduli N_c(k), psi does likewise with sigma, and
 a(e_i, x) = rho(e_i), b(e_c, y) = sigma(e_c) are constant.  Write M_i(k)
@@ -62,44 +62,17 @@ read the point maps:
   = e_c, decide them.  Homomorphism and the cocycle identities read the
   level-0 tables as for any part.
 
-No condition grows with the level, so require_level and POINT_LIMITS are
-the only bounds on a linear part; its grids are planned only for a screen
-of the grid checks (require_checkable with matrix=False).
-
-Parts with the same wiring form a group, and a group of more than one part
-is a diagonal product: it covers its factors by the Chinese remainder
-theorem (CRT).  Let every factor of its parts be an odometer whose limit is
-a power of one prime p, a different prime for each part, and let the
-parts' factors at each wired position multiply back to the stage's factor
-there; each part's factor is then the p-primary part M_p of the wired
-factor M.  For M = prod_p M_p the moduli lm(M_p, k) are pairwise coprime with
-product lm(M, k) at every level k, so Z/lm(M, k) = prod_p Z/lm(M_p, k)
-compatibly with the projections between levels, and Z_M = prod_p Z_(M_p)
-as compact groups, with +1 going to (1, ..., 1).  The group's factors,
-Z^r acting by e_b -> +1 on factor b, are therefore conjugate to the
-product of the parts' systems with Z^r acting diagonally, e_b acting as
-e_b on every part; likewise on the written side.  If every part is a
-conjugacy through one and the same rho, phi_p(x_p + g) = phi_p(x_p) +
-rho(g), then prod_p phi_p is a homeomorphism with (prod_p phi_p)(x + g) =
-(prod_p phi_p)(x) + rho(g), a conjugacy of the diagonal products, hence,
-through the CRT on both sides, of the wired factors, and its inverse is
-prod_p psi_p.  With two different rho_p the product sends the diagonal
-action of g to (rho_p(g))_p, which is the diagonal action of no element,
-so the seams require every part of a group to carry the same homomorphism
-columns, the values of a and then of b on each generator; verify_conj's
-homomorphism check makes those columns the whole of rho and rho^-1.  An
-orbit equivalence's cocycles depend on the point and no one cocycle of a
-product of them exists in general, so a group of more than one part fails
-its seams unless the claim is a conjugacy.  Each part is checked on its
-own grid at the stage's level, exactly as a part wired alone: the CRT
-makes the whole block's grid the product of the parts' grids, and the
-check costs their sum.
+No condition grows with the level, so require_level, POINT_LIMITS and
+numpy's limit on array axes are the only bounds on a linear part; its
+grids are planned only for a screen of the grid checks (require_checkable
+with matrix=False).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .cocycle import (
+    POINT_LIMITS,
     CheckResult,
     CoeWitness,
     VerifyReport,
@@ -108,11 +81,7 @@ from .cocycle import (
     verify_coe,
     verify_conj,
 )
-from .dynamics import Odometer, SystemSpec, require_level
-from .supernatural import product
-
-# the part verifiers' point limits, by the relation a chain is checked for
-POINT_LIMITS = {"coe": 10**6, "conj": 5 * 10**6}
+from .dynamics import SystemSpec, require_level
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +119,6 @@ class Stage:
 
     def psi_level(self, k: int) -> int:
         return max(p.witness.psi.input_level(k) for p in self.parts)
-
-    def groups(self) -> list[tuple[int, ...]]:
-        """Indices of the parts sharing each wiring, in order of first
-        appearance; a group of several parts is a diagonal product."""
-        out: dict = {}
-        for p, part in enumerate(self.parts):
-            out.setdefault((part.reads, part.writes), []).append(p)
-        return [tuple(g) for g in out.values()]
 
     @property
     def a_level(self) -> int:
@@ -206,92 +167,38 @@ def part_tag(k: int, p: int, part: StagePart, lam: int) -> str:
     return f"stage {k} part {p} ({part.kind}) @{lam}: "
 
 
-def _prime(w: CoeWitness) -> int | None:
-    """The one prime whose powers are the limits of every factor of w, all
-    odometers; None when there is no such prime."""
-    factors = w.source.factors + w.target.factors
-    if not all(isinstance(f, Odometer) for f in factors):
-        return None
-    primes = {q for f in factors for q in f.limit.support}
-    return primes.pop() if len(primes) == 1 else None
-
-
-def _columns(w: CoeWitness) -> tuple:
-    """The values of a, then of b, on each generator, read at the first
-    point of each table: rho and rho^-1 once homomorphism holds."""
-    return tuple(tuple(int(v) for v in g.values[:, 0])
-                 for t in (w.a, w.b) for g in t.generators)
-
-
-def _seam_check(name: str, stage: Stage, source: SystemSpec, target: SystemSpec,
-                conj: bool) -> CheckResult:
-    """The stage runs from `source` to `target`, the wirings of its groups
-    of parts partition the factors on either side, and each group covers
-    the factors it reads and writes.  A part wired alone has exactly those
-    factors.  A group of several parts is a diagonal product (module
-    docstring): allowed only when the claim is a conjugacy (`conj`), each
-    part p-primary for its own prime, the parts' factors multiplying back to
-    the wired ones, and every part carrying the first part's homomorphism
-    columns.  Three checks per stage, two per part, two more per part of a
-    diagonal product."""
+def _seam_check(name: str, stage: Stage, source: SystemSpec,
+                target: SystemSpec) -> CheckResult:
+    """The stage runs from `source` to `target`, the wirings of its parts
+    partition the factors on either side, so no two parts share a factor,
+    and each part has exactly the factors it reads and writes.  Three
+    checks per stage and two per part."""
     bad = []
     if (stage.source, stage.target) != (source, target):
         bad.append((name, "the stage does not start where the previous one ends, "
                           "or the last stage does not end at the chain's target"))
-    groups = stage.groups()
     for side, spec in (("reads", stage.source), ("writes", stage.target)):
-        if sorted(i for g in groups for i in getattr(stage.parts[g[0]], side)) != \
+        if sorted(i for part in stage.parts for i in getattr(part, side)) != \
                 list(range(spec.rank)):
             bad.append((name, f"the parts' {side} do not partition the {spec.rank} factors"))
-    checked = 3 + 2 * len(stage.parts)
-    for g in groups:
-        parts = [stage.parts[p] for p in g]
-        for spec, idx, own in ((stage.source, parts[0].reads, [q.witness.source for q in parts]),
-                               (stage.target, parts[0].writes, [q.witness.target for q in parts])):
-            wired = None
-            if all(0 <= i < spec.rank for i in idx) and all(o.rank == len(idx) for o in own):
-                wired = tuple(spec.factors[i] for i in idx)
-            if len(g) == 1:
-                covered = wired == own[0].factors
-            else:
-                covered = wired is not None and all(
-                    all(isinstance(o.factors[t], Odometer) for o in own)
-                    and Odometer(product([o.factors[t].limit for o in own])) == f
-                    for t, f in enumerate(wired))
-            if not covered and len(g) == 1:
-                bad.append((name, f"part {g[0]} ({parts[0].kind}) is wired to {idx}, "
+    for p, part in enumerate(stage.parts):
+        for spec, idx, own in ((stage.source, part.reads, part.witness.source),
+                               (stage.target, part.writes, part.witness.target)):
+            if not (all(0 <= i < spec.rank for i in idx)
+                    and tuple(spec.factors[i] for i in idx) == own.factors):
+                bad.append((name, f"part {p} ({part.kind}) is wired to {idx}, "
                                   "whose factors are not its own"))
-            elif not covered:
-                bad.append((name, f"parts {list(g)} are wired to {idx}, but their factors "
-                                  "do not multiply back to the factors there"))
-        if len(g) == 1:
-            continue
-        checked += 2 * len(g)
-        if not conj:
-            bad.append((name, f"parts {list(g)} share one wiring, a diagonal product, which "
-                              "only a conjugacy with one rho makes sound"))
-        primes = [_prime(part.witness) for part in parts]
-        for p, part, q in zip(g, parts, primes):
-            if q is None:
-                bad.append((name, f"part {p} ({part.kind}) is not p-primary for one prime p"))
-        if len(set(primes)) < len(primes):
-            bad.append((name, f"parts {list(g)} repeat a prime: {primes}"))
-        cols = _columns(parts[0].witness)
-        for p, part in zip(g[1:], parts[1:]):
-            if _columns(part.witness) != cols:
-                bad.append((name, f"part {p} ({part.kind}) carries other homomorphism "
-                                  f"columns than part {g[0]}"))
-    return CheckResult(name, checked, bad)
+    return CheckResult(name, 3 + 2 * len(stage.parts), bad)
 
 
 def require_checkable(chain: CoeChain, level: int, limit: int, matrix: bool = True) -> list[int]:
     """Refuse, with the part verifier's own error, a level at which checking
-    the chain would build a grid beyond `limit` points; else return the
+    the chain would build a grid beyond `limit` points, and a part whose
+    checks would need more array axes than numpy allows; else return the
     stage levels lambda_k.  Only the chain's level maps are read, nothing
     is built; each part is planned at its stage's level, a linear part by
     its matrices unless `matrix` is False (require_grids), and a part's
-    refusal carries its tag, which names the stage and part, and so the
-    prime of a conjugacy's part."""
+    refusal carries its tag, which names the stage and part."""
     require_level(chain.source, level, limit)
     require_level(chain.target, level, limit)
     levels = chain.stage_levels(level)
@@ -313,19 +220,19 @@ def verify_chain(chain: CoeChain, level: int = 4, relation: str = "coe") -> Veri
     kind is the part reports'.  A level at which any part would build a
     grid beyond the relation's point limit is refused by require_checkable
     before any part is checked."""
-    limit, conj = POINT_LIMITS[relation], relation == "conj"
+    limit = POINT_LIMITS[relation]
     levels = require_checkable(chain, level, limit)
     kind, checks = "coe-witness", []
     last = len(chain.stages) - 1
     for k, (stage, lam) in enumerate(zip(chain.stages, levels)):
         source = chain.stages[k - 1].target if k else chain.source
         target = chain.target if k == last else stage.target
-        checks.append(_seam_check(f"stage {k} @{lam}: seams", stage, source, target, conj))
+        checks.append(_seam_check(f"stage {k} @{lam}: seams", stage, source, target))
         for p, part in enumerate(stage.parts):
             tag = part_tag(k, p, part, lam)
             # looked up by name at each call, so that a rebinding of the
             # module's verify_coe or verify_conj reaches this call
-            report = (verify_conj if conj else verify_coe)(part.witness, lam, limit)
+            report = (verify_conj if relation == "conj" else verify_coe)(part.witness, lam, limit)
             kind = report.kind
             checks.extend(CheckResult(tag + c.name, c.checked, c.violations)
                           for c in report.checks)

@@ -51,6 +51,12 @@ from .linear import linear_checks, linear_image, linear_table, matrices
 
 _SAMPLES = 5  # violations kept per check
 
+# the verifiers' point limits, by the relation a witness is checked for
+POINT_LIMITS = {"coe": 10**6, "conj": 5 * 10**6}
+# numpy's limit on an array's axes; the grid checks reshape a grid into two
+# axes per factor, the tables into one per factor and one more
+_AXES = 64
+
 
 def flat_index(rows, moduli: Sequence[int]) -> np.ndarray:
     """Mixed-radix index, the first factor most significant, of points given
@@ -178,7 +184,7 @@ class CocycleTable:
         return max((g.level for g in self.generators), default=0)
 
 
-def cocycle_reader(b: CocycleTable, limit: int = 10**6):
+def cocycle_reader(b: CocycleTable, limit: int = POINT_LIMITS["coe"]):
     """read(h, y) = b(h, y) for arrays of group elements h and of points y
     given by residues at b's level, one pair per column: h has one row per
     coordinate of b's acting group, y one per factor, and so has the value.
@@ -334,7 +340,7 @@ def untwist_to_conjugacy(
     u: GroupValuedMap,
     rho: tuple[CocycleTable, CocycleTable],
     level: int = 4,
-    point_limit: int = 10**6,
+    point_limit: int = POINT_LIMITS["coe"],
 ) -> CoeWitness:
     """When a(g, x) = u(g.x) + rho(g) - u(x) holds everywhere (checked
     exactly on generators, so for every g), slide the point map by u to
@@ -445,7 +451,7 @@ class _Grid:
     first factor most significant.  res holds every point's residues, one
     row per factor."""
 
-    def __init__(self, spec: SystemSpec, level: int, limit: int = 10**6):
+    def __init__(self, spec: SystemSpec, level: int, limit: int = POINT_LIMITS["coe"]):
         self.spec = spec
         self.level = level
         self.size = _require_points(spec, level, limit)
@@ -657,7 +663,7 @@ def _check_inverse_cocycle(
 
 
 def verify_cocycle_identity(
-    a: CocycleTable, level: int = 4, point_limit: int = 10**6
+    a: CocycleTable, level: int = 4, point_limit: int = POINT_LIMITS["coe"]
 ) -> VerifyReport:
     """a(g1+g2, x) = a(g1, g2.x) + a(g2, x) for all g1, g2 in the acting group
     and every point, through the group's relations on the cocycle's own
@@ -730,10 +736,17 @@ def require_grids(w: CoeWitness, level: int, limit: int, matrix: bool = True) ->
     checks raise when they reach the first such grid.  A linear part is
     checked by its matrices, on no grid beyond its level-0 tables, unless
     `matrix` is False: a screen for the grid checks, the tests' oracle,
-    plans the grids they would build."""
+    plans the grids they would build.  A part whose checks would need an
+    array of more axes than numpy allows is refused as well."""
     require_level(w.source, level, limit)
     require_level(w.target, level, limit)
-    if not (matrix and matrices(w)):
+    linear = matrix and matrices(w) is not None
+    rank = max(w.source.rank, w.target.rank)
+    axes = rank + 1 if linear else 2 * rank
+    if axes > _AXES:
+        raise ValueError(f"a rank-{rank} part's checks would need arrays of {axes} axes "
+                         f"(numpy's limit {_AXES})")
+    if not linear:
         for spec, k in check_grids(w, level):
             _require_points(spec, k, limit)
 
@@ -773,7 +786,8 @@ def _identity_checks(w: CoeWitness, t: _Tables) -> list[CheckResult]:
             _identity_check("cocycle-identity-b", w.b, t)]
 
 
-def verify_coe(w: CoeWitness, level: int = 4, point_limit: int = 10**6) -> VerifyReport:
+def verify_coe(w: CoeWitness, level: int = 4,
+               point_limit: int = POINT_LIMITS["coe"]) -> VerifyReport:
     """Exhaustive soundness check of an orbit-equivalence witness, exact over
     the whole acting group: both cocycles satisfy the group's relations,
     phi and psi are equivariant through them on every generator, the point
@@ -802,7 +816,8 @@ def _homomorphism_check(w: CoeWitness) -> CheckResult:
     return CheckResult("homomorphism", checked, violations)
 
 
-def verify_conj(w: CoeWitness, level: int = 4, point_limit: int = 5 * 10**6) -> VerifyReport:
+def verify_conj(w: CoeWitness, level: int = 4,
+                point_limit: int = POINT_LIMITS["conj"]) -> VerifyReport:
     """Exhaustive check of a conjugacy witness, exact over the whole acting
     group.  A conjugacy is an orbit equivalence whose cocycles do not depend
     on the point, a(g, x) = rho(g) and b(h, y) = rho^-1(h): homomorphism

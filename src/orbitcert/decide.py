@@ -28,6 +28,8 @@ from .supernatural import (
 def _require_supernatural(ms: tuple[SupernaturalNumber, ...], side: str) -> None:
     if not ms:
         raise ValueError(f"{side}: at least one factor is required")
+    if len(ms) > RANK_LIMIT:
+        raise ValueError(f"{side}: {len(ms)} factors exceed {RANK_LIMIT}")
     for m in ms:
         if not is_supernatural(m):
             raise ValueError(f"{side}: {sn_str(m)} is finite; factors must be supernatural")
@@ -402,6 +404,10 @@ COUNTEREXAMPLE_POWERS = 10**4
 # carry, up to 2^(distinct infinite primes) of them, so their number is
 # bounded before the fold
 KINV_PRIME_LIMIT = 16
+
+# conj_decide's Smith elimination is cubic in a block's size, so a side's
+# number of factors is bounded before anything is decided
+RANK_LIMIT = 64
 
 
 def free_group_counterexample_check(p: int, q: int, n: int) -> CounterexampleReport:

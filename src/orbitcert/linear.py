@@ -7,7 +7,7 @@ reduced mod the output level's moduli (LCMap.rho).  A linear part is a
 witness whose point maps are given so, by rho and sigma, and whose cocycles
 are the constant level-0 tables of those columns, a(e_i, x) = rho(e_i) and
 b(e_c, y) = sigma(e_c): an identity part of an orbit-equivalence chain, or
-one prime's part of a block conjugacy.  For such a part verify_coe decides
+the conjugacy of one block.  For such a part verify_coe decides
 its equivariance, roundtrip and inverse checks by the conditions below, in
 Python integers and without a grid, at the levels the grid checks read;
 orbitcert.chain states why each condition decides its check.  The cocycle

@@ -331,13 +331,14 @@ def suite_invariant_vs_decision(seed: int, count: int = 200, instances=None) -> 
 
 
 def _witness_suite(relation: str, pairs, level: int, build) -> SuiteResult:
-    """Every pair's witness chain, built by `build`, must pass verify_chain
-    as a witness of `relation`; a failure ends with its replay command."""
+    """Every pair's witness chain, built by `build` from the pair (ms, ns)
+    and its positive decision, must pass verify_chain as a witness of
+    `relation`; a failure ends with its replay command."""
     failures = []
-    for ms, ns in pairs:
+    for ms, ns, decision in pairs:
         replay = _replay_command(relation, ms, ns, level)
         try:  # construction failures are failures too
-            report = verify_chain(build(ms, ns), level, relation)
+            report = verify_chain(build(ms, ns, decision), level, relation)
             if not report.passed:
                 failures.append(f"{_fmt_pair(ms, ns)}: {report.summary()}; replay: {replay}")
         except Exception as e:
@@ -349,18 +350,18 @@ def _witness_suite(relation: str, pairs, level: int, build) -> SuiteResult:
 def suite_coe_witnesses(instances, level: int = 4, max_rank: int = 2) -> SuiteResult:
     """Every orbit-equivalent instance of rank at most max_rank gets an
     explicit chain witness which must survive the stage-wise verifier."""
-    pairs = [(ms, ns) for ms, ns in instances if len(ms) <= max_rank and coe_decide(ms, ns)]
-    return _witness_suite("coe", pairs, level, build_coe_witness)
+    decided = ((ms, ns, coe_decide(ms, ns)) for ms, ns in instances if len(ms) <= max_rank)
+    return _witness_suite("coe", [p for p in decided if p[2]], level, build_coe_witness)
 
 
 @_timed
 def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
     """Every conjugate instance gets an explicit conjugacy, one stage of
-    block conjugacies split by primes, and each part must pass verify_conj.
-    The blocks' matrices satisfy S diag(m) T = diag(n) exactly:
-    solve_conjugator checks that for every block the decision returns."""
-    pairs = [(ms, ns) for ms, ns in list(instances) + list(extra) if conj_decide(ms, ns)]
-    return _witness_suite("conj", pairs, level, build_conj_witness)
+    block conjugacies, and each block must pass verify_conj.  The blocks'
+    matrices satisfy S diag(m) T = diag(n) exactly: solve_conjugator checks
+    that for every block the decision returns."""
+    decided = ((ms, ns, conj_decide(ms, ns)) for ms, ns in list(instances) + list(extra))
+    return _witness_suite("conj", [p for p in decided if p[2]], level, build_conj_witness)
 
 
 @_timed
@@ -469,7 +470,7 @@ def suite_counterexample(p: int = 2, q: int = 3, n: int = 5) -> SuiteResult:
 def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     """Twist/untwist round trips over a constructed corpus.
 
-    Starting from each part (phi, rho) of a conjugacy, one prime's part of
+    Starting from each part (phi, rho) of a conjugacy, the conjugacy of
     one block, pick a transfer u = rho(s) where s translates each factor by
     a multiple of its level-1 modulus, constant on level-1 cylinders; the
     shifted point map u(x).phi(x) then equals

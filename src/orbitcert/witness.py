@@ -10,14 +10,12 @@ identities; each move records the factor indices it reads and writes, so
 reordering factors is wiring, not a move.  A pair whose sides reorder each
 other needs no move at all: its chain is one stage of identity parts, each
 wired from a factor to an equal one.  A conjugacy is one stage of
-block conjugacies, one per asymptotic class of the decision, and each
-block is split by the Chinese remainder theorem into one part per prime of
-its factors: rho on the residues of the factors' p-primary parts, the same
-rho for every prime.  Identity parts and conjugacy parts are linear
-witnesses (linear_witness): verify_chain checks them by their matrices
-(orbitcert.linear), at any level, and every other move on its own grid.
-So the README conjugacy reads only its parts' one-point level-0 tables,
-where its block's level-4 grid would hold 2,343,750 points."""
+block conjugacies, one linear part per asymptotic class of the decision.
+Identity parts and conjugacy parts are linear witnesses (linear_witness):
+verify_chain checks them by their matrices (orbitcert.linear), at any
+level, and every other move on its own grid.  So the README conjugacy
+reads only its block's level-0 tables, where the block's level-4 grid
+would hold 2,343,750 points."""
 from __future__ import annotations
 
 import math
@@ -273,38 +271,26 @@ def build_coe_witness(
 # conjugacy witnesses
 
 
-def _primary(m: SupernaturalNumber, p: int) -> SupernaturalNumber:
-    """The p-primary part p^v_p(m) of m; 1 when p does not divide m."""
-    return SupernaturalNumber.from_map({p: m.v(p)})
-
-
-def _prime_parts(ms, ns, blk) -> list[StagePart]:
-    """One part per prime p of a decision block's factors: the block's rho
-    between the p-primary parts of its factors, with depth the largest
-    exponent of p in its multipliers, wired like the block.  A conjugacy
+def _prime_parts(ms, ns, blk) -> StagePart:
+    """The conjugacy of a decision block: one linear part from the block's
+    left factors to its right ones, wired like the block.  A conjugacy
     fixing 0 is a continuous group isomorphism that intertwines the
     translations, so it extends a group isomorphism rho of the acting
     groups: rho(e_b) is column b of the Smith conjugator S, and rho^-1 is
-    S^-1 the same way; depth is deep enough for every finite multiplier.
-    Z_M is the product of its Z_(M_p) by the Chinese remainder theorem, so
-    the parts are a diagonal product of the block (orbitcert.chain) and
-    each is checked on its own prime's factors."""
-    left = tuple(ms[i] for i in blk.left_indices)
-    right = tuple(ns[j] for j in blk.right_indices)
+    S^-1 the same way.  Both maps read their input at depth, the largest
+    exponent of any prime in the block's multipliers, deep enough for
+    every finite multiplier."""
     s, _t = blk.conjugator
-    s_inv = invert_unimodular(s)  # every part of the block has the same rho
-    n = len(left)
+    s_inv = invert_unimodular(s)
+    n = len(blk.left_indices)
     rho = [[s.get(a, b) for a in range(n)] for b in range(n)]
     rho_inv = [[s_inv.get(a, b) for a in range(n)] for b in range(n)]
-    mults = blk.left_multipliers + blk.right_multipliers
-    parts = []
-    for p in sorted(set().union(*(m.support for m in left + right))):
-        depth = max(factorize(q).get(p, 0) for q in mults)
-        w = linear_witness(odometer_product(tuple(_primary(m, p) for m in left)),
-                           odometer_product(tuple(_primary(m, p) for m in right)),
-                           rho, rho_inv, depth)
-        parts.append(StagePart(f"conj p={p}", w, blk.left_indices, blk.right_indices))
-    return parts
+    depth = max((e for q in blk.left_multipliers + blk.right_multipliers
+                 for e in factorize(q).values()), default=0)
+    w = linear_witness(odometer_product(tuple(ms[i] for i in blk.left_indices)),
+                       odometer_product(tuple(ns[j] for j in blk.right_indices)),
+                       rho, rho_inv, depth)
+    return StagePart("conj", w, blk.left_indices, blk.right_indices)
 
 
 def build_conj_witness(
@@ -313,8 +299,8 @@ def build_conj_witness(
     decision: ConjDecision | None = None,
 ) -> CoeChain:
     """Explicit conjugacy: one stage whose parts are the decision's blocks,
-    one per asymptotic class, each split into one part per prime of its
-    factors and wired from the block's left indices to its right ones.
+    one per asymptotic class, each wired from the block's left indices to
+    its right ones.
     decision is conj_decide(ms, ns), decided here unless the caller holds
     it.  Raises ValueError when the systems are not conjugate."""
     if decision is None:
@@ -322,6 +308,6 @@ def build_conj_witness(
     if not decision:
         raise ValueError(f"not conjugate: {decision.obstruction}")
     x, y = odometer_product(ms), odometer_product(ns)
-    parts = tuple(part for blk in decision.blocks for part in _prime_parts(ms, ns, blk))
+    parts = tuple(_prime_parts(ms, ns, blk) for blk in decision.blocks)
     return CoeChain(x, y, (Stage(x, y, parts),))
 

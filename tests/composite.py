@@ -6,15 +6,14 @@ once built every orbit equivalence: each stage becomes the direct sum of
 its parts between two factor permutations, and the stages are composed
 into one point map each way with composite cocycles.  verify_coe on the
 result checks the whole composite on one product grid; the tests require
-its verdict to match verify_chain's.  Parts sharing one wiring, a
-conjugacy block split by primes, are first glued back into the block by the
-Chinese remainder theorem (crt_glue).  composite_scale sizes the
+its verdict to match verify_chain's.  composite_scale sizes the
 composite's grids without building it.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from box_oracle import without_rho
 from orbitcert.chain import CoeChain, Stage
 from orbitcert.cocycle import (
     CocycleTable,
@@ -25,11 +24,8 @@ from orbitcert.cocycle import (
     cocycle_reader,
     constant_generator,
 )
-from orbitcert.dynamics import Odometer, SystemSpec, generator, point_count
-from orbitcert.supernatural import product
+from orbitcert.dynamics import SystemSpec, generator, point_count
 from orbitcert.witness import linear_witness
-
-_CHUNKS = 8  # the CRT glue maps a table in this many slices of points
 
 
 def _chain(first: LCMap, second: LCMap) -> LCMap:
@@ -138,82 +134,14 @@ def direct_sum_coe(parts: list[CoeWitness]) -> CoeWitness:
     return CoeWitness(phi, a, psi, b)
 
 
-def _crt_map(maps: list[LCMap], source: SystemSpec, target: SystemSpec, name: str) -> LCMap:
-    """The product of maps between p-primary systems, one prime each, on the
-    systems their factors multiply to: each map's image of the point's
-    residues mod its own moduli, glued per target factor by the Chinese
-    remainder theorem.  The points are mapped an eighth at a time, so the
-    glue's temporaries stay small beside the table it returns."""
-    def table(k: int, res: np.ndarray) -> np.ndarray:
-        mods = target.space_moduli(k)
-        assert max(mods) < 2**31, "CRT products must fit in int64"
-        # units[t][c] = 1 mod map t's c-th modulus and 0 mod the others'
-        units = [[(m // q) * pow(m // q, -1, q) % m if q > 1 else 0
-                  for q, m in zip(f.target.space_moduli(k), mods)] for f in maps]
-        out = np.zeros((target.rank, res.shape[1]), dtype=np.int64)
-        step = max(1, -(-res.shape[1] // _CHUNKS))
-        for at in range(0, res.shape[1], step):
-            cols, acc = res[:, at:at + step], out[:, at:at + step]
-            for f, unit in zip(maps, units):
-                img = f.at(k, cols)
-                for c, e in enumerate(unit):
-                    if e:
-                        acc[c] += img[c] * e % mods[c]
-            for row, m in zip(acc, mods):
-                row %= m
-        return out
-
-    return LCMap(source, target, lambda k: max(f.input_level(k) for f in maps), table, name)
-
-
-def _crt_cocycle(tables: list[CocycleTable], source: SystemSpec, name: str) -> CocycleTable:
-    """Generator by generator on the finest of the parts' grids: where the
-    parts' values at the point's p-primary residues agree, that value.
-    Where they differ no one cocycle of the product exists; the glue then
-    writes a value none of them holds (coordinate 0 one above theirs), so
-    the composite cannot pass where the parts disagree."""
-    gens = []
-    for i, gs in enumerate(zip(*(t.generators for t in tables))):
-        grid = _Grid(source, max(g.level for g in gs))
-        vals = [g.at(grid.res) for g in gs]
-        out = vals[0].copy()
-        differ = np.zeros(grid.size, dtype=bool)
-        for v in vals[1:]:
-            differ |= (v != out).any(axis=0)
-        out[0, differ] = np.max([v[0, differ] for v in vals], axis=0) + 1
-        gens.append(GroupValuedMap(source, tables[0].target_group, grid.level, out,
-                                   f"{name}[{i}]"))
-    return CocycleTable(source, tables[0].target_group, tuple(gens))
-
-
-def crt_glue(parts: list[CoeWitness]) -> CoeWitness:
-    """Parts sharing one wiring, a diagonal product (orbitcert.chain), as the
-    one witness between the odometer products their factors multiply to.
-    One part is its own glue."""
-    if len(parts) == 1:
-        return parts[0]
-
-    def glued(side: str) -> SystemSpec:
-        specs = [getattr(w, side) for w in parts]
-        return SystemSpec(tuple(Odometer(product([s.factors[t].limit for s in specs]))
-                                for t in range(specs[0].rank)))
-
-    x, y = glued("source"), glued("target")
-    return CoeWitness(_crt_map([w.phi for w in parts], x, y, "crt-phi"),
-                      _crt_cocycle([w.a for w in parts], x, "crt-a"),
-                      _crt_map([w.psi for w in parts], y, x, "crt-psi"),
-                      _crt_cocycle([w.b for w in parts], y, "crt-b"))
-
-
 def compose_stage(stage: Stage) -> CoeWitness:
-    """The stage as one witness: glue each group of parts sharing a wiring,
-    permute the source into the groups' read order, act by the direct sum,
-    permute the written factors into place."""
-    groups = [[stage.parts[p] for p in g] for g in stage.groups()]
-    reads = tuple(i for g in groups for i in g[0].reads)
-    writes = tuple(j for g in groups for j in g[0].writes)
+    """The stage as one witness: permute the source into the parts' read
+    order, act by the direct sum of the parts, permute the written factors
+    into place."""
+    reads = tuple(i for p in stage.parts for i in p.reads)
+    writes = tuple(j for p in stage.parts for j in p.writes)
     into = permutation_witness(stage.source, reads)
-    total = direct_sum_coe([crt_glue([p.witness for p in g]) for g in groups])
+    total = direct_sum_coe([p.witness for p in stage.parts])
     place = [0] * len(writes)
     for q, j in enumerate(writes):
         place[j] = q
@@ -230,14 +158,14 @@ def compose_chain(chain: CoeChain) -> CoeWitness:
 
 
 def only_part(chain: CoeChain) -> CoeWitness:
-    """The witness of a chain with one stage of one group of parts wired
-    straight through, such as the conjugacy of a pair with one asymptotic
-    class: the parts' CRT glue is then the whole witness."""
+    """The witness of a chain with one stage of one part wired straight
+    through, such as the conjugacy of a pair with one asymptotic class,
+    with its matrices dropped (without_rho), so that the verifiers check it
+    on its grids as they check a composite."""
     (stage,) = chain.stages
-    (group,) = stage.groups()
-    assert stage.parts[group[0]].reads == stage.parts[group[0]].writes == \
-        tuple(range(chain.source.rank))
-    return crt_glue([stage.parts[p].witness for p in group])
+    (part,) = stage.parts
+    assert part.reads == part.writes == tuple(range(chain.source.rank))
+    return without_rho(part.witness)
 
 
 def composite_scale(chain: CoeChain, level: int) -> int:

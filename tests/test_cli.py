@@ -328,11 +328,23 @@ def test_level_beyond_point_limit_exits_two_fast(relation, ms, ns, tmp_path, cap
         assert f"level {10**9}" in err and "point limit" in err
 
 
+WIDE_COE = (",".join(["2^inf*3"] + ["5^inf"] * 32), ",".join(["2^inf", "3*5^inf"] + ["5^inf"] * 31))
+WIDE_CONJ = ",".join((["2^inf*3", "2^inf*9", "2^inf"] * 22)[:64])
+
+
 @pytest.mark.parametrize("relation, ms, ns, level, grid", [
     # a split part of the chain reads its input one level deeper
     ("coe", "2^inf*3*5^inf,2^2*3^inf*5^inf,2^inf*3*5^inf",
      "2^2*3^inf*5^inf,2^inf*3*5^inf,2^inf*5^inf", 4,
      "level-5 grid would hold 3037500 points (limit 1000000)"),
+    # the merge of 33 cycles: its equivariance check splits each grid axis in two
+    pytest.param("coe", *WIDE_COE, 2,
+                 "a rank-33 part's checks would need arrays of 66 axes (numpy's limit 64)",
+                 id="coe-rank-33"),
+    # a rank-64 block: its level-0 tables stack 64 axes under one more
+    pytest.param("conj", WIDE_CONJ, WIDE_CONJ, 2,
+                 "a rank-64 part's checks would need arrays of 65 axes (numpy's limit 64)",
+                 id="conj-rank-64"),
 ])
 def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, grid,
                                                      tmp_path, capsys):
@@ -346,9 +358,9 @@ def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, gr
     assert time.perf_counter() - t0 < 1.0
     refused = capsys.readouterr().err
     assert grid in refused and not path.exists()
-    # the refusal names the part whose grid is too large, and a conj part its prime
-    tag = re.match(r"error: stage (\d+) part (\d+) \(([a-z^1-]+)( p=\d+)?\) @(\d+): ", refused)
-    assert tag and bool(tag[4]) == (relation == "conj"), refused
+    # the refusal names the part whose grid is too large
+    tag = re.match(r"error: stage (\d+) part (\d+) \(([a-z^1-]+)\) @(\d+): ", refused)
+    assert tag and (tag[3] == "conj") == (relation == "conj"), refused
     # the certificate it no longer writes: verify refuses it with the same error
     left, right = parse_sn_list(ms), parse_sn_list(ns)
     decide = {"coe": coe_decide, "conj": conj_decide}[relation]
@@ -415,9 +427,9 @@ THREE_N = "2^inf,2^inf,2^inf*3^inf"
 
 
 def test_multi_block_conjugacy_verifies_block_by_block(tmp_path, capsys):
-    # one block per asymptotic class, each split by primes and checked by
-    # its matrices: the whole system's level-5 grid would hold 7,962,624
-    # points, and the (2^inf*3^inf) block's alone 7,776
+    # one part per asymptotic class, each checked by its matrices: the
+    # whole system's level-5 grid would hold 7,962,624 points, and the
+    # (2^inf*3^inf) block's alone 7,776
     from orbitcert.certificates import witness_from_block
     from orbitcert.supernatural import parse_sn_list
 
@@ -427,19 +439,18 @@ def test_multi_block_conjugacy_verifies_block_by_block(tmp_path, capsys):
         assert main(["verify", str(path), "--level", str(level)]) == 0
         out = capsys.readouterr().out
         assert "verification passed" in out
-        checks = re.findall(rf"\[pass\] witness stage 0 (part (\d+) \(conj p=(\d)\) )?@{level}: "
+        checks = re.findall(rf"\[pass\] witness stage 0 (part (\d+) \(conj\) )?@{level}: "
                             r"([a-z-]+): (\d+) checks", out)
-        assert [c for c in checks if c[3] == "seams"] == [("", "", "", "seams", "13")]
-        assert sorted({c[1:3] for c in checks if c[0]}) == [("0", "2"), ("1", "2"), ("2", "3")]
-        assert [c[3] for c in checks].count("homomorphism") == 3
-        counts[level] = [(c[0], c[3], int(c[4])) for c in checks if c[0]]
+        assert [c for c in checks if c[2] == "seams"] == [("", "", "seams", "7")]
+        assert sorted({c[1] for c in checks if c[0]}) == ["0", "1"]
+        assert [c[2] for c in checks].count("homomorphism") == 2
+        counts[level] = [(c[0], c[2], int(c[3])) for c in checks if c[0]]
     # no part's count grows with the level; the rank-2 part's roundtrips
     # test 2 * (2 + 2) divisibilities each
     assert counts[5] == counts[4] and max(n for *_, n in counts[5]) == 8
     chain = witness_from_block("conj", parse_sn_list(THREE_M), parse_sn_list(THREE_N))
     assert [(p.reads, p.writes) for p in chain.stages[0].parts] == [((1, 2), (0, 1)),
-                                                                   ((0,), (2,)), ((0,), (2,))]
-    assert chain.stages[0].groups() == [(0,), (1, 2)]
+                                                                   ((0,), (2,))]
 
 
 @pytest.mark.parametrize("exponent", [10**6, 10**9])
@@ -483,6 +494,17 @@ def test_kinv_of_64_factors_exits_zero_fast():
     payload = json.loads(lines[-2])
     assert payload["rank"] == 64
     assert sum(mult for _, mult in payload["classes"]) == 2**64
+
+
+def test_conj_of_65_factors_exits_two_fast(capsys):
+    # conj_decide's Smith elimination is cubic in the block size
+    from orbitcert.decide import RANK_LIMIT
+
+    side = ",".join(["2^inf"] * (RANK_LIMIT + 1))
+    t0 = time.perf_counter()
+    assert main(["conj", side, side]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "left: 65 factors exceed 64" in capsys.readouterr().err
 
 
 def test_kinv_beyond_the_prime_limit_exits_two_fast(capsys):

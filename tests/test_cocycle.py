@@ -456,22 +456,23 @@ def test_verify_conj_peak_memory_stays_below_twelve_tables():
 
 
 def test_split_conjugacy_peak_memory_stays_below_twelve_tables_of_its_largest_part():
-    # split by primes and checked on grids, its matrices dropped, the README
-    # conjugacy checks at level 4 on a 5-part of N = 5^4 * 5^4 points and
-    # two parts of at most 3 points, instead of one block of 2,343,750
-    # points; so the whole chain stays below 12 * 8N bytes
-    chain = chain_without_rho(build_conj_witness(parse_sn_list("2*5^inf,3*5^inf"),
-                                                 parse_sn_list("3*5^inf,2*5^inf")))
-    n = 390_625
-    assert [point_count(p.witness.source, 4) for p in chain.stages[0].parts] == [2, 3, n]
+    # split into its two asymptotic classes and checked on grids, its
+    # matrices dropped, this conjugacy checks at level 6 on a (2^inf*3^inf)
+    # part of N = 6^6 points and a (2^inf, 2^inf) part of 4^6 points,
+    # instead of one composite of 6^6 * 4^6 points; so the whole chain
+    # stays below 12 * 8N bytes
+    chain = chain_without_rho(build_conj_witness(parse_sn_list("2^inf*3^inf,2^inf,2^inf"),
+                                                 parse_sn_list("2^inf,2^inf,2^inf*3^inf")))
+    n = 6**6
+    assert [point_count(p.witness.source, 6) for p in chain.stages[0].parts] == [4**6, n]
     tracemalloc.start()
     try:
-        report = verify_chain(chain, 4, "conj")
+        report = verify_chain(chain, 6, "conj")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.passed, report.summary()
-    assert max(c.checked for c in report.checks) == 2 * n
+    assert max(c.checked for c in report.checks) == n
     assert peak < 12 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
 
 

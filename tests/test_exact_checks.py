@@ -37,14 +37,12 @@ from orbitcert.cocycle import (
 )
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
 from orbitcert.decide import coe_decide, conj_decide
-from orbitcert.intmat import invert_unimodular
 from orbitcert.dynamics import (
     Cyclic,
     Odometer,
     PointAtLevel,
     SystemSpec,
     generator,
-    odometer_product,
 )
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
@@ -52,7 +50,6 @@ from orbitcert.witness import (
     build_coe_witness,
     build_conj_witness,
     build_finite_coe,
-    linear_witness,
 )
 
 README_PAIR = ("5*2^inf,3^inf", "2^inf,5*3^inf")
@@ -495,7 +492,7 @@ def test_conj_chain_and_composite_agree_on_the_corpus():
 
     pairs = list(dict.fromkeys(p for p in generate_instances(17, 200) if conj_decide(*p)))
     pairs += [tuple(map(parse_sn_list, pair)) for pair in (README_CONJ, CRT_MERGE)]
-    assert len(pairs) == 56
+    assert len(pairs) == 51
     for ms, ns in pairs:
         chain = build_conj_witness(ms, ns)
         # a composite beyond the verifier's limit at level 2 is compared at
@@ -507,12 +504,12 @@ def test_conj_chain_and_composite_agree_on_the_corpus():
 @pytest.mark.parametrize("pair, tables", [(THREE_FACTOR, 4), (CROSSED, 4), (README_CONJ, 2)],
                          ids=["three-factor", "crossed", "readme"])
 def test_conj_block_mutations_fail_all_three(pair, tables):
-    # each mutates one prime's part of a block split by primes, in its
-    # tables at level `tables`; the README block's level-4 composite would
-    # hold 2,343,750 points
-    chain = build_conj_witness(*map(parse_sn_list, pair))
+    # each mutates one block's part, in its tables at level `tables`; the
+    # README block's level-4 tables would hold 2,343,750 points
+    ms, ns = map(parse_sn_list, pair)
+    chain = build_conj_witness(ms, ns)
     (stage,) = chain.stages
-    assert len(stage.parts) == 3 and max(map(len, stage.groups())) > 1
+    assert len(stage.parts) == len(conj_decide(ms, ns).blocks)
     rng = random.Random(f"conj-block-mutations-{pair}")
     made = 0
     while made < 8:  # two mutations of each of a, b, phi, psi
@@ -542,65 +539,17 @@ def test_part_checks_follow_the_claim_not_the_part_label():
         "stage 0 part 0 (conj) @2: homomorphism"], as_conj.summary()
 
 
-# ---------------------------------------------------------------------------
-# a block split by primes is a diagonal product: its seams carry the proof
-# that the parts glue back into the block by the Chinese remainder theorem
-
-
-def _readme_split():
+def test_two_parts_wired_alike_fail_only_the_seams():
+    # the README block twice over: each part is a conjugacy of the factors
+    # it is wired to, but the two read and write the same factors, which
+    # the seams refuse whatever the claim
     chain = build_conj_witness(*map(parse_sn_list, README_CONJ))
     (stage,) = chain.stages
-    assert [p.kind for p in stage.parts] == ["conj p=2", "conj p=3", "conj p=5"]
-    return chain, stage
-
-
-def _with_parts(chain, stage, parts):
-    return replace(chain, stages=(replace(stage, parts=tuple(parts)),))
-
-
-def _only_seams_fail(report, why: str) -> None:
-    assert [c.name for c in report.checks if not c.ok] == ["stage 0 @3: seams"], report.summary()
-    assert any(why in v[1] for v in report.checks[0].violations), report.checks[0].violations
-
-
-def test_one_prime_with_another_rho_fails_the_seams():
-    # the 5-part with the identity rho is a conjugacy of (5^inf, 5^inf) on
-    # its own, but its product with the swapping 2- and 3-parts is not one
-    chain, stage = _readme_split()
-    five = stage.parts[2]
-    ident = replace(five, witness=identity_witness(five.witness.source))
-    assert ident.witness.target == five.witness.target
-    parts = stage.parts[:2] + (ident,)
-    assert all(verify_conj(p.witness, 3).passed for p in parts)
-    _only_seams_fail(verify_chain(_with_parts(chain, stage, parts), 3, "conj"),
-                     "other homomorphism columns")
-
-
-def test_dropped_or_repeated_prime_fails_the_seams():
-    chain, stage = _readme_split()
-    p2, p3, p5 = stage.parts
-    # without its 3-part the block's factors are not covered
-    _only_seams_fail(verify_chain(_with_parts(chain, stage, (p2, p5)), 3, "conj"),
-                     "do not multiply back")
-    # 5^inf * 5^inf is 5^inf again, so only the repeated prime shows
-    _only_seams_fail(verify_chain(_with_parts(chain, stage, (p2, p3, p5, p5)), 3, "conj"),
-                     "repeat a prime")
-    # a conjugacy of the 2- and 5-parts at once, beside the 5-part: the
-    # 5-adic factors twice over, which the product and the prime list miss
-    (blk,) = conj_decide(*map(parse_sn_list, README_CONJ)).blocks
-    s = blk.conjugator[0]
-    rho, rho_inv = ([[m.get(i, j) for i in range(2)] for j in range(2)]
-                    for m in (s, invert_unimodular(s)))
-    two_five = replace(p2, witness=linear_witness(
-        odometer_product(parse_sn_list("2*5^inf,5^inf")),
-        odometer_product(parse_sn_list("5^inf,2*5^inf")), rho, rho_inv, 1))
-    assert verify_conj(two_five.witness, 3).passed
-    _only_seams_fail(verify_chain(_with_parts(chain, stage, (two_five, p3, p5)), 3, "conj"),
-                     "not p-primary")
-
-
-def test_split_block_checked_as_orbit_equivalence_fails_the_seams():
-    # a diagonal product is sound only with one rho, so only for a conjugacy
-    chain, _stage = _readme_split()
-    assert verify_chain(chain, 3, "conj").passed
-    _only_seams_fail(verify_chain(chain, 3), "only a conjugacy")
+    (part,) = stage.parts
+    twice = replace(chain, stages=(replace(stage, parts=(part, part)),))
+    for relation in ("coe", "conj"):
+        report = verify_chain(twice, 3, relation)
+        assert [c.name for c in report.checks if not c.ok] == ["stage 0 @3: seams"], \
+            report.summary()
+        assert [v[1] for v in report.checks[0].violations] == [
+            f"the parts' {side} do not partition the 2 factors" for side in ("reads", "writes")]

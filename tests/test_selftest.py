@@ -85,12 +85,12 @@ def test_corpus_is_screened_by_the_grids_verify_builds():
 
 @pytest.mark.parametrize("count, digest", [
     (20, "427a3cc02e671333ecb7fbf3d71c21ffd93d50ddde2dfc6849bfb8e269e9ead8"),
-    (200, "5a349b4fcc23f211d4ed2d295975232ea8b785187b0eec313e6e4501da548109"),
+    (200, "a3e9ea5f194b36842a2b7c79291d1044e37ec8d7675e27fc69e95b38221fedbb"),
 ])
 def test_corpus_is_pinned(count, digest):
     # the screen plans the grid checks' grids for every part, linear parts
-    # too, so checking linear parts by their matrices leaves the corpus as
-    # it was; the selftest benchmark runs generate_instances(17, 20)
+    # too, and a conjugacy's parts are whole blocks; the selftest benchmark
+    # runs generate_instances(17, 20)
     rendered = [[[sn_str(m) for m in side] for side in pair]
                 for pair in generate_instances(17, count)]
     text = json.dumps(rendered, separators=(",", ":"))

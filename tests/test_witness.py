@@ -205,9 +205,9 @@ def test_conj_witness_swap_pair():
 
 
 def test_refused_level_checks_no_part(monkeypatch):
-    # the level-5 grid of the 5-part, checked on grids with its matrices
-    # dropped, is refused before any part is checked, not after the 2- and
-    # 3-parts have passed
+    # the level-9 grid of the (2^inf*3^inf) block, checked on grids with its
+    # matrices dropped, is refused before any part is checked, not after
+    # the (2^inf, 2^inf) block has passed
     from orbitcert import chain
 
     calls = []
@@ -217,14 +217,14 @@ def test_refused_level_checks_no_part(monkeypatch):
         return verify_conj(*args, **kwargs)
 
     monkeypatch.setattr(chain, "verify_conj", counting)
-    w = chain_without_rho(build_conj_witness(parse_sn_list("2*5^inf, 3*5^inf"),
-                                             parse_sn_list("3*5^inf, 2*5^inf")))
+    w = chain_without_rho(build_conj_witness(parse_sn_list("2^inf*3^inf, 2^inf, 2^inf"),
+                                             parse_sn_list("2^inf, 2^inf, 2^inf*3^inf")))
     with pytest.raises(ValueError) as refused:
-        verify_chain(w, 5, "conj")
-    assert str(refused.value) == ("stage 0 part 2 (conj p=5) @5: level-5 grid would hold "
-                                  "9765625 points (limit 5000000)")
+        verify_chain(w, 9, "conj")
+    assert str(refused.value) == ("stage 0 part 1 (conj) @9: level-9 grid would hold "
+                                  "10077696 points (limit 5000000)")
     assert calls == []
-    assert verify_chain(w, 2, "conj").passed and len(calls) == 3
+    assert verify_chain(w, 2, "conj").passed and len(calls) == 2
 
 
 def test_conj_witness_identity_case():
@@ -237,8 +237,8 @@ def test_conj_witness_identity_case():
 
 
 def test_rank5_conjugacies_verify_at_level_5():
-    # a p-part of rank r would hold p^(5r) points at level 5; checked by
-    # its matrices it reads no grid beyond its level-0 tables
+    # a block of rank r would hold at least 2^(5r) points at level 5;
+    # checked by its matrices it reads no grid beyond its level-0 tables
     rng = random.Random(17)
     pairs: list = []
     while len(pairs) < 40:
@@ -323,7 +323,7 @@ def test_conj_vectorized_matches_pointwise():
         (parse_sn_list("2*7^inf, 3*7^inf"), parse_sn_list("6*7^inf, 7^inf")),
         (parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf")),
     ]
-    assert len(pairs) == 70
+    assert len(pairs) == 66
     for ms, ns in pairs:
         cw = compose_chain(build_conj_witness(ms, ns))
         for f, forward in ((cw.phi, True), (cw.psi, False)):
