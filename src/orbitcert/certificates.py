@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .chain import CoeChain, require_checkable, verify_chain
-from .cocycle import POINT_LIMITS
 from .decide import (
     CoeDecision,
     ConjDecision,
@@ -37,7 +36,12 @@ from .decide import (
 )
 from .intmat import IntMatrix, det
 from .supernatural import SupernaturalNumber, mul, parse_sn, sn_str
-from .witness import build_coe_witness, build_conj_witness
+
+# the witness layer (chain, witness and the numpy tables under them) is
+# imported by the functions that build or check a witness, so that a
+# decision alone never loads it
+if TYPE_CHECKING:
+    from .chain import CoeChain
 
 FORMAT = "orbitcert-certificate/3"
 KINDS = ("coe", "conj", "coe-witness", "conj-witness", "counterexample")
@@ -144,6 +148,8 @@ def witness_block(relation: str, ms, ns, level: int,
     witness's maps read, is refused here by the planner `verify` runs
     first (chain.require_checkable), with the same error.  decision is the
     relation's positive decision of (ms, ns), when the caller holds it."""
+    from .chain import POINT_LIMITS, require_checkable
+
     chain = witness_from_block(relation, ms, ns, decision)
     require_checkable(chain, level, POINT_LIMITS[relation])
     return {"type": relation, "level": level}
@@ -187,6 +193,8 @@ def witness_from_block(relation: str, ms, ns,
     """The chain a `relation` block stands for, rebuilt from the inputs: an
     orbit equivalence's moves, or a conjugacy's blocks.
     decision is the relation's decision of (ms, ns), made here if None."""
+    from .witness import build_coe_witness, build_conj_witness
+
     return (build_coe_witness if relation == "coe" else build_conj_witness)(ms, ns, decision)
 
 
@@ -384,6 +392,8 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
                  "between the input systems, under a positive verdict")
     if not bound:
         return False, lines
+    from .chain import verify_chain
+
     # the part verifier follows the certificate's claim, never a part's kind
     report = verify_chain(witness_from_block(relation, ms, ns, fresh), lvl, relation)
     for check in report.checks:

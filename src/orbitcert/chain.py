@@ -59,11 +59,26 @@ read the point maps:
 - The inverse checks read constant tables: b(a(e_i, x), phi(x)) is
   sigma(rho(e_i)) at every point, rho(e_i) canonical in the target's group
   and the value in the source's, so sigma(rho(e_i)) = e_i, and rho(sigma(e_c))
-  = e_c, decide them.  Homomorphism and the cocycle identities read the
-  level-0 tables as for any part.
+  = e_c, decide them.
+- The cocycle identities and verify_conj's homomorphism check read the
+  cocycles, which a linear part gives by their columns rho(e_i)
+  (CocycleTable.columns), not by tables; the grid checks would read the
+  constant level-0 tables of those columns.  Constant tables always
+  commute: f_i(x) + f_j(e_i.x) - f_j(x) - f_i(e_j.x) = 0 at every point.
+  On a cyclic factor of order n every e_i-orbit has n points, so it sums
+  to n rho(e_i), the same for every orbit: the identity holds exactly
+  when n rho(e_i) = 0 in the target group, and otherwise fails at every
+  orbit, each shown at its point with residue 0 on axis i.  A constant
+  cocycle is a homomorphism by construction.  So the columns decide these
+  checks with the grid checks' counts and violation points.  A part whose
+  cocycles are given by tables (a split, merge, finite or twisted part) is
+  never linear and keeps its grid checks; so is an untwisted witness,
+  whose slid maps are tables, though its cocycles, rho's columns, are
+  decided as above.
 
-No condition grows with the level, so require_level, POINT_LIMITS and
-numpy's limit on array axes are the only bounds on a linear part; its
+No condition grows with the level, and a linear part is built, planned
+and checked without a grid or a table, so require_level, POINT_LIMITS and
+the bound on array axes (cocycle._AXES) are the only bounds on it; its
 grids are planned only for a screen of the grid checks (require_checkable
 with matrix=False).
 """

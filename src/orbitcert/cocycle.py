@@ -25,16 +25,20 @@ equivalence whose cocycles do not depend on the point, a(g, x) = rho(g) for
 a group isomorphism rho; verify_conj checks that and then the coe checks.
 One verification builds each grid, each point-map table and each cocycle's
 stacked generator tables once, in a memo it drops when it returns.  A
-linear part, point maps given by matrices (orbitcert.linear), is checked
-by integer conditions on those matrices instead of on grids.
+cocycle that does not depend on the point is given by its columns, and its
+tables are derived only when a grid check reads them.  A linear part,
+point maps given by matrices and cocycles by their columns
+(orbitcert.linear), is checked by integer conditions on those, on no grid.
 
 Chains of such witnesses, checked stage by stage, are in orbitcert.chain; a
 conjugacy is one stage of block conjugacies, each checked by verify_conj.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,7 +58,9 @@ _SAMPLES = 5  # violations kept per check
 # the verifiers' point limits, by the relation a witness is checked for
 POINT_LIMITS = {"coe": 10**6, "conj": 5 * 10**6}
 # numpy's limit on an array's axes; the grid checks reshape a grid into two
-# axes per factor, the tables into one per factor and one more
+# axes per factor.  A linear part builds no array, but keeps the bound its
+# stacked level-0 tables once set, one axis per factor and one more, so that
+# the ranks refused do not move
 _AXES = 64
 
 
@@ -164,24 +170,54 @@ class GroupValuedMap:
 @dataclass(frozen=True, eq=False)
 class CocycleTable:
     """Cocycle values on the acting group's standard generators; everything
-    else is produced by the cocycle identity (the target is abelian)."""
+    else is produced by the cocycle identity (the target is abelian).
+
+    A cocycle is given by its generator tables, or, when it does not depend
+    on the point, a(e_i, x) = rho(e_i), by its columns rho(e_i), stored
+    canonical in the target group.  A column-given cocycle's generators,
+    constant level-0 tables, are derived only when a grid check reads them,
+    as a linear map's table is derived from its matrix; a cocycle given
+    both, or neither, is refused."""
 
     source: SystemSpec
     target_group: tuple[int, ...]
-    generators: tuple[GroupValuedMap, ...]
+    tables: tuple[GroupValuedMap, ...] | None = None
+    columns: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if len(self.generators) != self.source.rank:
+        if self.tables is None and self.columns is None:
+            raise ValueError("a cocycle's tables or its columns are required")
+        if self.columns is not None:
+            if self.tables is not None:
+                raise ValueError("a cocycle given by its columns has its tables derived")
+            cols = tuple(tuple(int(v) for v in col) for col in self.columns)
+            if len(cols) != self.source.rank or any(
+                    len(col) != len(self.target_group) for col in cols):
+                raise ValueError(f"one column of {len(self.target_group)} entries per "
+                                 f"source factor is required, {self.source.rank} in all")
+            object.__setattr__(self, "columns", tuple(
+                canonical_coords(self.target_group, col) for col in cols))
+            return
+        if len(self.tables) != self.source.rank:
             raise ValueError("one generator map per source factor is required")
-        for gmap in self.generators:
+        for gmap in self.tables:
             if gmap.target_group != self.target_group:
                 raise ValueError("generator target group mismatch")
             if gmap.source != self.source:
                 raise ValueError("generator source mismatch")
 
+    @cached_property
+    def generators(self) -> tuple[GroupValuedMap, ...]:
+        """The generator tables, derived from the columns when given so."""
+        if self.columns is None:
+            return self.tables
+        return tuple(constant_generator(self.source, self.target_group, col, f"hom[{i}]")
+                     for i, col in enumerate(self.columns))
+
     @property
     def level(self) -> int:
-        return max((g.level for g in self.generators), default=0)
+        """The locality level; 0 for a column-given cocycle."""
+        return max((g.level for g in self.tables or ()), default=0)
 
 
 def cocycle_reader(b: CocycleTable, limit: int = POINT_LIMITS["coe"]):
@@ -282,14 +318,10 @@ def constant_generator(
 
 def homomorphism_cocycle(spec: SystemSpec, iso_columns: list[tuple[int, ...]],
                          target_group: tuple[int, ...]) -> CocycleTable:
-    """a(g, x) = rho(g) for the homomorphism with columns rho(e_i): one
-    constant table per generator.  A conjugacy is the orbit equivalence
-    whose two cocycles are of this form, for rho and rho^-1."""
-    gens = tuple(
-        constant_generator(spec, target_group, col, f"hom[{i}]")
-        for i, col in enumerate(iso_columns)
-    )
-    return CocycleTable(spec, target_group, gens)
+    """a(g, x) = rho(g) for the homomorphism with columns rho(e_i), given
+    by those columns.  A conjugacy is the orbit equivalence whose two
+    cocycles are of this form, for rho and rho^-1."""
+    return CocycleTable(spec, target_group, columns=iso_columns)
 
 
 def inverse_coe(w: CoeWitness) -> CoeWitness:
@@ -314,12 +346,13 @@ def twist(a: CocycleTable, u: GroupValuedMap) -> CocycleTable:
     return CocycleTable(spec, a.target_group, tuple(gens))
 
 
-def slide(w: CoeWitness, u: GroupValuedMap, rho_inv: np.ndarray) -> tuple[LCMap, LCMap]:
+def slide(w: CoeWitness, u: GroupValuedMap, rho_inv) -> tuple[LCMap, LCMap]:
     """w's point maps slid by the transfer u, a map into the target's acting
     group: phi'(x) = phi(x) - u(x) and psi'(y) = psi(y) + rho^-1(u(psi(y))),
-    where row j of rho_inv is rho^-1(e_j).  Slid by -u, a conjugacy's phi is
-    equivariant through twist(rho, u), and psi' inverts it wherever
-    u(psi'(y)) = u(psi(y)); untwist_to_conjugacy slides back by u."""
+    where rho_inv[j], a row of integers, is rho^-1(e_j).  Slid by -u, a
+    conjugacy's phi is equivariant through twist(rho, u), and psi' inverts
+    it wherever u(psi'(y)) = u(psi(y)); untwist_to_conjugacy slides back
+    by u."""
     x, y = w.source, w.target
 
     def phi_table(k: int, res: np.ndarray) -> np.ndarray:
@@ -678,7 +711,10 @@ def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
     f_j(x) + f_i(e_j.x) for every pair of generators, and for a cyclic
     factor of order n the values around each e_i-orbit add up to zero.
     The tables are constant on the cylinders of their own locality grid and
-    the action permutes those cylinders, so the grid covers every point."""
+    the action permutes those cylinders, so the grid covers every point.
+    A column-given cocycle is decided by its columns (_columns_identity)."""
+    if a.columns is not None:
+        return _columns_identity(name, a)
     grid, AG = t.cocycle(a)
     spec = a.source
     group = spec.group_moduli()
@@ -714,6 +750,29 @@ def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
     return CheckResult(name, checked, violations)
 
 
+def _columns_identity(name: str, a: CocycleTable) -> CheckResult:
+    """_identity_check on the constant level-0 tables of a column-given
+    cocycle, with the grid check's counts and violation points, in Python
+    integers and without a grid: constant tables always commute, and on a
+    cyclic factor of order n every e_i-orbit sums to n*a(e_i), so every
+    orbit fails exactly when that is not 0 in the target group."""
+    spec = a.source
+    mods = spec.space_moduli(0)
+    size = math.prod(mods)
+    checked = size * (spec.rank * (spec.rank - 1) // 2)
+    violations: list = []
+    for i, (n, col) in enumerate(zip(spec.group_moduli(), a.columns)):
+        if not n:
+            continue
+        checked += size // n
+        if any(canonical_coords(a.target_group, tuple(n * v for v in col))):
+            # each orbit is shown at its point with residue 0 on axis i
+            starts = itertools.product(*(range(1 if j == i else m) for j, m in enumerate(mods)))
+            _record(violations, [(name, f"{n}*e{i} = 0", PointAtLevel(0, x))
+                                 for x in itertools.islice(starts, _SAMPLES)])
+    return CheckResult(name, checked, violations)
+
+
 def check_grids(w: CoeWitness, level: int):
     """(system, level) of every grid the coe checks of w build, in the order
     they first build them.  A grid compared on is listed only when it is
@@ -734,10 +793,10 @@ def require_grids(w: CoeWitness, level: int, limit: int, matrix: bool = True) ->
     """Refuse, without building anything, a level at which the coe checks
     of w would build a grid beyond `limit` points, with the error the
     checks raise when they reach the first such grid.  A linear part is
-    checked by its matrices, on no grid beyond its level-0 tables, unless
-    `matrix` is False: a screen for the grid checks, the tests' oracle,
-    plans the grids they would build.  A part whose checks would need an
-    array of more axes than numpy allows is refused as well."""
+    checked by its matrices and columns, on no grid, unless `matrix` is
+    False: a screen for the grid checks, the tests' oracle, plans the grids
+    they would build.  A part whose checks would need an array of more axes
+    than numpy allows is refused as well (_AXES)."""
     require_level(w.source, level, limit)
     require_level(w.target, level, limit)
     linear = matrix and matrices(w) is not None
@@ -801,10 +860,15 @@ def verify_coe(w: CoeWitness, level: int = 4,
 
 def _homomorphism_check(w: CoeWitness) -> CheckResult:
     """Every generator table of a and b holds a single value, so neither
-    cocycle depends on the point."""
+    cocycle depends on the point.  A column-given cocycle holds one by
+    construction, and counts as its derived tables would."""
     checked = 0
     violations: list = []
     for tag, t in (("a", w.a), ("b", w.b)):
+        if t.columns is not None:
+            # constant by construction: rank level-0 tables of one value each
+            checked += t.source.rank * point_count(t.source, 0)
+            continue
         for i, g in enumerate(t.generators):
             checked += g.values.shape[1]
             mods = t.source.space_moduli(g.level)

@@ -6,8 +6,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import Odometer, level_modulus
 from .intmat import IntMatrix, solve_conjugator
 from .supernatural import (
@@ -298,6 +296,8 @@ def eig_group_oracle(
     its cycle's length.  Independent of eig_group: nothing but the finite
     permutation is used.
     """
+    import numpy as np  # the only numpy of the decisions, kept out of their import
+
     n = level_modulus(Odometer(m), level)
     if n > guard:
         raise ValueError(f"level-{level} modulus {n} exceeds the enumeration guard {guard}")

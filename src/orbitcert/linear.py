@@ -5,13 +5,15 @@ A point map given by an integer matrix rho, one column rho[i] = rho(e_i)
 per source factor, sends the residues x at its input level to x.rho,
 reduced mod the output level's moduli (LCMap.rho).  A linear part is a
 witness whose point maps are given so, by rho and sigma, and whose cocycles
-are the constant level-0 tables of those columns, a(e_i, x) = rho(e_i) and
-b(e_c, y) = sigma(e_c): an identity part of an orbit-equivalence chain, or
-the conjugacy of one block.  For such a part verify_coe decides
-its equivariance, roundtrip and inverse checks by the conditions below, in
-Python integers and without a grid, at the levels the grid checks read;
-orbitcert.chain states why each condition decides its check.  The cocycle
-identities are still checked on the level-0 tables.
+are given by the same columns, a(e_i, x) = rho(e_i) and b(e_c, y) =
+sigma(e_c) (CocycleTable.columns): an identity part of an orbit-equivalence
+chain, or the conjugacy of one block.  It is integer data: no table is
+built for it unless a grid check reads one.  For such a part verify_coe
+decides its equivariance, roundtrip and inverse checks by the conditions
+below, in Python integers and without a grid, at the levels the grid
+checks read, and the cocycle identities and verify_conj's homomorphism
+check by the columns (cocycle._columns_identity); orbitcert.chain states
+why each condition decides its check.
 """
 from __future__ import annotations
 
@@ -60,16 +62,15 @@ def linear_table(f):
 
 def matrices(w) -> tuple | None:
     """(rho, sigma) when w is a linear part, else None: both point maps are
-    given by matrices, and every generator table of a and of b is a level-0
-    table holding the matching column, canonical in its group, everywhere."""
-    rho, sigma = w.phi.rho, w.psi.rho
-    if rho is None or sigma is None:
+    given by matrices, and a and b are given by columns (CocycleTable), the
+    columns of rho and of sigma, each canonical in its group.  No table is
+    read: a cocycle given by tables is never linear."""
+    rho, sigma, a, b = w.phi.rho, w.psi.rho, w.a.columns, w.b.columns
+    if rho is None or sigma is None or a is None or b is None:
         return None
-    for t, cols in ((w.a, rho), (w.b, sigma)):
-        for g, col in zip(t.generators, cols):
-            want = np.array(canonical_coords(t.target_group, col), dtype=np.int64)
-            if g.level or (g.values != want[:, None]).any():
-                return None
+    for cols, given, group in ((rho, a, w.a.target_group), (sigma, b, w.b.target_group)):
+        if given != tuple(canonical_coords(group, tuple(col)) for col in cols):
+            return None
     return rho, sigma
 
 

@@ -499,8 +499,7 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
                 [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
                 dtype=np.int64,
             ).T
-            rho = np.stack([g.values[:, 0] for g in w.a.generators])  # row i is rho(e_i)
-            rho_inv = np.stack([g.values[:, 0] for g in w.b.generators])
+            rho, rho_inv = w.phi.rho, w.psi.rho  # rho[i] is rho(e_i)
             tgy = y_spec.group_moduli()
             u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, shifts), "corpus-u")
             phi_u, psi_u = slide(w, GroupValuedMap(x_spec, tgy, 1, -u.values), rho_inv)

@@ -14,7 +14,7 @@ block conjugacies, one linear part per asymptotic class of the decision.
 Identity parts and conjugacy parts are linear witnesses (linear_witness):
 verify_chain checks them by their matrices (orbitcert.linear), at any
 level, and every other move on its own grid.  So the README conjugacy
-reads only its block's level-0 tables, where the block's level-4 grid
+is built and checked without a table, where the block's level-4 grid
 would hold 2,343,750 points."""
 from __future__ import annotations
 
@@ -134,10 +134,10 @@ def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -
 def linear_witness(x: SystemSpec, y: SystemSpec, rho, rho_inv, depth: int = 0) -> CoeWitness:
     """The linear part (orbitcert.linear) of the maps x -> x.rho from x to
     y, rho[i] the image of e_i, and y -> y.rho_inv back, with the
-    homomorphism cocycles of rho and rho_inv: a conjugacy when its checks
-    pass.  Both maps
-    read their input at level max(k, depth).  The identity of x is
-    linear_witness(x, x, I, I)."""
+    homomorphism cocycles of rho and rho_inv, given by their columns: a
+    conjugacy when its checks pass.  It is integer data; no table is built.
+    Both maps read their input at level max(k, depth).  The identity of x
+    is linear_witness(x, x, I, I)."""
     rho = tuple(tuple(int(v) for v in col) for col in rho)
     rho_inv = tuple(tuple(int(v) for v in col) for col in rho_inv)
 

@@ -603,9 +603,13 @@ def witness_from_tables(tables: dict) -> CoeWitness:
 
 
 def without_rho(w: CoeWitness) -> CoeWitness:
-    """w with its point maps' matrices dropped and the tables derived from
-    them kept: the same maps, checked on grids."""
-    return CoeWitness(replace(w.phi, rho=None), w.a, replace(w.psi, rho=None), w.b)
+    """w with its point maps' matrices and its cocycles' columns dropped and
+    the tables derived from them kept: the same witness, checked on grids."""
+    def tables(t: CocycleTable) -> CocycleTable:
+        return CocycleTable(t.source, t.target_group, t.generators)
+
+    return CoeWitness(replace(w.phi, rho=None), tables(w.a),
+                      replace(w.psi, rho=None), tables(w.b))
 
 
 def chain_without_rho(chain):

@@ -215,13 +215,15 @@ def test_level_2_certificate_verifies_at_level_4(tmp_path, capsys):
 
 
 def test_positive_verdict_on_negative_pair_fails_without_a_build(tmp_path, capsys, monkeypatch):
-    import orbitcert.certificates as certificates
+    import orbitcert.witness as witness
 
     def refuse(*args):
         raise AssertionError("a witness was built for a negative pair")
 
     path, cert = _emit(tmp_path, capsys, "witness", "coe", "2^inf", "2^inf")
-    monkeypatch.setattr(certificates, "build_coe_witness", refuse)
+    # certificates imports the builder when it builds, so the builder's own
+    # module is where a build would find it
+    monkeypatch.setattr(witness, "build_coe_witness", refuse)
     cert["inputs"]["ns"] = ["3^inf"]
     _reseal(path, cert)
     assert main(["verify", str(path)]) == 1
@@ -516,3 +518,28 @@ def test_kinv_beyond_the_prime_limit_exits_two_fast(capsys):
     assert main(["kinv", ",".join(f"{p}^inf" for p in primes)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "17 distinct infinite primes exceed 16" in capsys.readouterr().err
+
+
+def test_decision_commands_do_not_import_numpy():
+    # coe, conj and kinv decide with Python integers; numpy comes in only
+    # with the witness layer (witness, verify, selftest), which a fresh
+    # process shows by what it has imported
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import orbitcert
+
+    code = ("import sys\nfrom orbitcert.cli import main\n"
+            f"rcs = [main(['coe', {COE_M!r}, {COE_N!r}]), main(['conj', {SWAP_M!r}, {SWAP_N!r}]),\n"
+            f"       main(['coe', '2^inf', '3^inf']), main(['kinv', {COE_M!r}])]\n"
+            "print('rcs', rcs, 'numpy' in sys.modules)\n"
+            f"main(['witness', 'coe', {COE_M!r}, {COE_N!r}])\n"
+            "print('witness', 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "rcs [0, 0, 1, 0] False" in lines and lines[-1] == "witness True", proc.stdout

@@ -1,10 +1,11 @@
-"""Linear parts are checked by integer conditions on their matrices
-(orbitcert.linear); a copy of the same part held as plain tables
-(box_oracle.witness_tables) is checked on grids.  The two must agree on
-every linear part of the seed-17 corpora, unmutated and with seeded
-mutations of one matrix entry: in rho or rho^-1 itself (a point map's
-table and its cocycle's columns alike), in a's columns only, or in phi's
-table only."""
+"""Linear parts are checked by integer conditions on their matrices and
+their cocycles' columns (orbitcert.linear); a copy of the same part held
+as plain tables (box_oracle.witness_tables) is checked on grids.  The two
+must agree on every linear part of the seed-17 corpora, unmutated and with
+seeded mutations of one matrix entry: in rho or rho^-1 itself (a point
+map's table and its cocycle's columns alike), in a's columns only, or in
+phi's table only.  A linear part is built and checked with no grid and no
+table at all."""
 from __future__ import annotations
 
 import random
@@ -13,9 +14,20 @@ from dataclasses import replace
 import pytest
 
 from box_oracle import witness_from_tables, witness_tables, without_rho
-from orbitcert.cocycle import CoeWitness, LCMap, homomorphism_cocycle, verify_coe, verify_conj
+from orbitcert import cocycle
+from orbitcert.certificates import witness_block, witness_from_block
+from orbitcert.chain import verify_chain
+from orbitcert.cocycle import (
+    CocycleTable,
+    CoeWitness,
+    GroupValuedMap,
+    LCMap,
+    homomorphism_cocycle,
+    verify_coe,
+    verify_conj,
+)
 from orbitcert.decide import coe_decide, conj_decide
-from orbitcert.dynamics import Cyclic, Odometer, SystemSpec
+from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec
 from orbitcert.linear import matrices
 from orbitcert.selftest import generate_instances
 from orbitcert.supernatural import parse_sn, parse_sn_list
@@ -27,6 +39,9 @@ CRT_MERGE = ("2*7^inf,3*7^inf", "6*7^inf,7^inf")
 # a roundtrip's verdict is its matrix condition's whenever the other map's
 # wrap condition, that map's equivariance at the same level, holds
 WRAP = {"psi-after-phi": "psi-equivariance", "phi-after-psi": "phi-equivariance"}
+# the checks a column-given cocycle decides by its columns, with the grid
+# check's counts and violation points
+COLUMN_CHECKS = ("homomorphism", "cocycle-identity-a", "cocycle-identity-b")
 
 
 def _linear_parts() -> dict:
@@ -96,6 +111,8 @@ def _agree(w: CoeWitness, level: int, verify, copy=_tables) -> bool:
         assert o.ok or not c.ok, detail
         if ok.get(WRAP.get(c.name), True):
             assert c.ok == o.ok, detail
+        if c.name in COLUMN_CHECKS:
+            assert (c.checked, c.violations) == (o.checked, o.violations), detail
     return matrices(w) is not None
 
 
@@ -171,6 +188,7 @@ def test_random_linear_maps_agree():
         for level in range(4):
             assert _agree(w, level, verify_coe, lambda w, _level: without_rho(w))
             failing |= {c.name for c in verify_coe(w, level).checks if not c.ok}
+        _agree(w, 0, verify_conj, lambda w, _level: without_rho(w))
     assert failing == {"phi-equivariance", "psi-equivariance", "psi-after-phi", "phi-after-psi",
                        "b-inverts-a", "a-inverts-b", "cocycle-identity-a", "cocycle-identity-b"}
 
@@ -187,3 +205,68 @@ def test_a_map_has_a_table_or_a_matrix():
     with pytest.raises(ValueError, match="columns"):
         LCMap(w.source, w.target, w.phi.level_map, rho=w.phi.rho + w.phi.rho)
     assert matrices(without_rho(w)) is None
+
+
+def test_an_orbit_sum_that_is_not_zero_fails_on_columns_and_on_tables():
+    # x = Z/2 x Z/3 into Z/6: a column 1 at the order-2 factor sums to
+    # 2 * 1 = 2, not 0, around every e0-orbit.  Given as a linear part's
+    # columns, or as a's columns alone, the columns and the table oracle
+    # both fail cocycle-identity-a, at the same orbits
+    x, y = SystemSpec((Cyclic(2), Cyclic(3))), SystemSpec((Cyclic(6),))
+    w = linear_witness(x, y, [(3,), (4,)], [(1, 1)])
+    mutants = [linear_witness(x, y, [(1,), (4,)], [(1, 1)]),
+               CoeWitness(w.phi, homomorphism_cocycle(x, [(1,), (4,)], (6,)), w.psi, w.b)]
+    assert matrices(mutants[0]) and not matrices(mutants[1])
+    for mutant in mutants:
+        for level in range(3):
+            for verify in (verify_coe, verify_conj):
+                _agree(mutant, level, verify)
+                for report in (verify(mutant, level), verify(_tables(mutant, level), level)):
+                    (check,) = [c for c in report.checks if c.name == "cocycle-identity-a"]
+                    assert check.violations == [
+                        ("cocycle-identity-a", "2*e0 = 0", PointAtLevel(0, (0, r)))
+                        for r in range(3)], report.summary()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a grid or a group-valued table was built")
+
+
+def test_identity_and_conjugacy_parts_are_built_and_checked_without_tables(monkeypatch):
+    # every identity part of the seed-17 coe chains, and the wired pairs and
+    # the README conjugacy end to end, with every grid and table refused
+    coe = [p for p in generate_instances(17, 200) if coe_decide(*p)]
+    chains = [build_coe_witness(*p) for p in coe]
+    identity = [(part.witness, lam) for chain in chains
+                for stage, lam in zip(chain.stages, chain.stage_levels(4))
+                for part in stage.parts if part.kind.startswith("identity")]
+    wired = [("coe", p) for p, chain in zip(coe, chains) if len(chain.stages) == 1]
+    assert len(wired) >= 40 and len(identity) > 2 * len(wired)
+    monkeypatch.setattr(cocycle._Grid, "__init__", _refuse)
+    monkeypatch.setattr(GroupValuedMap, "__post_init__", _refuse)
+    for w, lam in identity:
+        assert verify_coe(w, lam).passed
+    for relation, (ms, ns) in wired + [("conj", tuple(map(parse_sn_list, README_CONJ)))]:
+        for level in (4, 12):
+            assert witness_block(relation, ms, ns, level) == {"type": relation, "level": level}
+            report = verify_chain(witness_from_block(relation, ms, ns), level, relation)
+            assert report.passed, report.summary()
+
+
+def test_a_cocycle_has_tables_or_columns():
+    x = SystemSpec((Cyclic(2), Cyclic(3)))
+    a = homomorphism_cocycle(x, [(9,), (4,)], (6,))
+    # columns are stored canonical, and the tables derived from them are
+    # the constant level-0 tables of those columns
+    assert a.columns == ((3,), (4,)) and a.level == 0
+    assert [g.values.T.tolist() for g in a.generators] == [[[3]] * 6, [[4]] * 6]
+    assert a.generators is a.generators
+    with pytest.raises(ValueError, match="derived"):
+        CocycleTable(x, (6,), a.generators, a.columns)
+    with pytest.raises(ValueError, match="required"):
+        CocycleTable(x, (6,))
+    with pytest.raises(ValueError, match="per source factor"):
+        CocycleTable(x, (6,), columns=[(1,)])
+    with pytest.raises(ValueError, match="per source factor"):
+        CocycleTable(x, (6,), columns=[(1, 0), (0, 1)])
+    assert CocycleTable(x, (6,), a.generators).columns is None
