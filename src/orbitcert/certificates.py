@@ -11,7 +11,7 @@ against it (a conj block's S and T must be unimodular and carry diag(m) to
 diag(n)), rebuilds the witness from the inputs and runs
 verify_chain(chain, level, relation), exact over the acting group, at any
 level within the relation's point limit (cocycle.POINT_LIMITS).  Emission and
-verification refuse an oversized level through the same planner,
+verification refuse an oversized level through the same check,
 chain.require_checkable.  Both witnesses are chains checked stage by stage:
 a coe witness's parts are elementary moves, each checked with verify_coe,
 and a conj witness is one stage of block conjugacies, one part per block,
@@ -37,9 +37,9 @@ from .decide import (
 from .intmat import IntMatrix, det
 from .supernatural import SupernaturalNumber, mul, parse_sn, sn_str
 
-# the witness layer (chain, witness and the numpy tables under them) is
-# imported by the functions that build or check a witness, so that a
-# decision alone never loads it
+# the witness layer (chain, witness and the pieces under them) is imported
+# by the functions that build or check a witness, so that a decision alone
+# never loads it
 if TYPE_CHECKING:
     from .chain import CoeChain
 
@@ -143,10 +143,9 @@ def witness_block(relation: str, ms, ns, level: int,
                   decision: CoeDecision | ConjDecision | None = None) -> dict:
     """The recipe of a witness: its relation and the level to check it at.
     `verify` rebuilds the witness from the certificate's inputs, so no
-    table is stored.  A level at which the verifier would build a grid
-    beyond the relation's point limit, at `level` or at a level the
-    witness's maps read, is refused here by the planner `verify` runs
-    first (chain.require_checkable), with the same error.  decision is the
+    table is stored.  A level, or a part, beyond the relation's point limit
+    is refused here by the check `verify` runs first
+    (chain.require_checkable), with the same error.  decision is the
     relation's positive decision of (ms, ns), when the caller holds it."""
     from .chain import POINT_LIMITS, require_checkable
 

@@ -28,59 +28,60 @@ each part's homomorphism check and its eight coe checks prove the claim.
 verify_chain takes the relation claimed, "coe" or "conj", and that alone
 sets the part verifier and the point limit (POINT_LIMITS), never a part's
 kind, so a mislabelled part cannot skip homomorphism.  require_checkable
-plans every part's grids from the level maps before anything is built:
-verify_chain runs it first, and certificates.witness_block and the
-selftest screen refuse through it too.
+refuses a level, or a part, beyond the point limit before any part is
+checked: verify_chain runs it first, and certificates.witness_block
+refuses through it too.
 
-An identity part, and each block of a conjugacy, is linear
-(orbitcert.linear): phi sends the residues x at its input level d(k) to
-x.rho mod the level-k moduli N_c(k), psi does likewise with sigma, and
-a(e_i, x) = rho(e_i), b(e_c, y) = sigma(e_c) are constant.  Write M_i(k)
-for the source moduli.  The integer conditions decide the checks that
-read the point maps:
+Every part is given by pieces (orbitcert.linear): a point map f with
+cylinder modulus D sends r + D.u to t_r + u.A_r, and a cocycle is constant
+on the cylinders of its own modulus.  A split has l pieces, a finite
+rerank one per point, an identity or conjugacy part one (D = 1, t = 0,
+A = rho), a slid map one per cylinder of its transfer.  At output level k
+f reads input level d = d(k); write M(d) and N(k) for the moduli.  For a
+modulus C with D | C | M(d), the grid points of a cylinder r of C are
+x = r + C.v with v in the box prod [0, M_i(d)/C_i), and there f(x) =
+t'_r + v.A'_r mod N(k), an affine map of v.  The argument rests on one
+fact: c + v.B vanishes mod N on the box exactly when c does and B_j does
+for every j whose box has more than one value, since v = 0 and v = e_j lie
+in it.  Along an axis whose C_i does not divide M_i(d), C_i is the lcm
+with M_i(d) and f is constant there.  Each grid check at its level then
+becomes congruences:
 
-- Equivariance at output level k, on the grid of x at level d = d(k): where
-  the step x -> x + e_i does not wrap, phi moves by rho(e_i) exactly; where
-  it wraps, residue M_i(d) - 1 goes to 0 and phi moves by (1 - M_i(d)) rho(e_i).
-  So the check holds exactly when N_c(k) | rho_ci M_i(d) for all i and c.
-- The roundtrip psi-after-phi at level L, with mid = psi's input level at L:
-  phi(x) = rho x - N(mid) q for some integer vector q, so psi(phi(x)) =
-  sigma rho x - sigma N(mid) q mod M(L).  Given psi's wrap condition,
-  M_i(L) | sigma_ic N_c(mid) for all i and c, which is psi's equivariance
-  condition at L, the second term vanishes and psi(phi(x)) = sigma rho x is
-  linear in x.  It equals x mod M(L) on the whole grid exactly when
-  M_i(L) | (sigma rho - I)_ij for every axis j with more than one residue,
-  since the grid holds 0 and each such e_j, and phi reads every axis in
-  full; on an axis phi reads coarser than the grid, at its input level k,
-  the point M_j(k) e_j has the image of 0 and fails.  Without the wrap
-  condition the roundtrip is reported failing: psi's equivariance fails as
-  well, so the part's verdict is exact, and a roundtrip that passes is one
-  the grid passes.  phi-after-psi is the same with the roles exchanged.
-- The inverse checks read constant tables: b(a(e_i, x), phi(x)) is
-  sigma(rho(e_i)) at every point, rho(e_i) canonical in the target's group
-  and the value in the source's, so sigma(rho(e_i)) = e_i, and rho(sigma(e_c))
-  = e_c, decide them.
-- The cocycle identities and verify_conj's homomorphism check read the
-  cocycles, which a linear part gives by their columns rho(e_i)
-  (CocycleTable.columns), not by tables; the grid checks would read the
-  constant level-0 tables of those columns.  Constant tables always
-  commute: f_i(x) + f_j(e_i.x) - f_j(x) - f_i(e_j.x) = 0 at every point.
-  On a cyclic factor of order n every e_i-orbit has n points, so it sums
-  to n rho(e_i), the same for every orbit: the identity holds exactly
-  when n rho(e_i) = 0 in the target group, and otherwise fails at every
-  orbit, each shown at its point with residue 0 on axis i.  A constant
-  cocycle is a homomorphism by construction.  So the columns decide these
-  checks with the grid checks' counts and violation points.  A part whose
-  cocycles are given by tables (a split, merge, finite or twisted part) is
-  never linear and keeps its grid checks; so is an untwisted witness,
-  whose slid maps are tables, though its cocycles, rho's columns, are
-  decided as above.
+- Equivariance, on the cylinders C of f and a together: a is constant on
+  each.  The step x -> x + e_i stays inside the box when r_i < C_i - 1,
+  moving to the cylinder r + e_i with v fixed; from r_i = C_i - 1 it moves
+  to the cylinder with r_i = 0 and v + e_i, unless v_i is the last value,
+  where v_i wraps to 0 at M_i(d).  On each of these boxes both sides are
+  affine in v, so the fact decides it exactly.
+- The roundtrip psi-after-phi at level L, with mid = psi's input level:
+  phi is cut into pieces on which phi(x) lies in one cylinder s of psi's
+  modulus E, every row being 0 mod E.  Along an axis phi reads coarser
+  than L, the pieces are the cylinders of M(L) there.  On a piece,
+  phi(x) = s + E.w with w = (t' + v.A') mod R and R = N(mid)/E, and
+  psi(phi(x)) = tau_s + w.B_s.  Take a coordinate c of w.  Either it can
+  never reach R_c on the box, or R_c B_s[c] = 0 mod M(L) (the wrap
+  condition) hides the reduction.  In both cases psi(phi(x)) = tau_s +
+  t'.B_s + v.(A'B_s) is affine in v, as x mod M(L) = r + C.v is, and the
+  fact decides the check exactly.  Where neither holds the roundtrip is
+  reported failing, which is stricter than the grid, never weaker.  For a
+  linear part the wrap condition is psi's equivariance at L, so the
+  part's verdict is exact there too.  phi-after-psi exchanges the roles.
+- The inverse checks: phi is cut into pieces on which a is constant and
+  phi(x) lies in one cylinder y of b, so b(a(e_i, x), phi(x)) is one value
+  per piece.  b is read at any group element h by telescoping: along e_j
+  its values repeat with period E_j, so h_j = q E_j + s steps sum to q
+  periods plus s steps.
+- The cocycle identities and homomorphism read only the cocycles, on
+  their own cylinders: the commutation of each pair of generators at each
+  cylinder, and on a cyclic factor of order n the sum over an e_i-orbit,
+  n/E_i periods of E_i cylinders, against 0.  homomorphism asks that
+  every cylinder's column equal the first.  These count, and show
+  failures at, the points of the cocycle's level grid, as a table would.
 
-No condition grows with the level, and a linear part is built, planned
-and checked without a grid or a table, so require_level, POINT_LIMITS and
-the bound on array axes (cocycle._AXES) are the only bounds on it; its
-grids are planned only for a screen of the grid checks (require_checkable
-with matrix=False).
+No condition grows with the level, except along an axis a map reads
+coarser than the level checked.  So require_level and POINT_LIMITS bound
+a level, and a part's cylinders are bounded by the point limit
+(cocycle.require_grids).  The grid checks survive as the tests' oracle.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ class CoeChain:
 
 def part_tag(k: int, p: int, part: StagePart, lam: int) -> str:
     """The prefix naming stage k's part p, checked at level lam, on its
-    report lines and on a refusal of its grids."""
+    report lines and on a refusal."""
     return f"stage {k} part {p} ({part.kind}) @{lam}: "
 
 
@@ -206,21 +207,18 @@ def _seam_check(name: str, stage: Stage, source: SystemSpec,
     return CheckResult(name, 3 + 2 * len(stage.parts), bad)
 
 
-def require_checkable(chain: CoeChain, level: int, limit: int, matrix: bool = True) -> list[int]:
-    """Refuse, with the part verifier's own error, a level at which checking
-    the chain would build a grid beyond `limit` points, and a part whose
-    checks would need more array axes than numpy allows; else return the
-    stage levels lambda_k.  Only the chain's level maps are read, nothing
-    is built; each part is planned at its stage's level, a linear part by
-    its matrices unless `matrix` is False (require_grids), and a part's
-    refusal carries its tag, which names the stage and part."""
+def require_checkable(chain: CoeChain, level: int, limit: int) -> list[int]:
+    """Refuse, with the part verifier's own error, a level beyond `limit`
+    and a part of more cylinders than `limit` (require_grids); else return
+    the stage levels lambda_k.  Each part is judged at its stage's level,
+    and a part's refusal carries its tag, which names the stage and part."""
     require_level(chain.source, level, limit)
     require_level(chain.target, level, limit)
     levels = chain.stage_levels(level)
     for k, (stage, lam) in enumerate(zip(chain.stages, levels)):
         for p, part in enumerate(stage.parts):
             try:
-                require_grids(part.witness, lam, limit, matrix)
+                require_grids(part.witness, lam, limit)
             except ValueError as e:
                 raise ValueError(f"{part_tag(k, p, part, lam)}{e}") from None
     return levels
@@ -229,12 +227,11 @@ def require_checkable(chain: CoeChain, level: int, limit: int, matrix: bool = Tr
 def verify_chain(chain: CoeChain, level: int = 4, relation: str = "coe") -> VerifyReport:
     """Check a chain as a witness of `relation`, "coe" or "conj": the seams
     of every stage, then each elementary part at the stage's level lambda_k
-    (module docstring), a linear part by its matrices and any other on its
-    own grid, with verify_coe, or verify_conj for a conjugacy.  Cost is the
-    sum of the parts' grids, not the grid of the composite.  The report's
-    kind is the part reports'.  A level at which any part would build a
-    grid beyond the relation's point limit is refused by require_checkable
-    before any part is checked."""
+    (module docstring), each by its pieces, with verify_coe, or verify_conj
+    for a conjugacy.  Cost is the sum of the parts' pieces, not a grid of
+    the composite.  The report's kind is the part reports'.  A level beyond
+    the relation's point limit is refused by require_checkable before any
+    part is checked."""
     limit = POINT_LIMITS[relation]
     levels = require_checkable(chain, level, limit)
     kind, checks = "coe-witness", []

@@ -1,157 +1,391 @@
-"""Linear point maps, and the integer conditions that decide a linear part's
-coe checks.
+"""Piecewise affine point maps, locally constant cocycles, and the integer
+conditions that decide every check of a part.
 
-A point map given by an integer matrix rho, one column rho[i] = rho(e_i)
-per source factor, sends the residues x at its input level to x.rho,
-reduced mod the output level's moduli (LCMap.rho).  A linear part is a
-witness whose point maps are given so, by rho and sigma, and whose cocycles
-are given by the same columns, a(e_i, x) = rho(e_i) and b(e_c, y) =
-sigma(e_c) (CocycleTable.columns): an identity part of an orbit-equivalence
-chain, or the conjugacy of one block.  It is integer data: no table is
-built for it unless a grid check reads one.  For such a part verify_coe
-decides its equivariance, roundtrip and inverse checks by the conditions
-below, in Python integers and without a grid, at the levels the grid
-checks read, and the cocycle identities and verify_conj's homomorphism
-check by the columns (cocycle._columns_identity); orbitcert.chain states
-why each condition decides its check.
+Every part orbitcert builds is finite integer data.  A point map f has a
+cylinder modulus D_i per source factor, D_i dividing the factor's modulus
+at every level f reads, and one piece per cylinder r of D, an offset t_r
+and an integer matrix A_r, one row per source factor: f sends the point
+r + D.u to t_r + u.A_r, reduced mod the output level's moduli (LCMap).  At
+input level d the residues x in [0, M(d)) are read as r = x mod D and
+u = (x - r)/D.  A linear map is the one-cylinder case, D = 1 and t = 0,
+A = rho; a split of an l-cycle off an odometer has l pieces, a finite
+rerank one piece per point, a slid map one per level-1 cylinder.  A
+cocycle gives one column per generator per cylinder of its own modulus
+(CocycleTable); a linear cocycle, a(e_i, x) = rho(e_i), has one cylinder.
+
+The checks of verify_coe and verify_conj are decided below by congruences
+on the pieces and the columns, in Python integers and without a grid, at
+the levels the grid checks read; orbitcert.chain states why each decides
+its check, or is stricter than it.  A count is a number of integer
+conditions, except for the cocycle identities and homomorphism, which
+count the points of the cocycle's own level grid, as a table would.
 """
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+import math
 
-import numpy as np
+from .dynamics import PointAtLevel, canonical_coords, generator, point_count
 
-from .dynamics import PointAtLevel, canonical_coords, generator
+_SAMPLES = 5  # violations kept per check
 
 
-def linear_image(mat, res: np.ndarray, moduli: Sequence[int] | None = None) -> np.ndarray:
-    """res @ mat for points given one row per factor: row c is the sum over
-    j of mat[j][c] * res[j], reduced mod moduli[c] when moduli are given."""
-    out = np.zeros((len(mat[0]), res.shape[1]), dtype=np.int64)
-    for c, row in enumerate(out):
-        for j, col in enumerate(mat):
-            v = int(col[c])
-            if v:
-                row += res[j] if v == 1 else v * res[j]
-        # two scans cost less than a division, and often show it is not needed
-        if moduli is not None and (row.min() < 0 or row.max() >= moduli[c]):
-            row %= moduli[c]
+def cylinders(moduli):
+    """The residues mod `moduli`, in mixed-radix order, the first factor most
+    significant: the order of a part's pieces and of a grid's points."""
+    return itertools.product(*map(range, moduli))
+
+
+def cylinder_index(moduli, x) -> int:
+    """Index among cylinders(moduli) of the cylinder holding x."""
+    idx = 0
+    for v, m in zip(x, moduli):
+        idx = idx * m + v % m
+    return idx
+
+
+def _record(violations: list, items) -> None:
+    room = _SAMPLES - len(violations)
+    if room > 0:
+        violations.extend(itertools.islice(items, room))
+
+
+def _affine(f, x) -> list[int]:
+    """t_r + u.A_r for the point x = r + D.u, in integers, unreduced."""
+    r = [v % d for v, d in zip(x, f.moduli)]
+    t, rows = f.pieces[cylinder_index(f.moduli, r)]
+    out = list(t)
+    for v, s, d, row in zip(x, r, f.moduli, rows):
+        q = (v - s) // d
+        if q:
+            for c, e in enumerate(row):
+                out[c] += q * e
     return out
 
 
-def linear_table(f):
-    """The table of the map f given by its matrix f.rho, x -> x.rho.  It
-    carries rho, so that a copy of f keeps it as its own; a map given both
-    a table of its own and rho, or neither, is refused."""
-    rho, source, target, name = f.rho, f.source, f.target, f.name or "map"
-    if rho is None:
-        raise ValueError(f"{name}: a table or a matrix rho is required")
-    if f.table is not None and getattr(f.table, "rho", None) is not rho:
-        raise ValueError(f"{name}: given by rho, its table is derived")
-    if len(rho) != source.rank or any(len(col) != target.rank for col in rho):
-        raise ValueError(f"{name}: rho needs {source.rank} columns of {target.rank} entries")
-
-    def table(k: int, res: np.ndarray) -> np.ndarray:
-        mods = target.space_moduli(k)
-        # entries reduced first: a term is below a source times a target modulus
-        return linear_image([[v % m for v, m in zip(col, mods)] for col in rho], res, mods)
-
-    table.rho = rho
-    return table
+def image(f, k: int, x) -> tuple[int, ...]:
+    """f at output level k of the point x, given by residues at f's input
+    level or finer."""
+    src = f.source.space_moduli(f.input_level(k))
+    out = _affine(f, [v % m for v, m in zip(x, src)])
+    return tuple(v % m for v, m in zip(out, f.target.space_moduli(k)))
 
 
-def matrices(w) -> tuple | None:
-    """(rho, sigma) when w is a linear part, else None: both point maps are
-    given by matrices, and a and b are given by columns (CocycleTable), the
-    columns of rho and of sigma, each canonical in its group.  No table is
-    read: a cocycle given by tables is never linear."""
-    rho, sigma, a, b = w.phi.rho, w.psi.rho, w.a.columns, w.b.columns
-    if rho is None or sigma is None or a is None or b is None:
-        return None
-    for cols, given, group in ((rho, a, w.a.target_group), (sigma, b, w.b.target_group)):
-        if given != tuple(canonical_coords(group, tuple(col)) for col in cols):
-            return None
-    return rho, sigma
+def refine(f, within) -> tuple[tuple[int, ...], tuple]:
+    """f's moduli and pieces on the cylinders of lcm(D, within), the same
+    map at every level whose moduli those divide."""
+    mods = tuple(math.lcm(w, d) for w, d in zip(within, f.moduli))
+    if mods == f.moduli:
+        return mods, f.pieces
+    pieces = []
+    for r in cylinders(mods):
+        given = f.pieces[cylinder_index(f.moduli, r)][1]
+        rows = tuple(tuple(c // d * e for e in row) for row, c, d in zip(given, mods, f.moduli))
+        pieces.append((tuple(_affine(f, r)), rows))
+    return mods, tuple(pieces)
 
 
-def _equivariance(name: str, f, rho, level: int):
-    """f(e_i.x) = rho(e_i) + f(x) at output level `level` on every point of
-    f's input grid: lm(N_c, level) | rho_ci * lm(M_i, d) for d = f's input
-    level.  A failing axis i is shown at the point with residue m - 1 there
-    and 0 elsewhere, whose e_i-translate is 0."""
-    d = f.input_level(level)
-    src_mods, tgt_mods = f.source.space_moduli(d), f.target.space_moduli(level)
-    violations = []
-    for i, m in enumerate(src_mods):
-        moved = tuple(v * m % n for v, n in zip(rho[i], tgt_mods))
-        if any(moved):
-            x = tuple(m - 1 if j == i else 0 for j in range(len(src_mods)))
-            violations.append((name, generator(f.source, i), PointAtLevel(d, x),
-                               (0,) * len(tgt_mods), moved))
-    return name, len(src_mods) * len(tgt_mods), violations
+def _restrict(f, k: int, within):
+    """f at output level k on cylinders C of the source: per factor the
+    lcm of within_i and D_i when it divides M_i(d), d f's input level, and
+    the lcm of within_i and M_i(d) otherwise, on whose cylinders f is
+    constant along that factor.  Returns (C, box, pieces): f_k(r + C.v) =
+    t + v.A mod N(k) for v_i in [0, box_i), one piece (t, A) per cylinder r:
+    f's own pieces when C = D, else pieces reduced mod N(k), with the rows
+    of one-value boxes zero.  Equal rows are one object."""
+    key = (k, tuple(within))
+    got = f._restricted.get(key)
+    if got is not None:
+        return got
+    d = f.input_level(k)
+    src, tgt = f.source.space_moduli(d), f.target.space_moduli(k)
+    mods, box = [], []
+    for w, dd, m in zip(within, f.moduli, src):
+        if m % dd:
+            raise ValueError(f"{f.name or 'map'}: cylinders of modulus {dd} are finer "
+                             f"than its level-{d} input")
+        c = math.lcm(w, dd)
+        if m % c:
+            c = math.lcm(w, m)
+        mods.append(c)
+        box.append(max(m // c, 1))
+    mods = tuple(mods)
+    if mods == f.moduli:
+        got = f._restricted[key] = (mods, tuple(box), f.pieces)
+        return got
+    scaled = {}  # equal rows of f, in the steps of C, as one object
+    pieces = []
+    zero = (0,) * len(tgt)
+    for r in cylinders(mods):
+        given = f.pieces[cylinder_index(f.moduli, r)][1]
+        rows = scaled.get(given)
+        if rows is None:
+            rows = scaled[given] = tuple([
+                tuple([c // dd * e % n for e, n in zip(row, tgt)]) if b > 1 else zero
+                for row, c, dd, b in zip(given, mods, f.moduli, box)])
+        t = _affine(f, [v % m for v, m in zip(r, src)])
+        pieces.append((tuple([v % n for v, n in zip(t, tgt)]), rows))
+    got = f._restricted[key] = (mods, tuple(box), pieces)
+    return got
 
 
-def _roundtrip(name: str, f, g, rho, sigma, level: int):
-    """g(f(x)) = x at level `level` on the grid the grid check compares on.
-    It holds when g's wrap condition holds, lm(M_i, level) | sigma_ic *
-    lm(N_c, mid) for mid = g's input level, when f reads every axis of the
-    grid in full, and when lm(M_i, level) | (sigma.rho - I)_ij on every axis
-    j with more than one residue.  Given the wrap condition the other two
-    are exact, and e_j or lm(M_j, k) e_j shows a failure."""
+def _constant_on(f, k: int, within, target_mods):
+    """_restrict(f, k, within), refined until the image of each piece lies
+    in one cylinder of target_mods, which divide the output moduli: along
+    each factor the least multiple of the step that every row sends to 0
+    mod target_mods, or single residues when that does not divide M(d)."""
+    mods, box, pieces = _restrict(f, k, within)
+    if all(m == 1 for m in target_mods):
+        return mods, box, pieces
+    src = f.source.space_moduli(f.input_level(k))
+    need = list(mods)
+    for j, b in enumerate(box):
+        if b > 1:
+            q = 1
+            for rows in {id(rows): rows for _t, rows in pieces}.values():
+                for e, m in zip(rows[j], target_mods):
+                    q = math.lcm(q, m // math.gcd(m, e))
+            need[j] = mods[j] * q if src[j] % (mods[j] * q) == 0 else src[j]
+    if need != list(mods):
+        mods, box, pieces = _restrict(f, k, need)
+    return mods, box, pieces
+
+
+def _reduced(v, moduli) -> bool:
+    return not any([x % m for x, m in zip(v, moduli)])
+
+
+def _value(a, r, i: int) -> tuple[int, ...]:
+    """a(e_i, x) on the cylinder of a's modulus that holds r."""
+    return a.values[cylinder_index(a.moduli, r)][i]
+
+
+def _moved(x, i: int, moduli):
+    return tuple((v + 1) % m if j == i else v for j, (v, m) in enumerate(zip(x, moduli)))
+
+
+def equivariance(name: str, f, a, k: int):
+    """f(e_i.x) = a(e_i, x) + f(x) at output level k on the grid of x at
+    max(d, a.level), d f's input level, as congruences mod N(k) per
+    cylinder r of the common modulus C of f and a (orbitcert.chain): a step
+    inside a cylinder, a step from the last cylinder along e_i into the
+    first, whose u carries, and the wrap of u at M_i(d)."""
+    grid = max(f.input_level(k), a.level)
+    tgt = f.target.space_moduli(k)
+    mods, box, pieces = _restrict(f, k, a.moduli)
+    n = len(mods)
+    strides = [math.prod(mods[i + 1:]) for i in range(n)]
+    violations: list = []
+    for idx, r in enumerate(cylinders(mods)):
+        t, rows = pieces[idx]
+        for i, step in enumerate(a.values[cylinder_index(a.moduli, r)]):
+            inner = r[i] + 1 < mods[i]
+            t2, rows2 = pieces[idx + strides[i] if inner else idx - r[i] * strides[i]]
+            # (the case's point v, its constant, the axes of its box)
+            if inner:
+                cases = [({}, [p - q - s for p, q, s in zip(t2, t, step)], range(n))]
+            else:
+                last = box[i] - 1
+                cases = [({i: last}, [p - q - last * e - s
+                                      for p, q, e, s in zip(t2, t, rows[i], step)],
+                          [j for j in range(n) if j != i])]
+                if last:
+                    cases.insert(0, ({}, [p + e - q - s
+                                          for p, e, q, s in zip(t2, rows2[i], t, step)],
+                                     [j for j in range(n) if j != i or last > 1]))
+            for at, const, axes in cases:
+                # the constant fails at the case's point v, a coefficient j
+                # at v + e_j; equal rows, shared by _restrict, differ by 0
+                bad = [None] if not _reduced(const, tgt) else [] if rows2 is rows else [
+                    j for j in axes if box[j] > 1 and not _reduced(
+                        [p - q for p, q in zip(rows2[j], rows[j])], tgt)]
+                if bad:
+                    v = {**at, bad[0]: 1}
+                    x = tuple(rj + mj * v.get(j, 0) for j, (rj, mj) in enumerate(zip(r, mods)))
+                    rhs = tuple((p + s) % m for p, s, m in zip(image(f, k, x), step, tgt))
+                    _record(violations, [(name, generator(f.source, i), PointAtLevel(grid, x),
+                                          image(f, k, _moved(x, i, f.source.space_moduli(grid))),
+                                          rhs)])
+                    break
+    return name, len(pieces) * n * len(tgt), violations
+
+
+def roundtrip(name: str, f, g, level: int):
+    """g(f(x)) = x at level L = `level` on the grid the grid check compares
+    on, at max(L, k), k f's input level at g's input level mid.  f is cut
+    into pieces on which f(x) lies in one cylinder of g, and x in one
+    cylinder of M(L) along each axis f reads coarser than L; g(f(x)) is
+    affine in u there when no coordinate of g's u can overflow, or g's
+    row for it times the overflow vanishes mod M(L) (the wrap condition),
+    and the affine identity is tested exactly (orbitcert.chain); a wrap
+    condition that fails fails the check, stricter than the grid."""
     mid = g.input_level(level)
     k = f.input_level(mid)
-    top = max(level, k)
-    src, tgt = f.source, f.target
-    out_mods, read, grid, tgt_mods = (src.space_moduli(level), src.space_moduli(k),
-                                      src.space_moduli(top), tgt.space_moduli(mid))
-    n = src.rank
-    violations = [(name, f"wrap: lm(M{i}, {level}) does not divide "
-                         f"sigma[{i}][{c}] * lm(N{c}, {mid})")
-                  for c, col in enumerate(sigma) for i, v in enumerate(col)
-                  if v * tgt_mods[c] % out_mods[i]]
-    for j in range(n):
-        if grid[j] == 1:
+    out, read = f.source.space_moduli(level), f.source.space_moduli(k)
+    n = len(out)
+
+    def violation(x):
+        got = image(g, level, image(f, mid, x))
+        want = tuple([v % m for v, m in zip(x, out)])
+        return None if got == want else (name, PointAtLevel(max(level, k), tuple(x)), got, want)
+
+    violations: list = []
+    gmods, _gbox, gpieces = _restrict(g, level, g.moduli)
+    mods, box, pieces = _constant_on(
+        f, mid, tuple([o if r % o else 1 for o, r in zip(out, read)]), gmods)
+    over = [m // e for m, e in zip(g.source.space_moduli(mid), gmods)]
+    free = [j for j in range(n) if box[j] > 1]
+    linear: dict = {}  # per rows of f and piece of g: u's reach, the wraps, failing coefficients
+    for r, (t, rows) in zip(cylinders(mods), pieces):
+        s = [v % e for v, e in zip(t, gmods)]
+        gidx = cylinder_index(gmods, s)
+        tau, b = gpieces[gidx]
+        got = linear.get((id(rows), gidx))
+        if got is None:
+            a1 = [[e // m % o for e, m, o in zip(rows[j], gmods, over)] for j in free]
+            reach = [sum([(box[j] - 1) * row[c] for j, row in zip(free, a1)])
+                     for c in range(len(over))]
+            bad = [j for j, row in zip(free, a1) if not _reduced(
+                [sum([ac * bc[i] for ac, bc in zip(row, b)]) - (mods[j] if i == j else 0)
+                 for i in range(n)], out)]
+            wraps = [_reduced([o * e for e in row], out) for o, row in zip(over, b)]
+            got = linear[id(rows), gidx] = (reach, wraps, bad, rows)
+        reach, wraps, bad, _rows = got
+        t1 = [(v - sv) // e % o for v, sv, e, o in zip(t, s, gmods, over)]
+        for c, o in enumerate(over):
+            if t1[c] + reach[c] >= o and not wraps[c]:
+                _record(violations, [(name, f"wrap: {o} * row {c} of {g.name or 'the map'} on "
+                                            f"cylinder {tuple(s)} is not 0 mod lm(M, {level})")])
+        const = [tv - rv + sum([tc * bc[i] for tc, bc in zip(t1, b)])
+                 for i, (tv, rv) in enumerate(zip(tau, r))]
+        # the point r fails a constant, r + C_j e_j a coefficient j
+        points = [r] if not _reduced(const, out) else []
+        points += [tuple([v + (mods[j] if t == j else 0) for t, v in enumerate(r)]) for j in bad]
+        _record(violations, filter(None, map(violation, points[:1])))
+    return name, len(pieces) * n * (n + f.target.rank), violations
+
+
+def runs(b) -> list[dict]:
+    """Prefix sums of b along each factor j: for every line of cylinders
+    through a cylinder r with r_j = 0, the sums of the first s steps of e_j
+    from r, s < 2 E_j, in integers."""
+    mods, out = b.moduli, []
+    for j, e in enumerate(mods):
+        lines = {}
+        for r in cylinders(mods):
+            if r[j]:
+                continue
+            run, cur = [(0,) * len(b.target_group)], r
+            for _ in range(2 * e):
+                run.append(tuple(p + q for p, q in zip(run[-1], _value(b, cur, j))))
+                cur = _moved(cur, j, mods)
+            lines[cylinder_index(mods, r)] = run
+        out.append(lines)
+    return out
+
+
+def read(b, h, y) -> tuple[int, ...]:
+    """b(h, y) for a group element h and the cylinder y of b's modulus,
+    telescoped factor by factor from the left: along e_j the values repeat
+    with period E_j, so for h_j = q E_j + s the value is q times one period
+    plus the first s steps, read off b's prefix sums (b.runs).  Cyclic
+    coordinates of h are reduced mod their order, and the cost does not
+    grow with the size of h."""
+    h = canonical_coords(b.source.group_moduli(), tuple(h))
+    total = [0] * len(b.target_group)
+    cur = [v % e for v, e in zip(y, b.moduli)]
+    for j, (hj, e) in enumerate(zip(h, b.moduli)):
+        if not hj:
             continue
-        if read[j] < grid[j]:  # f reads axis j coarser than the grid
-            x = tuple(read[j] if t == j else 0 for t in range(n))
-        else:
-            x = generator(src, j)
-        seen = [r % m for r, m in zip(x, read)]  # what f reads of x
-        y = [sum(v * r for v, r in zip(col, seen)) % m for col, m in zip(zip(*rho), tgt_mods)]
-        got = tuple(sum(v * s for v, s in zip(col, y)) % m for col, m in zip(zip(*sigma), out_mods))
-        want = tuple(r % m for r, m in zip(x, out_mods))
-        if got != want:
-            violations.append((name, PointAtLevel(top, x), got, want))
-    return name, n * (n + tgt.rank), violations
+        if e == 1:  # one cylinder along e_j: hj times its value
+            total = [v + hj * c for v, c in zip(total, _value(b, cur, j))]
+            continue
+        q, s = divmod(hj, e)
+        p = cur[j]
+        cur[j] = 0
+        run = b.runs[j][cylinder_index(b.moduli, cur)]
+        total = [v + q * w + y - z for v, w, y, z in zip(total, run[e], run[p + s], run[p])]
+        cur[j] = (p + s) % e
+    return canonical_coords(b.target_group, tuple(total))
 
 
-def _inverse(name: str, f, rho, sigma, src_group, tgt_group):
-    """sigma(rho(e_i)) = e_i in the source group, each value canonical in
-    its group, as the grid check reads the constant tables; a failure is
-    shown at the origin of f's grid at level 0."""
-    violations = []
-    for i, col in enumerate(rho):
-        h = canonical_coords(tgt_group, col)
-        got = canonical_coords(src_group, tuple(
-            sum(hc * s[t] for hc, s in zip(h, sigma)) for t in range(len(src_group))))
-        e = canonical_coords(src_group, generator(f.source, i))
-        if got != e:
-            d = f.input_level(0)
-            violations.append((name, e, PointAtLevel(d, (0,) * len(src_group)), got))
-    return name, len(rho), violations
+def inverse(name: str, f, a, b):
+    """b(a(e_i, x), f(x)) = e_i on the grid at max(a.level, d), d f's input
+    level at b's level: f is cut into pieces on each of which a is
+    constant and f(x) lies in one cylinder of b, so one reading of b per
+    piece and generator decides the check exactly."""
+    d = f.input_level(b.level)
+    mods, _box, pieces = _constant_on(f, b.level, a.moduli, b.moduli)
+    units = [tuple([int(i == j) % m if m else int(i == j) for j, m in enumerate(group)])
+             for group in [f.source.group_moduli()] for i in range(len(group))]
+    seen: dict = {}  # b read once per value of a and cylinder of b
+    violations: list = []
+    for r, (t, _rows) in zip(cylinders(mods), pieces):
+        y = cylinder_index(b.moduli, t)
+        for i, e in enumerate(units):
+            h = _value(a, r, i)
+            got = seen.get((h, y))
+            if got is None:
+                got = seen[h, y] = read(b, h, t)
+            if got != e:
+                _record(violations, [(name, e, PointAtLevel(max(a.level, d), r), got)])
+    return name, len(pieces) * f.source.rank, violations
 
 
-def linear_checks(w, level: int, rho, sigma) -> list[tuple]:
-    """(name, conditions, violations) of the two equivariance checks, the
-    two roundtrips and the two inverse checks of the linear part w, in
-    verify_coe's order and at the levels it reads them.  A check's count is
-    the number of integer conditions it tests, not of grid comparisons."""
-    gx, gy = w.source.group_moduli(), w.target.group_moduli()
-    return [
-        _equivariance("phi-equivariance", w.phi, rho, max(level, w.b.level)),
-        _equivariance("psi-equivariance", w.psi, sigma, max(level, w.a.level)),
-        _roundtrip("psi-after-phi", w.phi, w.psi, rho, sigma, level),
-        _roundtrip("phi-after-psi", w.psi, w.phi, sigma, rho, level),
-        _inverse("b-inverts-a", w.phi, rho, sigma, gx, gy),
-        _inverse("a-inverts-b", w.psi, sigma, rho, gy, gx),
-    ]
+def _grid_points(spec, level, failing, moduli, fixed: int | None = None):
+    """The points of the level grid whose cylinder of `moduli` is in
+    `failing`, in grid order; with residue 0 on axis `fixed` when given."""
+    mods = spec.space_moduli(level)
+    ranges = (range(1 if j == fixed else m) for j, m in enumerate(mods))
+    return (x for x in itertools.product(*ranges) if cylinder_index(moduli, x) in failing)
+
+
+def identity(name: str, a):
+    """a's columns extend to one cocycle exactly when the acting group's
+    relations hold on every cylinder: a_i(x) + a_j(x + e_i) = a_j(x) +
+    a_i(x + e_j), and on a cyclic factor of order n the values along an
+    e_i-orbit, n/E_i periods of E_i cylinders, add up to zero.  Counts and
+    violation points are those of the grid at a's level."""
+    spec, tg, mods = a.source, a.target_group, a.moduli
+    group = spec.group_moduli()
+    size = point_count(spec, a.level)
+    checked = 0
+    violations: list = []
+    for i in range(spec.rank):
+        for j in range(i + 1, spec.rank):
+            checked += size
+            failing = {cylinder_index(mods, r) for r in cylinders(mods) if any(canonical_coords(
+                tg, tuple([p + q - s - t for p, q, s, t in zip(
+                    _value(a, r, i), _value(a, _moved(r, i, mods), j),
+                    _value(a, r, j), _value(a, _moved(r, j, mods), i))])))}
+            if failing:
+                _record(violations, ((name, f"e{i}+e{j} = e{j}+e{i}", PointAtLevel(a.level, x))
+                                     for x in _grid_points(spec, a.level, failing, mods)))
+        if group[i]:
+            # each orbit is group[i] / E_i periods, one period a run of a
+            checked += size // group[i]
+            failing = {line for line, run in a.runs[i].items() if any(canonical_coords(
+                tg, tuple(group[i] // mods[i] * v for v in run[mods[i]])))}
+            if failing:
+                _record(violations, ((name, f"{group[i]}*e{i} = 0", PointAtLevel(a.level, x))
+                                     for x in _grid_points(spec, a.level, failing, mods, i)))
+    return name, checked, violations
+
+
+def homomorphism(w):
+    """Neither cocycle depends on the point: every cylinder's column equals
+    the first one's.  Counts and violation points are those of the grid at
+    each cocycle's level."""
+    checked = 0
+    violations: list = []
+    for tag, t in (("a", w.a), ("b", w.b)):
+        checked += t.source.rank * point_count(t.source, t.level)
+        for i in range(t.source.rank):
+            first = t.values[0][i]
+            failing = {c for c, cols in enumerate(t.values) if cols[i] != first}
+            if failing:
+                _record(violations, (
+                    ("homomorphism", f"{tag}(e{i}, x)", PointAtLevel(t.level, x),
+                     _value(t, x, i), first)
+                    for x in _grid_points(t.source, t.level, failing, t.moduli)))
+    return "homomorphism", checked, violations

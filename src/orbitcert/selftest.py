@@ -2,11 +2,11 @@
 
 Everything here is shared by the `selftest` command and the acceptance
 tests: a deterministic instance generator for odometer products, screened
-by the grids the verifiers would build (chain.require_checkable) so that
-every instance the witness suites verify stays at desk scale, and one
-suite function per checked property.  Each suite returns a SuiteResult
-whose failures list is empty exactly when the suite passes; any failure
-carries the offending instance so it can be replayed.
+by the grids a check on the truncations would build (_check_grids), so
+that the tests can check every witness the suites verify on its grids as
+well, and one suite function per checked property.  Each suite returns a
+SuiteResult whose failures list is empty exactly when the suite passes;
+any failure carries the offending instance so it can be replayed.
 """
 from __future__ import annotations
 
@@ -15,14 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .chain import require_checkable, verify_chain
+from .chain import verify_chain
 from .cocycle import (
     CoeWitness,
     GroupValuedMap,
-    cylinder_index,
-    require_grids,
     slide,
     twist,
     untwist_to_conjugacy,
@@ -37,7 +33,7 @@ from .decide import (
 )
 from .dynamics import Odometer, level_modulus, point_count
 from .intmat import IntMatrix, smith_normal_form
-from .linear import linear_image
+from .linear import cylinder_index, cylinders, image
 from .oracles import conjugacy_bruteforce, snf_diagonal_by_minors
 from .supernatural import (
     INF,
@@ -250,26 +246,46 @@ def near_miss_pair(
 # scale screening
 
 
+def _check_grids(w: CoeWitness, level: int):
+    """(system, level) of every grid a check of w on the grids of its
+    truncations, the tests' oracle, builds at `level`, in the order it
+    first builds them, read off the level maps alone."""
+    sides = ((w.phi, w.psi, w.a, w.b), (w.psi, w.phi, w.b, w.a))
+    for f, _g, a, b in sides:  # equivariance
+        yield from ((f.source, f.input_level(max(level, b.level))), (f.source, a.level))
+    for f, g, _a, _b in sides:  # roundtrips, compared at `level` or finer
+        mid = g.input_level(level)
+        k = f.input_level(mid)
+        yield from ((f.source, k), (g.source, mid), (f.source, max(level, k)))
+    for f, _g, _a, b in sides:  # inverses read the map at the other cocycle's level
+        yield f.source, f.input_level(b.level)
+
+
+def _grids_fit(chain, level: int, budget: int) -> bool:
+    """Every grid _check_grids plans for a part of the chain, at its
+    stage's level, holds at most `budget` points."""
+    return not any(point_count(spec, k) > budget
+                   for stage, lam in zip(chain.stages, chain.stage_levels(level))
+                   for part in stage.parts for spec, k in _check_grids(part.witness, lam))
+
+
 def _desk_scale(ms, ns, level: int = 4) -> bool:
-    """Keep only instances whose positive verdicts can be verified
-    exhaustively at the given level within the point budgets, as
-    chain.require_checkable plans the grid verifier's grids: linear parts
-    too, since the tests check every witness of the corpus on its grids as
-    well.  Negative instances are never verified, so they always pass."""
+    """Keep only instances whose positive verdicts fit the point budgets at
+    the given level on the grids of their truncations (_check_grids): the
+    tests check every witness of the corpus on such grids as well.
+    Negative instances are never verified, so they always pass."""
     coe = coe_decide(ms, ns)
     if not coe:
         return True
     try:
-        if len(ms) <= 2:
-            require_checkable(build_coe_witness(ms, ns, coe), level, _COE_SCALE_BUDGET,
-                              matrix=False)
+        if len(ms) <= 2 and not _grids_fit(build_coe_witness(ms, ns, coe), level,
+                                           _COE_SCALE_BUDGET):
+            return False
         conj = conj_decide(ms, ns)
-        if conj:
-            require_checkable(build_conj_witness(ms, ns, conj), level, _CONJ_SCALE_BUDGET,
-                              matrix=False)
-    except ValueError:  # a grid beyond the budget
+        return not conj or _grids_fit(build_conj_witness(ms, ns, conj), level,
+                                      _CONJ_SCALE_BUDGET)
+    except ValueError:  # a part beyond the builder's point limit
         return False
-    return True
 
 
 def generate_instances(
@@ -485,28 +501,33 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     while built < count:
         ms, ns = conj_positive_pair(rng, max_rank=2)
         try:
-            blocks = [p.witness for p in build_conj_witness(ms, ns).stages[0].parts]
-            for w in blocks:  # the untwisted witnesses are checked on grids
-                require_grids(w, level, 20_000, matrix=False)
+            chain = build_conj_witness(ms, ns)
         except ValueError:
             continue
+        # the tests check the twisted witnesses on the grids of their truncations
+        if not _grids_fit(chain, level, 20_000):
+            continue
+        blocks = [p.witness for p in chain.stages[0].parts]
         built += 1
         for w in blocks:
             x_spec, y_spec = w.source, w.target
             d = x_spec.space_moduli(1)
-            # s on the level-1 cylinders, in grid order, one row per factor
-            shifts = np.array(
-                [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))],
-                dtype=np.int64,
-            ).T
+            # s on the level-1 cylinders, in grid order
+            shifts = [[di * rng.randint(-2, 2) for di in d] for _ in range(point_count(x_spec, 1))]
             rho, rho_inv = w.phi.rho, w.psi.rho  # rho[i] is rho(e_i)
             tgy = y_spec.group_moduli()
-            u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, shifts), "corpus-u")
-            phi_u, psi_u = slide(w, GroupValuedMap(x_spec, tgy, 1, -u.values), rho_inv)
-            v = GroupValuedMap.tabulate(
-                y_spec, x_spec.group_moduli(), psi_u.input_level(1),
-                lambda res: -shifts[:, cylinder_index(x_spec, 1, psi_u.at(1, res))], "corpus-v",
-            )
+
+            def transfer(shifts, sign=1, name="corpus-u"):
+                return GroupValuedMap(x_spec, tgy, 1, [
+                    [sign * sum(c * row[j] for c, row in zip(s, rho)) for j in range(len(tgy))]
+                    for s in shifts], name=name)
+
+            u = transfer(shifts)
+            phi_u, psi_u = slide(w, transfer(shifts, -1), rho_inv)
+            # v(y) = -s(psi_u(y)), constant on psi_u's cylinders
+            v = GroupValuedMap(y_spec, x_spec.group_moduli(), psi_u.input_level(1), [
+                [-c for c in shifts[cylinder_index(d, image(psi_u, 1, y))]]
+                for y in cylinders(psi_u.moduli)], psi_u.moduli, "corpus-v")
             twisted = CoeWitness(phi_u, twist(w.a, u), psi_u, twist(w.b, v))
             if built <= 3:
                 checked += 1
@@ -532,15 +553,16 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
             mods = x_spec.space_moduli(deep)
             n = point_count(x_spec, deep)
             picks = rng.sample(range(n), min(10, n))
-            probe = np.stack(np.unravel_index(np.array(picks, dtype=np.int64), mods))
             checked += len(picks)
-            if (out.phi.at(2, probe) != w.phi.at(2, probe)).any():
+            points = ([i // math.prod(mods[j + 1:]) % m for j, m in enumerate(mods)]
+                      for i in picks)
+            if any(image(out.phi, 2, p) != image(w.phi, 2, p) for p in points):
                 failures.append(f"{_fmt_pair(ms, ns)}: untwist did not recover the base map")
             # a transfer corrupted on one cylinder must fail the premise
-            bad_shifts = shifts.copy()
-            key = rng.choice(range(bad_shifts.shape[1]))
-            bad_shifts[rng.randrange(len(d)), key] += 1
-            bad_u = GroupValuedMap(x_spec, tgy, 1, linear_image(rho, bad_shifts), "bad-u")
+            key = rng.choice(range(len(shifts)))
+            bad_shifts = [list(s) for s in shifts]
+            bad_shifts[key][rng.randrange(len(d))] += 1
+            bad_u = transfer(bad_shifts, name="bad-u")
             checked += 1
             try:
                 untwist_to_conjugacy(twisted, bad_u, (w.a, w.b), level)

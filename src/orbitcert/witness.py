@@ -2,35 +2,35 @@
 between odometer products.
 
 An orbit equivalence is a chain of elementary moves (orbitcert.chain),
-never one composite table.  Each odometer factor splits a cyclic factor off (the seam
-witness build_basic_coe), the finite cyclic factors merge into one by
-mixed-radix rank and unrank (build_finite_coe), and the other side's merge
-and split are undone.  A stage is a factorwise product of such moves and
-identities; each move records the factor indices it reads and writes, so
-reordering factors is wiring, not a move.  A pair whose sides reorder each
-other needs no move at all: its chain is one stage of identity parts, each
-wired from a factor to an equal one.  A conjugacy is one stage of
-block conjugacies, one linear part per asymptotic class of the decision.
-Identity parts and conjugacy parts are linear witnesses (linear_witness):
-verify_chain checks them by their matrices (orbitcert.linear), at any
-level, and every other move on its own grid.  So the README conjugacy
-is built and checked without a table, where the block's level-4 grid
-would hold 2,343,750 points."""
+never one composite table.  Each odometer factor splits a cyclic factor
+off (the seam witness build_basic_coe), the finite cyclic factors merge
+into one by mixed-radix rank and unrank (build_finite_coe), and the other
+side's merge and split are undone.  A stage is a factorwise product of
+such moves and identities; each move records the factor indices it reads
+and writes, so reordering factors is wiring, not a move.  A pair whose
+sides reorder each other needs no move at all: its chain is one stage of
+identity parts, each wired from a factor to an equal one.  A conjugacy is
+one stage of block conjugacies, one linear part per asymptotic class of
+the decision.  Every move is integer data given by pieces
+(orbitcert.linear): a split of an l-cycle has l pieces, a rerank one per
+point, and an identity or conjugacy part, built by linear_witness, one.
+verify_chain checks each by its pieces at any level within the point
+limit, so the README conjugacy, whose block's level-4 grid would hold
+2,343,750 points, and the README orbit equivalence, whose level-12 grids
+would hold millions, are built and checked without a table."""
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .chain import CoeChain, Stage, StagePart
 from .cocycle import (
+    POINT_LIMITS,
     CocycleTable,
     CoeWitness,
-    GroupValuedMap,
     LCMap,
-    constant_generator,
-    flat_index,
     homomorphism_cocycle,
+    linear_map,
+    require_cylinders,
 )
 from .decide import CoeDecision, ConjDecision, coe_decide, conj_decide
 from .dynamics import (
@@ -42,6 +42,7 @@ from .dynamics import (
     odometer_product,
 )
 from .intmat import invert_unimodular
+from .linear import cylinder_index, cylinders
 from .supernatural import SupernaturalNumber, div_exact, factorize, mul
 
 _LEVEL_FUSE = 64  # no level search should ever walk past this
@@ -49,9 +50,12 @@ _LEVEL_FUSE = 64  # no level search should ever walk past this
 
 def build_basic_coe(l: int, L: SupernaturalNumber) -> CoeWitness:
     """The seam witness: the l*L odometer is orbit equivalent to the product
-    of an l-cycle with the L odometer via v -> (v mod l, v div l)."""
+    of an l-cycle with the L odometer via v -> (v mod l, v div l).  Both
+    maps have l pieces: the split sends r + l*u to (r, u), the merge (j, u)
+    to j + l*u, and the cocycles are constant on those l cylinders."""
     if l < 1:
         raise ValueError("cyclic order must be >= 1")
+    require_cylinders((l,), POINT_LIMITS["coe"], "a split")
     m = mul(SupernaturalNumber.from_int(l), L)
     x = SystemSpec((Odometer(m),))
     y = SystemSpec((Cyclic(l), Odometer(L)))
@@ -71,63 +75,42 @@ def build_basic_coe(l: int, L: SupernaturalNumber) -> CoeWitness:
                 raise AssertionError("level search runaway")
         return j
 
-    def phi_table(k: int, res: np.ndarray) -> np.ndarray:
-        v = res[0]
-        return np.stack((v % l, (v // l) % lm_l(k)))
-
-    def psi_table(k: int, res: np.ndarray) -> np.ndarray:
-        return ((res[0] + l * res[1]) % lm_m(k))[None, :]
-
-    phi = LCMap(x, y, lphi, phi_table, f"split-{l}")
-    psi = LCMap(y, x, lambda k: k, psi_table, f"merge-{l}")
-
+    phi = LCMap(x, y, lphi, tuple(((r, 0), ((0, 1),)) for r in range(l)), (l,), f"split-{l}")
+    psi = LCMap(y, x, lambda k: k, tuple(((j,), ((0,), (l,))) for j in range(l)), (l, 1),
+                f"merge-{l}")
     a_level = 0
     while lm_m(a_level) % l:
         a_level += 1
-    a_gen = GroupValuedMap.tabulate(
-        x, (l, 0), a_level,
-        lambda res: np.stack((np.ones(res.shape[1], dtype=np.int64), res[0] % l == l - 1)),
-        f"split-{l}-a",
-    )
-    # at level 0 the points of y are (j, 0) for j < l
-    b_cyc = GroupValuedMap(y, (0,), 0, np.where(np.arange(l) == l - 1, 1 - l, 1)[None, :],
-                           f"merge-{l}-b0")
-    b_odo = constant_generator(y, (0,), (l,), f"merge-{l}-b1")
-    return CoeWitness(phi, CocycleTable(x, (l, 0), (a_gen,)),
-                      psi, CocycleTable(y, (0,), (b_cyc, b_odo)))
+    a = CocycleTable(x, (l, 0), tuple(((1, int(r == l - 1)),) for r in range(l)), (l,), a_level)
+    b = CocycleTable(y, (0,), tuple(((1 - l if j == l - 1 else 1,), (l,)) for j in range(l)),
+                     (l, 1))
+    return CoeWitness(phi, a, psi, b)
 
 
 def build_finite_coe(src_orders: tuple[int, ...], tgt_orders: tuple[int, ...]) -> CoeWitness:
     """Orbit equivalence between two finite cyclic products of equal size via
-    mixed-radix rank and unrank (first factor most significant)."""
+    mixed-radix rank and unrank (first factor most significant): one piece
+    per point, and cocycles a(e_i, p) = phi(e_i.p) - phi(p) and likewise b."""
     total = math.prod(src_orders)
     if math.prod(tgt_orders) != total:
         raise ValueError("cyclic products must have equal size")
     if not src_orders or not tgt_orders:
         raise ValueError("at least one factor per side")
-    x = SystemSpec(tuple(Cyclic(n) for n in src_orders))
-    y = SystemSpec(tuple(Cyclic(n) for n in tgt_orders))
+    require_cylinders(src_orders, POINT_LIMITS["coe"], "a rerank")
 
-    def rerank(orders_in, orders_out):
-        return lambda k, res: np.stack(np.unravel_index(flat_index(res, orders_in), orders_out))
+    def rerank(orders_in, orders_out, name):
+        images = list(cylinders(orders_out))  # the n-th point of either grid to the n-th
+        zero = ((0,) * len(orders_out),) * len(orders_in)
+        f = LCMap(SystemSpec(tuple(Cyclic(n) for n in orders_in)),
+                  SystemSpec(tuple(Cyclic(n) for n in orders_out)), lambda k: 0,
+                  tuple((t, zero) for t in images), orders_in, name)
+        steps = tuple(tuple(tuple(q - p for p, q in zip(images[i], images[cylinder_index(
+            orders_in, tuple(v + (j == g) for j, v in enumerate(pt)))]))
+            for g in range(len(orders_in))) for i, pt in enumerate(cylinders(orders_in)))
+        return f, CocycleTable(f.source, f.target.group_moduli(), steps, orders_in)
 
-    phi = LCMap(x, y, lambda k: 0, rerank(src_orders, tgt_orders), "rank")
-    psi = LCMap(y, x, lambda k: 0, rerank(tgt_orders, src_orders), "unrank")
-
-    def diff_gen(f: LCMap, i: int) -> GroupValuedMap:
-        """f(e_i.p) - f(p) in the target's acting group."""
-        orders_from = np.array(f.source.group_moduli(), dtype=np.int64)
-        orders_to = f.target.group_moduli()
-
-        def vals(res: np.ndarray) -> np.ndarray:
-            moved = res.copy()
-            moved[i] = (moved[i] + 1) % orders_from[i]
-            return f.table(0, moved) - f.table(0, res)
-
-        return GroupValuedMap.tabulate(f.source, orders_to, 0, vals, f"{f.name}-a[{i}]")
-
-    a = CocycleTable(x, y.group_moduli(), tuple(diff_gen(phi, i) for i in range(x.rank)))
-    b = CocycleTable(y, x.group_moduli(), tuple(diff_gen(psi, j) for j in range(y.rank)))
+    phi, a = rerank(src_orders, tgt_orders, "rank")
+    psi, b = rerank(tgt_orders, src_orders, "unrank")
     return CoeWitness(phi, a, psi, b)
 
 
@@ -135,20 +118,20 @@ def linear_witness(x: SystemSpec, y: SystemSpec, rho, rho_inv, depth: int = 0) -
     """The linear part (orbitcert.linear) of the maps x -> x.rho from x to
     y, rho[i] the image of e_i, and y -> y.rho_inv back, with the
     homomorphism cocycles of rho and rho_inv, given by their columns: a
-    conjugacy when its checks pass.  It is integer data; no table is built.
-    Both maps read their input at level max(k, depth).  The identity of x
-    is linear_witness(x, x, I, I)."""
-    rho = tuple(tuple(int(v) for v in col) for col in rho)
-    rho_inv = tuple(tuple(int(v) for v in col) for col in rho_inv)
+    conjugacy when its checks pass.  Each is one piece.  Both maps read
+    their input at level max(k, depth).  The identity of x is
+    linear_witness(x, x, I, I)."""
+    rho, rho_inv = (tuple(tuple(map(int, col)) for col in m) for m in (rho, rho_inv))
 
     def level_map(k: int) -> int:
         return max(k, depth)
 
+    phi = linear_map(x, y, level_map, rho, "linear")
     a = homomorphism_cocycle(x, rho, y.group_moduli())
-    # an involution, such as the identity, has one cocycle both ways
-    b = a if (y, rho_inv) == (x, rho) else homomorphism_cocycle(y, rho_inv, x.group_moduli())
-    return CoeWitness(LCMap(x, y, level_map, name="linear", rho=rho), a,
-                      LCMap(y, x, level_map, name="linear-inv", rho=rho_inv), b)
+    if (y, rho_inv) == (x, rho):  # an involution, such as the identity, is one map both ways
+        return CoeWitness(phi, a, phi, a)
+    return CoeWitness(phi, a, linear_map(y, x, level_map, rho_inv, "linear-inv"),
+                      homomorphism_cocycle(y, rho_inv, x.group_moduli()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +254,7 @@ def build_coe_witness(
 # conjugacy witnesses
 
 
-def _prime_parts(ms, ns, blk) -> StagePart:
+def _block_part(ms, ns, blk) -> StagePart:
     """The conjugacy of a decision block: one linear part from the block's
     left factors to its right ones, wired like the block.  A conjugacy
     fixing 0 is a continuous group isomorphism that intertwines the
@@ -308,6 +291,6 @@ def build_conj_witness(
     if not decision:
         raise ValueError(f"not conjugate: {decision.obstruction}")
     x, y = odometer_product(ms), odometer_product(ns)
-    parts = tuple(_prime_parts(ms, ns, blk) for blk in decision.blocks)
+    parts = tuple(_block_part(ms, ns, blk) for blk in decision.blocks)
     return CoeChain(x, y, (Stage(x, y, parts),))
 

@@ -10,13 +10,15 @@ replaced it: every identity is tested for each group element of the
 coordinate box [-radius, radius]^rank (cocycle identities for every pair of
 box elements), and injectivity of both cocycles is tested on the box.  It is
 slow and only as strong as its radius, but it shares no code path with the
-generator checks in `orbitcert.cocycle` beyond `_Grid` and the maps' own
-evaluators: it tabulates every map with `LCMap.at` and `GroupValuedMap.at`
-on grids of its own, and checks the roundtrips pointwise on such a grid, so
-the tests require the two verdicts to agree.  The library stores tables one
-row per component; the sweeps here read them as one row per point, through
-_materialize_lcmap, _materialize_table and _points, and keep the pointwise
-layout of the verifier they preserve.
+generator checks of the grid oracle (grid_oracle) beyond `_Grid` and the
+maps' own evaluators: it tabulates every map with `LCMap.at` and
+`GroupValuedMap.at` on grids of its own, and checks the roundtrips
+pointwise on such a grid, so the tests require the two verdicts to agree.
+Tables hold one row per component; the sweeps here read them as one row
+per point, through _materialize_lcmap, _materialize_table and _points, and
+keep the pointwise layout of the verifier they preserve.  A map or cocycle
+given by pieces, as the library builds them, is read through its table
+(grid_oracle.as_table).
 
 box_verify_conj checks a conjugacy, an orbit equivalence whose cocycles
 are constant, as it was checked before it was one: each generator table
@@ -25,32 +27,29 @@ matrices read off those values, each point map's table shifted along a
 generator is the table translated by rho(e_i), and rho is additive and
 inverted by rho^-1 over the box.  Its checks carry verify_conj's names.
 
-A linear part (orbitcert.linear) is checked by its matrices.  A copy of it
-held as plain tables (witness_tables, witness_from_tables), or with its
-matrices dropped and its derived tables kept (without_rho), is checked on
-grids like any other witness, which makes either copy the oracle of the
-matrix path.
+A witness held as plain arrays (witness_tables, witness_from_tables) is
+checked on grids like any other, and its entries can be edited one by one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from orbitcert.cocycle import (
-    CheckResult,
+from grid_oracle import (
+    _SAMPLES,
     CocycleTable,
-    CoeWitness,
     GroupValuedMap,
     LCMap,
-    VerifyReport,
-    _SAMPLES,
     _Grid,
     _record,
+    as_table,
     cylinder_index,
+    tabulated,
 )
+from orbitcert.cocycle import CheckResult, CoeWitness, VerifyReport
 from orbitcert.dynamics import (
     PointAtLevel,
     SystemSpec,
@@ -105,6 +104,7 @@ def project(spec: SystemSpec, x: PointAtLevel) -> PointAtLevel:
 
 def image(f: LCMap, k: int, x: PointAtLevel) -> PointAtLevel:
     """f at output level k of one point given at level input_level(k) or finer."""
+    f = as_table(f)
     need = f.input_level(k)
     if x.level < need:
         raise ValueError(
@@ -116,6 +116,7 @@ def image(f: LCMap, k: int, x: PointAtLevel) -> PointAtLevel:
 
 def value(m: GroupValuedMap, x: PointAtLevel) -> GroupElement:
     """m at one point given at m's level or finer."""
+    m = as_table(m)
     if x.level < m.level:
         raise ValueError(f"{m.name or 'cocycle'}: needs level {m.level}, got {x.level}")
     col = m.at(np.array(x.residues, dtype=np.int64)[:, None])[:, 0]
@@ -231,6 +232,7 @@ def extend_cocycle(
     processing order is irrelevant for an abelian target (tested), the default
     walks factors left to right.
     """
+    table = as_table(table)
     spec = table.source
     if x.level < table.level:
         raise ValueError(f"point level {x.level} below cocycle level {table.level}")
@@ -434,6 +436,7 @@ def box_verify_coe(
     w: CoeWitness, level: int = 4, radius: int = 6, point_limit: int = 10**6
 ) -> VerifyReport:
     """The box-sweep verdict on a coe witness at (level, radius)."""
+    w = tabulated(w)
     checks = [
         box_equivariance("phi-equivariance", w.phi, w.a, level, radius, point_limit),
         box_equivariance("psi-equivariance", w.psi, w.b, level, radius, point_limit),
@@ -516,6 +519,7 @@ def box_verify_conj(
     """The box verdict on a conjugacy witness at (level, radius).  Every
     check after homomorphism reads rho and rho^-1 off the first row of each
     generator table, so it means something only when homomorphism passes."""
+    w = tabulated(w)
     require_level(w.source, level, point_limit)
     require_level(w.target, level, point_limit)
     src, tgt = w.source, w.target
@@ -551,6 +555,7 @@ def witness_tables(w: CoeWitness, level: int, limit: int = 10**6) -> dict:
     a check reads it (its own equivariance level, the other cocycle's level
     and the level the other map's roundtrip feeds it), and each cocycle's
     generators over its locality grid."""
+    w = tabulated(w)
     kf = max(level, w.b.level, w.psi.input_level(level))
     kb = max(level, w.a.level, w.phi.input_level(level))
     out = {"source": w.source, "target": w.target}
@@ -600,20 +605,3 @@ def witness_from_tables(tables: dict) -> CoeWitness:
         _table_map(tables["psi"], tgt, src, "psi"),
         _table_cocycle(tables["b"], tgt, "b"),
     )
-
-
-def without_rho(w: CoeWitness) -> CoeWitness:
-    """w with its point maps' matrices and its cocycles' columns dropped and
-    the tables derived from them kept: the same witness, checked on grids."""
-    def tables(t: CocycleTable) -> CocycleTable:
-        return CocycleTable(t.source, t.target_group, t.generators)
-
-    return CoeWitness(replace(w.phi, rho=None), tables(w.a),
-                      replace(w.psi, rho=None), tables(w.b))
-
-
-def chain_without_rho(chain):
-    """The chain with every part's matrices dropped (without_rho)."""
-    return replace(chain, stages=tuple(
-        replace(st, parts=tuple(replace(p, witness=without_rho(p.witness)) for p in st.parts))
-        for st in chain.stages))

@@ -4,26 +4,27 @@ is compared against.
 `compose_chain` glues a CoeChain into one CoeWitness the way the library
 once built every orbit equivalence: each stage becomes the direct sum of
 its parts between two factor permutations, and the stages are composed
-into one point map each way with composite cocycles.  verify_coe on the
-result checks the whole composite on one product grid; the tests require
-its verdict to match verify_chain's.  composite_scale sizes the
+into one point map each way with composite cocycles, all held as tables
+(grid_oracle).  The grid oracle's verify_coe on the result checks the
+whole composite on one product grid; the tests require its verdict to
+match verify_chain's.  composite_scale sizes the
 composite's grids without building it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from box_oracle import without_rho
-from orbitcert.chain import CoeChain, Stage
-from orbitcert.cocycle import (
+from grid_oracle import (
     CocycleTable,
-    CoeWitness,
     GroupValuedMap,
     LCMap,
     _Grid,
     cocycle_reader,
     constant_generator,
+    tabulated,
 )
+from orbitcert.chain import CoeChain, Stage
+from orbitcert.cocycle import CoeWitness
 from orbitcert.dynamics import SystemSpec, generator, point_count
 from orbitcert.witness import linear_witness
 
@@ -66,6 +67,7 @@ def compose_coe(w1: CoeWitness, w2: CoeWitness) -> CoeWitness:
     """Chain witnesses X -> Y and Y -> Z into X -> Z."""
     if w1.target != w2.source:
         raise ValueError("middle systems do not match")
+    w1, w2 = tabulated(w1), tabulated(w2)
     return CoeWitness(
         _chain(w1.phi, w2.phi),
         _composite_cocycle(w1.a, w1.phi, w2.a, "a12"),
@@ -99,6 +101,7 @@ def direct_sum_coe(parts: list[CoeWitness]) -> CoeWitness:
     """Witness between the concatenated systems acting factorwise."""
     if not parts:
         raise ValueError("at least one part")
+    parts = [tabulated(w) for w in parts]
     x = SystemSpec(tuple(f for w in parts for f in w.source.factors))
     y = SystemSpec(tuple(f for w in parts for f in w.target.factors))
     xoff, yoff = [0], [0]
@@ -159,13 +162,11 @@ def compose_chain(chain: CoeChain) -> CoeWitness:
 
 def only_part(chain: CoeChain) -> CoeWitness:
     """The witness of a chain with one stage of one part wired straight
-    through, such as the conjugacy of a pair with one asymptotic class,
-    with its matrices dropped (without_rho), so that the verifiers check it
-    on its grids as they check a composite."""
+    through, such as the conjugacy of a pair with one asymptotic class."""
     (stage,) = chain.stages
     (part,) = stage.parts
     assert part.reads == part.writes == tuple(range(chain.source.rank))
-    return without_rho(part.witness)
+    return part.witness
 
 
 def composite_scale(chain: CoeChain, level: int) -> int:

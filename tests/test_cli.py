@@ -334,45 +334,61 @@ WIDE_COE = (",".join(["2^inf*3"] + ["5^inf"] * 32), ",".join(["2^inf", "3*5^inf"
 WIDE_CONJ = ",".join((["2^inf*3", "2^inf*9", "2^inf"] * 22)[:64])
 
 
-@pytest.mark.parametrize("relation, ms, ns, level, grid", [
+@pytest.mark.parametrize("relation, ms, ns, level", [
     # a split part of the chain reads its input one level deeper
-    ("coe", "2^inf*3*5^inf,2^2*3^inf*5^inf,2^inf*3*5^inf",
-     "2^2*3^inf*5^inf,2^inf*3*5^inf,2^inf*5^inf", 4,
-     "level-5 grid would hold 3037500 points (limit 1000000)"),
-    # the merge of 33 cycles: its equivariance check splits each grid axis in two
-    pytest.param("coe", *WIDE_COE, 2,
-                 "a rank-33 part's checks would need arrays of 66 axes (numpy's limit 64)",
-                 id="coe-rank-33"),
-    # a rank-64 block: its level-0 tables stack 64 axes under one more
-    pytest.param("conj", WIDE_CONJ, WIDE_CONJ, 2,
-                 "a rank-64 part's checks would need arrays of 65 axes (numpy's limit 64)",
-                 id="conj-rank-64"),
+    pytest.param("coe", "2^inf*3*5^inf,2^2*3^inf*5^inf,2^inf*3*5^inf",
+                 "2^2*3^inf*5^inf,2^inf*3*5^inf,2^inf*5^inf", 4, id="rank3-split"),
+    # the merge of 33 cycles
+    pytest.param("coe", *WIDE_COE, 2, id="coe-rank-33"),
+    # a rank-64 block
+    pytest.param("conj", WIDE_CONJ, WIDE_CONJ, 2, id="conj-rank-64"),
 ])
-def test_witness_refuses_a_level_verify_would_refuse(relation, ms, ns, level, grid,
-                                                     tmp_path, capsys):
+def test_parts_once_refused_for_their_grids_round_trip(relation, ms, ns, level, tmp_path,
+                                                       capsys):
+    # each part is checked by its pieces, so no grid, and no array axis,
+    # bounds it: witness writes the certificate and verify passes it
+    path, _ = _emit(tmp_path, capsys, "witness", relation, ms, ns, "--level", str(level))
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert "verification passed" in capsys.readouterr().out
+
+
+def test_a_split_beyond_the_point_limit_is_refused_before_it_is_built(tmp_path, capsys):
+    # the pair's split and merge parts would have 2^21 cylinders each
+    ms, ns = "2^21*5^inf,3^inf", "5^inf,2^21*3^inf"
+    t0 = time.perf_counter()
+    assert main(["witness", "coe", ms, ns]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "a split of 2097152 cylinders is beyond the point limit 1000000" in \
+        capsys.readouterr().err
+
+
+def test_witness_refuses_a_level_verify_would_refuse(tmp_path, capsys):
     from orbitcert.certificates import certificate
-    from orbitcert.decide import coe_decide, conj_decide
+    from orbitcert.decide import coe_decide
     from orbitcert.supernatural import parse_sn_list
 
+    # level 20 is the first that require_level refuses under the coe limit
+    level, limit = 20, "point limit 1000000"
     path = tmp_path / "w.json"
     t0 = time.perf_counter()
-    assert main(["witness", relation, ms, ns, "--level", str(level), "--out", str(path)]) == 2
+    assert main(["witness", "coe", COE_M, COE_N, "--level", str(level), "--out", str(path)]) == 2
     assert time.perf_counter() - t0 < 1.0
     refused = capsys.readouterr().err
-    assert grid in refused and not path.exists()
-    # the refusal names the part whose grid is too large
-    tag = re.match(r"error: stage (\d+) part (\d+) \(([a-z^1-]+)\) @(\d+): ", refused)
-    assert tag and (tag[3] == "conj") == (relation == "conj"), refused
+    assert f"level {level} is beyond the {limit}" in refused and not path.exists()
     # the certificate it no longer writes: verify refuses it with the same error
-    left, right = parse_sn_list(ms), parse_sn_list(ns)
-    decide = {"coe": coe_decide, "conj": conj_decide}[relation]
-    _reseal(path, certificate(left, right, decide(left, right),
-                              {"type": relation, "level": level}, kind=f"{relation}-witness"))
+    left, right = parse_sn_list(COE_M), parse_sn_list(COE_N)
+    _reseal(path, certificate(left, right, coe_decide(left, right),
+                              {"type": "coe", "level": level}, kind="coe-witness"))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == refused
     # a decision asked to embed the witness block refuses it before printing
-    assert main([relation, ms, ns, "--witness", "--level", str(level)]) == 2
+    assert main(["coe", COE_M, COE_N, "--witness", "--level", str(level)]) == 2
     assert capsys.readouterr() == ("", refused)
+    # one level lower the same round trip passes
+    path, _ = _emit(tmp_path, capsys, "witness", "coe", COE_M, COE_N, "--level", str(level - 1))
+    assert main(["verify", str(path)]) == 0
 
 
 @pytest.mark.parametrize("ms, ns, levels", [
@@ -520,10 +536,10 @@ def test_kinv_beyond_the_prime_limit_exits_two_fast(capsys):
     assert "17 distinct infinite primes exceed 16" in capsys.readouterr().err
 
 
-def test_decision_commands_do_not_import_numpy():
-    # coe, conj and kinv decide with Python integers; numpy comes in only
-    # with the witness layer (witness, verify, selftest), which a fresh
-    # process shows by what it has imported
+def test_decision_commands_do_not_import_numpy(tmp_path):
+    # coe, conj and kinv decide with Python integers, and witness and verify
+    # check every part by its integer pieces: a fresh process that runs
+    # them all on both README pairs has not imported numpy
     import os
     import subprocess
     import sys
@@ -531,15 +547,19 @@ def test_decision_commands_do_not_import_numpy():
 
     import orbitcert
 
+    coe, conj = str(tmp_path / "coe.json"), str(tmp_path / "conj.json")
     code = ("import sys\nfrom orbitcert.cli import main\n"
             f"rcs = [main(['coe', {COE_M!r}, {COE_N!r}]), main(['conj', {SWAP_M!r}, {SWAP_N!r}]),\n"
             f"       main(['coe', '2^inf', '3^inf']), main(['kinv', {COE_M!r}])]\n"
             "print('rcs', rcs, 'numpy' in sys.modules)\n"
-            f"main(['witness', 'coe', {COE_M!r}, {COE_N!r}])\n"
-            "print('witness', 'numpy' in sys.modules)")
+            f"rcs = [main(['witness', 'coe', {COE_M!r}, {COE_N!r}, '--out', {coe!r}]),\n"
+            f"       main(['witness', 'conj', {SWAP_M!r}, {SWAP_N!r}, '--out', {conj!r}]),\n"
+            f"       main(['verify', {coe!r}]), main(['verify', {conj!r}])]\n"
+            "print('witness', rcs, 'numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(orbitcert.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "rcs [0, 0, 1, 0] False" in lines and lines[-1] == "witness True", proc.stdout
+    assert "rcs [0, 0, 1, 0] False" in lines, proc.stdout
+    assert lines[-1] == "witness [0, 0, 0, 0] False", proc.stdout

@@ -1,8 +1,10 @@
-"""The coe and conj verifiers check identities on generators; the box
-sweeps in box_oracle check them element by element on a box.  Their
+"""The grid oracle's coe and conj verifiers check identities on generators;
+the box sweeps in box_oracle check them element by element on a box.  Their
 verdicts must agree on valid witnesses and on seeded single-entry table
-mutations.  Likewise verify_chain, which checks an orbit-equivalence chain
-stage by stage, must agree with verify_coe on the chain's composite."""
+mutations, and on a witness given by pieces the library's verdict must be
+theirs.  Likewise verify_chain, which checks an orbit-equivalence chain
+stage by stage by its pieces, must agree with the grid oracle on the
+chain's composite."""
 from __future__ import annotations
 
 import copy
@@ -12,29 +14,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import grid_oracle
 from composite import compose_chain, composite_scale, identity_witness, only_part
 from box_oracle import (
-    _table_map,
     box_identity,
     box_verify_coe,
     box_verify_conj,
     witness_from_tables,
     witness_tables,
 )
-from orbitcert.cocycle import (
+from grid_oracle import (
     CocycleTable,
-    CoeWitness,
     GroupValuedMap,
     LCMap,
     _Grid,
+    as_table,
     constant_generator,
     cylinder_index,
-    homomorphism_cocycle,
-    inverse_coe,
-    verify_cocycle_identity,
-    verify_coe,
-    verify_conj,
 )
+from orbitcert import cocycle
+from orbitcert.cocycle import CoeWitness, homomorphism_cocycle, inverse_coe
 from orbitcert.chain import CoeChain, Stage, StagePart, verify_chain
 from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.dynamics import (
@@ -74,10 +73,20 @@ def _cyclic_source():
     return inverse_coe(build_basic_coe(5, parse_sn("2^inf")))
 
 
+def _exact(w, level, conj=False):
+    """The grid oracle's report on w held as tables; on a witness given by
+    pieces the library's verify_coe or verify_conj gives the same verdict."""
+    report = (grid_oracle.verify_conj if conj else grid_oracle.verify_coe)(w, level)
+    if isinstance(w.phi, cocycle.LCMap):
+        assert (cocycle.verify_conj if conj else cocycle.verify_coe)(w, level).passed == \
+            report.passed
+    return report
+
+
 def _agree(w, level, radius):
     """Same verdict, and the same roundtrip checks: both verifiers compare
     psi(phi(x)) with x on the same grid."""
-    exact = verify_coe(w, level)
+    exact = _exact(w, level)
     box = box_verify_coe(w, level, radius)
     detail = exact.summary() + "\n" + box.summary()
     assert exact.passed == box.passed, detail
@@ -140,8 +149,9 @@ def test_single_entry_mutations_agree(case):
 def test_orbit_sum_violation_needs_only_radius_one(n):
     # constant 1 -> Z on Z/n sums to n around the orbit, not 0
     spec = SystemSpec((Cyclic(n),))
+    assert not cocycle.verify_cocycle_identity(homomorphism_cocycle(spec, [(1,)], (0,))).passed
     a = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (1,)),))
-    assert not verify_cocycle_identity(a).passed
+    assert not grid_oracle.verify_cocycle_identity(a).passed
     assert not box_identity("box", a, 1, 10**6).ok  # through the pair (-1, +1)
     assert box_identity("box", a, 0, 10**6).ok  # the box {0} sees nothing
 
@@ -152,7 +162,7 @@ def test_commutation_violation_is_located():
         spec, (0, 0), 1, lambda res: np.stack((np.ones(res.shape[1], int), res[1] % 3))
     )
     f1 = constant_generator(spec, (0, 0), (0, 1))
-    report = verify_cocycle_identity(CocycleTable(spec, (0, 0), (f0, f1)))
+    report = grid_oracle.verify_cocycle_identity(CocycleTable(spec, (0, 0), (f0, f1)))
     assert not report.passed
     assert "exact over the acting group" in report.summary()
     assert report.checks[0].violations[0][1] == "e0+e1 = e1+e0"
@@ -160,20 +170,22 @@ def test_commutation_violation_is_located():
 
 def test_inverse_check_cost_does_not_grow_with_cocycle_values():
     # a(e, x) = 10**9 would take 10**9 unit steps to telescope; the prefix
-    # sums answer in one lookup per factor and the check fails at once
+    # sums answer in one lookup per factor and the check fails at once, on
+    # pieces and on the grid oracle's tables alike
     spec = SystemSpec((Odometer(parse_sn("2^inf")),))
     w = identity_witness(spec)
-    big = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (10**9,)),))
-    report = verify_coe(CoeWitness(w.phi, big, w.psi, w.b), level=2)
-    failing = {c.name for c in report.checks if not c.ok}
-    assert "b-inverts-a" in failing
+    big = homomorphism_cocycle(spec, [(10**9,)], (0,))
+    for report in (cocycle.verify_coe(CoeWitness(w.phi, big, w.psi, w.b), level=2),
+                   _exact(CoeWitness(w.phi, big, w.psi, w.b), 2)):
+        failing = {c.name for c in report.checks if not c.ok}
+        assert "b-inverts-a" in failing
 
 
 def test_values_beyond_exact_int64_range_are_refused():
     spec = SystemSpec((Cyclic(4),))
     a = CocycleTable(spec, (0,), (constant_generator(spec, (0,), (2**61,)),))
     with pytest.raises(ValueError, match="too large"):
-        verify_cocycle_identity(a)
+        grid_oracle.verify_cocycle_identity(a)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +194,7 @@ def test_values_beyond_exact_int64_range_are_refused():
 
 def _chain_agrees(chain, level):
     staged = verify_chain(chain, level)
-    whole = verify_coe(compose_chain(chain), level)
+    whole = grid_oracle.verify_coe(compose_chain(chain), level)
     assert staged.passed == whole.passed, staged.summary() + "\n" + whole.summary()
     return staged.passed
 
@@ -201,35 +213,38 @@ def test_chain_and_composite_agree_on_the_corpus():
         assert _chain_agrees(build_coe_witness(ms, ns), 4), (ms, ns)
 
 
-def _mutate_part(part, key: str, level: int, rng: random.Random):
-    """The part with one entry of one of its tables changed by a step every
-    level that reads it sees: +-1 on a point-map residue, a step its target
-    group does not kill on a cocycle value.  A generator of a trivial Z/1
-    factor is the zero element, which no composite reads, so its table is
-    left alone."""
-    tables = witness_tables(part.witness, level)
+def _mutate_part(part, key: str, rng: random.Random):
+    """The part with one entry changed by a step every level that reads it
+    sees: +-1 on one piece's offset in a component that is not Z/1, or a
+    step its target group does not kill on one cylinder's cocycle value.
+    A generator of a trivial Z/1 factor is the zero element, which no
+    composite reads, so its column is left alone."""
+    w = part.witness
     if key in ("a", "b"):
-        group = tables[key]["target_group"]
-        source = part.witness.source if key == "a" else part.witness.target
-        gens = [g for g, m in zip(tables[key]["generators"], source.group_moduli()) if m != 1]
+        a = getattr(w, key)
+        group = a.target_group
+        gens = [i for i, m in enumerate(a.source.group_moduli()) if m != 1]
         cols = [c for c, m in enumerate(group) if m != 1]
         if not gens or not cols:
             return None
-        c = rng.choice(cols)
+        c, i, r = rng.choice(cols), rng.choice(gens), rng.randrange(len(a.values))
         step = rng.choice([d for d in (-3, -2, -1, 1, 2, 3) if not group[c] or d % group[c]])
-        table = gens[rng.randrange(len(gens))]
-        table[c, rng.randrange(table.shape[1])] += step
+        values = list(a.values)
+        values[r] = tuple(tuple(v + step if (j, t) == (i, c) else v for t, v in enumerate(col))
+                          for j, col in enumerate(values[r]))
+        mutant = replace(a, values=tuple(values))
     else:
-        spec = tables["target" if key == "phi" else "source"]
-        mods = spec.space_moduli(tables[key]["out_level"])
-        cols = [c for c, m in enumerate(mods) if m > 1]
+        f = getattr(w, key)
+        cols = [c for c, factor in enumerate(f.target.factors)
+                if not isinstance(factor, Cyclic) or factor.n > 1]
         if not cols:
             return None
-        c = rng.choice(cols)
-        table = tables[key]["table"]
-        p = rng.randrange(table.shape[1])
-        table[c, p] = (table[c, p] + rng.choice([-1, 1])) % mods[c]
-    return replace(part, witness=witness_from_tables(tables))
+        c, p = rng.choice(cols), rng.randrange(len(f.pieces))
+        t, rows = f.pieces[p]
+        t = tuple(v + rng.choice([-1, 1]) if j == c else v for j, v in enumerate(t))
+        mutant = cocycle.LCMap(f.source, f.target, f.level_map,
+                               f.pieces[:p] + ((t, rows),) + f.pieces[p + 1:], f.moduli, f.name)
+    return replace(part, witness=replace(w, **{key: mutant}))
 
 
 @pytest.mark.parametrize("pair", [README_PAIR, RANK2_PAIRS[0]], ids=["readme", "rank2-0"])
@@ -243,7 +258,7 @@ def test_stage_part_mutations_fail_both_checks(pair):
         k = rng.randrange(len(chain.stages))
         stage = chain.stages[k]
         p = rng.randrange(len(stage.parts))
-        part = _mutate_part(stage.parts[p], key, 4, rng)
+        part = _mutate_part(stage.parts[p], key, rng)
         if part is None:
             continue
         made += 1
@@ -251,7 +266,7 @@ def test_stage_part_mutations_fail_both_checks(pair):
         stages = chain.stages[:k] + (replace(stage, parts=parts),) + chain.stages[k + 1:]
         mutant = replace(chain, stages=stages)
         assert not verify_chain(mutant, 2).passed, (key, k, p)
-        assert not verify_coe(compose_chain(mutant), 2).passed, (key, k, p)
+        assert not grid_oracle.verify_coe(compose_chain(mutant), 2).passed, (key, k, p)
         failed[key] += 1
     assert all(v == 4 for v in failed.values()), failed
 
@@ -324,7 +339,7 @@ def _agree_conj(cw, level, radius=6):
     homomorphism holds the outcomes also agree check by check, and the
     equivariance and roundtrip checks count the same grid points; the
     inverse and relation checks count box elements instead."""
-    exact = verify_conj(cw, level)
+    exact = _exact(cw, level, conj=True)
     box = box_verify_conj(cw, level, radius)
     detail = exact.summary() + "\n" + box.summary()
     assert [c.name for c in exact.checks] == [c.name for c in box.checks], detail
@@ -345,17 +360,19 @@ def test_conj_witnesses_agree(case, level):
 
 
 def test_conj_report_is_homomorphism_then_the_coe_checks():
-    cw = CONJ_CASES["cyclic-product"]()
-    exact = verify_conj(cw, 2)
-    assert [c.name for c in exact.checks] == (
-        ["homomorphism"] + [c.name for c in verify_coe(cw, 2).checks])
-    assert exact.kind == "conj-witness"
+    for cw, verify_conj, verify_coe in (
+            (CONJ_CASES["cyclic-product"](), grid_oracle.verify_conj, grid_oracle.verify_coe),
+            (CONJ_CASES["readme"](), cocycle.verify_conj, cocycle.verify_coe)):
+        exact = verify_conj(cw, 2)
+        assert [c.name for c in exact.checks] == (
+            ["homomorphism"] + [c.name for c in verify_coe(cw, 2).checks])
+        assert exact.kind == "conj-witness"
 
 
 def test_orbit_equivalence_that_is_no_conjugacy_fails_only_homomorphism():
     w = _witness(README_PAIR)
-    assert verify_coe(w, 2).passed
-    report = verify_conj(w, 2)
+    assert grid_oracle.verify_coe(w, 2).passed
+    report = grid_oracle.verify_conj(w, 2)
     assert [c.name for c in report.checks if not c.ok] == ["homomorphism"], report.summary()
     assert not _agree_conj(w, 2, radius=2)
 
@@ -396,7 +413,7 @@ def test_conj_single_entry_mutations_agree(case):
             continue
         mutant = witness_from_tables(_mutate_hom(tables, "ab"[k // 4], key == "every", rng))
         assert not _agree_conj(mutant, level, radius=2)
-        report = verify_conj(mutant, level)
+        report = grid_oracle.verify_conj(mutant, level)
         failing = {c.name for c in report.checks if not c.ok}
         if key == "row":
             assert "homomorphism" in failing, report.summary()
@@ -412,8 +429,9 @@ def test_conj_single_entry_mutations_agree(case):
 
 
 def _poke(f: LCMap, level: int, point: tuple[int, ...], comp: int) -> LCMap:
-    """f with component comp of its level-`level` image of `point`, given by
-    residues at f's input level, moved by one."""
+    """f, held as a table, with component comp of its level-`level` image
+    of `point`, given by residues at f's input level, moved by one."""
+    f = as_table(f)
     mods = f.target.space_moduli(level)
 
     def table(k: int, res: np.ndarray) -> np.ndarray:
@@ -456,7 +474,7 @@ def test_kernel_mutations_at_wrapping_and_interior_points(case):
     made = 0
     for point, comp in _kernel_pokes(w, level):
         mutant = replace(w, phi=_poke(w.phi, level, point, comp))
-        report = (verify_conj if conj else verify_coe)(mutant, level)
+        report = _exact(mutant, level, conj)
         checks = {c.name: c for c in report.checks}
         where = PointAtLevel(w.phi.input_level(level), point)
         detail = (point, comp, report.summary())
@@ -484,7 +502,8 @@ def _conj_verdicts(chain, level=2, radius=2):
     verify_conj and the box oracle on the chain's composite."""
     whole = compose_chain(chain)
     return (verify_chain(chain, level, "conj").passed,
-            verify_conj(whole, level).passed, box_verify_conj(whole, level, radius).passed)
+            grid_oracle.verify_conj(whole, level).passed,
+            box_verify_conj(whole, level, radius).passed)
 
 
 def test_conj_chain_and_composite_agree_on_the_corpus():
@@ -515,7 +534,7 @@ def test_conj_block_mutations_fail_all_three(pair, tables):
     while made < 8:  # two mutations of each of a, b, phi, psi
         key = ("a", "b", "phi", "psi")[made % 4]
         p = rng.randrange(len(stage.parts))
-        part = _mutate_part(stage.parts[p], key, tables, rng)
+        part = _mutate_part(stage.parts[p], key, rng)
         if part is None:
             continue
         made += 1
@@ -527,9 +546,8 @@ def test_conj_block_mutations_fail_all_three(pair, tables):
 def test_part_checks_follow_the_claim_not_the_part_label():
     # an orbit equivalence that is no conjugacy, labelled as a conj block:
     # the relation claimed decides what is checked, not the label
-    w = _witness(README_PAIR)
-    wiring = tuple(range(w.source.rank))
-    part = StagePart("conj", w, wiring, wiring)
+    w = build_basic_coe(5, parse_sn("2^inf"))
+    part = StagePart("conj", w, (0,), (0, 1))
     chain = CoeChain(w.source, w.target, (Stage(w.source, w.target, (part,)),))
     as_coe = verify_chain(chain, 2)
     assert as_coe.passed and as_coe.kind == "coe-witness"

@@ -1,11 +1,11 @@
-"""Linear parts are checked by integer conditions on their matrices and
-their cocycles' columns (orbitcert.linear); a copy of the same part held
-as plain tables (box_oracle.witness_tables) is checked on grids.  The two
-must agree on every linear part of the seed-17 corpora, unmutated and with
-seeded mutations of one matrix entry: in rho or rho^-1 itself (a point
-map's table and its cocycle's columns alike), in a's columns only, or in
-phi's table only.  A linear part is built and checked with no grid and no
-table at all."""
+"""Linear parts, the one-piece case of orbitcert.linear, are checked by
+integer conditions on their matrices and their cocycles' columns; a copy
+of the same part held as plain tables (box_oracle.witness_tables) is
+checked on grids by the grid oracle.  The two must agree on every linear
+part of the seed-17 corpora, unmutated and with seeded mutations of one
+matrix entry: in rho or rho^-1 itself (a point map and its cocycle's
+columns alike), in a's columns only, or in phi's matrix only.  A linear
+part is built and checked with no grid and no table at all."""
 from __future__ import annotations
 
 import random
@@ -13,22 +13,21 @@ from dataclasses import replace
 
 import pytest
 
-from box_oracle import witness_from_tables, witness_tables, without_rho
-from orbitcert import cocycle
+import grid_oracle
+from box_oracle import witness_from_tables, witness_tables
 from orbitcert.certificates import witness_block, witness_from_block
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
     CocycleTable,
     CoeWitness,
-    GroupValuedMap,
     LCMap,
     homomorphism_cocycle,
+    linear_map,
     verify_coe,
     verify_conj,
 )
 from orbitcert.decide import coe_decide, conj_decide
-from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec
-from orbitcert.linear import matrices
+from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, canonical_coords
 from orbitcert.selftest import generate_instances
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import build_coe_witness, build_conj_witness, linear_witness
@@ -36,18 +35,37 @@ from orbitcert.witness import build_coe_witness, build_conj_witness, linear_witn
 README_PAIR = ("5*2^inf,3^inf", "2^inf,5*3^inf")
 README_CONJ = ("2*5^inf,3*5^inf", "3*5^inf,2*5^inf")
 CRT_MERGE = ("2*7^inf,3*7^inf", "6*7^inf,7^inf")
-# a roundtrip's verdict is its matrix condition's whenever the other map's
-# wrap condition, that map's equivariance at the same level, holds
-WRAP = {"psi-after-phi": "psi-equivariance", "phi-after-psi": "phi-equivariance"}
+# a roundtrip's verdict is its matrix condition's unless a wrap condition
+# fails, and that is the other map's equivariance at the same level
+ROUNDTRIPS = ("psi-after-phi", "phi-after-psi")
 # the checks a column-given cocycle decides by its columns, with the grid
 # check's counts and violation points
 COLUMN_CHECKS = ("homomorphism", "cocycle-identity-a", "cocycle-identity-b")
+ORACLE = {verify_coe: grid_oracle.verify_coe, verify_conj: grid_oracle.verify_conj}
+
+
+def _columns(a) -> tuple | None:
+    """a(e_i, x) = columns[i] of a one-cylinder cocycle, None for any other."""
+    return a.values[0] if len(a.values) == 1 else None
+
+
+def matrices(w) -> tuple | None:
+    """(rho, sigma) when w is a linear part: both point maps are one piece
+    with offset 0, and a and b are the one-cylinder cocycles of their
+    matrices, each canonical in its group."""
+    rho, sigma, a, b = w.phi.rho, w.psi.rho, _columns(w.a), _columns(w.b)
+    if rho is None or sigma is None or a is None or b is None:
+        return None
+    for cols, given, group in ((rho, a, w.a.target_group), (sigma, b, w.b.target_group)):
+        if given != tuple(canonical_coords(group, tuple(col)) for col in cols):
+            return None
+    return rho, sigma
 
 
 def _linear_parts() -> dict:
-    """Every distinct linear part of the coe and conj witnesses the seed-17
-    selftest corpus verifies, of the README pairs and of CRT_MERGE, keyed
-    by relation, systems, matrices and depth."""
+    """Every distinct identity or conjugacy part of the coe and conj
+    witnesses the seed-17 selftest corpus verifies, of the README pairs and
+    of CRT_MERGE, keyed by relation, systems, matrices and depth."""
     instances = generate_instances(17, 200)
     coe = [p for p in instances if len(p[0]) <= 2 and coe_decide(*p)]
     conj = [p for p in instances if conj_decide(*p)]
@@ -60,7 +78,7 @@ def _linear_parts() -> dict:
             for stage in build(ms, ns).stages:
                 for part in stage.parts:
                     w = part.witness
-                    if matrices(w):
+                    if part.kind.startswith(("identity", "conj")):
                         key = (relation, w.source, w.target, w.phi.rho, w.psi.rho,
                                w.phi.input_level(0))
                         parts.setdefault(key, w)
@@ -87,8 +105,8 @@ def _mutants(w: CoeWitness, depth: int, rng: random.Random):
     yield "matrix", linear_witness(x, y, rho, _bumped(sigma, rng), depth)
     yield "columns", CoeWitness(
         w.phi, homomorphism_cocycle(x, _bumped(rho, rng), y.group_moduli()), w.psi, w.b)
-    yield "table", CoeWitness(
-        LCMap(x, y, w.phi.level_map, rho=tuple(map(tuple, _bumped(rho, rng)))), w.a, w.psi, w.b)
+    yield "table", CoeWitness(linear_map(x, y, w.phi.level_map, _bumped(rho, rng)),
+                              w.a, w.psi, w.b)
 
 
 def _tables(w: CoeWitness, level: int) -> CoeWitness:
@@ -100,16 +118,15 @@ def _agree(w: CoeWitness, level: int, verify, copy=_tables) -> bool:
     held as tables, give the same verdict and the same check names; a
     check that passes by its matrix condition passes on the grid, and the
     two agree check by check wherever the argument in orbitcert.chain
-    covers the check.  Returns whether w took the matrix path."""
+    covers the check.  Returns whether w is a linear part."""
     got = verify(w, level)
-    oracle = verify(copy(w, level), level)
+    oracle = ORACLE[verify](copy(w, level), level)
     detail = f"level {level}\n{got.summary()}\n{oracle.summary()}"
     assert [c.name for c in got.checks] == [c.name for c in oracle.checks], detail
     assert got.passed == oracle.passed, detail
-    ok = {c.name: c.ok for c in got.checks}
     for c, o in zip(got.checks, oracle.checks):
         assert o.ok or not c.ok, detail
-        if ok.get(WRAP.get(c.name), True):
+        if c.name not in ROUNDTRIPS or not any(isinstance(v[1], str) for v in c.violations):
             assert c.ok == o.ok, detail
         if c.name in COLUMN_CHECKS:
             assert (c.checked, c.violations) == (o.checked, o.violations), detail
@@ -169,7 +186,7 @@ def _random_map(src: SystemSpec, tgt: SystemSpec, rng: random.Random) -> LCMap:
     coarser than its output level down to two finer."""
     shift = rng.choice([-1, 0, 0, 1, 2])
     cols = tuple(tuple(rng.randint(-4, 4) for _ in range(tgt.rank)) for _ in range(src.rank))
-    return LCMap(src, tgt, lambda k: max(k + shift, 0), rho=cols)
+    return linear_map(src, tgt, lambda k: max(k + shift, 0), cols)
 
 
 def test_random_linear_maps_agree():
@@ -177,7 +194,8 @@ def test_random_linear_maps_agree():
     # well defined: every condition fails somewhere, on cyclic and odometer
     # factors, with maps that read their input coarser or finer.  A map
     # read coarser than its output is no map of the inverse limits, which a
-    # copy held as tables assumes, so the oracle keeps the maps' own tables
+    # copy held as plain arrays assumes, so the oracle evaluates the maps
+    # themselves (grid_oracle.tabulated)
     rng = random.Random("random-linear")
     failing: set = set()
     for _ in range(200):
@@ -186,25 +204,26 @@ def test_random_linear_maps_agree():
         w = CoeWitness(phi, homomorphism_cocycle(x, phi.rho, y.group_moduli()),
                        psi, homomorphism_cocycle(y, psi.rho, x.group_moduli()))
         for level in range(4):
-            assert _agree(w, level, verify_coe, lambda w, _level: without_rho(w))
+            assert _agree(w, level, verify_coe, lambda w, _level: grid_oracle.tabulated(w))
             failing |= {c.name for c in verify_coe(w, level).checks if not c.ok}
-        _agree(w, 0, verify_conj, lambda w, _level: without_rho(w))
+        _agree(w, 0, verify_conj, lambda w, _level: grid_oracle.tabulated(w))
     assert failing == {"phi-equivariance", "psi-equivariance", "psi-after-phi", "phi-after-psi",
                        "b-inverts-a", "a-inverts-b", "cocycle-identity-a", "cocycle-identity-b"}
 
 
 def test_a_map_has_a_table_or_a_matrix():
+    # a linear map is the one-piece map with offset 0, and a copy keeps it
     w = PARTS[next(iter(PARTS))]
-    # a copy keeps its matrix and the table derived from it
     copy = replace(w.phi, name="copy")
-    assert copy.rho is w.phi.rho and copy.table.rho is w.phi.rho
-    with pytest.raises(ValueError, match="derived"):
-        LCMap(w.source, w.target, w.phi.level_map, lambda k, res: res, rho=w.phi.rho)
-    with pytest.raises(ValueError, match="required"):
-        LCMap(w.source, w.target, w.phi.level_map)
-    with pytest.raises(ValueError, match="columns"):
-        LCMap(w.source, w.target, w.phi.level_map, rho=w.phi.rho + w.phi.rho)
-    assert matrices(without_rho(w)) is None
+    assert copy.rho == w.phi.rho and copy.pieces == w.phi.pieces
+    assert w.phi.moduli == (1,) * w.source.rank
+    shifted = LCMap(w.source, w.target, w.phi.level_map,
+                    (((1,) * w.target.rank, w.phi.rho),))
+    assert shifted.rho is None and matrices(CoeWitness(shifted, w.a, w.psi, w.b)) is None
+    with pytest.raises(ValueError, match="one piece per cylinder"):
+        LCMap(w.source, w.target, w.phi.level_map, w.phi.pieces * 2)
+    with pytest.raises(ValueError, match="one piece per cylinder"):
+        linear_map(w.source, w.target, w.phi.level_map, w.phi.rho + w.phi.rho)
 
 
 def test_an_orbit_sum_that_is_not_zero_fails_on_columns_and_on_tables():
@@ -221,7 +240,8 @@ def test_an_orbit_sum_that_is_not_zero_fails_on_columns_and_on_tables():
         for level in range(3):
             for verify in (verify_coe, verify_conj):
                 _agree(mutant, level, verify)
-                for report in (verify(mutant, level), verify(_tables(mutant, level), level)):
+                for report in (verify(mutant, level),
+                               ORACLE[verify](_tables(mutant, level), level)):
                     (check,) = [c for c in report.checks if c.name == "cocycle-identity-a"]
                     assert check.violations == [
                         ("cocycle-identity-a", "2*e0 = 0", PointAtLevel(0, (0, r)))
@@ -229,7 +249,7 @@ def test_an_orbit_sum_that_is_not_zero_fails_on_columns_and_on_tables():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a grid or a group-valued table was built")
+    raise AssertionError("a grid or a table was built")
 
 
 def test_identity_and_conjugacy_parts_are_built_and_checked_without_tables(monkeypatch):
@@ -242,8 +262,8 @@ def test_identity_and_conjugacy_parts_are_built_and_checked_without_tables(monke
                 for part in stage.parts if part.kind.startswith("identity")]
     wired = [("coe", p) for p, chain in zip(coe, chains) if len(chain.stages) == 1]
     assert len(wired) >= 40 and len(identity) > 2 * len(wired)
-    monkeypatch.setattr(cocycle._Grid, "__init__", _refuse)
-    monkeypatch.setattr(GroupValuedMap, "__post_init__", _refuse)
+    monkeypatch.setattr(grid_oracle._Grid, "__init__", _refuse)
+    monkeypatch.setattr(grid_oracle.GroupValuedMap, "__post_init__", _refuse)
     for w, lam in identity:
         assert verify_coe(w, lam).passed
     for relation, (ms, ns) in wired + [("conj", tuple(map(parse_sn_list, README_CONJ)))]:
@@ -254,19 +274,21 @@ def test_identity_and_conjugacy_parts_are_built_and_checked_without_tables(monke
 
 
 def test_a_cocycle_has_tables_or_columns():
+    # a one-cylinder cocycle is given by its columns, stored canonical, and
+    # its copy held as tables is the constant level-0 tables of those
+    # columns; a cocycle of several cylinders has no columns
     x = SystemSpec((Cyclic(2), Cyclic(3)))
     a = homomorphism_cocycle(x, [(9,), (4,)], (6,))
-    # columns are stored canonical, and the tables derived from them are
-    # the constant level-0 tables of those columns
-    assert a.columns == ((3,), (4,)) and a.level == 0
-    assert [g.values.T.tolist() for g in a.generators] == [[[3]] * 6, [[4]] * 6]
-    assert a.generators is a.generators
-    with pytest.raises(ValueError, match="derived"):
-        CocycleTable(x, (6,), a.generators, a.columns)
-    with pytest.raises(ValueError, match="required"):
-        CocycleTable(x, (6,))
+    assert _columns(a) == ((3,), (4,)) and a.level == 0 and a.moduli == (1, 1)
+    assert [g.values.T.tolist() for g in grid_oracle.as_table(a).generators] == \
+        [[[3]] * 6, [[4]] * 6]
+    split = CocycleTable(x, (6,), [((1,), (2,)), ((3,), (4,))], (2, 1))
+    assert _columns(split) is None and split.values[1] == ((3,), (4,))
+    with pytest.raises(ValueError, match="one value per cylinder"):
+        CocycleTable(x, (6,), [((1,), (2,))], (2, 1))
+    with pytest.raises(ValueError, match="must divide"):
+        CocycleTable(x, (6,), [((1,), (2,))] * 4, (4, 1))
     with pytest.raises(ValueError, match="per source factor"):
-        CocycleTable(x, (6,), columns=[(1,)])
+        CocycleTable(x, (6,), [((1,),)])
     with pytest.raises(ValueError, match="per source factor"):
-        CocycleTable(x, (6,), columns=[(1, 0), (0, 1)])
-    assert CocycleTable(x, (6,), a.generators).columns is None
+        CocycleTable(x, (6,), [((1, 0), (0, 1))])

@@ -10,7 +10,7 @@ import pytest
 from composite import composite_scale, only_part
 from orbitcert import cli, intmat, selftest
 from orbitcert.chain import verify_chain
-from orbitcert.cocycle import CheckResult, VerifyReport, check_grids
+from orbitcert.cocycle import CheckResult, VerifyReport
 from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.dynamics import point_count
 from orbitcert.selftest import (
@@ -26,6 +26,7 @@ from orbitcert.selftest import (
     suite_counterexample,
     suite_invariant_vs_decision,
     suite_snf,
+    _check_grids,
     _mandated_conj_pairs,
 )
 from orbitcert.supernatural import is_supernatural, parse_sn_list, sn_str
@@ -65,7 +66,7 @@ def test_scale_estimators_monotone_in_level():
     cw = only_part(build_conj_witness(ms, ns))
 
     def largest_grid(level):
-        return max(point_count(spec, k) for spec, k in check_grids(cw, level))
+        return max(point_count(spec, k) for spec, k in _check_grids(cw, level))
 
     assert largest_grid(2) <= largest_grid(3)
     w = build_coe_witness(ms, ns)

@@ -8,18 +8,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import grid_oracle
 from box_oracle import (
     GroupElement,
     act,
-    chain_without_rho,
     enumerate_points,
     image,
     locality_slack as _slack,
 )
 from composite import compose_chain, direct_sum_coe, permutation_witness
+from grid_oracle import _Grid, as_table
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import (
-    _Grid,
     verify_cocycle_identity,
     verify_coe,
     verify_conj,
@@ -50,8 +50,8 @@ def test_basic_split_five():
     report = verify_coe(w, level=3)
     assert report.passed, report.summary()
     # the seam cocycle reads one digit: locality is exactly the 5-divisible level
-    assert w.a.generators[0].level == 1
-    assert _slack(w.a.generators[0]) == 0
+    assert w.a.level == 1 and w.a.moduli == (5,)
+    assert _slack(as_table(w.a).generators[0]) == 0
 
 
 def test_basic_split_shared_prime():
@@ -84,7 +84,7 @@ def test_permutation_witness():
     spec = SystemSpec((Cyclic(2), Odometer(parse_sn("3^inf")), Cyclic(5)))
     w = permutation_witness(spec, (2, 0, 1))
     assert w.target.factors == (Cyclic(5), Cyclic(2), Odometer(parse_sn("3^inf")))
-    assert verify_coe(w, level=2).passed
+    assert grid_oracle.verify_coe(w, level=2).passed
     with pytest.raises(ValueError, match="permutation"):
         permutation_witness(spec, (0, 0, 1))
 
@@ -95,7 +95,7 @@ def test_direct_sum_of_splits():
         [build_basic_coe(5, parse_sn("2^inf")), build_basic_coe(1, parse_sn("3^inf"))]
     )
     assert w.source.rank == 2 and w.target.rank == 4
-    assert verify_coe(w, level=2).passed
+    assert grid_oracle.verify_coe(w, level=2).passed
 
 
 M_EXAMPLE = parse_sn_list("5*2^inf, 3^inf")
@@ -193,7 +193,7 @@ def test_witness_locality_is_tight():
     w = build_coe_witness(M_EXAMPLE, N_EXAMPLE)
     for stage in w.stages:
         for part in stage.parts:
-            for gen in part.witness.a.generators + part.witness.b.generators:
+            for gen in as_table(part.witness.a).generators + as_table(part.witness.b).generators:
                 assert _slack(gen) == 0
 
 
@@ -205,9 +205,8 @@ def test_conj_witness_swap_pair():
 
 
 def test_refused_level_checks_no_part(monkeypatch):
-    # the level-9 grid of the (2^inf*3^inf) block, checked on grids with its
-    # matrices dropped, is refused before any part is checked, not after
-    # the (2^inf, 2^inf) block has passed
+    # level 23 is beyond the conj point limit, and it is refused before
+    # any part is checked, not after the (2^inf, 2^inf) block has passed
     from orbitcert import chain
 
     calls = []
@@ -217,21 +216,20 @@ def test_refused_level_checks_no_part(monkeypatch):
         return verify_conj(*args, **kwargs)
 
     monkeypatch.setattr(chain, "verify_conj", counting)
-    w = chain_without_rho(build_conj_witness(parse_sn_list("2^inf*3^inf, 2^inf, 2^inf"),
-                                             parse_sn_list("2^inf, 2^inf, 2^inf*3^inf")))
+    w = build_conj_witness(parse_sn_list("2^inf*3^inf, 2^inf, 2^inf"),
+                           parse_sn_list("2^inf, 2^inf, 2^inf*3^inf"))
     with pytest.raises(ValueError) as refused:
-        verify_chain(w, 9, "conj")
-    assert str(refused.value) == ("stage 0 part 1 (conj) @9: level-9 grid would hold "
-                                  "10077696 points (limit 5000000)")
+        verify_chain(w, 23, "conj")
+    assert str(refused.value).startswith("level 23 is beyond the point limit 5000000")
     assert calls == []
-    assert verify_chain(w, 2, "conj").passed and len(calls) == 2
+    assert verify_chain(w, 22, "conj").passed and len(calls) == 2
 
 
 def test_conj_witness_identity_case():
     ms = parse_sn_list("2^inf, 5^inf")
     cw = compose_chain(build_conj_witness(ms, ms))
     assert [tuple(g.values[:, 0]) for g in cw.a.generators] == [(1, 0), (0, 1)]
-    assert verify_conj(cw, level=3).passed
+    assert grid_oracle.verify_conj(cw, level=3).passed
     for x in enumerate_points(cw.source, 3):
         assert image(cw.phi, 3, x) == x
 
