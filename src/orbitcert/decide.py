@@ -12,9 +12,11 @@ from .supernatural import (
     INF,
     ONE,
     SupernaturalNumber,
+    _canonical,
     _is_prime,
     class_key,
     divides,
+    factorize,
     is_supernatural,
     mul,
     product,
@@ -197,7 +199,7 @@ def _block_base(members: tuple[SupernaturalNumber, ...], key: frozenset) -> Supe
             vals = {m.v(p) for m in members}
             if len(vals) == 1 and vals != {0}:
                 exps[p] = vals.pop()
-    return SupernaturalNumber.from_map(exps)
+    return _canonical(exps)
 
 
 def _finite_multiplier(m: SupernaturalNumber, base: SupernaturalNumber) -> int:
@@ -269,7 +271,7 @@ def eig_group(m: SupernaturalNumber, k: int) -> SupernaturalNumber:
     out = {}
     for p, e in m.factors:
         out[p] = e if e is INF else max(e - _valuation(k, p), 0)
-    return SupernaturalNumber.from_map(out)
+    return _canonical(out)
 
 
 def _valuation(k: int, p: int) -> int:
@@ -365,7 +367,7 @@ def _confront(
     cyc = n // math.gcd(abs(k), n)
     return {
         "cyclic": cyc in got and all(cyc % d == 0 for d in got),
-        "contained": all(divides(SupernaturalNumber.from_int(d), a) for d in got),
+        "contained": all(e <= a.v(p) for d in got for p, e in factorize(d).items()),
         "monotone": all(
             any(up % d == 0 for up in lengths[lo + 1])
             for lo in range(level)

@@ -43,16 +43,20 @@ def level_modulus(f: Factor, k: int) -> int:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Equality and hash depend on factors alone; _moduli memoizes
-    space_moduli per level on the instance, so a call does not hash the
-    factors again."""
+    """Equality and hash depend on factors alone; _group holds group_moduli
+    and _moduli memoizes space_moduli per level on the instance, so a call
+    does not walk or hash the factors again."""
 
     factors: tuple[Factor, ...]
+    _group: tuple = field(default=(), init=False, repr=False, compare=False)
     _moduli: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
             raise ValueError("a system needs at least one factor")
+        object.__setattr__(
+            self, "_group", tuple(f.n if isinstance(f, Cyclic) else 0 for f in self.factors)
+        )
 
     @property
     def rank(self) -> int:
@@ -60,7 +64,7 @@ class SystemSpec:
 
     def group_moduli(self) -> tuple[int, ...]:
         """Acting-group descriptor: n for a cyclic factor, 0 meaning Z."""
-        return tuple(f.n if isinstance(f, Cyclic) else 0 for f in self.factors)
+        return self._group
 
     def space_moduli(self, k: int) -> tuple[int, ...]:
         got = self._moduli.get(k)

@@ -4,6 +4,14 @@ A supernatural number is a formal product prod_p p^(e_p) over primes with
 exponents in {0, 1, 2, ...} union {infinity}.  Only finitely many primes may
 carry a nonzero exponent here; that keeps every value finitely describable
 while still covering all products of the form n * prod_p p^inf.
+
+Where a value is checked: `SupernaturalNumber(...)` and `from_map` check
+every prime and exponent of what a caller hands them, and `parse_sn` checks
+every term of the text once.  The arithmetic (`mul`, `product`, `from_int`,
+`gcd`, `lcm`, `div_exact`, and `decide`'s `eig_group` and block bases)
+builds its results through `_canonical` without a check: their primes come
+from checked operands or from `factorize`, and their exponents are sums,
+minima, maxima or differences that the operation keeps canonical.
 """
 from __future__ import annotations
 
@@ -35,7 +43,7 @@ PRIME_LIMIT = 10**6
 EXPONENT_LIMIT = 64
 
 
-@lru_cache(maxsize=4096)  # every SupernaturalNumber checks its primes
+@lru_cache(maxsize=4096)  # parse_sn and direct construction check each prime
 def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
@@ -98,7 +106,7 @@ class SupernaturalNumber:
 
     @staticmethod
     def from_int(n: int) -> "SupernaturalNumber":
-        return SupernaturalNumber.from_map({p: e for p, e in factorize(n).items()})
+        return _canonical(factorize(n))
 
     def v(self, p: int) -> int | float:
         """Exponent of the prime p (0 when absent)."""
@@ -121,24 +129,32 @@ class SupernaturalNumber:
 ONE = SupernaturalNumber()
 
 
+def _canonical(exps: dict[int, int | float]) -> SupernaturalNumber:
+    """The value with exponents `exps`, built without a check: every key is
+    prime and every exponent an int >= 0 or INF by construction.  Zero
+    exponents are dropped and the primes sorted."""
+    out = object.__new__(SupernaturalNumber)
+    object.__setattr__(out, "factors", tuple(sorted([pe for pe in exps.items() if pe[1]])))
+    return out
+
+
 def is_supernatural(a: SupernaturalNumber) -> bool:
     """True when some exponent is infinite, i.e. the value is not a natural."""
     return any(e is INF for _, e in a.factors)
 
 
 def mul(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
-    out: dict[int, int | float] = dict(a.factors)
-    for p, e in b.factors:
-        cur = out.get(p, 0)
-        out[p] = INF if (cur is INF or e is INF) else cur + e
-    return SupernaturalNumber.from_map(out)
+    return product((a, b))
 
 
 def product(ms: tuple[SupernaturalNumber, ...] | list[SupernaturalNumber]) -> SupernaturalNumber:
-    out = ONE
+    """One pass: the factors' exponents are summed in one dict, INF absorbs."""
+    out: dict[int, int | float] = {}
     for m in ms:
-        out = mul(out, m)
-    return out
+        for p, e in m.factors:
+            cur = out.get(p, 0)
+            out[p] = INF if (cur is INF or e is INF) else cur + e
+    return _canonical(out)
 
 
 def divides(a: SupernaturalNumber, b: SupernaturalNumber) -> bool:
@@ -147,15 +163,14 @@ def divides(a: SupernaturalNumber, b: SupernaturalNumber) -> bool:
 
 
 def gcd(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
-    out = {p: min(e, b.v(p)) for p, e in a.factors}
-    return SupernaturalNumber.from_map(out)
+    return _canonical({p: min(e, b.v(p)) for p, e in a.factors})
 
 
 def lcm(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
     out: dict[int, int | float] = dict(a.factors)
     for p, e in b.factors:
         out[p] = max(out.get(p, 0), e)
-    return SupernaturalNumber.from_map(out)
+    return _canonical(out)
 
 
 def div_exact(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
@@ -171,7 +186,7 @@ def div_exact(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumbe
     for p, e in b.factors:
         cur = out[p]
         out[p] = INF if cur is INF else cur - e
-    return SupernaturalNumber.from_map(out)
+    return _canonical(out)
 
 
 def class_key(a: SupernaturalNumber) -> frozenset[int]:
@@ -231,7 +246,7 @@ def parse_sn(text: str) -> SupernaturalNumber:
         for p, e in powers:
             cur = exps.get(p, 0)
             exps[p] = INF if (cur is INF or e is INF) else cur + e
-    out = SupernaturalNumber.from_map(exps)
+    out = _canonical(exps)
     for p, e in out.factors:
         _check_exponent(p, e, EXPONENT_LIMIT)
     return out

@@ -1,8 +1,10 @@
+import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitcert.decide import eig_group
 from orbitcert.supernatural import (
     INF,
     ONE,
@@ -208,3 +210,78 @@ def test_sim_witness_identity(a, b):
 @given(supernaturals(max_exp=3), supernaturals(max_exp=3, allow_inf=False))
 def test_div_exact_inverts_mul(a, b):
     assert div_exact(mul(a, b), b) == a
+
+
+_SMALL = (2, 3, 5, 7, 11, 13)
+
+
+def _random_exps(rng, finite=False):
+    """Exponents over the primes up to 13: 0-3, or INF unless `finite`."""
+    choices = [0, 1, 2, 3] if finite else [0, 1, 2, 3, INF]
+    return {p: e for p in _SMALL if (e := rng.choice(choices))}
+
+
+def _assert_canonical(got, exps):
+    assert type(got) is SupernaturalNumber
+    assert got == SN(exps)
+    primes = [p for p, _ in got.factors]
+    assert all(p < q for p, q in zip(primes, primes[1:]))
+    for _, e in got.factors:
+        assert e is INF or (type(e) is int and e >= 1)
+
+
+def _plus(a, b):
+    return INF if INF in (a, b) else a + b
+
+
+def test_arithmetic_results_equal_their_checked_construction():
+    rng = random.Random(26)
+    for _ in range(400):
+        x, y = _random_exps(rng), _random_exps(rng)
+        a, b = SN(x), SN(y)
+        keys = x.keys() | y.keys()
+        _assert_canonical(mul(a, b), {p: _plus(x.get(p, 0), y.get(p, 0)) for p in keys})
+        _assert_canonical(gcd(a, b), {p: min(x.get(p, 0), y.get(p, 0)) for p in keys})
+        _assert_canonical(lcm(a, b), {p: max(x.get(p, 0), y.get(p, 0)) for p in keys})
+
+        sides = [_random_exps(rng) for _ in range(rng.randrange(6))]
+        total: dict = {}
+        for side in sides:
+            for p, e in side.items():
+                total[p] = _plus(total.get(p, 0), e)
+        _assert_canonical(product([SN(side) for side in sides]), total)
+
+        f = _random_exps(rng, finite=True)
+        n = 1
+        for p, e in f.items():
+            n *= p**e
+        _assert_canonical(SupernaturalNumber.from_int(n), f)
+
+        d = {p: rng.randint(0, e) if e is not INF else rng.randint(0, 3) for p, e in x.items()}
+        quotient = {p: e if e is INF else e - d[p] for p, e in x.items()}
+        _assert_canonical(div_exact(a, SN(d)), quotient)
+
+        k = rng.choice([0, rng.randrange(-400, 400), rng.randrange(1, 10**6)])
+        expected = {}
+        if k:
+            for p, e in x.items():
+                v, r = 0, abs(k)
+                while r % p == 0:
+                    r, v = r // p, v + 1
+                expected[p] = e if e is INF else max(e - v, 0)
+        _assert_canonical(eig_group(a, k), expected)
+
+
+def test_direct_construction_keeps_every_check():
+    with pytest.raises(ValueError, match="9 is not prime"):
+        SupernaturalNumber(((2, 1), (9, 1)))
+    with pytest.raises(ValueError, match="must be an int or INF"):
+        SupernaturalNumber(((2, 2.0),))
+    with pytest.raises(ValueError, match="must be an int or INF"):
+        SupernaturalNumber(((2, float("inf")),))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SupernaturalNumber(((5, 1), (3, INF)))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SupernaturalNumber(((3, 1), (3, 2)))
+    with pytest.raises(ValueError, match="not prime"):
+        SN({4: 1})
