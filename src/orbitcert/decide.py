@@ -353,16 +353,22 @@ def eig_cross_check(
         for k, got in eig_group_oracle(m, reading, lvl, guard).items():
             lengths[k][lvl] = got
     n = level_modulus(Odometer(m), level)
-    return {k: _confront(m, k, level, n, vmax[k], lengths[k]) for k in vmax}
+    groups = {k: eig_group(m, k) for k in vmax}
+    # many powers share a group, so each group's truncations are built once
+    truncations = {a: [level_modulus(Odometer(a), j) for j in range(level + 1)]
+                   for a in set(groups.values())}
+    return {k: _confront(k, a, truncations[a], n, vmax[k], lengths[k])
+            for k, a in groups.items()}
 
 
 def _confront(
-    m: SupernaturalNumber, k: int, level: int, n: int, vmax: int, lengths: dict[int, set[int]]
+    k: int, a: SupernaturalNumber, truncations: list[int], n: int, vmax: int,
+    lengths: dict[int, set[int]],
 ) -> dict[str, bool]:
-    """eig_cross_check's four verdicts for one power k, from the oracle's
-    cycle lengths of translation by k at each level it read."""
-    a = eig_group(m, k)
-    truncations = [level_modulus(Odometer(a), j) for j in range(level + 1)]
+    """eig_cross_check's four verdicts for one power k with eigenvalue group
+    T(a), whose level-j truncation modulus is truncations[j], from the
+    oracle's cycle lengths of translation by k at each level it read."""
+    level = len(truncations) - 1
     got = lengths[level]
     cyc = n // math.gcd(abs(k), n)
     return {

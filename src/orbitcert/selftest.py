@@ -10,8 +10,10 @@ any failure carries the offending instance so it can be replayed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -317,6 +319,9 @@ def generate_instances(
 def _timed(fn):
     import time
 
+    # wrapped under the suite's own name, so that a suite pickles by name
+    # when run_all sends it to a worker process
+    @functools.wraps(fn)
     def run(*a, **kw) -> SuiteResult:
         t0 = time.perf_counter()
         res: SuiteResult = fn(*a, **kw)
@@ -394,14 +399,16 @@ def suite_snf(seed: int, count: int = 1000, max_dim: int = 5, bound: int = 20) -
         a = IntMatrix.from_rows(
             [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
         )
-        label = f"seed={seed} #{t} {a.to_rows()}"
         try:
             d = smith_normal_form(a)
         except AssertionError as e:
-            failures.append(f"{label}: {e}")
-            continue
-        if d.s.diagonal_entries != snf_diagonal_by_minors(a):
-            failures.append(f"{label}: minor-gcd oracle disagrees")
+            problem = str(e)
+        else:
+            if d.s.diagonal_entries == snf_diagonal_by_minors(a):
+                continue
+            problem = "minor-gcd oracle disagrees"
+        # the label is built only for a failure: most matrices pass
+        failures.append(f"seed={seed} #{t} {a.to_rows()}: {problem}")
     return SuiteResult("smith-normal-form", count, failures)
 
 
@@ -572,19 +579,53 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
     return SuiteResult("cohomology-roundtrip", checked, failures)
 
 
+# the suites' indices in run_all's job list, longest first, the order in
+# which they are handed to the workers: smith-normal-form,
+# eigenvalue-cross-check, conj-vs-bruteforce, cohomology-roundtrip, then the
+# short ones in list order
+_LONGEST_FIRST = (3, 5, 4, 7, 0, 1, 2, 6)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_all(seed: int = 0, count: int = 200) -> list[SuiteResult]:
+    """Every suite on the instances generate_instances(seed, count), in a
+    fixed order.  The suites share nothing but the instances, so they run
+    side by side in forked worker processes, at most one per usable CPU,
+    and each one's elapsed time is its own wall time.  On one usable CPU,
+    or where fork is not offered, they run one after another in this
+    process.  No worker outlives the call."""
     instances = generate_instances(seed, count)
-    results = [
-        suite_invariant_vs_decision(seed, count, instances=instances),
-        suite_coe_witnesses(instances),
-        suite_conj_witnesses(instances, extra=_mandated_conj_pairs()),
-        suite_snf(seed),
-        suite_conj_vs_bruteforce(seed, samples=1000),
-        suite_eig(),
-        suite_counterexample(),
-        suite_cohomology(seed),
+    jobs = [
+        functools.partial(suite_invariant_vs_decision, seed, count, instances=instances),
+        functools.partial(suite_coe_witnesses, instances),
+        functools.partial(suite_conj_witnesses, instances, extra=_mandated_conj_pairs()),
+        functools.partial(suite_snf, seed),
+        functools.partial(suite_conj_vs_bruteforce, seed, samples=1000),
+        suite_eig,
+        suite_counterexample,
+        functools.partial(suite_cohomology, seed),
     ]
-    return results
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1:
+        # imported here: every importer of this module would pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn, so that workers do not import numpy and this
+        # package again, and not forkserver, whose server would outlive
+        # the call
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = {i: pool.submit(jobs[i]) for i in _LONGEST_FIRST}
+                return [futures[i].result() for i in range(len(jobs))]
+    return [job() for job in jobs]
 
 
 def _mandated_conj_pairs():

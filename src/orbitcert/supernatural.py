@@ -125,6 +125,15 @@ class SupernaturalNumber:
     def __str__(self) -> str:
         return sn_str(self)
 
+    def __reduce__(self):
+        # unpickling builds every float anew, and an infinite exponent is
+        # told by its identity with INF, so it is pickled as None
+        return _unpickle, (tuple((p, None if e is INF else e) for p, e in self.factors),)
+
+
+def _unpickle(factors) -> SupernaturalNumber:
+    return SupernaturalNumber(tuple((p, INF if e is None else e) for p, e in factors))
+
 
 ONE = SupernaturalNumber()
 

@@ -186,13 +186,21 @@ def test_selftest_smoke(capsys):
     assert "cohomology-roundtrip: pass" in out
 
 
-@pytest.mark.parametrize("count", ["-5", "0"])
+@pytest.mark.parametrize("count", ["-5", "0", "10001"])
 def test_selftest_refuses_an_empty_corpus(count, capsys):
-    # an empty corpus once printed "selftest passed" and exited 0
+    # an empty corpus once printed "selftest passed" and exited 0, and the
+    # corpus is bounded before any instance is generated
+    from orbitcert.cli import SELFTEST_COUNT_LIMIT
+
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--count", count])
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if int(count) < 1:
+        assert "must be >= 1" in err
+    else:
+        assert int(count) == SELFTEST_COUNT_LIMIT + 1
+        assert f"must be <= {SELFTEST_COUNT_LIMIT}, got {count}" in err
 
 
 def _emit(tmp_path, capsys, *argv):

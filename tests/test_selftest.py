@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import random
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +198,70 @@ def test_decision_suite_failures_end_with_a_replay_command(monkeypatch):
         assert head.startswith(selftest._fmt_pair(ms, ns))
         if relation == "coe":
             assert (ms, ns) == coe_pair
+
+
+def _rows(results):
+    return [(r.name, r.checked, r.failures) for r in results]
+
+
+def _in_a_worker(cpus: int) -> bool:
+    return cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+@pytest.mark.parametrize("seed, count", [(3, 8), (17, 20)])
+def test_run_all_in_workers_matches_the_in_process_run(seed, count, monkeypatch):
+    monkeypatch.setattr(selftest, "_usable_cpus", lambda: 2)
+    forked = selftest.run_all(seed, count)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(selftest, "_usable_cpus", lambda: 1)
+    assert _rows(forked) == _rows(selftest.run_all(seed, count))
+    assert [r.name for r in forked] == [
+        "invariant-vs-decision", "coe-witness-soundness", "conj-witness-soundness",
+        "smith-normal-form", "conj-vs-bruteforce", "eigenvalue-cross-check",
+        "counterexample-family", "cohomology-roundtrip"]
+    assert all(r.ok for r in forked)
+
+
+def test_run_all_shows_a_failing_check_of_a_worker(monkeypatch):
+    # the patch is inherited by the forked workers
+    def failing(*args, **kwargs):
+        return VerifyReport("forced", 4, [CheckResult("forced", 1, [("forced",)])])
+
+    monkeypatch.setattr(selftest, "verify_chain", failing)
+    monkeypatch.setattr(selftest, "_usable_cpus", lambda: 2)
+    results = {r.name: r for r in selftest.run_all(17, 20)}
+    assert multiprocessing.active_children() == []
+    for name in ("coe-witness-soundness", "conj-witness-soundness"):
+        res = results[name]
+        assert res.checked > 0 and len(res.failures) == res.checked, name
+        assert all("FAIL" in f and "; replay: orbitcert witness" in f for f in res.failures)
+    assert all(r.ok for n, r in results.items() if "witness" not in n)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_all_reraises_a_suite_error(cpus, monkeypatch):
+    def raising(*args, **kwargs):
+        raise OverflowError(f"raised in process {os.getpid()}")
+
+    monkeypatch.setattr(selftest, "eig_cross_check", raising)
+    monkeypatch.setattr(selftest, "_usable_cpus", lambda: cpus)
+    with pytest.raises(OverflowError) as exc:
+        selftest.run_all(3, 8)
+    assert multiprocessing.active_children() == []
+    here = str(exc.value) == f"raised in process {os.getpid()}"
+    assert here != _in_a_worker(cpus)
+
+
+def test_importing_the_selftest_loads_no_process_pool():
+    # every benchmark worker imports orbitcert.selftest; run_all imports the
+    # pool's modules only when it forks
+    import orbitcert
+
+    code = ("import sys\nimport orbitcert.cli, orbitcert.selftest\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

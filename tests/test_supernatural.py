@@ -285,3 +285,18 @@ def test_direct_construction_keeps_every_check():
         SupernaturalNumber(((3, 1), (3, 2)))
     with pytest.raises(ValueError, match="not prime"):
         SN({4: 1})
+
+
+def test_pickled_values_keep_infinite_exponents():
+    # an infinite exponent is told by its identity with INF, and unpickling
+    # builds every float anew; selftest's worker processes receive their
+    # instances pickled
+    import pickle
+
+    for text in ("2^inf*3^2*5", "7", "1", "2^inf*3^inf*13^3"):
+        a = parse_sn(text)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a)
+        assert [e is INF for _, e in b.factors] == [e is INF for _, e in a.factors]
+        assert is_supernatural(b) == is_supernatural(a)
+        assert class_key(b) == class_key(a)
