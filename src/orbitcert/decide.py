@@ -291,20 +291,23 @@ def eig_group_oracle(
     (1/L)Z/Z, so the eigenvalue set of the truncation is the union of
     (1/L)Z/Z over the lengths returned for k.
 
-    One permutation row x -> x + k mod n is stacked per distinct residue of
-    k mod n, and every point is labelled with the least point of its cycle
-    by pointer doubling: after t rounds a label is the least of 2^t
-    successive points, and no cycle is longer than n.  A label's count is
-    its cycle's length.  Independent of eig_group: nothing but the finite
-    permutation is used.
+    One permutation row x -> x + k mod n is stacked per distinct pair
+    {k, -k} of residues mod n, and every point is labelled with the least
+    point of its cycle by pointer doubling: after t rounds a label is the
+    least of 2^t successive points, and no cycle is longer than n.  A
+    label's count is its cycle's length.  x -> x - k is the inverse
+    permutation of x -> x + k, and a permutation and its inverse have the
+    same cycles, so one row serves both.  Independent of eig_group: nothing
+    but finite permutations is used.
     """
     import numpy as np  # the only numpy of the decisions, kept out of their import
 
     n = level_modulus(Odometer(m), level)
     if n > guard:
         raise ValueError(f"level-{level} modulus {n} exceeds the enumeration guard {guard}")
-    residue = {k: k % n for k in ks}  # Python ints, so k may be any size
-    rows = sorted(set(residue.values()))
+    # Python ints, so k may be any size; the row of k is the lesser of k, -k mod n
+    row_of = {k: min(k % n, -k % n) for k in ks}
+    rows = sorted(set(row_of.values()))
     step = np.arange(n, dtype=np.int64) + np.array(rows, dtype=np.int64)[:, None]
     step[step >= n] -= n
     # flat indices: point x of row i is i*n + x, so a row's least index is
@@ -318,10 +321,11 @@ def eig_group_oracle(
     counts = np.bincount(label, minlength=len(rows) * n)
     least = np.flatnonzero(counts)
     lengths: dict[int, set[int]] = {r: set() for r in rows}
-    # one code per distinct (row, cycle length) pair
-    for code in np.unique(least // n * (n + 1) + counts[least]).tolist():
+    # one code per distinct (row, cycle length) pair; a set, since np.unique
+    # would import numpy.ma
+    for code in set((least // n * (n + 1) + counts[least]).tolist()):
         lengths[rows[code // (n + 1)]].add(code % (n + 1))
-    return {k: lengths[r] for k, r in residue.items()}
+    return {k: lengths[r] for k, r in row_of.items()}
 
 
 def eig_cross_check(

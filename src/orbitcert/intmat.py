@@ -306,12 +306,19 @@ def fab_isomorphic(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> bool:
 def solve_conjugator(ms: tuple[int, ...], ns: tuple[int, ...]) -> tuple[IntMatrix, IntMatrix]:
     """Unimodular (S, T) with S*diag(ms)*T = diag(ns), when the two cyclic
     products are isomorphic groups and the tuples have equal length:
-    Um*diag(ms)*Vm = Un*diag(ns)*Vn gives S = Un^-1*Um and T = Vm*Vn^-1."""
+    Um*diag(ms)*Vm = Un*diag(ns)*Vn gives S = Un^-1*Um and T = Vm*Vn^-1.
+
+    Equal tuples get (I, I) with no elimination.  That is what the formula
+    gives them: elimination is deterministic, so both sides run the same
+    moves, Un = Um and Vn = Vm, and Un^-1*Um = Vm*Vn^-1 = I exactly."""
     if len(ms) != len(ns):
         raise ValueError("length mismatch")
     if any(x < 1 for x in ms + ns):
         raise ValueError("entries must be naturals >= 1")
     r = len(ms)
+    if ms == ns:
+        identity = IntMatrix.identity(r)
+        return identity, identity
     dm_rows, dn_rows = _diagonal(ms), _diagonal(ns)
     sm, um, _um_inv, vm, _vm_inv = _smith(dm_rows, r)
     sn, _un, un_inv, _vn, vn_inv = _smith(dn_rows, r)

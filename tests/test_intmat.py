@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitcert import intmat
 from orbitcert.intmat import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -169,9 +170,21 @@ def test_solve_conjugator_example():
     assert abs(det(s)) == 1 and abs(det(t)) == 1
 
 
-def test_solve_conjugator_identity_on_equal_input():
-    s, t = solve_conjugator((2, 3), (2, 3))
-    assert s == IntMatrix.identity(2) and t == IntMatrix.identity(2)
+def test_solve_conjugator_identity_on_equal_input(monkeypatch):
+    # equal tuples take no elimination; the input checks still run
+    def refuse(*args):
+        raise AssertionError("equal tuples need no elimination")
+
+    monkeypatch.setattr(intmat, "_smith", refuse)
+    rng = random.Random(28)
+    for r in range(1, 11):
+        ms = tuple(rng.randint(1, 12) for _ in range(r))
+        identity = IntMatrix.identity(r)
+        assert solve_conjugator(ms, ms) == (identity, identity), ms
+    with pytest.raises(ValueError, match="length mismatch"):
+        solve_conjugator((2, 3), (2, 3, 1))
+    with pytest.raises(ValueError, match="naturals"):
+        solve_conjugator((2, 0), (2, 0))
 
 
 def test_solve_conjugator_rejects():
@@ -199,14 +212,24 @@ def test_solve_conjugator_refuses_exactly_the_non_isomorphic_products():
 def test_solve_conjugator_matches_inverting_the_other_side():
     # the reference takes each inverse from an elimination of its own:
     # S = Un^-1 * Um and T = Vm * Vn^-1, on every isomorphic pair of the
-    # domain above
+    # domain above, and on seeded tuples of length 3-6 over the multipliers
+    # of the decision corpora (1-12), each paired with itself and with a
+    # permutation of itself
+    def reference(ms, ns):
+        dm = smith_normal_form(IntMatrix.diagonal(list(ms)))
+        dn = smith_normal_form(IntMatrix.diagonal(list(ns)))
+        return invert_unimodular(dn.u) @ dm.u, dm.v @ invert_unimodular(dn.v)
+
+    pairs = []
     for r in (1, 2):
         by_group = {}
         for ms in itertools.product(range(1, 13), repeat=r):
             by_group.setdefault(invariant_factors(ms), []).append(ms)
         for tuples in by_group.values():
-            for ms, ns in itertools.product(tuples, repeat=2):
-                dm = smith_normal_form(IntMatrix.diagonal(list(ms)))
-                dn = smith_normal_form(IntMatrix.diagonal(list(ns)))
-                assert solve_conjugator(ms, ns) == (
-                    invert_unimodular(dn.u) @ dm.u, dm.v @ invert_unimodular(dn.v)), (ms, ns)
+            pairs += itertools.product(tuples, repeat=2)
+    rng = random.Random(11)
+    for _ in range(200):
+        ms = tuple(rng.randint(1, 12) for _ in range(rng.randint(3, 6)))
+        pairs += [(ms, ms), (ms, tuple(rng.sample(ms, len(ms))))]
+    for ms, ns in pairs:
+        assert solve_conjugator(ms, ns) == reference(ms, ns), (ms, ns)

@@ -265,3 +265,18 @@ def test_importing_the_selftest_loads_no_process_pool():
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_eigenvalue_suite_loads_no_masked_arrays():
+    # the first np.unique of a process imports numpy.ma, and the benchmark's
+    # selftest parent never loads it, so each forked eigenvalue suite would
+    # pay for that import again
+    import orbitcert
+
+    code = ("import sys\nfrom orbitcert.selftest import suite_eig\n"
+            "assert suite_eig().ok\nprint('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
