@@ -202,17 +202,22 @@ def _block_base(members: tuple[SupernaturalNumber, ...], key: frozenset) -> Supe
     return _canonical(exps)
 
 
-def _finite_multiplier(m: SupernaturalNumber, base: SupernaturalNumber) -> int:
-    """The integer q with m = q * base; exponents at infinite primes of base
-    are absorbed by the base."""
-    q = 1
+def _finite_multiplier(
+    m: SupernaturalNumber, base: dict[int, int | float]
+) -> tuple[int, list[tuple[int, int]]]:
+    """The integer q with m = q * base, given by the base's exponents, and
+    q's prime powers (p, d), d >= 1; exponents at infinite primes of the
+    base are absorbed by the base."""
+    q, powers = 1, []
     for p, e in m.factors:
-        if base.v(p) == INF:
+        if e is INF:
             continue
-        d = e - base.v(p)
-        assert d == int(d) and d >= 0
-        q *= p ** int(d)
-    return q
+        d = e - base.get(p, 0)
+        assert d >= 0
+        if d:
+            q *= p**d
+            powers.append((p, d))
+    return q, powers
 
 
 def conj_decide(
@@ -221,7 +226,13 @@ def conj_decide(
     """Decide conjugacy: one block per asymptotic class; the finite
     multiplier tuples over the block base must generate isomorphic finite
     abelian groups.  Any valid block partition exists iff this canonical
-    one works."""
+    one works.
+
+    Z/q_1 x ... x Z/q_r is the sum over p and i of Z/p^(v_p(q_i)), so two
+    such products are isomorphic iff, prime by prime, the multisets of
+    their multipliers' exponents agree.  A block is refused by that
+    comparison, read off the factors, before any elimination; only
+    isomorphic tuples reach solve_conjugator."""
     _require_supernatural(ms, "left")
     _require_supernatural(ns, "right")
     if len(ms) != len(ns):
@@ -241,17 +252,20 @@ def conj_decide(
             )
         members = tuple(ms[i] for i in li) + tuple(ns[j] for j in ri)
         base = _block_base(members, key)
-        mm = tuple(_finite_multiplier(ms[i], base) for i in li)
-        nn = tuple(_finite_multiplier(ns[j], base) for j in ri)
-        try:
-            s, t = solve_conjugator(mm, nn)
-        except ValueError:
+        exps = dict(base.factors)
+        left = [_finite_multiplier(ms[i], exps) for i in li]
+        right = [_finite_multiplier(ns[j], exps) for j in ri]
+        mm = tuple(q for q, _ in left)
+        nn = tuple(q for q, _ in right)
+        if mm != nn and sorted(pd for _, powers in left for pd in powers) != sorted(
+            pd for _, powers in right for pd in powers
+        ):
             return ConjDecision(
                 False,
                 None,
                 f"class {sorted(key)}: multiplier groups Z/{mm} and Z/{nn} are not isomorphic",
             )
-        blocks.append(ConjBlock(li, ri, base, mm, nn, (s, t)))
+        blocks.append(ConjBlock(li, ri, base, mm, nn, solve_conjugator(mm, nn)))
     return ConjDecision(True, tuple(blocks), None)
 
 
@@ -284,7 +298,8 @@ def _valuation(k: int, p: int) -> int:
 
 
 def eig_group_oracle(
-    m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4
+    m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4,
+    walks: dict[tuple[int, int], set[int]] | None = None,
 ) -> dict[int, set[int]]:
     """Cycle lengths of translation by each k of ks on the level truncation
     Z/n, n = lm(m, level).  A cycle of length L carries the eigenvalues
@@ -299,15 +314,27 @@ def eig_group_oracle(
     permutation of x -> x + k, and a permutation and its inverse have the
     same cycles, so one row serves both.  Independent of eig_group: nothing
     but finite permutations is used.
-    """
-    import numpy as np  # the only numpy of the decisions, kept out of their import
 
+    `walks`, when given, holds the cycle lengths of rows already walked,
+    keyed by (n, row): they depend on nothing else, so a row found there
+    is not walked again, and every row walked is added.
+    """
     n = level_modulus(Odometer(m), level)
     if n > guard:
         raise ValueError(f"level-{level} modulus {n} exceeds the enumeration guard {guard}")
     # Python ints, so k may be any size; the row of k is the lesser of k, -k mod n
     row_of = {k: min(k % n, -k % n) for k in ks}
-    rows = sorted(set(row_of.values()))
+    walks = {} if walks is None else walks
+    rows = sorted({r for r in row_of.values() if (n, r) not in walks})
+    if rows:
+        _walk_rows(n, rows, walks)
+    return {k: walks[n, r] for k, r in row_of.items()}
+
+
+def _walk_rows(n: int, rows: list[int], walks: dict[tuple[int, int], set[int]]) -> None:
+    """Cycle lengths of x -> x + r mod n for each r of rows, into walks."""
+    import numpy as np  # the only numpy of the decisions, kept out of their import
+
     step = np.arange(n, dtype=np.int64) + np.array(rows, dtype=np.int64)[:, None]
     step[step >= n] -= n
     # flat indices: point x of row i is i*n + x, so a row's least index is
@@ -325,11 +352,12 @@ def eig_group_oracle(
     # would import numpy.ma
     for code in set((least // n * (n + 1) + counts[least]).tolist()):
         lengths[rows[code // (n + 1)]].add(code % (n + 1))
-    return {k: lengths[r] for k, r in row_of.items()}
+    walks.update(((n, r), got) for r, got in lengths.items())
 
 
 def eig_cross_check(
-    m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4
+    m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4,
+    walks: dict[tuple[int, int], set[int]] | None = None,
 ) -> dict[int, dict[str, bool]]:
     """Four independent confrontations, for each power k of ks, of
     eig_group's modulus A with the cycle lengths of the permutation oracle
@@ -345,7 +373,8 @@ def eig_cross_check(
 
     A power k reads the levels up to level + vmax, those beyond `level`
     only while the guard admits them; each level is walked once, for every
-    power that reads it.
+    power that reads it.  `walks` is handed to the oracle, so callers that
+    check several limits can share the permutation walks they have in common.
     """
     vmax = {k: max((_valuation(k, p) for p, _ in m.factors), default=0) if k else 0
             for k in ks}
@@ -354,7 +383,7 @@ def eig_cross_check(
         if lvl > level and level_modulus(Odometer(m), lvl) > guard:
             break
         reading = [k for k, v in vmax.items() if lvl <= level + v]
-        for k, got in eig_group_oracle(m, reading, lvl, guard).items():
+        for k, got in eig_group_oracle(m, reading, lvl, guard, walks).items():
             lengths[k][lvl] = got
     n = level_modulus(Odometer(m), level)
     groups = {k: eig_group(m, k) for k in vmax}

@@ -464,15 +464,17 @@ def suite_conj_vs_bruteforce(
 def suite_eig(kmax: int = 12, max_level: int = 5, guard: int = 2500) -> SuiteResult:
     """Closed-form eigenvalue groups against the permutation oracle, over
     every limit shape on primes {2, 3, 5} with exponents in {0, 1, 2, inf},
-    all |k| <= kmax, and every level <= max_level the guard admits."""
+    all |k| <= kmax, and every level <= max_level the guard admits.  The
+    limits share their permutation walks: a row of Z/n is walked once."""
     failures = []
     checked = 0
+    walks: dict = {}
     for combo in itertools.product((0, 1, 2, INF), repeat=3):
         m = SupernaturalNumber.from_map({p: e for p, e in zip(SMALL_PRIMES, combo) if e})
         lvl = max_level
         while lvl > 0 and level_modulus(Odometer(m), lvl) > guard:
             lvl -= 1
-        for k, parts in eig_cross_check(m, range(-kmax, kmax + 1), lvl, guard).items():
+        for k, parts in eig_cross_check(m, range(-kmax, kmax + 1), lvl, guard, walks).items():
             checked += 1
             bad = [name for name, ok in parts.items() if not ok]
             if bad:

@@ -7,22 +7,26 @@ while still covering all products of the form n * prod_p p^inf.
 
 Where a value is checked: `SupernaturalNumber(...)` and `from_map` check
 every prime and exponent of what a caller hands them, and `parse_sn` checks
-every term of the text once.  The arithmetic (`mul`, `product`, `from_int`,
-`gcd`, `lcm`, `div_exact`, and `decide`'s `eig_group` and block bases)
-builds its results through `_canonical` without a check: their primes come
-from checked operands or from `factorize`, and their exponents are sums,
+every term of the text once, splitting it at `^` with no regular
+expression.  The arithmetic (`mul`, `product`, `from_int`, `gcd`, `lcm`,
+`div_exact`, and `decide`'s `eig_group` and block bases) builds its
+results through `_canonical` without a check: their primes come from
+checked operands or from `factorize`, and their exponents are sums,
 minima, maxima or differences that the operation keeps canonical.
+
+The class key, the set of primes with infinite exponent, is kept with the
+value (`infinite_primes`), computed the first time `class_key` or
+`is_supernatural` asks for it, whichever way the value was built; a value
+that is never asked pays nothing.  It is not a field: equality, hash and
+pickling read `factors` alone.
 """
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 INF = math.inf
-
-_TERM_RE = re.compile(r"(\d+)(?:\^(\d+|inf))?\Z")
 
 
 class ParseError(ValueError):
@@ -119,6 +123,12 @@ class SupernaturalNumber:
     def support(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.factors)
 
+    @cached_property
+    def infinite_primes(self) -> frozenset[int]:
+        """The class key: the primes with infinite exponent, kept once
+        asked (see the module docstring)."""
+        return frozenset(p for p, e in self.factors if e is INF)
+
     def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         return mul(self, other)
 
@@ -149,7 +159,7 @@ def _canonical(exps: dict[int, int | float]) -> SupernaturalNumber:
 
 def is_supernatural(a: SupernaturalNumber) -> bool:
     """True when some exponent is infinite, i.e. the value is not a natural."""
-    return any(e is INF for _, e in a.factors)
+    return bool(a.infinite_primes)
 
 
 def mul(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
@@ -200,7 +210,7 @@ def div_exact(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumbe
 
 def class_key(a: SupernaturalNumber) -> frozenset[int]:
     """The set of primes with infinite exponent."""
-    return frozenset(p for p, e in a.factors if e is INF)
+    return a.infinite_primes
 
 
 def sim(a: SupernaturalNumber, b: SupernaturalNumber) -> bool:
@@ -232,23 +242,25 @@ def parse_sn(text: str) -> SupernaturalNumber:
     bare naturals are factorized.  The value 0 is out of domain, and so is
     a finite exponent above EXPONENT_LIMIT.
     """
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())  # str.split drops exactly what str.isspace() holds
     if not s:
         raise ParseError("empty supernatural-number expression")
     exps: dict[int, int | float] = {}  # the terms' exponents, summed; INF absorbs
     for term in s.split("*"):
-        m = _TERM_RE.match(term)
-        if m is None:
+        # a term is digits, optionally followed by ^ and digits or inf;
+        # digits are what str.isdecimal() holds, as int() reads them
+        head, caret, tail = term.partition("^")
+        if not head.isdecimal() or (caret and tail != "inf" and not tail.isdecimal()):
             raise ParseError(f"malformed term {term!r}")
-        base = int(m.group(1))
-        if m.group(2) is None:
+        base = int(head)
+        if not caret:
             if base == 0:
                 raise ParseError("0 is not a supernatural number")
             powers = factorize(base).items()
         else:
             if not _is_prime(base):
                 raise ParseError(f"base {base} with an exponent must be prime")
-            e = INF if m.group(2) == "inf" else int(m.group(2))
+            e = INF if tail == "inf" else int(tail)
             if e < 1:
                 raise ParseError(f"exponent must be >= 1 or inf, got {e}")
             powers = ((base, e),)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
-from orbitcert import decide
+from orbitcert import decide, intmat
 from orbitcert.decide import (
     CoeDecision,
     coe_decide,
@@ -18,6 +19,7 @@ from orbitcert.decide import (
     k_invariant_equal,
 )
 from orbitcert.dynamics import Odometer, level_modulus
+from orbitcert.intmat import IntMatrix, invariant_factors
 from orbitcert.oracles import conjugacy_bruteforce
 from orbitcert.selftest import suite_eig
 from orbitcert.supernatural import (
@@ -28,6 +30,7 @@ from orbitcert.supernatural import (
     div_exact,
     divides,
     gcd,
+    mul,
     parse_sn,
     parse_sn_list,
     product,
@@ -146,6 +149,60 @@ def test_conjugate_implies_coe():
     assert hits > 50
 
 
+def _multiplier_pairs(rng, count):
+    """Seeded equal-length multiplier tuples over the primes up to 13 with
+    exponents 0-3: half drawn independently, half the first tuple's prime
+    powers regrouped prime by prime, which gives an isomorphic product."""
+    primes = (2, 3, 5, 7, 11, 13)
+    for t in range(count):
+        r = rng.randint(1, 5)
+        exps = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(r)] for _ in primes]
+        if t % 2:
+            other = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(r)] for _ in primes]
+        else:
+            other = [rng.sample(column, r) for column in exps]
+        yield tuple(tuple(math.prod(p**column[i] for p, column in zip(primes, side))
+                          for i in range(r)) for side in (exps, other))
+
+
+def test_conj_refuses_by_prime_exponents_before_elimination(monkeypatch):
+    # one class, 17^inf, times the multipliers: conj_decide refuses exactly
+    # when the invariant factors differ, and none of its refusals needs the
+    # elimination; isomorphic unequal tuples still reach it
+    class Eliminated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Eliminated
+
+    def side(qs):
+        return tuple(mul(SupernaturalNumber.from_int(q), parse_sn("17^inf")) for q in qs)
+
+    seen = {"refused": 0, "equal": 0, "regrouped": 0}
+    for qs, rs in _multiplier_pairs(random.Random(29), 600):
+        ms, ns = side(qs), side(rs)
+        iso = invariant_factors(qs) == invariant_factors(rs)
+        got = conj_decide(ms, ns)
+        assert got.conjugate == iso, (qs, rs)
+        if not iso:
+            assert "are not isomorphic" in got.obstruction
+        else:
+            (block,) = got.blocks
+            s, t = block.conjugator
+            left, right = block.left_multipliers, block.right_multipliers
+            assert s @ IntMatrix.diagonal(list(left)) @ t == IntMatrix.diagonal(list(right))
+        with monkeypatch.context() as patch:
+            patch.setattr(intmat, "_smith", refuse)
+            if iso and qs != rs:
+                seen["regrouped"] += 1
+                with pytest.raises(Eliminated):
+                    conj_decide(ms, ns)
+            else:
+                seen["equal" if iso else "refused"] += 1
+                assert conj_decide(ms, ns) == got, (qs, rs)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_eig_group_values():
     assert eig_group(parse_sn("3*2^inf"), 3) == parse_sn("2^inf")
     assert eig_group(parse_sn("2^inf"), 2) == parse_sn("2^inf")
@@ -204,11 +261,11 @@ def test_eig_oracle_matches_the_walk_on_every_truncation_the_suite_reads(monkeyp
     read = {}  # n -> (m, level, residues of k mod n)
     real = decide.eig_group_oracle
 
-    def record(m, ks, level, guard=10**4):
+    def record(m, ks, level, guard=10**4, walks=None):
         ks = list(ks)
         n = level_modulus(Odometer(m), level)
         read.setdefault(n, (m, level, set()))[2].update(k % n for k in ks)
-        return real(m, ks, level, guard)
+        return real(m, ks, level, guard, walks)
 
     monkeypatch.setattr(decide, "eig_group_oracle", record)
     assert suite_eig().ok
@@ -264,7 +321,7 @@ def test_tgroup_lattice():
 
 
 def _mutant(step, drop_first):
-    def oracle(m, ks, level, guard=10**4):
+    def oracle(m, ks, level, guard=10**4, walks=None):
         n = level_modulus(Odometer(m), level)
         return {k: _walk(n, step(k), drop_first) for k in ks}
 

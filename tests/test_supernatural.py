@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from orbitcert.decide import eig_group
 from orbitcert.supernatural import (
+    EXPONENT_LIMIT,
     INF,
     ONE,
     PRIME_LIMIT,
     ParseError,
     SupernaturalNumber,
+    _check_exponent,
     _is_prime,
     class_key,
     div_exact,
@@ -105,6 +107,91 @@ def test_parse_repeated_primes_and_composites():
 def test_parse_errors_in_term_order(text, error, message):
     with pytest.raises(error, match=re.escape(message)):
         parse_sn(text)
+
+
+_TERM_RE = re.compile(r"(\d+)(?:\^(\d+|inf))?\Z")
+
+
+def _regex_parse_sn(text):
+    """parse_sn as it read its grammar with a regular expression, the
+    reference of the per-term parser: the same value, or the same error
+    raised at the same term."""
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ParseError("empty supernatural-number expression")
+    exps: dict = {}
+    for term in s.split("*"):
+        m = _TERM_RE.match(term)
+        if m is None:
+            raise ParseError(f"malformed term {term!r}")
+        base = int(m.group(1))
+        if m.group(2) is None:
+            if base == 0:
+                raise ParseError("0 is not a supernatural number")
+            powers = factorize(base).items()
+        else:
+            if not _is_prime(base):
+                raise ParseError(f"base {base} with an exponent must be prime")
+            e = INF if m.group(2) == "inf" else int(m.group(2))
+            if e < 1:
+                raise ParseError(f"exponent must be >= 1 or inf, got {e}")
+            powers = ((base, e),)
+        for p, e in powers:
+            exps[p] = _plus(exps.get(p, 0), e)
+    for p in sorted(exps):
+        _check_exponent(p, exps[p], EXPONENT_LIMIT)
+    return SN(exps)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:  # ParseError, or a prime factor beyond the domain
+        return type(e), str(e)
+
+
+_EDGE_TEXTS = [
+    "٢^inf", "²^inf", "2^inf\xa0*3", "2^inf\x1c*3", "02^inf", "2^00", "2^64", "2^65",
+    "4^inf", "0", "1", "2^inf*", "2^", "^3", "2^3^4", " ", "", "2^inf*3^2", " 2 ^ inf * 5",
+    "2^infinity", "2^ inf", "2^in f", "2^-1", "2^+1", "+2", "2_0", "1_000", "2**3", "2^٣",
+    "2^٣٣^inf", "999983^64", "1000003", "2*1000003^inf", "1000003*x", "x*1000003",
+    "2^inf\u2028*3\u3000",
+]
+# tokens of the fuzz corpus: digits of several scripts, operators, spaces
+# that str.isspace() holds and characters it does not
+_FUZZ_TOKENS = [
+    "0", "1", "2", "3", "4", "6", "9", "12", "17", "32", "64", "65", "00", "02",
+    "inf", "in", "f", "^", "^inf", "^2", "^40", "^0", "*", "*", "*",
+    " ", "\t", "\n", "\xa0", "\x1c", "\x85", "\u200b", "٢", "²", "①",
+    "x", "-", "+", "_", ".",
+]
+
+
+def test_parser_matches_the_regular_expression_grammar():
+    rng = random.Random(29)
+    texts = _EDGE_TEXTS + [
+        "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randrange(9)))
+        for _ in range(4000)
+    ]
+    values = 0
+    for text in texts:
+        got = _outcome(parse_sn, text)
+        assert got == _outcome(_regex_parse_sn, text), repr(text)
+        values += isinstance(got, SupernaturalNumber)
+    assert values >= 300  # the corpus reaches values as well as errors
+    assert parse_sn("٢^inf") == SN({2: INF})
+    assert parse_sn("2^inf\x1c*3") == SN({2: INF, 3: 1})
+    with pytest.raises(ParseError, match=re.escape("malformed term '²^inf'")):
+        parse_sn("²^inf")
+
+
+def test_the_grammars_character_classes_agree_on_every_code_point():
+    # the regular expression's \d and \s are str.isdecimal() and
+    # str.isspace(), which the per-term parser and str.split() read
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert "".join(every.split()) == re.sub(r"\s+", "", every)
 
 
 def test_str_round_trip_examples():
@@ -300,3 +387,39 @@ def test_pickled_values_keep_infinite_exponents():
         assert [e is INF for _, e in b.factors] == [e is INF for _, e in a.factors]
         assert is_supernatural(b) == is_supernatural(a)
         assert class_key(b) == class_key(a)
+
+
+def _key(a):
+    return frozenset(p for p, e in a.factors if e is INF)
+
+
+def test_every_construction_carries_its_class_key():
+    # the key is kept with the value on first use, whichever way the value
+    # was built; equality, hash and pickling read the factors alone
+    import pickle
+
+    rng = random.Random(29)
+    for _ in range(300):
+        x, y = _random_exps(rng), _random_exps(rng)
+        a, b = SN(x), SN(y)
+        d = {p: rng.randint(0, 3) if e is INF else rng.randint(0, e) for p, e in x.items()}
+        built = [
+            a,
+            SupernaturalNumber(tuple(sorted(x.items()))),
+            parse_sn(sn_str(a)),
+            mul(a, b),
+            product([a, b, SN(_random_exps(rng))]),
+            gcd(a, b),
+            lcm(a, b),
+            div_exact(a, SN(d)),
+            eig_group(a, rng.randrange(-400, 400)),
+            SupernaturalNumber.from_int(rng.randrange(1, 10**4)),
+            pickle.loads(pickle.dumps(a)),
+        ]
+        for v in built:
+            fresh = pickle.loads(pickle.dumps(v))  # its key not yet asked
+            assert class_key(v) == _key(v) and type(class_key(v)) is frozenset
+            assert is_supernatural(v) == bool(_key(v))
+            assert v == fresh and hash(v) == hash(fresh)
+            assert pickle.dumps(v) == pickle.dumps(fresh)
+            assert class_key(fresh) == class_key(v)
