@@ -396,6 +396,6 @@ def verify_certificate(cert: dict, level: int | None = None) -> tuple[bool, list
     # the part verifier follows the certificate's claim, never a part's kind
     report = verify_chain(witness_from_block(relation, ms, ns, fresh), lvl, relation)
     for check in report.checks:
-        tag = "pass" if check.ok else "FAIL"
+        tag = "FAIL" if not check.ok else "vacuous" if check.vacuous else "pass"
         lines.append(f"[{tag}] witness {check.name}: {check.checked} checks")
     return ok and report.passed, lines

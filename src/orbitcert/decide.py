@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dynamics import Odometer, level_modulus
 from .intmat import IntMatrix, solve_conjugator
@@ -342,9 +342,10 @@ def _walk_rows(n: int, rows: list[int], walks: dict[tuple[int, int], set[int]]) 
     step += n * np.arange(len(rows), dtype=np.int64)[:, None]
     step = step.reshape(-1)
     label = np.arange(len(rows) * n, dtype=np.int64)
-    for _ in range((n - 1).bit_length()):
+    for t in range((n - 1).bit_length(), 0, -1):
         np.minimum(label, label[step], out=label)
-        step = step[step]
+        if t > 1:  # the last round's labels read no further step
+            step = step[step]
     counts = np.bincount(label, minlength=len(rows) * n)
     least = np.flatnonzero(counts)
     lengths: dict[int, set[int]] = {r: set() for r in rows}
@@ -355,9 +356,36 @@ def _walk_rows(n: int, rows: list[int], walks: dict[tuple[int, int], set[int]]) 
     walks.update(((n, r), got) for r, got in lengths.items())
 
 
+@dataclass
+class EigFacts:
+    """What eig_cross_check derives from its inputs alone, kept for the
+    calls of one run that share it: the cycle lengths of the rows walked,
+    keyed (n, row), as eig_group_oracle keeps them; the truncation moduli
+    of each eigenvalue group, keyed by A's factors and the level; the prime
+    factorization of each cycle length."""
+
+    walks: dict = field(default_factory=dict)
+    truncations: dict = field(default_factory=dict)
+    factors: dict = field(default_factory=dict)
+
+    def truncations_of(self, a: SupernaturalNumber, level: int) -> list[int]:
+        got = self.truncations.get((a.factors, level))
+        if got is None:
+            odo = Odometer(a)
+            got = self.truncations[a.factors, level] = [
+                level_modulus(odo, j) for j in range(level + 1)]
+        return got
+
+    def factorize(self, d: int) -> dict[int, int]:
+        got = self.factors.get(d)
+        if got is None:
+            got = self.factors[d] = factorize(d)
+        return got
+
+
 def eig_cross_check(
     m: SupernaturalNumber, ks: Iterable[int], level: int, guard: int = 10**4,
-    walks: dict[tuple[int, int], set[int]] | None = None,
+    facts: EigFacts | None = None,
 ) -> dict[int, dict[str, bool]]:
     """Four independent confrontations, for each power k of ks, of
     eig_group's modulus A with the cycle lengths of the permutation oracle
@@ -373,30 +401,41 @@ def eig_cross_check(
 
     A power k reads the levels up to level + vmax, those beyond `level`
     only while the guard admits them; each level is walked once, for every
-    power that reads it.  `walks` is handed to the oracle, so callers that
-    check several limits can share the permutation walks they have in common.
+    power that reads it.  The verdicts read k only through |k|, A, vmax
+    and the lengths, so a power whose A and lengths equal those of -k
+    takes -k's verdicts.  `facts` (EigFacts), when given, holds what the
+    calls share: the oracle's walks, and the truncations and
+    factorizations the confrontations read.
     """
+    facts = EigFacts() if facts is None else facts
+    odo = Odometer(m)
     vmax = {k: max((_valuation(k, p) for p, _ in m.factors), default=0) if k else 0
             for k in ks}
     lengths: dict[int, dict[int, set[int]]] = {k: {} for k in vmax}
     for lvl in range(level + max(vmax.values(), default=0) + 1):
-        if lvl > level and level_modulus(Odometer(m), lvl) > guard:
+        if lvl > level and level_modulus(odo, lvl) > guard:
             break
         reading = [k for k, v in vmax.items() if lvl <= level + v]
-        for k, got in eig_group_oracle(m, reading, lvl, guard, walks).items():
+        for k, got in eig_group_oracle(m, reading, lvl, guard, facts.walks).items():
             lengths[k][lvl] = got
-    n = level_modulus(Odometer(m), level)
-    groups = {k: eig_group(m, k) for k in vmax}
-    # many powers share a group, so each group's truncations are built once
-    truncations = {a: [level_modulus(Odometer(a), j) for j in range(level + 1)]
-                   for a in set(groups.values())}
-    return {k: _confront(k, a, truncations[a], n, vmax[k], lengths[k])
-            for k, a in groups.items()}
+    n = level_modulus(odo, level)
+    out: dict[int, dict[str, bool]] = {}
+    seen: dict = {}  # (|k|, A's factors) -> the lengths and verdicts of the first such power
+    for k in vmax:
+        a = eig_group(m, k)
+        twin = seen.get((abs(k), a.factors))
+        if twin is not None and twin[0] == lengths[k]:
+            out[k] = dict(twin[1])
+            continue
+        out[k] = _confront(k, a, facts.truncations_of(a, level), n, vmax[k], lengths[k],
+                           facts.factorize)
+        seen[abs(k), a.factors] = lengths[k], out[k]
+    return out
 
 
 def _confront(
     k: int, a: SupernaturalNumber, truncations: list[int], n: int, vmax: int,
-    lengths: dict[int, set[int]],
+    lengths: dict[int, set[int]], factorize=factorize,
 ) -> dict[str, bool]:
     """eig_cross_check's four verdicts for one power k with eigenvalue group
     T(a), whose level-j truncation modulus is truncations[j], from the
@@ -404,19 +443,21 @@ def _confront(
     level = len(truncations) - 1
     got = lengths[level]
     cyc = n // math.gcd(abs(k), n)
+    monotone = True
+    for lo in range(level):
+        ups = lengths[lo + 1]
+        if not all([any([up % d == 0 for up in ups]) for d in lengths[lo]]):
+            monotone = False
+            break
     return {
-        "cyclic": cyc in got and all(cyc % d == 0 for d in got),
-        "contained": all(e <= a.v(p) for d in got for p, e in factorize(d).items()),
-        "monotone": all(
-            any(up % d == 0 for up in lengths[lo + 1])
-            for lo in range(level)
-            for d in lengths[lo]
-        ),
-        "exhausts": all(
-            any(d % truncations[j] == 0 for d in lengths[j + vmax])
+        "cyclic": cyc in got and all([cyc % d == 0 for d in got]),
+        "contained": all([e <= a.v(p) for d in got for p, e in factorize(d).items()]),
+        "monotone": monotone,
+        "exhausts": all([
+            any([d % truncations[j] == 0 for d in lengths[j + vmax]])
             for j in range(level + 1)
             if j + vmax in lengths
-        ),
+        ]),
     }
 
 

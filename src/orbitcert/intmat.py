@@ -239,17 +239,31 @@ def _check_snf(a: list[list[int]], n: int, dec) -> None:
     """Proves that the row lists dec = (S, U, U^-1, V, V^-1) are a Smith
     decomposition of the row list a with n columns: U*A*V = S; U*U^-1 = I
     and V*V^-1 = I, which over Z is exactly unimodularity of U and V; S
-    diagonal and non-negative, each diagonal entry dividing the next."""
+    diagonal and non-negative, each diagonal entry dividing the next.
+
+    Once S is diagonal and V*V^-1 = I, V^-1 is V's two-sided inverse, so
+    U*A*V = S holds exactly when U*A = S*V^-1, whose row i is row i of
+    V^-1 times S's entry (i, i), and 0 past the diagonal: one product fewer.
+    Otherwise U*A*V is built; either way the first identity that fails
+    names the refusal, in the order above."""
     s, u, u_inv, v, v_inv = dec
     m = len(a)
     if ([len(x) for x in dec] != [m, m, m, n, n]
             or [len(row) for x in (a, *dec) for row in x] != [n] * 2 * m + [m] * 2 * m + [n] * 2 * n):
         raise AssertionError("decomposition has the wrong shape")
-    if _mul(_mul(u, _cols(a)), _cols(v)) != s:
+    v_unimodular = _mul(v, _cols(v_inv)) == _identity(n)
+    diagonal = not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(s))
+    ua = _mul(u, _cols(a))
+    if diagonal and v_unimodular:
+        zero = [0] * n
+        same = ua == [[s[i][i] * x for x in v_inv[i]] if i < n else zero for i in range(m)]
+    else:
+        same = _mul(ua, _cols(v)) == s
+    if not same:
         raise AssertionError("U*A*V != S")
-    if _mul(u, _cols(u_inv)) != _identity(m) or _mul(v, _cols(v_inv)) != _identity(n):
+    if _mul(u, _cols(u_inv)) != _identity(m) or not v_unimodular:
         raise AssertionError("transform matrices are not unimodular")
-    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(s)):
+    if not diagonal:
         raise AssertionError("S is not diagonal")
     d = [s[i][i] for i in range(min(m, n))]
     if any(x < 0 for x in d):
@@ -332,12 +346,26 @@ def solve_conjugator(ms: tuple[int, ...], ns: tuple[int, ...]) -> tuple[IntMatri
 
 
 def matrix_gcd_of_minors(a: IntMatrix, k: int) -> int:
-    """gcd of all k x k minors (0 when every minor vanishes)."""
+    """gcd of all k x k minors (0 when every minor vanishes).  A 1 x 1
+    minor is an entry, 2 x 2 and 3 x 3 ones are expanded by their first
+    row, and larger ones are Bareiss determinants."""
+    if k == 1:
+        return igcd(*a.entries)
     g = 0
     a_rows = a.to_rows()
+    col_sets = list(combinations(range(a.cols), k))
     for rows in combinations(a_rows, k):
-        for cols in combinations(range(a.cols), k):
-            g = igcd(g, _det([[row[j] for j in cols] for row in rows]))
+        if k == 2:
+            r, t = rows
+            minors = (r[i] * t[j] - r[j] * t[i] for i, j in col_sets)
+        elif k == 3:
+            r, t, w = rows
+            minors = (r[i] * (t[j] * w[h] - t[h] * w[j]) - r[j] * (t[i] * w[h] - t[h] * w[i])
+                      + r[h] * (t[i] * w[j] - t[j] * w[i]) for i, j, h in col_sets)
+        else:
+            minors = (_det([[row[j] for j in cols] for row in rows]) for cols in col_sets)
+        for x in minors:
+            g = igcd(g, x)
             if g == 1:
                 return 1
     return g

@@ -235,33 +235,45 @@ def roundtrip(name: str, f, g, level: int):
         f, mid, tuple([o if r % o else 1 for o, r in zip(out, read)]), gmods)
     over = [m // e for m, e in zip(g.source.space_moduli(mid), gmods)]
     free = [j for j in range(n) if box[j] > 1]
-    linear: dict = {}  # per rows of f and piece of g: u's reach, the wraps, failing coefficients
+    rank = range(n)
+    # per rows of f and rows of g, both shared by equal pieces: the
+    # overflowing wraps and the failing coefficients
+    linear: dict = {}
     for r, (t, rows) in zip(cylinders(mods), pieces):
-        s = [v % e for v, e in zip(t, gmods)]
-        gidx = cylinder_index(gmods, s)
+        gidx = 0
+        for v, e in zip(t, gmods):
+            gidx = gidx * e + v % e
         tau, b = gpieces[gidx]
-        got = linear.get((id(rows), gidx))
+        got = linear.get((id(rows), id(b)))
         if got is None:
             a1 = [[e // m % o for e, m, o in zip(rows[j], gmods, over)] for j in free]
             reach = [sum([(box[j] - 1) * row[c] for j, row in zip(free, a1)])
                      for c in range(len(over))]
             bad = [j for j, row in zip(free, a1) if not _reduced(
                 [sum([ac * bc[i] for ac, bc in zip(row, b)]) - (mods[j] if i == j else 0)
-                 for i in range(n)], out)]
-            wraps = [_reduced([o * e for e in row], out) for o, row in zip(over, b)]
-            got = linear[id(rows), gidx] = (reach, wraps, bad, rows)
-        reach, wraps, bad, _rows = got
-        t1 = [(v - sv) // e % o for v, sv, e, o in zip(t, s, gmods, over)]
-        for c, o in enumerate(over):
-            if t1[c] + reach[c] >= o and not wraps[c]:
+                 for i in rank], out)]
+            # the coordinates of g's u that may overflow, with their reach
+            wraps = [(c, o, reach[c]) for c, (o, row) in enumerate(zip(over, b))
+                     if not _reduced([o * e for e in row], out)]
+            got = linear[id(rows), id(b)] = (wraps, bad, rows, b)
+        wraps, bad = got[:2]
+        # f(r) lies in g's cylinder s, at u = t1 along g's cylinders: (t - s) / E = t // E
+        t1 = [v // e % o for v, e, o in zip(t, gmods, over)]
+        for c, o, reach in wraps:
+            if t1[c] + reach >= o:
+                s = tuple([v % e for v, e in zip(t, gmods)])
                 _record(violations, [(name, f"wrap: {o} * row {c} of {g.name or 'the map'} on "
-                                            f"cylinder {tuple(s)} is not 0 mod lm(M, {level})")])
-        const = [tv - rv + sum([tc * bc[i] for tc, bc in zip(t1, b)])
-                 for i, (tv, rv) in enumerate(zip(tau, r))]
+                                            f"cylinder {s} is not 0 mod lm(M, {level})")])
         # the point r fails a constant, r + C_j e_j a coefficient j
-        points = [r] if not _reduced(const, out) else []
-        points += [tuple([v + (mods[j] if t == j else 0) for t, v in enumerate(r)]) for j in bad]
-        _record(violations, filter(None, map(violation, points[:1])))
+        if any([(tv - rv + sum([tc * bc[i] for tc, bc in zip(t1, b)])) % m
+                for i, tv, rv, m in zip(rank, tau, r, out)]):
+            points = [r]
+        elif bad:
+            j = bad[0]
+            points = [tuple([v + (mods[j] if i == j else 0) for i, v in enumerate(r)])]
+        else:
+            continue
+        _record(violations, filter(None, map(violation, points)))
     return name, len(pieces) * n * (n + f.target.rank), violations
 
 
@@ -269,17 +281,20 @@ def runs(b) -> list[dict]:
     """Prefix sums of b along each factor j: for every line of cylinders
     through a cylinder r with r_j = 0, the sums of the first s steps of e_j
     from r, s < 2 E_j, in integers."""
-    mods, out = b.moduli, []
+    mods, values, out = b.moduli, b.values, []
+    zero = (0,) * len(b.target_group)
     for j, e in enumerate(mods):
+        # s steps of e_j from r, r_j = 0, reach the cylinder (s mod E_j) strides on
+        stride = math.prod(mods[j + 1:])
         lines = {}
-        for r in cylinders(mods):
+        for idx, r in enumerate(cylinders(mods)):
             if r[j]:
                 continue
-            run, cur = [(0,) * len(b.target_group)], r
-            for _ in range(2 * e):
-                run.append(tuple(p + q for p, q in zip(run[-1], _value(b, cur, j))))
-                cur = _moved(cur, j, mods)
-            lines[cylinder_index(mods, r)] = run
+            run = [zero]
+            for s in range(2 * e):
+                step = values[idx + s % e * stride][j]
+                run.append(tuple([p + q for p, q in zip(run[-1], step)]))
+            lines[idx] = run
         out.append(lines)
     return out
 
@@ -291,10 +306,14 @@ def read(b, h, y) -> tuple[int, ...]:
     plus the first s steps, read off b's prefix sums (b.runs).  Cyclic
     coordinates of h are reduced mod their order, and the cost does not
     grow with the size of h."""
-    h = canonical_coords(b.source.group_moduli(), tuple(h))
+    group, mods = b.source.group_moduli(), b.moduli
+    if len(h) != len(group):
+        raise ValueError("coordinate arity mismatch")
     total = [0] * len(b.target_group)
-    cur = [v % e for v, e in zip(y, b.moduli)]
-    for j, (hj, e) in enumerate(zip(h, b.moduli)):
+    cur = [v % e for v, e in zip(y, mods)]
+    for j, (hj, n, e) in enumerate(zip(h, group, mods)):
+        if n:
+            hj %= n
         if not hj:
             continue
         if e == 1:  # one cylinder along e_j: hj times its value
@@ -303,7 +322,7 @@ def read(b, h, y) -> tuple[int, ...]:
         q, s = divmod(hj, e)
         p = cur[j]
         cur[j] = 0
-        run = b.runs[j][cylinder_index(b.moduli, cur)]
+        run = b.runs[j][cylinder_index(mods, cur)]
         total = [v + q * w + y - z for v, w, y, z in zip(total, run[e], run[p + s], run[p])]
         cur[j] = (p + s) % e
     return canonical_coords(b.target_group, tuple(total))
@@ -318,12 +337,15 @@ def inverse(name: str, f, a, b):
     mods, _box, pieces = _constant_on(f, b.level, a.moduli, b.moduli)
     units = [tuple([int(i == j) % m if m else int(i == j) for j, m in enumerate(group)])
              for group in [f.source.group_moduli()] for i in range(len(group))]
-    seen: dict = {}  # b read once per value of a and cylinder of b
+    seen = b._reads  # b read once per value of a and cylinder of b, for every check
+    if len(a.values) == len(b.values) == 1 and all(
+            [read(b, h, (0,) * b.source.rank) == e for h, e in zip(a.values[0], units)]):
+        # constant cocycles, as a conjugacy's are: the readings hold on every piece
+        return name, len(pieces) * f.source.rank, []
     violations: list = []
     for r, (t, _rows) in zip(cylinders(mods), pieces):
         y = cylinder_index(b.moduli, t)
-        for i, e in enumerate(units):
-            h = _value(a, r, i)
+        for i, (e, h) in enumerate(zip(units, a.values[cylinder_index(a.moduli, r)])):
             got = seen.get((h, y))
             if got is None:
                 got = seen[h, y] = read(b, h, t)

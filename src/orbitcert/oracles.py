@@ -46,45 +46,48 @@ def element_orders(group: FiniteAbelianGroup, limit: int = 10**5) -> dict[int, i
     return counts
 
 
-def fab_isomorphic_bruteforce(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> bool:
-    """Finite abelian groups are isomorphic iff their element-order profiles match."""
+def fab_isomorphic_bruteforce(a: FiniteAbelianGroup, b: FiniteAbelianGroup,
+                              profiles: dict | None = None) -> bool:
+    """Finite abelian groups are isomorphic iff their element-order profiles
+    match.  `profiles`, when given, keeps each profile by the group's orders
+    for the calls that share it."""
     if a.cardinality != b.cardinality:
         return False
-    return element_orders(a) == element_orders(b)
+    if profiles is None:
+        return element_orders(a) == element_orders(b)
+    for g in (a, b):
+        if g.orders not in profiles:
+            profiles[g.orders] = element_orders(g)
+    return profiles[a.orders] == profiles[b.orders]
 
 
 def _common_divisor_candidates(
-    members: list[SupernaturalNumber], key: frozenset[int]
-) -> list[SupernaturalNumber]:
+    members: list[dict[int, int | float]], key: frozenset[int]
+) -> list[dict[int, int | float]]:
     """All L with the given infinite support such that every member is a
-    finite multiple of L with multiplier coprime to L."""
-    finite_primes = sorted(
-        {p for m in members for p in m.support if m.v(p) is not INF} - key
-    )
-    per_prime: list[list[tuple[int, int]]] = []
+    finite multiple of L with multiplier coprime to L; members and
+    candidates are exponent maps."""
+    finite_primes = sorted({p for m in members for p, v in m.items() if v is not INF} - key)
+    per_prime: list[list[int]] = []
     for p in finite_primes:
-        vals = {m.v(p) for m in members}
-        choices = [(p, 0)]
+        vals = {m.get(p, 0) for m in members}
+        choices = [0]
         if len(vals) == 1:
             (v,) = vals
             if v > 0:
-                choices.append((p, v))
+                choices.append(v)
         per_prime.append(choices)
-    out = []
-    for combo in product(*per_prime):
-        factors: dict[int, int | float] = {p: INF for p in key}
-        for p, v in combo:
-            if v:
-                factors[p] = v
-        out.append(SupernaturalNumber.from_map(factors))
-    return out
+    base = dict.fromkeys(key, INF)
+    return [{**base, **{p: v for p, v in zip(finite_primes, combo) if v}}
+            for combo in product(*per_prime)]
 
 
-def _finite_part_over(m: SupernaturalNumber, l: SupernaturalNumber) -> int | None:
-    """The natural q with m = q * l and gcd(q, l) = 1, or None."""
+def _finite_part_over(m: dict[int, int | float], l: dict[int, int | float]) -> int | None:
+    """The natural q with m = q * l and gcd(q, l) = 1, or None; m and l are
+    exponent maps."""
     q = 1
-    for p in m.support | l.support:
-        vm, vl = m.v(p), l.v(p)
+    for p in m.keys() | l.keys():
+        vm, vl = m.get(p, 0), l.get(p, 0)
         if vl is INF:
             if vm is not INF:
                 return None
@@ -99,10 +102,12 @@ def _finite_part_over(m: SupernaturalNumber, l: SupernaturalNumber) -> int | Non
 
 
 def _match_blocks(
-    left: list[SupernaturalNumber], right: list[SupernaturalNumber], key: frozenset[int]
+    left: list[dict[int, int | float]], right: list[dict[int, int | float]],
+    key: frozenset[int], profiles: dict,
 ) -> bool:
-    """Exhaustive search for a partition of one equivalence class into matched
-    blocks, each sharing a common divisor L with isomorphic finite parts."""
+    """Exhaustive search for a partition of one equivalence class, given by
+    its members' exponent maps, into matched blocks, each sharing a common
+    divisor L with isomorphic finite parts."""
     if not left and not right:
         return True
     if not left or not right:
@@ -118,27 +123,39 @@ def _match_blocks(
                 for l in _common_divisor_candidates(block_l + block_r, key):
                     ms = [_finite_part_over(m, l) for m in block_l]
                     ns = [_finite_part_over(n, l) for n in block_r]
-                    if any(x is None for x in ms + ns):
+                    if None in ms or None in ns:
                         continue
                     if not fab_isomorphic_bruteforce(
-                        FiniteAbelianGroup(tuple(ms)), FiniteAbelianGroup(tuple(ns))
+                        FiniteAbelianGroup(tuple(ms)), FiniteAbelianGroup(tuple(ns)), profiles
                     ):
                         continue
-                    if _match_blocks(remaining_l, remaining_r, key):
+                    if _match_blocks(remaining_l, remaining_r, key, profiles):
                         return True
     return False
 
 
 def conjugacy_bruteforce(
-    ms: tuple[SupernaturalNumber, ...], ns: tuple[SupernaturalNumber, ...]
+    ms: tuple[SupernaturalNumber, ...], ns: tuple[SupernaturalNumber, ...],
+    memo: dict | None = None,
 ) -> bool:
-    """Search over all block partitions and per-prime common-divisor choices."""
-    if any(not is_supernatural(x) for x in ms + ns):
+    """Search over all block partitions and per-prime common-divisor choices.
+
+    `memo`, when given, is a dict the calls of one run share.  The search
+    of one class depends on nothing but its key and the class's members on
+    each side, in order, so it keeps each class's verdict under the key and
+    the members' factors, and each group's element-order profile."""
+    if not all([is_supernatural(x) for x in ms + ns]):
         raise ValueError("inputs must be supernatural")
-    keys = {class_key(x) for x in ms + ns}
-    for key in keys:
-        left = [x for x in ms if class_key(x) == key]
-        right = [x for x in ns if class_key(x) == key]
-        if not _match_blocks(left, right, key):
+    memo = {} if memo is None else memo
+    verdicts, profiles = memo.setdefault("classes", {}), memo.setdefault("profiles", {})
+    for key in {class_key(x) for x in ms + ns}:
+        left = [x.factors for x in ms if class_key(x) == key]
+        right = [x.factors for x in ns if class_key(x) == key]
+        seen = (key, tuple(left), tuple(right))
+        found = verdicts.get(seen)
+        if found is None:
+            found = verdicts[seen] = _match_blocks(
+                [dict(m) for m in left], [dict(n) for n in right], key, profiles)
+        if not found:
             return False
     return True

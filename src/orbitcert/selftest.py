@@ -6,7 +6,8 @@ by the grids a check on the truncations would build (_check_grids), so
 that the tests can check every witness the suites verify on its grids as
 well, and one suite function per checked property.  Each suite returns a
 SuiteResult whose failures list is empty exactly when the suite passes;
-any failure carries the offending instance so it can be replayed.
+every failure line names the offending instance and ends with
+`replay: <command>`, the orbitcert command that replays it.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .cocycle import (
     verify_coe,
 )
 from .decide import (
+    EigFacts,
     coe_decide,
     conj_decide,
     eig_cross_check,
@@ -34,7 +36,7 @@ from .decide import (
     k_invariant_equal,
 )
 from .dynamics import Odometer, level_modulus, point_count
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, _smith  # the elimination, without the wrapping
 from .linear import cylinder_index, cylinders, image
 from .oracles import conjugacy_bruteforce, snf_diagonal_by_minors
 from .supernatural import (
@@ -66,7 +68,8 @@ class SuiteResult:
         return not self.failures
 
     def summary(self) -> str:
-        tag = "pass" if self.ok else "FAIL"
+        # a suite with nothing to check passes, and says it was vacuous
+        tag = "FAIL" if not self.ok else "vacuous" if not self.checked else "pass"
         head = f"{self.name}: {tag} ({self.checked} checks, {self.elapsed:.2f}s)"
         if self.failures:
             shown = "; ".join(str(f) for f in self.failures[:3])
@@ -86,6 +89,11 @@ def _replay_command(relation: str, ms, ns, level: int | None = None) -> str:
         return f"orbitcert {relation} {pair}"
     return (f"orbitcert witness {relation} {pair} --level {level} --out w.json"
             " && orbitcert verify w.json")
+
+
+def _replay_selftest(seed: int) -> str:
+    """The CLI command that runs the seeded suites again."""
+    return f"orbitcert selftest --seed {seed}"
 
 
 # ---------------------------------------------------------------------------
@@ -388,27 +396,28 @@ def suite_conj_witnesses(instances, level: int = 4, extra=()) -> SuiteResult:
 @_timed
 def suite_snf(seed: int, count: int = 1000, max_dim: int = 5, bound: int = 20) -> SuiteResult:
     """Smith normal form on random integer matrices against the minor-gcd
-    oracle.  Every smith_normal_form call proves its own decomposition
-    (intmat._check_snf: U*A*V = S, unimodular U and V, a non-negative
-    diagonal, the divisibility chain); a refusal there is a failure line."""
+    oracle.  Every elimination behind smith_normal_form (intmat._smith)
+    proves its own decomposition (intmat._check_snf: U*A*V = S, unimodular
+    U and V, a non-negative diagonal, the divisibility chain); a refusal
+    there is a failure line.  The entries are drawn as
+    randrange(2*bound + 1) - bound, the stream randint(-bound, bound) draws."""
     rng = random.Random(seed)
+    draw, span = rng.randrange, 2 * bound + 1
     failures = []
     for t in range(count):
-        rows = rng.randint(1, max_dim)
-        cols = rng.randint(1, max_dim)
-        a = IntMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-        )
+        rows, cols = draw(max_dim) + 1, draw(max_dim) + 1
+        a = [[draw(span) - bound for _ in range(cols)] for _ in range(rows)]
         try:
-            d = smith_normal_form(a)
+            s = _smith(a, cols)[0]
         except AssertionError as e:
             problem = str(e)
         else:
-            if d.s.diagonal_entries == snf_diagonal_by_minors(a):
+            if tuple([s[i][i] for i in range(min(rows, cols))]) == snf_diagonal_by_minors(
+                    IntMatrix.from_rows(a)):
                 continue
             problem = "minor-gcd oracle disagrees"
-        # the label is built only for a failure: most matrices pass
-        failures.append(f"seed={seed} #{t} {a.to_rows()}: {problem}")
+        # the line is built only for a failure: most matrices pass
+        failures.append(f"seed={seed} #{t} {a}: {problem}; replay: {_replay_selftest(seed)}")
     return SuiteResult("smith-normal-form", count, failures)
 
 
@@ -451,12 +460,15 @@ def suite_conj_vs_bruteforce(
         pairs += [(ms, ns) for ms in sides for ns in sides]
     rng = random.Random(seed)
     factors = _enumerate_factors(SMALL_PRIMES, 2)
+    label = {f: sn_str(f) for f in factors}  # a side is sorted by its factors' text
     for _ in range(samples):
-        ms = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=str))
-        ns = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=str))
+        ms = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=label.get))
+        ns = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=label.get))
         pairs.append((ms, ns))
+    searched: dict = {}  # the oracle's verdicts per class, shared by the pairs
     failures = [f"{_fmt_pair(ms, ns)}; replay: {_replay_command('conj', ms, ns)}"
-                for ms, ns in pairs if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns)]
+                for ms, ns in pairs
+                if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns, searched)]
     return SuiteResult("conj-vs-bruteforce", len(pairs), failures)
 
 
@@ -465,20 +477,22 @@ def suite_eig(kmax: int = 12, max_level: int = 5, guard: int = 2500) -> SuiteRes
     """Closed-form eigenvalue groups against the permutation oracle, over
     every limit shape on primes {2, 3, 5} with exponents in {0, 1, 2, inf},
     all |k| <= kmax, and every level <= max_level the guard admits.  The
-    limits share their permutation walks: a row of Z/n is walked once."""
+    limits share their permutation walks, a row of Z/n walked once, and the
+    truncations and factorizations the confrontations read (EigFacts)."""
     failures = []
     checked = 0
-    walks: dict = {}
+    facts = EigFacts()
     for combo in itertools.product((0, 1, 2, INF), repeat=3):
         m = SupernaturalNumber.from_map({p: e for p, e in zip(SMALL_PRIMES, combo) if e})
         lvl = max_level
         while lvl > 0 and level_modulus(Odometer(m), lvl) > guard:
             lvl -= 1
-        for k, parts in eig_cross_check(m, range(-kmax, kmax + 1), lvl, guard, walks).items():
+        for k, parts in eig_cross_check(m, range(-kmax, kmax + 1), lvl, guard, facts).items():
             checked += 1
             bad = [name for name, ok in parts.items() if not ok]
             if bad:
-                failures.append(f"M={sn_str(m)} k={k} level={lvl}: {bad}")
+                failures.append(f"M={sn_str(m)} k={k} level={lvl}: {bad}; "
+                                f'replay: orbitcert eig "{sn_str(m)}" {k}')
     return SuiteResult("eigenvalue-cross-check", checked, failures)
 
 
@@ -488,7 +502,9 @@ def suite_counterexample(p: int = 2, q: int = 3, n: int = 5) -> SuiteResult:
     failures = [stmt for stmt, ok in report.certified if not ok]
     if not report.cited:
         failures.append("missing cited orbit-equivalence direction")
-    return SuiteResult("counterexample-family", len(report.certified), failures)
+    replay = f"orbitcert counterexample {p} {q} {n}"
+    return SuiteResult("counterexample-family", len(report.certified),
+                       [f"{f}; replay: {replay}" for f in failures])
 
 
 @_timed
@@ -578,14 +594,22 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
                 failures.append(f"{_fmt_pair(ms, ns)}: corrupted transfer accepted")
             except ValueError:
                 pass
-    return SuiteResult("cohomology-roundtrip", checked, failures)
+    return SuiteResult("cohomology-roundtrip", checked,
+                       [f"{f}; replay: {_replay_selftest(seed)}" for f in failures])
 
 
-# the suites' indices in run_all's job list, longest first, the order in
-# which they are handed to the workers: smith-normal-form,
-# eigenvalue-cross-check, conj-vs-bruteforce, cohomology-roundtrip, then the
-# short ones in list order
-_LONGEST_FIRST = (3, 5, 4, 7, 0, 1, 2, 6)
+# the eight suites of run_all, in the order of its result
+_SUITE_COUNT = 8
+
+# the indices of the suites that read no instances, longest first: run_all
+# hands them to the workers in this order before it generates the
+# instances, then the three that read them.  Measured in a worker for
+# run_all(17, 20) on a 2-core x86 guest: smith-normal-form 53 ms,
+# eigenvalue-cross-check 24, cohomology-roundtrip 23, conj-vs-bruteforce
+# 16, counterexample-family 0.1; the three others 5 together.  On two
+# workers one runs smith-normal-form and the short suites, the other the
+# next three, and the call takes about 70 ms.
+_LONGEST_FIRST = (3, 5, 7, 4, 6)
 
 
 def _usable_cpus() -> int:
@@ -596,25 +620,32 @@ def _usable_cpus() -> int:
 
 
 def run_all(seed: int = 0, count: int = 200) -> list[SuiteResult]:
-    """Every suite on the instances generate_instances(seed, count), in a
-    fixed order.  The suites share nothing but the instances, so they run
-    side by side in forked worker processes, at most one per usable CPU,
-    and each one's elapsed time is its own wall time.  On one usable CPU,
-    or where fork is not offered, they run one after another in this
-    process.  No worker outlives the call."""
-    instances = generate_instances(seed, count)
-    jobs = [
-        functools.partial(suite_invariant_vs_decision, seed, count, instances=instances),
-        functools.partial(suite_coe_witnesses, instances),
-        functools.partial(suite_conj_witnesses, instances, extra=_mandated_conj_pairs()),
-        functools.partial(suite_snf, seed),
-        functools.partial(suite_conj_vs_bruteforce, seed, samples=1000),
-        suite_eig,
-        suite_counterexample,
-        functools.partial(suite_cohomology, seed),
-    ]
-    workers = min(_usable_cpus(), len(jobs))
-    if workers > 1:
+    """Every suite, three of them on the instances generate_instances(seed,
+    count), in a fixed order.  The suites share nothing but the instances,
+    so they run side by side in forked worker processes, at most one per
+    usable CPU, and each one's elapsed time is its own wall time.  The five
+    that read no instances start first, longest first (_LONGEST_FIRST has
+    their measured times), while this process generates the instances for
+    the other three, which take about 5 ms.  On one usable CPU, or where
+    fork is not offered, they run one after another in this process.  No
+    worker outlives the call."""
+    free = {
+        3: functools.partial(suite_snf, seed),
+        4: functools.partial(suite_conj_vs_bruteforce, seed, samples=1000),
+        5: suite_eig,
+        6: suite_counterexample,
+        7: functools.partial(suite_cohomology, seed),
+    }
+
+    def reading_instances():
+        instances = generate_instances(seed, count)
+        return {
+            0: functools.partial(suite_invariant_vs_decision, seed, count, instances=instances),
+            1: functools.partial(suite_coe_witnesses, instances),
+            2: functools.partial(suite_conj_witnesses, instances, extra=_mandated_conj_pairs()),
+        }
+
+    if _usable_cpus() > 1:
         # imported here: every importer of this module would pay for them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -624,10 +655,13 @@ def run_all(seed: int = 0, count: int = 200) -> list[SuiteResult]:
         # the call
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = {i: pool.submit(jobs[i]) for i in _LONGEST_FIRST}
-                return [futures[i].result() for i in range(len(jobs))]
-    return [job() for job in jobs]
+            with ProcessPoolExecutor(min(_usable_cpus(), _SUITE_COUNT),
+                                     mp_context=context) as pool:
+                futures = {i: pool.submit(free[i]) for i in _LONGEST_FIRST}
+                futures.update((i, pool.submit(job)) for i, job in reading_instances().items())
+                return [futures[i].result() for i in range(_SUITE_COUNT)]
+    jobs = {**reading_instances(), **free}
+    return [jobs[i]() for i in range(_SUITE_COUNT)]
 
 
 def _mandated_conj_pairs():

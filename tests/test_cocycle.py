@@ -43,7 +43,7 @@ from orbitcert.dynamics import (
     SystemSpec,
     point_count,
 )
-from orbitcert.linear import cylinders, read
+from orbitcert.linear import cylinders, read, roundtrip
 from orbitcert.selftest import conj_positive_pair
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
@@ -72,6 +72,27 @@ def test_identity_witness_verifies():
     report = verify_coe(w, level=3)
     assert report.passed, report.summary()
     assert "ok" in report.summary()
+
+
+def test_a_check_without_comparisons_reports_itself_vacuous():
+    # the cocycle identity of a rank-1 odometer has no relation to compare
+    spec = _spec(["2^inf"])
+    report = verify_cocycle_identity(CocycleTable(spec, (0,), (((1,),),)))
+    (check,) = report.checks
+    assert (check.checked, check.ok, check.vacuous, report.passed) == (0, True, True, True)
+    assert "[vacuous] cocycle-identity: 0 comparisons" in report.summary()
+    assert "[ok]" in verify_coe(identity_witness(X_SMALL), level=3).summary()
+
+
+def test_roundtrip_reads_each_piece_of_the_inverse_map():
+    # f's two pieces share one matrix; g's second piece is wrong on every
+    # other point of its cylinder, which its offset alone does not show
+    x = _spec(["2^inf"])
+    f = LCMap(x, x, lambda k: k, (((0,), ((2,),)), ((1,), ((2,),))), (2,), "f")
+    for rows, bad in ((((2,),), []), (((4,),), [(3,)])):
+        g = LCMap(x, x, lambda k: k, (((0,), ((2,),)), ((1,), rows)), (2,), "g")
+        name, checked, violations = roundtrip("g-after-f", f, g, 2)
+        assert checked == 4 and [v[1].residues for v in violations] == bad
 
 
 def test_lcmap_refuses_short_input():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -331,12 +332,18 @@ def _mutant(step, drop_first):
 @pytest.mark.parametrize("mutant", [
     _mutant(lambda k: k, drop_first=True),
     _mutant(lambda k: k + 1, drop_first=False),
-], ids=["drops-first-cycle", "steps-by-k-plus-one"])
-def test_eig_suite_rejects_a_mutant_oracle(mutant, monkeypatch):
+    # wrong on negative powers only: their verdicts are their own, never
+    # taken from k's unless the oracle's lengths for -k agree
+    _mutant(lambda k: k if k >= 0 else k - 1, drop_first=False),
+], ids=["drops-first-cycle", "steps-by-k-plus-one", "negative-powers-step-once-more"])
+def test_eig_suite_rejects_a_mutant_oracle(mutant, request, monkeypatch):
     monkeypatch.setattr(decide, "eig_group_oracle", mutant)
     res = suite_eig()
     assert res.checked == 1600
     assert res.failures
+    if "negative" in request.node.callspec.id:
+        # the oracle is right on k >= 0, so no such power fails
+        assert all(int(re.search(r" k=(-?\d+) ", f)[1]) < 0 for f in res.failures)
 
 
 def test_counterexample_family_certified():

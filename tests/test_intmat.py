@@ -107,6 +107,16 @@ def test_check_snf_refuses_one_changed_transform_entry():
             bad[k][i][j] += rng.choice((-2, -1, 1, 2))
             with pytest.raises(AssertionError):
                 _check_snf(rows, a.cols, tuple(bad))
+        # S is dec[0]: one diagonal entry, then one off-diagonal entry.  The
+        # check proves U*A*V = S as U*A = S*V^-1 when S is diagonal, and
+        # either change breaks that identity, as it breaks U*A*V = S
+        i = rng.randrange(min(a.rows, a.cols))
+        off = [(r, c) for r in range(a.rows) for c in range(a.cols) if r != c]
+        for i, j in [(i, i)] + [rng.choice(off)] * bool(off):
+            bad = [[list(r) for r in x] for x in dec]
+            bad[0][i][j] += rng.choice((-2, -1, 1, 2))
+            with pytest.raises(AssertionError, match=r"U\*A\*V != S"):
+                _check_snf(rows, a.cols, tuple(bad))
     # a zero row of A hides a change to column 0 of U from U*A*V = S;
     # only U*U^-1 = I sees it
     a = M([[0, 0], [2, 4]])

@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from composite import composite_scale, only_part
 from orbitcert import cli, intmat, selftest
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import CheckResult, VerifyReport
-from orbitcert.decide import coe_decide, conj_decide
+from orbitcert.decide import coe_decide, conj_decide, free_group_counterexample_check
 from orbitcert.dynamics import point_count
 from orbitcert.selftest import (
     SuiteResult,
@@ -29,12 +30,13 @@ from orbitcert.selftest import (
     suite_conj_vs_bruteforce,
     suite_conj_witnesses,
     suite_counterexample,
+    suite_eig,
     suite_invariant_vs_decision,
     suite_snf,
     _check_grids,
     _mandated_conj_pairs,
 )
-from orbitcert.supernatural import is_supernatural, parse_sn_list, sn_str
+from orbitcert.supernatural import INF, is_supernatural, parse_sn_list, sn_str
 from orbitcert.witness import build_coe_witness, build_conj_witness
 
 
@@ -111,9 +113,11 @@ def test_mandated_pairs_are_conjugate():
 def test_suite_result_summary_marks_failures():
     good = SuiteResult("demo", 3)
     bad = SuiteResult("demo", 3, failures=["boom"])
+    empty = SuiteResult("demo", 0)
     assert "pass" in good.summary()
     assert "FAIL" in bad.summary() and "boom" in bad.summary()
-    assert good.ok and not bad.ok
+    assert "vacuous (0 checks" in empty.summary()
+    assert good.ok and not bad.ok and empty.ok
 
 
 def test_invariant_suite_small_run():
@@ -148,7 +152,8 @@ def test_snf_suite_records_a_refused_decomposition(monkeypatch):
     monkeypatch.setattr(intmat, "_check_snf", corrupt_the_fourth)
     res = suite_snf(17, count=6)
     assert res.checked == 6 and len(calls) == 6
-    assert res.failures == [f"seed=17 #3 {calls[3]}: U*A*V != S"]
+    assert res.failures == [
+        f"seed=17 #3 {calls[3]}: U*A*V != S; replay: orbitcert selftest --seed 17"]
 
 
 def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
@@ -183,7 +188,8 @@ def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
 
 def test_decision_suite_failures_end_with_a_replay_command(monkeypatch):
     monkeypatch.setattr(selftest, "k_invariant_equal", lambda ms, ns: not coe_decide(ms, ns))
-    monkeypatch.setattr(selftest, "conjugacy_bruteforce", lambda ms, ns: not conj_decide(ms, ns))
+    monkeypatch.setattr(selftest, "conjugacy_bruteforce",
+                        lambda ms, ns, memo=None: not conj_decide(ms, ns))
     coe_pair = (parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
     for relation, res in (
         ("coe", suite_invariant_vs_decision(0, instances=[coe_pair])),
@@ -200,6 +206,47 @@ def test_decision_suite_failures_end_with_a_replay_command(monkeypatch):
             assert (ms, ns) == coe_pair
 
 
+def test_seeded_and_eigenvalue_suite_failures_end_with_a_replay_command(monkeypatch):
+    # one forced failure per suite: a refused Smith decomposition, a false
+    # verdict of power -3, a false separation, an untwist that refuses
+    real, calls = intmat._check_snf, []
+
+    def refuse_the_second(a, n, dec):
+        calls.append(a)
+        if len(calls) == 2:
+            raise AssertionError("U*A*V != S")
+        real(a, n, dec)
+
+    monkeypatch.setattr(intmat, "_check_snf", refuse_the_second)
+    monkeypatch.setattr(selftest, "eig_cross_check", lambda m, ks, level, guard, facts: {
+        k: {"cyclic": k != -3 or m.factors != ((2, INF),)} for k in ks})
+    report = free_group_counterexample_check(2, 3, 5)
+    monkeypatch.setattr(selftest, "free_group_counterexample_check", lambda p, q, n: replace(
+        report, certified=report.certified[:1] + ((report.certified[1][0], False),)))
+
+    def refusing(*args, **kwargs):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(selftest, "untwist_to_conjugacy", refusing)
+    expected = {
+        "smith-normal-form": ("selftest", {"seed": 23}),
+        "eigenvalue-cross-check": ("eig", {"m": "2^inf", "k": -3}),
+        "counterexample-family": ("counterexample", {"p": 7, "q": 2, "n": 9}),
+        "cohomology-roundtrip": ("selftest", {"seed": 29}),
+    }
+    for res in (suite_snf(23, count=3), suite_eig(),
+                suite_counterexample(7, 2, 9), suite_cohomology(29, count=1)):
+        command, values = expected[res.name]
+        assert len(res.failures) >= 1, res.name
+        assert all("; replay: " in f for f in res.failures), res.name
+        head, replay = res.failures[0].rsplit("; replay: ", 1)
+        prog, *argv = shlex.split(replay)
+        args = cli.build_parser().parse_args(argv)
+        assert (prog, args.command) == ("orbitcert", command), res.failures[0]
+        assert {name: getattr(args, name) for name in values} == values, res.failures[0]
+    assert len(suite_eig().failures) == 1
+
+
 def _rows(results):
     return [(r.name, r.checked, r.failures) for r in results]
 
@@ -208,8 +255,13 @@ def _in_a_worker(cpus: int) -> bool:
     return cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
 
 
-@pytest.mark.parametrize("seed, count", [(3, 8), (17, 20)])
-def test_run_all_in_workers_matches_the_in_process_run(seed, count, monkeypatch):
+@pytest.mark.parametrize("seed, count, sizes", [
+    (3, 8, (8, 2, 3, 1000, 2225, 1600, 4, 194)),
+    (17, 20, (20, 7, 8, 1000, 2225, 1600, 4, 194)),
+])
+def test_run_all_in_workers_matches_the_in_process_run(seed, count, sizes, monkeypatch):
+    # the sizes are pinned, so that no speed-up of a suite drops checks;
+    # (17, 20) is the selftest benchmark's input
     monkeypatch.setattr(selftest, "_usable_cpus", lambda: 2)
     forked = selftest.run_all(seed, count)
     assert multiprocessing.active_children() == []
@@ -219,6 +271,7 @@ def test_run_all_in_workers_matches_the_in_process_run(seed, count, monkeypatch)
         "invariant-vs-decision", "coe-witness-soundness", "conj-witness-soundness",
         "smith-normal-form", "conj-vs-bruteforce", "eigenvalue-cross-check",
         "counterexample-family", "cohomology-roundtrip"]
+    assert tuple(r.checked for r in forked) == sizes
     assert all(r.ok for r in forked)
 
 
