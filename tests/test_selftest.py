@@ -258,7 +258,7 @@ def _in_a_worker(cpus: int) -> bool:
 @pytest.mark.parametrize("seed, count, sizes", [
     (3, 8, (8, 2, 3, 1000, 2225, 1600, 4, 194)),
     (17, 20, (20, 7, 8, 1000, 2225, 1600, 4, 194)),
-])
+], ids=["3-8", "17-20"])
 def test_run_all_in_workers_matches_the_in_process_run(seed, count, sizes, monkeypatch):
     # the sizes are pinned, so that no speed-up of a suite drops checks;
     # (17, 20) is the selftest benchmark's input
