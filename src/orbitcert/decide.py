@@ -435,7 +435,7 @@ def eig_cross_check(
 
 def _confront(
     k: int, a: SupernaturalNumber, truncations: list[int], n: int, vmax: int,
-    lengths: dict[int, set[int]], factorize=factorize,
+    lengths: dict[int, set[int]], factorize,
 ) -> dict[str, bool]:
     """eig_cross_check's four verdicts for one power k with eigenvalue group
     T(a), whose level-j truncation modulus is truncations[j], from the

@@ -53,8 +53,7 @@ def fab_isomorphic_bruteforce(a: FiniteAbelianGroup, b: FiniteAbelianGroup,
     for the calls that share it."""
     if a.cardinality != b.cardinality:
         return False
-    if profiles is None:
-        return element_orders(a) == element_orders(b)
+    profiles = {} if profiles is None else profiles
     for g in (a, b):
         if g.orders not in profiles:
             profiles[g.orders] = element_orders(g)
@@ -136,18 +135,19 @@ def _match_blocks(
 
 def conjugacy_bruteforce(
     ms: tuple[SupernaturalNumber, ...], ns: tuple[SupernaturalNumber, ...],
-    memo: dict | None = None,
+    verdicts: dict | None = None, profiles: dict | None = None,
 ) -> bool:
     """Search over all block partitions and per-prime common-divisor choices.
 
-    `memo`, when given, is a dict the calls of one run share.  The search
-    of one class depends on nothing but its key and the class's members on
-    each side, in order, so it keeps each class's verdict under the key and
-    the members' factors, and each group's element-order profile."""
+    `verdicts` and `profiles`, when given, are dicts the calls of one run
+    share.  The search of one class depends on nothing but its key and the
+    class's members on each side, in order, so `verdicts` keeps each
+    class's verdict under the key and the members' factors, and `profiles`
+    each group's element-order profile by its orders."""
     if not all([is_supernatural(x) for x in ms + ns]):
         raise ValueError("inputs must be supernatural")
-    memo = {} if memo is None else memo
-    verdicts, profiles = memo.setdefault("classes", {}), memo.setdefault("profiles", {})
+    verdicts = {} if verdicts is None else verdicts
+    profiles = {} if profiles is None else profiles
     for key in {class_key(x) for x in ms + ns}:
         left = [x.factors for x in ms if class_key(x) == key]
         right = [x.factors for x in ns if class_key(x) == key]

@@ -465,10 +465,11 @@ def suite_conj_vs_bruteforce(
         ms = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=label.get))
         ns = tuple(sorted((rng.choice(factors) for _ in range(rng.randint(1, 3))), key=label.get))
         pairs.append((ms, ns))
-    searched: dict = {}  # the oracle's verdicts per class, shared by the pairs
+    verdicts: dict = {}  # the oracle's verdicts per class, shared by the pairs
+    profiles: dict = {}  # and its element-order profiles per group
     failures = [f"{_fmt_pair(ms, ns)}; replay: {_replay_command('conj', ms, ns)}"
                 for ms, ns in pairs
-                if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns, searched)]
+                if bool(conj_decide(ms, ns)) != conjugacy_bruteforce(ms, ns, verdicts, profiles)]
     return SuiteResult("conj-vs-bruteforce", len(pairs), failures)
 
 
@@ -598,18 +599,14 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
                        [f"{f}; replay: {_replay_selftest(seed)}" for f in failures])
 
 
-# the eight suites of run_all, in the order of its result
-_SUITE_COUNT = 8
-
-# the indices of the suites that read no instances, longest first: run_all
-# hands them to the workers in this order before it generates the
-# instances, then the three that read them.  Measured in a worker for
+# the suites' indices in run_all's job list, longest first, the order in
+# which they are handed to the workers.  Measured in a worker for
 # run_all(17, 20) on a 2-core x86 guest: smith-normal-form 53 ms,
 # eigenvalue-cross-check 24, cohomology-roundtrip 23, conj-vs-bruteforce
-# 16, counterexample-family 0.1; the three others 5 together.  On two
-# workers one runs smith-normal-form and the short suites, the other the
-# next three, and the call takes about 70 ms.
-_LONGEST_FIRST = (3, 5, 7, 4, 6)
+# 16, then the short ones in list order, 5 ms together.  On two workers
+# one runs smith-normal-form and the short suites, the other the next
+# three, and the call takes about 72 ms.
+_LONGEST_FIRST = (3, 5, 7, 4, 0, 1, 2, 6)
 
 
 def _usable_cpus() -> int:
@@ -620,32 +617,26 @@ def _usable_cpus() -> int:
 
 
 def run_all(seed: int = 0, count: int = 200) -> list[SuiteResult]:
-    """Every suite, three of them on the instances generate_instances(seed,
-    count), in a fixed order.  The suites share nothing but the instances,
-    so they run side by side in forked worker processes, at most one per
-    usable CPU, and each one's elapsed time is its own wall time.  The five
-    that read no instances start first, longest first (_LONGEST_FIRST has
-    their measured times), while this process generates the instances for
-    the other three, which take about 5 ms.  On one usable CPU, or where
+    """Every suite on the instances generate_instances(seed, count), in a
+    fixed order.  The suites share nothing but the instances, so they run
+    side by side in forked worker processes, at most one per usable CPU,
+    longest first (_LONGEST_FIRST has their measured times), and each
+    one's elapsed time is its own wall time.  On one usable CPU, or where
     fork is not offered, they run one after another in this process.  No
     worker outlives the call."""
-    free = {
-        3: functools.partial(suite_snf, seed),
-        4: functools.partial(suite_conj_vs_bruteforce, seed, samples=1000),
-        5: suite_eig,
-        6: suite_counterexample,
-        7: functools.partial(suite_cohomology, seed),
-    }
-
-    def reading_instances():
-        instances = generate_instances(seed, count)
-        return {
-            0: functools.partial(suite_invariant_vs_decision, seed, count, instances=instances),
-            1: functools.partial(suite_coe_witnesses, instances),
-            2: functools.partial(suite_conj_witnesses, instances, extra=_mandated_conj_pairs()),
-        }
-
-    if _usable_cpus() > 1:
+    instances = generate_instances(seed, count)
+    jobs = [
+        functools.partial(suite_invariant_vs_decision, seed, count, instances=instances),
+        functools.partial(suite_coe_witnesses, instances),
+        functools.partial(suite_conj_witnesses, instances, extra=_mandated_conj_pairs()),
+        functools.partial(suite_snf, seed),
+        functools.partial(suite_conj_vs_bruteforce, seed, samples=1000),
+        suite_eig,
+        suite_counterexample,
+        functools.partial(suite_cohomology, seed),
+    ]
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1:
         # imported here: every importer of this module would pay for them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -655,13 +646,10 @@ def run_all(seed: int = 0, count: int = 200) -> list[SuiteResult]:
         # the call
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(min(_usable_cpus(), _SUITE_COUNT),
-                                     mp_context=context) as pool:
-                futures = {i: pool.submit(free[i]) for i in _LONGEST_FIRST}
-                futures.update((i, pool.submit(job)) for i, job in reading_instances().items())
-                return [futures[i].result() for i in range(_SUITE_COUNT)]
-    jobs = {**reading_instances(), **free}
-    return [jobs[i]() for i in range(_SUITE_COUNT)]
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = {i: pool.submit(jobs[i]) for i in _LONGEST_FIRST}
+                return [futures[i].result() for i in range(len(jobs))]
+    return [job() for job in jobs]
 
 
 def _mandated_conj_pairs():

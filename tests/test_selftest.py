@@ -189,7 +189,7 @@ def test_witness_suite_failures_end_with_a_replay_command(monkeypatch):
 def test_decision_suite_failures_end_with_a_replay_command(monkeypatch):
     monkeypatch.setattr(selftest, "k_invariant_equal", lambda ms, ns: not coe_decide(ms, ns))
     monkeypatch.setattr(selftest, "conjugacy_bruteforce",
-                        lambda ms, ns, memo=None: not conj_decide(ms, ns))
+                        lambda ms, ns, *memos: not conj_decide(ms, ns))
     coe_pair = (parse_sn_list("5*2^inf,3^inf"), parse_sn_list("2^inf,5*3^inf"))
     for relation, res in (
         ("coe", suite_invariant_vs_decision(0, instances=[coe_pair])),
