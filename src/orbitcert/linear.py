@@ -338,10 +338,6 @@ def inverse(name: str, f, a, b):
     units = [tuple([int(i == j) % m if m else int(i == j) for j, m in enumerate(group)])
              for group in [f.source.group_moduli()] for i in range(len(group))]
     seen = b._reads  # b read once per value of a and cylinder of b, for every check
-    if len(a.values) == len(b.values) == 1 and all(
-            [read(b, h, (0,) * b.source.rank) == e for h, e in zip(a.values[0], units)]):
-        # constant cocycles, as a conjugacy's are: the readings hold on every piece
-        return name, len(pieces) * f.source.rank, []
     violations: list = []
     for r, (t, _rows) in zip(cylinders(mods), pieces):
         y = cylinder_index(b.moduli, t)
