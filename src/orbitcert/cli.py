@@ -170,7 +170,8 @@ def positive(text: str) -> int:
 
 # generate_instances keeps every instance and the witness suites verify
 # every positive, so a selftest's time and memory grow with --count:
-# 10,000 instances take about 5 s and peak near 75 MB on a 2-core x86 guest
+# 10,000 instances take about 4 s, and the parent peaks near 65 MB and
+# each forked worker near 80 MB, on a 2-core x86 guest
 SELFTEST_COUNT_LIMIT = 10_000
 
 

@@ -1,13 +1,12 @@
 """Seeded randomized cross-check suites.
 
 Everything here is shared by the `selftest` command and the acceptance
-tests: a deterministic instance generator for odometer products, screened
-by the grids a check on the truncations would build (_check_grids), so
-that the tests can check every witness the suites verify on its grids as
-well, and one suite function per checked property.  Each suite returns a
-SuiteResult whose failures list is empty exactly when the suite passes;
-every failure line names the offending instance and ends with
-`replay: <command>`, the orbitcert command that replays it.
+tests: a deterministic instance generator for odometer products, whose
+corpus is the first draws of a seeded stream, and one suite function per
+checked property.  Each suite returns a SuiteResult whose failures list
+is empty exactly when the suite passes; every failure line names the
+offending instance and ends with `replay: <command>`, the orbitcert
+command that replays it.
 """
 from __future__ import annotations
 
@@ -50,10 +49,6 @@ from .witness import build_coe_witness, build_conj_witness
 
 DOMAIN_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIMES = (2, 3, 5)
-
-# grids any suite-verified witness may build at level 4; see _desk_scale
-_COE_SCALE_BUDGET = 60_000
-_CONJ_SCALE_BUDGET = 400_000
 
 
 @dataclass
@@ -187,9 +182,6 @@ def coe_positive_pair(
     return ms, _from_maps(maps)
 
 
-_COPRIME_SWAPS = (((6,), (2, 3)), ((10,), (2, 5)), ((15,), (3, 5)), ((12,), (4, 3)))
-
-
 def conj_positive_pair(
     rng: random.Random, max_rank: int = 3
 ) -> tuple[tuple[SupernaturalNumber, ...], tuple[SupernaturalNumber, ...]]:
@@ -252,72 +244,27 @@ def near_miss_pair(
     return ms, _from_maps(maps)
 
 
-# ---------------------------------------------------------------------------
-# scale screening
-
-
-def _check_grids(w: CoeWitness, level: int):
-    """(system, level) of every grid a check of w on the grids of its
-    truncations, the tests' oracle, builds at `level`, in the order it
-    first builds them, read off the level maps alone."""
-    sides = ((w.phi, w.psi, w.a, w.b), (w.psi, w.phi, w.b, w.a))
-    for f, _g, a, b in sides:  # equivariance
-        yield from ((f.source, f.input_level(max(level, b.level))), (f.source, a.level))
-    for f, g, _a, _b in sides:  # roundtrips, compared at `level` or finer
-        mid = g.input_level(level)
-        k = f.input_level(mid)
-        yield from ((f.source, k), (g.source, mid), (f.source, max(level, k)))
-    for f, _g, _a, b in sides:  # inverses read the map at the other cocycle's level
-        yield f.source, f.input_level(b.level)
-
-
-def _grids_fit(chain, level: int, budget: int) -> bool:
-    """Every grid _check_grids plans for a part of the chain, at its
-    stage's level, holds at most `budget` points."""
-    return not any(point_count(spec, k) > budget
-                   for stage, lam in zip(chain.stages, chain.stage_levels(level))
-                   for part in stage.parts for spec, k in _check_grids(part.witness, lam))
-
-
-def _desk_scale(ms, ns, level: int = 4) -> bool:
-    """Keep only instances whose positive verdicts fit the point budgets at
-    the given level on the grids of their truncations (_check_grids): the
-    tests check every witness of the corpus on such grids as well.
-    Negative instances are never verified, so they always pass."""
-    coe = coe_decide(ms, ns)
-    if not coe:
-        return True
-    try:
-        if len(ms) <= 2 and not _grids_fit(build_coe_witness(ms, ns, coe), level,
-                                           _COE_SCALE_BUDGET):
-            return False
-        conj = conj_decide(ms, ns)
-        return not conj or _grids_fit(build_conj_witness(ms, ns, conj), level,
-                                      _CONJ_SCALE_BUDGET)
-    except ValueError:  # a part beyond the builder's point limit
-        return False
+def instance_stream(seed: int):
+    """The seeded stream of instances, without end: constructed positives,
+    near misses, and unconstrained draws over primes up to 13."""
+    rng = random.Random(seed)
+    while True:
+        roll = rng.random()
+        if roll < 0.30:
+            yield coe_positive_pair(rng)
+        elif roll < 0.42:
+            yield conj_positive_pair(rng)
+        elif roll < 0.58:
+            yield near_miss_pair(rng)
+        else:
+            yield random_side(rng), random_side(rng)
 
 
 def generate_instances(
-    seed: int, count: int = 200, level: int = 4
+    seed: int, count: int = 200
 ) -> list[tuple[tuple[SupernaturalNumber, ...], tuple[SupernaturalNumber, ...]]]:
-    """The mixed corpus: constructed positives, near misses, and unconstrained
-    draws over primes up to 13, screened to desk scale."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        roll = rng.random()
-        if roll < 0.30:
-            ms, ns = coe_positive_pair(rng)
-        elif roll < 0.42:
-            ms, ns = conj_positive_pair(rng)
-        elif roll < 0.58:
-            ms, ns = near_miss_pair(rng)
-        else:
-            ms, ns = random_side(rng), random_side(rng)
-        if _desk_scale(ms, ns, level):
-            out.append((ms, ns))
-    return out
+    """The mixed corpus: the first `count` instances of instance_stream(seed)."""
+    return list(itertools.islice(instance_stream(seed), count))
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +477,13 @@ def suite_cohomology(seed: int, count: int = 12, level: int = 3) -> SuiteResult:
             chain = build_conj_witness(ms, ns)
         except ValueError:
             continue
-        # the tests check the twisted witnesses on the grids of their truncations
-        if not _grids_fit(chain, level, 20_000):
-            continue
         blocks = [p.witness for p in chain.stages[0].parts]
+        # the tests check the twisted witnesses on the grids of their
+        # truncations; a block's maps read level max(level, depth), and the
+        # multipliers drawn here give depth <= 2, so at level 3 its largest
+        # grids are its systems' truncations
+        if any(point_count(spec, level) > 20_000 for w in blocks for spec in (w.source, w.target)):
+            continue
         built += 1
         for w in blocks:
             x_spec, y_spec = w.source, w.target

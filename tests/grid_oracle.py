@@ -9,10 +9,10 @@ generator (CocycleTable), one memo of grids and tables per verification
 (_Tables), the equivariance, roundtrip and inverse checks on grids, the
 cocycle identities and homomorphism on tables, a cocycle read at any group
 element through cyclic prefix sums (cocycle_reader), and the grid plan
-(require_grids, through the plan the selftest screens use,
-selftest._check_grids).  Every grid-wide array is component-major,
-shape (components, points), so each pass over a grid reads one row against
-one scalar modulus.
+(check_grids), read by require_grids and by the screen that picks this
+oracle's inputs from the selftest stream (desk_instances).  Every
+grid-wide array is component-major, shape (components, points), so each
+pass over a grid reads one row against one scalar modulus.
 
 `tabulated` holds a witness given by pieces as tables: each point map
 evaluates its pieces on whole arrays, each cocycle is tabulated on its
@@ -21,6 +21,7 @@ given, and the tests require the piece verdicts to agree with theirs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,7 +32,7 @@ from orbitcert.cocycle import POINT_LIMITS, CheckResult, CoeWitness, VerifyRepor
 from orbitcert.cocycle import CocycleTable as PieceCocycle
 from orbitcert.cocycle import GroupValuedMap as PieceMap
 from orbitcert.cocycle import LCMap as PieceLCMap
-from orbitcert.selftest import _check_grids as check_grids
+from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.dynamics import (
     PointAtLevel,
     SystemSpec,
@@ -40,6 +41,8 @@ from orbitcert.dynamics import (
     point_count,
     require_level,
 )
+from orbitcert.selftest import instance_stream
+from orbitcert.witness import build_coe_witness, build_conj_witness
 
 _SAMPLES = 5  # violations kept per check
 
@@ -518,6 +521,20 @@ def _identity_check(name: str, a: CocycleTable, t: _Tables) -> CheckResult:
     return CheckResult(name, checked, violations)
 
 
+def check_grids(w: CoeWitness, level: int):
+    """(system, level) of every grid the checks of w build at `level`, in
+    the order they first build them, read off the level maps alone."""
+    sides = ((w.phi, w.psi, w.a, w.b), (w.psi, w.phi, w.b, w.a))
+    for f, _g, a, b in sides:  # equivariance
+        yield from ((f.source, f.input_level(max(level, b.level))), (f.source, a.level))
+    for f, g, _a, _b in sides:  # roundtrips, compared at `level` or finer
+        mid = g.input_level(level)
+        k = f.input_level(mid)
+        yield from ((f.source, k), (g.source, mid), (f.source, max(level, k)))
+    for f, _g, _a, b in sides:  # inverses read the map at the other cocycle's level
+        yield f.source, f.input_level(b.level)
+
+
 def require_grids(w: CoeWitness, level: int, limit: int) -> None:
     """Refuse, without building anything, a level at which the coe checks
     of w would build a grid beyond `limit` points, with the error the
@@ -655,3 +672,45 @@ def as_table(m):
 def tabulated(w: CoeWitness) -> CoeWitness:
     """w held as tables (as_table), checked on grids by this module."""
     return CoeWitness(as_table(w.phi), as_table(w.a), as_table(w.psi), as_table(w.b))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's inputs
+
+# grids a witness of desk_instances may build at level 4
+_COE_SCALE_BUDGET = 60_000
+_CONJ_SCALE_BUDGET = 400_000
+
+
+def grids_fit(chain, level: int, budget: int) -> bool:
+    """Every grid check_grids plans for a part of the chain, at its stage's
+    level, holds at most `budget` points."""
+    return not any(point_count(spec, k) > budget
+                   for stage, lam in zip(chain.stages, chain.stage_levels(level))
+                   for part in stage.parts for spec, k in check_grids(part.witness, lam))
+
+
+def _desk_scale(ms, ns) -> bool:
+    """Whether the witnesses of a positive instance fit the point budgets at
+    level 4 on the grids of their truncations: rank <= 2 orbit equivalence
+    chains and conjugacies.  A negative instance is never verified, and a
+    part beyond the builder's point limit is never kept."""
+    coe = coe_decide(ms, ns)
+    if not coe:
+        return True
+    try:
+        if len(ms) <= 2 and not grids_fit(build_coe_witness(ms, ns, coe), 4,
+                                          _COE_SCALE_BUDGET):
+            return False
+        conj = conj_decide(ms, ns)
+        return not conj or grids_fit(build_conj_witness(ms, ns, conj), 4,
+                                     _CONJ_SCALE_BUDGET)
+    except ValueError:
+        return False
+
+
+def desk_instances(seed: int, count: int) -> list:
+    """The first `count` instances of selftest.instance_stream(seed) whose
+    witnesses this oracle can check at level 4 (_desk_scale)."""
+    kept = (p for p in instance_stream(seed) if _desk_scale(*p))
+    return list(itertools.islice(kept, count))

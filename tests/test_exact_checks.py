@@ -200,11 +200,9 @@ def _chain_agrees(chain, level):
 
 
 def test_chain_and_composite_agree_on_the_corpus():
-    from orbitcert.selftest import generate_instances
-
-    # the corpus is screened by the chain's own grids; keep the pairs whose
+    # desk_instances screens by the chain's own grids; keep the pairs whose
     # composite fits the same budget
-    pairs = [(ms, ns) for ms, ns in generate_instances(17, 200)
+    pairs = [(ms, ns) for ms, ns in grid_oracle.desk_instances(17, 200)
              if len(ms) <= 2 and coe_decide(ms, ns)
              and composite_scale(build_coe_witness(ms, ns), 4) <= 60_000]
     pairs.append(tuple(map(parse_sn_list, README_PAIR)))
@@ -507,15 +505,13 @@ def _conj_verdicts(chain, level=2, radius=2):
 
 
 def test_conj_chain_and_composite_agree_on_the_corpus():
-    from orbitcert.selftest import generate_instances
-
-    pairs = list(dict.fromkeys(p for p in generate_instances(17, 200) if conj_decide(*p)))
+    pairs = list(dict.fromkeys(p for p in grid_oracle.desk_instances(17, 200) if conj_decide(*p)))
     pairs += [tuple(map(parse_sn_list, pair)) for pair in (README_CONJ, CRT_MERGE)]
     assert len(pairs) == 51
     for ms, ns in pairs:
         chain = build_conj_witness(ms, ns)
         # a composite beyond the verifier's limit at level 2 is compared at
-        # level 1: the corpus is screened by its parts' grids, not by it
+        # level 1: desk_instances screens by its parts' grids, not by it
         level = 2 if composite_scale(chain, 2) <= 5 * 10**6 else 1
         assert _conj_verdicts(chain, level) == (True, True, True), (ms, ns, level)
 

@@ -28,7 +28,6 @@ from orbitcert.cocycle import (
 )
 from orbitcert.decide import coe_decide, conj_decide
 from orbitcert.dynamics import Cyclic, Odometer, PointAtLevel, SystemSpec, canonical_coords
-from orbitcert.selftest import generate_instances
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import build_coe_witness, build_conj_witness, linear_witness
 
@@ -66,7 +65,7 @@ def _linear_parts() -> dict:
     """Every distinct identity or conjugacy part of the coe and conj
     witnesses the seed-17 selftest corpus verifies, of the README pairs and
     of CRT_MERGE, keyed by relation, systems, matrices and depth."""
-    instances = generate_instances(17, 200)
+    instances = grid_oracle.desk_instances(17, 200)
     coe = [p for p in instances if len(p[0]) <= 2 and coe_decide(*p)]
     conj = [p for p in instances if conj_decide(*p)]
     coe.append(tuple(map(parse_sn_list, README_PAIR)))
@@ -255,7 +254,7 @@ def _refuse(*args, **kwargs):
 def test_identity_and_conjugacy_parts_are_built_and_checked_without_tables(monkeypatch):
     # every identity part of the seed-17 coe chains, and the wired pairs and
     # the README conjugacy end to end, with every grid and table refused
-    coe = [p for p in generate_instances(17, 200) if coe_decide(*p)]
+    coe = [p for p in grid_oracle.desk_instances(17, 200) if coe_decide(*p)]
     chains = [build_coe_witness(*p) for p in coe]
     identity = [(part.witness, lam) for chain in chains
                 for stage, lam in zip(chain.stages, chain.stage_levels(4))

@@ -17,7 +17,6 @@ import grid_oracle
 from orbitcert import selftest
 from orbitcert.cocycle import CocycleTable, CoeWitness, verify_coe, verify_conj
 from orbitcert.decide import coe_decide
-from orbitcert.selftest import generate_instances
 from orbitcert.dynamics import Cyclic
 from orbitcert.supernatural import parse_sn_list, sn_str
 from orbitcert.witness import build_coe_witness
@@ -63,7 +62,7 @@ def agree(w, level, verify, oracle):
 def _nonlinear_parts() -> dict:
     """The split, merge and finite parts of the seed-17 coe chains and of
     the README pair, keyed by kind and systems."""
-    pairs = [p for p in generate_instances(17, 200) if coe_decide(*p)]
+    pairs = [p for p in grid_oracle.desk_instances(17, 200) if coe_decide(*p)]
     pairs.append(tuple(map(parse_sn_list, ("5*2^inf,3^inf", "2^inf,5*3^inf"))))
     parts: dict = {}
     for ms, ns in pairs:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from composite import composite_scale, only_part
+from grid_oracle import check_grids, desk_instances, grids_fit
 from orbitcert import cli, intmat, selftest
 from orbitcert.chain import verify_chain
 from orbitcert.cocycle import CheckResult, VerifyReport
@@ -33,7 +34,6 @@ from orbitcert.selftest import (
     suite_eig,
     suite_invariant_vs_decision,
     suite_snf,
-    _check_grids,
     _mandated_conj_pairs,
 )
 from orbitcert.supernatural import INF, is_supernatural, parse_sn_list, sn_str
@@ -73,7 +73,7 @@ def test_scale_estimators_monotone_in_level():
     cw = only_part(build_conj_witness(ms, ns))
 
     def largest_grid(level):
-        return max(point_count(spec, k) for spec, k in _check_grids(cw, level))
+        return max(point_count(spec, k) for spec, k in check_grids(cw, level))
 
     assert largest_grid(2) <= largest_grid(3)
     w = build_coe_witness(ms, ns)
@@ -84,7 +84,7 @@ def test_corpus_is_screened_by_the_grids_verify_builds():
     # the composite of this pair's chain would hold 186,624 points, beyond
     # the coe budget, but verify checks the chain on its stage grids
     ms, ns = parse_sn_list("3^inf, 2^inf"), parse_sn_list("2^2*3^inf, 2^inf")
-    assert (ms, ns) in generate_instances(17, 20)
+    assert (ms, ns) in desk_instances(17, 20)
     chain = build_coe_witness(ms, ns)
     assert composite_scale(chain, 4) == 186_624
     report = verify_chain(chain, level=4)
@@ -96,13 +96,25 @@ def test_corpus_is_screened_by_the_grids_verify_builds():
     (200, "a3e9ea5f194b36842a2b7c79291d1044e37ec8d7675e27fc69e95b38221fedbb"),
 ])
 def test_corpus_is_pinned(count, digest):
-    # the screen plans the grid checks' grids for every part, linear parts
-    # too, and a conjugacy's parts are whole blocks; the selftest benchmark
-    # runs generate_instances(17, 20)
-    rendered = [[[sn_str(m) for m in side] for side in pair]
-                for pair in generate_instances(17, count)]
+    # the grid oracle's inputs: the screen plans the grid checks' grids for
+    # every part, linear parts too, and a conjugacy's parts are whole blocks
+    assert _digest(desk_instances(17, count)) == digest
+
+
+@pytest.mark.parametrize("count, digest", [
+    (20, "3b0feb3ebea01977cbdcd2e4f0dd5708ea7a14c9182846de8227f2d3cce597c6"),
+    (200, "8b796b6374edc1e8f77f1c308cc1b6fedc6ef56cd975e3cca78332b1066d598c"),
+])
+def test_selftest_corpus_is_pinned(count, digest):
+    # the first draws of the seeded stream, unscreened; the selftest
+    # benchmark runs generate_instances(17, 20)
+    assert _digest(generate_instances(17, count)) == digest
+
+
+def _digest(instances) -> str:
+    rendered = [[[sn_str(m) for m in side] for side in pair] for pair in instances]
     text = json.dumps(rendered, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_mandated_pairs_are_conjugate():
@@ -135,6 +147,30 @@ def test_cohomology_suite_small_run():
     res = suite_cohomology(29, count=3)
     assert res.ok, res.failures
     assert res.checked >= 9
+
+
+def test_cohomology_point_bound_keeps_the_chains_the_grid_plan_fits(monkeypatch):
+    # the suite bounds each block's points at its level, 3, and the tests
+    # check its twisted witnesses on the grids the plan names: both screens
+    # must keep the same chains
+    chains, slid = [], set()
+    real_build, real_slide = selftest.build_conj_witness, selftest.slide
+
+    def building(ms, ns):
+        chains.append(real_build(ms, ns))
+        return chains[-1]
+
+    def sliding(w, *args):
+        slid.add(id(w))
+        return real_slide(w, *args)
+
+    monkeypatch.setattr(selftest, "build_conj_witness", building)
+    monkeypatch.setattr(selftest, "slide", sliding)
+    for seed in (1, 3, 11, 17, 23, 29):
+        assert suite_cohomology(seed).ok
+    kept = [all(id(p.witness) in slid for p in chain.stages[0].parts) for chain in chains]
+    assert kept == [grids_fit(chain, 3, 20_000) for chain in chains]
+    assert True in kept and False in kept
 
 
 def test_snf_suite_records_a_refused_decomposition(monkeypatch):
@@ -256,8 +292,8 @@ def _in_a_worker(cpus: int) -> bool:
 
 
 @pytest.mark.parametrize("seed, count, sizes", [
-    (3, 8, (8, 2, 3, 1000, 2225, 1600, 4, 194)),
-    (17, 20, (20, 7, 8, 1000, 2225, 1600, 4, 194)),
+    (3, 8, (8, 2, 4, 1000, 2225, 1600, 4, 194)),
+    (17, 20, (20, 7, 10, 1000, 2225, 1600, 4, 194)),
 ], ids=["3-8", "17-20"])
 def test_run_all_in_workers_matches_the_in_process_run(seed, count, sizes, monkeypatch):
     # the sizes are pinned, so that no speed-up of a suite drops checks;

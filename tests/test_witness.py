@@ -33,7 +33,7 @@ from orbitcert.dynamics import (
     level_modulus,
 )
 from orbitcert.intmat import invert_unimodular
-from orbitcert.selftest import conj_positive_pair, generate_instances
+from orbitcert.selftest import conj_positive_pair
 from orbitcert.supernatural import parse_sn, parse_sn_list
 from orbitcert.witness import (
     build_basic_coe,
@@ -317,7 +317,7 @@ def test_conj_vectorized_matches_pointwise():
     # grid within the verifier's default limit, and on a seeded sample of a
     # larger one (the whole system of a pair screened by its block grids)
     rng = np.random.default_rng(17)
-    pairs = [(ms, ns) for ms, ns in generate_instances(17, 200) if conj_decide(ms, ns)] + [
+    pairs = [p for p in grid_oracle.desk_instances(17, 200) if conj_decide(*p)] + [
         (parse_sn_list("2*7^inf, 3*7^inf"), parse_sn_list("6*7^inf, 7^inf")),
         (parse_sn_list("2*5^inf, 3*5^inf"), parse_sn_list("3*5^inf, 2*5^inf")),
     ]
